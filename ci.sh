@@ -42,6 +42,12 @@ go run ./cmd/fbpvet ./...
 echo "== go build =="
 go build ./...
 
+echo "== perfbench checks =="
+# perfbench is a separate module (it pins the benchmark's own source), so
+# the root ./... patterns never reach it: vet it and run its tests, which
+# include the BENCHMARK.json consistency check. See perfbench/README.md.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== local-QP allocation guard =="
 # Regression guard for the O(netlist) scan: a small-block SolveSubset over
 # a 10k-cell netlist must allocate O(block). See README "Performance".
@@ -53,10 +59,10 @@ echo "== benchmark smoke =="
 go test -timeout 10m -run '^$' -bench 'BenchmarkSolveSubsetBlock|BenchmarkRealizeLevel' -benchtime 1x ./internal/qp/ ./internal/fbp/
 
 echo "== bench regression gate =="
-# The committed Table-I baseline (cmd/fbpbench -table 1 -bench-out) must
-# not regress more than 10% wall clock against the PR 4 reference. A
-# session that regenerates the BENCH file with a slower transport or
-# realization path fails here; regenerate with
+# The committed Table-I baseline must not regress more than 10% wall
+# clock against the PR 4 reference. A regenerated BENCH file with a
+# slower transport or realization path fails here. fbpbench writes no
+# baseline unless -bench-out names one; regenerate with
 #   go run ./cmd/fbpbench -table 1 -bench-out BENCH_pr9.json
 # on an otherwise idle machine before committing. See README
 # "Performance" and cmd/benchgate.

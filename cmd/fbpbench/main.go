@@ -10,9 +10,10 @@
 // characteristics), 4 (inclusive movebounds), 5 (exclusive movebounds),
 // 6 (runtime split), 7 (ISPD-2006-style), speedup, ablation, feasibility.
 //
-// Every run that produces HPWL numbers also writes a machine-readable
-// baseline (per-table HPWL and phase times) for regression diffing; see
-// -bench-out.
+// With -bench-out, every run that produces HPWL numbers also writes a
+// machine-readable baseline (per-table HPWL and phase times) for
+// regression diffing. It is off by default, so a casual run never
+// overwrites a committed baseline.
 package main
 
 import (
@@ -32,7 +33,7 @@ func main() {
 	chips := flag.Int("chips", 0, "limit the number of chips for table 2 (0 = all 21)")
 	trace := flag.String("trace", "", "write a JSON-lines trace of the runs to this file")
 	stats := flag.Bool("stats", false, "print the phase summary tree and counters at the end")
-	benchOut := flag.String("bench-out", "BENCH_baseline.json", "write per-table HPWL/phase-time baseline JSON here (empty = off)")
+	benchOut := flag.String("bench-out", "", "write per-table HPWL/phase-time baseline JSON here (empty = off)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per table (0 = none); a table that exceeds it fails with context.DeadlineExceeded")
 	ckpt := flag.String("checkpoint", "", "write per-run crash-safe placement checkpoints under this directory")
 	resume := flag.Bool("resume", false, "resume interrupted placements from -checkpoint (same tables, scale and flags required)")

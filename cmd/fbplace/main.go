@@ -34,7 +34,6 @@ func main() {
 	density := flag.Float64("density", 0.97, "target placement density")
 	workers := flag.Int("workers", 0, "parallel realization workers (0 = GOMAXPROCS)")
 	noPairPass := flag.Bool("no-pair-pass", false, "disable the neighbor-pair realization pass at deep levels")
-	parWin := flag.Bool("parallel-windows", false, "speculative per-window transports (faster, not bit-reproducible across worker counts)")
 	dumpFlow := flag.Int("dump-flow", 0, "print the MinCostFlow plan on a k x k grid and exit")
 	skipLegal := flag.Bool("skip-legalization", false, "stop after global placement")
 	svg := flag.String("svg", "", "write an SVG rendering of the final placement")
@@ -125,7 +124,7 @@ func main() {
 		cfg := fbplace.Config{
 			Mode: m, Movebounds: mbs, TargetDensity: *density,
 			ClusterRatio: *cluster, Workers: *workers,
-			NoPairPass: *noPairPass, ParallelWindows: *parWin,
+			NoPairPass:       *noPairPass,
 			SkipLegalization: *skipLegal, DetailPasses: *detail,
 			Obs:        rec,
 			Checkpoint: fbplace.Checkpoint{Dir: *ckptDir},

@@ -47,9 +47,6 @@ type Config struct {
 	// Workers bounds the parallel realization workers; 0 means
 	// GOMAXPROCS.
 	Workers int
-	// Density is the target placement density used when capacities were
-	// built; kept for diagnostics only.
-	Density float64
 	// Obs, when non-nil, records phase spans (fbp.build / fbp.solve /
 	// fbp.realize with per-wave children) and solver counters.
 	Obs *obs.Recorder
@@ -75,13 +72,6 @@ type Config struct {
 	// PairPassMinWindows is the window-count threshold that activates the
 	// pair pass; 0 means 256 (grids of 16x16 and finer).
 	PairPassMinWindows int
-	// ParallelWindows unlocks the scheduling-dependent fast paths of the
-	// realization transport: speculative per-window splitting of block
-	// transportations with first-in-order merging, and cross-unit
-	// warm-start basis reuse from the per-worker scratch. Off by default:
-	// with the flag on, results remain capacity-feasible and within noise
-	// on quality, but are no longer bit-identical to the default mode.
-	ParallelWindows bool
 	// Check, when non-nil, certifies intermediate solver results: the MCF
 	// solution right after Solve and every realization transportation
 	// right after its engine returns. Failures propagate as the checker's

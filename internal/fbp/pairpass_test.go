@@ -1,7 +1,6 @@
 package fbp
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -125,81 +124,6 @@ func TestPairPassRespectsCapacities(t *testing.T) {
 		rs := wr.PerWin[ref.Window][ref.Index].Rects
 		if !rs.Contains(n.Pos(netlist.CellID(i))) {
 			t.Fatalf("cell %d at %v outside its region", i, n.Pos(netlist.CellID(i)))
-		}
-	}
-}
-
-// hotspotNetlist spreads background cells over the whole chip and piles a
-// cluster into one window: the cluster drives external flow while the
-// rest of the chip keeps capacity slack — the regime where the
-// ParallelWindows split merge is jointly feasible and accepted.
-func hotspotNetlist(seed int64, spread, cluster int) *netlist.Netlist {
-	rng := rand.New(rand.NewSource(seed))
-	n := netlist.New(chip, 1)
-	for i := 0; i < spread; i++ {
-		id := n.AddCell(netlist.Cell{Width: 0.5, Height: 1, Movebound: netlist.NoMovebound})
-		n.SetPos(id, geom.Point{X: rng.Float64() * 16, Y: rng.Float64() * 16})
-	}
-	for i := 0; i < cluster; i++ {
-		id := n.AddCell(netlist.Cell{Width: 0.5, Height: 1, Movebound: netlist.NoMovebound})
-		n.SetPos(id, geom.Point{X: 1 + 2*rng.Float64(), Y: 1 + 2*rng.Float64()})
-	}
-	// Sparse connectivity: enough nets for a meaningful HPWL, few enough
-	// that the local QP does not drag every window toward one hot region.
-	total := spread + cluster
-	for e := 0; e < total/4; e++ {
-		i, j := rng.Intn(total), rng.Intn(total)
-		if i != j {
-			n.AddNet(netlist.Net{Pins: []netlist.Pin{{Cell: netlist.CellID(i)}, {Cell: netlist.CellID(j)}}})
-		}
-	}
-	return n
-}
-
-// ParallelWindows trades bit-identity for speculative per-window
-// transports; quality must stay within noise of the default mode: HPWL
-// within 0.5%, capacities still respected, split path actually taken.
-func TestParallelWindowsQualityParity(t *testing.T) {
-	base := hotspotNetlist(29, 130, 44)
-	wr := build(t, nil, 4, 4, 1.0, nil)
-	run := func(parallel bool) (float64, *netlist.Netlist, []RegionRef, float64) {
-		n := base.Clone()
-		rec := obs.New(nil)
-		cfg := DefaultConfig()
-		cfg.Obs = rec
-		cfg.ParallelWindows = parallel
-		cfg.LocalQP = false // parity targets the transport merge; QP noise would mask it
-		res, err := Partition(n, wr, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hpwl := 0.0
-		for id := range n.Nets {
-			hpwl += n.NetHPWL(netlist.NetID(id))
-		}
-		return hpwl, n, res.CellRegion, rec.Counter("realize.parwin")
-	}
-	hOff, _, _, _ := run(false)
-	hOn, n, regions, splits := run(true)
-	if splits == 0 {
-		t.Fatal("split path not exercised: realize.parwin = 0")
-	}
-	if math.Abs(hOn-hOff) > 0.005*hOff {
-		t.Fatalf("HPWL parity broken: %g (parallel) vs %g (default), drift %.3f%%",
-			hOn, hOff, 100*math.Abs(hOn-hOff)/hOff)
-	}
-	usage := make(map[RegionRef]float64)
-	for i := range n.Cells {
-		ref := regions[i]
-		if ref.Window < 0 {
-			t.Fatalf("cell %d unassigned", i)
-		}
-		usage[ref] += n.Cells[i].Size()
-	}
-	for ref, u := range usage {
-		c := wr.PerWin[ref.Window][ref.Index].Capacity
-		if u > c+2.0 {
-			t.Fatalf("region %v overfilled under ParallelWindows: %g > %g", ref, u, c)
 		}
 	}
 }

@@ -161,13 +161,6 @@ type workerScratch struct {
 	// apply phase of transportBlock may rewrite the window lists while
 	// iterating it.
 	cellBuf []int32
-	// lastBasis is the spanning-tree basis of this worker's most recent
-	// network-simplex transportation, kept for opportunistic cross-unit
-	// warm starts (Config.ParallelWindows only — which unit a worker sees
-	// next depends on scheduling). SolveNS revalidates the basis against
-	// the instance signature, so a stale basis just degrades to a cold
-	// start.
-	lastBasis *flow.Basis
 }
 
 // getScratch borrows a worker scratch from the free list, materializing it
@@ -926,17 +919,11 @@ func (r *realizer) transportBlock(u int, block []int, cells []int32, allowTransi
 			arcs[i] = append(arcs[i], transport.Arc{Sink: si, Cost: cost})
 		}
 	}
-	var rounded []int
-	if r.cfg.ParallelWindows && allowTransit && len(block) > 1 && len(cells) >= splitMinCells {
-		rounded = r.splitSolve(prob, cells)
+	sol, err := r.solveWithRelaxation(prob)
+	if err != nil {
+		return fmt.Errorf("fbp: transportation in block of window %d: %w", u, err)
 	}
-	if rounded == nil {
-		sol, err := r.solveWithRelaxation(prob, sc)
-		if err != nil {
-			return fmt.Errorf("fbp: transportation in block of window %d: %w", u, err)
-		}
-		rounded = roundCapacityAware(prob, sol)
-	}
+	rounded := roundCapacityAware(prob, sol)
 	// Apply: move cells between windows, set positions and assignments.
 	// First remove all block cells from their window lists, then re-add.
 	ep := sc.markPresent(r.n.NumCells(), cells)
@@ -1040,11 +1027,6 @@ const (
 	nsEngineMaxSinks = 96
 )
 
-// splitMinCells is the smallest block transportation worth splitting per
-// source window under Config.ParallelWindows; below it the speculative
-// solves cost more than the monolithic problem.
-const splitMinCells = 24
-
 // solveWithRelaxation retries an infeasible transportation with gently
 // inflated capacities: majority rounding of earlier steps can overfill a
 // block by a few cells' area. The inflation ladder keeps the violation
@@ -1058,19 +1040,13 @@ const splitMinCells = 24
 // The first rung stays on the condensed engine, which wins when a single
 // cold solve suffices (the common case); the NS engine only pays off once
 // there is a tree to reuse. A stalled NS rung degrades to the
-// condensed/reference chain instead of failing the block. With
-// Config.ParallelWindows a basis also persists across units in the worker
-// scratch and then warm-starts the first rung (sc may be nil for
-// speculative solves, which skip that reuse).
-func (r *realizer) solveWithRelaxation(p *transport.Problem, sc *workerScratch) (*transport.Solution, error) {
+// condensed/reference chain instead of failing the block.
+func (r *realizer) solveWithRelaxation(p *transport.Problem) (*transport.Solution, error) {
 	factors := []float64{1, 1.001, 1.02, 1.1, 1.5, 4, 64}
 	base := append([]float64(nil), p.Capacity...)
 	useNS := !r.cfg.CondensedOnly &&
 		len(p.Supply) <= nsEngineMaxCells && len(p.Capacity) <= nsEngineMaxSinks
 	var basis *flow.Basis
-	if useNS && r.cfg.ParallelWindows && sc != nil {
-		basis = sc.lastBasis
-	}
 	var lastErr error
 	for ri, f := range factors {
 		for i := range p.Capacity {
@@ -1078,7 +1054,7 @@ func (r *realizer) solveWithRelaxation(p *transport.Problem, sc *workerScratch) 
 		}
 		var sol *transport.Solution
 		var err error
-		if useNS && (ri > 0 || basis != nil) {
+		if useNS && ri > 0 {
 			var next *flow.Basis
 			sol, next, err = transport.SolveNS(p, basis)
 			if next != nil {
@@ -1104,9 +1080,6 @@ func (r *realizer) solveWithRelaxation(p *transport.Problem, sc *workerScratch) 
 					return nil, cerr
 				}
 			}
-			if useNS && r.cfg.ParallelWindows && sc != nil {
-				sc.lastBasis = basis
-			}
 			copy(p.Capacity, base)
 			return sol, nil
 		}
@@ -1119,89 +1092,6 @@ func (r *realizer) solveWithRelaxation(p *transport.Problem, sc *workerScratch) 
 	}
 	copy(p.Capacity, base)
 	return nil, lastErr
-}
-
-// splitSolve is the Config.ParallelWindows fast path of transportBlock: it
-// solves the block transportation speculatively per source window —
-// independent subproblems, solved concurrently, each seeing the full
-// capacity vector — and merges the fractional solutions first-in-order
-// (block window order). The merge accepts only when the combined sink
-// loads respect the shared capacities; then each local optimum costs no
-// more than the global optimum's restriction to that window, so the
-// merged solution is itself a globally optimal fractional solution and
-// quality is preserved exactly. Contended blocks — combined loads
-// overflowing a sink — and failed speculations abandon the split (nil
-// return) and the caller falls back to the monolithic solve. The merged
-// optimum may be a different vertex than the monolithic engine's, which
-// is why the flag is off by default (bit-identity).
-func (r *realizer) splitSolve(p *transport.Problem, cells []int32) []int {
-	// Source windows form contiguous runs in cells (collected window by
-	// window), so group by scanning for run boundaries.
-	type span struct{ lo, hi int }
-	var groups []span
-	for i := 0; i < len(cells); {
-		j := i
-		w := r.curWin[cells[i]]
-		for j < len(cells) && r.curWin[cells[j]] == w {
-			j++
-		}
-		groups = append(groups, span{i, j})
-		i = j
-	}
-	if len(groups) < 2 {
-		return nil
-	}
-	sols := make([]*transport.Solution, len(groups))
-	var wg sync.WaitGroup
-	for gi := range groups {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			// A panicking speculative solve must not escape this
-			// goroutine (the unit's recover lives on the caller's); it
-			// just forfeits the split and the monolithic path retries.
-			defer func() { _ = recover() }()
-			sp := groups[gi]
-			sub := &transport.Problem{
-				Supply:   p.Supply[sp.lo:sp.hi],
-				Capacity: append([]float64(nil), p.Capacity...),
-				Arcs:     p.Arcs[sp.lo:sp.hi],
-				Obs:      r.rec,
-				Ctx:      r.cfg.Ctx,
-				Degrade:  r.cfg.Degrade,
-			}
-			if sol, err := r.solveWithRelaxation(sub, nil); err == nil {
-				sols[gi] = sol
-			}
-		}(gi)
-	}
-	wg.Wait()
-	load := make([]float64, len(p.Capacity))
-	for _, sol := range sols {
-		if sol == nil {
-			return nil
-		}
-		for _, ps := range sol.Assign {
-			for _, portion := range ps {
-				load[portion.Sink] += portion.Amount
-			}
-		}
-	}
-	for si, l := range load {
-		if l > p.Capacity[si]+flow.Eps {
-			// Contended sink: the per-window optima do not coexist.
-			r.rec.Count("realize.parwin.contended", 1)
-			return nil
-		}
-	}
-	merged := &transport.Solution{Assign: make([][]transport.Portion, len(cells))}
-	for gi, sp := range groups {
-		sol := sols[gi]
-		copy(merged.Assign[sp.lo:sp.hi], sol.Assign)
-		merged.Cost += sol.Cost
-	}
-	r.rec.Count("realize.parwin", 1)
-	return roundCapacityAware(p, merged)
 }
 
 // nearestInSet returns the point of the rectangle set closest (L1) to p.

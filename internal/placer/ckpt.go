@@ -181,7 +181,6 @@ func configFingerprint(cfg *Config) uint64 {
 	wf(cfg.AnchorWeight)
 	wb(cfg.NoLocalQP)
 	wb(cfg.NoPairPass)
-	wb(cfg.ParallelWindows)
 	wb(cfg.SafeMode)
 	wb(cfg.SkipLegalization)
 	wb(cfg.KeepPlacement)

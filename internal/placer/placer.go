@@ -96,11 +96,6 @@ type Config struct {
 	// levels (many small windows) and forces the legacy 3x3-block
 	// transports everywhere. The pair pass is on by default.
 	NoPairPass bool
-	// ParallelWindows enables speculative per-window realization
-	// transports with a joint-feasibility merge. Faster on hotspot
-	// instances but scheduling-dependent: results are no longer
-	// bit-identical across worker counts. Off by default.
-	ParallelWindows bool
 	// SkipLegalization stops after global placement.
 	SkipLegalization bool
 	// KeepPlacement starts from the current cell positions instead of a
@@ -140,10 +135,45 @@ type Config struct {
 	// certification again propagates the *certify.Error to the caller.
 	Certify CertifyMode
 	// SafeMode forces the conservative engine set everywhere: no pair
-	// pass, no parallel windows, condensed-only transportation rungs,
-	// sequential workers. Repair runs set it; callers may too, to
-	// reproduce exactly what a repair would compute.
+	// pass and condensed-only transportation rungs. Set it through Safe,
+	// which also makes the run sequential and unsnapshotted; every repair
+	// runs Safe(), and callers may too, to reproduce exactly what a repair
+	// would compute.
 	SafeMode bool
+}
+
+// Safe returns the safe-mode variant of c: the one definition of what a
+// certify repair re-runs. It is sequential and carries no checkpointing
+// or preemption, so the repair shares no state with the run that produced
+// a wrong answer; which engines SafeMode turns off is decided by
+// fbpConfig alone.
+func (c Config) Safe() Config {
+	c.SafeMode = true
+	c.Workers = 1
+	c.Checkpoint = Checkpoint{}
+	c.Preempt = nil
+	return c
+}
+
+// fbpConfig derives the partitioning configuration of one FBP level from
+// c. It is the only place SafeMode maps onto engine choices: no pair pass
+// and condensed-only transportation rungs. check is nil unless every
+// level is certified.
+func (c Config) fbpConfig(ctx context.Context, dl *degrade.Log, check *certify.Checker) fbp.Config {
+	fc := fbp.Config{
+		LocalQP:       !c.NoLocalQP,
+		PairPass:      !c.NoPairPass && !c.SafeMode,
+		CondensedOnly: c.SafeMode,
+		QP:            c.QP,
+		Workers:       c.Workers,
+		Obs:           c.Obs,
+		Ctx:           ctx,
+		Degrade:       dl,
+	}
+	if check != nil {
+		fc.Check = check
+	}
+	return fc
 }
 
 func (c *Config) fill() {
@@ -272,9 +302,7 @@ func Resume(ctx context.Context, n *netlist.Netlist, dir string, cfg Config) (*R
 // run is the shared body of PlaceCtx and Resume; resumeDir is empty for
 // fresh runs. With certification enabled it is also the whole-run repair
 // loop: a *certify.Error from the attempt restores the entry positions
-// and re-runs the placement once in safe mode (conservative engines,
-// sequential, no checkpointing or preemption — the repair must share no
-// state with the run that produced a wrong answer). A repair that fails
+// and re-runs the placement once as Config.Safe. A repair that fails
 // certification again propagates the error; so does a certify failure of
 // a run that was already in safe mode.
 func run(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir string) (*Report, error) {
@@ -300,14 +328,7 @@ func run(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir string) 
 			cfg.Obs.Count("certify.repair", 1)
 			copy(n.X, entryX)
 			copy(n.Y, entryY)
-			safe := cfg
-			safe.SafeMode = true
-			safe.NoPairPass = true
-			safe.ParallelWindows = false
-			safe.Workers = 1
-			safe.Checkpoint = Checkpoint{}
-			safe.Preempt = nil
-			rep, err = runOnce(ctx, n, safe, "", dl)
+			rep, err = runOnce(ctx, n, cfg.Safe(), "", dl)
 			if err != nil && errors.As(err, &ce) {
 				cfg.Obs.Count("certify.fail", 1)
 			}
@@ -595,21 +616,9 @@ func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decompos
 				return fmt.Errorf("placer: recursive partition level %d: %w", lv, err)
 			}
 		default:
-			fcfg := fbp.Config{
-				LocalQP:         !cfg.NoLocalQP,
-				PairPass:        !cfg.NoPairPass && !cfg.SafeMode,
-				ParallelWindows: cfg.ParallelWindows && !cfg.SafeMode,
-				CondensedOnly:   cfg.SafeMode,
-				QP:              cfg.QP,
-				Workers:         cfg.Workers,
-				Obs:             cfg.Obs,
-				Ctx:             ctx,
-				Degrade:         dl,
-			}
 			var checker *certify.Checker
 			if cfg.Certify == CertifyEveryLevel {
 				checker = &certify.Checker{Obs: cfg.Obs, Ctx: ctx, Level: lv}
-				fcfg.Check = checker
 			}
 			partition := func(fc fbp.Config) (*fbp.Result, error) {
 				res, perr := fbp.Partition(n, wr, fc)
@@ -628,7 +637,7 @@ func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decompos
 				lvlX = append([]float64(nil), n.X...)
 				lvlY = append([]float64(nil), n.Y...)
 			}
-			res, err := partition(fcfg)
+			res, err := partition(cfg.fbpConfig(ctx, dl, checker))
 			var ce *certify.Error
 			if err != nil && errors.As(err, &ce) && !cfg.SafeMode {
 				// Level-local repair: restore the level's entry positions
@@ -640,12 +649,7 @@ func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decompos
 				cfg.Obs.Count("certify.repair", 1)
 				copy(n.X, lvlX)
 				copy(n.Y, lvlY)
-				safe := fcfg
-				safe.PairPass = false
-				safe.ParallelWindows = false
-				safe.CondensedOnly = true
-				safe.Workers = 1
-				res, err = partition(safe)
+				res, err = partition(cfg.Safe().fbpConfig(ctx, dl, checker))
 			}
 			if err != nil {
 				lsp.End()

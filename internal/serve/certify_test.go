@@ -32,10 +32,7 @@ func safeReference(t *testing.T, cells int, seed int64) ([]float64, []float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 1
-	cfg.SafeMode = true
-	cfg.NoPairPass = true
-	if _, err := placer.Place(inst.N, cfg); err != nil {
+	if _, err := placer.Place(inst.N, cfg.Safe()); err != nil {
 		t.Fatal(err)
 	}
 	return inst.N.X, inst.N.Y

@@ -73,9 +73,6 @@ type Knobs struct {
 	Mode string `json:"mode,omitempty"`
 	// TargetDensity, ClusterRatio, MaxLevels, DetailPasses,
 	// SkipLegalization, NoLocalQP and NoPairPass mirror placer.Config.
-	// placer.Config.ParallelWindows is deliberately NOT a knob: its
-	// results are scheduling-dependent, and the result cache and
-	// single-flight coalescing are only sound for deterministic configs.
 	TargetDensity    float64 `json:"target_density,omitempty"`
 	ClusterRatio     float64 `json:"cluster_ratio,omitempty"`
 	MaxLevels        int     `json:"max_levels,omitempty"`

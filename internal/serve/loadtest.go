@@ -219,9 +219,7 @@ func verifyDirect(ctx context.Context, j *Job) (bool, error) {
 	// against the trajectory it was repaired away from.
 	for _, d := range res.Degradations {
 		if d.Stage == "certify" {
-			cfg.SafeMode = true
-			cfg.NoPairPass = true
-			cfg.ParallelWindows = false
+			cfg = cfg.Safe()
 			break
 		}
 	}

@@ -739,9 +739,9 @@ func (s *Scheduler) certifyResult(ctx context.Context, j *Job, rep *placer.Repor
 
 // safeRetry is the scheduler's certify-and-repair step: the offending
 // positions are quarantined, the job rewinds to its load-time state and
-// re-places once in safe mode — conservative engines, sequential, no
-// checkpoints or preemption, sharing no state with the attempt that
-// produced the wrong answer — and the retried result is certified again.
+// re-places once as placer.Config.Safe — sharing no state with the
+// attempt that produced the wrong answer — and the retried result is
+// certified again.
 // A second failure is quarantined too and propagates; runJob then fails
 // the job terminally as result_uncertified.
 func (s *Scheduler) safeRetry(ctx context.Context, j *Job, cfg placer.Config, ce *certify.Error) (*placer.Report, error) {
@@ -749,15 +749,8 @@ func (s *Scheduler) safeRetry(ctx context.Context, j *Job, cfg placer.Config, ce
 	s.quarantine(j, ce)
 	s.dl.Add("certify", "serve-safe-mode", fmt.Sprintf("job %s: %s", j.ID, ce.Error()))
 	s.rec.Count("certify.repair", 1)
-	safe := cfg
-	safe.SafeMode = true
-	safe.NoPairPass = true
-	safe.ParallelWindows = false
-	safe.Workers = 1
-	safe.Checkpoint = placer.Checkpoint{}
-	safe.Preempt = nil
 	j.restoreStart()
-	rep, err := placer.PlaceCtx(ctx, j.n, safe)
+	rep, err := placer.PlaceCtx(ctx, j.n, cfg.Safe())
 	if err == nil {
 		err = s.certifyResult(ctx, j, rep)
 	}
