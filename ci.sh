@@ -54,9 +54,11 @@ echo "== local-QP allocation guard =="
 go test -timeout 5m -run 'TestSolveSubsetAllocsOBlock' ./internal/qp/
 
 echo "== benchmark smoke =="
-# One iteration each of the two realization-path microbenchmarks, so a
-# change that breaks or pathologically slows them fails CI fast.
+# One iteration each of the realization-path microbenchmarks (local QP,
+# realization level, transportation engines), so a change that breaks or
+# pathologically slows them fails CI fast.
 go test -timeout 10m -run '^$' -bench 'BenchmarkSolveSubsetBlock|BenchmarkRealizeLevel' -benchtime 1x ./internal/qp/ ./internal/fbp/
+go test -timeout 10m -run '^$' -bench 'BenchmarkEngines|BenchmarkCondensedLarge' -benchtime 1x ./internal/transport/
 
 echo "== bench regression gate =="
 # The committed Table-I baseline must not regress more than 10% wall

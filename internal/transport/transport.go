@@ -13,10 +13,11 @@
 //     pseudoflow that sends every source to its cheapest admissible sink
 //     and then cancels sink overloads along shortest paths in a condensed
 //     graph whose nodes are the sinks only. Each condensed arc a->b is the
-//     cheapest reassignment of any source currently in a to b. This keeps
-//     shortest-path computations at O(k^2) for k sinks regardless of the
-//     number of cells, mirroring the role of Brenner's fast transportation
-//     algorithm [4] in BonnPlace.
+//     cheapest reassignment of any source currently in a to b. Node
+//     potentials kept across augmentations make every reduced cost
+//     nonnegative, so each path is one Dijkstra search over only the sink
+//     pairs with a live candidate. This mirrors the role of Brenner's fast
+//     transportation algorithm [4] in BonnPlace.
 //
 // Solutions are fractional in general but almost integral: at most k-1
 // sources are split (a vertex of the transportation polytope). Rounded()
@@ -62,7 +63,8 @@ type Problem struct {
 	Capacity []float64 // per sink, >= 0
 	Arcs     [][]Arc   // Arcs[i] lists admissible sinks of source i
 	// Obs, when non-nil, records the counters "transport.solves",
-	// "transport.sources" and "transport.splits" per Solve call.
+	// "transport.sources", "transport.augmentations" (condensed-engine
+	// shortest-path augmentations) and "transport.splits" per Solve call.
 	Obs *obs.Recorder
 	// Ctx, when non-nil, is polled during the solve; a canceled or expired
 	// context aborts with the context's error (no fallback: cancellation
@@ -171,6 +173,9 @@ func SolveReference(p *Problem) (*Solution, error) {
 }
 
 func sortPortions(ps []Portion) {
+	if len(ps) < 2 {
+		return // the common unsplit source; sort.Slice would still allocate
+	}
 	sort.Slice(ps, func(a, b int) bool {
 		//fbpvet:floatok exact tie-break on stored amounts keeps the sort total
 		if ps[a].Amount != ps[b].Amount {
@@ -191,7 +196,7 @@ func sortPortions(ps []Portion) {
 // engine. The fallback is recorded on p.Degrade (and as an obs counter via
 // the log), so a degraded run is attributable, never silent.
 func Solve(p *Problem) (*Solution, error) {
-	sol, err := solveCondensed(p)
+	sol, augs, err := solveCondensed(p)
 	if err != nil && fallbackWorthy(err) {
 		p.Degrade.Add("transport.condensed", "reference-engine", err.Error())
 		sol, err = SolveReference(p)
@@ -199,6 +204,7 @@ func Solve(p *Problem) (*Solution, error) {
 	if p.Obs != nil {
 		p.Obs.Count("transport.solves", 1)
 		p.Obs.Count("transport.sources", float64(p.NumSources()))
+		p.Obs.Count("transport.augmentations", float64(augs))
 		if err == nil {
 			p.Obs.Count("transport.splits", float64(sol.NumSplit()))
 		}
@@ -235,24 +241,54 @@ type condEdge struct {
 
 // pairState caches the best and second-best candidates for one (from, to)
 // sink pair, maintained incrementally as presences change. `stale` forces
-// a full recompute of the pair on next access.
+// a full recompute of the pair on next access. `live` counts the presences
+// at the from-sink that are admissible at the to-sink; the pair is listed
+// in the from-sink's adjacency (at index `pos`) exactly while live > 0.
 type pairState struct {
 	best, second condEdge
+	live, pos    int32
 	stale        bool
 }
 
-// condensed holds the solver state: presences per sink and a (k x k)
-// matrix of candidate edges maintained incrementally, so an augmentation
-// costs O(path * (k + recomputed pairs)) instead of O(n * k).
+// condensed holds the solver state: presences per sink, a (k x k) matrix
+// of candidate edges maintained incrementally, and a sparse per-sink
+// adjacency over the pairs with live candidates, so an augmentation costs
+// one Dijkstra search over the live pairs plus O(path * recomputed pairs).
 type condensed struct {
 	k      int
 	arcsOf [][]Arc
 	// costOf is a dense n x k matrix of arc costs (+Inf = inadmissible);
 	// dense storage keeps the hot recompute loops free of map lookups.
-	costOf []float64
-	at     [][]presence
-	load   []float64
-	pairs  [][]pairState // pairs[a][b]
+	costOf   []float64
+	capacity []float64
+	at       [][]presence
+	load     []float64
+	pairs    []pairState // pairs[a*k+b]
+	adj      [][]int32   // adj[a]: sinks b with pairs[a*k+b].live > 0
+
+	// Search state over k+1 nodes; node k is the super-sink T. The
+	// potentials pi persist across augmentations; everything else is
+	// scratch rewritten by every search and reused to avoid reallocation.
+	pi      []float64
+	dist    []float64
+	via     []viaEdge
+	done    []bool
+	heap    []int32 // nodes ordered by (dist, index)
+	heapPos []int32 // index in heap, -1 when absent
+	path    []int
+	groups  []tiedGroup
+}
+
+type viaEdge struct {
+	from   int // predecessor sink
+	source int // source reassigned from 'from' to this sink (-1 into T)
+}
+
+// tiedGroup collects the presences moved along one path edge.
+type tiedGroup struct {
+	sources []int
+	amounts []float64
+	total   float64
 }
 
 func better(x, y condEdge) bool {
@@ -285,21 +321,29 @@ func (p *pairState) offer(e condEdge) {
 
 // onAdd records a new presence of src at sink a.
 func (c *condensed) onAdd(a, src int, costA float64) {
+	row := c.pairs[a*c.k : (a+1)*c.k]
 	for _, arc := range c.arcsOf[src] {
 		if arc.Sink == a {
 			continue
 		}
-		c.pairs[a][arc.Sink].offer(condEdge{w: arc.Cost - costA, source: src})
+		p := &row[arc.Sink]
+		p.offer(condEdge{w: arc.Cost - costA, source: src})
+		if p.live == 0 {
+			p.pos = int32(len(c.adj[a]))
+			c.adj[a] = append(c.adj[a], int32(arc.Sink))
+		}
+		p.live++
 	}
 }
 
 // onRemove records the full removal of src from sink a.
 func (c *condensed) onRemove(a, src int) {
+	row := c.pairs[a*c.k : (a+1)*c.k]
 	for _, arc := range c.arcsOf[src] {
 		if arc.Sink == a {
 			continue
 		}
-		p := &c.pairs[a][arc.Sink]
+		p := &row[arc.Sink]
 		switch src {
 		case p.best.source:
 			if p.second.source >= 0 && !p.stale {
@@ -314,24 +358,22 @@ func (c *condensed) onRemove(a, src int) {
 			p.second = condEdge{source: -1}
 			p.stale = true
 		}
+		if p.live--; p.live == 0 {
+			// Swap-remove the pair from a's adjacency.
+			adj := c.adj[a]
+			last := adj[len(adj)-1]
+			adj[p.pos] = last
+			row[last].pos = p.pos
+			c.adj[a] = adj[:len(adj)-1]
+		}
 	}
 }
 
-// edge returns the current best candidate for the pair (a, b), recomputing
-// the pair from the presence list when stale. A stale pair whose best slot
-// is still valid only needs its second slot refreshed lazily — but only
-// when the best is removed, so we recompute fully here for simplicity.
-func (c *condensed) edge(a, b int) condEdge {
-	p := &c.pairs[a][b]
-	if !p.stale {
-		return p.best
-	}
-	if p.best.source >= 0 {
-		// Best is valid; the unknown second slot only matters on the next
-		// removal of best. Treat as fresh for reading.
-		return p.best
-	}
-	// Full recompute of this pair.
+// recompute rebuilds the stale pair (a, b) from a's presence list. A stale
+// pair whose best slot is still valid is read as is (its unknown second
+// slot only matters on the next removal of best); only a stale pair with
+// no best needs this rebuild.
+func (c *condensed) recompute(a, b int, p *pairState) condEdge {
 	best, second := condEdge{source: -1}, condEdge{source: -1}
 	for _, pr := range c.at[a] {
 		if pr.amount <= flow.Eps {
@@ -353,50 +395,64 @@ func (c *condensed) edge(a, b int) condEdge {
 	return p.best
 }
 
-func solveCondensed(p *Problem) (*Solution, error) {
+// solveCondensed runs the condensed engine and also reports the number of
+// augmentations it made (including those before a failure).
+func solveCondensed(p *Problem) (*Solution, int, error) {
 	if err := condensedFault.Check(); err != nil {
-		return nil, fmt.Errorf("transport: condensed engine: %w", err)
+		return nil, 0, fmt.Errorf("transport: condensed engine: %w", err)
 	}
 	n, k := p.NumSources(), p.NumSinks()
 	// Per source: arcs deduplicated (cheapest per sink) and sorted by sink
-	// so that all iteration below is deterministic, plus a map for O(1)
-	// cost lookups.
+	// so that all iteration below is deterministic, plus a dense cost
+	// matrix for O(1) lookups.
 	costOf := make([]float64, n*k)
 	for i := range costOf {
 		costOf[i] = math.Inf(1)
 	}
 	arcsOf := make([][]Arc, n)
+	total := 0
+	for _, arcs := range p.Arcs {
+		total += len(arcs)
+	}
+	flat := make([]Arc, 0, total) // one backing array for all arcsOf[i]
 	for i, arcs := range p.Arcs {
 		for _, a := range arcs {
 			if a.Cost < costOf[i*k+a.Sink] {
 				costOf[i*k+a.Sink] = a.Cost
 			}
 		}
-		arcsOf[i] = make([]Arc, 0, len(arcs))
+		arcsOf[i] = flat[len(flat) : len(flat) : len(flat)+len(arcs)]
 		for sink := 0; sink < k; sink++ {
 			if !math.IsInf(costOf[i*k+sink], 1) {
 				arcsOf[i] = append(arcsOf[i], Arc{Sink: sink, Cost: costOf[i*k+sink]})
 			}
 		}
+		flat = flat[:len(flat)+len(arcsOf[i])]
 	}
 	c := &condensed{
-		k:      k,
-		arcsOf: arcsOf,
-		costOf: costOf,
-		at:     make([][]presence, k),
-		load:   make([]float64, k),
-		pairs:  make([][]pairState, k),
+		k:        k,
+		arcsOf:   arcsOf,
+		costOf:   costOf,
+		capacity: p.Capacity,
+		at:       make([][]presence, k),
+		load:     make([]float64, k),
+		pairs:    make([]pairState, k*k),
+		adj:      make([][]int32, k),
+		pi:       make([]float64, k+1),
+		dist:     make([]float64, k+1),
+		via:      make([]viaEdge, k+1),
+		done:     make([]bool, k+1),
+		heapPos:  make([]int32, k+1),
 	}
-	for a := 0; a < k; a++ {
-		c.pairs[a] = make([]pairState, k)
-		for b := 0; b < k; b++ {
-			c.pairs[a][b] = pairState{best: condEdge{source: -1}, second: condEdge{source: -1}}
-		}
+	for i := range c.pairs {
+		c.pairs[i] = pairState{best: condEdge{source: -1}, second: condEdge{source: -1}}
 	}
-	// Initial optimal pseudoflow: each source at its cheapest sink.
+	// Initial optimal pseudoflow: each source at its cheapest sink. Every
+	// candidate edge then has nonnegative weight, so pi = 0 is a valid
+	// start for the potentials.
 	for i := 0; i < n; i++ {
 		if p.Supply[i] <= 0 {
-			return nil, fmt.Errorf("transport: source %d has non-positive supply %g", i, p.Supply[i])
+			return nil, 0, fmt.Errorf("transport: source %d has non-positive supply %g", i, p.Supply[i])
 		}
 		best, bestC := -1, math.Inf(1)
 		for _, a := range arcsOf[i] {
@@ -405,19 +461,20 @@ func solveCondensed(p *Problem) (*Solution, error) {
 			}
 		}
 		if best < 0 {
-			return nil, fmt.Errorf("%w: source %d has no admissible sink", ErrInfeasible, i)
+			return nil, 0, fmt.Errorf("%w: source %d has no admissible sink", ErrInfeasible, i)
 		}
 		c.at[best] = append(c.at[best], presence{source: i, amount: p.Supply[i], cost: bestC})
 		c.load[best] += p.Supply[i]
 		c.onAdd(best, i, bestC)
 	}
-	// Cancel overloads: shortest path from an overloaded sink to a sink
-	// with slack in the condensed graph (Bellman-Ford; reassignment costs
-	// can be negative relative to the current plan).
+	// Cancel overloads: each augmentation ships from an overloaded sink
+	// along a shortest path of the condensed graph to the cheapest
+	// reachable sink with slack (Dijkstra on reduced costs; see search).
+	augs := 0
 	for {
 		if p.Ctx != nil {
 			if err := p.Ctx.Err(); err != nil {
-				return nil, err
+				return nil, augs, err
 			}
 		}
 		over := -1
@@ -430,58 +487,44 @@ func solveCondensed(p *Problem) (*Solution, error) {
 		if over < 0 {
 			break
 		}
-		dist, via, ok := c.shortestPaths(over)
-		if !ok {
-			return nil, fmt.Errorf("transport: %w", ErrInfeasible)
-		}
-		// Best reachable sink with slack.
-		target := -1
-		bestD := math.Inf(1)
-		for j := 0; j < k; j++ {
-			if j == over || c.load[j] >= p.Capacity[j]-flow.Eps {
-				continue
-			}
-			if dist[j] < bestD {
-				target, bestD = j, dist[j]
-			}
-		}
+		target := c.search(over)
 		if target < 0 {
-			return nil, fmt.Errorf("transport: %w", ErrInfeasible)
+			return nil, augs, fmt.Errorf("transport: %w", ErrInfeasible)
 		}
-		// Reconstruct path.
-		var path []int // sink sequence from over to target
-		for j := target; j != over; j = via[j].from {
+		// Reconstruct path: the sink sequence from over to target.
+		path := c.path[:0]
+		for j := target; j != over; j = c.via[j].from {
 			path = append(path, j)
 			if len(path) > k {
-				return nil, fmt.Errorf("transport: predecessor cycle (internal error)")
+				return nil, augs, fmt.Errorf("transport: predecessor cycle (internal error)")
 			}
 		}
 		path = append(path, over)
 		reverse(path)
+		c.path = path
 		// Batch augmentation: along each path edge, all presences whose
-		// reassignment cost ties the best candidate *exactly* lie on
-		// shortest paths too, so the whole tied group can move in one
+		// reassignment cost ties the best candidate *exactly* have zero
+		// reduced cost too, so the whole tied group can move in one
 		// augmentation (a blocking-flow-style step). This collapses the
 		// thousands of unit-sized augmentations that arise when many
 		// cells share a position (initial pile-ups). Ties must be exact:
-		// batching epsilon-near candidates would leave the pseudoflow
-		// slightly suboptimal and later Bellman-Ford runs could chase
-		// tiny negative cycles.
+		// a moved presence's reverse edge must be tight under the updated
+		// potentials, and batching epsilon-near candidates would leave
+		// slightly negative reduced costs for later searches.
 		want := c.load[over] - p.Capacity[over]
 		if slack := p.Capacity[target] - c.load[target]; slack < want {
 			want = slack
 		}
-		type tiedGroup struct {
-			sources []int
-			amounts []float64
-			total   float64
+		for len(c.groups) < len(path)-1 {
+			c.groups = append(c.groups, tiedGroup{})
 		}
-		groups := make([]tiedGroup, len(path)-1)
+		groups := c.groups[:len(path)-1]
 		move := want
 		for t := 0; t+1 < len(path); t++ {
 			a, b := path[t], path[t+1]
-			bestW := costOf[via[b].source*k+b] - costOf[via[b].source*k+a]
+			bestW := costOf[c.via[b].source*k+b] - costOf[c.via[b].source*k+a]
 			g := &groups[t]
+			g.sources, g.amounts, g.total = g.sources[:0], g.amounts[:0], 0
 			for _, pr := range c.at[a] {
 				if pr.amount <= flow.Eps {
 					continue
@@ -501,7 +544,7 @@ func solveCondensed(p *Problem) (*Solution, error) {
 			}
 		}
 		if move <= flow.Eps {
-			return nil, fmt.Errorf("transport: degenerate augmentation (move %g)", move)
+			return nil, augs, fmt.Errorf("transport: degenerate augmentation (move %g)", move)
 		}
 		for t := 0; t+1 < len(path); t++ {
 			a, b := path[t], path[t+1]
@@ -524,9 +567,26 @@ func solveCondensed(p *Problem) (*Solution, error) {
 			c.load[a] -= move
 			c.load[b] += move
 		}
+		augs++
 	}
-	// Extract solution.
+	// Extract solution: count the portions per source first so that all
+	// of them share one backing array.
 	sol := &Solution{Assign: make([][]Portion, n)}
+	count := make([]int, n)
+	total = 0
+	for j := 0; j < k; j++ {
+		for _, pr := range c.at[j] {
+			if pr.amount > flow.Eps {
+				count[pr.source]++
+				total++
+			}
+		}
+	}
+	portions := make([]Portion, total)
+	for i, off := 0, 0; i < n; i++ {
+		sol.Assign[i] = portions[off : off : off+count[i]]
+		off += count[i]
+	}
 	for j := 0; j < k; j++ {
 		for _, pr := range c.at[j] {
 			if pr.amount > flow.Eps {
@@ -538,69 +598,155 @@ func solveCondensed(p *Problem) (*Solution, error) {
 	for i := range sol.Assign {
 		sortPortions(sol.Assign[i])
 	}
-	return sol, nil
+	return sol, augs, nil
 }
 
-type viaEdge struct {
-	from   int // predecessor sink
-	source int // source reassigned from 'from' to this sink
-}
-
-// shortestPaths runs Bellman-Ford over the k-sink condensed graph from the
-// start sink. Edge a->b has weight min over sources present at a and
-// admissible at b of (cost(s,b) - cost(s,a)). Iteration is over sorted arc
-// slices so tie-breaking (and thus the whole solver) is deterministic.
-func (c *condensed) shortestPaths(start int) ([]float64, []viaEdge, bool) {
+// search runs Dijkstra from the overloaded sink `over` on the reduced
+// costs w(a,b) + pi[a] - pi[b] of the live sink pairs, where w(a,b) is the
+// cheapest reassignment of a source present at a to b, plus a zero-cost
+// arc from every other sink with slack to the super-sink T (node k). It
+// stops once T is settled and returns the sink T was reached from — the
+// cheapest reachable sink with slack in true cost — or -1 when no sink
+// with slack is reachable.
+//
+// The potentials start at 0 (every source sits at its cheapest sink) and
+// advance by the truncated distances min(dist[v], dist[T]) after each
+// search. The truncation keeps every reduced cost nonnegative, including
+// the zero-reduced-cost reverse edges the augmentation creates, whichever
+// overloaded sink the next search starts from; this is the role node
+// potentials play in Brenner's algorithm [4]. Exact arithmetic never
+// produces a negative reduced cost, so a negative value is float drift and
+// is clamped at 0.
+func (c *condensed) search(over int) int {
 	k := c.k
-	dist := make([]float64, k)
-	via := make([]viaEdge, k)
-	for j := range dist {
-		dist[j] = math.Inf(1)
-		via[j] = viaEdge{from: -1, source: -1}
+	for v := 0; v <= k; v++ {
+		c.dist[v] = math.Inf(1)
+		c.via[v] = viaEdge{from: -1, source: -1}
+		c.done[v] = false
+		c.heapPos[v] = -1
 	}
-	dist[start] = 0
-	for round := 0; round < k; round++ {
-		improved := false
-		for a := 0; a < k; a++ {
-			if math.IsInf(dist[a], 1) {
+	c.heap = c.heap[:0]
+	c.dist[over] = 0
+	c.update(over)
+	for len(c.heap) > 0 {
+		a := c.pop()
+		c.done[a] = true
+		if a == k {
+			break
+		}
+		da, pa := c.dist[a], c.pi[a]
+		if a != over && c.load[a] < c.capacity[a]-flow.Eps {
+			c.relax(a, k, -1, da+pa-c.pi[k])
+		}
+		row := c.pairs[a*k : (a+1)*k]
+		for _, b := range c.adj[a] {
+			if c.done[b] {
 				continue
 			}
-			for b := 0; b < k; b++ {
-				if b == a {
-					continue
-				}
-				e := c.edge(a, b)
-				if e.source < 0 {
-					continue
-				}
-				if nd := dist[a] + e.w; nd+flow.Eps < dist[b] {
-					dist[b] = nd
-					via[b] = viaEdge{from: a, source: e.source}
-					improved = true
-				}
+			p := &row[b]
+			e := p.best
+			if p.stale && e.source < 0 {
+				e = c.recompute(a, int(b), p)
+			}
+			if e.source >= 0 {
+				c.relax(a, int(b), e.source, da+e.w+pa-c.pi[b])
 			}
 		}
-		if !improved {
-			break
+	}
+	if !c.done[k] {
+		return -1
+	}
+	dT := c.dist[k]
+	for v := 0; v <= k; v++ {
+		if c.done[v] {
+			c.pi[v] += c.dist[v]
+		} else {
+			c.pi[v] += dT
 		}
 	}
-	reachable := false
-	for j := 0; j < k; j++ {
-		if !math.IsInf(dist[j], 1) {
-			reachable = true
-			break
-		}
-	}
-	return dist, via, reachable
+	return c.via[k].from
 }
 
-func presenceAmount(ps []presence, source int) float64 {
-	for _, pr := range ps {
-		if pr.source == source {
-			return pr.amount
-		}
+// relax offers the settled sink a's edge to b, reassigning source (-1 for
+// the edge into T), where nd is dist[a] plus the edge's reduced cost.
+func (c *condensed) relax(a, b, source int, nd float64) {
+	if da := c.dist[a]; nd < da {
+		nd = da // negative reduced cost: float drift, see search
 	}
-	return 0
+	if nd < c.dist[b] {
+		c.dist[b] = nd
+		c.via[b] = viaEdge{from: a, source: source}
+		c.update(b)
+	}
+}
+
+// update inserts node v into the heap or moves it up after its distance
+// decreased. The heap is indexed (heapPos), so it never holds more than
+// one entry per node.
+func (c *condensed) update(v int) {
+	i := int(c.heapPos[v])
+	if i < 0 {
+		i = len(c.heap)
+		c.heap = append(c.heap, int32(v))
+	}
+	c.siftUp(i, v)
+}
+
+// before orders nodes by distance, then by index, so the settle order
+// (and with it the chosen paths) is deterministic.
+func (c *condensed) before(u, v int32) bool {
+	//fbpvet:floatok exact tie-break on stored distances keeps the order total
+	if c.dist[u] != c.dist[v] {
+		return c.dist[u] < c.dist[v]
+	}
+	return u < v
+}
+
+func (c *condensed) siftUp(i, v int) {
+	h := c.heap
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !c.before(int32(v), h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		c.heapPos[h[i]] = int32(i)
+		i = parent
+	}
+	h[i] = int32(v)
+	c.heapPos[v] = int32(i)
+}
+
+// pop removes and returns the heap's first node.
+func (c *condensed) pop() int {
+	h := c.heap
+	top := h[0]
+	last := h[len(h)-1]
+	h = h[:len(h)-1]
+	c.heap = h
+	c.heapPos[top] = -1
+	if len(h) == 0 {
+		return int(top)
+	}
+	i := 0
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			break
+		}
+		if r := m + 1; r < len(h) && c.before(h[r], h[m]) {
+			m = r
+		}
+		if !c.before(h[m], last) {
+			break
+		}
+		h[i] = h[m]
+		c.heapPos[h[i]] = int32(i)
+		i = m
+	}
+	h[i] = last
+	c.heapPos[last] = int32(i)
+	return int(top)
 }
 
 // removePresence reduces source's amount at the sink; it reports whether
