@@ -4,9 +4,9 @@
 // trusting the solver that produced it. The certificates mirror the
 // paper's exact conditions (Theorem 3 feasibility/optimality for the flow
 // model, Definition 1 legality for placements) and exist because the hot
-// path runs aggressive shortcuts (warm-started simplex, pair-pass
-// realization, speculative parallel windows) whose correctness would
-// otherwise be asserted only in tests.
+// path runs fast solvers (network simplex, the condensed transport
+// engine, pair-pass realization) whose correctness would otherwise be
+// asserted only in tests.
 //
 // Certification failures are reported as *Error carrying the layer, the
 // level, the violated invariant and a concrete witness, so repair logic
@@ -94,10 +94,9 @@ func (c *Checker) fail(layer, invariant, witness string) error {
 // Flow certifies the optimality of a solved min-cost-flow instance via
 // LP duality: the exported node potentials must be dual feasible and
 // complementary slackness must hold on every real arc, and flow must be
-// conserved at every node (Theorem 3 conditions). This catches a
-// warm-started simplex whose basis passed the structural signature but
-// carried wrong tree flows — a class of defect the solver's own exit
-// criteria cannot see. A solve that exported no certificate (failed run)
+// conserved at every node (Theorem 3 conditions). This catches wrong tree
+// flows or potentials — a class of defect the solver's own exit criteria
+// cannot see. A solve that exported no certificate (failed run)
 // passes vacuously: the caller already has its error.
 func (c *Checker) Flow(g *flow.MinCostFlow) error {
 	d := g.Duals()

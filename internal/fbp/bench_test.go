@@ -37,7 +37,7 @@ func benchInstance(numCells, nx, ny int) (*netlist.Netlist, *grid.WindowRegions)
 func BenchmarkRealizeLevel(b *testing.B) {
 	// The deep 32x32 level runs twice: "block" forces the legacy 3x3-block
 	// realization, "pair" the neighbor-pair pass (the default there), to
-	// keep the speedup of the pair pass + warm-started transports visible.
+	// keep the speedup of the pair pass visible.
 	for _, c := range []struct {
 		cells, nx, ny int
 		mode          string

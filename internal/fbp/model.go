@@ -80,11 +80,6 @@ type Config struct {
 	// importing internal/certify so the dependency keeps pointing from the
 	// certifier at the solvers, never back.
 	Check Checker
-	// CondensedOnly disables the warm-startable network-simplex
-	// transportation rungs of the realization, keeping every block on the
-	// condensed/reference chain. Safe mode sets it so a repair run shares
-	// no engine state with the run that failed certification.
-	CondensedOnly bool
 }
 
 // Checker certifies intermediate solver results (implemented by

@@ -1016,71 +1016,33 @@ func roundCapacityAware(p *transport.Problem, sol *transport.Solution) []int {
 	return out
 }
 
-// nsEngineMaxCells / nsEngineMaxSinks bound the instances eligible for the
-// warm-startable network-simplex transportation engine. Pair steps and
-// deep-level block steps fall well under these; large coarse-level blocks
-// keep the condensed engine, whose condensed-graph augmentation wins on
-// many-cells/few-sinks shapes. Eligibility depends only on the instance
-// size and the rung, so the engine choice is deterministic.
-const (
-	nsEngineMaxCells = 160
-	nsEngineMaxSinks = 96
-)
-
 // solveWithRelaxation retries an infeasible transportation with gently
 // inflated capacities: majority rounding of earlier steps can overfill a
 // block by a few cells' area. The inflation ladder keeps the violation
 // bounded and is recorded by the caller via Result.RoundingOverflow.
-//
-// Retry rungs of small instances run on the network-simplex engine, and
-// the spanning-tree basis of each rung warm-starts the next — including
-// the basis of a failed (infeasible) rung: the ladder only rescales sink
-// capacities, which enter the bipartite model as sink-node supplies, so
-// the arc structure — and with it the exported basis — is reusable as-is.
-// The first rung stays on the condensed engine, which wins when a single
-// cold solve suffices (the common case); the NS engine only pays off once
-// there is a tree to reuse. A stalled NS rung degrades to the
-// condensed/reference chain instead of failing the block.
+// Every rung runs the condensed engine (with its reference fallback);
+// rungs climbed above the first count as fbp.relax.rungs.
 func (r *realizer) solveWithRelaxation(p *transport.Problem) (*transport.Solution, error) {
 	factors := []float64{1, 1.001, 1.02, 1.1, 1.5, 4, 64}
 	base := append([]float64(nil), p.Capacity...)
-	useNS := !r.cfg.CondensedOnly &&
-		len(p.Supply) <= nsEngineMaxCells && len(p.Capacity) <= nsEngineMaxSinks
-	var basis *flow.Basis
+	defer copy(p.Capacity, base)
 	var lastErr error
 	for ri, f := range factors {
+		if ri > 0 {
+			r.rec.Count("fbp.relax.rungs", 1)
+		}
 		for i := range p.Capacity {
 			p.Capacity[i] = base[i] * f
 		}
-		var sol *transport.Solution
-		var err error
-		if useNS && ri > 0 {
-			var next *flow.Basis
-			sol, next, err = transport.SolveNS(p, basis)
-			if next != nil {
-				basis = next // warm-start the next rung from this tree
-			}
-			var stalled *flow.ErrStalled
-			if err != nil && errors.As(err, &stalled) {
-				// The NS cycling guard tripped: degrade this rung to the
-				// condensed engine (with its own reference fallback)
-				// rather than failing the whole block.
-				r.cfg.Degrade.Add("fbp.transport.ns", "condensed-engine", err.Error())
-				sol, err = transport.Solve(p)
-			}
-		} else {
-			sol, err = transport.Solve(p)
-		}
+		sol, err := transport.Solve(p)
 		if err == nil {
 			if r.cfg.Check != nil {
 				// Certify against the capacities the rung actually solved
-				// with (still inflated here; restored below either way).
+				// with (still inflated here; restored on return).
 				if cerr := r.cfg.Check.Transport(p, sol); cerr != nil {
-					copy(p.Capacity, base)
 					return nil, cerr
 				}
 			}
-			copy(p.Capacity, base)
 			return sol, nil
 		}
 		lastErr = err
@@ -1090,7 +1052,6 @@ func (r *realizer) solveWithRelaxation(p *transport.Problem) (*transport.Solutio
 			break
 		}
 	}
-	copy(p.Capacity, base)
 	return nil, lastErr
 }
 

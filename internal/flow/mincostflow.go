@@ -47,17 +47,10 @@ type MinCostFlow struct {
 	// Ctx, when non-nil, is polled during Solve/SolveNS; a canceled or
 	// expired context aborts the solve with the context's error.
 	Ctx context.Context
-	// Pivots is the number of simplex pivots of the last SolveNS (or
-	// SolveNSWarm) run. It is published on every exit of the pivot loop —
-	// including stalls and context aborts — so fallback paths keep the
-	// work visible.
+	// Pivots is the number of simplex pivots of the last SolveNS run. It
+	// is published on every exit of the pivot loop — including stalls and
+	// context aborts — so fallback paths keep the work visible.
 	Pivots int
-
-	// lastNS retains the simplex state of the most recent SolveNS run so
-	// ExportBasis can snapshot its spanning tree; lastSig is the matching
-	// structural signature.
-	lastNS  *netSimplex
-	lastSig uint64
 
 	// buildErr latches the first model-construction defect (negative arc
 	// cost). Solve and SolveNS refuse to run a defective model, so the
@@ -75,8 +68,7 @@ type MinCostFlow struct {
 // SolveNS run: the node potentials (dual variables) of the min-cost-flow
 // LP, over which an independent checker can verify dual feasibility and
 // complementary slackness (paper Theorem 3 conditions) without trusting
-// the solver — in particular a warm-started simplex whose basis the
-// structural signature accepted but whose tree was subtly wrong.
+// the solver's own exit criteria.
 type Duals struct {
 	// Pot[v] is the potential of real node v (the nodes that existed when
 	// the solve started; solver-internal super/dummy nodes are excluded).

@@ -36,33 +36,7 @@ func (e *ErrStalled) Error() string {
 // Like Solve, it routes all supply (demands may stay unfilled) and returns
 // *ErrInfeasible when some supply cannot reach remaining demand. After a
 // successful run Flow(id) reports the arc flows.
-func (g *MinCostFlow) SolveNS() (float64, error) { return g.solveNS(nil) }
-
-// SolveNSWarm is SolveNS with a warm start: it tries to seed the simplex
-// with the spanning-tree basis of a previous, structurally identical solve
-// (same node count and arc list; costs, capacities and supplies may all
-// differ). A basis that does not fit — signature mismatch, broken tree, or
-// recomputed tree flows outside the current capacity bounds — is rejected
-// and the solve cold-starts, so a stale basis can cost at most the failed
-// validation. The counters "ns.warmstart" and "ns.coldfallback" record
-// which path was taken. A nil basis is exactly SolveNS.
-func (g *MinCostFlow) SolveNSWarm(basis *Basis) (float64, error) { return g.solveNS(basis) }
-
-// ExportBasis returns the spanning-tree basis of the most recent
-// SolveNS/SolveNSWarm call, or nil when none completed its pivot loop
-// (build errors and context aborts before the run leave no basis). A basis
-// is exportable even from a solve that returned *ErrInfeasible or
-// *ErrStalled — the tree is feasible and consistent in both cases, and
-// re-solving from it (e.g. after relaxing capacities) is the whole point
-// of warm starts.
-func (g *MinCostFlow) ExportBasis() *Basis {
-	if g.lastNS == nil {
-		return nil
-	}
-	return g.lastNS.exportBasis(g.lastSig)
-}
-
-func (g *MinCostFlow) solveNS(basis *Basis) (float64, error) {
+func (g *MinCostFlow) SolveNS() (float64, error) {
 	if g.buildErr != nil {
 		return 0, g.buildErr
 	}
@@ -117,33 +91,14 @@ func (g *MinCostFlow) solveNS(basis *Basis) (float64, error) {
 		a := &g.adj[p[0]][p[1]]
 		realArc[id] = ns.addArc(int(p[0]), int(a.to), a.cap, a.cost)
 	}
-	// Structural signature over the instance arcs (dummy + real), before
-	// any artificial arcs: the identity a basis must match to be reusable.
-	sig := ns.signature()
-	warm := false
-	if basis != nil {
-		if basis.sig == sig {
-			warm = ns.warmInit(basis, b, root, g.maxCost)
-		}
-		if warm {
-			g.Obs.Count("ns.warmstart", 1)
-		} else {
-			g.Obs.Count("ns.coldfallback", 1)
-		}
-	}
-	if !warm {
-		ns.coldInit(b, root, g.maxCost)
-	}
+	ns.coldInit(b, root, g.maxCost)
 	// Publish pivot stats on EVERY exit — success, infeasibility, stall
 	// and context aborts alike. A stalled run in particular did real work
 	// that the NS->SSP fallback would otherwise hide from observability
-	// and the degradation record. ns.pivots is cumulative over a warm-start
-	// chain; Pivots and the counter report the pivots of THIS solve.
-	entryPivots := ns.pivots
+	// and the degradation record.
 	defer func() {
-		g.lastNS, g.lastSig = ns, sig
-		g.Pivots = ns.pivots - entryPivots
-		g.Obs.Count("ns.pivots", float64(ns.pivots-entryPivots))
+		g.Pivots = ns.pivots
+		g.Obs.Count("ns.pivots", float64(ns.pivots))
 	}()
 	if err := ns.run(g.Ctx, b, g.maxCost); err != nil {
 		return 0, err
@@ -213,12 +168,7 @@ type netSimplex struct {
 
 	artificial []int // arc ids of the root arcs
 	numNodes   int
-	// pivots is cumulative over a warm-start chain: warmInit carries the
-	// originating chain's count forward so stall reports and diagnostics
-	// see the total effort. The stall cap of run counts pivots since
-	// entry, never this field (a warm-started re-solve must get a full
-	// fresh budget).
-	pivots int
+	pivots     int
 }
 
 func (ns *netSimplex) init(numNodes int) {
@@ -235,23 +185,58 @@ func (ns *netSimplex) addArc(u, v int, capacity, cost float64) int {
 	return len(ns.from) - 1
 }
 
-// run executes the pivot loop of an initialized simplex (coldInit or
-// warmInit must have set up the tree); b is the (balanced) imbalance
-// vector including the dummy node. A non-nil ctx is polled periodically
-// and aborts the run with the context's error.
+// coldInit builds the classic all-artificial starting tree: every node
+// hangs off the root through a big-M arc oriented by the sign of its
+// imbalance, which carries exactly that imbalance.
+func (ns *netSimplex) coldInit(b []float64, root int, maxCost float64) {
+	nn := ns.numNodes
+	bigM := (maxCost + 1) * float64(nn)
+	ns.parent = make([]int32, nn)
+	ns.predArc = make([]int32, nn)
+	ns.predUp = make([]bool, nn)
+	ns.children = make([][]int32, nn)
+	ns.pi = make([]float64, nn)
+	ns.depth = make([]int32, nn)
+	for v := 0; v < nn; v++ {
+		if v == root {
+			ns.parent[v] = -1
+			ns.predArc[v] = -1
+			continue
+		}
+		var ai int
+		if b[v] >= 0 {
+			ai = ns.addArc(v, root, Inf, bigM)
+			ns.flow[ai] = b[v]
+			ns.predUp[v] = true
+			ns.pi[v] = -bigM
+		} else {
+			ai = ns.addArc(root, v, Inf, bigM)
+			ns.flow[ai] = -b[v]
+			ns.predUp[v] = false
+			ns.pi[v] = bigM
+		}
+		ns.state[ai] = stateTree
+		ns.artificial = append(ns.artificial, ai)
+		ns.parent[v] = int32(root)
+		ns.predArc[v] = int32(ai)
+		ns.children[root] = append(ns.children[root], int32(v))
+		ns.depth[v] = 1
+	}
+}
+
+// run executes the pivot loop from the starting tree set up by coldInit;
+// b is the (balanced) imbalance vector including the dummy node. A
+// non-nil ctx is polled periodically and aborts the run with the
+// context's error.
 func (ns *netSimplex) run(ctx context.Context, b []float64, maxCost float64) error {
 	depth := ns.depth
 	m := len(ns.from)
 	block := int(math.Sqrt(float64(m))) + 1
 	scan := 0
-	// The stall cap and the ctx-poll cadence both count pivots since
-	// entry (the loop-local counter), NOT the cumulative ns.pivots — a
-	// warm-started re-solve carries the chain's pivot total in ns.pivots
-	// and must not inherit an exhausted budget from its ancestors.
 	maxPivots := 200*m + 10000
 	if nsDebugCheck != nil {
-		// Validate the starting basis too (pivot -1): a warm-restored
-		// tree must satisfy the same invariants as a pivoted one.
+		// Validate the starting tree too (pivot -1): the all-artificial
+		// start must satisfy the same invariants as a pivoted one.
 		nsDebugCheck(ns, b, -1)
 	}
 	for pivot := 0; ; pivot++ {

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"fbplace/internal/faultsim"
+	"fbplace/internal/obs"
 )
 
 func TestNSSimpleTransport(t *testing.T) {
@@ -220,32 +223,34 @@ func TestNSFlowConservation(t *testing.T) {
 	}
 }
 
-func BenchmarkNSGrid(b *testing.B) {
-	k := 30
-	build := func() *MinCostFlow {
-		g := NewMinCostFlow(k * k)
-		id := func(x, y int) int { return y*k + x }
-		for y := 0; y < k; y++ {
-			for x := 0; x < k; x++ {
-				if x+1 < k {
-					g.AddArc(id(x, y), id(x+1, y), Inf, 1)
-					g.AddArc(id(x+1, y), id(x, y), Inf, 1)
-				}
-				if y+1 < k {
-					g.AddArc(id(x, y), id(x, y+1), Inf, 1)
-					g.AddArc(id(x, y+1), id(x, y), Inf, 1)
-				}
+// gridMCF builds a k x k zero-cost-mesh grid with k supplies and k
+// demands of supplyScale each, the FBP-shaped instance; every mesh arc
+// has cost arcCost and capacity arcCap.
+func gridMCF(k int, supplyScale float64, arcCost, arcCap float64) *MinCostFlow {
+	g := NewMinCostFlow(k * k)
+	id := func(x, y int) int { return y*k + x }
+	for y := 0; y < k; y++ {
+		for x := 0; x < k; x++ {
+			if x+1 < k {
+				g.AddArc(id(x, y), id(x+1, y), arcCap, arcCost)
+				g.AddArc(id(x+1, y), id(x, y), arcCap, arcCost)
+			}
+			if y+1 < k {
+				g.AddArc(id(x, y), id(x, y+1), arcCap, arcCost)
+				g.AddArc(id(x, y+1), id(x, y), arcCap, arcCost)
 			}
 		}
-		for i := 0; i < k; i++ {
-			g.SetSupply(id(i%5, i/5), 1)
-			g.SetSupply(id(k-1-i%5, k-1-i/5), -1)
-		}
-		return g
 	}
-	b.ResetTimer()
+	for i := 0; i < k; i++ {
+		g.SetSupply(id(i%5, i/5), supplyScale)
+		g.SetSupply(id(k-1-i%5, k-1-i/5), -supplyScale)
+	}
+	return g
+}
+
+func BenchmarkNSGrid(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		g := build()
+		g := gridMCF(30, 1, 1, Inf)
 		if _, err := g.SolveNS(); err != nil {
 			b.Fatal(err)
 		}
@@ -291,5 +296,48 @@ func TestNSSelfBalancedZero(t *testing.T) {
 	}
 	if cost != 4 || g.Flow(a) != 2 || g.Flow(b) != 2 {
 		t.Fatalf("cost=%v flows=%v,%v", cost, g.Flow(a), g.Flow(b))
+	}
+}
+
+// Regression: pivot stats must be published on the ErrStalled exit too —
+// a stalled run did real work that the NS->SSP fallback must not hide.
+func TestNSStatsPublishedOnStall(t *testing.T) {
+	defer faultsim.Reset()
+	// Skip the entry check (pivot 0); fire at the second cadence check
+	// (pivot 1024), after real pivot work has happened.
+	if err := faultsim.Arm("flow.ns.stall", faultsim.Schedule{After: 1}); err != nil {
+		t.Fatal(err)
+	}
+	g := gridMCF(30, 1, 1, Inf) // ~1500 pivots when run to optimality
+	g.Obs = obs.New(nil)
+	_, err := g.SolveNS()
+	stall, ok := err.(*ErrStalled)
+	if !ok {
+		t.Fatalf("err = %v, want ErrStalled", err)
+	}
+	if g.Pivots < 1024 {
+		t.Fatalf("g.Pivots = %d after stall, want >= 1024 (stats lost on error exit)", g.Pivots)
+	}
+	if got := g.Obs.Counter("ns.pivots"); got != float64(g.Pivots) {
+		t.Fatalf("ns.pivots counter = %v, want %d", got, g.Pivots)
+	}
+	if stall.Pivots != g.Pivots {
+		t.Fatalf("ErrStalled.Pivots = %d, g.Pivots = %d", stall.Pivots, g.Pivots)
+	}
+}
+
+// Pivot stats must also be published on the ErrInfeasible exit.
+func TestNSStatsPublishedOnInfeasible(t *testing.T) {
+	g := gridMCF(8, 4, 1, 1)
+	g.Obs = obs.New(nil)
+	_, err := g.SolveNS()
+	if _, ok := err.(*ErrInfeasible); !ok {
+		t.Fatalf("err = %v, want ErrInfeasible", err)
+	}
+	if g.Pivots <= 0 {
+		t.Fatalf("g.Pivots = %d after infeasible solve, want > 0", g.Pivots)
+	}
+	if got := g.Obs.Counter("ns.pivots"); got != float64(g.Pivots) {
+		t.Fatalf("ns.pivots counter = %v, want %d", got, g.Pivots)
 	}
 }

@@ -45,9 +45,7 @@ func nsValidate(ns *netSimplex, b []float64, pivotNo int) error {
 		}
 	}
 	// Tree structure: parent/predArc/predUp must be mutually consistent
-	// and every node must reach the root. This also validates trees
-	// restored by a warm start, which rebuilds them from an exported
-	// basis rather than from pivots.
+	// and every node must reach the root.
 	root := -1
 	for v := 0; v < ns.numNodes; v++ {
 		if ns.parent[v] < 0 {

@@ -129,24 +129,22 @@ type Config struct {
 	Obs *obs.Recorder
 	// Certify enables independent result certification (internal/certify).
 	// A failed certificate triggers safe-mode repair: the failing level
-	// (CertifyEveryLevel) or the whole run is re-executed with
-	// conservative engines, recorded as a "certify" degradation with the
+	// (CertifyEveryLevel) or the whole run is re-executed in safe mode
+	// (Safe), recorded as a "certify" degradation with the
 	// certify.fail/certify.repair counters. A repair that fails
 	// certification again propagates the *certify.Error to the caller.
 	Certify CertifyMode
-	// SafeMode forces the conservative engine set everywhere: no pair
-	// pass and condensed-only transportation rungs. Set it through Safe,
-	// which also makes the run sequential and unsnapshotted; every repair
-	// runs Safe(), and callers may too, to reproduce exactly what a repair
-	// would compute.
+	// SafeMode turns off the neighbor-pair realization pass everywhere.
+	// Set it through Safe, which also makes the run sequential and
+	// unsnapshotted; every repair runs Safe(), and callers may too, to
+	// reproduce exactly what a repair would compute.
 	SafeMode bool
 }
 
 // Safe returns the safe-mode variant of c: the one definition of what a
 // certify repair re-runs. It is sequential and carries no checkpointing
 // or preemption, so the repair shares no state with the run that produced
-// a wrong answer; which engines SafeMode turns off is decided by
-// fbpConfig alone.
+// a wrong answer; what SafeMode turns off is decided by fbpConfig alone.
 func (c Config) Safe() Config {
 	c.SafeMode = true
 	c.Workers = 1
@@ -156,19 +154,17 @@ func (c Config) Safe() Config {
 }
 
 // fbpConfig derives the partitioning configuration of one FBP level from
-// c. It is the only place SafeMode maps onto engine choices: no pair pass
-// and condensed-only transportation rungs. check is nil unless every
-// level is certified.
+// c. It is the only place SafeMode maps onto engine choices: it drops the
+// pair pass. check is nil unless every level is certified.
 func (c Config) fbpConfig(ctx context.Context, dl *degrade.Log, check *certify.Checker) fbp.Config {
 	fc := fbp.Config{
-		LocalQP:       !c.NoLocalQP,
-		PairPass:      !c.NoPairPass && !c.SafeMode,
-		CondensedOnly: c.SafeMode,
-		QP:            c.QP,
-		Workers:       c.Workers,
-		Obs:           c.Obs,
-		Ctx:           ctx,
-		Degrade:       dl,
+		LocalQP:  !c.NoLocalQP,
+		PairPass: !c.NoPairPass && !c.SafeMode,
+		QP:       c.QP,
+		Workers:  c.Workers,
+		Obs:      c.Obs,
+		Ctx:      ctx,
+		Degrade:  dl,
 	}
 	if check != nil {
 		fc.Check = check

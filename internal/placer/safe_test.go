@@ -13,8 +13,8 @@ import (
 
 // TestSafeDerivation pins the single definition of safe mode: Config.Safe
 // makes the run sequential and unsnapshotted, and the FBP level config
-// derived from it drops the pair pass and the network-simplex rungs while
-// carrying every piece of per-run plumbing through unchanged. The
+// derived from it drops the pair pass while carrying every piece of
+// per-run plumbing through unchanged. The
 // level-local repair partitions with exactly cfg.Safe().fbpConfig, so
 // this is also the config a repaired level runs.
 func TestSafeDerivation(t *testing.T) {
@@ -39,9 +39,8 @@ func TestSafeDerivation(t *testing.T) {
 	dl := degrade.New(rec)
 	check := &certify.Checker{Obs: rec, Ctx: ctx, Level: 3}
 	got := safe.fbpConfig(ctx, dl, check)
-	if got.PairPass || !got.CondensedOnly || got.Workers != 1 {
-		t.Fatalf("safe fbp config: PairPass %v, CondensedOnly %v, Workers %d; want false, true, 1",
-			got.PairPass, got.CondensedOnly, got.Workers)
+	if got.PairPass || got.Workers != 1 {
+		t.Fatalf("safe fbp config: PairPass %v, Workers %d; want false, 1", got.PairPass, got.Workers)
 	}
 	if got.Check != check || got.Obs != rec || got.Ctx != ctx || got.Degrade != dl {
 		t.Fatal("safe fbp config dropped Check/Obs/Ctx/Degrade")
@@ -51,14 +50,14 @@ func TestSafeDerivation(t *testing.T) {
 	}
 
 	// The safe derivation differs from the default level config in the
-	// engine set and the worker count only.
+	// pair pass and the worker count only.
 	want := cfg.fbpConfig(ctx, dl, check)
-	if !want.PairPass || want.CondensedOnly {
-		t.Fatalf("default fbp config: PairPass %v, CondensedOnly %v; want true, false", want.PairPass, want.CondensedOnly)
+	if !want.PairPass {
+		t.Fatal("default fbp config has no pair pass")
 	}
-	want.PairPass, want.CondensedOnly, want.Workers = false, true, 1
+	want.PairPass, want.Workers = false, 1
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("safe fbp config %+v differs from the default beyond the engine set: want %+v", got, want)
+		t.Fatalf("safe fbp config %+v differs from the default beyond PairPass and Workers: want %+v", got, want)
 	}
 
 	// Without per-level certification the checker is a nil interface, not

@@ -89,27 +89,5 @@ func BenchmarkEngines(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("ns-cold/%sn=%d/k=%d", shape, sz.n, sz.k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := SolveNS(p, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("ns-warm/%sn=%d/k=%d", shape, sz.n, sz.k), func(b *testing.B) {
-			b.ReportAllocs()
-			_, basis, err := SolveNS(p, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				if _, basis, err = SolveNS(p, basis); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

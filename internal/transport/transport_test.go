@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -8,6 +9,11 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"fbplace/internal/degrade"
+	"fbplace/internal/faultsim"
+	"fbplace/internal/flow"
+	"fbplace/internal/obs"
 )
 
 func TestSolveSingleSourceSingleSink(t *testing.T) {
@@ -34,10 +40,6 @@ func engines() map[string]func(*Problem) (*Solution, error) {
 	return map[string]func(*Problem) (*Solution, error){
 		"reference": SolveReference,
 		"condensed": condensedOnly,
-		"ns": func(p *Problem) (*Solution, error) {
-			sol, _, err := SolveNS(p, nil)
-			return sol, err
-		},
 	}
 }
 
@@ -465,5 +467,116 @@ func TestCondensedLargeKMatchesReference(t *testing.T) {
 	}
 	if multi < cases*3/4 {
 		t.Fatalf("only %d of %d cases start with two or more overloaded sinks", multi, cases)
+	}
+}
+
+// assertSolutionsEquivalent fails unless the two solutions agree on cost,
+// per-source totals and capacity feasibility (portion sets may differ
+// between optima with ties, so only aggregate invariants are compared).
+func assertSolutionsEquivalent(t *testing.T, p *Problem, got, want *Solution) {
+	t.Helper()
+	if math.Abs(got.Cost-want.Cost) > 1e-6*(1+math.Abs(want.Cost)) {
+		t.Fatalf("cost %v, want %v", got.Cost, want.Cost)
+	}
+	loads := make([]float64, p.NumSinks())
+	for i, ps := range got.Assign {
+		sum := 0.0
+		for _, pr := range ps {
+			sum += pr.Amount
+			loads[pr.Sink] += pr.Amount
+		}
+		if math.Abs(sum-p.Supply[i]) > 1e-6 {
+			t.Fatalf("source %d ships %v, supply %v", i, sum, p.Supply[i])
+		}
+	}
+	for j, l := range loads {
+		if l > p.Capacity[j]+1e-6 {
+			t.Fatalf("sink %d load %v > capacity %v", j, l, p.Capacity[j])
+		}
+	}
+	if got.NumSplit() > p.NumSinks()-1 {
+		t.Fatalf("NumSplit = %d > k-1 = %d", got.NumSplit(), p.NumSinks()-1)
+	}
+}
+
+// Satellite: a faultsim-armed condensed failure must fall back to the
+// reference engine with a correct Solution (portions, NumSplit) and a
+// degrade counter bump.
+func TestCondensedFallbackFaultsim(t *testing.T) {
+	defer faultsim.Reset()
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 20; trial++ {
+		p := randomProblem(rng)
+		want, err := SolveReference(p)
+		if err != nil {
+			continue
+		}
+		if err := faultsim.Arm("transport.condensed.fail", faultsim.Schedule{}); err != nil {
+			t.Fatal(err)
+		}
+		rec := obs.New(nil)
+		p.Obs = rec
+		p.Degrade = degrade.New(rec)
+		got, err := Solve(p)
+		faultsim.Disarm("transport.condensed.fail")
+		if err != nil {
+			t.Fatalf("trial %d: fallback did not rescue the solve: %v", trial, err)
+		}
+		assertSolutionsEquivalent(t, p, got, want)
+		if got := rec.Counter("degrade.transport.condensed"); got != 1 {
+			t.Fatalf("trial %d: degrade.transport.condensed = %v, want 1", trial, got)
+		}
+		if p.Degrade.Len() != 1 {
+			t.Fatalf("trial %d: degrade log has %d events, want 1", trial, p.Degrade.Len())
+		}
+		ev := p.Degrade.Events()[0]
+		if ev.Stage != "transport.condensed" || ev.Fallback != "reference-engine" {
+			t.Fatalf("trial %d: degrade event %+v", trial, ev)
+		}
+	}
+}
+
+// Satellite: fallbackWorthy must treat a solver stall as an engine
+// failure (retry on the reference path) but never retry infeasibility
+// certificates or context aborts.
+func TestFallbackWorthySyntheticStall(t *testing.T) {
+	stall := fmt.Errorf("transport: %w", &flow.ErrStalled{Pivots: 12345})
+	if !fallbackWorthy(stall) {
+		t.Fatal("a stall must be fallback-worthy")
+	}
+	if !fallbackWorthy(errors.New("transport: degenerate augmentation (move 0)")) {
+		t.Fatal("an internal engine defect must be fallback-worthy")
+	}
+	if fallbackWorthy(fmt.Errorf("%w: 3 unrouted", ErrInfeasible)) {
+		t.Fatal("infeasibility must not be retried")
+	}
+	if fallbackWorthy(context.Canceled) || fallbackWorthy(context.DeadlineExceeded) {
+		t.Fatal("context aborts must not be retried")
+	}
+}
+
+// Satellite: when both engines are armed to fail, the chain exhausts and
+// the caller receives the reference engine's structured error, with the
+// degrade event still recorded.
+func TestCondensedFallbackChainExhausted(t *testing.T) {
+	defer faultsim.Reset()
+	if err := faultsim.Arm("transport.condensed.fail", faultsim.Schedule{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := faultsim.Arm("transport.reference.fail", faultsim.Schedule{}); err != nil {
+		t.Fatal(err)
+	}
+	p := &Problem{
+		Supply:   []float64{1},
+		Capacity: []float64{2},
+		Arcs:     [][]Arc{{{Sink: 0, Cost: 1}}},
+		Degrade:  degrade.New(nil),
+	}
+	_, err := Solve(p)
+	if !errors.Is(err, faultsim.ErrInjected) {
+		t.Fatalf("err = %v, want injected", err)
+	}
+	if p.Degrade.Len() != 1 {
+		t.Fatalf("degrade log has %d events, want 1", p.Degrade.Len())
 	}
 }
