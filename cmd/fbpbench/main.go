@@ -5,6 +5,7 @@
 //	fbpbench -table 2 -scale 0.002 # Table II at 0.2% of published sizes
 //	fbpbench -table speedup        # §IV.B parallel realization speedups
 //	fbpbench -table 1 -trace t.json -stats
+//	fbpbench -table 1 -cpuprofile cpu.out  # then: go tool pprof cpu.out
 //
 // Tables: 1 (FBP sizes/runtimes), 2 (no movebounds), 3 (instance
 // characteristics), 4 (inclusive movebounds), 5 (exclusive movebounds),
@@ -22,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 
 	"fbplace/internal/exp"
 	"fbplace/internal/obs"
@@ -37,8 +39,15 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per table (0 = none); a table that exceeds it fails with context.DeadlineExceeded")
 	ckpt := flag.String("checkpoint", "", "write per-run crash-safe placement checkpoints under this directory")
 	resume := flag.Bool("resume", false, "resume interrupted placements from -checkpoint (same tables, scale and flags required)")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file")
 	certify := flag.Bool("certify", false, "independently certify every level and the final result of each run (internal/certify); overhead lands in the phase times")
 	flag.Parse()
+	if *cpuprofile != "" {
+		if err := startCPUProfile(*cpuprofile); err != nil {
+			fatal(err)
+		}
+		defer stopProfile()
+	}
 
 	if *resume && *ckpt == "" {
 		fatal(fmt.Errorf("-resume requires -checkpoint"))
@@ -84,7 +93,7 @@ func main() {
 	}
 	fail := func(name string, err error) {
 		fmt.Fprintf(os.Stderr, "fbpbench: table %s: %v\n", name, err)
-		os.Exit(1)
+		exit(1)
 	}
 	ran := false
 	bench := exp.BenchRecord{Scale: *scale, Tables: map[string]exp.BenchTable{}}
@@ -209,7 +218,7 @@ func main() {
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "fbpbench: unknown table %q (want 1..7, speedup, ablation, feasibility, all)\n", *table)
-		os.Exit(2)
+		exit(2)
 	}
 
 	rec.Flush()
@@ -235,5 +244,35 @@ func main() {
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "fbpbench:", err)
-	os.Exit(1)
+	exit(1)
+}
+
+// stopProfile ends the -cpuprofile recording (a no-op without one). exit
+// runs it too, so error exits keep their profile.
+var stopProfile = func() {}
+
+// startCPUProfile starts a runtime/pprof CPU profile written to path.
+func startCPUProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("cpuprofile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		_ = f.Close() // the start failure is the error worth reporting
+		return fmt.Errorf("cpuprofile: %w", err)
+	}
+	stopProfile = func() {
+		stopProfile = func() {}
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "fbpbench: cpuprofile:", err)
+		}
+	}
+	return nil
+}
+
+// exit stops the CPU profile, then exits with code.
+func exit(code int) {
+	stopProfile()
+	os.Exit(code)
 }

@@ -5,6 +5,7 @@
 //	fbplace -cells 20000 -mode rql
 //	fbplace -i chip.fbp -dump-flow 8      # print the §IV.A flow plan
 //	fbplace -i adaptec5.aux               # ISPD Bookshelf benchmarks
+//	fbplace -cells 20000 -cpuprofile cpu.out  # then: go tool pprof cpu.out
 package main
 
 import (
@@ -14,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -44,11 +46,18 @@ func main() {
 	certifyF := flag.Bool("certify", false, "independently certify every level and the final result; repair in safe mode on failure")
 	ckptDir := flag.String("checkpoint", "", "write per-level crash-safe checkpoints into this directory")
 	resume := flag.Bool("resume", false, "resume from the newest checkpoint in -checkpoint (same instance and flags required)")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file")
 	dumpHex := flag.String("dump-hex", "", "write final positions as hex float64 bits to this file (bit-exact comparison)")
 	var faults []string
 	flag.Func("fault", "arm a fault injection site: name[:after=N,every=N,limit=N,prob=P,seed=N,panic=1] (repeatable)",
 		func(s string) error { faults = append(faults, s); return nil })
 	flag.Parse()
+	if *cpuprofile != "" {
+		if err := startCPUProfile(*cpuprofile); err != nil {
+			fatal(err)
+		}
+		defer stopProfile()
+	}
 
 	for _, spec := range faults {
 		if err := faultsim.ArmSpec(spec); err != nil {
@@ -61,7 +70,7 @@ func main() {
 		if r := recover(); r != nil {
 			if ie, ok := r.(*faultsim.InjectedError); ok {
 				fmt.Fprintln(os.Stderr, "fbplace: killed by injected fault:", ie)
-				os.Exit(3)
+				exit(3)
 			}
 			panic(r)
 		}
@@ -267,5 +276,35 @@ func writeHexPositions(path string, n *fbplace.Netlist) error {
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "fbplace:", err)
-	os.Exit(1)
+	exit(1)
+}
+
+// stopProfile ends the -cpuprofile recording (a no-op without one). exit
+// runs it too, so error exits keep their profile.
+var stopProfile = func() {}
+
+// startCPUProfile starts a runtime/pprof CPU profile written to path.
+func startCPUProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("cpuprofile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		_ = f.Close() // the start failure is the error worth reporting
+		return fmt.Errorf("cpuprofile: %w", err)
+	}
+	stopProfile = func() {
+		stopProfile = func() {}
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "fbplace: cpuprofile:", err)
+		}
+	}
+	return nil
+}
+
+// exit stops the CPU profile, then exits with code.
+func exit(code int) {
+	stopProfile()
+	os.Exit(code)
 }

@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"fbplace/internal/gen"
 	"fbplace/internal/geom"
 	"fbplace/internal/grid"
 	"fbplace/internal/netlist"
 	"fbplace/internal/region"
+	"fbplace/internal/rql"
 )
 
 // benchInstance builds a crowded instance whose realization needs many
@@ -69,6 +71,52 @@ func BenchmarkRealizeLevel(b *testing.B) {
 				if _, err := Realize(m, cfg); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkSolveFBPGrid times the global MinCostFlow alone on the FBP
+// models of a Table-I-shaped chip: gen.ErhardLike(0.001) (about 2.6k
+// cells) spread by four RQL iterations, then the model of a 24x24 and a
+// 32x32 window grid. Instance generation, spreading and each iteration's
+// model build run outside the timer; the pivot count and the time per
+// pivot are reported next to ns/op.
+func BenchmarkSolveFBPGrid(b *testing.B) {
+	spec := gen.ErhardLike(0.001)
+	inst, err := gen.Chip(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mbs, err := region.Normalize(inst.N.Area, inst.Movebounds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := inst.N.Clone()
+	if _, err := rql.Place(base, rql.Config{MaxIters: 4, Movebounds: mbs}); err != nil {
+		b.Fatal(err)
+	}
+	decomp := region.Decompose(inst.N.Area, mbs)
+	blockages := inst.N.FixedRects()
+	for _, k := range []int{24, 32} {
+		b.Run(fmt.Sprintf("grid=%dx%d", k, k), func(b *testing.B) {
+			g := grid.MustNew(base.Area, k, k)
+			wr := grid.BuildWindowRegions(g, decomp, blockages, 0.97)
+			assign := g.AssignCells(base)
+			pivots := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m := BuildModel(base, wr, assign)
+				b.StartTimer()
+				if err := m.Solve(); err != nil {
+					b.Fatal(err)
+				}
+				pivots += m.Stats.NSPivots
+			}
+			b.ReportMetric(float64(pivots)/float64(b.N), "pivots")
+			if pivots > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pivots), "ns/pivot")
 			}
 		})
 	}

@@ -421,6 +421,8 @@ func (m *Model) Solve() error {
 	}
 	m.Stats.SolveTime = time.Since(start) //fbpvet:allow reporting-only duration
 	m.Stats.NSPivots = m.G.Pivots
+	sp.Attr("nodes", float64(m.G.NumNodes()))
+	sp.Attr("arcs", float64(m.G.NumArcs()))
 	sp.Attr("pivots", float64(m.G.Pivots))
 	if err != nil {
 		if inf, ok := err.(*flow.ErrInfeasible); ok {

@@ -42,7 +42,8 @@ type MinCostFlow struct {
 	arcPos  [][2]int32 // ArcID -> (node, index) of the forward arc
 	maxCost float64
 
-	// Obs, when non-nil, records the counter "ns.pivots" per SolveNS run.
+	// Obs, when non-nil, records the counters "ns.pivots" and
+	// "ns.degenerate" (pivots with zero flow change) per SolveNS run.
 	Obs *obs.Recorder
 	// Ctx, when non-nil, is polled during Solve/SolveNS; a canceled or
 	// expired context aborts the solve with the context's error.

@@ -99,6 +99,7 @@ func (g *MinCostFlow) SolveNS() (float64, error) {
 	defer func() {
 		g.Pivots = ns.pivots
 		g.Obs.Count("ns.pivots", float64(ns.pivots))
+		g.Obs.Count("ns.degenerate", float64(ns.degenerate))
 	}()
 	if err := ns.run(g.Ctx, b, g.maxCost); err != nil {
 		return 0, err
@@ -150,8 +151,14 @@ const (
 )
 
 // netSimplex is a primal network simplex over a spanning tree rooted at an
-// artificial root. Tree connectivity is kept in parent/children form; each
-// pivot re-hangs one subtree and refreshes its potentials by DFS.
+// artificial root, kept in the thread-indexed form of LEMON's
+// NetworkSimplex (Kelly & O'Neill). Besides parent/predArc/predUp every
+// node stores its successor in a preorder walk of the tree (thread, one
+// cycle through all nodes starting at the root), the inverse of that
+// order (revThread), its subtree size (succNum) and the last node of its
+// subtree in thread order (lastSucc). A subtree is then the thread segment
+// from v to lastSucc[v], so a pivot re-hangs it by splicing the thread and
+// refreshes its potentials by one constant shift.
 type netSimplex struct {
 	from, to []int32
 	cap      []float64
@@ -159,16 +166,28 @@ type netSimplex struct {
 	flow     []float64
 	state    []int8
 
-	parent   []int32 // tree parent
-	predArc  []int32 // arc connecting v to parent
-	predUp   []bool  // true when the arc is directed v -> parent
-	children [][]int32
-	pi       []float64 // node potentials
-	depth    []int32   // tree depth (root 0), maintained by init and pivots
+	parent    []int32   // tree parent (-1 at the root)
+	predArc   []int32   // arc connecting v to parent
+	predUp    []bool    // true when the arc is directed v -> parent
+	thread    []int32   // next node in tree preorder (cyclic, root first)
+	revThread []int32   // previous node in tree preorder
+	succNum   []int32   // number of nodes in v's subtree, v included
+	lastSucc  []int32   // last node of v's subtree in thread order
+	pi        []float64 // node potentials
+
+	// Per-pivot state, named as in LEMON: the entering arc's cycle closes
+	// at join; the leaving arc is predArc[uOut]; the cut-off subtree is
+	// re-hung at uIn under vIn through the entering arc; delta is the
+	// flow change around the cycle.
+	join, uIn, vIn, uOut int32
+	delta                float64
+	leaveLower           bool    // the leaving arc exits at its lower bound
+	dirtyRevs            []int32 // thread entries rewritten by a re-hang
 
 	artificial []int // arc ids of the root arcs
 	numNodes   int
 	pivots     int
+	degenerate int // pivots with zero flow change
 }
 
 func (ns *netSimplex) init(numNodes int) {
@@ -187,20 +206,23 @@ func (ns *netSimplex) addArc(u, v int, capacity, cost float64) int {
 
 // coldInit builds the classic all-artificial starting tree: every node
 // hangs off the root through a big-M arc oriented by the sign of its
-// imbalance, which carries exactly that imbalance.
+// imbalance, which carries exactly that imbalance. Every node can send
+// flow to the root, so the tree is strongly feasible; the thread visits
+// the root, then the other nodes in index order.
 func (ns *netSimplex) coldInit(b []float64, root int, maxCost float64) {
 	nn := ns.numNodes
 	bigM := (maxCost + 1) * float64(nn)
 	ns.parent = make([]int32, nn)
 	ns.predArc = make([]int32, nn)
 	ns.predUp = make([]bool, nn)
-	ns.children = make([][]int32, nn)
+	ns.thread = make([]int32, nn)
+	ns.revThread = make([]int32, nn)
+	ns.succNum = make([]int32, nn)
+	ns.lastSucc = make([]int32, nn)
 	ns.pi = make([]float64, nn)
-	ns.depth = make([]int32, nn)
+	prev := int32(root)
 	for v := 0; v < nn; v++ {
 		if v == root {
-			ns.parent[v] = -1
-			ns.predArc[v] = -1
 			continue
 		}
 		var ai int
@@ -219,21 +241,33 @@ func (ns *netSimplex) coldInit(b []float64, root int, maxCost float64) {
 		ns.artificial = append(ns.artificial, ai)
 		ns.parent[v] = int32(root)
 		ns.predArc[v] = int32(ai)
-		ns.children[root] = append(ns.children[root], int32(v))
-		ns.depth[v] = 1
+		ns.succNum[v] = 1
+		ns.lastSucc[v] = int32(v)
+		ns.thread[prev] = int32(v)
+		ns.revThread[v] = prev
+		prev = int32(v)
 	}
+	ns.parent[root] = -1
+	ns.predArc[root] = -1
+	ns.thread[prev] = int32(root)
+	ns.revThread[root] = prev
+	ns.succNum[root] = int32(nn)
+	ns.lastSucc[root] = prev
 }
+
+// maxPivotsFor is the cycling guard of run for a simplex over m arcs
+// (artificial arcs included): far above what any terminating run needs.
+func maxPivotsFor(m int) int { return 200*m + 10000 }
 
 // run executes the pivot loop from the starting tree set up by coldInit;
 // b is the (balanced) imbalance vector including the dummy node. A
 // non-nil ctx is polled periodically and aborts the run with the
 // context's error.
 func (ns *netSimplex) run(ctx context.Context, b []float64, maxCost float64) error {
-	depth := ns.depth
 	m := len(ns.from)
 	block := int(math.Sqrt(float64(m))) + 1
 	scan := 0
-	maxPivots := 200*m + 10000
+	maxPivots := maxPivotsFor(m)
 	if nsDebugCheck != nil {
 		// Validate the starting tree too (pivot -1): the all-artificial
 		// start must satisfy the same invariants as a pivoted one.
@@ -292,7 +326,7 @@ func (ns *netSimplex) run(ctx context.Context, b []float64, maxCost float64) err
 		if enter < 0 {
 			break // optimal
 		}
-		ns.pivot(enter, depth)
+		ns.pivot(enter)
 		ns.pivots++
 		if nsDebugCheck != nil {
 			nsDebugCheck(ns, b, pivot)
@@ -301,82 +335,109 @@ func (ns *netSimplex) run(ctx context.Context, b []float64, maxCost float64) err
 	return nil
 }
 
-// residual returns how much flow can be pushed through tree arc ai in the
-// direction "down-to-up == up" (true pushes from the arc's from-side).
-func (ns *netSimplex) residualDir(ai int32, forward bool) float64 {
-	if forward {
-		return ns.cap[ai] - ns.flow[ai]
+// pivot performs one simplex pivot with the given entering arc.
+func (ns *netSimplex) pivot(enter int) {
+	ns.findJoinNode(enter)
+	change := ns.findLeavingArc(enter)
+	ns.changeFlow(enter, change)
+	if change {
+		ns.updateTreeStructure(enter)
+		ns.updatePotential(enter)
 	}
-	return ns.flow[ai]
 }
 
-// pivot performs one simplex pivot with the given entering arc.
-func (ns *netSimplex) pivot(enter int, depth []int32) {
+// findJoinNode finds the apex of the entering arc's cycle: the deepest
+// common ancestor of its endpoints. Subtree sizes grow strictly towards
+// the root, so the endpoint with the smaller subtree climbs first.
+func (ns *netSimplex) findJoinNode(enter int) {
 	u, v := ns.from[enter], ns.to[enter]
-	// Push direction along the entering arc: lower -> forward (u to v),
-	// upper -> backward (v to u).
-	forward := ns.state[enter] == stateLower
-	src, dst := u, v
-	if !forward {
-		src, dst = v, u
-	}
-	// Walk both endpoints up to the join, recording the bottleneck.
-	delta := ns.residualDir(int32(enter), forward)
-	// Leaving arc bookkeeping: -1 = entering arc itself (state toggle).
-	leaveNode := int32(-1) // node whose pred arc leaves (on either path)
-	leaveOnSrc := false
-	// The cycle runs src -(enter)-> dst -(up to join)-> join -(down)-> src:
-	// dst-side tree arcs are traversed child->parent, src-side ones
-	// parent->child.
-	a, bnode := src, dst
-	for a != bnode {
-		if depth[a] >= depth[bnode] {
-			// Src side: cycle flow runs parent -> child, i.e. with the
-			// arc exactly when the arc points down (!predUp).
-			ai := ns.predArc[a]
-			if res := ns.residualDir(ai, !ns.predUp[a]); res < delta {
-				delta = res
-				leaveNode = a
-				leaveOnSrc = true
-			}
-			a = ns.parent[a]
+	for u != v {
+		if ns.succNum[u] < ns.succNum[v] {
+			u = ns.parent[u]
 		} else {
-			// Dst side: cycle flow runs child -> parent.
-			ai := ns.predArc[bnode]
-			if res := ns.residualDir(ai, ns.predUp[bnode]); res < delta {
-				delta = res
-				leaveNode = bnode
-				leaveOnSrc = false
-			}
-			bnode = ns.parent[bnode]
+			v = ns.parent[v]
 		}
 	}
-	// Apply the flow change around the cycle.
-	if delta > 0 {
-		if forward {
-			ns.flow[enter] += delta
-		} else {
-			ns.flow[enter] -= delta
+	ns.join = u
+}
+
+// findLeavingArc finds the bottleneck delta of the entering arc's cycle
+// and the arc that leaves the tree, by Cunningham's strongly-feasible
+// rule: the last blocking arc met when walking the cycle in its flow
+// direction from the join. The cycle runs join -> first -(enter)->
+// second -> join; ties on the first side keep the arc nearest first (<),
+// ties on the second side the arc nearest the join (<=). It reports
+// false when the entering arc itself blocks, which then only changes
+// bound.
+func (ns *netSimplex) findLeavingArc(enter int) bool {
+	first, second := ns.from[enter], ns.to[enter]
+	if ns.state[enter] == stateUpper {
+		first, second = second, first
+	}
+	ns.delta = ns.cap[enter]
+	side := 0
+	// First side: the cycle flow runs parent -> child, against an arc
+	// that points up.
+	for u := first; u != ns.join; u = ns.parent[u] {
+		ai := ns.predArc[u]
+		res := ns.flow[ai]
+		if !ns.predUp[u] {
+			res = ns.cap[ai] - res
 		}
-		for x := src; x != a; x = ns.parent[x] {
-			// Parent -> child traversal: against the arc when it points up.
-			if ns.predUp[x] {
-				ns.flow[ns.predArc[x]] -= delta
-			} else {
-				ns.flow[ns.predArc[x]] += delta
-			}
-		}
-		for x := dst; x != a; x = ns.parent[x] {
-			// Child -> parent traversal: with the arc when it points up.
-			if ns.predUp[x] {
-				ns.flow[ns.predArc[x]] += delta
-			} else {
-				ns.flow[ns.predArc[x]] -= delta
-			}
+		if res < ns.delta {
+			ns.delta, ns.uOut, side = res, u, 1
+			ns.leaveLower = ns.predUp[u]
 		}
 	}
-	// Determine the leaving arc.
-	if leaveNode < 0 {
+	// Second side: the cycle flow runs child -> parent, with an arc that
+	// points up.
+	for u := second; u != ns.join; u = ns.parent[u] {
+		ai := ns.predArc[u]
+		res := ns.flow[ai]
+		if ns.predUp[u] {
+			res = ns.cap[ai] - res
+		}
+		if res <= ns.delta {
+			ns.delta, ns.uOut, side = res, u, 2
+			ns.leaveLower = !ns.predUp[u]
+		}
+	}
+	if side == 1 {
+		ns.uIn, ns.vIn = first, second
+	} else {
+		ns.uIn, ns.vIn = second, first
+	}
+	return side != 0
+}
+
+// changeFlow pushes delta around the cycle and updates the entering and
+// leaving arcs' states; the leaving arc is snapped exactly onto the bound
+// it reached.
+func (ns *netSimplex) changeFlow(enter int, change bool) {
+	if ns.delta > 0 {
+		val := ns.delta
+		if ns.state[enter] == stateUpper {
+			val = -val
+		}
+		ns.flow[enter] += val
+		for u := ns.from[enter]; u != ns.join; u = ns.parent[u] {
+			if ns.predUp[u] {
+				ns.flow[ns.predArc[u]] -= val
+			} else {
+				ns.flow[ns.predArc[u]] += val
+			}
+		}
+		for u := ns.to[enter]; u != ns.join; u = ns.parent[u] {
+			if ns.predUp[u] {
+				ns.flow[ns.predArc[u]] += val
+			} else {
+				ns.flow[ns.predArc[u]] -= val
+			}
+		}
+	} else {
+		ns.degenerate++
+	}
+	if !change {
 		// The entering arc itself blocks: toggle its bound state.
 		if ns.state[enter] == stateLower {
 			ns.state[enter] = stateUpper
@@ -385,99 +446,155 @@ func (ns *netSimplex) pivot(enter int, depth []int32) {
 		}
 		return
 	}
-	leaveArc := ns.predArc[leaveNode]
-	// The leaving arc exits at its bound.
-	if ns.flow[leaveArc] <= Eps {
-		ns.state[leaveArc] = stateLower
-		ns.flow[leaveArc] = 0
-	} else {
-		ns.state[leaveArc] = stateUpper
-		ns.flow[leaveArc] = ns.cap[leaveArc]
-	}
-	// Re-hang: the subtree cut off by removing leaveArc contains src (if
-	// the leaving arc was on the src path) or dst. That subtree is
-	// re-rooted at src (resp. dst) and attached through the entering arc.
-	var hang int32
-	if leaveOnSrc {
-		hang = src
-	} else {
-		hang = dst
-	}
-	// Reverse the parent chain from hang up to leaveNode.
-	type link struct {
-		node int32
-		arc  int32
-		up   bool
-	}
-	var chain []link
-	for x := hang; ; x = ns.parent[x] {
-		chain = append(chain, link{node: x, arc: ns.predArc[x], up: ns.predUp[x]})
-		if x == leaveNode {
-			break
-		}
-	}
-	// Detach leaveNode from its parent.
-	ns.removeChild(ns.parent[leaveNode], leaveNode)
-	// Reverse: chain[i].node's new parent becomes chain[i-1].node,
-	// connected by the arc that previously linked chain[i-1] up to
-	// chain[i], with its direction flag flipped for the new child.
-	for i := len(chain) - 1; i >= 1; i-- {
-		child := chain[i-1].node
-		node := chain[i].node
-		ns.removeChild(node, child)
-		ns.parent[node] = child
-		ns.predArc[node] = chain[i-1].arc
-		ns.predUp[node] = !chain[i-1].up
-		ns.children[child] = append(ns.children[child], node)
-	}
-	// Attach hang under the other endpoint via the entering arc.
-	var attachParent int32
-	if leaveOnSrc {
-		attachParent = dst
-		if forward {
-			// entering arc runs src(u) -> dst(v); from hang's (src)
-			// perspective the arc points up to the parent.
-			ns.predUp[hang] = true
-		} else {
-			ns.predUp[hang] = false
-		}
-	} else {
-		attachParent = src
-		if forward {
-			ns.predUp[hang] = false
-		} else {
-			ns.predUp[hang] = true
-		}
-	}
-	ns.parent[hang] = attachParent
-	ns.predArc[hang] = int32(enter)
-	ns.children[attachParent] = append(ns.children[attachParent], hang)
 	ns.state[enter] = stateTree
-	// Refresh potentials and depths of the re-hung subtree by DFS.
-	stack := []int32{hang}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		p := ns.parent[x]
-		ai := ns.predArc[x]
-		if ns.predUp[x] {
-			// arc x -> p: rc 0 => pi[x] = pi[p] - cost
-			ns.pi[x] = ns.pi[p] - ns.cost[ai]
-		} else {
-			ns.pi[x] = ns.pi[p] + ns.cost[ai]
-		}
-		depth[x] = depth[p] + 1
-		stack = append(stack, ns.children[x]...)
+	leave := ns.predArc[ns.uOut]
+	if ns.leaveLower {
+		ns.state[leave] = stateLower
+		ns.flow[leave] = 0
+	} else {
+		ns.state[leave] = stateUpper
+		ns.flow[leave] = ns.cap[leave]
 	}
 }
 
-func (ns *netSimplex) removeChild(parent, child int32) {
-	cs := ns.children[parent]
-	for i, c := range cs {
-		if c == child {
-			cs[i] = cs[len(cs)-1]
-			ns.children[parent] = cs[:len(cs)-1]
-			return
+// updateTreeStructure replaces the leaving arc by the entering arc: the
+// subtree cut off below uOut is re-rooted at uIn (the stem from uIn up to
+// uOut reverses its parent links) and hung under vIn. The thread is
+// spliced so the re-rooted subtree follows vIn directly, and succNum and
+// lastSucc are repaired along the stem and on both paths to the join.
+func (ns *netSimplex) updateTreeStructure(enter int) {
+	parent, thread, revThread := ns.parent, ns.thread, ns.revThread
+	succNum, lastSucc := ns.succNum, ns.lastSucc
+	uIn, vIn, uOut, join := ns.uIn, ns.vIn, ns.uOut, ns.join
+	oldRevThread := revThread[uOut]
+	oldSuccNum := succNum[uOut]
+	oldLastSucc := lastSucc[uOut]
+	vOut := parent[uOut]
+
+	if uIn == uOut {
+		// The subtree moves as a whole: relink it and, unless it already
+		// follows vIn, splice its thread segment in after vIn.
+		parent[uIn] = vIn
+		ns.predArc[uIn] = int32(enter)
+		ns.predUp[uIn] = uIn == ns.from[enter]
+		if thread[vIn] != uOut {
+			after := thread[oldLastSucc]
+			thread[oldRevThread] = after
+			revThread[after] = oldRevThread
+			after = thread[vIn]
+			thread[vIn] = uOut
+			revThread[uOut] = vIn
+			thread[oldLastSucc] = after
+			revThread[after] = oldLastSucc
+		}
+	} else {
+		// When oldRevThread is vIn (so vOut is the join), the segment
+		// after the re-hung subtree is what followed uOut's subtree.
+		threadContinue := thread[vIn]
+		if oldRevThread == vIn {
+			threadContinue = thread[oldLastSucc]
+		}
+		// Walk the stem from uIn up to uOut: each stem node, with its
+		// subtree minus the stem child already moved, is appended to the
+		// new thread segment and its parent link reversed.
+		stem, parStem := uIn, vIn
+		last := lastSucc[uIn]
+		after := thread[last]
+		thread[vIn] = uIn
+		ns.dirtyRevs = append(ns.dirtyRevs[:0], vIn)
+		for stem != uOut {
+			nextStem := parent[stem]
+			thread[last] = nextStem
+			ns.dirtyRevs = append(ns.dirtyRevs, last)
+			// Unlink stem's subtree from its old place in the thread.
+			before := revThread[stem]
+			thread[before] = after
+			revThread[after] = before
+			parent[stem] = parStem
+			parStem, stem = stem, nextStem
+			if lastSucc[stem] == lastSucc[parStem] {
+				last = revThread[parStem]
+			} else {
+				last = lastSucc[stem]
+			}
+			after = thread[last]
+		}
+		parent[uOut] = parStem
+		thread[last] = threadContinue
+		revThread[threadContinue] = last
+		lastSucc[uOut] = last
+		if oldRevThread != vIn {
+			thread[oldRevThread] = after
+			revThread[after] = oldRevThread
+		}
+		for _, u := range ns.dirtyRevs {
+			revThread[thread[u]] = u
+		}
+		// Down the reversed stem from uOut to uIn: each node takes over
+		// its new child's old pred arc (flipped), its subtree loses the
+		// part that now hangs above it, and all share one last successor.
+		sc, ls := int32(0), lastSucc[uOut]
+		for u, p := uOut, parent[uOut]; u != uIn; u, p = p, parent[p] {
+			ns.predArc[u] = ns.predArc[p]
+			ns.predUp[u] = !ns.predUp[p]
+			sc += succNum[u] - succNum[p]
+			succNum[u] = sc
+			lastSucc[p] = ls
+		}
+		ns.predArc[uIn] = int32(enter)
+		ns.predUp[uIn] = uIn == ns.from[enter]
+		succNum[uIn] = oldSuccNum
+	}
+
+	// lastSucc from vIn towards the root: ancestors whose subtree ended
+	// at vIn now end where the re-hung subtree ends.
+	upLimitOut := int32(-1)
+	if lastSucc[join] == vIn {
+		upLimitOut = join
+	}
+	lastSuccOut := lastSucc[uOut]
+	for u := vIn; u != -1 && lastSucc[u] == vIn; u = parent[u] {
+		lastSucc[u] = lastSuccOut
+	}
+	// lastSucc from vOut towards the root: ancestors whose subtree ended
+	// with the removed subtree now end just before it.
+	if join != oldRevThread && vIn != oldRevThread {
+		for u := vOut; u != upLimitOut && lastSucc[u] == oldLastSucc; u = parent[u] {
+			lastSucc[u] = oldRevThread
+		}
+	} else if lastSuccOut != oldLastSucc {
+		for u := vOut; u != upLimitOut && lastSucc[u] == oldLastSucc; u = parent[u] {
+			lastSucc[u] = lastSuccOut
+		}
+	}
+	for u := vIn; u != join; u = parent[u] {
+		succNum[u] += oldSuccNum
+	}
+	for u := vOut; u != join; u = parent[u] {
+		succNum[u] -= oldSuccNum
+	}
+}
+
+// updatePotential restores zero reduced cost on the entering arc by
+// shifting the re-hung subtree's potentials by one constant sigma. Only
+// potential differences matter, so when that subtree holds more than half
+// the nodes the complement is shifted by -sigma instead.
+func (ns *netSimplex) updatePotential(enter int) {
+	u, v := ns.uIn, ns.vIn
+	sigma := ns.pi[v] - ns.pi[u]
+	if ns.predUp[u] {
+		sigma -= ns.cost[enter] // arc u -> v: pi[u] = pi[v] - cost
+	} else {
+		sigma += ns.cost[enter] // arc v -> u: pi[u] = pi[v] + cost
+	}
+	end := ns.thread[ns.lastSucc[u]]
+	if 2*int(ns.succNum[u]) <= ns.numNodes {
+		for x := u; x != end; x = ns.thread[x] {
+			ns.pi[x] += sigma
+		}
+	} else {
+		for x := end; x != u; x = ns.thread[x] {
+			ns.pi[x] -= sigma
 		}
 	}
 }

@@ -187,12 +187,7 @@ func TestNSFlowConservation(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		n := 0
-		for v := range g.supply {
-			if g.supply[v] != 0 || true {
-				n = v + 1
-			}
-		}
+		n := g.NumNodes()
 		bal := make([]float64, n)
 		for _, a := range arcs {
 			f := g.Flow(a.id)
@@ -258,13 +253,17 @@ func BenchmarkNSGrid(b *testing.B) {
 }
 
 // TestNSInvariantsPerPivot validates the full simplex invariants
-// (conservation, bounds, zero reduced cost on tree arcs) after every
-// pivot of several random instances.
+// (conservation, bounds, zero reduced cost on tree arcs, the thread-indexed
+// tree arrays) after every pivot of several random instances, the last
+// few of them FBP-shaped grids.
 func TestNSInvariantsPerPivot(t *testing.T) {
 	rng := rand.New(rand.NewSource(321))
 	defer func() { nsDebugCheck = nil }()
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 48; trial++ {
 		g, _ := buildRandomMCF(rng.Int63())
+		if trial >= 40 {
+			g, _ = randomGridMCF(int64(trial))
+		}
 		nsDebugCheck = func(ns *netSimplex, b []float64, pivotNo int) {
 			if err := nsValidate(ns, b, pivotNo); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)

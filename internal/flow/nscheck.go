@@ -68,10 +68,6 @@ func nsValidate(ns *netSimplex, b []float64, pivotNo int) error {
 			return fmt.Errorf("pivot %d: node %d down-arc %d endpoints %d->%d want %d->%d",
 				pivotNo, v, ai, ns.from[ai], ns.to[ai], p, v)
 		}
-		if ns.depth[v] != ns.depth[p]+1 {
-			return fmt.Errorf("pivot %d: node %d depth %d, parent %d depth %d",
-				pivotNo, v, ns.depth[v], p, ns.depth[p])
-		}
 	}
 	if root < 0 {
 		return fmt.Errorf("pivot %d: no root", pivotNo)
@@ -86,6 +82,66 @@ func nsValidate(ns *netSimplex, b []float64, pivotNo int) error {
 		}
 		if x != root {
 			return fmt.Errorf("pivot %d: node %d does not reach root", pivotNo, v)
+		}
+	}
+	return nsValidateThread(ns, root, pivotNo)
+}
+
+// nsValidateThread checks the thread-indexed tree arrays against the
+// parent links: thread is one preorder cycle through all nodes starting
+// at the root, revThread its inverse, and succNum/lastSucc describe each
+// subtree as the contiguous thread segment it must be.
+func nsValidateThread(ns *netSimplex, root, pivotNo int) error {
+	nn := ns.numNodes
+	pos := make([]int, nn)
+	for v := range pos {
+		pos[v] = -1
+	}
+	x := root
+	for i := 0; i < nn; i++ {
+		if pos[x] >= 0 {
+			return fmt.Errorf("pivot %d: thread revisits node %d after %d steps", pivotNo, x, i)
+		}
+		pos[x] = i
+		x = int(ns.thread[x])
+	}
+	if x != root {
+		return fmt.Errorf("pivot %d: thread does not close at the root after %d nodes", pivotNo, nn)
+	}
+	for v := 0; v < nn; v++ {
+		if int(ns.revThread[ns.thread[v]]) != v {
+			return fmt.Errorf("pivot %d: revThread[thread[%d]] = %d", pivotNo, v, ns.revThread[ns.thread[v]])
+		}
+		if p := ns.parent[v]; p >= 0 && pos[p] >= pos[v] {
+			return fmt.Errorf("pivot %d: node %d at thread position %d precedes its parent %d at %d",
+				pivotNo, v, pos[v], p, pos[p])
+		}
+	}
+	// True subtree sizes, counted from the parent links.
+	size := make([]int, nn)
+	for v := 0; v < nn; v++ {
+		for a := v; a >= 0; a = int(ns.parent[a]) {
+			size[a]++
+		}
+	}
+	// Contiguity: every node lies inside the thread interval of each of
+	// its ancestors. An interval of size[a] positions that holds all
+	// size[a] descendants of a holds nothing else.
+	for v := 0; v < nn; v++ {
+		for a := v; a >= 0; a = int(ns.parent[a]) {
+			if pos[v] < pos[a] || pos[v] >= pos[a]+size[a] {
+				return fmt.Errorf("pivot %d: node %d at thread position %d outside the subtree of %d (positions %d..%d)",
+					pivotNo, v, pos[v], a, pos[a], pos[a]+size[a]-1)
+			}
+		}
+	}
+	for v := 0; v < nn; v++ {
+		if int(ns.succNum[v]) != size[v] {
+			return fmt.Errorf("pivot %d: node %d succNum %d, subtree size %d", pivotNo, v, ns.succNum[v], size[v])
+		}
+		if l := int(ns.lastSucc[v]); pos[l] != pos[v]+size[v]-1 {
+			return fmt.Errorf("pivot %d: node %d lastSucc %d at thread position %d, subtree ends at %d",
+				pivotNo, v, l, pos[l], pos[v]+size[v]-1)
 		}
 	}
 	return nil
