@@ -55,12 +55,14 @@ go test -timeout 5m -run 'TestSolveSubsetAllocsOBlock' ./internal/qp/
 
 echo "== benchmark smoke =="
 # One iteration each of the realization-path microbenchmarks (local QP,
-# realization level, transportation engines) and of the global MCF ones
-# (network simplex on a synthetic grid and on Table-I-shaped FBP models),
-# so a change that breaks or pathologically slows them fails CI fast.
+# its CSR assembly, realization level, transportation engines) and of the
+# global MCF ones (network simplex on a synthetic grid and on
+# Table-I-shaped FBP models), so a change that breaks or pathologically
+# slows them fails CI fast.
 go test -timeout 10m -run '^$' -bench 'BenchmarkSolveSubsetBlock|BenchmarkRealizeLevel|BenchmarkSolveFBPGrid' -benchtime 1x ./internal/qp/ ./internal/fbp/
 go test -timeout 10m -run '^$' -bench 'BenchmarkNSGrid' -benchtime 1x ./internal/flow/
 go test -timeout 10m -run '^$' -bench 'BenchmarkEngines|BenchmarkCondensedLarge' -benchtime 1x ./internal/transport/
+go test -timeout 10m -run '^$' -bench 'BenchmarkBuild' -benchtime 1x ./internal/sparse/
 
 echo "== bench regression gate =="
 # The committed Table-I baseline must not regress more than 10% wall

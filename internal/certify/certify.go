@@ -184,9 +184,10 @@ func (c *Checker) Flow(g *flow.MinCostFlow) error {
 
 // Transport certifies a transportation solution against its instance:
 // every source ships exactly its supply (row conservation), every sink
-// stays within the capacity the instance was solved with (column
-// feasibility), and portions ride admissible arcs only. Counters, not
-// spans: the check runs once per realization transportation, from
+// stays within its capacity plus the overflow the solution reports
+// (column feasibility), portions ride admissible arcs only, and overflow
+// is nonnegative and taken only by sinks filled to capacity. Counters,
+// not spans: the check runs once per realization transportation, from
 // concurrent workers.
 func (c *Checker) Transport(p *transport.Problem, sol *transport.Solution) error {
 	if c.Obs != nil {
@@ -226,10 +227,27 @@ func (c *Checker) Transport(p *transport.Problem, sol *transport.Solution) error
 				"source %d ships %g of supply %g", i, shipped, p.Supply[i]))
 		}
 	}
+	if sol.Overflow != nil && len(sol.Overflow) != len(p.Capacity) {
+		return c.fail("transport", "overflow-shape", fmt.Sprintf(
+			"%d overflow entries for %d sinks", len(sol.Overflow), len(p.Capacity)))
+	}
 	for j, l := range load {
-		if l > p.Capacity[j]+1e-6*math.Max(1, p.Capacity[j]) {
+		over := 0.0
+		if sol.Overflow != nil {
+			over = sol.Overflow[j]
+		}
+		tol := 1e-6 * math.Max(1, p.Capacity[j]+over)
+		if over < 0 {
+			return c.fail("transport", "overflow-sign", fmt.Sprintf(
+				"sink %d reports overflow %g", j, over))
+		}
+		if over > 0 && l < p.Capacity[j]-tol {
+			return c.fail("transport", "overflow-with-slack", fmt.Sprintf(
+				"sink %d takes overflow %g at load %g under capacity %g", j, over, l, p.Capacity[j]))
+		}
+		if l > p.Capacity[j]+over+tol {
 			return c.fail("transport", "column-feasibility", fmt.Sprintf(
-				"sink %d loaded %g over capacity %g", j, l, p.Capacity[j]))
+				"sink %d loaded %g over capacity %g plus overflow %g", j, l, p.Capacity[j], over))
 		}
 	}
 	return nil

@@ -233,7 +233,8 @@ type unit struct {
 // unrealizedOut == 0 everywhere and the final per-window transportation
 // (cells -> regions) is feasible. Majority rounding perturbs the
 // invariant by at most a cell per sink; the capacity-aware rounding, the
-// relaxation ladder and repairOverflow bound and then remove that drift.
+// elastic transportation and repairOverflow bound and then remove that
+// drift.
 func Partition(n *netlist.Netlist, wr *grid.WindowRegions, cfg Config) (*Result, error) {
 	bsp := cfg.Obs.StartSpan("fbp.build")
 	assign := wr.Grid.AssignCells(n)
@@ -888,6 +889,7 @@ func (r *realizer) transportBlock(u int, block []int, cells []int32, allowTransi
 		Supply:   supply,
 		Capacity: caps,
 		Arcs:     arcs,
+		Elastic:  true,
 		Obs:      r.rec,
 		Ctx:      r.cfg.Ctx,
 		Degrade:  r.cfg.Degrade,
@@ -919,7 +921,11 @@ func (r *realizer) transportBlock(u int, block []int, cells []int32, allowTransi
 			arcs[i] = append(arcs[i], transport.Arc{Sink: si, Cost: cost})
 		}
 	}
-	sol, err := r.solveWithRelaxation(prob)
+	// One elastic solve per unit: majority rounding of earlier steps can
+	// overfill a block by a few cells' area, and the solve then spills the
+	// least overflow it can onto the cheapest full sinks. repairOverflow
+	// removes what the final pass leaves; Result.RoundingOverflow reports it.
+	sol, err := r.solveBlock(prob)
 	if err != nil {
 		return fmt.Errorf("fbp: transportation in block of window %d: %w", u, err)
 	}
@@ -1016,43 +1022,14 @@ func roundCapacityAware(p *transport.Problem, sol *transport.Solution) []int {
 	return out
 }
 
-// solveWithRelaxation retries an infeasible transportation with gently
-// inflated capacities: majority rounding of earlier steps can overfill a
-// block by a few cells' area. The inflation ladder keeps the violation
-// bounded and is recorded by the caller via Result.RoundingOverflow.
-// Every rung runs the condensed engine (with its reference fallback);
-// rungs climbed above the first count as fbp.relax.rungs.
-func (r *realizer) solveWithRelaxation(p *transport.Problem) (*transport.Solution, error) {
-	factors := []float64{1, 1.001, 1.02, 1.1, 1.5, 4, 64}
-	base := append([]float64(nil), p.Capacity...)
-	defer copy(p.Capacity, base)
-	var lastErr error
-	for ri, f := range factors {
-		if ri > 0 {
-			r.rec.Count("fbp.relax.rungs", 1)
-		}
-		for i := range p.Capacity {
-			p.Capacity[i] = base[i] * f
-		}
-		sol, err := transport.Solve(p)
-		if err == nil {
-			if r.cfg.Check != nil {
-				// Certify against the capacities the rung actually solved
-				// with (still inflated here; restored on return).
-				if cerr := r.cfg.Check.Transport(p, sol); cerr != nil {
-					return nil, cerr
-				}
-			}
-			return sol, nil
-		}
-		lastErr = err
-		if !errors.Is(err, transport.ErrInfeasible) {
-			// Cancellation or an engine failure: inflating capacities
-			// cannot help, so climbing the ladder would only repeat it.
-			break
-		}
+// solveBlock makes the block's transportation solve and certifies the
+// solution when a checker is configured.
+func (r *realizer) solveBlock(p *transport.Problem) (*transport.Solution, error) {
+	sol, err := transport.Solve(p)
+	if err == nil && r.cfg.Check != nil {
+		err = r.cfg.Check.Transport(p, sol)
 	}
-	return nil, lastErr
+	return sol, err
 }
 
 // nearestInSet returns the point of the rectangle set closest (L1) to p.

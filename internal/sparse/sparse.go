@@ -33,6 +33,15 @@ type Builder struct {
 	cols    []int32
 	vals    []float64
 	diagAdd []float64
+
+	// Build scratch, kept so a reset builder assembles without
+	// re-allocating: entry indices grouped by row, the row offsets into
+	// order, and per column the output slot of its entry in the row being
+	// assembled.
+	order    []int32
+	rowStart []int32
+	mark     []int32
+	long     rowSorter // reused by sortRow so sorting a long row does not allocate
 }
 
 // NewBuilder returns a builder for an n x n matrix.
@@ -91,45 +100,105 @@ func (b *Builder) AddSym(i, j int, w float64) {
 // location; the location itself contributes w*pos to the right-hand side).
 func (b *Builder) AddDiag(i int, w float64) { b.diagAdd[i] += w }
 
-// Build assembles the accumulated entries into a CSR matrix. Entries with
-// equal coordinates are summed; explicit zeros are kept (they are rare and
-// harmless).
+// Build assembles the accumulated entries into a CSR matrix in time
+// linear in the entries (plus per-row sorting): a counting sort groups the
+// entries by row, keeping insertion order, a column marker sums the
+// entries with equal coordinates in insertion order, and each row is then
+// sorted by column. Explicit zeros are kept (they are rare and harmless).
 func (b *Builder) Build() *CSR {
-	type key struct{ r, c int32 }
-	// Count entries per row after dedup. Use sort over a permutation.
-	idx := make([]int, len(b.rows))
-	for i := range idx {
-		idx[i] = i
+	n, nnz := b.n, len(b.rows)
+	start := resize(b.rowStart, n+1)
+	for i := range start {
+		start[i] = 0
 	}
-	sort.Slice(idx, func(p, q int) bool {
-		ip, iq := idx[p], idx[q]
-		if b.rows[ip] != b.rows[iq] {
-			return b.rows[ip] < b.rows[iq]
-		}
-		return b.cols[ip] < b.cols[iq]
-	})
+	for _, r := range b.rows {
+		start[r+1]++
+	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	// Scatter with start[r] as row r's cursor; afterwards start[r] holds
+	// row r+1's offset, so shift the offsets back by one row.
+	order := resize(b.order, nnz)
+	for e, r := range b.rows {
+		order[start[r]] = int32(e)
+		start[r]++
+	}
+	copy(start[1:], start[:n])
+	start[0] = 0
+	mark := resize(b.mark, n)
+	for i := range mark {
+		mark[i] = -1
+	}
+	b.order, b.rowStart, b.mark = order, start, mark
+
 	m := &CSR{
-		N:    b.n,
-		Ptr:  make([]int32, b.n+1),
+		N:    n,
+		Ptr:  make([]int32, n+1),
+		Col:  make([]int32, 0, nnz),
+		Val:  make([]float64, 0, nnz),
 		Diag: append([]float64(nil), b.diagAdd...),
 	}
-	var last key
-	haveLast := false
-	for _, p := range idx {
-		k := key{b.rows[p], b.cols[p]}
-		if haveLast && k == last {
-			m.Val[len(m.Val)-1] += b.vals[p]
-			continue
+	for r := 0; r < n; r++ {
+		first := int32(len(m.Col))
+		for _, e := range order[start[r]:start[r+1]] {
+			c := b.cols[e]
+			if slot := mark[c]; slot >= first {
+				m.Val[slot] += b.vals[e]
+				continue
+			}
+			mark[c] = int32(len(m.Col))
+			m.Col = append(m.Col, c)
+			m.Val = append(m.Val, b.vals[e])
 		}
-		m.Col = append(m.Col, k.c)
-		m.Val = append(m.Val, b.vals[p])
-		m.Ptr[k.r+1]++
-		last, haveLast = k, true
-	}
-	for i := 0; i < b.n; i++ {
-		m.Ptr[i+1] += m.Ptr[i]
+		b.sortRow(m.Col[first:], m.Val[first:])
+		m.Ptr[r+1] = int32(len(m.Col))
 	}
 	return m
+}
+
+// insertionMax is the longest row sorted by insertion sort; longer rows
+// (star centres, big cliques) take sort.Sort's O(len log len).
+const insertionMax = 32
+
+// sortRow sorts one row's deduplicated entries by column.
+func (b *Builder) sortRow(col []int32, val []float64) {
+	if len(col) > insertionMax {
+		b.long = rowSorter{col: col, val: val}
+		sort.Sort(&b.long)
+		b.long = rowSorter{} // drop the references to the returned matrix
+		return
+	}
+	for i := 1; i < len(col); i++ {
+		c, v := col[i], val[i]
+		j := i
+		for ; j > 0 && col[j-1] > c; j-- {
+			col[j], val[j] = col[j-1], val[j-1]
+		}
+		col[j], val[j] = c, v
+	}
+}
+
+// rowSorter sorts a row's parallel column and value slices by column.
+type rowSorter struct {
+	col []int32
+	val []float64
+}
+
+func (s *rowSorter) Len() int           { return len(s.col) }
+func (s *rowSorter) Less(i, j int) bool { return s.col[i] < s.col[j] }
+func (s *rowSorter) Swap(i, j int) {
+	s.col[i], s.col[j] = s.col[j], s.col[i]
+	s.val[i], s.val[j] = s.val[j], s.val[i]
+}
+
+// resize returns buf with length n, reallocating only when its capacity
+// is too small; the contents are unspecified.
+func resize(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
+	}
+	return buf[:n]
 }
 
 // CSR is a compressed-sparse-row matrix with the diagonal stored

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -354,5 +355,131 @@ func TestBuilderResetBitIdentical(t *testing.T) {
 		if !same(reused.Build(), fresh.Build()) {
 			t.Fatalf("trial %d (n=%d): reset builder diverged from fresh builder", trial, n)
 		}
+	}
+}
+
+// feedNets adds a placement-shaped system to b (dimension n >= 8): springs
+// of small clique nets with repeated pairs (duplicate entries), a few big
+// cliques and star nets whose rows exceed the insertion-sort length, and
+// fixed-pin diagonal terms.
+func feedNets(b *Builder, rng *rand.Rand, n int) {
+	pins := make([]int, 0, 64)
+	clique := func(deg int) {
+		pins = pins[:0]
+		for len(pins) < deg {
+			pins = append(pins, rng.Intn(n))
+		}
+		w := 1 / float64(deg-1)
+		for a := range pins {
+			for c := a + 1; c < len(pins); c++ {
+				if pins[a] != pins[c] {
+					b.AddSym(pins[a], pins[c], w*(0.5+rng.Float64()))
+				}
+			}
+		}
+	}
+	for net := 0; net < 2*n; net++ {
+		clique(2 + rng.Intn(4))
+	}
+	for net := 0; net < 3; net++ {
+		clique(40 + rng.Intn(20))
+		centre := rng.Intn(n) // star net: one variable wired to many pins
+		for deg := 50 + rng.Intn(100); deg > 0; deg-- {
+			if p := rng.Intn(n); p != centre {
+				b.AddSym(centre, p, 0.1+rng.Float64())
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		b.AddDiag(i, rng.Float64())
+		if rng.Intn(7) == 0 {
+			b.Add(i, (i+1)%n, rng.Float64()) // unsymmetric one-off entry
+		}
+	}
+}
+
+// referenceBuild is the sort-based assembly Build replaced: all entries
+// sorted by (row, col), then equal coordinates summed in sorted order.
+func referenceBuild(b *Builder) *CSR {
+	idx := make([]int, len(b.rows))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(p, q int) bool {
+		ip, iq := idx[p], idx[q]
+		if b.rows[ip] != b.rows[iq] {
+			return b.rows[ip] < b.rows[iq]
+		}
+		return b.cols[ip] < b.cols[iq]
+	})
+	m := &CSR{N: b.n, Ptr: make([]int32, b.n+1), Diag: append([]float64(nil), b.diagAdd...)}
+	lastR, lastC := int32(-1), int32(-1)
+	for _, p := range idx {
+		r, c := b.rows[p], b.cols[p]
+		if r == lastR && c == lastC {
+			m.Val[len(m.Val)-1] += b.vals[p]
+			continue
+		}
+		m.Col = append(m.Col, c)
+		m.Val = append(m.Val, b.vals[p])
+		m.Ptr[r+1]++
+		lastR, lastC = r, c
+	}
+	for i := 0; i < b.n; i++ {
+		m.Ptr[i+1] += m.Ptr[i]
+	}
+	return m
+}
+
+// TestBuildMatchesSortReference checks the linear-time assembly against
+// the sort-based one on placement-shaped systems, reusing one builder
+// across dimensions: identical structure and diagonal, and values equal
+// up to the summation order of duplicates.
+func TestBuildMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	b := NewBuilder(0)
+	for trial := 0; trial < 30; trial++ {
+		n := 8 + rng.Intn(400)
+		b.Reset(n)
+		feedNets(b, rng, n)
+		got, want := b.Build(), referenceBuild(b)
+		if got.N != want.N || len(got.Col) != len(want.Col) || len(got.Val) != len(want.Val) {
+			t.Fatalf("trial %d (n=%d): %d entries, want %d", trial, n, len(got.Col), len(want.Col))
+		}
+		for i := range want.Ptr {
+			if got.Ptr[i] != want.Ptr[i] {
+				t.Fatalf("trial %d: Ptr[%d] = %d, want %d", trial, i, got.Ptr[i], want.Ptr[i])
+			}
+		}
+		for p := range want.Col {
+			if got.Col[p] != want.Col[p] {
+				t.Fatalf("trial %d: Col[%d] = %d, want %d", trial, p, got.Col[p], want.Col[p])
+			}
+			if d := math.Abs(got.Val[p] - want.Val[p]); d > 1e-12*math.Max(1, math.Abs(want.Val[p])) {
+				t.Fatalf("trial %d: Val[%d] = %v, want %v", trial, p, got.Val[p], want.Val[p])
+			}
+		}
+		for i := range want.Diag {
+			if got.Diag[i] != want.Diag[i] {
+				t.Fatalf("trial %d: Diag[%d] = %v, want %v", trial, i, got.Diag[i], want.Diag[i])
+			}
+		}
+	}
+}
+
+// built keeps BenchmarkBuild's result live.
+var built *CSR
+
+// BenchmarkBuild assembles one placement-shaped system of dimension 2000
+// (about 48k entries, with duplicates and rows past the insertion-sort
+// length) per iteration.
+func BenchmarkBuild(b *testing.B) {
+	const n = 2000
+	bl := NewBuilder(n)
+	feedNets(bl, rand.New(rand.NewSource(3)), n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		built = bl.Build()
 	}
 }

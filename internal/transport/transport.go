@@ -19,6 +19,12 @@
 //     pairs with a live candidate. This mirrors the role of Brenner's fast
 //     transportation algorithm [4] in BonnPlace.
 //
+// Both engines also solve the elastic variant (Problem.Elastic): every
+// sink may take area above its capacity at a price M per unit, where M
+// exceeds the cost of any reassignment path, so one solve minimizes the
+// total overflow first and the movement cost second. An elastic instance
+// is infeasible only when a source has no admissible sink.
+//
 // Solutions are fractional in general but almost integral: at most k-1
 // sources are split (a vertex of the transportation polytope). Rounded()
 // maps every split source to its majority sink.
@@ -55,16 +61,23 @@ type Arc struct {
 }
 
 // Problem is a transportation instance. Sources ship their full Supply;
-// sinks accept at most Capacity. Total supply must not exceed the total
-// capacity reachable by each subset of sources (otherwise Solve returns
-// ErrInfeasible).
+// sinks accept at most Capacity. Unless Elastic is set, total supply must
+// not exceed the total capacity reachable by each subset of sources
+// (otherwise Solve returns ErrInfeasible).
 type Problem struct {
 	Supply   []float64 // per source, > 0
 	Capacity []float64 // per sink, >= 0
 	Arcs     [][]Arc   // Arcs[i] lists admissible sinks of source i
+	// Elastic lets every sink take area above its Capacity at a price per
+	// unit above any reassignment path cost (see overflowPrice), so the
+	// solve minimizes total overflow first and cost second, and reports
+	// the overflow per sink in Solution.Overflow. Capacity is not changed.
+	Elastic bool
 	// Obs, when non-nil, records the counters "transport.solves",
 	// "transport.sources", "transport.augmentations" (condensed-engine
-	// shortest-path augmentations) and "transport.splits" per Solve call.
+	// shortest-path augmentations) and "transport.splits" per Solve call,
+	// and for elastic problems "transport.overflow" (overflow area) and
+	// "transport.overflow_solves" (solves that took any overflow).
 	Obs *obs.Recorder
 	// Ctx, when non-nil, is polled during the solve; a canceled or expired
 	// context aborts with the context's error (no fallback: cancellation
@@ -92,8 +105,34 @@ type Portion struct {
 type Solution struct {
 	// Assign[i] lists the portions of source i, largest first.
 	Assign [][]Portion
-	// Cost is the total cost of the plan.
+	// Cost is the total movement cost of the plan (overflow not priced).
 	Cost float64
+	// Overflow[j] is the area sink j takes above its capacity. It is set
+	// (one entry per sink) only for elastic problems and nil otherwise.
+	Overflow []float64
+}
+
+// TotalOverflow returns the sum of Overflow.
+func (s *Solution) TotalOverflow() float64 {
+	t := 0.0
+	for _, o := range s.Overflow {
+		t += o
+	}
+	return t
+}
+
+// overflowPrice returns the elastic price M of one unit of overflow: above
+// the cost of any simple reassignment path of the condensed graph (at most
+// k hops, each changing a cost by at most 2·max|cost|), so routing a unit
+// to a sink with slack always beats overflowing it.
+func overflowPrice(p *Problem) float64 {
+	maxCost := 0.0
+	for _, arcs := range p.Arcs {
+		for _, a := range arcs {
+			maxCost = math.Max(maxCost, math.Abs(a.Cost))
+		}
+	}
+	return float64(p.NumSinks()+1) * (2*maxCost + 1)
 }
 
 // ErrInfeasible reports that some supply cannot reach any sink with
@@ -127,7 +166,8 @@ func (s *Solution) NumSplit() int {
 }
 
 // SolveReference solves the instance exactly with the generic min-cost
-// flow solver. Intended for tests and small instances.
+// flow solver. Intended for tests and small instances. An elastic problem
+// gets one extra overflow node, fed by every sink at the overflow price.
 func SolveReference(p *Problem) (*Solution, error) {
 	if err := referenceFault.Check(); err != nil {
 		return nil, fmt.Errorf("transport: reference engine: %w", err)
@@ -135,14 +175,26 @@ func SolveReference(p *Problem) (*Solution, error) {
 	n, k := p.NumSources(), p.NumSinks()
 	g := flow.NewMinCostFlow(n + k)
 	g.Ctx = p.Ctx
+	total := 0.0
 	for i, s := range p.Supply {
 		if s <= 0 {
 			return nil, fmt.Errorf("transport: source %d has non-positive supply %g", i, s)
 		}
 		g.SetSupply(i, s)
+		total += s
 	}
 	for j, c := range p.Capacity {
 		g.SetSupply(n+j, -c)
+	}
+	var spill []flow.ArcID // sink -> overflow node arcs of an elastic problem
+	if p.Elastic {
+		over := g.AddNode()
+		g.SetSupply(over, -total)
+		price := overflowPrice(p)
+		spill = make([]flow.ArcID, k)
+		for j := range spill {
+			spill[j] = g.AddArc(n+j, over, flow.Inf, price)
+		}
 	}
 	ids := make([][]flow.ArcID, n)
 	for i, arcs := range p.Arcs {
@@ -160,11 +212,24 @@ func SolveReference(p *Problem) (*Solution, error) {
 		return nil, err
 	}
 	sol := &Solution{Assign: make([][]Portion, n), Cost: cost}
+	if p.Elastic {
+		// The solver's cost prices the overflow; report movement only.
+		sol.Cost = 0
+		sol.Overflow = make([]float64, k)
+		for j, id := range spill {
+			if f := g.Flow(id); f > flow.Eps {
+				sol.Overflow[j] = f
+			}
+		}
+	}
 	for i, arcs := range p.Arcs {
 		for t, a := range arcs {
 			f := g.Flow(ids[i][t])
 			if f > flow.Eps {
 				sol.Assign[i] = append(sol.Assign[i], Portion{Sink: a.Sink, Amount: f})
+				if p.Elastic {
+					sol.Cost += f * a.Cost
+				}
 			}
 		}
 		sortPortions(sol.Assign[i])
@@ -207,6 +272,13 @@ func Solve(p *Problem) (*Solution, error) {
 		p.Obs.Count("transport.augmentations", float64(augs))
 		if err == nil {
 			p.Obs.Count("transport.splits", float64(sol.NumSplit()))
+			if p.Elastic {
+				over := sol.TotalOverflow()
+				p.Obs.Count("transport.overflow", over)
+				if over > 0 {
+					p.Obs.Count("transport.overflow_solves", 1)
+				}
+			}
 		}
 	}
 	return sol, err
@@ -263,6 +335,11 @@ type condensed struct {
 	capacity []float64
 	at       [][]presence
 	load     []float64
+	// used[j] is the overflow sink j has taken (elastic problems only):
+	// the flow on its overflow-priced arc to T, nonzero only while the
+	// sink is full. Its excess still to route is load - capacity - used.
+	used     []float64
+	overflow float64     // the overflow price M; 0 = not elastic
 	pairs    []pairState // pairs[a*k+b]
 	adj      [][]int32   // adj[a]: sinks b with pairs[a*k+b].live > 0
 
@@ -305,8 +382,13 @@ func better(x, y condEdge) bool {
 	return x.source < y.source
 }
 
-// offer inserts a candidate into the pair's best/second slots.
+// offer inserts a candidate into the pair's best/second slots. A stale
+// pair with no best is left alone: presences it no longer tracks may beat
+// the candidate, so only the rebuild on next access can fill it.
 func (p *pairState) offer(e condEdge) {
+	if p.stale && p.best.source < 0 {
+		return
+	}
 	if p.best.source == e.source {
 		// Same source re-offered (cost unchanged); nothing to do.
 		return
@@ -436,6 +518,7 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 		capacity: p.Capacity,
 		at:       make([][]presence, k),
 		load:     make([]float64, k),
+		used:     make([]float64, k),
 		pairs:    make([]pairState, k*k),
 		adj:      make([][]int32, k),
 		pi:       make([]float64, k+1),
@@ -443,6 +526,9 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 		via:      make([]viaEdge, k+1),
 		done:     make([]bool, k+1),
 		heapPos:  make([]int32, k+1),
+	}
+	if p.Elastic {
+		c.overflow = overflowPrice(p)
 	}
 	for i := range c.pairs {
 		c.pairs[i] = pairState{best: condEdge{source: -1}, second: condEdge{source: -1}}
@@ -469,7 +555,8 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 	}
 	// Cancel overloads: each augmentation ships from an overloaded sink
 	// along a shortest path of the condensed graph to the cheapest
-	// reachable sink with slack (Dijkstra on reduced costs; see search).
+	// reachable sink with slack (Dijkstra on reduced costs; see search),
+	// or, for an elastic problem, to the cheapest overflow.
 	augs := 0
 	for {
 		if p.Ctx != nil {
@@ -479,7 +566,7 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 		}
 		over := -1
 		for j := 0; j < k; j++ {
-			if c.load[j] > p.Capacity[j]+flow.Eps {
+			if c.load[j] > p.Capacity[j]+c.used[j]+flow.Eps {
 				over = j
 				break
 			}
@@ -491,7 +578,8 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 		if target < 0 {
 			return nil, augs, fmt.Errorf("transport: %w", ErrInfeasible)
 		}
-		// Reconstruct path: the sink sequence from over to target.
+		// Reconstruct path: the sink sequence from over to target (just
+		// [over] when over keeps its excess as overflow).
 		path := c.path[:0]
 		for j := target; j != over; j = c.via[j].from {
 			path = append(path, j)
@@ -511,8 +599,11 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 		// a moved presence's reverse edge must be tight under the updated
 		// potentials, and batching epsilon-near candidates would leave
 		// slightly negative reduced costs for later searches.
-		want := c.load[over] - p.Capacity[over]
-		if slack := p.Capacity[target] - c.load[target]; slack < want {
+		// T is reached from target over its zero-cost arc while target
+		// has slack, and over its uncapacitated overflow arc once full.
+		want := c.load[over] - p.Capacity[over] - c.used[over]
+		spill := !c.hasSlack(target)
+		if slack := p.Capacity[target] - c.load[target]; !spill && slack < want {
 			want = slack
 		}
 		for len(c.groups) < len(path)-1 {
@@ -567,11 +658,17 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 			c.load[a] -= move
 			c.load[b] += move
 		}
+		if spill {
+			c.used[target] += move
+		}
 		augs++
 	}
 	// Extract solution: count the portions per source first so that all
 	// of them share one backing array.
 	sol := &Solution{Assign: make([][]Portion, n)}
+	if p.Elastic {
+		sol.Overflow = c.used
+	}
 	count := make([]int, n)
 	total = 0
 	for j := 0; j < k; j++ {
@@ -604,10 +701,12 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 // search runs Dijkstra from the overloaded sink `over` on the reduced
 // costs w(a,b) + pi[a] - pi[b] of the live sink pairs, where w(a,b) is the
 // cheapest reassignment of a source present at a to b, plus a zero-cost
-// arc from every other sink with slack to the super-sink T (node k). It
-// stops once T is settled and returns the sink T was reached from — the
-// cheapest reachable sink with slack in true cost — or -1 when no sink
-// with slack is reachable.
+// arc from every other sink with slack to the super-sink T (node k). For
+// an elastic problem every full sink, over included, has an arc to T at
+// the overflow price instead. The search stops once T is settled and
+// returns the sink T was reached from — the cheapest reachable sink with
+// slack in true cost, else the cheapest overflow — or -1 when T is
+// unreachable (never for an elastic problem).
 //
 // The potentials start at 0 (every source sits at its cheapest sink) and
 // advance by the truncated distances min(dist[v], dist[T]) after each
@@ -635,8 +734,10 @@ func (c *condensed) search(over int) int {
 			break
 		}
 		da, pa := c.dist[a], c.pi[a]
-		if a != over && c.load[a] < c.capacity[a]-flow.Eps {
+		if c.hasSlack(a) {
 			c.relax(a, k, -1, da+pa-c.pi[k])
+		} else if c.overflow > 0 {
+			c.relax(a, k, -1, da+c.overflow+pa-c.pi[k])
 		}
 		row := c.pairs[a*k : (a+1)*k]
 		for _, b := range c.adj[a] {
@@ -665,6 +766,12 @@ func (c *condensed) search(over int) int {
 		}
 	}
 	return c.via[k].from
+}
+
+// hasSlack reports whether sink j has room below its capacity (an
+// overloaded sink, the search's start included, never has).
+func (c *condensed) hasSlack(j int) bool {
+	return c.load[j] < c.capacity[j]-flow.Eps
 }
 
 // relax offers the settled sink a's edge to b, reassigning source (-1 for

@@ -235,7 +235,8 @@ func TestSolutionInvariants(t *testing.T) {
 }
 
 // checkSolution verifies that sol ships all supply over admissible arcs
-// and respects capacities.
+// and respects capacities, widened by the overflow an elastic solve took
+// (only on sinks filled to capacity).
 func checkSolution(p *Problem, sol *Solution) error {
 	loads := make([]float64, p.NumSinks())
 	for i, ps := range sol.Assign {
@@ -261,9 +262,19 @@ func checkSolution(p *Problem, sol *Solution) error {
 			return fmt.Errorf("source %d: ships %g of %g", i, sum, p.Supply[i])
 		}
 	}
+	if sol.Overflow != nil && len(sol.Overflow) != p.NumSinks() {
+		return fmt.Errorf("%d overflow entries for %d sinks", len(sol.Overflow), p.NumSinks())
+	}
 	for j, l := range loads {
-		if l > p.Capacity[j]+1e-6 {
-			return fmt.Errorf("sink %d: load %g over capacity %g", j, l, p.Capacity[j])
+		over := 0.0
+		if sol.Overflow != nil {
+			over = sol.Overflow[j]
+		}
+		if over < 0 || (over > 0 && l < p.Capacity[j]-1e-6) {
+			return fmt.Errorf("sink %d: overflow %g at load %g, capacity %g", j, over, l, p.Capacity[j])
+		}
+		if l > p.Capacity[j]+over+1e-6 {
+			return fmt.Errorf("sink %d: load %g over capacity %g + overflow %g", j, l, p.Capacity[j], over)
 		}
 	}
 	return nil
@@ -470,9 +481,51 @@ func TestCondensedLargeKMatchesReference(t *testing.T) {
 	}
 }
 
+// TestCondensedStalePairOffer replays two instances on which the pair
+// cache once returned a wrong best candidate: a source offered to a stale
+// pair with no best took the best slot although a cheaper presence was
+// still at the from-sink, so a search priced that pair too high and the
+// plan missed the optimum (one plain instance, one elastic).
+func TestCondensedStalePairOffer(t *testing.T) {
+	plain := rand.New(rand.NewSource(864))
+	k := 16 + plain.Intn(100)
+	p := moveboundProblem(plain, k, 2*k+plain.Intn(k+1))
+
+	starved := rand.New(rand.NewSource(16369))
+	k = 2 + starved.Intn(20)
+	q := moveboundProblem(starved, k, 2+starved.Intn(50))
+	scale := 0.2 + 0.9*starved.Float64()
+	for j := range q.Capacity {
+		q.Capacity[j] *= scale
+	}
+	q.Elastic = true
+
+	for _, c := range []struct {
+		name string
+		p    *Problem
+	}{{"plain", p}, {"elastic", q}} {
+		name, p := c.name, c.p
+		ref, err := SolveReference(p)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		got, _, err := solveCondensed(p)
+		if err != nil {
+			t.Fatalf("%s: condensed: %v", name, err)
+		}
+		if d := math.Abs(got.Cost - ref.Cost); d > 1e-6*(1+ref.Cost) {
+			t.Fatalf("%s: cost %.9g, reference %.9g", name, got.Cost, ref.Cost)
+		}
+		if d := math.Abs(got.TotalOverflow() - ref.TotalOverflow()); d > 1e-6 {
+			t.Fatalf("%s: overflow %.9g, reference %.9g", name, got.TotalOverflow(), ref.TotalOverflow())
+		}
+	}
+}
+
 // assertSolutionsEquivalent fails unless the two solutions agree on cost,
-// per-source totals and capacity feasibility (portion sets may differ
-// between optima with ties, so only aggregate invariants are compared).
+// total overflow, per-source totals and capacity feasibility (portion sets
+// may differ between optima with ties, so only aggregate invariants are
+// compared).
 func assertSolutionsEquivalent(t *testing.T, p *Problem, got, want *Solution) {
 	t.Helper()
 	if math.Abs(got.Cost-want.Cost) > 1e-6*(1+math.Abs(want.Cost)) {
@@ -489,10 +542,11 @@ func assertSolutionsEquivalent(t *testing.T, p *Problem, got, want *Solution) {
 			t.Fatalf("source %d ships %v, supply %v", i, sum, p.Supply[i])
 		}
 	}
-	for j, l := range loads {
-		if l > p.Capacity[j]+1e-6 {
-			t.Fatalf("sink %d load %v > capacity %v", j, l, p.Capacity[j])
-		}
+	if d := math.Abs(got.TotalOverflow() - want.TotalOverflow()); d > 1e-6 {
+		t.Fatalf("overflow %v, want %v", got.TotalOverflow(), want.TotalOverflow())
+	}
+	if err := checkSolution(p, got); err != nil {
+		t.Fatal(err)
 	}
 	if got.NumSplit() > p.NumSinks()-1 {
 		t.Fatalf("NumSplit = %d > k-1 = %d", got.NumSplit(), p.NumSinks()-1)
@@ -500,16 +554,26 @@ func assertSolutionsEquivalent(t *testing.T, p *Problem, got, want *Solution) {
 }
 
 // Satellite: a faultsim-armed condensed failure must fall back to the
-// reference engine with a correct Solution (portions, NumSplit) and a
-// degrade counter bump.
+// reference engine with a correct Solution (portions, NumSplit, overflow)
+// and a degrade counter bump. Odd trials are elastic problems starved to
+// 30% of their capacities, so the fallback must honour Elastic.
 func TestCondensedFallbackFaultsim(t *testing.T) {
 	defer faultsim.Reset()
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 20; trial++ {
 		p := randomProblem(rng)
+		if trial%2 == 1 {
+			p.Elastic = true
+			for j := range p.Capacity {
+				p.Capacity[j] *= 0.3
+			}
+		}
 		want, err := SolveReference(p)
 		if err != nil {
 			continue
+		}
+		if p.Elastic && want.TotalOverflow() == 0 {
+			t.Fatalf("trial %d: starved elastic problem took no overflow", trial)
 		}
 		if err := faultsim.Arm("transport.condensed.fail", faultsim.Schedule{}); err != nil {
 			t.Fatal(err)
@@ -578,5 +642,85 @@ func TestCondensedFallbackChainExhausted(t *testing.T) {
 	}
 	if p.Degrade.Len() != 1 {
 		t.Fatalf("degrade log has %d events, want 1", p.Degrade.Len())
+	}
+}
+
+// TestCondensedElasticMatchesReference checks the elastic condensed engine
+// alone (no reference fallback) against the elastic reference engine on
+// movebound-shaped instances whose capacities are scaled by 0.2-1.1, so
+// most are infeasible without overflow: total overflow and movement cost
+// must match, the plan must ship everything within capacity plus
+// overflow, and a second solve must reproduce it bit for bit. A feasible
+// instance must take no overflow and give the non-elastic plan.
+func TestCondensedElasticMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	cases, spilled := 60, 0
+	if testing.Short() {
+		cases = 15
+	}
+	for c := 0; c < cases; c++ {
+		k := 4 + rng.Intn(60)
+		n := 2*k + rng.Intn(k+1)
+		p := moveboundProblem(rng, k, n)
+		scale := 0.2 + 0.9*rng.Float64()
+		for j := range p.Capacity {
+			p.Capacity[j] *= scale
+		}
+		p.Elastic = true
+		ref, err := SolveReference(p)
+		if err != nil {
+			t.Fatalf("case %d (k=%d n=%d): reference: %v", c, k, n, err)
+		}
+		got, _, err := solveCondensed(p)
+		if err != nil {
+			t.Fatalf("case %d (k=%d n=%d): condensed: %v", c, k, n, err)
+		}
+		if err := checkSolution(p, got); err != nil {
+			t.Fatalf("case %d (k=%d n=%d): %v", c, k, n, err)
+		}
+		gotO, refO := got.TotalOverflow(), ref.TotalOverflow()
+		if d := math.Abs(gotO - refO); d > 1e-6*(1+refO) {
+			t.Fatalf("case %d (k=%d n=%d scale %.2f): overflow %.9g, reference %.9g", c, k, n, scale, gotO, refO)
+		}
+		if d := math.Abs(got.Cost - ref.Cost); d > 1e-6*(1+math.Abs(ref.Cost)) {
+			t.Fatalf("case %d (k=%d n=%d scale %.2f): cost %.9g, reference %.9g", c, k, n, scale, got.Cost, ref.Cost)
+		}
+		if gotO > 0 {
+			spilled++
+		}
+		again, _, err := solveCondensed(p)
+		if err != nil {
+			t.Fatalf("case %d: second solve: %v", c, err)
+		}
+		if !reflect.DeepEqual(got.Assign, again.Assign) || !reflect.DeepEqual(got.Overflow, again.Overflow) {
+			t.Fatalf("case %d (k=%d n=%d): second solve differs", c, k, n)
+		}
+	}
+	if spilled < cases/2 {
+		t.Fatalf("only %d of %d cases took overflow", spilled, cases)
+	}
+
+	// moveboundProblem instances are feasible as built.
+	p := moveboundProblem(rand.New(rand.NewSource(3)), 40, 100)
+	plain, _, err := solveCondensed(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Elastic = true
+	elastic, _, err := solveCondensed(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, o := range elastic.Overflow {
+		if o != 0 {
+			t.Fatalf("feasible instance: sink %d took overflow %g", j, o)
+		}
+	}
+	if len(elastic.Overflow) != p.NumSinks() || plain.Overflow != nil {
+		t.Fatalf("overflow lengths %d (elastic) and %d (plain), want %d and 0",
+			len(elastic.Overflow), len(plain.Overflow), p.NumSinks())
+	}
+	if elastic.Cost != plain.Cost || !reflect.DeepEqual(elastic.Assign, plain.Assign) {
+		t.Fatalf("feasible instance: elastic plan (cost %.9g) differs from the plain one (cost %.9g)", elastic.Cost, plain.Cost)
 	}
 }
