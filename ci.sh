@@ -140,17 +140,16 @@ echo "== certification e2e =="
 # injected silent corruption (certify.corrupt bit-flips a position) is
 # caught and repaired in safe mode with the repair on record; unlimited
 # corruption must fail the run with the structured certify error. Safe
-# mode is exactly "no pair pass, one worker", so the repaired positions
-# must equal a plain run with those two settings. See README
-# "Certification & safe mode".
+# mode selects no engine and placements are bit-identical across worker
+# counts, so the repaired positions must equal a plain default run. See
+# README "Certification & safe mode".
 "$ckdir/fbplace" -cells 2000 -seed 3 -certify >/dev/null
 "$ckdir/fbplace" -cells 2000 -seed 3 -certify \
 	-fault certify.corrupt:limit=1 -dump-hex "$ckdir/repaired.hex" >"$ckdir/certify.log"
 grep -q 'degraded: certify fell back to safe-mode' "$ckdir/certify.log" ||
 	{ echo "certification e2e: repair not recorded" >&2; exit 1; }
-"$ckdir/fbplace" -cells 2000 -seed 3 -no-pair-pass -workers 1 \
-	-dump-hex "$ckdir/safe.hex" >/dev/null
-cmp "$ckdir/repaired.hex" "$ckdir/safe.hex"
+"$ckdir/fbplace" -cells 2000 -seed 3 -dump-hex "$ckdir/plain.hex" >/dev/null
+cmp "$ckdir/repaired.hex" "$ckdir/plain.hex"
 if "$ckdir/fbplace" -cells 2000 -seed 3 -certify \
 	-fault certify.corrupt >"$ckdir/certify2.log" 2>&1; then
 	echo "certification e2e: unrepairable corruption did not fail the run" >&2

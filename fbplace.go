@@ -113,8 +113,8 @@ const (
 
 // CertifyMode selects how much of a run is independently certified (set
 // Config.Certify): nothing, the final placement, or every FBP level. A
-// failed certificate triggers a safe-mode repair run with conservative
-// engines; an unrepairable result surfaces as a *CertifyError.
+// failed certificate triggers a sequential safe-mode repair run; an
+// unrepairable result surfaces as a *CertifyError.
 type CertifyMode = placer.CertifyMode
 
 // Certification modes.

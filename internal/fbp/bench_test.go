@@ -37,22 +37,12 @@ func benchInstance(numCells, nx, ny int) (*netlist.Netlist, *grid.WindowRegions)
 // + repair) of a solved FBP model, the hot path of every placement level.
 // The MCF model build and solve run outside the timer.
 func BenchmarkRealizeLevel(b *testing.B) {
-	// The deep 32x32 level runs twice: "block" forces the legacy 3x3-block
-	// realization, "pair" the neighbor-pair pass (the default there), to
-	// keep the speedup of the pair pass visible.
-	for _, c := range []struct {
-		cells, nx, ny int
-		mode          string
-	}{
-		{2000, 8, 8, ""},
-		{2400, 12, 12, ""},
-		{2400, 32, 32, "block"},
-		{2400, 32, 32, "pair"},
+	for _, c := range []struct{ cells, nx, ny int }{
+		{2000, 8, 8},
+		{2400, 12, 12},
+		{2400, 32, 32},
 	} {
 		name := fmt.Sprintf("cells=%d/grid=%dx%d", c.cells, c.nx, c.ny)
-		if c.mode != "" {
-			name += "/" + c.mode
-		}
 		b.Run(name, func(b *testing.B) {
 			base, wr := benchInstance(c.cells, c.nx, c.ny)
 			b.ReportAllocs()
@@ -65,10 +55,8 @@ func BenchmarkRealizeLevel(b *testing.B) {
 				if err := m.Solve(); err != nil {
 					b.Fatal(err)
 				}
-				cfg := DefaultConfig()
-				cfg.PairPass = c.mode != "block"
 				b.StartTimer()
-				if _, err := Realize(m, cfg); err != nil {
+				if _, err := Realize(m, DefaultConfig()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -32,11 +32,11 @@ func (c *recordingChecker) Transport(p *transport.Problem, sol *transport.Soluti
 }
 
 // TestElasticBlockRoutesStarvedMoveboundCell is the regression test for
-// a block no capacity relaxation could route: a movebound cell of area
+// a unit no capacity relaxation could route: a movebound cell of area
 // 1.5 whose only admissible region has capacity 0.008 (64x that is 0.51).
 // One elastic solve spills the missing 1.492 onto that region, moves the
 // unconstrained cell that shared it instead of overflowing further, leaves
-// the block's capacities untouched, and is certified against capacity
+// the unit's capacities untouched, and is certified against capacity
 // plus overflow.
 func TestElasticBlockRoutesStarvedMoveboundCell(t *testing.T) {
 	base := []float64{0.008, 4, 4}
@@ -56,7 +56,7 @@ func TestElasticBlockRoutesStarvedMoveboundCell(t *testing.T) {
 		rec := obs.New(nil)
 		p.Obs = rec
 		r := &realizer{cfg: Config{Check: chk}, rec: rec}
-		sol, err := r.solveBlock(p)
+		sol, err := r.solveUnit(p)
 		if !reflect.DeepEqual(p.Capacity, base) {
 			t.Fatalf("capacities %v after the solve, want %v untouched", p.Capacity, base)
 		}

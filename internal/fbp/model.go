@@ -1,12 +1,12 @@
 // Package fbp implements the paper's core contribution (§IV): flow-based
 // partitioning. A global MinCostFlow model — whose size is linear in the
 // number of windows and regions, independent of the cell count — computes
-// movement directions and amounts; local realization steps (local QP plus
-// transportation partitioning over 3x3 coarse windows, processed in
-// topological order of the flow-carrying external edges) turn the flow
-// into an actual cell-to-region partitioning. The partitioning is feasible
-// for any initial placement whenever a fractional placement with
-// movebounds exists (Theorem 3).
+// movement directions and amounts; local realization steps (a local QP
+// over a window and its flow targets, then one transportation per
+// neighbor pair, processed in topological order of the flow-carrying
+// external edges) turn the flow into an actual cell-to-region
+// partitioning. The partitioning is feasible for any initial placement
+// whenever a fractional placement with movebounds exists (Theorem 3).
 package fbp
 
 import (
@@ -39,8 +39,9 @@ func DirName(d int) string { return [...]string{"N", "E", "S", "W"}[d] }
 
 // Config tunes the partitioning.
 type Config struct {
-	// LocalQP enables the connectivity-aware local QP before each coarse
-	// window transportation (paper §IV.B). Default true via DefaultConfig.
+	// LocalQP enables the connectivity-aware local QP before each
+	// realization unit's transportations (paper §IV.B). Default true via
+	// DefaultConfig.
 	LocalQP bool
 	// QP are the options of the local QP solves.
 	QP qp.Options
@@ -60,18 +61,6 @@ type Config struct {
 	// solution). The fallbacks themselves are always on; the log only
 	// makes them visible.
 	Degrade *degrade.Log
-	// PairPass enables the neighbor-pair reoptimization at deep levels:
-	// once the grid has at least PairPassMinWindows windows, a wave unit
-	// realizes its outgoing flow one neighbor window at a time with tiny
-	// two-window transportations instead of one 3x3-block problem whose
-	// size is dominated by neighbors the unit does not even ship to.
-	// Results differ from the block path (both are valid realizations of
-	// the same MCF solution) but stay deterministic across worker counts.
-	// Default true via DefaultConfig.
-	PairPass bool
-	// PairPassMinWindows is the window-count threshold that activates the
-	// pair pass; 0 means 256 (grids of 16x16 and finer).
-	PairPassMinWindows int
 	// Check, when non-nil, certifies intermediate solver results: the MCF
 	// solution right after Solve and every realization transportation
 	// right after its engine returns. Failures propagate as the checker's
@@ -96,7 +85,7 @@ type Checker interface {
 
 // DefaultConfig returns the configuration used by the placer.
 func DefaultConfig() Config {
-	return Config{LocalQP: true, PairPass: true}
+	return Config{LocalQP: true}
 }
 
 // Stats reports instance sizes and phase runtimes (paper Table I).

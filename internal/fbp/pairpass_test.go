@@ -57,7 +57,6 @@ func TestPairPassDeterministicAcrossWorkers(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Workers = workers
 				cfg.Obs = rec
-				cfg.PairPassMinWindows = 1 // force pair mode on the 4x4 grid
 				res, err := Partition(n, wr, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -87,17 +86,15 @@ func TestPairPassDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// The pair pass is a different realization order of the same MCF solution,
-// so the partitioning guarantees must survive it unchanged: every cell
-// assigned, regions respected up to one rounded cell, positions inside
-// the assigned regions.
+// The pair pass must keep the partitioning guarantees of the MCF
+// solution: every cell assigned, regions respected up to one rounded
+// cell, positions inside the assigned regions.
 func TestPairPassRespectsCapacities(t *testing.T) {
 	wr := build(t, nil, 4, 4, 1.0, nil)
 	n := clusterNetlist(240, geom.Point{X: 1, Y: 1}, netlist.NoMovebound)
 	rec := obs.New(nil)
 	cfg := DefaultConfig()
 	cfg.Obs = rec
-	cfg.PairPassMinWindows = 1
 	res, err := Partition(n, wr, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -115,11 +115,6 @@ type realizer struct {
 	outgoing [][]int32
 	incoming [][]int32
 
-	// pairMode is set when the pair pass is active for this run (the flag
-	// is on and the grid is at least Config.PairPassMinWindows windows):
-	// wave units realize per neighbor pair instead of per 3x3 block.
-	pairMode bool
-
 	waves int
 
 	// scratch is the free list of per-worker reusable buffers. Entries
@@ -140,10 +135,10 @@ type realizer struct {
 
 // workerScratch bundles the reusable buffers a realization worker needs
 // for one unit: the local QP workspace plus the sink, transportation and
-// membership buffers of transportBlock. A scratch is borrowed from the
+// membership buffers of transportWindows. A scratch is borrowed from the
 // realizer's free list for the duration of one unit, so steady-state
-// realization allocates O(block) per unit instead of rebuilding every
-// buffer. Reuse never changes results: all buffers are fully rewritten
+// realization allocates in proportion to the unit instead of rebuilding
+// every buffer. Reuse never changes results: all buffers are fully rewritten
 // per unit.
 type workerScratch struct {
 	qp     *qp.Workspace
@@ -158,7 +153,7 @@ type workerScratch struct {
 	presentEpoch uint32
 	// cellBuf is the reusable cell-collection buffer of the realization
 	// steps. It is owned by the scratch, never by a window list, so the
-	// apply phase of transportBlock may rewrite the window lists while
+	// apply phase of transportWindows may rewrite the window lists while
 	// iterating it.
 	cellBuf []int32
 }
@@ -199,8 +194,9 @@ func (sc *workerScratch) markPresent(numCells int, cells []int32) uint32 {
 // unit is a realization step: one window together with the classes whose
 // outgoing external edges are realized in this step. Multiple classes of
 // the same window at the same topological level are merged into one step —
-// the block transportation repartitions all block cells anyway, so
-// realizing them together saves a full local QP + transport per class.
+// each pair transportation repartitions all cells of its two windows
+// anyway, so realizing the classes together saves a local QP and one
+// transportation per target and class.
 type unit struct {
 	window  int
 	classes []int
@@ -212,8 +208,8 @@ type unit struct {
 // assignment. The netlist's positions are used as the starting state (the
 // "any given placement" of the paper).
 //
-// Feasibility invariant (sketch; the window-at-a-time variant of the
-// paper's per-edge induction [22]): at every stage and for every window w
+// Feasibility invariant (sketch; the paper's per-edge induction [22],
+// ordered window by window): at every stage and for every window w
 // and movebound class c,
 //
 //	area_c(w) <= absorbed_c(w) + unrealizedOut_c(w),
@@ -281,11 +277,6 @@ func Realize(m *Model, cfg Config) (*Result, error) {
 		outgoing:      make([][]int32, m.Classes*W),
 		incoming:      make([][]int32, m.Classes*W),
 	}
-	pairMin := cfg.PairPassMinWindows
-	if pairMin <= 0 {
-		pairMin = 256
-	}
-	r.pairMode = cfg.PairPass && W >= pairMin
 	maxWorkers := cfg.Workers
 	if maxWorkers <= 0 {
 		maxWorkers = runtime.GOMAXPROCS(0)
@@ -482,18 +473,11 @@ func (r *realizer) rebuildEdgeIndex() {
 // waveSplit partitions one topological level into waves of units whose
 // mutation footprints are pairwise disjoint (regardless of class — they
 // mutate the same cell state), so each wave can run fully in parallel
-// while staying deterministic. In block mode the footprint is the 3x3
-// block (units conflict at window Chebyshev distance <= 2); in pair mode
-// it is the window plus its 4-neighborhood, so the L1 distance decides
-// and levels split into fewer, denser waves.
+// while staying deterministic. A unit's footprint is its window plus the
+// 4-neighborhood it ships to, so two units conflict at window L1
+// distance <= 2.
 func (r *realizer) waveSplit(level []unit) [][]unit {
 	g := r.m.WR.Grid
-	conflict := func(ax, ay, bx, by int) bool {
-		if r.pairMode {
-			return abs(ax-bx)+abs(ay-by) <= 2
-		}
-		return abs(ax-bx) <= 2 && abs(ay-by) <= 2
-	}
 	var waves [][]unit
 	taken := make([]int, len(level)) // wave index per unit
 	for i := range taken {
@@ -508,7 +492,7 @@ func (r *realizer) waveSplit(level []unit) [][]unit {
 				continue
 			}
 			ox, oy := g.Coords(level[j].window)
-			if conflict(ox, oy, ix, iy) {
+			if abs(ox-ix)+abs(oy-iy) <= 2 {
 				wave++
 				goto retry
 			}
@@ -530,7 +514,7 @@ func abs(v int) int {
 }
 
 // runWave realizes the outgoing external edges of each unit in the wave,
-// in parallel. Positions of cells outside a unit's block are read from a
+// in parallel. Positions of cells outside a unit's footprint are read from a
 // snapshot taken at wave start, which makes the computation independent of
 // scheduling order.
 func (r *realizer) runWave(wave []unit) error {
@@ -632,56 +616,7 @@ func (r *realizer) safeRealize(u unit, snapX, snapY []float64, sc *workerScratch
 			}
 		}
 	}()
-	if r.pairMode {
-		return wrapUnitErr(u.window, "realize", r.realizeUnitPairs(u, snapX, snapY, sc))
-	}
 	return wrapUnitErr(u.window, "realize", r.realizeUnit(u, snapX, snapY, sc))
-}
-
-// realizeUnit realizes all outgoing external edges of one window for the
-// unit's classes: local QP over the 3x3 block, then a movebound-aware
-// transportation of all block cells onto the block's regions plus the
-// block's still-unrealized transit capacities (eq. 2).
-func (r *realizer) realizeUnit(un unit, snapX, snapY []float64, sc *workerScratch) error {
-	if err := unitFault.Check(); err != nil {
-		return err
-	}
-	g := r.m.WR.Grid
-	W := g.NumWindows()
-	u := un.window
-	block := g.Block3x3(u)
-
-	// Mark the unit's outgoing edges realized (their flow must move now).
-	for _, cls := range un.classes {
-		for _, ei := range r.outgoing[cls*W+u] {
-			e := &r.m.Externals[ei]
-			r.unrealizedOut[(e.Class*W+e.From)*numDirs+e.FromDir] -= e.Flow
-		}
-	}
-
-	// Collect the block's cells.
-	cells := sc.cellBuf[:0]
-	for _, w := range block {
-		cells = append(cells, r.cellsIn[w]...)
-	}
-	sc.cellBuf = cells
-	if len(cells) == 0 {
-		return nil
-	}
-	// Local QP with everything outside the block fixed (snapshot reads).
-	if r.cfg.LocalQP {
-		subset := sc.subset[:0]
-		for _, c := range cells {
-			if !r.parked[c] {
-				subset = append(subset, netlist.CellID(c))
-			}
-		}
-		sc.subset = subset
-		if err := r.runLocalQP(u, subset, snapX, snapY, sc); err != nil {
-			return err
-		}
-	}
-	return r.transportBlock(u, block, cells, true, sc)
 }
 
 // runLocalQP runs the low-precision connectivity QP over the given subset
@@ -712,13 +647,12 @@ func (r *realizer) runLocalQP(u int, subset []netlist.CellID, snapX, snapY []flo
 	return nil
 }
 
-// realizeUnitPairs is the neighbor-pair reoptimization of realizeUnit for
-// deep levels: instead of one transportation over the full 3x3 block —
-// whose cell and sink counts are dominated by neighbors the unit does not
-// ship to — the unit's outgoing edges are realized one target window at a
-// time with tiny two-window transportations. One low-precision local QP
-// over the footprint (the unit plus its flow targets) steers all pair
-// costs.
+// realizeUnit realizes all outgoing external edges of one window for the
+// unit's classes, one target window at a time (paper §IV.B): each flow
+// target gets a small transportation of the cells of the pair {u, to}
+// onto the two windows' regions plus their still-unrealized transit
+// capacities (eq. 2). One low-precision local QP over the footprint (the
+// unit plus its flow targets) steers all pair costs.
 //
 // Pair steps preserve the feasibility invariant of Partition with
 // B = {u, to}: the realized flow fits into the target's regions plus its
@@ -730,7 +664,7 @@ func (r *realizer) runLocalQP(u int, subset []netlist.CellID, snapX, snapY []flo
 // flows are removed from the transit capacities exactly when its pair is
 // solved, so the pass is deterministic and realizes exactly the unit's
 // outgoing flow.
-func (r *realizer) realizeUnitPairs(un unit, snapX, snapY []float64, sc *workerScratch) error {
+func (r *realizer) realizeUnit(un unit, snapX, snapY []float64, sc *workerScratch) error {
 	if err := unitFault.Check(); err != nil {
 		return err
 	}
@@ -805,14 +739,14 @@ func (r *realizer) realizeUnitPairs(un unit, snapX, snapY []float64, sc *workerS
 		}
 		pair[0], pair[1] = u, t.to
 		r.rec.Count("realize.pairpass", 1)
-		if err := r.transportBlock(u, pair[:], cells, true, sc); err != nil {
+		if err := r.transportWindows(u, pair[:], cells, true, sc); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// sinkInfo describes one transportation sink of a block step: a window
+// sinkInfo describes one transportation sink of a realization step: a window
 // region, or (during waves) a still-unrealized transit capacity.
 type sinkInfo struct {
 	window  int32
@@ -823,9 +757,9 @@ type sinkInfo struct {
 	rectSet geom.RectSet
 }
 
-// transportBlock partitions the given cells among the regions of the
-// block windows plus (if allowTransit) the unrealized transit capacities.
-func (r *realizer) transportBlock(u int, block []int, cells []int32, allowTransit bool, sc *workerScratch) error {
+// transportWindows partitions the given cells among the regions of the
+// given windows plus (if allowTransit) the unrealized transit capacities.
+func (r *realizer) transportWindows(u int, windows []int, cells []int32, allowTransit bool, sc *workerScratch) error {
 	g := r.m.WR.Grid
 	W := g.NumWindows()
 	d := r.m.WR.Decomp
@@ -833,7 +767,7 @@ func (r *realizer) transportBlock(u int, block []int, cells []int32, allowTransi
 
 	sinks := sc.sinks[:0]
 	caps := sc.caps[:0]
-	for _, w := range block {
+	for _, w := range windows {
 		for k := range r.m.WR.PerWin[w] {
 			reg := &r.m.WR.PerWin[w][k]
 			if reg.Capacity <= 0 {
@@ -856,7 +790,7 @@ func (r *realizer) transportBlock(u int, block []int, cells []int32, allowTransi
 	}
 	if allowTransit {
 		for cls := 0; cls < r.m.Classes; cls++ {
-			for _, w := range block {
+			for _, w := range windows {
 				for dir := 0; dir < numDirs; dir++ {
 					rem := r.unrealizedOut[(cls*W+w)*numDirs+dir]
 					if rem <= flow.Eps {
@@ -922,18 +856,18 @@ func (r *realizer) transportBlock(u int, block []int, cells []int32, allowTransi
 		}
 	}
 	// One elastic solve per unit: majority rounding of earlier steps can
-	// overfill a block by a few cells' area, and the solve then spills the
+	// overfill a window by a few cells' area, and the solve then spills the
 	// least overflow it can onto the cheapest full sinks. repairOverflow
 	// removes what the final pass leaves; Result.RoundingOverflow reports it.
-	sol, err := r.solveBlock(prob)
+	sol, err := r.solveUnit(prob)
 	if err != nil {
-		return fmt.Errorf("fbp: transportation in block of window %d: %w", u, err)
+		return fmt.Errorf("fbp: transportation of unit %d: %w", u, err)
 	}
 	rounded := roundCapacityAware(prob, sol)
 	// Apply: move cells between windows, set positions and assignments.
-	// First remove all block cells from their window lists, then re-add.
+	// First remove all unit cells from their window lists, then re-add.
 	ep := sc.markPresent(r.n.NumCells(), cells)
-	for _, w := range block {
+	for _, w := range windows {
 		kept := r.cellsIn[w][:0]
 		for _, ci := range r.cellsIn[w] {
 			if sc.present[ci] != ep {
@@ -1022,9 +956,9 @@ func roundCapacityAware(p *transport.Problem, sol *transport.Solution) []int {
 	return out
 }
 
-// solveBlock makes the block's transportation solve and certifies the
+// solveUnit makes the unit's transportation solve and certifies the
 // solution when a checker is configured.
-func (r *realizer) solveBlock(p *transport.Problem) (*transport.Solution, error) {
+func (r *realizer) solveUnit(p *transport.Problem) (*transport.Solution, error) {
 	sol, err := transport.Solve(p)
 	if err == nil && r.cfg.Check != nil {
 		err = r.cfg.Check.Transport(p, sol)
@@ -1094,7 +1028,7 @@ func (r *realizer) finalPass() error {
 		}
 		sc := r.getScratch()
 		defer r.putScratch(sc)
-		return wrapUnitErr(w, "final", r.transportBlock(w, []int{w}, append([]int32(nil), r.cellsIn[w]...), false, sc))
+		return wrapUnitErr(w, "final", r.transportWindows(w, []int{w}, append([]int32(nil), r.cellsIn[w]...), false, sc))
 	}
 	if workers <= 1 {
 		for _, w := range windows {

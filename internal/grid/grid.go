@@ -117,22 +117,6 @@ func (g *Grid) Neighbors4(w int) []int {
 	return out
 }
 
-// Block3x3 returns the window indices of the (up to) 3x3 block centered
-// at w, clipped to the grid, in row-major order.
-func (g *Grid) Block3x3(w int) []int {
-	ix, iy := g.Coords(w)
-	var out []int
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			x, y := ix+dx, iy+dy
-			if x >= 0 && x < g.Nx && y >= 0 && y < g.Ny {
-				out = append(out, g.Index(x, y))
-			}
-		}
-	}
-	return out
-}
-
 // AssignCells maps every movable cell to the window containing its
 // current center. The result is indexed by CellID; fixed cells map to -1.
 func (g *Grid) AssignCells(n *netlist.Netlist) []int {

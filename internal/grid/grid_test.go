@@ -78,16 +78,6 @@ func TestNeighbors4(t *testing.T) {
 	}
 }
 
-func TestBlock3x3(t *testing.T) {
-	g := MustNew(geom.Rect{Xhi: 9, Yhi: 9}, 3, 3)
-	if got := g.Block3x3(g.Index(1, 1)); len(got) != 9 {
-		t.Fatalf("center 3x3 = %v", got)
-	}
-	if got := g.Block3x3(g.Index(0, 0)); len(got) != 4 {
-		t.Fatalf("corner 3x3 = %v", got)
-	}
-}
-
 func TestAssignCells(t *testing.T) {
 	g := MustNew(chip, 4, 2)
 	n := netlist.New(chip, 1)

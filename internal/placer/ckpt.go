@@ -150,10 +150,10 @@ func ConfigFingerprint(cfg *Config) uint64 {
 // different configuration. Workers is deliberately excluded — the placer
 // guarantees bit-identical results across worker counts — as are Obs,
 // Checkpoint itself, Preempt (a preempted-and-resumed run reproduces the
-// uninterrupted one), Certify (checks observe the trajectory, they never
-// steer it; only the SafeMode a repair forces does, and that IS hashed),
-// and the QP plumbing fields (Obs/Stats/Ctx/Workspace/Degrade) the placer
-// injects per run.
+// uninterrupted one), Certify and SafeMode (checks observe the trajectory
+// and a repair re-runs it; neither steers it, and a Safe run never
+// checkpoints), and the QP plumbing fields (Obs/Stats/Ctx/Workspace/Degrade)
+// the placer injects per run.
 func configFingerprint(cfg *Config) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -180,8 +180,6 @@ func configFingerprint(cfg *Config) uint64 {
 	w(uint64(cfg.MaxLevels))
 	wf(cfg.AnchorWeight)
 	wb(cfg.NoLocalQP)
-	wb(cfg.NoPairPass)
-	wb(cfg.SafeMode)
 	wb(cfg.SkipLegalization)
 	wb(cfg.KeepPlacement)
 	w(uint64(cfg.DetailPasses))

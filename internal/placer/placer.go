@@ -92,10 +92,6 @@ type Config struct {
 	// local QP is on by default; set NoLocalQP for the ablation or to
 	// trade quality for speed.
 	NoLocalQP bool
-	// NoPairPass disables the neighbor-pair realization pass at deep
-	// levels (many small windows) and forces the legacy 3x3-block
-	// transports everywhere. The pair pass is on by default.
-	NoPairPass bool
 	// SkipLegalization stops after global placement.
 	SkipLegalization bool
 	// KeepPlacement starts from the current cell positions instead of a
@@ -134,17 +130,19 @@ type Config struct {
 	// certify.fail/certify.repair counters. A repair that fails
 	// certification again propagates the *certify.Error to the caller.
 	Certify CertifyMode
-	// SafeMode turns off the neighbor-pair realization pass everywhere.
+	// SafeMode marks a repair run: it certifies without repairing again.
 	// Set it through Safe, which also makes the run sequential and
 	// unsnapshotted; every repair runs Safe(), and callers may too, to
-	// reproduce exactly what a repair would compute.
+	// reproduce exactly what a repair would compute. Safe mode selects no
+	// engine: placements are bit-identical across worker counts, so a
+	// repair is a plain re-run of the default trajectory.
 	SafeMode bool
 }
 
 // Safe returns the safe-mode variant of c: the one definition of what a
 // certify repair re-runs. It is sequential and carries no checkpointing
 // or preemption, so the repair shares no state with the run that produced
-// a wrong answer; what SafeMode turns off is decided by fbpConfig alone.
+// a wrong answer, and it never nests a second repair.
 func (c Config) Safe() Config {
 	c.SafeMode = true
 	c.Workers = 1
@@ -154,17 +152,16 @@ func (c Config) Safe() Config {
 }
 
 // fbpConfig derives the partitioning configuration of one FBP level from
-// c. It is the only place SafeMode maps onto engine choices: it drops the
-// pair pass. check is nil unless every level is certified.
+// c. SafeMode does not enter it; a safe config differs from the default
+// one in Workers only. check is nil unless every level is certified.
 func (c Config) fbpConfig(ctx context.Context, dl *degrade.Log, check *certify.Checker) fbp.Config {
 	fc := fbp.Config{
-		LocalQP:  !c.NoLocalQP,
-		PairPass: !c.NoPairPass && !c.SafeMode,
-		QP:       c.QP,
-		Workers:  c.Workers,
-		Obs:      c.Obs,
-		Ctx:      ctx,
-		Degrade:  dl,
+		LocalQP: !c.NoLocalQP,
+		QP:      c.QP,
+		Workers: c.Workers,
+		Obs:     c.Obs,
+		Ctx:     ctx,
+		Degrade: dl,
 	}
 	if check != nil {
 		fc.Check = check
@@ -637,9 +634,9 @@ func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decompos
 			var ce *certify.Error
 			if err != nil && errors.As(err, &ce) && !cfg.SafeMode {
 				// Level-local repair: restore the level's entry positions
-				// and redo just this level with the conservative engines. A
-				// second certify failure propagates, and run escalates to a
-				// whole-placement safe-mode rerun.
+				// and redo just this level sequentially. A second certify
+				// failure propagates, and run escalates to a whole-placement
+				// safe-mode rerun.
 				cfg.Obs.Count("certify.fail", 1)
 				dl.Add("certify", "level-safe-mode", ce.Error())
 				cfg.Obs.Count("certify.repair", 1)

@@ -13,10 +13,11 @@ import (
 
 // TestSafeDerivation pins the single definition of safe mode: Config.Safe
 // makes the run sequential and unsnapshotted, and the FBP level config
-// derived from it drops the pair pass while carrying every piece of
-// per-run plumbing through unchanged. The
+// derived from it equals the default one except for the worker count,
+// carrying every piece of per-run plumbing through unchanged. The
 // level-local repair partitions with exactly cfg.Safe().fbpConfig, so
-// this is also the config a repaired level runs.
+// this is also the config a repaired level runs. Neither SafeMode nor
+// Workers steers the trajectory, so neither enters the fingerprint.
 func TestSafeDerivation(t *testing.T) {
 	rec := obs.New(nil)
 	cfg := Config{
@@ -39,25 +40,19 @@ func TestSafeDerivation(t *testing.T) {
 	dl := degrade.New(rec)
 	check := &certify.Checker{Obs: rec, Ctx: ctx, Level: 3}
 	got := safe.fbpConfig(ctx, dl, check)
-	if got.PairPass || got.Workers != 1 {
-		t.Fatalf("safe fbp config: PairPass %v, Workers %d; want false, 1", got.PairPass, got.Workers)
-	}
 	if got.Check != check || got.Obs != rec || got.Ctx != ctx || got.Degrade != dl {
 		t.Fatal("safe fbp config dropped Check/Obs/Ctx/Degrade")
 	}
-	if !got.LocalQP || got.QP.MaxIter != 77 {
-		t.Fatalf("safe fbp config changed the local QP: LocalQP %v, MaxIter %d", got.LocalQP, got.QP.MaxIter)
-	}
-
-	// The safe derivation differs from the default level config in the
-	// pair pass and the worker count only.
 	want := cfg.fbpConfig(ctx, dl, check)
-	if !want.PairPass {
-		t.Fatal("default fbp config has no pair pass")
-	}
-	want.PairPass, want.Workers = false, 1
+	want.Workers = 1
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("safe fbp config %+v differs from the default beyond PairPass and Workers: want %+v", got, want)
+		t.Fatalf("safe fbp config %+v differs from the default beyond Workers: want %+v", got, want)
+	}
+	if !got.LocalQP || got.QP.MaxIter != 77 {
+		t.Fatalf("fbp config LocalQP %v, QP.MaxIter %d; want true, 77", got.LocalQP, got.QP.MaxIter)
+	}
+	if ConfigFingerprint(&safe) != ConfigFingerprint(&cfg) {
+		t.Fatal("ConfigFingerprint depends on SafeMode or Workers")
 	}
 
 	// Without per-level certification the checker is a nil interface, not

@@ -46,7 +46,7 @@ func gridNetlist(side int) *netlist.Netlist {
 }
 
 // blockSubset returns the cells of a blockSide x blockSide block in the
-// middle of the grid — the shape of a 3x3-window local QP subset.
+// middle of the grid — the shape of a realization unit's local QP subset.
 func blockSubset(side, blockSide int) []netlist.CellID {
 	x0, y0 := side/2, side/2
 	var subset []netlist.CellID

@@ -19,9 +19,9 @@ import (
 	"fbplace/internal/placer"
 )
 
-// safeReference re-places the spec's instance directly with the safe-mode
-// engine set — the trajectory every certify repair re-runs — and returns
-// the positions for bit-exact comparison with a repaired served result.
+// safeReference re-places the spec's instance directly in safe mode — the
+// trajectory every certify repair re-runs — and returns the positions for
+// bit-exact comparison with a repaired served result.
 func safeReference(t *testing.T, cells int, seed int64) ([]float64, []float64) {
 	t.Helper()
 	inst, err := gen.Chip(gen.ChipSpec{NumCells: cells, Seed: seed})

@@ -213,16 +213,8 @@ func verifyDirect(ctx context.Context, j *Job) (bool, error) {
 	}
 	cfg.Workers = 1
 	cfg.Obs = (*obs.Recorder)(nil)
-	// A certify-repaired result came from a safe-mode re-run (placer
-	// internal or serve-level); reproduce it with the same conservative
-	// engine set, or the comparison would hold a repaired placement
-	// against the trajectory it was repaired away from.
-	for _, d := range res.Degradations {
-		if d.Stage == "certify" {
-			cfg = cfg.Safe()
-			break
-		}
-	}
+	// Certify-repaired results compare against this plain run too: a
+	// safe-mode repair follows the default trajectory.
 	if _, err := placer.PlaceCtx(ctx, n, cfg); err != nil {
 		return false, err
 	}

@@ -92,9 +92,8 @@ type Options struct {
 	// per-run certificates (placer.CertifyFinal is forced onto each
 	// attempt, including checkpoint resumes). An uncertifiable result is
 	// quarantined under the job's state directory and retried once in safe
-	// mode — conservative engines, sequential, no checkpoints — and a
-	// repeat failure fails the job terminally with the result_uncertified
-	// error code.
+	// mode — sequential, no checkpoints — and a repeat failure fails the
+	// job terminally with the result_uncertified error code.
 	Certify bool
 
 	// QueueLimit bounds the queue depth; submissions past it are refused
