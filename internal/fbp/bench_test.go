@@ -66,10 +66,12 @@ func BenchmarkRealizeLevel(b *testing.B) {
 
 // BenchmarkSolveFBPGrid times the global MinCostFlow alone on the FBP
 // models of a Table-I-shaped chip: gen.ErhardLike(0.001) (about 2.6k
-// cells) spread by four RQL iterations, then the model of a 24x24 and a
-// 32x32 window grid. Instance generation, spreading and each iteration's
-// model build run outside the timer; the pivot count and the time per
-// pivot are reported next to ns/op.
+// cells) spread by four RQL iterations, then the model of a 16x16, a
+// 24x24 and a 32x32 window grid (16x16 and 24x24 are perfbench's
+// table1-fine levels). Instance generation, spreading and each
+// iteration's model build run outside the timer; the pivot count, the
+// degenerate (zero flow change) pivots among them and the time per pivot
+// are reported next to ns/op.
 func BenchmarkSolveFBPGrid(b *testing.B) {
 	spec := gen.ErhardLike(0.001)
 	inst, err := gen.Chip(spec)
@@ -86,12 +88,12 @@ func BenchmarkSolveFBPGrid(b *testing.B) {
 	}
 	decomp := region.Decompose(inst.N.Area, mbs)
 	blockages := inst.N.FixedRects()
-	for _, k := range []int{24, 32} {
+	for _, k := range []int{16, 24, 32} {
 		b.Run(fmt.Sprintf("grid=%dx%d", k, k), func(b *testing.B) {
 			g := grid.MustNew(base.Area, k, k)
 			wr := grid.BuildWindowRegions(g, decomp, blockages, 0.97)
 			assign := g.AssignCells(base)
-			pivots := 0
+			pivots, degenerate := 0, 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -101,8 +103,10 @@ func BenchmarkSolveFBPGrid(b *testing.B) {
 					b.Fatal(err)
 				}
 				pivots += m.Stats.NSPivots
+				degenerate += m.G.Degenerate
 			}
 			b.ReportMetric(float64(pivots)/float64(b.N), "pivots")
+			b.ReportMetric(float64(degenerate)/float64(b.N), "degenerate")
 			if pivots > 0 {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pivots), "ns/pivot")
 			}

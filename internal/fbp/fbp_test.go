@@ -1,12 +1,15 @@
 package fbp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
+	"fbplace/internal/degrade"
+	"fbplace/internal/faultsim"
 	"fbplace/internal/geom"
 	"fbplace/internal/grid"
 	"fbplace/internal/netlist"
@@ -423,6 +426,45 @@ func TestModelSizeLinearInWindows(t *testing.T) {
 		}
 		prevNodes = m.Stats.NumNodes
 	}
+}
+
+// TestSolveSpanReportsModelSizeAfterSSPFallback arms the simplex stall.
+// The SSP fallback adds its super source, super sink and supply/demand
+// arcs to the graph, but the fbp.solve span must still report the size
+// of the model that was built.
+func TestSolveSpanReportsModelSizeAfterSSPFallback(t *testing.T) {
+	defer faultsim.Reset()
+	if err := faultsim.Arm("flow.ns.stall", faultsim.Schedule{}); err != nil {
+		t.Fatal(err)
+	}
+	wr := build(t, nil, 4, 4, 1.0, nil)
+	n := clusterNetlist(64, geom.Point{X: 2, Y: 2}, netlist.NoMovebound)
+	m := BuildModel(n, wr, wr.Grid.AssignCells(n))
+	var buf bytes.Buffer
+	m.Obs = obs.New(obs.NewJSONSink(&buf))
+	m.Degrade = &degrade.Log{}
+	if err := m.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Degrade.Len() != 1 || m.G.NumNodes() == m.Stats.NumNodes {
+		t.Fatalf("SSP fallback not taken: %d degradations, graph %d nodes, model %d",
+			m.Degrade.Len(), m.G.NumNodes(), m.Stats.NumNodes)
+	}
+	events, err := obs.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range events {
+		if e.Type != obs.EventSpan || e.Name != "fbp.solve" {
+			continue
+		}
+		if e.Attrs["nodes"] != float64(m.Stats.NumNodes) || e.Attrs["arcs"] != float64(m.Stats.NumArcs) {
+			t.Fatalf("fbp.solve span reports %v nodes, %v arcs; model has %d, %d",
+				e.Attrs["nodes"], e.Attrs["arcs"], m.Stats.NumNodes, m.Stats.NumArcs)
+		}
+		return
+	}
+	t.Fatal("no fbp.solve span in the trace")
 }
 
 func TestFigure4RealizationTrace(t *testing.T) {

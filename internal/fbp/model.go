@@ -410,9 +410,12 @@ func (m *Model) Solve() error {
 	}
 	m.Stats.SolveTime = time.Since(start) //fbpvet:allow reporting-only duration
 	m.Stats.NSPivots = m.G.Pivots
-	sp.Attr("nodes", float64(m.G.NumNodes()))
-	sp.Attr("arcs", float64(m.G.NumArcs()))
+	// The model's own size: on the SSP fallback m.G also holds the super
+	// source, super sink and supply/demand arcs that Solve added.
+	sp.Attr("nodes", float64(m.Stats.NumNodes))
+	sp.Attr("arcs", float64(m.Stats.NumArcs))
 	sp.Attr("pivots", float64(m.G.Pivots))
+	sp.Attr("degenerate", float64(m.G.Degenerate))
 	if err != nil {
 		if inf, ok := err.(*flow.ErrInfeasible); ok {
 			return &ErrInfeasible{Unrouted: inf.Unrouted}

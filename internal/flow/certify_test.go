@@ -17,7 +17,7 @@ func TestNSCertifiedOnFBPGrids(t *testing.T) {
 	var chk certify.Checker
 	certified := 0
 	for seed := int64(0); seed < 60; seed++ {
-		_, g := flow.RandomGridMCF(seed)
+		_, g := flow.RandomGridMCF(seed, false)
 		if _, err := g.SolveNS(); err != nil {
 			var inf *flow.ErrInfeasible
 			if !errors.As(err, &inf) {
@@ -35,6 +35,42 @@ func TestNSCertifiedOnFBPGrids(t *testing.T) {
 	}
 }
 
+// TestNSDemandNodesAbsorbWithinDemand pins why SolveNS caps each root
+// arc of its starting tree at the demand it carries: demand node 2 has a
+// zero-cost arc to demand node 1 and D > S, so an uncapped root arc into
+// node 2 can pass root flow on to node 1 and leave node 2 shipping real
+// flow out, which certify rejects as absorbing below zero. With this arc
+// order the uncapped start does end there.
+func TestNSDemandNodesAbsorbWithinDemand(t *testing.T) {
+	g := flow.NewMinCostFlow(4)
+	g.SetSupply(0, 2)
+	g.SetSupply(1, -1)
+	g.SetSupply(2, -2)
+	g.SetSupply(3, -3)
+	g.AddArc(1, 0, flow.Inf, 2)
+	g.AddArc(2, 1, flow.Inf, 0)
+	g.AddArc(0, 1, flow.Inf, 2)
+	g.AddArc(0, 3, flow.Inf, 0)
+	cost, err := g.SolveNS()
+	if err != nil || cost != 0 {
+		t.Fatalf("cost = %v, err = %v; want 0, nil", cost, err)
+	}
+	if err := (&certify.Checker{}).Flow(g); err != nil {
+		t.Fatal(err)
+	}
+	absorbed := make([]float64, g.NumNodes())
+	for id := flow.ArcID(0); int(id) < g.NumArcs(); id++ {
+		from, to, _, _ := g.ArcInfo(id)
+		absorbed[from] -= g.Flow(id)
+		absorbed[to] += g.Flow(id)
+	}
+	for v := 1; v < g.NumNodes(); v++ {
+		if d := -g.Supply(v); absorbed[v] < 0 || absorbed[v] > d {
+			t.Fatalf("demand node %d absorbs %g outside [0, %g]", v, absorbed[v], d)
+		}
+	}
+}
+
 // TestCertifyRejectsPerturbedFlow corrupts one arc flow of a certified
 // solution and expects the certificate to name the violated condition:
 // extra flow on an uncapacitated arc breaks conservation at its ends,
@@ -43,7 +79,7 @@ func TestCertifyRejectsPerturbedFlow(t *testing.T) {
 	caught := map[string]int{}
 	for seed := int64(0); seed < 10; seed++ {
 		var free, capped flow.ArcID = -1, -1
-		_, g := flow.RandomGridMCF(seed)
+		_, g := flow.RandomGridMCF(seed, false)
 		if _, err := g.SolveNS(); err != nil {
 			continue
 		}
@@ -66,7 +102,7 @@ func TestCertifyRejectsPerturbedFlow(t *testing.T) {
 			if c.arc < 0 {
 				continue
 			}
-			_, h := flow.RandomGridMCF(seed)
+			_, h := flow.RandomGridMCF(seed, false)
 			if _, err := h.SolveNS(); err != nil {
 				t.Fatal(err)
 			}

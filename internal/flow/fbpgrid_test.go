@@ -10,9 +10,10 @@ import (
 // comparing the two solvers: a k x k window mesh whose opposite arc pairs
 // all cost the same (zero in half the instances, so every mesh route
 // ties), some of them capacitated; window demands that together exceed
-// the supply; and cell-cluster supply nodes, each tied to a few windows
-// by uncapacitated arcs of small integer (often equal) movement cost.
-func randomGridMCF(seed int64) (*MinCostFlow, *MinCostFlow) {
+// the supply (with excessSupply, fall short of it); and cell-cluster
+// supply nodes, each tied to a few windows by uncapacitated arcs of small
+// integer (often equal) movement cost.
+func randomGridMCF(seed int64, excessSupply bool) (*MinCostFlow, *MinCostFlow) {
 	rng := rand.New(rand.NewSource(seed))
 	k := 6 + rng.Intn(19)
 	sources := k + rng.Intn(2*k)
@@ -47,7 +48,8 @@ func randomGridMCF(seed int64) (*MinCostFlow, *MinCostFlow) {
 			}
 		}
 	}
-	// Window capacities: 1.2-2x the supply in total, spread unevenly.
+	// Window capacities: 1.2-2x the supply in total (0.5-0.95x with
+	// excessSupply), spread unevenly.
 	supply := make([]float64, sources)
 	total := 0.0
 	for s := range supply {
@@ -60,7 +62,11 @@ func randomGridMCF(seed int64) (*MinCostFlow, *MinCostFlow) {
 		weight[w] = rng.Float64()
 		sumW += weight[w]
 	}
-	demand := total * (1.2 + 0.8*rng.Float64())
+	lo, hi := 1.2, 2.0
+	if excessSupply {
+		lo, hi = 0.5, 0.95
+	}
+	demand := total * (lo + (hi-lo)*rng.Float64())
 	for w := range weight {
 		b := math.Round(demand*weight[w]/sumW*4) / 4
 		g1.SetSupply(w, -b)
@@ -82,36 +88,42 @@ func randomGridMCF(seed int64) (*MinCostFlow, *MinCostFlow) {
 
 // TestNSMatchesSSPOnFBPGrids checks the simplex against the successive
 // shortest path oracle on FBP-shaped instances full of ties, and that it
-// stays far from its cycling guard.
+// stays far from its cycling guard. With excess supply every instance is
+// infeasible and the unrouted amounts must agree.
 func TestNSMatchesSSPOnFBPGrids(t *testing.T) {
-	feasible := 0
-	for seed := int64(0); seed < 60; seed++ {
-		g1, g2 := randomGridMCF(seed)
-		c1, e1 := g1.Solve()
-		c2, e2 := g2.SolveNS()
-		if (e1 == nil) != (e2 == nil) {
-			t.Fatalf("seed %d: SSP err %v, NS err %v", seed, e1, e2)
-		}
-		if e1 != nil {
-			i1, ok1 := e1.(*ErrInfeasible)
-			i2, ok2 := e2.(*ErrInfeasible)
-			if !ok1 || !ok2 || math.Abs(i1.Unrouted-i2.Unrouted) > 1e-6 {
-				t.Fatalf("seed %d: SSP err %v, NS err %v", seed, e1, e2)
+	for _, excess := range []bool{false, true} {
+		feasible := 0
+		for seed := int64(0); seed < 60; seed++ {
+			g1, g2 := randomGridMCF(seed, excess)
+			c1, e1 := g1.Solve()
+			c2, e2 := g2.SolveNS()
+			// The simplex runs over the real arcs plus one artificial arc
+			// per node.
+			m := g2.NumArcs() + g2.NumNodes()
+			if limit := maxPivotsFor(m) / 50; g2.Pivots > limit {
+				t.Fatalf("excess %v seed %d: %d pivots, want <= %d (guard %d)", excess, seed, g2.Pivots, limit, maxPivotsFor(m))
 			}
-			continue
+			if (e1 == nil) != (e2 == nil) {
+				t.Fatalf("excess %v seed %d: SSP err %v, NS err %v", excess, seed, e1, e2)
+			}
+			if e1 != nil {
+				i1, ok1 := e1.(*ErrInfeasible)
+				i2, ok2 := e2.(*ErrInfeasible)
+				if !ok1 || !ok2 || math.Abs(i1.Unrouted-i2.Unrouted) > 1e-6 {
+					t.Fatalf("excess %v seed %d: SSP err %v, NS err %v", excess, seed, e1, e2)
+				}
+				continue
+			}
+			feasible++
+			if math.Abs(c1-c2) > 1e-6*math.Max(1, math.Abs(c1)) {
+				t.Fatalf("excess %v seed %d: NS cost %v, SSP cost %v", excess, seed, c2, c1)
+			}
 		}
-		feasible++
-		if math.Abs(c1-c2) > 1e-6*math.Max(1, math.Abs(c1)) {
-			t.Fatalf("seed %d: NS cost %v, SSP cost %v", seed, c2, c1)
+		if !excess && feasible < 40 {
+			t.Fatalf("only %d of 60 instances feasible; the generator no longer exercises the optimum", feasible)
 		}
-		// The simplex runs over the real arcs plus at most one dummy and
-		// one artificial arc per node.
-		m := g2.NumArcs() + 2*g2.NumNodes() + 2
-		if limit := maxPivotsFor(m) / 50; g2.Pivots > limit {
-			t.Fatalf("seed %d: %d pivots, want <= %d (guard %d)", seed, g2.Pivots, limit, maxPivotsFor(m))
+		if excess && feasible > 0 {
+			t.Fatalf("%d of 60 excess-supply instances feasible; the generator no longer exercises the unrouted path", feasible)
 		}
-	}
-	if feasible < 40 {
-		t.Fatalf("only %d of 60 instances feasible; the generator no longer exercises the optimum", feasible)
 	}
 }

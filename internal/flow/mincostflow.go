@@ -52,6 +52,9 @@ type MinCostFlow struct {
 	// is published on every exit of the pivot loop — including stalls and
 	// context aborts — so fallback paths keep the work visible.
 	Pivots int
+	// Degenerate is the number of those pivots that changed no flow,
+	// published on the same exits as Pivots.
+	Degenerate int
 
 	// buildErr latches the first model-construction defect (negative arc
 	// cost). Solve and SolveNS refuse to run a defective model, so the
@@ -72,7 +75,8 @@ type MinCostFlow struct {
 // the solver's own exit criteria.
 type Duals struct {
 	// Pot[v] is the potential of real node v (the nodes that existed when
-	// the solve started; solver-internal super/dummy nodes are excluded).
+	// the solve started; Solve's super source and sink and SolveNS's
+	// artificial root are excluded).
 	Pot []float64
 	// Arcs is the number of real arcs at solve entry: certificates apply
 	// to ArcIDs < Arcs (Solve appends internal supply/demand arcs).

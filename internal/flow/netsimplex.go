@@ -34,54 +34,27 @@ func (e *ErrStalled) Error() string {
 // Dijkstra-based augmentation churn is handled by plain tree pivots.
 //
 // Like Solve, it routes all supply (demands may stay unfilled) and returns
-// *ErrInfeasible when some supply cannot reach remaining demand. After a
-// successful run Flow(id) reports the arc flows.
+// *ErrInfeasible when some supply cannot reach remaining demand. The
+// simplex runs over the real nodes plus one artificial root that balances
+// the instance (see coldInit). After a successful run Flow(id) reports
+// the arc flows.
 func (g *MinCostFlow) SolveNS() (float64, error) {
 	if g.buildErr != nil {
 		return 0, g.buildErr
 	}
 	g.duals = nil
 	n := len(g.adj)
-	// Balance the instance: total supply S must equal total demand D.
-	// D >= S is the normal case (capacity exceeds cell area): a dummy
-	// supply node feeds the leftover demand at zero cost. S > D is
-	// impossible to satisfy; route what fits and report infeasible.
-	totalSupply, totalDemand := 0.0, 0.0
-	for v := 0; v < n; v++ {
-		if b := g.supply[v]; b > Eps {
-			totalSupply += b
-		} else if b < -Eps {
-			totalDemand += -b
-		}
-	}
 	ns := &netSimplex{}
-	numNodes := n + 2 // + dummy balancer + artificial root
-	dummy := n
-	root := n + 1
-	ns.init(numNodes)
-	b := make([]float64, numNodes)
+	root := n
+	ns.init(n + 1)
+	// The root takes the imbalance b[root] = D - S, of either sign.
+	b := make([]float64, n+1)
+	totalSupply := 0.0
 	for v := 0; v < n; v++ {
 		b[v] = g.supply[v]
-	}
-	var dummyArcs []int
-	if totalDemand >= totalSupply {
-		b[dummy] = totalDemand - totalSupply
-		for v := 0; v < n; v++ {
-			if g.supply[v] < -Eps {
-				ns.addArc(dummy, v, -g.supply[v], 0)
-			}
-		}
-	} else {
-		// More supply than demand: the instance cannot route everything.
-		// The dummy absorbs the excess at a cost just above any real
-		// path, so the simplex still routes as much real flow as possible
-		// and the absorbed amount is reported as unrouted below.
-		b[dummy] = -(totalSupply - totalDemand)
-		spill := (g.maxCost + 1) * float64(n)
-		for v := 0; v < n; v++ {
-			if g.supply[v] > Eps {
-				dummyArcs = append(dummyArcs, ns.addArc(v, dummy, g.supply[v], spill))
-			}
+		b[root] -= b[v]
+		if b[v] > Eps {
+			totalSupply += b[v]
 		}
 	}
 	// Real arcs (forward arcs as added by AddArc; adj holds residuals but
@@ -98,25 +71,20 @@ func (g *MinCostFlow) SolveNS() (float64, error) {
 	// and the degradation record.
 	defer func() {
 		g.Pivots = ns.pivots
+		g.Degenerate = ns.degenerate
 		g.Obs.Count("ns.pivots", float64(ns.pivots))
 		g.Obs.Count("ns.degenerate", float64(ns.degenerate))
 	}()
 	if err := ns.run(g.Ctx, b, g.maxCost); err != nil {
 		return 0, err
 	}
-	// Infeasibility: artificial root arcs still carrying flow, plus any
-	// excess supply the dummy had to absorb. Artificial flows pair up
-	// (stranded supply x -> root matches unmet demand root -> y), so only
-	// the supply side is counted; the dummy's own artificial arc carries
-	// bookkeeping flow, not real supply.
+	// Infeasibility: supply that reached no demand is left on the big-M
+	// up-arcs into the root, whether S <= D or S > D.
 	unrouted := 0.0
 	for _, ai := range ns.artificial {
-		if int(ns.to[ai]) == root && int(ns.from[ai]) != dummy {
+		if int(ns.to[ai]) == root {
 			unrouted += ns.flow[ai]
 		}
-	}
-	for _, ai := range dummyArcs {
-		unrouted += ns.flow[ai]
 	}
 	// Write flows back into the residual structure so Flow(id) works.
 	totalCost := 0.0
@@ -204,11 +172,15 @@ func (ns *netSimplex) addArc(u, v int, capacity, cost float64) int {
 	return len(ns.from) - 1
 }
 
-// coldInit builds the classic all-artificial starting tree: every node
-// hangs off the root through a big-M arc oriented by the sign of its
-// imbalance, which carries exactly that imbalance. Every node can send
-// flow to the root, so the tree is strongly feasible; the thread visits
-// the root, then the other nodes in index order.
+// coldInit builds the starting tree, with the artificial root as the
+// balancer (b[root] = D - S), as LEMON's NetworkSimplex does for supply
+// inequalities. A demand node hangs down on a zero-cost root arc capped at
+// its demand and saturated by it, at potential 0; every other node hangs
+// up on an uncapacitated big-M arc carrying its supply, at potential -M.
+// Every zero-flow tree arc then points at the root and every saturated one
+// away from it, so the tree is strongly feasible. The cap keeps a demand
+// node from passing root flow on along zero-cost out-arcs. The thread
+// visits the root, then the other nodes in index order.
 func (ns *netSimplex) coldInit(b []float64, root int, maxCost float64) {
 	nn := ns.numNodes
 	bigM := (maxCost + 1) * float64(nn)
@@ -226,16 +198,14 @@ func (ns *netSimplex) coldInit(b []float64, root int, maxCost float64) {
 			continue
 		}
 		var ai int
-		if b[v] >= 0 {
+		if b[v] < 0 {
+			ai = ns.addArc(root, v, -b[v], 0)
+			ns.flow[ai] = -b[v]
+		} else {
 			ai = ns.addArc(v, root, Inf, bigM)
 			ns.flow[ai] = b[v]
 			ns.predUp[v] = true
 			ns.pi[v] = -bigM
-		} else {
-			ai = ns.addArc(root, v, Inf, bigM)
-			ns.flow[ai] = -b[v]
-			ns.predUp[v] = false
-			ns.pi[v] = bigM
 		}
 		ns.state[ai] = stateTree
 		ns.artificial = append(ns.artificial, ai)
@@ -260,7 +230,7 @@ func (ns *netSimplex) coldInit(b []float64, root int, maxCost float64) {
 func maxPivotsFor(m int) int { return 200*m + 10000 }
 
 // run executes the pivot loop from the starting tree set up by coldInit;
-// b is the (balanced) imbalance vector including the dummy node. A
+// b is the (balanced) imbalance vector including the root. A
 // non-nil ctx is polled periodically and aborts the run with the
 // context's error.
 func (ns *netSimplex) run(ctx context.Context, b []float64, maxCost float64) error {
@@ -269,8 +239,8 @@ func (ns *netSimplex) run(ctx context.Context, b []float64, maxCost float64) err
 	scan := 0
 	maxPivots := maxPivotsFor(m)
 	if nsDebugCheck != nil {
-		// Validate the starting tree too (pivot -1): the all-artificial
-		// start must satisfy the same invariants as a pivoted one.
+		// Validate the starting tree too (pivot -1): it must satisfy the
+		// same invariants as a pivoted one.
 		nsDebugCheck(ns, b, -1)
 	}
 	for pivot := 0; ; pivot++ {

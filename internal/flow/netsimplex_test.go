@@ -254,15 +254,16 @@ func BenchmarkNSGrid(b *testing.B) {
 
 // TestNSInvariantsPerPivot validates the full simplex invariants
 // (conservation, bounds, zero reduced cost on tree arcs, the thread-indexed
-// tree arrays) after every pivot of several random instances, the last
-// few of them FBP-shaped grids.
+// tree arrays, strong feasibility) after every pivot of several random
+// instances, the last few of them FBP-shaped grids, four of those with
+// excess supply.
 func TestNSInvariantsPerPivot(t *testing.T) {
 	rng := rand.New(rand.NewSource(321))
 	defer func() { nsDebugCheck = nil }()
-	for trial := 0; trial < 48; trial++ {
+	for trial := 0; trial < 52; trial++ {
 		g, _ := buildRandomMCF(rng.Int63())
 		if trial >= 40 {
-			g, _ = randomGridMCF(int64(trial))
+			g, _ = randomGridMCF(int64(trial), trial >= 48)
 		}
 		nsDebugCheck = func(ns *netSimplex, b []float64, pivotNo int) {
 			if err := nsValidate(ns, b, pivotNo); err != nil {

@@ -72,6 +72,22 @@ func nsValidate(ns *netSimplex, b []float64, pivotNo int) error {
 	if root < 0 {
 		return fmt.Errorf("pivot %d: no root", pivotNo)
 	}
+	// Strong feasibility, which Cunningham's leaving-arc rule keeps: every
+	// tree arc can carry more flow towards the root, so a zero-flow tree
+	// arc points at the root and a saturated one points away from it.
+	for v := 0; v < ns.numNodes; v++ {
+		if v == root {
+			continue
+		}
+		ai := ns.predArc[v]
+		if ns.flow[ai] == 0 && !ns.predUp[v] {
+			return fmt.Errorf("pivot %d: zero-flow tree arc %d points away from the root", pivotNo, ai)
+		}
+		//fbpvet:floatok changeFlow snaps the leaving arc exactly onto its bound
+		if ns.flow[ai] == ns.cap[ai] && ns.predUp[v] {
+			return fmt.Errorf("pivot %d: saturated tree arc %d points at the root", pivotNo, ai)
+		}
+	}
 	for v := 0; v < ns.numNodes; v++ {
 		x, hops := v, 0
 		for ns.parent[x] >= 0 {
