@@ -138,9 +138,9 @@ wait "$daemon" || { echo "service e2e: drain exited non-zero" >&2; exit 1; }
 echo "== certification e2e =="
 # Certify-and-repair gate (internal/certify): a certified run passes; one
 # injected silent corruption (certify.corrupt bit-flips a position) is
-# caught and repaired in safe mode with the repair on record; unlimited
-# corruption must fail the run with the structured certify error. Safe
-# mode selects no engine and placements are bit-identical across worker
+# caught and repaired by the placer's one re-run, recorded as a
+# safe-mode degradation; unlimited corruption must fail the run with the
+# structured certify error. Placements are bit-identical across worker
 # counts, so the repaired positions must equal a plain default run. See
 # README "Certification & safe mode".
 "$ckdir/fbplace" -cells 2000 -seed 3 -certify >/dev/null

@@ -49,7 +49,7 @@ func run() int {
 	strikes := flag.Int("watchdog-strikes", 3, "consecutive no-progress attempts before a job fails terminally as stuck")
 	diskLow := flag.String("disk-low", "128MB", "free-disk watermark below which checkpointing is disabled (\"off\" disables the check)")
 	gcKeep := flag.Int("gc-keep", 256, "terminal jobs retained before the disk governor collects them (negative = keep all)")
-	certifyF := flag.Bool("certify", false, "independently certify every result before it is cached or served; uncertifiable results retry once in safe mode, then fail as result_uncertified")
+	certifyF := flag.Bool("certify", false, "independently certify every result before it is cached or served; the placer re-runs a failed placement once, and a result still uncertifiable fails as result_uncertified")
 	var faults []string
 	flag.Func("fault", "arm a fault injection site: name[:after=N,every=N,limit=N,prob=P,seed=N,panic=1] (repeatable)",
 		func(s string) error { faults = append(faults, s); return nil })

@@ -113,8 +113,8 @@ const (
 
 // CertifyMode selects how much of a run is independently certified (set
 // Config.Certify): nothing, the final placement, or every FBP level. A
-// failed certificate triggers a sequential safe-mode repair run; an
-// unrepairable result surfaces as a *CertifyError.
+// failed certificate re-runs the placement once, sequentially; a result
+// the re-run cannot certify either surfaces as a *CertifyError.
 type CertifyMode = placer.CertifyMode
 
 // Certification modes.
@@ -129,8 +129,8 @@ const (
 )
 
 // CertifyError reports a failed certificate (layer, level, invariant and
-// a concrete witness). Receiving one means both the fast run and the
-// safe-mode repair produced results that failed independent verification.
+// a concrete witness). Receiving one means both the run and its one
+// certify re-run produced results that failed independent verification.
 type CertifyError = certify.Error
 
 // Place runs global placement and legalization on the netlist in place.

@@ -9,9 +9,9 @@
 // asserted only in tests.
 //
 // Certification failures are reported as *Error carrying the layer, the
-// level, the violated invariant and a concrete witness, so repair logic
-// (internal/placer safe mode, internal/serve retry) can distinguish a
-// wrong answer from an engine failure. Context cancellation is returned
+// level, the violated invariant and a concrete witness, so the placer's
+// one re-run and the daemon's quarantine (internal/serve) can distinguish
+// a wrong answer from an engine failure. Context cancellation is returned
 // as the context's error, never as *Error: an aborted check says nothing
 // about the result.
 package certify

@@ -64,10 +64,10 @@ type Config struct {
 	// Check, when non-nil, certifies intermediate solver results: the MCF
 	// solution right after Solve and every realization transportation
 	// right after its engine returns. Failures propagate as the checker's
-	// error (internal/certify returns *certify.Error), which callers use
-	// to trigger safe-mode repair. The interface lives here rather than
-	// importing internal/certify so the dependency keeps pointing from the
-	// certifier at the solvers, never back.
+	// error (internal/certify returns *certify.Error), which the placer
+	// answers with its one whole-run re-run. The interface lives here
+	// rather than importing internal/certify so the dependency keeps
+	// pointing from the certifier at the solvers, never back.
 	Check Checker
 }
 

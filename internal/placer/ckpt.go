@@ -150,8 +150,8 @@ func ConfigFingerprint(cfg *Config) uint64 {
 // different configuration. Workers is deliberately excluded — the placer
 // guarantees bit-identical results across worker counts — as are Obs,
 // Checkpoint itself, Preempt (a preempted-and-resumed run reproduces the
-// uninterrupted one), Certify and SafeMode (checks observe the trajectory
-// and a repair re-runs it; neither steers it, and a Safe run never
+// uninterrupted one), Certify (checks observe the trajectory and the
+// certify re-run repeats it; neither steers it, and the re-run never
 // checkpoints), and the QP plumbing fields (Obs/Stats/Ctx/Workspace/Degrade)
 // the placer injects per run.
 func configFingerprint(cfg *Config) uint64 {

@@ -39,8 +39,8 @@ var levelFault = faultsim.Register("placer.level.fail",
 // corruptFault silently bit-flips one cell position between realization
 // and legalization — the kind of wrong answer no solver error path can
 // report. It exists to prove end-to-end that certification catches
-// corruption, safe mode repairs it, and a corrupted result is never
-// cached (see internal/serve and ci.sh).
+// corruption, the one whole-run re-run repairs it, and a corrupted result
+// is never cached (see internal/serve and ci.sh).
 var corruptFault = faultsim.Register("certify.corrupt",
 	"bit-flips one cell position between realization and legalization")
 
@@ -124,36 +124,18 @@ type Config struct {
 	// observability at the cost of a nil check per call site.
 	Obs *obs.Recorder
 	// Certify enables independent result certification (internal/certify).
-	// A failed certificate triggers safe-mode repair: the failing level
-	// (CertifyEveryLevel) or the whole run is re-executed in safe mode
-	// (Safe), recorded as a "certify" degradation with the
-	// certify.fail/certify.repair counters. A repair that fails
-	// certification again propagates the *certify.Error to the caller.
+	// A failed certificate — a level's (CertifyEveryLevel) or the final
+	// placement's — restores the entry positions and re-runs the whole
+	// placement once, recorded as a "certify" -> "safe-mode" degradation
+	// with the certify.fail/certify.repair counters. Placements are
+	// bit-identical across worker counts, so the re-run follows the
+	// default trajectory. A re-run that fails certification again
+	// propagates the *certify.Error to the caller.
 	Certify CertifyMode
-	// SafeMode marks a repair run: it certifies without repairing again.
-	// Set it through Safe, which also makes the run sequential and
-	// unsnapshotted; every repair runs Safe(), and callers may too, to
-	// reproduce exactly what a repair would compute. Safe mode selects no
-	// engine: placements are bit-identical across worker counts, so a
-	// repair is a plain re-run of the default trajectory.
-	SafeMode bool
-}
-
-// Safe returns the safe-mode variant of c: the one definition of what a
-// certify repair re-runs. It is sequential and carries no checkpointing
-// or preemption, so the repair shares no state with the run that produced
-// a wrong answer, and it never nests a second repair.
-func (c Config) Safe() Config {
-	c.SafeMode = true
-	c.Workers = 1
-	c.Checkpoint = Checkpoint{}
-	c.Preempt = nil
-	return c
 }
 
 // fbpConfig derives the partitioning configuration of one FBP level from
-// c. SafeMode does not enter it; a safe config differs from the default
-// one in Workers only. check is nil unless every level is certified.
+// c. check is nil unless every level is certified.
 func (c Config) fbpConfig(ctx context.Context, dl *degrade.Log, check *certify.Checker) fbp.Config {
 	fc := fbp.Config{
 		LocalQP: !c.NoLocalQP,
@@ -256,7 +238,7 @@ type Report struct {
 	// robustness (see DESIGN.md §6).
 	Degradations []degrade.Event
 	// Certified is true when Config.Certify was enabled and the final
-	// certificates held (possibly after a safe-mode repair, which then
+	// certificates held (possibly after the certify re-run, which then
 	// appears in Degradations as a "certify" stage).
 	Certified bool
 }
@@ -293,11 +275,11 @@ func Resume(ctx context.Context, n *netlist.Netlist, dir string, cfg Config) (*R
 }
 
 // run is the shared body of PlaceCtx and Resume; resumeDir is empty for
-// fresh runs. With certification enabled it is also the whole-run repair
-// loop: a *certify.Error from the attempt restores the entry positions
-// and re-runs the placement once as Config.Safe. A repair that fails
-// certification again propagates the error; so does a certify failure of
-// a run that was already in safe mode.
+// fresh runs. It also owns the one certify repair: a *certify.Error from
+// the attempt restores the entry positions and re-runs the placement once,
+// fresh, sequentially and without checkpoints or preemption, so the re-run
+// shares no state with the attempt that produced the wrong answer. A
+// second certify failure propagates.
 func run(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir string) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -308,24 +290,26 @@ func run(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir string) 
 	cfg.fill()
 	dl := degrade.New(cfg.Obs)
 	var entryX, entryY []float64
-	if cfg.Certify != CertifyOff && !cfg.SafeMode {
+	if cfg.Certify != CertifyOff {
 		entryX = append([]float64(nil), n.X...)
 		entryY = append([]float64(nil), n.Y...)
 	}
 	rep, err := runOnce(ctx, n, cfg, resumeDir, dl)
 	var ce *certify.Error
-	if err != nil && errors.As(err, &ce) {
+	if !errors.As(err, &ce) {
+		return rep, err
+	}
+	cfg.Obs.Count("certify.fail", 1)
+	dl.Add("certify", "safe-mode", ce.Error())
+	cfg.Obs.Count("certify.repair", 1)
+	copy(n.X, entryX)
+	copy(n.Y, entryY)
+	cfg.Workers = 1
+	cfg.Checkpoint = Checkpoint{}
+	cfg.Preempt = nil
+	rep, err = runOnce(ctx, n, cfg, "", dl)
+	if errors.As(err, &ce) {
 		cfg.Obs.Count("certify.fail", 1)
-		if !cfg.SafeMode {
-			dl.Add("certify", "safe-mode", ce.Error())
-			cfg.Obs.Count("certify.repair", 1)
-			copy(n.X, entryX)
-			copy(n.Y, entryY)
-			rep, err = runOnce(ctx, n, cfg.Safe(), "", dl)
-			if err != nil && errors.As(err, &ce) {
-				cfg.Obs.Count("certify.fail", 1)
-			}
-		}
 	}
 	return rep, err
 }
@@ -613,36 +597,11 @@ func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decompos
 			if cfg.Certify == CertifyEveryLevel {
 				checker = &certify.Checker{Obs: cfg.Obs, Ctx: ctx, Level: lv}
 			}
-			partition := func(fc fbp.Config) (*fbp.Result, error) {
-				res, perr := fbp.Partition(n, wr, fc)
-				if perr != nil {
-					return nil, perr
-				}
-				if checker != nil {
-					if cerr := checker.Partition(n, wr, res); cerr != nil {
-						return nil, cerr
-					}
-				}
-				return res, nil
-			}
-			var lvlX, lvlY []float64
-			if checker != nil && !cfg.SafeMode {
-				lvlX = append([]float64(nil), n.X...)
-				lvlY = append([]float64(nil), n.Y...)
-			}
-			res, err := partition(cfg.fbpConfig(ctx, dl, checker))
-			var ce *certify.Error
-			if err != nil && errors.As(err, &ce) && !cfg.SafeMode {
-				// Level-local repair: restore the level's entry positions
-				// and redo just this level sequentially. A second certify
-				// failure propagates, and run escalates to a whole-placement
-				// safe-mode rerun.
-				cfg.Obs.Count("certify.fail", 1)
-				dl.Add("certify", "level-safe-mode", ce.Error())
-				cfg.Obs.Count("certify.repair", 1)
-				copy(n.X, lvlX)
-				copy(n.Y, lvlY)
-				res, err = partition(cfg.Safe().fbpConfig(ctx, dl, checker))
+			// A failed level certificate leaves the loop wrapped in %w, so
+			// run sees the *certify.Error and re-runs the whole placement.
+			res, err := fbp.Partition(n, wr, cfg.fbpConfig(ctx, dl, checker))
+			if err == nil && checker != nil {
+				err = checker.Partition(n, wr, res)
 			}
 			if err != nil {
 				lsp.End()

@@ -1,15 +1,19 @@
 package placer
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
 
+	"fbplace/internal/certify"
+	"fbplace/internal/degrade"
 	"fbplace/internal/gen"
 	"fbplace/internal/geom"
 	"fbplace/internal/legalize"
 	"fbplace/internal/netlist"
 	"fbplace/internal/obs"
+	"fbplace/internal/qp"
 	"fbplace/internal/region"
 )
 
@@ -340,5 +344,35 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := (&Config{}).Validate(); err != nil {
 		t.Fatalf("zero config rejected: %v", err)
+	}
+}
+
+// TestFBPConfigForwarding pins how a level's fbp.Config derives from the
+// placer's: the local-QP switch, the QP options and every piece of
+// per-run plumbing carry through, and without per-level certification the
+// checker is a nil interface, not a typed nil the realization would call
+// into. Workers does not steer the trajectory, so it stays out of the
+// fingerprint.
+func TestFBPConfigForwarding(t *testing.T) {
+	rec := obs.New(nil)
+	cfg := Config{Workers: 4, Obs: rec, QP: qp.Options{MaxIter: 77, Obs: rec}}
+	ctx := context.Background()
+	dl := degrade.New(rec)
+	check := &certify.Checker{Obs: rec, Ctx: ctx, Level: 3}
+	got := cfg.fbpConfig(ctx, dl, check)
+	if got.Check != check || got.Obs != rec || got.Ctx != ctx || got.Degrade != dl {
+		t.Fatal("fbp config dropped Check/Obs/Ctx/Degrade")
+	}
+	if !got.LocalQP || got.QP.MaxIter != 77 || got.Workers != 4 {
+		t.Fatalf("fbp config LocalQP %v, QP.MaxIter %d, Workers %d; want true, 77, 4",
+			got.LocalQP, got.QP.MaxIter, got.Workers)
+	}
+	if c := cfg.fbpConfig(ctx, dl, nil); c.Check != nil {
+		t.Fatalf("Check = %#v without a checker, want nil", c.Check)
+	}
+	seq := cfg
+	seq.Workers = 1
+	if ConfigFingerprint(&seq) != ConfigFingerprint(&cfg) {
+		t.Fatal("ConfigFingerprint depends on Workers")
 	}
 }

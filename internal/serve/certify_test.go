@@ -19,10 +19,11 @@ import (
 	"fbplace/internal/placer"
 )
 
-// safeReference re-places the spec's instance directly in safe mode — the
-// trajectory every certify repair re-runs — and returns the positions for
-// bit-exact comparison with a repaired served result.
-func safeReference(t *testing.T, cells int, seed int64) ([]float64, []float64) {
+// defaultReference re-places the spec's instance directly with the default
+// configuration and worker count — the trajectory the certify re-run
+// repeats — and returns the positions for bit-exact comparison with a
+// repaired served result.
+func defaultReference(t *testing.T, cells int, seed int64) ([]float64, []float64) {
 	t.Helper()
 	inst, err := gen.Chip(gen.ChipSpec{NumCells: cells, Seed: seed})
 	if err != nil {
@@ -32,7 +33,7 @@ func safeReference(t *testing.T, cells int, seed int64) ([]float64, []float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := placer.Place(inst.N, cfg.Safe()); err != nil {
+	if _, err := placer.Place(inst.N, cfg); err != nil {
 		t.Fatal(err)
 	}
 	return inst.N.X, inst.N.Y
@@ -46,16 +47,16 @@ func wantBitIdentical(t *testing.T, res *Result, wantX, wantY []float64) {
 	for i := range wantX {
 		if math.Float64bits(res.X[i]) != math.Float64bits(wantX[i]) ||
 			math.Float64bits(res.Y[i]) != math.Float64bits(wantY[i]) {
-			t.Fatalf("cell %d: served (%x,%x) != safe-mode reference (%x,%x)",
+			t.Fatalf("cell %d: served (%x,%x) != default reference (%x,%x)",
 				i, math.Float64bits(res.X[i]), math.Float64bits(res.Y[i]),
 				math.Float64bits(wantX[i]), math.Float64bits(wantY[i]))
 		}
 	}
 }
 
-func hasCertifyDegradation(res *Result, fallback string) bool {
+func hasCertifyRepair(res *Result) bool {
 	for _, d := range res.Degradations {
-		if d.Stage == "certify" && d.Fallback == fallback {
+		if d.Stage == "certify" && d.Fallback == "safe-mode" {
 			return true
 		}
 	}
@@ -83,9 +84,9 @@ func wantQuarantine(t *testing.T, s *Scheduler, id string) {
 
 // TestCertifyRepair arms one silent corruption: the first attempt's
 // placement is bit-flipped between realization and legalization, the
-// placer's internal certificate catches it and repairs in safe mode, and
-// the service serves a certified result bit-identical to a direct
-// safe-mode run — with the repair on record and nothing corrupt cached.
+// placer's internal certificate catches it and re-runs the placement, and
+// the service serves a certified result bit-identical to a plain default
+// run — with the repair on record and nothing corrupt cached.
 func TestCertifyRepair(t *testing.T) {
 	const cells, seed = 700, 5
 	for _, workers := range []int{1, 4} {
@@ -111,10 +112,10 @@ func TestCertifyRepair(t *testing.T) {
 			if !j.Status().Certified {
 				t.Fatal("Status does not report the certification")
 			}
-			if !hasCertifyDegradation(res, "safe-mode") {
+			if !hasCertifyRepair(res) {
 				t.Fatalf("no placer-internal certify repair recorded: %v", res.Degradations)
 			}
-			wantX, wantY := safeReference(t, cells, seed)
+			wantX, wantY := defaultReference(t, cells, seed)
 			wantBitIdentical(t, res, wantX, wantY)
 			c := s.Obs().Counters()
 			if c["certify.fail"] != 1 || c["certify.repair"] != 1 {
@@ -136,51 +137,10 @@ func TestCertifyRepair(t *testing.T) {
 	}
 }
 
-// TestCertifyServeRetry arms two corruptions, so the initial attempt AND
-// the placer's internal repair both produce wrong answers: the certify
-// error escapes the placer and the scheduler's own safe-mode retry must
-// absorb it — quarantining the offending snapshot and still serving a
-// certified result bit-identical to the safe trajectory.
-func TestCertifyServeRetry(t *testing.T) {
-	const cells, seed = 700, 6
-	t.Cleanup(func() { leakcheck.Check(t) })
-	t.Cleanup(faultsim.Reset)
-	if err := faultsim.Arm("certify.corrupt", faultsim.Schedule{Limit: 2}); err != nil {
-		t.Fatal(err)
-	}
-	s := testSched(t, Options{Workers: 1, Certify: true})
-	j, err := s.Submit(chipSpec(cells, seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, j, 120*time.Second)
-	if j.State() != StateDone {
-		t.Fatalf("state %s (%s)", j.State(), j.Status().Error)
-	}
-	res := mustResult(t, j)
-	if !res.Certified {
-		t.Fatal("serve-retried result is not certified")
-	}
-	if !hasCertifyDegradation(res, "serve-safe-mode") {
-		t.Fatalf("no serve-level certify repair recorded: %v", res.Degradations)
-	}
-	wantQuarantine(t, s, j.ID)
-	wantX, wantY := safeReference(t, cells, seed)
-	wantBitIdentical(t, res, wantX, wantY)
-	c := s.Obs().Counters()
-	if c["certify.fail"] != 1 || c["certify.repair"] != 1 || c["certify.quarantined"] != 1 {
-		t.Fatalf("counters: fail=%g repair=%g quarantined=%g, want 1/1/1",
-			c["certify.fail"], c["certify.repair"], c["certify.quarantined"])
-	}
-	if c["certify.uncertified"] != 0 {
-		t.Fatalf("certify.uncertified=%g on a repaired job", c["certify.uncertified"])
-	}
-}
-
-// TestCertifyUnrepairable corrupts every attempt: initial, placer-internal
-// repair and the scheduler's safe retry all fail certification, so the job
-// must fail terminally with the result_uncertified code, quarantined
-// snapshots on disk, and nothing cached — a later identical submission
+// TestCertifyUnrepairable corrupts every attempt: the first run and the
+// placer's re-run both fail certification, so the job must fail
+// terminally with the result_uncertified code, the offending positions
+// quarantined on disk, and nothing cached — a later identical submission
 // runs its own placement.
 func TestCertifyUnrepairable(t *testing.T) {
 	const cells, seed = 600, 7
@@ -216,8 +176,8 @@ func TestCertifyUnrepairable(t *testing.T) {
 	if c["certify.uncertified"] != 1 {
 		t.Fatalf("certify.uncertified=%g, want 1", c["certify.uncertified"])
 	}
-	if c["certify.fail"] != 2 || c["certify.repair"] != 1 || c["certify.quarantined"] != 2 {
-		t.Fatalf("counters: fail=%g repair=%g quarantined=%g, want 2/1/2",
+	if c["certify.fail"] != 2 || c["certify.repair"] != 1 || c["certify.quarantined"] != 1 {
+		t.Fatalf("counters: fail=%g repair=%g quarantined=%g, want 2/1/1",
 			c["certify.fail"], c["certify.repair"], c["certify.quarantined"])
 	}
 

@@ -143,8 +143,8 @@ type Result struct {
 	Degradations []degrade.Event
 	// Certified is true when the placement passed independent
 	// certification (Options.Certify) before being cached or served; a
-	// certify-stage entry in Degradations means it took a safe-mode repair
-	// to get there.
+	// certify-stage entry in Degradations means the placer's certify
+	// re-run produced it.
 	Certified bool
 }
 
@@ -215,7 +215,8 @@ type Status struct {
 	Error         string `json:"error,omitempty"`
 	// ErrorCode is the machine-readable failure code when one applies
 	// (currently "result_uncertified": the placement failed independent
-	// certification and the safe-mode retry did too).
+	// certification after the placer's one re-run, or failed the
+	// scheduler's own certification gate).
 	ErrorCode string `json:"error_code,omitempty"`
 	// Certified is true when the job's result passed independent
 	// certification (Options.Certify) — including results served from the

@@ -213,8 +213,8 @@ func verifyDirect(ctx context.Context, j *Job) (bool, error) {
 	}
 	cfg.Workers = 1
 	cfg.Obs = (*obs.Recorder)(nil)
-	// Certify-repaired results compare against this plain run too: a
-	// safe-mode repair follows the default trajectory.
+	// Certify-repaired results compare against this plain run too: the
+	// placer's certify re-run follows the default trajectory.
 	if _, err := placer.PlaceCtx(ctx, n, cfg); err != nil {
 		return false, err
 	}

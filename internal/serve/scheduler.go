@@ -90,10 +90,11 @@ type Options struct {
 	// positions, overlap and movebound-violation recounts and the HPWL are
 	// re-derived by the scheduler's own checker, on top of the placer's
 	// per-run certificates (placer.CertifyFinal is forced onto each
-	// attempt, including checkpoint resumes). An uncertifiable result is
-	// quarantined under the job's state directory and retried once in safe
-	// mode — sequential, no checkpoints — and a repeat failure fails the
-	// job terminally with the result_uncertified error code.
+	// attempt, including checkpoint resumes, and the placer re-runs a
+	// placement once when its own certificate fails). A result that fails
+	// after that re-run, or fails the scheduler's gate, is quarantined
+	// under the job's state directory and fails the job terminally with
+	// the result_uncertified error code; it is never cached.
 	Certify bool
 
 	// QueueLimit bounds the queue depth; submissions past it are refused
@@ -671,32 +672,35 @@ func (s *Scheduler) runJob(j *Job) {
 
 	// Certification gate: the scheduler re-certifies the attempt's result
 	// itself, before anything can reach the cache or a client — the
-	// placer's certificates guard its internals, this one guards the
-	// boundary (and the resume path re-enters here like any attempt). A
-	// failed certificate — the scheduler's or one escaping the placer —
-	// quarantines the snapshot and earns one safe-mode retry.
+	// placer's certificates guard its internals (and its one re-run
+	// repairs what they catch), this one guards the boundary (and the
+	// resume path re-enters here like any attempt).
 	if err == nil && s.opt.Certify {
 		err = s.certifyResult(actx, j, rep)
 	}
-	var ce *certify.Error
-	if errors.As(err, &ce) {
-		rep, err = s.safeRetry(actx, j, cfg, ce)
-	}
 
+	var ce *certify.Error
 	var pe *placer.PreemptedError
 	switch {
 	case err == nil:
-		// Placer-internal certify repairs happened on the job's recorder;
-		// surface them on the service counters next to serve-level ones.
-		for _, d := range rep.Degradations {
-			if d.Stage == "certify" && d.Fallback == "safe-mode" {
-				s.rec.Count("certify.fail", 1)
-				s.rec.Count("certify.repair", 1)
-			}
-		}
+		s.countCertifyRepairs(rep)
 		s.rec.Count("serve.degradations", float64(len(rep.Degradations)))
 		s.release(j)
 		s.completeFlight(j, buildResult(j, rep))
+	case errors.As(err, &ce):
+		// A wrong answer escaped the placer's re-run or failed the gate:
+		// terminal, with the offending positions quarantined and nothing
+		// cached. It is a finished result, so it outranks a context that
+		// ended meanwhile.
+		s.countCertifyRepairs(rep)
+		s.rec.Count("certify.fail", 1)
+		s.quarantine(j, ce)
+		j.mu.Lock()
+		j.errCode = "result_uncertified"
+		j.mu.Unlock()
+		s.rec.Count("certify.uncertified", 1)
+		s.release(j)
+		s.failFlight(j, err.Error())
 	case errors.As(err, &pe):
 		s.requeuePreempted(j)
 	case j.ctx.Err() != nil && errors.Is(err, j.ctx.Err()):
@@ -706,15 +710,6 @@ func (s *Scheduler) runJob(j *Job) {
 		// run. Requeue through the checkpoint path or, past the strike
 		// budget, fail terminally.
 		s.watchdogRequeue(j)
-	case errors.As(err, &ce):
-		// The safe-mode retry could not produce a certifiable result
-		// either: terminal, with the offending snapshots quarantined.
-		j.mu.Lock()
-		j.errCode = "result_uncertified"
-		j.mu.Unlock()
-		s.rec.Count("certify.uncertified", 1)
-		s.release(j)
-		s.failFlight(j, err.Error())
 	default:
 		s.release(j)
 		s.failFlight(j, err.Error())
@@ -736,44 +731,25 @@ func (s *Scheduler) certifyResult(ctx context.Context, j *Job, rep *placer.Repor
 	})
 }
 
-// safeRetry is the scheduler's certify-and-repair step: the offending
-// positions are quarantined, the job rewinds to its load-time state and
-// re-places once as placer.Config.Safe — sharing no state with the
-// attempt that produced the wrong answer — and the retried result is
-// certified again.
-// A second failure is quarantined too and propagates; runJob then fails
-// the job terminally as result_uncertified.
-func (s *Scheduler) safeRetry(ctx context.Context, j *Job, cfg placer.Config, ce *certify.Error) (*placer.Report, error) {
-	s.rec.Count("certify.fail", 1)
-	s.quarantine(j, ce)
-	s.dl.Add("certify", "serve-safe-mode", fmt.Sprintf("job %s: %s", j.ID, ce.Error()))
-	s.rec.Count("certify.repair", 1)
-	j.restoreStart()
-	rep, err := placer.PlaceCtx(ctx, j.n, cfg.Safe())
-	if err == nil {
-		err = s.certifyResult(ctx, j, rep)
+// countCertifyRepairs surfaces the placer's certify repairs, recorded on
+// the job's recorder, on the service counters: each "safe-mode" entry is
+// one failed certificate and one re-run.
+func (s *Scheduler) countCertifyRepairs(rep *placer.Report) {
+	if rep == nil {
+		return
 	}
-	var ce2 *certify.Error
-	switch {
-	case errors.As(err, &ce2):
-		s.rec.Count("certify.fail", 1)
-		s.quarantine(j, ce2)
-	case err == nil:
-		// Record the repair on the result itself, so clients (and the
-		// load-test verifier) can tell this placement came from the
-		// safe-mode trajectory. The fallback name differs from the placer's
-		// internal "safe-mode" entries, which runJob mines into counters.
-		rep.Degradations = append(rep.Degradations, degrade.Event{
-			Stage: "certify", Fallback: "serve-safe-mode", Detail: ce.Error(),
-		})
+	for _, d := range rep.Degradations {
+		if d.Stage == "certify" && d.Fallback == "safe-mode" {
+			s.rec.Count("certify.fail", 1)
+			s.rec.Count("certify.repair", 1)
+		}
 	}
-	return rep, err
 }
 
 // quarantine preserves an uncertifiable result for post-mortem under the
 // job's state directory: the violated certificate and the exact positions
-// (hex float64 bits), captured before the retry rewinds them. Quarantine
-// is diagnostics, not correctness — failures are counted, never fatal.
+// (hex float64 bits) the failed attempt left. Quarantine is diagnostics,
+// not correctness — failures are counted, never fatal.
 func (s *Scheduler) quarantine(j *Job, ce *certify.Error) {
 	if j.dir == "" {
 		return

@@ -277,7 +277,7 @@ func (sv *Server) resultOf(w http.ResponseWriter, j *Job) (*Result, bool) {
 			writeErrorRetry(w, http.StatusAccepted, "pending", err, time.Second)
 		} else {
 			// Failures with a machine-readable code keep it on the wire
-			// (result_uncertified: certification failed twice).
+			// (result_uncertified: certification failed after the re-run).
 			code := "no_result"
 			if ec := j.ErrorCode(); ec != "" {
 				code = ec
