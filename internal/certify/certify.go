@@ -227,15 +227,12 @@ func (c *Checker) Transport(p *transport.Problem, sol *transport.Solution) error
 				"source %d ships %g of supply %g", i, shipped, p.Supply[i]))
 		}
 	}
-	if sol.Overflow != nil && len(sol.Overflow) != len(p.Capacity) {
+	if len(sol.Overflow) != len(p.Capacity) {
 		return c.fail("transport", "overflow-shape", fmt.Sprintf(
 			"%d overflow entries for %d sinks", len(sol.Overflow), len(p.Capacity)))
 	}
 	for j, l := range load {
-		over := 0.0
-		if sol.Overflow != nil {
-			over = sol.Overflow[j]
-		}
+		over := sol.Overflow[j]
 		tol := 1e-6 * math.Max(1, p.Capacity[j]+over)
 		if over < 0 {
 			return c.fail("transport", "overflow-sign", fmt.Sprintf(

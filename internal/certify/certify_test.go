@@ -89,7 +89,7 @@ func TestFlowPassesFailedSolveVacuously(t *testing.T) {
 	}
 }
 
-// spilledTransport is an elastic instance with its solution: sources of
+// spilledTransport is a transportation instance with its solution: sources of
 // area 2 and 1 on two sinks of capacity 1, where the first source can only
 // use sink 0, so sink 0 takes 1 unit of overflow and sink 1 is exactly
 // full.
@@ -101,7 +101,6 @@ func spilledTransport() (*transport.Problem, *transport.Solution) {
 			{{Sink: 0, Cost: 1}},
 			{{Sink: 0, Cost: 0}, {Sink: 1, Cost: 1}},
 		},
-		Elastic: true,
 	}
 	sol := &transport.Solution{
 		Assign:   [][]transport.Portion{{{Sink: 0, Amount: 2}}, {{Sink: 1, Amount: 1}}},

@@ -49,7 +49,6 @@ func TestElasticBlockRoutesStarvedMoveboundCell(t *testing.T) {
 				{{Sink: 0, Cost: 0}, {Sink: 1, Cost: 2}, {Sink: 2, Cost: 3}},
 				{{Sink: 0, Cost: 1}, {Sink: 1, Cost: 0}, {Sink: 2, Cost: 1}},
 			},
-			Elastic: true,
 		}
 	}
 	solve := func(chk *recordingChecker, p *transport.Problem) (*transport.Solution, *obs.Recorder, error) {

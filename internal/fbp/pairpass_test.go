@@ -124,3 +124,35 @@ func TestPairPassRespectsCapacities(t *testing.T) {
 		}
 	}
 }
+
+// After the waves every unrealizedOut entry must be exactly zero: each
+// (class, window, direction) has one external edge, whose flow is added
+// once and subtracted once, so the final pass can never offer a transit
+// sink.
+func TestWavesRealizeAllTransit(t *testing.T) {
+	mbs := []region.Movebound{{Name: "M", Kind: region.Inclusive, Area: geom.RectSet{{Xlo: 0, Ylo: 0, Xhi: 7, Yhi: 7}}}}
+	n := crowdedNetlist(17, 210)
+	wr := build(t, mbs, 4, 4, 1.0, nil)
+	m := BuildModel(n, wr, wr.Grid.AssignCells(n))
+	if err := m.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	r := newRealizer(m, DefaultConfig(), nil)
+	classes := map[int]bool{}
+	for i, v := range r.unrealizedOut {
+		if v > 0 {
+			classes[i/(wr.Grid.NumWindows()*numDirs)] = true
+		}
+	}
+	if len(classes) < 2 {
+		t.Fatalf("external flow in %d classes, want both the movebound and the open class", len(classes))
+	}
+	if err := r.realizeWaves(); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range r.unrealizedOut {
+		if v != 0 {
+			t.Fatalf("unrealizedOut[%d] = %g after the waves, want exactly 0", i, v)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -208,9 +209,8 @@ type unit struct {
 // assignment. The netlist's positions are used as the starting state (the
 // "any given placement" of the paper).
 //
-// Feasibility invariant (sketch; the paper's per-edge induction [22],
-// ordered window by window): at every stage and for every window w
-// and movebound class c,
+// Feasibility (sketch; the paper's per-edge induction [22], ordered
+// window by window): for every window w and movebound class c,
 //
 //	area_c(w) <= absorbed_c(w) + unrealizedOut_c(w),
 //
@@ -218,19 +218,18 @@ type unit struct {
 // the MCF solution and unrealizedOut_c(w) the flow on c's not yet
 // realized outgoing external edges. It holds initially by flow
 // conservation (supply + in = absorbed + out at each cell-group/transit
-// subgraph), and each realization step preserves it: the step's
-// transportation admits exactly the region capacities plus the remaining
-// transit capacities as sinks, and the incoming flows being realized fit
-// because f_e <= unrealizedIn_c(w) and
-// area_c(w) + unrealizedIn_c(w) <= absorbed_c(w) + unrealizedOut_c(w)
-// (conservation again). Processing units in topological order of the
-// flow-carrying external edges guarantees all of a unit's incoming edges
-// are realized before its outgoing ones, so after the last unit
-// unrealizedOut == 0 everywhere and the final per-window transportation
-// (cells -> regions) is feasible. Majority rounding perturbs the
-// invariant by at most a cell per sink; the capacity-aware rounding, the
-// elastic transportation and repairOverflow bound and then remove that
-// drift.
+// subgraph). Units run in topological order of the flow-carrying external
+// edges, so all of a unit's incoming edges are realized before its
+// outgoing ones, and after the last unit unrealizedOut == 0 everywhere.
+// The realization steps do not preserve the inequality exactly: a pair
+// step (see realizeUnit) offers both windows' full region capacity to all
+// cells of the pair, so it can fill capacity the MCF reserved for inflow
+// from a third window before that inflow is realized, and majority
+// rounding adds up to about a cell per sink. Every transportation is
+// elastic, so such a step still solves, taking the least overflow it can;
+// the capacity-aware rounding bounds the rounding share, repairOverflow
+// removes what the final pass leaves, and Result.RoundingOverflow reports
+// it.
 func Partition(n *netlist.Netlist, wr *grid.WindowRegions, cfg Config) (*Result, error) {
 	bsp := cfg.Obs.StartSpan("fbp.build")
 	assign := wr.Grid.AssignCells(n)
@@ -261,58 +260,9 @@ func Realize(m *Model, cfg Config) (*Result, error) {
 	rsp := rec.StartSpan("fbp.realize")
 	defer rsp.End()
 	start := time.Now() //fbpvet:allow timing feeds Stats.RealizeTime only, never positions
-	n := m.N
-	g := m.WR.Grid
-	W := g.NumWindows()
-	r := &realizer{
-		m:             m,
-		n:             n,
-		cfg:           cfg,
-		rec:           rec,
-		curWin:        make([]int32, n.NumCells()),
-		parked:        make([]bool, n.NumCells()),
-		cellRegion:    make([]RegionRef, n.NumCells()),
-		cellsIn:       make([][]int32, W),
-		unrealizedOut: make([]float64, m.Classes*W*numDirs),
-		outgoing:      make([][]int32, m.Classes*W),
-		incoming:      make([][]int32, m.Classes*W),
-	}
-	maxWorkers := cfg.Workers
-	if maxWorkers <= 0 {
-		maxWorkers = runtime.GOMAXPROCS(0)
-	}
-	r.scratch = make(chan *workerScratch, maxWorkers)
-	for i := 0; i < maxWorkers; i++ {
-		r.scratch <- nil
-	}
-	for i := range n.Cells {
-		r.cellRegion[i] = RegionRef{-1, -1}
-		if n.Cells[i].Fixed {
-			r.curWin[i] = -1
-			continue
-		}
-		w := int32(g.LocateIndex(n.Pos(netlist.CellID(i))))
-		r.curWin[i] = w
-		r.cellsIn[w] = append(r.cellsIn[w], int32(i))
-	}
-	r.rebuildEdgeIndex()
-
-	levels, err := r.topoLevels()
-	if err != nil {
+	r := newRealizer(m, cfg, rec)
+	if err := r.realizeWaves(); err != nil {
 		return nil, err
-	}
-	for _, level := range levels {
-		for _, wave := range r.waveSplit(level) {
-			if cfg.Ctx != nil {
-				if err := cfg.Ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			r.waves++
-			if err := r.runWave(wave); err != nil {
-				return nil, err
-			}
-		}
 	}
 	// Final internal partitioning: every window maps its cells to its
 	// regions (no transit sinks remain).
@@ -336,6 +286,68 @@ func Realize(m *Model, cfg Config) (*Result, error) {
 	res := &Result{CellRegion: r.cellRegion, Stats: m.Stats}
 	res.RoundingOverflow = r.roundingOverflow()
 	return res, nil
+}
+
+// newRealizer sets up the realization state of a solved model: every
+// movable cell in the window holding its position, every flow-carrying
+// external edge unrealized.
+func newRealizer(m *Model, cfg Config, rec *obs.Recorder) *realizer {
+	n := m.N
+	g := m.WR.Grid
+	W := g.NumWindows()
+	r := &realizer{
+		m:             m,
+		n:             n,
+		cfg:           cfg,
+		rec:           rec,
+		curWin:        make([]int32, n.NumCells()),
+		parked:        make([]bool, n.NumCells()),
+		cellRegion:    make([]RegionRef, n.NumCells()),
+		cellsIn:       make([][]int32, W),
+		unrealizedOut: make([]float64, m.Classes*W*numDirs),
+		outgoing:      make([][]int32, m.Classes*W),
+		incoming:      make([][]int32, m.Classes*W),
+	}
+	maxWorkers := r.workers(math.MaxInt)
+	r.scratch = make(chan *workerScratch, maxWorkers)
+	for i := 0; i < maxWorkers; i++ {
+		r.scratch <- nil
+	}
+	for i := range n.Cells {
+		r.cellRegion[i] = RegionRef{-1, -1}
+		if n.Cells[i].Fixed {
+			r.curWin[i] = -1
+			continue
+		}
+		w := int32(g.LocateIndex(n.Pos(netlist.CellID(i))))
+		r.curWin[i] = w
+		r.cellsIn[w] = append(r.cellsIn[w], int32(i))
+	}
+	r.rebuildEdgeIndex()
+	return r
+}
+
+// realizeWaves realizes every flow-carrying external edge: topological
+// level by level, each level in waves of units with disjoint footprints.
+func (r *realizer) realizeWaves() error {
+	levels, err := r.topoLevels()
+	if err != nil {
+		return err
+	}
+	for _, level := range levels {
+		for _, wave := range r.waveSplit(level) {
+			if r.cfg.Ctx != nil {
+				if err := r.cfg.Ctx.Err(); err != nil {
+					return err
+				}
+			}
+			r.waves++
+			if err := r.runWave(wave); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // topoLevels orders the (class, window) units that carry outgoing external
@@ -518,16 +530,10 @@ func abs(v int) int {
 // snapshot taken at wave start, which makes the computation independent of
 // scheduling order.
 func (r *realizer) runWave(wave []unit) error {
-	workers := r.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(wave) {
-		workers = len(wave)
-	}
 	// Per-wave span with worker occupancy: busy time of all units over
 	// workers * wall-clock. Timing is gated on the recorder so disabled
 	// runs pay only nil checks.
+	workers := r.workers(len(wave))
 	var waveStart time.Time
 	var busyBefore int64
 	ws := r.rec.StartSpan("wave")
@@ -556,36 +562,76 @@ func (r *realizer) runWave(wave []unit) error {
 		r.snapY = append(r.snapY[:0], r.n.Y...)
 		snapX, snapY = r.snapX, r.snapY
 	}
-	realize := func(u unit) error {
+	return r.runUnits(len(wave), "realize",
+		func(i int) int { return wave[i].window },
+		func(i int, sc *workerScratch) error { return r.realizeUnit(wave[i], snapX, snapY, sc) })
+}
+
+// workers returns the worker bound for n independent units: Config.Workers
+// (GOMAXPROCS when 0), at most n.
+func (r *realizer) workers(n int) int {
+	w := r.cfg.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	if w > n {
+		w = n
+	}
+	return w
+}
+
+// runUnits is the one worker pool of the realization: it runs do(i, sc)
+// for i in [0, n) on up to r.workers(n) goroutines, each call with a
+// scratch borrowed for its duration. Every call is a worker boundary: it
+// is skipped once the context is canceled, a panic becomes a *UnitError
+// for window(i) and phase (no process crash; the pool keeps draining),
+// and its error is attributed to that window. The first error in index
+// order is returned, so failure reporting is identical across worker
+// counts, and every call runs or is skipped before runUnits returns, so no
+// goroutine outlives it.
+func (r *realizer) runUnits(n int, phase string, window func(i int) int, do func(i int, sc *workerScratch) error) error {
+	call := func(i int) (err error) {
+		if r.cfg.Ctx != nil {
+			if cerr := r.cfg.Ctx.Err(); cerr != nil {
+				return cerr
+			}
+		}
+		w := window(i)
+		defer func() {
+			if p := recover(); p != nil {
+				err = &UnitError{Window: w, Phase: phase, Err: fmt.Errorf("panic: %v", p), Stack: debug.Stack()}
+			}
+		}()
 		sc := r.getScratch()
 		defer r.putScratch(sc)
 		if r.rec == nil {
-			return r.safeRealize(u, snapX, snapY, sc)
+			return wrapUnitErr(w, phase, do(i, sc))
 		}
 		t0 := time.Now() //fbpvet:allow busy-time gauge for obs, not placement
-		err := r.safeRealize(u, snapX, snapY, sc)
+		err = do(i, sc)
 		atomic.AddInt64(&r.busyNS, int64(time.Since(t0))) //fbpvet:allow busy-time gauge for obs, not placement
-		return err
+		return wrapUnitErr(w, phase, err)
 	}
+	workers := r.workers(n)
 	if workers <= 1 {
-		for _, u := range wave {
-			if err := realize(u); err != nil {
+		for i := 0; i < n; i++ {
+			if err := call(i); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	var wg sync.WaitGroup
-	errs := make([]error, len(wave))
+	errs := make([]error, n)
 	sem := make(chan struct{}, workers)
-	for i, u := range wave {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int, u unit) {
+		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			errs[i] = realize(u)
-		}(i, u)
+			errs[i] = call(i)
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -594,29 +640,6 @@ func (r *realizer) runWave(wave []unit) error {
 		}
 	}
 	return nil
-}
-
-// safeRealize is the worker boundary around realizeUnit: it skips units of
-// a canceled wave, converts a panicking unit into a structured *UnitError
-// (no process crash, the worker keeps draining), and attributes errors to
-// their window. Both the sequential and the parallel path of runWave go
-// through it, so panic behavior is identical across worker counts.
-func (r *realizer) safeRealize(u unit, snapX, snapY []float64, sc *workerScratch) (err error) {
-	if r.cfg.Ctx != nil {
-		if cerr := r.cfg.Ctx.Err(); cerr != nil {
-			return cerr
-		}
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			err = &UnitError{
-				Window: u.window, Phase: "realize",
-				Err:   fmt.Errorf("panic: %v", p),
-				Stack: debug.Stack(),
-			}
-		}
-	}()
-	return wrapUnitErr(u.window, "realize", r.realizeUnit(u, snapX, snapY, sc))
 }
 
 // runLocalQP runs the low-precision connectivity QP over the given subset
@@ -654,10 +677,13 @@ func (r *realizer) runLocalQP(u int, subset []netlist.CellID, snapX, snapY []flo
 // capacities (eq. 2). One low-precision local QP over the footprint (the
 // unit plus its flow targets) steers all pair costs.
 //
-// Pair steps preserve the feasibility invariant of Partition with
-// B = {u, to}: the realized flow fits into the target's regions plus its
-// own unrealized outgoing capacities by flow conservation at the target,
-// and windows of the same topological level never ship to each other.
+// By flow conservation at the target, the realized flow fits into the
+// target's regions plus its own unrealized outgoing capacities, and
+// windows of the same topological level never ship to each other. The
+// step is not guaranteed feasible, though: it offers the target's regions
+// to the cells of both windows, including capacity the MCF reserved for
+// inflow from a third window that is not realized yet, so it can take
+// overflow (see Partition).
 // Cells that must leave u towards a later target park at u's remaining
 // transit sinks and are picked up again by that target's pair step.
 // Targets are processed in ascending window order and each target's edge
@@ -739,7 +765,7 @@ func (r *realizer) realizeUnit(un unit, snapX, snapY []float64, sc *workerScratc
 		}
 		pair[0], pair[1] = u, t.to
 		r.rec.Count("realize.pairpass", 1)
-		if err := r.transportWindows(u, pair[:], cells, true, sc); err != nil {
+		if err := r.transportWindows(u, pair[:], cells, sc); err != nil {
 			return err
 		}
 	}
@@ -758,8 +784,11 @@ type sinkInfo struct {
 }
 
 // transportWindows partitions the given cells among the regions of the
-// given windows plus (if allowTransit) the unrealized transit capacities.
-func (r *realizer) transportWindows(u int, windows []int, cells []int32, allowTransit bool, sc *workerScratch) error {
+// given windows plus their unrealized transit capacities. Each (class,
+// window, direction) has exactly one external edge, whose flow is added to
+// its unrealizedOut entry once and subtracted once, so after the waves
+// every entry is exactly zero and the final pass offers regions only.
+func (r *realizer) transportWindows(u int, windows []int, cells []int32, sc *workerScratch) error {
 	g := r.m.WR.Grid
 	W := g.NumWindows()
 	d := r.m.WR.Decomp
@@ -788,20 +817,18 @@ func (r *realizer) transportWindows(u int, windows []int, cells []int32, allowTr
 			caps = append(caps, reg.Capacity)
 		}
 	}
-	if allowTransit {
-		for cls := 0; cls < r.m.Classes; cls++ {
-			for _, w := range windows {
-				for dir := 0; dir < numDirs; dir++ {
-					rem := r.unrealizedOut[(cls*W+w)*numDirs+dir]
-					if rem <= flow.Eps {
-						continue
-					}
-					sinks = append(sinks, sinkInfo{
-						window: int32(w), region: -1, class: int32(cls), dir: int32(dir),
-						pos: TransitPos(g, w, dir),
-					})
-					caps = append(caps, rem)
+	for cls := 0; cls < r.m.Classes; cls++ {
+		for _, w := range windows {
+			for dir := 0; dir < numDirs; dir++ {
+				rem := r.unrealizedOut[(cls*W+w)*numDirs+dir]
+				if rem <= flow.Eps {
+					continue
 				}
+				sinks = append(sinks, sinkInfo{
+					window: int32(w), region: -1, class: int32(cls), dir: int32(dir),
+					pos: TransitPos(g, w, dir),
+				})
+				caps = append(caps, rem)
 			}
 		}
 	}
@@ -823,7 +850,6 @@ func (r *realizer) transportWindows(u int, windows []int, cells []int32, allowTr
 		Supply:   supply,
 		Capacity: caps,
 		Arcs:     arcs,
-		Elastic:  true,
 		Obs:      r.rec,
 		Ctx:      r.cfg.Ctx,
 		Degrade:  r.cfg.Degrade,
@@ -844,7 +870,7 @@ func (r *realizer) transportWindows(u int, windows []int, cells []int32, allowTr
 				}
 				// dist(c, r): L1 distance to the region area itself. The
 				// rect set is non-empty by sink construction.
-				q, _ := nearestInSet(s.rectSet, pos)
+				q, _ := s.rectSet.Nearest(pos)
 				cost = pos.DistL1(q)
 			} else {
 				if int(s.class) != cls {
@@ -855,10 +881,10 @@ func (r *realizer) transportWindows(u int, windows []int, cells []int32, allowTr
 			arcs[i] = append(arcs[i], transport.Arc{Sink: si, Cost: cost})
 		}
 	}
-	// One elastic solve per unit: majority rounding of earlier steps can
-	// overfill a window by a few cells' area, and the solve then spills the
-	// least overflow it can onto the cheapest full sinks. repairOverflow
-	// removes what the final pass leaves; Result.RoundingOverflow reports it.
+	// One elastic solve per unit: when earlier steps overfilled the
+	// windows (see Partition), the solve spills the least overflow it can
+	// onto the cheapest full sinks. repairOverflow removes what the final
+	// pass leaves; Result.RoundingOverflow reports it.
 	sol, err := r.solveUnit(prob)
 	if err != nil {
 		return fmt.Errorf("fbp: transportation of unit %d: %w", u, err)
@@ -887,7 +913,7 @@ func (r *realizer) transportWindows(u int, windows []int, cells []int32, allowTr
 		if s.region >= 0 {
 			r.parked[ci] = false
 			r.cellRegion[ci] = RegionRef{Window: s.window, Index: s.region}
-			if q, ok := nearestInSet(s.rectSet, r.n.Pos(netlist.CellID(ci))); ok {
+			if q, ok := s.rectSet.Nearest(r.n.Pos(netlist.CellID(ci))); ok {
 				r.n.SetPos(netlist.CellID(ci), q)
 			}
 		} else {
@@ -966,115 +992,27 @@ func (r *realizer) solveUnit(p *transport.Problem) (*transport.Solution, error) 
 	return sol, err
 }
 
-// nearestInSet returns the point of the rectangle set closest (L1) to p.
-// The second result is false when the set is empty; callers must not treat
-// the query point as a member then (it used to be returned silently, which
-// made empty regions look like zero-distance targets).
-func nearestInSet(rs geom.RectSet, p geom.Point) (geom.Point, bool) {
-	best := p
-	bestD := -1.0
-	for _, rect := range rs {
-		q := rect.ClampPoint(p)
-		d := q.DistL1(p)
-		if bestD < 0 || d < bestD {
-			best, bestD = q, d
-		}
-	}
-	return best, bestD >= 0
-}
-
 // finalPass maps the cells of every window onto the window's regions
 // (transit capacities are all realized by now). Windows are independent,
-// so the pass runs on a worker pool; results are deterministic because
-// each window's transportation only touches its own cells. Errors are
-// collected per window and the first one in window order is returned, so
-// failure reporting is identical across worker counts; workers never exit
-// early and the producer selects on cancellation, so neither the producer
-// nor the workers can leak when a window fails or the context expires.
+// so the pass runs on the worker pool; results are deterministic because
+// each window's transportation only touches its own cells.
 func (r *realizer) finalPass() error {
-	g := r.m.WR.Grid
 	var windows []int
-	for w := 0; w < g.NumWindows(); w++ {
+	for w := range r.cellsIn {
 		if len(r.cellsIn[w]) > 0 {
 			windows = append(windows, w)
 		}
 	}
-	workers := r.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(windows) {
-		workers = len(windows)
-	}
-	// finalize is the worker boundary of the final pass, mirroring
-	// safeRealize: cancellation check, injection point, panic recovery.
-	finalize := func(w int) (err error) {
-		if r.cfg.Ctx != nil {
-			if cerr := r.cfg.Ctx.Err(); cerr != nil {
-				return cerr
-			}
-		}
-		defer func() {
-			if p := recover(); p != nil {
-				err = &UnitError{
-					Window: w, Phase: "final",
-					Err:   fmt.Errorf("panic: %v", p),
-					Stack: debug.Stack(),
-				}
-			}
-		}()
-		if err := finalFault.Check(); err != nil {
-			return &UnitError{Window: w, Phase: "final", Err: err}
-		}
-		sc := r.getScratch()
-		defer r.putScratch(sc)
-		return wrapUnitErr(w, "final", r.transportWindows(w, []int{w}, append([]int32(nil), r.cellsIn[w]...), false, sc))
-	}
-	if workers <= 1 {
-		for _, w := range windows {
-			if err := finalize(w); err != nil {
+	return r.runUnits(len(windows), "final",
+		func(i int) int { return windows[i] },
+		func(i int, sc *workerScratch) error {
+			if err := finalFault.Check(); err != nil {
 				return err
 			}
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(windows))
-	next := make(chan int)
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				errs[i] = finalize(windows[i])
-			}
-		}()
-	}
-	var done <-chan struct{}
-	if r.cfg.Ctx != nil {
-		done = r.cfg.Ctx.Done()
-	}
-producer:
-	for i := range windows {
-		select {
-		case next <- i:
-		case <-done: // nil channel when no context: never selected
-			break producer
-		}
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	if r.cfg.Ctx != nil {
-		if err := r.cfg.Ctx.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
+			w := windows[i]
+			sc.cellBuf = append(sc.cellBuf[:0], r.cellsIn[w]...)
+			return r.transportWindows(w, []int{w}, sc.cellBuf, sc)
+		})
 }
 
 // repairOverflow relocates cells from regions whose rounded usage exceeds
@@ -1142,7 +1080,7 @@ func (r *realizer) repairOverflow() {
 				if capOf(cand)-usage[cand] < size {
 					continue
 				}
-				q, ok := nearestInSet(reg.Rects, pos)
+				q, ok := reg.Rects.Nearest(pos)
 				if !ok {
 					// A region without area is no relocation target.
 					r.rec.Count("fbp.repair.emptyRegion", 1)

@@ -3,7 +3,6 @@ package fbp
 import (
 	"testing"
 
-	"fbplace/internal/geom"
 	"fbplace/internal/transport"
 )
 
@@ -55,21 +54,5 @@ func TestRoundCapacityAwareTieRule(t *testing.T) {
 	sol = mkSol([]transport.Portion{{Sink: 0, Amount: 0.75}, {Sink: 1, Amount: 0.25}})
 	if got := roundCapacityAware(prob2, sol); got[0] != 0 {
 		t.Fatalf("penalized tie (reordered): rounded to sink %d, want 0", got[0])
-	}
-}
-
-// TestNearestInSetEmpty pins the empty-set contract: no point, ok == false
-// (the old behavior silently returned the query point, making empty
-// regions look like zero-distance members).
-func TestNearestInSetEmpty(t *testing.T) {
-	if _, ok := nearestInSet(nil, chip.Center()); ok {
-		t.Fatal("nearestInSet(nil, p) reported ok")
-	}
-	q, ok := nearestInSet(geom.RectSet{{Xlo: 2, Ylo: 2, Xhi: 4, Yhi: 4}}, chip.Center())
-	if !ok {
-		t.Fatal("nearestInSet on a non-empty set reported !ok")
-	}
-	if q.X != 4 || q.Y != 4 {
-		t.Fatalf("nearest point = %v, want (4,4)", q)
 	}
 }

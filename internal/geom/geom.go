@@ -268,6 +268,20 @@ func (s RectSet) OverlapsRect(r Rect) bool {
 	return false
 }
 
+// Nearest returns the point of the set closest (L1) to p; on a tie the
+// earliest rectangle wins. ok is false for an empty set: the query point
+// comes back then, and callers must not treat it as a member.
+func (s RectSet) Nearest(p Point) (q Point, ok bool) {
+	q, bestD := p, 0.0
+	for i, r := range s {
+		c := r.ClampPoint(p)
+		if d := c.DistL1(p); i == 0 || d < bestD {
+			q, bestD = c, d
+		}
+	}
+	return q, len(s) > 0
+}
+
 // BBox returns the bounding box of all non-empty rectangles in the set.
 func (s RectSet) BBox() Rect {
 	var bb Rect

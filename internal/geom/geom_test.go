@@ -181,6 +181,36 @@ func TestRectClampPoint(t *testing.T) {
 	}
 }
 
+func TestRectSetNearest(t *testing.T) {
+	rs := RectSet{{0, 0, 2, 2}, {10, 10, 12, 12}}
+	if got, ok := rs.Nearest(Point{1, 1}); !ok || got != (Point{1, 1}) {
+		t.Fatalf("inside point moved: %v (ok %v)", got, ok)
+	}
+	if got, ok := rs.Nearest(Point{9, 9}); !ok || got != (Point{10, 10}) {
+		t.Fatalf("Nearest = %v (ok %v), want (10,10)", got, ok)
+	}
+	// (6,6) is at L1 distance 8 from both rectangles: the first one wins.
+	if got, _ := rs.Nearest(Point{6, 6}); got != (Point{2, 2}) {
+		t.Fatalf("tie: Nearest = %v, want (2,2) from the first rectangle", got)
+	}
+}
+
+// TestRectSetNearestEmpty pins the empty-set contract: no point, ok ==
+// false (returning the query point as a member would make empty regions
+// look like zero-distance targets).
+func TestRectSetNearestEmpty(t *testing.T) {
+	if _, ok := (RectSet{}).Nearest(Point{5, 5}); ok {
+		t.Fatal("Nearest on the empty set reported ok")
+	}
+	q, ok := RectSet{{2, 2, 4, 4}}.Nearest(Point{5, 5})
+	if !ok {
+		t.Fatal("Nearest on a non-empty set reported !ok")
+	}
+	if q != (Point{4, 4}) {
+		t.Fatalf("nearest point = %v, want (4,4)", q)
+	}
+}
+
 func TestRectExpandTranslate(t *testing.T) {
 	r := Rect{1, 1, 3, 3}
 	if r.Expand(1) != (Rect{0, 0, 4, 4}) {

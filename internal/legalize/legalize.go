@@ -11,10 +11,12 @@
 package legalize
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
 
+	"fbplace/internal/degrade"
 	"fbplace/internal/geom"
 	"fbplace/internal/netlist"
 	"fbplace/internal/obs"
@@ -31,6 +33,12 @@ type Options struct {
 	// the counters "legalize.cells", "legalize.spilled" and
 	// "legalize.failed".
 	Obs *obs.Recorder
+	// Ctx, when non-nil, cancels the movebound partitioning's
+	// transportation (LegalizeWithMovebounds).
+	Ctx context.Context
+	// Degrade, when non-nil, records that transportation's engine
+	// fallback, so a degraded legalization is never silent.
+	Degrade *degrade.Log
 }
 
 // Result reports movement statistics.
@@ -393,7 +401,9 @@ func PackableCapacities(n *netlist.Netlist, d *region.Decomposition, blockages g
 // legalize each region's cells inside the region area. Cells of different
 // movebounds sharing a region are handled simultaneously; cells that do
 // not fit their region (sliver fragmentation) spill into the remaining
-// space of other admissible regions.
+// space of other admissible regions. The transportation is elastic: when
+// the packable capacities cannot hold every cell, the cheapest full
+// regions take the least overflow, and the spill pass sheds it.
 func LegalizeWithMovebounds(n *netlist.Netlist, d *region.Decomposition, opt Options) (Result, error) {
 	blockages := n.FixedRects()
 	movable := n.MovableIDs()
@@ -416,6 +426,8 @@ func LegalizeWithMovebounds(n *netlist.Netlist, d *region.Decomposition, opt Opt
 		Capacity: caps,
 		Arcs:     make([][]transport.Arc, len(movable)),
 		Obs:      opt.Obs,
+		Ctx:      opt.Ctx,
+		Degrade:  opt.Degrade,
 	}
 	for i, id := range movable {
 		prob.Supply[i] = n.Cells[id].Size()
@@ -424,34 +436,16 @@ func LegalizeWithMovebounds(n *netlist.Netlist, d *region.Decomposition, opt Opt
 			if !d.Admissible(n.Cells[id].Movebound, ri) || caps[ri] <= 0 {
 				continue
 			}
-			best := math.Inf(1)
-			for _, rect := range d.Regions[ri].Rects {
-				if dd := rect.ClampPoint(pos).DistL1(pos); dd < best {
-					best = dd
-				}
-			}
-			prob.Arcs[i] = append(prob.Arcs[i], transport.Arc{Sink: ri, Cost: best})
+			// Positive packable capacity implies the region has area.
+			q, _ := d.Regions[ri].Rects.Nearest(pos)
+			prob.Arcs[i] = append(prob.Arcs[i], transport.Arc{Sink: ri, Cost: q.DistL1(pos)})
 		}
 	}
 	sol, err := transport.Solve(prob)
-	if err != nil {
-		// Dense instances may genuinely need the full capacity: relax the
-		// headroom step by step before giving up. Overfilled regions shed
-		// their excess through the spill pass below.
-		for _, f := range []float64{1.1, 1.4, 2.5, 8} {
-			for ri := range prob.Capacity {
-				prob.Capacity[ri] = caps[ri] * f
-			}
-			if sol, err = transport.Solve(prob); err == nil {
-				break
-			}
-		}
-		if err != nil {
-			psp.End()
-			return Result{}, fmt.Errorf("legalize: region partitioning: %w", err)
-		}
-	}
 	psp.End()
+	if err != nil {
+		return Result{}, fmt.Errorf("legalize: region partitioning: %w", err)
+	}
 	ksp := opt.Obs.StartSpan("legalize.pack")
 	defer ksp.End()
 	rounded := sol.Rounded()

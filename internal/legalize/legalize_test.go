@@ -1,10 +1,14 @@
 package legalize
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
+	"fbplace/internal/degrade"
+	"fbplace/internal/faultsim"
 	"fbplace/internal/geom"
 	"fbplace/internal/netlist"
 	"fbplace/internal/region"
@@ -142,7 +146,10 @@ func TestLegalizeTallCellRejected(t *testing.T) {
 	}
 }
 
-func TestLegalizeWithMovebounds(t *testing.T) {
+// moveboundInstance is a 30-cell chip with one inclusive and one
+// exclusive movebound, cells scattered at random.
+func moveboundInstance(t *testing.T) (*netlist.Netlist, *region.Decomposition, []region.Movebound) {
+	t.Helper()
 	mbs := []region.Movebound{
 		{Name: "L", Kind: region.Inclusive, Area: geom.RectSet{{Xlo: 0, Ylo: 0, Xhi: 8, Yhi: 10}}},
 		{Name: "R", Kind: region.Exclusive, Area: geom.RectSet{{Xlo: 14, Ylo: 0, Xhi: 20, Yhi: 10}}},
@@ -165,6 +172,11 @@ func TestLegalizeWithMovebounds(t *testing.T) {
 		id := n.AddCell(netlist.Cell{Width: 1, Height: 1, Movebound: mb})
 		n.SetPos(id, geom.Point{X: rng.Float64() * 20, Y: rng.Float64() * 10})
 	}
+	return n, d, norm
+}
+
+func TestLegalizeWithMovebounds(t *testing.T) {
+	n, d, norm := moveboundInstance(t)
 	if _, err := LegalizeWithMovebounds(n, d, Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -218,5 +230,42 @@ func TestVerifyNoOverlapsDetects(t *testing.T) {
 	n.SetPos(b, geom.Point{X: 7, Y: 5})
 	if got := VerifyNoOverlaps(n); got != 0 {
 		t.Fatalf("overlaps = %d, want 0", got)
+	}
+}
+
+// A condensed-engine failure in the movebound partitioning falls back to
+// the reference engine and is recorded on the run's degradation log, and
+// the legalization still succeeds.
+func TestLegalizeWithMoveboundsRecordsTransportFallback(t *testing.T) {
+	defer faultsim.Reset()
+	n, d, norm := moveboundInstance(t)
+	if err := faultsim.Arm("transport.condensed.fail", faultsim.Schedule{}); err != nil {
+		t.Fatal(err)
+	}
+	dl := degrade.New(nil)
+	_, err := LegalizeWithMovebounds(n, d, Options{Degrade: dl})
+	faultsim.Disarm("transport.condensed.fail")
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := dl.Events()
+	if len(evs) != 1 || evs[0].Stage != "transport.condensed" || evs[0].Fallback != "reference-engine" {
+		t.Fatalf("degradations %+v, want one transport.condensed -> reference-engine", evs)
+	}
+	if got := VerifyNoOverlaps(n); got != 0 {
+		t.Fatalf("overlaps = %d", got)
+	}
+	if viol := region.CheckLegal(n, norm); viol != 0 {
+		t.Fatalf("movebound violations = %d", viol)
+	}
+}
+
+// A canceled context reaches the movebound partitioning's transportation.
+func TestLegalizeWithMoveboundsCanceled(t *testing.T) {
+	n, d, _ := moveboundInstance(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := LegalizeWithMovebounds(n, d, Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -225,7 +225,10 @@ type Report struct {
 	// axes. Realization-local QP effort is reported per level in
 	// FBPStats instead.
 	QPSolves, CGIters int64
-	// Relaxations counts capacity relaxations of the recursive baseline.
+	// Relaxations counts the local repairs of the recursive baseline: one
+	// per cell teleported out of a window with no admissible region, and
+	// one per window whose transportation had to take overflow above its
+	// region capacities. FBP runs never relax.
 	Relaxations int
 	// LegalizeResult carries movement statistics.
 	LegalizeResult legalize.Result
@@ -481,6 +484,8 @@ func runOnce(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir stri
 		var lerr error
 		lopt := cfg.Legalize
 		lopt.Obs = cfg.Obs
+		lopt.Ctx = ctx
+		lopt.Degrade = dl
 		if len(mbs) > 0 {
 			lr, lerr = legalize.LegalizeWithMovebounds(n, decomp, lopt)
 		} else {
@@ -586,7 +591,7 @@ func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decompos
 		wr := grid.BuildWindowRegions(g, decomp, blockages, cfg.TargetDensity)
 		switch cfg.Mode {
 		case ModeRecursive:
-			relax, err := recursivePartition(n, wr, cfg.Obs)
+			relax, err := recursivePartition(ctx, n, wr, cfg.Obs, dl)
 			report.Relaxations += relax
 			if err != nil {
 				lsp.End()
@@ -635,10 +640,11 @@ func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decompos
 }
 
 // recursivePartition is the ablation baseline: each window partitions its
-// own cells among its regions independently, with no global flow. When a
-// window is overloaded the capacities are relaxed locally (returned count),
-// which is exactly the drawback §IV attributes to recursive approaches.
-func recursivePartition(n *netlist.Netlist, wr *grid.WindowRegions, rec *obs.Recorder) (int, error) {
+// own cells among its regions independently, with no global flow. A window
+// whose cells do not fit its regions takes the least overflow its one
+// elastic transportation allows, and counts as one relaxation (returned
+// count) — exactly the drawback §IV attributes to recursive approaches.
+func recursivePartition(ctx context.Context, n *netlist.Netlist, wr *grid.WindowRegions, rec *obs.Recorder, dl *degrade.Log) (int, error) {
 	g := wr.Grid
 	assign := g.AssignCells(n)
 	relaxations := 0
@@ -672,11 +678,8 @@ func recursivePartition(n *netlist.Netlist, wr *grid.WindowRegions, rec *obs.Rec
 				if reg.Capacity <= 0 || !wr.Decomp.Admissible(mb, reg.Region) {
 					continue
 				}
-				for _, rect := range reg.Rects {
-					q := rect.ClampPoint(pos)
-					if d := q.DistL1(pos); d < bestD {
-						best, bestD = q, d
-					}
+				if q, ok := reg.Rects.Nearest(pos); ok && q.DistL1(pos) < bestD {
+					best, bestD = q, q.DistL1(pos)
 				}
 			}
 		}
@@ -700,6 +703,8 @@ func recursivePartition(n *netlist.Netlist, wr *grid.WindowRegions, rec *obs.Rec
 			Capacity: make([]float64, len(regs)),
 			Arcs:     make([][]transport.Arc, len(cells)),
 			Obs:      rec,
+			Ctx:      ctx,
+			Degrade:  dl,
 		}
 		for k := range regs {
 			prob.Capacity[k] = regs[k].Capacity
@@ -711,50 +716,24 @@ func recursivePartition(n *netlist.Netlist, wr *grid.WindowRegions, rec *obs.Rec
 				if !wr.Decomp.Admissible(n.Cells[id].Movebound, regs[k].Region) || regs[k].Capacity <= 0 {
 					continue
 				}
-				best := math.Inf(1)
-				for _, rect := range regs[k].Rects {
-					if d := rect.ClampPoint(pos).DistL1(pos); d < best {
-						best = d
-					}
+				// A region without area is no sink: it could not hold
+				// the cell.
+				if q, ok := regs[k].Rects.Nearest(pos); ok {
+					prob.Arcs[i] = append(prob.Arcs[i], transport.Arc{Sink: k, Cost: q.DistL1(pos)})
 				}
-				prob.Arcs[i] = append(prob.Arcs[i], transport.Arc{Sink: k, Cost: best})
 			}
 		}
 		sol, err := transport.Solve(prob)
 		if err != nil {
-			// Local relaxation: inflate capacities until it fits. This is
-			// the failure mode of recursive partitioning the paper fixes.
-			relaxed := false
-			for _, f := range []float64{1.5, 4, 64, 1e9} {
-				for k := range regs {
-					prob.Capacity[k] = math.Max(regs[k].Capacity, 1e-9) * f
-				}
-				if sol, err = transport.Solve(prob); err == nil {
-					relaxed = true
-					break
-				}
-			}
-			if !relaxed {
-				return relaxations, fmt.Errorf("window %d: %w", w, err)
-			}
+			return relaxations, fmt.Errorf("window %d: %w", w, err)
+		}
+		if sol.TotalOverflow() > 0 {
 			relaxations++
 		}
-		rounded := sol.Rounded()
-		for i, id := range cells {
-			k := rounded[i]
-			if k < 0 {
-				continue
-			}
-			pos := n.Pos(id)
-			best := pos
-			bestD := math.Inf(1)
-			for _, rect := range regs[k].Rects {
-				q := rect.ClampPoint(pos)
-				if d := q.DistL1(pos); d < bestD {
-					best, bestD = q, d
-				}
-			}
-			n.SetPos(id, best)
+		for i, k := range sol.Rounded() {
+			id := cells[i]
+			q, _ := regs[k].Rects.Nearest(n.Pos(id))
+			n.SetPos(id, q)
 		}
 	}
 	return relaxations, nil

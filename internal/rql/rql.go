@@ -125,7 +125,7 @@ func Place(n *netlist.Netlist, cfg Config) (Report, error) {
 				if mb == netlist.NoMovebound {
 					continue
 				}
-				targets[i] = projectInto(cfg.Movebounds[mb].Area, targets[i])
+				targets[i], _ = cfg.Movebounds[mb].Area.Nearest(targets[i])
 			}
 		}
 		switch cfg.Style {
@@ -163,7 +163,7 @@ func Place(n *netlist.Netlist, cfg Config) (Report, error) {
 				if mb == netlist.NoMovebound {
 					continue
 				}
-				target := projectInto(cfg.Movebounds[mb].Area, n.Pos(id))
+				target, _ := cfg.Movebounds[mb].Area.Nearest(n.Pos(id))
 				mbAnchors = append(mbAnchors, qp.Anchor{Cell: id, Target: target, Weight: w})
 			}
 			if len(mbAnchors) == 0 {
@@ -264,17 +264,4 @@ func remap(v, ob0, ob1, nb0, nb1 float64) float64 {
 		t = 1
 	}
 	return nb0 + t*(nb1-nb0)
-}
-
-// projectInto returns the point of the rectangle set closest to p.
-func projectInto(rs geom.RectSet, p geom.Point) geom.Point {
-	best := p
-	bestD := math.Inf(1)
-	for _, r := range rs {
-		q := r.ClampPoint(p)
-		if d := q.DistL1(p); d < bestD {
-			best, bestD = q, d
-		}
-	}
-	return best
 }

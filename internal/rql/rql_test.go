@@ -173,13 +173,3 @@ func TestStretchedBoundariesMonotone(t *testing.T) {
 		t.Fatalf("boundary did not stretch away from overfull bin: %v", nb[0])
 	}
 }
-
-func TestProjectInto(t *testing.T) {
-	rs := geom.RectSet{{Xlo: 0, Ylo: 0, Xhi: 2, Yhi: 2}, {Xlo: 10, Ylo: 10, Xhi: 12, Yhi: 12}}
-	if got := projectInto(rs, geom.Point{X: 1, Y: 1}); got != (geom.Point{X: 1, Y: 1}) {
-		t.Fatalf("inside point moved: %v", got)
-	}
-	if got := projectInto(rs, geom.Point{X: 9, Y: 9}); got != (geom.Point{X: 10, Y: 10}) {
-		t.Fatalf("projection = %v, want (10,10)", got)
-	}
-}

@@ -19,11 +19,13 @@
 //     pairs with a live candidate. This mirrors the role of Brenner's fast
 //     transportation algorithm [4] in BonnPlace.
 //
-// Both engines also solve the elastic variant (Problem.Elastic): every
-// sink may take area above its capacity at a price M per unit, where M
-// exceeds the cost of any reassignment path, so one solve minimizes the
-// total overflow first and the movement cost second. An elastic instance
-// is infeasible only when a source has no admissible sink.
+// Every solve is elastic: a sink may take area above its capacity at a
+// price M per unit, where M exceeds the cost of any reassignment path, so
+// one solve minimizes the total overflow first and the movement cost
+// second, and reports the overflow per sink. When the capacities admit a
+// plan, no overflow is taken and the plan is the capacity-respecting
+// optimum. A solve fails with ErrInfeasible only when a source has no
+// admissible sink.
 //
 // Solutions are fractional in general but almost integral: at most k-1
 // sources are split (a vertex of the transportation polytope). Rounded()
@@ -61,23 +63,18 @@ type Arc struct {
 }
 
 // Problem is a transportation instance. Sources ship their full Supply;
-// sinks accept at most Capacity. Unless Elastic is set, total supply must
-// not exceed the total capacity reachable by each subset of sources
-// (otherwise Solve returns ErrInfeasible).
+// sinks take Capacity at no extra price and any area above it at the
+// overflow price (see overflowPrice), which the solution reports per sink
+// in Solution.Overflow. Capacity itself is never changed.
 type Problem struct {
 	Supply   []float64 // per source, > 0
 	Capacity []float64 // per sink, >= 0
 	Arcs     [][]Arc   // Arcs[i] lists admissible sinks of source i
-	// Elastic lets every sink take area above its Capacity at a price per
-	// unit above any reassignment path cost (see overflowPrice), so the
-	// solve minimizes total overflow first and cost second, and reports
-	// the overflow per sink in Solution.Overflow. Capacity is not changed.
-	Elastic bool
 	// Obs, when non-nil, records the counters "transport.solves",
 	// "transport.sources", "transport.augmentations" (condensed-engine
-	// shortest-path augmentations) and "transport.splits" per Solve call,
-	// and for elastic problems "transport.overflow" (overflow area) and
-	// "transport.overflow_solves" (solves that took any overflow).
+	// shortest-path augmentations), "transport.splits",
+	// "transport.overflow" (overflow area) and "transport.overflow_solves"
+	// (solves that took any overflow) per Solve call.
 	Obs *obs.Recorder
 	// Ctx, when non-nil, is polled during the solve; a canceled or expired
 	// context aborts with the context's error (no fallback: cancellation
@@ -107,8 +104,8 @@ type Solution struct {
 	Assign [][]Portion
 	// Cost is the total movement cost of the plan (overflow not priced).
 	Cost float64
-	// Overflow[j] is the area sink j takes above its capacity. It is set
-	// (one entry per sink) only for elastic problems and nil otherwise.
+	// Overflow[j] is the area sink j takes above its capacity (one entry
+	// per sink; all zero when the capacities admit a plan).
 	Overflow []float64
 }
 
@@ -121,7 +118,7 @@ func (s *Solution) TotalOverflow() float64 {
 	return t
 }
 
-// overflowPrice returns the elastic price M of one unit of overflow: above
+// overflowPrice returns the price M of one unit of overflow: above
 // the cost of any simple reassignment path of the condensed graph (at most
 // k hops, each changing a cost by at most 2·max|cost|), so routing a unit
 // to a sink with slack always beats overflowing it.
@@ -135,12 +132,11 @@ func overflowPrice(p *Problem) float64 {
 	return float64(p.NumSinks()+1) * (2*maxCost + 1)
 }
 
-// ErrInfeasible reports that some supply cannot reach any sink with
-// remaining capacity.
+// ErrInfeasible reports that a source has no admissible sink.
 var ErrInfeasible = errors.New("transport: infeasible instance")
 
 // Rounded returns, per source, the sink receiving the largest portion.
-// Sources with no assignment (impossible for feasible instances) map to -1.
+// Sources with no assignment (never in a solved plan) map to -1.
 func (s *Solution) Rounded() []int {
 	out := make([]int, len(s.Assign))
 	for i, ps := range s.Assign {
@@ -166,8 +162,9 @@ func (s *Solution) NumSplit() int {
 }
 
 // SolveReference solves the instance exactly with the generic min-cost
-// flow solver. Intended for tests and small instances. An elastic problem
-// gets one extra overflow node, fed by every sink at the overflow price.
+// flow solver. Intended for tests and small instances. One extra overflow
+// node, fed by every sink at the overflow price, absorbs all supply the
+// capacities cannot.
 func SolveReference(p *Problem) (*Solution, error) {
 	if err := referenceFault.Check(); err != nil {
 		return nil, fmt.Errorf("transport: reference engine: %w", err)
@@ -186,15 +183,12 @@ func SolveReference(p *Problem) (*Solution, error) {
 	for j, c := range p.Capacity {
 		g.SetSupply(n+j, -c)
 	}
-	var spill []flow.ArcID // sink -> overflow node arcs of an elastic problem
-	if p.Elastic {
-		over := g.AddNode()
-		g.SetSupply(over, -total)
-		price := overflowPrice(p)
-		spill = make([]flow.ArcID, k)
-		for j := range spill {
-			spill[j] = g.AddArc(n+j, over, flow.Inf, price)
-		}
+	over := g.AddNode()
+	g.SetSupply(over, -total)
+	price := overflowPrice(p)
+	spill := make([]flow.ArcID, k) // sink -> overflow node arcs
+	for j := range spill {
+		spill[j] = g.AddArc(n+j, over, flow.Inf, price)
 	}
 	ids := make([][]flow.ArcID, n)
 	for i, arcs := range p.Arcs {
@@ -203,23 +197,19 @@ func SolveReference(p *Problem) (*Solution, error) {
 			ids[i][t] = g.AddArc(i, n+a.Sink, flow.Inf, a.Cost)
 		}
 	}
-	cost, err := g.Solve()
-	if err != nil {
+	if _, err := g.Solve(); err != nil {
 		var inf *flow.ErrInfeasible
 		if errors.As(err, &inf) {
 			return nil, fmt.Errorf("%w: %g unrouted", ErrInfeasible, inf.Unrouted)
 		}
 		return nil, err
 	}
-	sol := &Solution{Assign: make([][]Portion, n), Cost: cost}
-	if p.Elastic {
-		// The solver's cost prices the overflow; report movement only.
-		sol.Cost = 0
-		sol.Overflow = make([]float64, k)
-		for j, id := range spill {
-			if f := g.Flow(id); f > flow.Eps {
-				sol.Overflow[j] = f
-			}
+	// The solver's cost prices the overflow; the plan reports movement
+	// only, summed below.
+	sol := &Solution{Assign: make([][]Portion, n), Overflow: make([]float64, k)}
+	for j, id := range spill {
+		if f := g.Flow(id); f > flow.Eps {
+			sol.Overflow[j] = f
 		}
 	}
 	for i, arcs := range p.Arcs {
@@ -227,9 +217,7 @@ func SolveReference(p *Problem) (*Solution, error) {
 			f := g.Flow(ids[i][t])
 			if f > flow.Eps {
 				sol.Assign[i] = append(sol.Assign[i], Portion{Sink: a.Sink, Amount: f})
-				if p.Elastic {
-					sol.Cost += f * a.Cost
-				}
+				sol.Cost += f * a.Cost
 			}
 		}
 		sortPortions(sol.Assign[i])
@@ -272,12 +260,10 @@ func Solve(p *Problem) (*Solution, error) {
 		p.Obs.Count("transport.augmentations", float64(augs))
 		if err == nil {
 			p.Obs.Count("transport.splits", float64(sol.NumSplit()))
-			if p.Elastic {
-				over := sol.TotalOverflow()
-				p.Obs.Count("transport.overflow", over)
-				if over > 0 {
-					p.Obs.Count("transport.overflow_solves", 1)
-				}
+			over := sol.TotalOverflow()
+			p.Obs.Count("transport.overflow", over)
+			if over > 0 {
+				p.Obs.Count("transport.overflow_solves", 1)
 			}
 		}
 	}
@@ -285,8 +271,8 @@ func Solve(p *Problem) (*Solution, error) {
 }
 
 // fallbackWorthy reports whether a condensed-engine error justifies the
-// reference-engine retry. Infeasibility is a property of the instance (the
-// reference engine would reproduce it at higher cost), and context aborts
+// reference-engine retry. Infeasibility (a source without an admissible
+// sink) is a property of the instance, and context aborts
 // are caller decisions; everything else is an engine failure worth a
 // second opinion.
 func fallbackWorthy(err error) bool {
@@ -335,11 +321,11 @@ type condensed struct {
 	capacity []float64
 	at       [][]presence
 	load     []float64
-	// used[j] is the overflow sink j has taken (elastic problems only):
-	// the flow on its overflow-priced arc to T, nonzero only while the
-	// sink is full. Its excess still to route is load - capacity - used.
+	// used[j] is the overflow sink j has taken: the flow on its
+	// overflow-priced arc to T, nonzero only while the sink is full. Its
+	// excess still to route is load - capacity - used.
 	used     []float64
-	overflow float64     // the overflow price M; 0 = not elastic
+	overflow float64     // the overflow price M
 	pairs    []pairState // pairs[a*k+b]
 	adj      [][]int32   // adj[a]: sinks b with pairs[a*k+b].live > 0
 
@@ -526,9 +512,7 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 		via:      make([]viaEdge, k+1),
 		done:     make([]bool, k+1),
 		heapPos:  make([]int32, k+1),
-	}
-	if p.Elastic {
-		c.overflow = overflowPrice(p)
+		overflow: overflowPrice(p),
 	}
 	for i := range c.pairs {
 		c.pairs[i] = pairState{best: condEdge{source: -1}, second: condEdge{source: -1}}
@@ -556,7 +540,7 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 	// Cancel overloads: each augmentation ships from an overloaded sink
 	// along a shortest path of the condensed graph to the cheapest
 	// reachable sink with slack (Dijkstra on reduced costs; see search),
-	// or, for an elastic problem, to the cheapest overflow.
+	// or to the cheapest overflow.
 	augs := 0
 	for {
 		if p.Ctx != nil {
@@ -576,7 +560,7 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 		}
 		target := c.search(over)
 		if target < 0 {
-			return nil, augs, fmt.Errorf("transport: %w", ErrInfeasible)
+			return nil, augs, fmt.Errorf("transport: super-sink unreachable (internal error)")
 		}
 		// Reconstruct path: the sink sequence from over to target (just
 		// [over] when over keeps its excess as overflow).
@@ -665,10 +649,7 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 	}
 	// Extract solution: count the portions per source first so that all
 	// of them share one backing array.
-	sol := &Solution{Assign: make([][]Portion, n)}
-	if p.Elastic {
-		sol.Overflow = c.used
-	}
+	sol := &Solution{Assign: make([][]Portion, n), Overflow: c.used}
 	count := make([]int, n)
 	total = 0
 	for j := 0; j < k; j++ {
@@ -701,12 +682,12 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 // search runs Dijkstra from the overloaded sink `over` on the reduced
 // costs w(a,b) + pi[a] - pi[b] of the live sink pairs, where w(a,b) is the
 // cheapest reassignment of a source present at a to b, plus a zero-cost
-// arc from every other sink with slack to the super-sink T (node k). For
-// an elastic problem every full sink, over included, has an arc to T at
-// the overflow price instead. The search stops once T is settled and
-// returns the sink T was reached from — the cheapest reachable sink with
-// slack in true cost, else the cheapest overflow — or -1 when T is
-// unreachable (never for an elastic problem).
+// arc from every other sink with slack to the super-sink T (node k); every
+// full sink, over included, has an arc to T at the overflow price instead.
+// The search stops once T is settled and returns the sink T was reached
+// from — the cheapest reachable sink with slack in true cost, else the
+// cheapest overflow. T is always reachable over over's own overflow arc;
+// -1 reports an internal error.
 //
 // The potentials start at 0 (every source sits at its cheapest sink) and
 // advance by the truncated distances min(dist[v], dist[T]) after each
@@ -736,7 +717,7 @@ func (c *condensed) search(over int) int {
 		da, pa := c.dist[a], c.pi[a]
 		if c.hasSlack(a) {
 			c.relax(a, k, -1, da+pa-c.pi[k])
-		} else if c.overflow > 0 {
+		} else {
 			c.relax(a, k, -1, da+c.overflow+pa-c.pi[k])
 		}
 		row := c.pairs[a*k : (a+1)*k]

@@ -93,15 +93,28 @@ func TestSolveRespectsAdmissibility(t *testing.T) {
 	}
 }
 
-func TestSolveInfeasibleDetected(t *testing.T) {
+// TestSolveOverflowReported: a source whose only admissible sink is too
+// small ships everything there, and the plan reports the excess as that
+// sink's overflow instead of failing.
+func TestSolveOverflowReported(t *testing.T) {
 	p := &Problem{
 		Supply:   []float64{5},
 		Capacity: []float64{2, 100},
 		Arcs:     [][]Arc{{{Sink: 0, Cost: 1}}}, // big sink inadmissible
 	}
 	for name, solve := range engines() {
-		if _, err := solve(p); !errors.Is(err, ErrInfeasible) {
-			t.Fatalf("%s: err = %v, want ErrInfeasible", name, err)
+		sol, err := solve(p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(sol.Overflow) != 2 || math.Abs(sol.Overflow[0]-3) > 1e-9 || sol.Overflow[1] != 0 {
+			t.Fatalf("%s: overflow = %v, want [3 0]", name, sol.Overflow)
+		}
+		if math.Abs(sol.Cost-5) > 1e-9 {
+			t.Fatalf("%s: cost = %v, want 5 (overflow is not priced in Cost)", name, sol.Cost)
+		}
+		if r := sol.Rounded(); r[0] != 0 {
+			t.Fatalf("%s: rounded = %v", name, r)
 		}
 	}
 }
@@ -217,17 +230,18 @@ func TestCondensedMatchesReference(t *testing.T) {
 	}
 }
 
-// Property: solutions ship all supply, respect capacities, and split at
-// most k-1 sources (almost-integrality, paper §III / [4]).
+// Property: solutions ship all supply, respect capacities, take no
+// overflow when the capacities admit a plan, and split at most k-1
+// sources (almost-integrality, paper §III / [4]).
 func TestSolutionInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomProblem(rng)
 		sol, err := condensedOnly(p)
 		if err != nil {
-			return errors.Is(err, ErrInfeasible)
+			return false
 		}
-		return checkSolution(p, sol) == nil && sol.NumSplit() <= p.NumSinks()-1
+		return checkSolution(p, sol) == nil && sol.TotalOverflow() == 0 && sol.NumSplit() <= p.NumSinks()-1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -235,8 +249,8 @@ func TestSolutionInvariants(t *testing.T) {
 }
 
 // checkSolution verifies that sol ships all supply over admissible arcs
-// and respects capacities, widened by the overflow an elastic solve took
-// (only on sinks filled to capacity).
+// and respects capacities, widened by the overflow the solve took (only on
+// sinks filled to capacity).
 func checkSolution(p *Problem, sol *Solution) error {
 	loads := make([]float64, p.NumSinks())
 	for i, ps := range sol.Assign {
@@ -262,14 +276,11 @@ func checkSolution(p *Problem, sol *Solution) error {
 			return fmt.Errorf("source %d: ships %g of %g", i, sum, p.Supply[i])
 		}
 	}
-	if sol.Overflow != nil && len(sol.Overflow) != p.NumSinks() {
+	if len(sol.Overflow) != p.NumSinks() {
 		return fmt.Errorf("%d overflow entries for %d sinks", len(sol.Overflow), p.NumSinks())
 	}
 	for j, l := range loads {
-		over := 0.0
-		if sol.Overflow != nil {
-			over = sol.Overflow[j]
-		}
+		over := sol.Overflow[j]
 		if over < 0 || (over > 0 && l < p.Capacity[j]-1e-6) {
 			return fmt.Errorf("sink %d: overflow %g at load %g, capacity %g", j, over, l, p.Capacity[j])
 		}
@@ -485,7 +496,7 @@ func TestCondensedLargeKMatchesReference(t *testing.T) {
 // cache once returned a wrong best candidate: a source offered to a stale
 // pair with no best took the best slot although a cheaper presence was
 // still at the from-sink, so a search priced that pair too high and the
-// plan missed the optimum (one plain instance, one elastic).
+// plan missed the optimum (one feasible instance, one starved of capacity).
 func TestCondensedStalePairOffer(t *testing.T) {
 	plain := rand.New(rand.NewSource(864))
 	k := 16 + plain.Intn(100)
@@ -498,12 +509,11 @@ func TestCondensedStalePairOffer(t *testing.T) {
 	for j := range q.Capacity {
 		q.Capacity[j] *= scale
 	}
-	q.Elastic = true
 
 	for _, c := range []struct {
 		name string
 		p    *Problem
-	}{{"plain", p}, {"elastic", q}} {
+	}{{"feasible", p}, {"starved", q}} {
 		name, p := c.name, c.p
 		ref, err := SolveReference(p)
 		if err != nil {
@@ -555,15 +565,15 @@ func assertSolutionsEquivalent(t *testing.T, p *Problem, got, want *Solution) {
 
 // Satellite: a faultsim-armed condensed failure must fall back to the
 // reference engine with a correct Solution (portions, NumSplit, overflow)
-// and a degrade counter bump. Odd trials are elastic problems starved to
-// 30% of their capacities, so the fallback must honour Elastic.
+// and a degrade counter bump. Odd trials are starved to 30% of their
+// capacities, so the fallback must take the same overflow.
 func TestCondensedFallbackFaultsim(t *testing.T) {
 	defer faultsim.Reset()
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 20; trial++ {
 		p := randomProblem(rng)
-		if trial%2 == 1 {
-			p.Elastic = true
+		starved := trial%2 == 1
+		if starved {
 			for j := range p.Capacity {
 				p.Capacity[j] *= 0.3
 			}
@@ -572,8 +582,8 @@ func TestCondensedFallbackFaultsim(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if p.Elastic && want.TotalOverflow() == 0 {
-			t.Fatalf("trial %d: starved elastic problem took no overflow", trial)
+		if starved && want.TotalOverflow() == 0 {
+			t.Fatalf("trial %d: starved problem took no overflow", trial)
 		}
 		if err := faultsim.Arm("transport.condensed.fail", faultsim.Schedule{}); err != nil {
 			t.Fatal(err)
@@ -645,13 +655,13 @@ func TestCondensedFallbackChainExhausted(t *testing.T) {
 	}
 }
 
-// TestCondensedElasticMatchesReference checks the elastic condensed engine
-// alone (no reference fallback) against the elastic reference engine on
-// movebound-shaped instances whose capacities are scaled by 0.2-1.1, so
-// most are infeasible without overflow: total overflow and movement cost
-// must match, the plan must ship everything within capacity plus
-// overflow, and a second solve must reproduce it bit for bit. A feasible
-// instance must take no overflow and give the non-elastic plan.
+// TestCondensedElasticMatchesReference checks the condensed engine alone
+// (no reference fallback) against the reference engine on movebound-shaped
+// instances whose capacities are scaled by 0.2-1.1, so most cannot be
+// served without overflow: total overflow and movement cost must match,
+// the plan must ship everything within capacity plus overflow, and a
+// second solve must reproduce it bit for bit. A feasible instance must
+// take no overflow and match the reference cost.
 func TestCondensedElasticMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	cases, spilled := 60, 0
@@ -666,7 +676,6 @@ func TestCondensedElasticMatchesReference(t *testing.T) {
 		for j := range p.Capacity {
 			p.Capacity[j] *= scale
 		}
-		p.Elastic = true
 		ref, err := SolveReference(p)
 		if err != nil {
 			t.Fatalf("case %d (k=%d n=%d): reference: %v", c, k, n, err)
@@ -702,25 +711,23 @@ func TestCondensedElasticMatchesReference(t *testing.T) {
 
 	// moveboundProblem instances are feasible as built.
 	p := moveboundProblem(rand.New(rand.NewSource(3)), 40, 100)
-	plain, _, err := solveCondensed(p)
+	got, _, err := solveCondensed(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Elastic = true
-	elastic, _, err := solveCondensed(p)
+	ref, err := SolveReference(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j, o := range elastic.Overflow {
+	if len(got.Overflow) != p.NumSinks() {
+		t.Fatalf("%d overflow entries for %d sinks", len(got.Overflow), p.NumSinks())
+	}
+	for j, o := range got.Overflow {
 		if o != 0 {
 			t.Fatalf("feasible instance: sink %d took overflow %g", j, o)
 		}
 	}
-	if len(elastic.Overflow) != p.NumSinks() || plain.Overflow != nil {
-		t.Fatalf("overflow lengths %d (elastic) and %d (plain), want %d and 0",
-			len(elastic.Overflow), len(plain.Overflow), p.NumSinks())
-	}
-	if elastic.Cost != plain.Cost || !reflect.DeepEqual(elastic.Assign, plain.Assign) {
-		t.Fatalf("feasible instance: elastic plan (cost %.9g) differs from the plain one (cost %.9g)", elastic.Cost, plain.Cost)
+	if d := math.Abs(got.Cost - ref.Cost); d > 1e-6*(1+math.Abs(ref.Cost)) {
+		t.Fatalf("feasible instance: cost %.9g, reference %.9g", got.Cost, ref.Cost)
 	}
 }
