@@ -57,14 +57,16 @@ echo "== benchmark smoke =="
 # One iteration each of the realization-path microbenchmarks (local QP,
 # its CSR assembly, realization level, transportation engines), of the
 # global MCF ones (network simplex on a synthetic grid and on
-# Table-I-shaped FBP models) and of the recursive-baseline ablation, so a
-# change that breaks or pathologically slows them fails CI fast.
+# Table-I-shaped FBP models) and of the recursive-baseline and local-QP
+# ablations, so a change that breaks or pathologically slows them fails
+# CI fast.
 go test -timeout 10m -run '^$' -bench 'BenchmarkSolveSubsetBlock|BenchmarkRealizeLevel|BenchmarkSolveFBPGrid' -benchtime 1x ./internal/qp/ ./internal/fbp/
 go test -timeout 10m -run '^$' -bench 'BenchmarkNSGrid' -benchtime 1x ./internal/flow/
 go test -timeout 10m -run '^$' -bench 'BenchmarkEngines|BenchmarkCondensedLarge' -benchtime 1x ./internal/transport/
 go test -timeout 10m -run '^$' -bench 'BenchmarkBuild' -benchtime 1x ./internal/sparse/
-# The recursive baseline's one elastic solve per window (ablation A1).
-go test -timeout 10m -run '^$' -bench 'BenchmarkAblationRecursive' -benchtime 1x .
+# The recursive baseline's one elastic solve per window (ablation A1) and
+# the NoLocalQP switch, the local QP's on/off ablation.
+go test -timeout 10m -run '^$' -bench 'BenchmarkAblationRecursive|BenchmarkAblationLocalQP' -benchtime 1x .
 
 echo "== bench regression gate =="
 # The committed Table-I baseline must not regress more than 10% wall

@@ -325,7 +325,9 @@ func ReadTrace(r io.Reader) ([]TraceEvent, error) { return obs.ReadTrace(r) }
 
 // Baseline placers.
 type (
-	// BaselineConfig tunes the RQL-style force-directed baseline.
+	// BaselineConfig tunes the RQL-style force-directed baseline: target
+	// density, iteration cap, spreading style and movebounds. The bin
+	// grid, stopping overflow and anchor weights are fixed.
 	BaselineConfig = rql.Config
 	// BaselineReport summarizes a baseline run.
 	BaselineReport = rql.Report
@@ -375,7 +377,9 @@ func EstimateCongestion(n *Netlist, nx, ny int) *CongestionMap {
 	return congest.Estimate(n, nx, ny)
 }
 
-// DetailOptions tunes post-legalization detailed placement.
+// DetailOptions tunes post-legalization detailed placement: the number of
+// sweeps. Each sweep reorders windows of three adjacent same-row cells,
+// then swaps equal-width cells.
 type DetailOptions = detail.Options
 
 // DetailResult reports detailed-placement statistics.

@@ -32,10 +32,11 @@ type Options struct {
 	// Values <= 1 disable clustering. The paper uses 5 (industrial) and
 	// 2 (ISPD).
 	Ratio float64
-	// MaxClusterArea bounds cluster growth; 0 means 32x the average cell
-	// area.
-	MaxClusterArea float64
 }
+
+// maxAreaFactor bounds cluster growth: no cluster exceeds this multiple
+// of the average movable cell area.
+const maxAreaFactor = 32
 
 // scorePair is a candidate merge in the priority queue.
 type scorePair struct {
@@ -92,9 +93,9 @@ func BestChoice(n *netlist.Netlist, opt Options) *Clustering {
 			target = 1
 		}
 	}
-	maxArea := opt.MaxClusterArea
-	if maxArea == 0 && movable > 0 {
-		maxArea = 32 * totalArea / float64(movable)
+	maxArea := 0.0
+	if movable > 0 {
+		maxArea = maxAreaFactor * totalArea / float64(movable)
 	}
 
 	// Adjacency with clique-model weights: w(net)/(p-1) per pair is too

@@ -26,9 +26,11 @@ import (
 type Options struct {
 	// Passes is the number of full sweeps. Default 2.
 	Passes int
-	// WindowSize is the reorder window (2..4 cells). Default 3.
-	WindowSize int
 }
+
+// windowSize is the number of adjacent cells each reorder tries in every
+// permutation.
+const windowSize = 3
 
 // Result reports the improvement.
 type Result struct {
@@ -52,18 +54,12 @@ func Optimize(n *netlist.Netlist, mbs []region.Movebound, opt Options) (Result, 
 	if opt.Passes == 0 {
 		opt.Passes = 2
 	}
-	if opt.WindowSize < 2 {
-		opt.WindowSize = 3
-	}
-	if opt.WindowSize > 4 {
-		opt.WindowSize = 4
-	}
 	res := Result{InitialHPWL: n.HPWL()}
 	o := &optimizer{n: n, mbs: mbs}
 	o.buildNetIndex()
 	for pass := 0; pass < opt.Passes; pass++ {
 		o.buildRows()
-		r := o.reorderPass(opt.WindowSize)
+		r := o.reorderPass(windowSize)
 		s := o.swapPass()
 		res.Reorders += r
 		res.Swaps += s

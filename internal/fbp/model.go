@@ -21,7 +21,6 @@ import (
 	"fbplace/internal/grid"
 	"fbplace/internal/netlist"
 	"fbplace/internal/obs"
-	"fbplace/internal/qp"
 	"fbplace/internal/transport"
 )
 
@@ -43,8 +42,6 @@ type Config struct {
 	// realization unit's transportations (paper §IV.B). Default true via
 	// DefaultConfig.
 	LocalQP bool
-	// QP are the options of the local QP solves.
-	QP qp.Options
 	// Workers bounds the parallel realization workers; 0 means
 	// GOMAXPROCS.
 	Workers int

@@ -646,24 +646,21 @@ func (r *realizer) runUnits(n int, phase string, window func(i int) int, do func
 // with everything outside fixed to the wave snapshot. The QP only steers
 // the transportation costs, so it runs at low precision; without the caps,
 // coarse levels would solve near-global systems to full CG tolerance once
-// per unit.
+// per unit. Its effort is reported separately from the placer's top-level
+// solves (Stats.LocalQPSolves/LocalCGIters).
 func (r *realizer) runLocalQP(u int, subset []netlist.CellID, snapX, snapY []float64, sc *workerScratch) error {
-	opt := r.cfg.QP
-	opt.ReadX, opt.ReadY = snapX, snapY
-	opt.Workspace = sc.qp
-	if opt.Tol == 0 {
-		opt.Tol = 1e-3
+	opt := qp.Options{
+		Tol:        1e-3,
+		MaxIter:    60,
+		ReadX:      snapX,
+		ReadY:      snapY,
+		BestEffort: true,
+		Obs:        r.rec,
+		Stats:      &r.qpStats,
+		Ctx:        r.cfg.Ctx,
+		Workspace:  sc.qp,
+		Degrade:    r.cfg.Degrade,
 	}
-	if opt.MaxIter == 0 {
-		opt.MaxIter = 60
-	}
-	opt.BestEffort = true
-	// Local QP effort is reported separately from the placer's
-	// top-level solves (Stats.LocalQPSolves/LocalCGIters).
-	opt.Obs = r.rec
-	opt.Stats = &r.qpStats
-	opt.Ctx = r.cfg.Ctx
-	opt.Degrade = r.cfg.Degrade
 	if err := qp.SolveSubset(r.n, subset, nil, opt); err != nil {
 		return fmt.Errorf("fbp: local QP in window %d: %w", u, err)
 	}
@@ -1015,42 +1012,51 @@ func (r *realizer) finalPass() error {
 		})
 }
 
+// regionOffsets numbers the window-regions densely in (window, index)
+// order: region k of window w is off[w]+k, and off[len(PerWin)] is the
+// region count.
+func regionOffsets(wr *grid.WindowRegions) []int {
+	off := make([]int, len(wr.PerWin)+1)
+	for w := range wr.PerWin {
+		off[w+1] = off[w] + len(wr.PerWin[w])
+	}
+	return off
+}
+
 // repairOverflow relocates cells from regions whose rounded usage exceeds
 // capacity to admissible regions with free space, nearest first. Rounding
 // leaves only a few cells' worth of overflow, so a greedy deterministic
 // sweep suffices.
 func (r *realizer) repairOverflow() {
 	wr := r.m.WR
-	// usage and cellsOf are keyed accumulators only — every read below
-	// goes through the sorted refs slice, never map iteration, so repair
-	// order is independent of Go map hashing.
-	usage := map[RegionRef]float64{}
-	cellsOf := map[RegionRef][]int32{}
-	moved, movedArea := 0, 0.0
-	for i := range r.n.Cells {
-		if r.n.Cells[i].Fixed {
-			continue
-		}
-		ref := r.cellRegion[i]
-		usage[ref] += r.n.Cells[i].Size()
-		cellsOf[ref] = append(cellsOf[ref], int32(i))
-	}
-	// All region refs in deterministic order.
-	var refs []RegionRef
+	off := regionOffsets(wr)
+	refs := make([]RegionRef, off[len(wr.PerWin)])
 	for w := range wr.PerWin {
 		for k := range wr.PerWin[w] {
-			refs = append(refs, RegionRef{Window: int32(w), Index: int32(k)})
+			refs[off[w]+k] = RegionRef{Window: int32(w), Index: int32(k)}
 		}
 	}
-	capOf := func(ref RegionRef) float64 { return wr.PerWin[ref.Window][ref.Index].Capacity }
-	for _, ref := range refs {
-		over := usage[ref] - capOf(ref)
+	usage := make([]float64, len(refs))
+	cellsOf := make([][]int32, len(refs))
+	moved, movedArea := 0, 0.0
+	for i := range r.n.Cells {
+		ref := r.cellRegion[i]
+		if r.n.Cells[i].Fixed || ref.Window < 0 {
+			continue
+		}
+		ri := off[ref.Window] + int(ref.Index)
+		usage[ri] += r.n.Cells[i].Size()
+		cellsOf[ri] = append(cellsOf[ri], int32(i))
+	}
+	capOf := func(ri int) float64 { return wr.PerWin[refs[ri].Window][refs[ri].Index].Capacity }
+	for ri := range refs {
+		over := usage[ri] - capOf(ri)
 		if over <= flow.Eps {
 			continue
 		}
 		// Move smallest cells first: they fit into slack most easily and
 		// minimize moved area beyond the strict overflow.
-		cells := append([]int32(nil), cellsOf[ref]...)
+		cells := append([]int32(nil), cellsOf[ri]...)
 		sort.Slice(cells, func(a, b int) bool {
 			sa, sb := r.n.Cells[cells[a]].Size(), r.n.Cells[cells[b]].Size()
 			//fbpvet:floatok exact tie-break on stored sizes keeps the sort total
@@ -1066,14 +1072,14 @@ func (r *realizer) repairOverflow() {
 			size := r.n.Cells[ci].Size()
 			pos := r.n.Pos(netlist.CellID(ci))
 			mb := r.n.Cells[ci].Movebound
-			best := RegionRef{-1, -1}
+			best := -1
 			bestD := 0.0
 			var bestPos geom.Point
-			for _, cand := range refs {
-				if cand == ref {
+			for cand, cref := range refs {
+				if cand == ri {
 					continue
 				}
-				reg := &wr.PerWin[cand.Window][cand.Index]
+				reg := &wr.PerWin[cref.Window][cref.Index]
 				if !wr.Decomp.Admissible(mb, reg.Region) {
 					continue
 				}
@@ -1087,20 +1093,20 @@ func (r *realizer) repairOverflow() {
 					continue
 				}
 				d := q.DistL1(pos)
-				if best.Window < 0 || d < bestD {
+				if best < 0 || d < bestD {
 					best, bestD, bestPos = cand, d, q
 				}
 			}
-			if best.Window < 0 {
+			if best < 0 {
 				continue // no headroom anywhere admissible; leave the cell
 			}
-			usage[ref] -= size
+			usage[ri] -= size
 			usage[best] += size
 			over -= size
 			moved++
 			movedArea += size
-			r.cellRegion[ci] = best
-			r.curWin[ci] = best.Window
+			r.cellRegion[ci] = refs[best]
+			r.curWin[ci] = refs[best].Window
 			r.n.SetPos(netlist.CellID(ci), bestPos)
 		}
 	}
@@ -1109,11 +1115,11 @@ func (r *realizer) repairOverflow() {
 }
 
 // roundingOverflow sums, over all window-regions, the assigned cell area
-// exceeding the region capacity. The map is keyed accumulation only; the
-// summation walks regions in index order so the floating-point total is
-// bit-identical across runs (map iteration order would not be).
+// exceeding the region capacity; unassigned cells count fully.
 func (r *realizer) roundingOverflow() float64 {
-	usage := map[RegionRef]float64{}
+	wr := r.m.WR
+	off := regionOffsets(wr)
+	usage := make([]float64, off[len(wr.PerWin)])
 	total := 0.0
 	for i := range r.n.Cells {
 		if r.n.Cells[i].Fixed {
@@ -1121,15 +1127,14 @@ func (r *realizer) roundingOverflow() float64 {
 		}
 		ref := r.cellRegion[i]
 		if ref.Window < 0 {
-			total += r.n.Cells[i].Size() // unassigned cells count fully
+			total += r.n.Cells[i].Size()
 			continue
 		}
-		usage[ref] += r.n.Cells[i].Size()
+		usage[off[ref.Window]+int(ref.Index)] += r.n.Cells[i].Size()
 	}
-	for w := range r.m.WR.PerWin {
-		for k := range r.m.WR.PerWin[w] {
-			ref := RegionRef{Window: int32(w), Index: int32(k)}
-			if u, c := usage[ref], r.m.WR.PerWin[w][k].Capacity; u > c {
+	for w := range wr.PerWin {
+		for k := range wr.PerWin[w] {
+			if u, c := usage[off[w]+k], wr.PerWin[w][k].Capacity; u > c {
 				total += u - c
 			}
 		}

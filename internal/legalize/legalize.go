@@ -26,9 +26,6 @@ import (
 
 // Options tunes legalization.
 type Options struct {
-	// MaxRowSearch bounds how many rows above/below the desired row are
-	// tried per cell; 0 = all rows.
-	MaxRowSearch int
 	// Obs, when non-nil, records the partition/pack/spill phase spans and
 	// the counters "legalize.cells", "legalize.spilled" and
 	// "legalize.failed".
@@ -178,23 +175,18 @@ func (s *segment) insert(id netlist.CellID, width, desiredStart float64) {
 // movebound-aware legalization spill cells that do not fit one region into
 // another region's remaining space without re-packing anything.
 type Packer struct {
-	n         *netlist.Netlist
-	rows      [][]segment
-	desired   map[netlist.CellID]geom.Point
-	maxSearch int
-	usable    bool
+	n       *netlist.Netlist
+	rows    [][]segment
+	desired map[netlist.CellID]geom.Point
+	usable  bool
 }
 
 // NewPacker prepares the row segments of the allowed area.
-func NewPacker(n *netlist.Netlist, allowed geom.RectSet, blockages geom.RectSet, opt Options) *Packer {
+func NewPacker(n *netlist.Netlist, allowed geom.RectSet, blockages geom.RectSet) *Packer {
 	p := &Packer{
-		n:         n,
-		rows:      buildSegments(n, allowed, blockages),
-		desired:   map[netlist.CellID]geom.Point{},
-		maxSearch: opt.MaxRowSearch,
-	}
-	if p.maxSearch <= 0 {
-		p.maxSearch = len(p.rows)
+		n:       n,
+		rows:    buildSegments(n, allowed, blockages),
+		desired: map[netlist.CellID]geom.Point{},
 	}
 	for _, segs := range p.rows {
 		if len(segs) > 0 {
@@ -217,7 +209,7 @@ func (p *Packer) findBest(id netlist.CellID) (*segment, float64) {
 	wantRow := int((want.Y - rh/2 - n.Area.Ylo) / rh)
 	bestCost := math.Inf(1)
 	var bestSeg *segment
-	for dr := 0; dr <= p.maxSearch; dr++ {
+	for dr := 0; dr <= len(p.rows); dr++ {
 		tryRows := []int{wantRow - dr}
 		if dr > 0 {
 			tryRows = append(tryRows, wantRow+dr)
@@ -349,7 +341,7 @@ func LegalizeArea(n *netlist.Netlist, cells []netlist.CellID, allowed geom.RectS
 	}
 	sp := opt.Obs.StartSpan("legalize.pack")
 	defer sp.End()
-	p := NewPacker(n, allowed, blockages, opt)
+	p := NewPacker(n, allowed, blockages)
 	if !p.Usable() {
 		return Result{Failed: len(cells)}, fmt.Errorf("legalize: no usable rows in allowed area")
 	}
@@ -419,7 +411,7 @@ func LegalizeWithMovebounds(n *netlist.Netlist, d *region.Decomposition, opt Opt
 	caps := PackableCapacities(n, d, blockages)
 	packers := make([]*Packer, len(d.Regions))
 	for ri := range d.Regions {
-		packers[ri] = NewPacker(n, d.Regions[ri].Rects, blockages, opt)
+		packers[ri] = NewPacker(n, d.Regions[ri].Rects, blockages)
 	}
 	prob := &transport.Problem{
 		Supply:   make([]float64, len(movable)),

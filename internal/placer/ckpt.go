@@ -20,16 +20,13 @@ import (
 // internal/ckpt). The loop is RNG-free — anchors are recomputed from
 // positions each level — so a snapshot at a level boundary captures the
 // complete continuation state, and a resumed run is bit-identical to an
-// uninterrupted one.
+// uninterrupted one. Every completed flat level is snapshotted.
 type Checkpoint struct {
 	// Dir enables checkpointing: after each completed level on the flat
 	// netlist a snapshot generation is written here (the clustered coarse
 	// levels of multilevel runs are not snapshotted — their positions live
 	// on a temporary netlist that resume could not rebuild cheaply).
 	Dir string
-	// EveryLevel writes a snapshot only every EveryLevel-th level; 0 and 1
-	// both mean every level. The final level is always snapshotted.
-	EveryLevel int
 }
 
 // ErrPreempted is the sentinel wrapped by every *PreemptedError, so
@@ -152,8 +149,9 @@ func ConfigFingerprint(cfg *Config) uint64 {
 // Checkpoint itself, Preempt (a preempted-and-resumed run reproduces the
 // uninterrupted one), Certify (checks observe the trajectory and the
 // certify re-run repeats it; neither steers it, and the re-run never
-// checkpoints), and the QP plumbing fields (Obs/Stats/Ctx/Workspace/Degrade)
-// the placer injects per run.
+// checkpoints). The constants the run reads (anchorWeight, the qp model
+// constants, legalization's full row search) are not hashed: changing one
+// changes the code, not the configuration.
 func configFingerprint(cfg *Config) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -178,20 +176,10 @@ func configFingerprint(cfg *Config) uint64 {
 	wf(cfg.TargetDensity)
 	wf(cfg.ClusterRatio)
 	w(uint64(cfg.MaxLevels))
-	wf(cfg.AnchorWeight)
 	wb(cfg.NoLocalQP)
 	wb(cfg.SkipLegalization)
 	wb(cfg.KeepPlacement)
 	w(uint64(cfg.DetailPasses))
-	w(uint64(cfg.QP.CliqueThreshold))
-	wf(cfg.QP.Tol)
-	w(uint64(cfg.QP.MaxIter))
-	wf(cfg.QP.Regularization)
-	wb(cfg.QP.NoClamp)
-	wb(cfg.QP.BestEffort)
-	w(uint64(cfg.QP.NetModel))
-	wf(cfg.QP.B2BMinDist)
-	w(uint64(cfg.Legalize.MaxRowSearch))
 	w(uint64(len(cfg.Movebounds)))
 	for i := range cfg.Movebounds {
 		mb := &cfg.Movebounds[i]
@@ -215,7 +203,6 @@ type ckptState struct {
 	store        *ckpt.Store
 	netFP, cfgFP uint64
 	levels       int
-	every        int
 	qpStats      *qp.SolveStats
 	report       *Report
 	dl           *degrade.Log
@@ -227,22 +214,18 @@ type ckptState struct {
 }
 
 // boundary is the per-level checkpoint/preemption point: it snapshots the
-// loop state after level lv completed (subject to the EveryLevel stride)
-// and honors a pending preemption request. A failed save is recorded as a
-// degradation and the run continues: checkpointing must never turn a
-// healthy placement into a failed one. Preemption stops the run with a
+// loop state after level lv completed and honors a pending preemption
+// request. A failed save is recorded as a degradation and the run
+// continues: checkpointing must never turn a healthy placement into a
+// failed one. Preemption stops the run with a
 // *PreemptedError only once the level's snapshot is durably on disk —
 // when the forced save fails, the preemption is skipped (recorded as
 // "preempt" -> "kept-running") and the victim keeps running.
-func (ck *ckptState) boundary(n *netlist.Netlist, lv, endLevel int, preempt func() bool) error {
+func (ck *ckptState) boundary(n *netlist.Netlist, lv int, preempt func() bool) error {
 	if ck == nil {
 		return nil
 	}
 	want := preempt != nil && preempt()
-	stride := ck.every <= 1 || lv%ck.every == 0 || lv == endLevel
-	if !want && !stride {
-		return nil
-	}
 	if err := ck.save(n, lv); err != nil {
 		ck.dl.Add("ckpt.write", "skipped", err.Error())
 		if want {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -256,7 +257,7 @@ func TestResumeRefusals(t *testing.T) {
 	}
 	// Different configuration.
 	cfg := ckptConfig(inst, 1, dir)
-	cfg.AnchorWeight = 0.11
+	cfg.TargetDensity = 0.9
 	_, err = Resume(context.Background(), inst.N.Clone(), dir, cfg)
 	if !errors.As(err, &re) || !strings.Contains(re.Reason, "config fingerprint") {
 		t.Fatalf("changed config: want config fingerprint refusal, got %v", err)
@@ -274,6 +275,76 @@ func TestResumeRefusals(t *testing.T) {
 	_, err = Resume(context.Background(), inst.N.Clone(), t.TempDir(), ckptConfig(inst, 1, ""))
 	if !errors.Is(err, ckpt.ErrNoCheckpoint) {
 		t.Fatalf("no checkpoint: want ErrNoCheckpoint in chain, got %v", err)
+	}
+}
+
+// TestConfigFingerprintCoversEveryField sets each Config field in turn to
+// a non-zero value and requires the fingerprint to change, so a knob added
+// without hashing fails here instead of silently resuming (or hitting the
+// daemon's result cache) across configurations. The exclusions are the
+// fields configFingerprint leaves out by design; they must not change it.
+func TestConfigFingerprintCoversEveryField(t *testing.T) {
+	excluded := map[string]string{
+		"Workers":    "placements are bit-identical across worker counts",
+		"Obs":        "recording observes the trajectory, never steers it",
+		"Checkpoint": "snapshots are written where the run says; resume reproduces the uninterrupted run",
+		"Preempt":    "a preempted-and-resumed run reproduces the uninterrupted one",
+		"Certify":    "checks observe the trajectory and the certify re-run repeats it",
+	}
+	base := ConfigFingerprint(&Config{})
+	typ := reflect.TypeOf(Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		var cfg Config
+		setNonZero(t, reflect.ValueOf(&cfg).Elem().Field(i), f.Name)
+		changed := ConfigFingerprint(&cfg) != base
+		if reason, ok := excluded[f.Name]; ok {
+			if changed {
+				t.Errorf("%s is excluded from the fingerprint (%s) but changes it", f.Name, reason)
+			}
+			delete(excluded, f.Name)
+			continue
+		}
+		if !changed {
+			t.Errorf("Config.%s does not change ConfigFingerprint", f.Name)
+		}
+	}
+	for name := range excluded {
+		t.Errorf("exclusion list names %s, which is not a Config field", name)
+	}
+}
+
+// setNonZero gives v a non-zero value of its kind, one that passes
+// Validate and differs from the default fill() would apply.
+func setNonZero(t *testing.T, v reflect.Value, name string) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int:
+		v.SetInt(1)
+	case reflect.Float64:
+		v.SetFloat(0.5)
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+	case reflect.Func:
+		v.Set(reflect.MakeFunc(v.Type(), func([]reflect.Value) []reflect.Value {
+			out := make([]reflect.Value, v.Type().NumOut())
+			for i := range out {
+				out[i] = reflect.Zero(v.Type().Out(i))
+			}
+			return out
+		}))
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			setNonZero(t, v.Field(i), name+"."+v.Type().Field(i).Name)
+		}
+	default:
+		t.Fatalf("Config.%s: no non-zero value for kind %s; extend setNonZero", name, v.Kind())
 	}
 }
 
@@ -346,45 +417,6 @@ func TestResumeAfterCancellation(t *testing.T) {
 		t.Fatalf("no ckpt.fallback recorded: %v", resRep.Degradations)
 	}
 	samePositions(t, "canceled", hexPositions(base), hexPositions(res))
-}
-
-// TestCheckpointEveryLevel checks the stride: EveryLevel 2 writes only
-// even levels plus the final one, and resume from a stride checkpoint
-// still reproduces the full run.
-func TestCheckpointEveryLevel(t *testing.T) {
-	defer faultsim.Reset()
-	inst := ckptInstances(t)[0]
-	base := inst.N.Clone()
-	baseRep, err := PlaceCtx(context.Background(), base, ckptConfig(inst, 1, ""))
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-
-	dir := t.TempDir()
-	cfg := ckptConfig(inst, 1, dir)
-	cfg.Checkpoint.EveryLevel = 2
-	n := inst.N.Clone()
-	if _, err := PlaceCtx(context.Background(), n, cfg); err != nil {
-		t.Fatalf("stride run: %v", err)
-	}
-	wantWrites := (baseRep.Levels + 1) / 2 // even levels, plus the final when odd
-	store := &ckpt.Store{Dir: dir}
-	snap, _, err := store.Load()
-	if err != nil {
-		t.Fatalf("load stride checkpoint: %v", err)
-	}
-	if snap.Level != baseRep.Levels {
-		t.Fatalf("final stride snapshot at level %d, want %d", snap.Level, baseRep.Levels)
-	}
-	if int(snapGen(t, dir)) != wantWrites {
-		t.Fatalf("stride wrote %d generations, want %d", snapGen(t, dir), wantWrites)
-	}
-
-	res := inst.N.Clone()
-	if _, err := Resume(context.Background(), res, dir, cfg); err != nil {
-		t.Fatalf("resume from stride: %v", err)
-	}
-	samePositions(t, "stride", hexPositions(base), hexPositions(res))
 }
 
 // snapGen returns the newest generation number in dir.

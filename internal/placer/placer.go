@@ -70,7 +70,10 @@ const (
 	ModeRecursive
 )
 
-// Config tunes the placer.
+// Config tunes the placer. It holds only values some caller sets; the
+// rest of the recipe is fixed: the per-level anchor weight
+// (anchorWeight), the quadratic solver's net-model constants
+// (internal/qp) and legalization's search over every row.
 type Config struct {
 	// Mode selects FBP or the recursive baseline.
 	Mode Mode
@@ -82,9 +85,6 @@ type Config struct {
 	ClusterRatio float64
 	// MaxLevels caps grid refinement; 0 = automatic.
 	MaxLevels int
-	// AnchorWeight is the base weight of the per-level anchors tying the
-	// QP to the partitioning result. Default 0.05.
-	AnchorWeight float64
 	// Workers bounds realization parallelism (0 = GOMAXPROCS).
 	Workers int
 	// NoLocalQP disables the connectivity-aware local QP that normally
@@ -100,10 +100,6 @@ type Config struct {
 	// DetailPasses runs legality-preserving detailed placement after
 	// legalization (0 = off).
 	DetailPasses int
-	// QP are the quadratic solver options.
-	QP qp.Options
-	// Legalize are the legalization options.
-	Legalize legalize.Options
 	// Checkpoint, when Dir is set, makes the global loop emit crash-safe
 	// snapshots at level boundaries; Resume continues from them. See
 	// internal/ckpt and the Checkpoint type.
@@ -139,7 +135,6 @@ type Config struct {
 func (c Config) fbpConfig(ctx context.Context, dl *degrade.Log, check *certify.Checker) fbp.Config {
 	fc := fbp.Config{
 		LocalQP: !c.NoLocalQP,
-		QP:      c.QP,
 		Workers: c.Workers,
 		Obs:     c.Obs,
 		Ctx:     ctx,
@@ -151,12 +146,13 @@ func (c Config) fbpConfig(ctx context.Context, dl *degrade.Log, check *certify.C
 	return fc
 }
 
+// anchorWeight is the base weight of the per-level anchors tying the QP
+// to the partitioning result; globalLoop scales it with the level.
+const anchorWeight = 0.05
+
 func (c *Config) fill() {
 	if c.TargetDensity == 0 {
 		c.TargetDensity = 0.97
-	}
-	if c.AnchorWeight == 0 {
-		c.AnchorWeight = 0.05
 	}
 }
 
@@ -178,8 +174,12 @@ func (c *Config) Validate() error {
 	if c.Mode != ModeFBP && c.Mode != ModeRecursive {
 		return &ConfigError{Field: "Mode", Reason: fmt.Sprintf("unknown mode %d", c.Mode)}
 	}
-	if c.TargetDensity < 0 || c.TargetDensity > 1 {
+	// NaN compares false both ways, so it must be rejected explicitly.
+	if math.IsNaN(c.TargetDensity) || c.TargetDensity < 0 || c.TargetDensity > 1 {
 		return &ConfigError{Field: "TargetDensity", Reason: fmt.Sprintf("%g outside (0, 1]", c.TargetDensity)}
+	}
+	if math.IsNaN(c.ClusterRatio) || math.IsInf(c.ClusterRatio, 0) {
+		return &ConfigError{Field: "ClusterRatio", Reason: fmt.Sprintf("non-finite ratio %g", c.ClusterRatio)}
 	}
 	if c.ClusterRatio < 0 {
 		return &ConfigError{Field: "ClusterRatio", Reason: fmt.Sprintf("negative ratio %g", c.ClusterRatio)}
@@ -187,17 +187,11 @@ func (c *Config) Validate() error {
 	if c.MaxLevels < 0 {
 		return &ConfigError{Field: "MaxLevels", Reason: fmt.Sprintf("negative level count %d", c.MaxLevels)}
 	}
-	if c.AnchorWeight < 0 {
-		return &ConfigError{Field: "AnchorWeight", Reason: fmt.Sprintf("negative weight %g", c.AnchorWeight)}
-	}
 	if c.Workers < 0 {
 		return &ConfigError{Field: "Workers", Reason: fmt.Sprintf("negative worker count %d", c.Workers)}
 	}
 	if c.DetailPasses < 0 {
 		return &ConfigError{Field: "DetailPasses", Reason: fmt.Sprintf("negative pass count %d", c.DetailPasses)}
-	}
-	if c.Checkpoint.EveryLevel < 0 {
-		return &ConfigError{Field: "Checkpoint.EveryLevel", Reason: fmt.Sprintf("negative level stride %d", c.Checkpoint.EveryLevel)}
 	}
 	if c.Certify < CertifyOff || c.Certify > CertifyEveryLevel {
 		return &ConfigError{Field: "Certify", Reason: fmt.Sprintf("unknown mode %d", c.Certify)}
@@ -326,17 +320,11 @@ func runOnce(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir stri
 	psp := cfg.Obs.StartSpan("place")
 	defer psp.End()
 	// Top-level QP effort feeds Report.QPSolves/CGIters; the realization
-	// overrides these options for its local solves, so the split stays
-	// clean.
+	// runs its local solves with its own options, so the split stays
+	// clean. The top-level solves (initial + one anchored per level) run
+	// strictly one after another, so they share one workspace.
 	var qpStats qp.SolveStats
-	cfg.QP.Obs = cfg.Obs
-	cfg.QP.Stats = &qpStats
-	cfg.QP.Ctx = ctx
-	cfg.QP.Degrade = dl
-	// The top-level solves (initial + one anchored per level) run strictly
-	// one after another, so they can share one workspace. The realization
-	// replaces it with per-worker workspaces for its concurrent local QPs.
-	cfg.QP.Workspace = qp.NewWorkspace()
+	qopt := qp.Options{Obs: cfg.Obs, Stats: &qpStats, Ctx: ctx, Degrade: dl, Workspace: qp.NewWorkspace()}
 	mbs, err := region.Normalize(n.Area, cfg.Movebounds)
 	if err != nil {
 		return nil, err
@@ -409,7 +397,6 @@ func runOnce(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir stri
 			netFP:   netFP,
 			cfgFP:   cfgFP,
 			levels:  levels,
-			every:   cfg.Checkpoint.EveryLevel,
 			qpStats: &qpStats,
 			report:  report,
 			dl:      dl,
@@ -435,7 +422,7 @@ func runOnce(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir stri
 		if coarseEnd < 1 {
 			coarseEnd = 1
 		}
-		if err := globalLoop(ctx, cl.Clustered, decomp, blockages, cfg, dl, report, 1, coarseEnd, true, nil); err != nil {
+		if err := globalLoop(ctx, cl.Clustered, decomp, blockages, cfg, qopt, dl, report, 1, coarseEnd, true, nil); err != nil {
 			return nil, err
 		}
 		cl.Project()
@@ -443,11 +430,11 @@ func runOnce(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir stri
 		if fineStart > levels {
 			fineStart = levels
 		}
-		if err := globalLoop(ctx, n, decomp, blockages, cfg, dl, report, fineStart, levels, false, ck); err != nil {
+		if err := globalLoop(ctx, n, decomp, blockages, cfg, qopt, dl, report, fineStart, levels, false, ck); err != nil {
 			return nil, err
 		}
 	} else {
-		if err := globalLoop(ctx, n, decomp, blockages, cfg, dl, report, startLevel, levels, freshQP, ck); err != nil {
+		if err := globalLoop(ctx, n, decomp, blockages, cfg, qopt, dl, report, startLevel, levels, freshQP, ck); err != nil {
 			return nil, err
 		}
 	}
@@ -482,10 +469,7 @@ func runOnce(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir stri
 		lstart := time.Now() //fbpvet:allow timing feeds Report.LegalTime only, never positions
 		var lr legalize.Result
 		var lerr error
-		lopt := cfg.Legalize
-		lopt.Obs = cfg.Obs
-		lopt.Ctx = ctx
-		lopt.Degrade = dl
+		lopt := legalize.Options{Obs: cfg.Obs, Ctx: ctx, Degrade: dl}
 		if len(mbs) > 0 {
 			lr, lerr = legalize.LegalizeWithMovebounds(n, decomp, lopt)
 		} else {
@@ -558,14 +542,14 @@ func levelsFor(n *netlist.Netlist, cfg Config) int {
 }
 
 // globalLoop runs QP + partitioning over grids of level startLevel
-// through endLevel (2^lv x 2^lv windows). When freshQP is set, the loop
-// starts from an unconstrained quadratic solve; otherwise it continues
-// from the current placement. A non-nil ck snapshots the loop state after
-// each completed level.
-func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decomposition, blockages geom.RectSet, cfg Config, dl *degrade.Log, report *Report, startLevel, endLevel int, freshQP bool, ck *ckptState) error {
+// through endLevel (2^lv x 2^lv windows), solving the top-level QPs with
+// qopt. When freshQP is set, the loop starts from an unconstrained
+// quadratic solve; otherwise it continues from the current placement. A
+// non-nil ck snapshots the loop state after each completed level.
+func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decomposition, blockages geom.RectSet, cfg Config, qopt qp.Options, dl *degrade.Log, report *Report, startLevel, endLevel int, freshQP bool, ck *ckptState) error {
 	if freshQP {
 		qsp := cfg.Obs.StartSpan("qp.initial")
-		err := qp.Solve(n, nil, cfg.QP)
+		err := qp.Solve(n, nil, qopt)
 		qsp.End()
 		if err != nil {
 			return fmt.Errorf("placer: initial QP: %w", err)
@@ -617,18 +601,18 @@ func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decompos
 		// Anchored QP: connectivity pulls within the assigned regions.
 		// Clique/star springs here — bound-to-bound weights (~1/distance)
 		// would overpower the partition anchors and undo the spreading.
-		w := cfg.AnchorWeight * float64(int(1)<<lv) / math.Max(n.Area.Width(), n.Area.Height()) * 64
+		w := anchorWeight * float64(int(1)<<lv) / math.Max(n.Area.Width(), n.Area.Height()) * 64
 		for i, id := range movable {
 			anchors[i] = qp.Anchor{Cell: id, Target: n.Pos(id), Weight: w}
 		}
 		qsp := cfg.Obs.StartSpan("qp.anchored")
-		err := qp.Solve(n, anchors, cfg.QP)
+		err := qp.Solve(n, anchors, qopt)
 		qsp.End()
 		lsp.End()
 		if err != nil {
 			return fmt.Errorf("placer: level %d QP: %w", lv, err)
 		}
-		if err := ck.boundary(n, lv, endLevel, cfg.Preempt); err != nil {
+		if err := ck.boundary(n, lv, cfg.Preempt); err != nil {
 			return err
 		}
 		// Explicit heartbeat after the boundary: a checkpoint write can be

@@ -15,7 +15,6 @@ import (
 	"fbplace/internal/legalize"
 	"fbplace/internal/netlist"
 	"fbplace/internal/obs"
-	"fbplace/internal/qp"
 	"fbplace/internal/region"
 )
 
@@ -360,9 +359,14 @@ func TestConfigValidate(t *testing.T) {
 		{"unknown mode", Config{Mode: Mode(99)}, "Mode"},
 		{"density above 1", Config{TargetDensity: 1.2}, "TargetDensity"},
 		{"negative density", Config{TargetDensity: -0.5}, "TargetDensity"},
+		{"NaN density", Config{TargetDensity: math.NaN()}, "TargetDensity"},
+		{"+Inf density", Config{TargetDensity: math.Inf(1)}, "TargetDensity"},
+		{"-Inf density", Config{TargetDensity: math.Inf(-1)}, "TargetDensity"},
 		{"negative cluster ratio", Config{ClusterRatio: -1}, "ClusterRatio"},
+		{"NaN cluster ratio", Config{ClusterRatio: math.NaN()}, "ClusterRatio"},
+		{"+Inf cluster ratio", Config{ClusterRatio: math.Inf(1)}, "ClusterRatio"},
+		{"-Inf cluster ratio", Config{ClusterRatio: math.Inf(-1)}, "ClusterRatio"},
 		{"negative levels", Config{MaxLevels: -2}, "MaxLevels"},
-		{"negative anchor weight", Config{AnchorWeight: -0.1}, "AnchorWeight"},
 		{"negative workers", Config{Workers: -4}, "Workers"},
 		{"negative detail passes", Config{DetailPasses: -1}, "DetailPasses"},
 	}
@@ -390,14 +394,14 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // TestFBPConfigForwarding pins how a level's fbp.Config derives from the
-// placer's: the local-QP switch, the QP options and every piece of
+// placer's: the local-QP switch, the worker count and every piece of
 // per-run plumbing carry through, and without per-level certification the
 // checker is a nil interface, not a typed nil the realization would call
 // into. Workers does not steer the trajectory, so it stays out of the
 // fingerprint.
 func TestFBPConfigForwarding(t *testing.T) {
 	rec := obs.New(nil)
-	cfg := Config{Workers: 4, Obs: rec, QP: qp.Options{MaxIter: 77, Obs: rec}}
+	cfg := Config{Workers: 4, Obs: rec}
 	ctx := context.Background()
 	dl := degrade.New(rec)
 	check := &certify.Checker{Obs: rec, Ctx: ctx, Level: 3}
@@ -405,9 +409,8 @@ func TestFBPConfigForwarding(t *testing.T) {
 	if got.Check != check || got.Obs != rec || got.Ctx != ctx || got.Degrade != dl {
 		t.Fatal("fbp config dropped Check/Obs/Ctx/Degrade")
 	}
-	if !got.LocalQP || got.QP.MaxIter != 77 || got.Workers != 4 {
-		t.Fatalf("fbp config LocalQP %v, QP.MaxIter %d, Workers %d; want true, 77, 4",
-			got.LocalQP, got.QP.MaxIter, got.Workers)
+	if !got.LocalQP || got.Workers != 4 {
+		t.Fatalf("fbp config LocalQP %v, Workers %d; want true, 4", got.LocalQP, got.Workers)
 	}
 	if c := cfg.fbpConfig(ctx, dl, nil); c.Check != nil {
 		t.Fatalf("Check = %#v without a checker, want nil", c.Check)

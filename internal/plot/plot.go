@@ -20,25 +20,23 @@ var palette = []string{
 	"#99437a", "#777733", "#88ccaa", "#bb5566",
 }
 
+// widthPx is the image width in pixels; the height follows the chip's
+// aspect ratio.
+const widthPx = 1024
+
 // Options tunes the rendering.
 type Options struct {
-	// WidthPx is the image width in pixels (height follows the chip
-	// aspect ratio). Default 1024.
-	WidthPx int
 	// Title is printed in the image corner.
 	Title string
 }
 
 // SVG writes the placement as an SVG image.
 func SVG(w io.Writer, n *netlist.Netlist, mbs []region.Movebound, opt Options) error {
-	if opt.WidthPx <= 0 {
-		opt.WidthPx = 1024
-	}
 	chip := n.Area
 	if chip.Width() <= 0 || chip.Height() <= 0 {
 		return fmt.Errorf("plot: empty chip area")
 	}
-	scale := float64(opt.WidthPx) / chip.Width()
+	scale := float64(widthPx) / chip.Width()
 	heightPx := chip.Height() * scale
 	bw := bufio.NewWriter(w)
 
@@ -47,9 +45,9 @@ func SVG(w io.Writer, n *netlist.Netlist, mbs []region.Movebound, opt Options) e
 	y := func(v float64) float64 { return heightPx - (v-chip.Ylo)*scale }
 
 	fmt.Fprintf(bw, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%.0f" viewBox="0 0 %d %.0f">`+"\n",
-		opt.WidthPx, heightPx, opt.WidthPx, heightPx)
+		widthPx, heightPx, widthPx, heightPx)
 	fmt.Fprintf(bw, `<rect x="0" y="0" width="%d" height="%.0f" fill="#fbfbf7" stroke="#333" stroke-width="1"/>`+"\n",
-		opt.WidthPx, heightPx)
+		widthPx, heightPx)
 
 	// Movebound areas first (under the cells).
 	for mi, m := range mbs {

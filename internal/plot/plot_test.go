@@ -53,11 +53,11 @@ func TestSVGYAxisFlipped(t *testing.T) {
 	a := n.AddCell(netlist.Cell{Width: 4, Height: 4})
 	n.SetPos(a, geom.Point{X: 50, Y: 98})
 	var buf bytes.Buffer
-	if err := SVG(&buf, n, nil, Options{WidthPx: 100}); err != nil {
+	if err := SVG(&buf, n, nil, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	// Cell rect y = 100 - (98+2) = 0.
-	if !strings.Contains(buf.String(), `y="0.00" width="4.00"`) {
+	// Cell rect y = (100 - (98+2)) * 10.24 = 0, width 4 * 10.24.
+	if !strings.Contains(buf.String(), `y="0.00" width="40.96"`) {
 		t.Fatalf("top cell not at svg y=0: %s", buf.String())
 	}
 }

@@ -47,22 +47,29 @@ type Anchor struct {
 	Weight float64
 }
 
-// Options tunes the quadratic solve.
+const (
+	// cliqueThreshold is the largest pin count modeled as a clique; nets
+	// above it use the star model.
+	cliqueThreshold = 6
+	// regularization is a tiny spring from every variable cell to the
+	// chip center that keeps components without fixed connections
+	// non-singular.
+	regularization = 1e-8
+	// b2bMinDist floors the pin distances in B2B weights (one row height)
+	// to keep the weights bounded for coincident pins.
+	b2bMinDist = 1.0
+)
+
+// Options tunes the quadratic solve: the CG budget and the net model,
+// which differ between the placer's top-level solves, the realization-
+// local QP and the RQL baseline, plus per-call plumbing. The clique
+// threshold, the centering spring and the B2B distance floor are
+// package constants, and every solution is clamped into the chip area.
 type Options struct {
-	// CliqueThreshold is the largest pin count modeled as a clique; nets
-	// above it use the star model. Default 6.
-	CliqueThreshold int
 	// Tol is the CG relative residual target. Default 1e-6.
 	Tol float64
 	// MaxIter bounds CG iterations. Default per sparse.SolveCG.
 	MaxIter int
-	// Regularization is a tiny spring from every variable cell to the
-	// chip center that keeps components without fixed connections
-	// non-singular. Default 1e-8.
-	Regularization float64
-	// ClampToArea clamps the solution into the chip rectangle. Default
-	// true (set via the zero value; see Solve).
-	NoClamp bool
 	// ReadX, ReadY, when non-nil, override the positions of non-variable
 	// cells (length NumCells). Parallel realization passes a snapshot
 	// taken at wave start so that concurrent local QPs on disjoint window
@@ -75,9 +82,6 @@ type Options struct {
 	BestEffort bool
 	// NetModel selects clique/star (default) or bound-to-bound springs.
 	NetModel NetModel
-	// B2BMinDist floors the pin distances in B2B weights (default 1.0,
-	// one row height) to keep the weights bounded for coincident pins.
-	B2BMinDist float64
 	// Obs, when non-nil, records QP solve counts and (via sparse) CG
 	// iteration counters and the final relative residual.
 	Obs *obs.Recorder
@@ -138,17 +142,8 @@ func (s *SolveStats) Restore(solves, cgIters int64) {
 }
 
 func (o *Options) fill() {
-	if o.CliqueThreshold == 0 {
-		o.CliqueThreshold = 6
-	}
 	if o.Tol == 0 {
 		o.Tol = 1e-6
-	}
-	if o.Regularization == 0 {
-		o.Regularization = 1e-8
-	}
-	if o.B2BMinDist == 0 {
-		o.B2BMinDist = 1
 	}
 }
 
@@ -223,7 +218,7 @@ func SolveSubset(n *netlist.Netlist, subset []netlist.CellID, anchors []Anchor, 
 	opt.Obs.Count("qp.netsVisited", float64(len(nets)))
 
 	// Collect pins per incident net and assign star variables: nets with
-	// > CliqueThreshold pins get a star node. Every gathered net has at
+	// > cliqueThreshold pins get a star node. Every gathered net has at
 	// least one variable pin by construction of the index, so the old
 	// per-net hasVar scan is gone entirely.
 	ws.pins = ws.pins[:0]
@@ -252,7 +247,7 @@ func SolveSubset(n *netlist.Netlist, subset []netlist.CellID, anchors []Anchor, 
 					ws.pins = append(ws.pins, netPin{varIdx: -1, pos: pos, cur: pos})
 				}
 			}
-			if opt.NetModel == ModelCliqueStar && len(net.Pins) > opt.CliqueThreshold {
+			if opt.NetModel == ModelCliqueStar && len(net.Pins) > cliqueThreshold {
 				star = int32(nv + numStars)
 				numStars++
 			}
@@ -352,8 +347,8 @@ func SolveSubset(n *netlist.Netlist, subset []netlist.CellID, anchors []Anchor, 
 		scale := 2 * netWeight / float64(p-1)
 		weight := func(i, j int) float64 {
 			d := math.Abs(coord(i) - coord(j))
-			if d < opt.B2BMinDist {
-				d = opt.B2BMinDist
+			if d < b2bMinDist {
+				d = b2bMinDist
 			}
 			return scale / d
 		}
@@ -412,10 +407,10 @@ func SolveSubset(n *netlist.Netlist, subset []netlist.CellID, anchors []Anchor, 
 	// star nodes well-defined.
 	ctr := n.Area.Center()
 	for i := 0; i < dim; i++ {
-		bx.AddDiag(i, opt.Regularization)
-		by.AddDiag(i, opt.Regularization)
-		rhsX[i] += opt.Regularization * ctr.X
-		rhsY[i] += opt.Regularization * ctr.Y
+		bx.AddDiag(i, regularization)
+		by.AddDiag(i, regularization)
+		rhsX[i] += regularization * ctr.X
+		rhsY[i] += regularization * ctr.Y
 	}
 
 	mx, my := bx.Build(), by.Build()
@@ -480,11 +475,7 @@ func SolveSubset(n *netlist.Netlist, subset []netlist.CellID, anchors []Anchor, 
 		return nil
 	}
 	for vi, id := range subset {
-		p := geom.Point{X: x[vi], Y: y[vi]}
-		if !opt.NoClamp {
-			p = n.Area.ClampPoint(p)
-		}
-		n.SetPos(id, p)
+		n.SetPos(id, n.Area.ClampPoint(geom.Point{X: x[vi], Y: y[vi]}))
 	}
 	return nil
 }
@@ -492,10 +483,7 @@ func SolveSubset(n *netlist.Netlist, subset []netlist.CellID, anchors []Anchor, 
 // Netlength returns the quadratic objective value of the current placement
 // (sum over net springs of w * squared distance, same models as Solve).
 // Used by tests and convergence diagnostics.
-func Netlength(n *netlist.Netlist, cliqueThreshold int) float64 {
-	if cliqueThreshold == 0 {
-		cliqueThreshold = 6
-	}
+func Netlength(n *netlist.Netlist) float64 {
 	total := 0.0
 	for ni := range n.Nets {
 		net := &n.Nets[ni]

@@ -186,13 +186,6 @@ func TestSolveClampsToArea(t *testing.T) {
 	if !chip.Contains(p) {
 		t.Fatalf("pos %v outside chip", p)
 	}
-	// With NoClamp, the solution follows the anchor out.
-	if err := Solve(n, anchors, Options{NoClamp: true}); err != nil {
-		t.Fatal(err)
-	}
-	if n.X[a] < 50 {
-		t.Fatalf("NoClamp x = %v", n.X[a])
-	}
 }
 
 func TestSolveDisconnectedCellGoesToCenter(t *testing.T) {
@@ -228,15 +221,15 @@ func TestSolveIsLocalOptimum(t *testing.T) {
 			}
 			n.AddNet(netlist.Net{Pins: []netlist.Pin{{Cell: ids[i]}, {Cell: ids[j]}}})
 		}
-		if err := Solve(n, nil, Options{Tol: 1e-10, NoClamp: true}); err != nil {
+		if err := Solve(n, nil, Options{Tol: 1e-10}); err != nil {
 			t.Fatal(err)
 		}
-		base := Netlength(n, 6)
+		base := Netlength(n)
 		for _, id := range ids {
 			orig := n.Pos(id)
 			for _, d := range []geom.Point{{X: 0.01}, {X: -0.01}, {Y: 0.01}, {Y: -0.01}} {
 				n.SetPos(id, orig.Add(d))
-				if got := Netlength(n, 6); got < base-1e-6 {
+				if got := Netlength(n); got < base-1e-6 {
 					t.Fatalf("trial %d: perturbing cell %d improved %g -> %g", trial, id, base, got)
 				}
 			}
@@ -261,11 +254,11 @@ func TestNetlengthDecreasesAfterSolve(t *testing.T) {
 		}
 	}
 	n.AddNet(netlist.Net{Pins: []netlist.Pin{{Cell: ids[0]}, {Cell: -1, Offset: geom.Point{X: 0, Y: 5}}}})
-	before := Netlength(n, 6)
+	before := Netlength(n)
 	if err := Solve(n, nil, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	after := Netlength(n, 6)
+	after := Netlength(n)
 	if after > before {
 		t.Fatalf("netlength increased: %g -> %g", before, after)
 	}

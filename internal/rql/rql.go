@@ -34,52 +34,49 @@ const (
 	StyleKraftwerk
 )
 
-// Config tunes the baseline placer.
+// Config tunes the baseline placer. The spreading bin grid follows the
+// movable cell count (about six cells per bin), the loop stops below
+// stopOverflow, and the fixed-point anchors grow from anchorWeight; the
+// quadratic solves use qp's default CG budget.
 type Config struct {
 	// TargetDensity is the bin capacity scaling (0.97 in the paper runs).
 	TargetDensity float64
-	// BinsX, BinsY give the spreading bin grid; 0 = automatic.
-	BinsX, BinsY int
 	// MaxIters bounds the spread iterations. Default 48.
 	MaxIters int
-	// StopOverflow stops when overflow / movable area falls below this.
-	// Default 0.02.
-	StopOverflow float64
-	// AnchorWeight is the base fixed-point weight (grows linearly per
-	// iteration). Default 0.01.
-	AnchorWeight float64
 	// Style selects RQL-like or Kraftwerk-like spreading.
 	Style Style
 	// Movebounds, when non-nil, enables the naive movebound projection.
 	Movebounds []region.Movebound
-	// QP are the quadratic solver options.
-	QP qp.Options
 }
 
-func (c *Config) fill(n *netlist.Netlist) {
+const (
+	// stopOverflow stops the spreading once overflow / movable area falls
+	// below it.
+	stopOverflow = 0.02
+	// anchorWeight is the base fixed-point weight; it grows linearly per
+	// iteration.
+	anchorWeight = 0.01
+)
+
+func (c *Config) fill() {
 	if c.TargetDensity == 0 {
 		c.TargetDensity = 0.97
 	}
 	if c.MaxIters == 0 {
 		c.MaxIters = 48
 	}
-	if c.StopOverflow == 0 {
-		c.StopOverflow = 0.02
+}
+
+// binsFor sizes the square spreading bin grid for the movable cell count.
+func binsFor(movable int) int {
+	k := int(math.Sqrt(float64(movable)/6)) + 1
+	if k < 2 {
+		k = 2
 	}
-	if c.AnchorWeight == 0 {
-		c.AnchorWeight = 0.01
+	if k > 256 {
+		k = 256
 	}
-	if c.BinsX == 0 || c.BinsY == 0 {
-		movable := len(n.MovableIDs())
-		k := int(math.Sqrt(float64(movable)/6)) + 1
-		if k < 2 {
-			k = 2
-		}
-		if k > 256 {
-			k = 256
-		}
-		c.BinsX, c.BinsY = k, k
-	}
+	return k
 }
 
 // Report summarizes a baseline run.
@@ -90,19 +87,20 @@ type Report struct {
 
 // Place runs the force-directed global placement on the netlist in place.
 func Place(n *netlist.Netlist, cfg Config) (Report, error) {
-	cfg.fill(n)
+	cfg.fill()
 	movable := n.MovableIDs()
 	if len(movable) == 0 {
 		return Report{}, nil
 	}
+	bins := binsFor(len(movable))
 	totalArea := n.TotalMovableArea()
 	blockages := n.FixedRects()
 	// Every solve of the iteration loop runs sequentially; share one
 	// workspace across them.
-	cfg.QP.Workspace = qp.NewWorkspace()
+	qopt := qp.Options{Workspace: qp.NewWorkspace()}
 
 	// Initial unconstrained QP.
-	if err := qp.Solve(n, nil, cfg.QP); err != nil {
+	if err := qp.Solve(n, nil, qopt); err != nil {
 		return Report{}, fmt.Errorf("rql: initial QP: %w", err)
 	}
 
@@ -110,10 +108,10 @@ func Place(n *netlist.Netlist, cfg Config) (Report, error) {
 	rep := Report{}
 	for iter := 1; iter <= cfg.MaxIters; iter++ {
 		rep.Iters = iter
-		dm := grid.NewDensityMap(n.Area, cfg.BinsX, cfg.BinsY, blockages, cfg.TargetDensity)
+		dm := grid.NewDensityMap(n.Area, bins, bins, blockages, cfg.TargetDensity)
 		dm.Accumulate(n)
 		rep.FinalOverflow = dm.Overflow() / totalArea
-		if rep.FinalOverflow < cfg.StopOverflow {
+		if rep.FinalOverflow < stopOverflow {
 			break
 		}
 		targets := shiftTargets(n, dm, movable)
@@ -134,17 +132,17 @@ func Place(n *netlist.Netlist, cfg Config) (Report, error) {
 			// moved positions with a moderate constant pull.
 			for i, id := range movable {
 				n.SetPos(id, targets[i])
-				anchors[i] = qp.Anchor{Cell: id, Target: targets[i], Weight: cfg.AnchorWeight * 8}
+				anchors[i] = qp.Anchor{Cell: id, Target: targets[i], Weight: anchorWeight * 8}
 			}
 		default:
-			w := cfg.AnchorWeight * float64(iter)
+			w := anchorWeight * float64(iter)
 			for i, id := range movable {
 				anchors[i] = qp.Anchor{Cell: id, Target: targets[i], Weight: w}
 			}
 		}
 		// Linearization (the "L" of RQL): bound-to-bound springs weighted
 		// by current distances make the quadratic objective track HPWL.
-		opt := cfg.QP
+		opt := qopt
 		opt.NetModel = qp.ModelB2B
 		if err := qp.Solve(n, anchors, opt); err != nil {
 			return rep, fmt.Errorf("rql: iteration %d QP: %w", iter, err)
@@ -169,7 +167,7 @@ func Place(n *netlist.Netlist, cfg Config) (Report, error) {
 			if len(mbAnchors) == 0 {
 				break
 			}
-			if err := qp.Solve(n, mbAnchors, cfg.QP); err != nil {
+			if err := qp.Solve(n, mbAnchors, qopt); err != nil {
 				return rep, fmt.Errorf("rql: movebound phase: %w", err)
 			}
 		}

@@ -131,6 +131,9 @@ const (
 	// observed drain rate, drainRateRing how many are retained.
 	drainRateWindow    = time.Minute
 	defaultMemFallback = 4 << 30
+	// gcOrphanAge is how old an on-disk job directory with no in-memory
+	// job must be before the GC removes it.
+	gcOrphanAge = 5 * time.Minute
 )
 
 // defaultMemBudget reads the machine's available memory (3/4 of
@@ -321,7 +324,7 @@ func (s *Scheduler) memoryPressure() {
 
 // gcTick is the disk governor: terminal jobs beyond the retention cap
 // are forgotten (memory and disk — their IDs then answer 404), orphaned
-// job directories older than GCOrphanAge are removed, and non-terminal
+// job directories older than gcOrphanAge are removed, and non-terminal
 // jobs' checkpoint directories are pruned to the newest generations.
 func (s *Scheduler) gcTick() {
 	var victims []*Job
@@ -385,7 +388,7 @@ func (s *Scheduler) gcOrphans() {
 	if err != nil {
 		return
 	}
-	cutoff := time.Now().Add(-s.opt.GCOrphanAge)
+	cutoff := time.Now().Add(-gcOrphanAge)
 	for _, e := range entries {
 		if !e.IsDir() {
 			continue

@@ -18,7 +18,7 @@ import (
 // from the same model the scheduler enforces.
 func estOf(t *testing.T, spec Spec) Estimate {
 	t.Helper()
-	j, err := newJob("est", 0, spec, 0, "")
+	j, err := newJob("est", 0, spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -469,7 +469,7 @@ func loadInstance(spec *Spec, fileRoot string) (*netlist.Netlist, []region.Moveb
 
 // newJob loads the instance, compiles the config and computes the cache
 // key. The context (deadline, cancel) is installed by the scheduler.
-func newJob(id string, seq uint64, spec Spec, retain int, fileRoot string) (*Job, error) {
+func newJob(id string, seq uint64, spec Spec, fileRoot string) (*Job, error) {
 	n, mbs, err := loadInstance(&spec, fileRoot)
 	if err != nil {
 		return nil, err
@@ -488,7 +488,7 @@ func newJob(id string, seq uint64, spec Spec, retain int, fileRoot string) (*Job
 		cfg:      cfg,
 		x0:       append([]float64(nil), n.X...),
 		y0:       append([]float64(nil), n.Y...),
-		bc:       obs.NewBroadcast(retain),
+		bc:       obs.NewBroadcast(obs.DefaultRetain),
 		done:     make(chan struct{}),
 		key: cacheKey{
 			net: ckpt.Fingerprint(n),

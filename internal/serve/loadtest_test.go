@@ -117,7 +117,7 @@ func TestLoadUnderAdmissionFaults(t *testing.T) {
 func TestPreemptionSnapshotFailureKeepsVictimRunning(t *testing.T) {
 	defer leakcheck.Check(t)
 	t.Cleanup(faultsim.Reset)
-	// Every snapshot write fails: stride checkpoints and the preemption
+	// Every snapshot write fails: per-level checkpoints and the preemption
 	// snapshot alike.
 	if err := faultsim.Arm("ckpt.write", faultsim.Schedule{}); err != nil {
 		t.Fatal(err)

@@ -78,9 +78,6 @@ type Options struct {
 	// file is rejected rather than allowed to open arbitrary server
 	// paths.
 	FileRoot string
-	// Retain is each job's progress-stream replay window (events kept
-	// for late subscribers). 0 selects obs.DefaultRetain.
-	Retain int
 	// Obs receives the scheduler's serve.* counters and gauges. Nil
 	// creates an internal recorder (always available via Stats).
 	Obs *obs.Recorder
@@ -129,10 +126,6 @@ type Options struct {
 	// 404 afterwards. 0 selects the default of 256, negative retains
 	// everything.
 	GCKeepTerminal int
-	// GCOrphanAge is how old an on-disk job directory with no in-memory
-	// job must be before the GC removes it. 0 selects the default of 5
-	// minutes.
-	GCOrphanAge time.Duration
 }
 
 func (o *Options) fill() {
@@ -165,9 +158,6 @@ func (o *Options) fill() {
 	}
 	if o.GCKeepTerminal == 0 {
 		o.GCKeepTerminal = 256
-	}
-	if o.GCOrphanAge == 0 {
-		o.GCOrphanAge = 5 * time.Minute
 	}
 }
 
@@ -288,7 +278,7 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	seq := s.seq
 	s.mu.Unlock()
 
-	j, err := newJob(fmt.Sprintf("j%08d", seq), seq, spec, s.opt.Retain, s.opt.FileRoot)
+	j, err := newJob(fmt.Sprintf("j%08d", seq), seq, spec, s.opt.FileRoot)
 	if err != nil {
 		s.rec.Count("serve.badspec", 1)
 		return nil, err
@@ -905,7 +895,7 @@ func (s *Scheduler) requeuePreempted(j *Job) {
 
 // finishInterrupted handles a context-aborted run: a user cancellation
 // finishes the job, a deadline fails it, and a shutdown hard-cancel
-// requeues it (persisted as queued, resumable from its last level-stride
+// requeues it (persisted as queued, resumable from its last per-level
 // snapshot) for the next process.
 func (s *Scheduler) finishInterrupted(j *Job) {
 	j.mu.Lock()
@@ -1243,7 +1233,7 @@ func (s *Scheduler) recover() error {
 			s.adopt(tombstoneJob(jf, jf.Error))
 			continue
 		}
-		j, jerr := newJob(jf.ID, jf.Seq, jf.Spec, s.opt.Retain, s.opt.FileRoot)
+		j, jerr := newJob(jf.ID, jf.Seq, jf.Spec, s.opt.FileRoot)
 		if jerr != nil {
 			// The instance no longer loads (file reference gone): the job
 			// cannot be resumed, record why.
