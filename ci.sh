@@ -62,7 +62,7 @@ echo "== benchmark smoke =="
 # CI fast.
 go test -timeout 10m -run '^$' -bench 'BenchmarkSolveSubsetBlock|BenchmarkRealizeLevel|BenchmarkSolveFBPGrid' -benchtime 1x ./internal/qp/ ./internal/fbp/
 go test -timeout 10m -run '^$' -bench 'BenchmarkNSGrid' -benchtime 1x ./internal/flow/
-go test -timeout 10m -run '^$' -bench 'BenchmarkEngines|BenchmarkCondensedLarge' -benchtime 1x ./internal/transport/
+go test -timeout 10m -run '^$' -bench 'BenchmarkEngines|BenchmarkCondensedLarge|BenchmarkCondensedPairShape' -benchtime 1x ./internal/transport/
 go test -timeout 10m -run '^$' -bench 'BenchmarkBuild' -benchtime 1x ./internal/sparse/
 # The recursive baseline's one elastic solve per window (ablation A1) and
 # the NoLocalQP switch, the local QP's on/off ablation.

@@ -18,6 +18,7 @@ var solverPackages = map[string]bool{
 	"flow":      true,
 	"qp":        true,
 	"placer":    true,
+	"detail":    true,
 }
 
 // MapOrder flags `for … range` over map-typed values inside solver
@@ -37,7 +38,7 @@ var MapOrder = &Analyzer{
 
 func solverPackageList() string {
 	// Stable order for the doc string.
-	return "fbp, region, grid, legalize, transport, flow, qp, placer"
+	return "fbp, region, grid, legalize, transport, flow, qp, placer, detail"
 }
 
 func runMapOrder(p *Pass) {

@@ -15,6 +15,7 @@ package detail
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"fbplace/internal/geom"
@@ -47,6 +48,11 @@ type optimizer struct {
 	rows    [][]netlist.CellID
 	rowOf   func(y float64) int
 	numRows int
+	// netMark[ni] == epoch marks net ni as collected by the current
+	// netsTouching call; nets is that call's result buffer.
+	netMark []uint32
+	epoch   uint32
+	nets    []int32
 }
 
 // Optimize runs detailed placement on a legalized netlist in place.
@@ -74,14 +80,19 @@ func Optimize(n *netlist.Netlist, mbs []region.Movebound, opt Options) (Result, 
 func (o *optimizer) buildNetIndex() {
 	n := o.n
 	o.netsOf = make([][]int32, n.NumCells())
+	o.netMark = make([]uint32, len(n.Nets))
 	for ni := range n.Nets {
-		seen := map[netlist.CellID]bool{}
 		for _, p := range n.Nets[ni].Pins {
-			if p.IsPad() || seen[p.Cell] {
+			if p.IsPad() {
 				continue
 			}
-			seen[p.Cell] = true
-			o.netsOf[p.Cell] = append(o.netsOf[p.Cell], int32(ni))
+			// Nets are visited in ascending order, so a cell already
+			// holding ni lists it last.
+			own := o.netsOf[p.Cell]
+			if len(own) > 0 && own[len(own)-1] == int32(ni) {
+				continue
+			}
+			o.netsOf[p.Cell] = append(own, int32(ni))
 		}
 	}
 }
@@ -120,23 +131,36 @@ func (o *optimizer) buildRows() {
 	}
 }
 
-// hpwlOf returns the total HPWL of the given nets.
-func (o *optimizer) hpwlOf(nets map[int32]bool) float64 {
+// hpwlOf returns the total HPWL of the given nets, summed in their order.
+func (o *optimizer) hpwlOf(nets []int32) float64 {
 	total := 0.0
-	for ni := range nets {
+	for _, ni := range nets {
 		total += o.n.NetHPWL(netlist.NetID(ni))
 	}
 	return total
 }
 
-// netsTouching collects the nets of the given cells.
-func (o *optimizer) netsTouching(cells []netlist.CellID) map[int32]bool {
-	out := map[int32]bool{}
+// netsTouching returns the nets of the given cells, deduplicated and
+// ascending, so every HPWL total (and with it every accept/reject
+// decision) is summed in one fixed order. The slice is reused by the next
+// call.
+func (o *optimizer) netsTouching(cells []netlist.CellID) []int32 {
+	o.epoch++
+	if o.epoch == 0 {
+		clear(o.netMark)
+		o.epoch = 1
+	}
+	out := o.nets[:0]
 	for _, c := range cells {
 		for _, ni := range o.netsOf[c] {
-			out[ni] = true
+			if o.netMark[ni] != o.epoch {
+				o.netMark[ni] = o.epoch
+				out = append(out, ni)
+			}
 		}
 	}
+	slices.Sort(out)
+	o.nets = out
 	return out
 }
 

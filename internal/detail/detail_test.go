@@ -1,6 +1,7 @@
 package detail_test
 
 import (
+	"math"
 	"testing"
 
 	"fbplace/internal/detail"
@@ -87,5 +88,41 @@ func TestOptimizeRespectsMovebounds(t *testing.T) {
 	}
 	if got := legalize.VerifyNoOverlaps(inst.N); got != 0 {
 		t.Fatalf("overlaps = %d", got)
+	}
+}
+
+// TestOptimizeDeterministic runs detailed placement three times on copies
+// of one placed genchip chip and requires bit-identical positions: every
+// HPWL total behind an accept/reject decision must be summed in one fixed
+// net order.
+func TestOptimizeDeterministic(t *testing.T) {
+	inst, err := gen.Chip(gen.ChipSpec{Name: "dd", NumCells: 2500, Seed: 33})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := placer.Place(inst.N, placer.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	var first *netlist.Netlist
+	for run := 0; run < 3; run++ {
+		n := inst.N.Clone()
+		res, err := detail.Optimize(n, nil, detail.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Reorders+res.Swaps == 0 {
+			t.Fatal("no moves accepted; the comparison would show nothing")
+		}
+		if first == nil {
+			first = n
+			continue
+		}
+		for i := range n.X {
+			if math.Float64bits(n.X[i]) != math.Float64bits(first.X[i]) ||
+				math.Float64bits(n.Y[i]) != math.Float64bits(first.Y[i]) {
+				t.Fatalf("run %d: cell %d at (%v, %v), first run (%v, %v)",
+					run, i, n.X[i], n.Y[i], first.X[i], first.Y[i])
+			}
+		}
 	}
 }

@@ -135,19 +135,20 @@ type realizer struct {
 }
 
 // workerScratch bundles the reusable buffers a realization worker needs
-// for one unit: the local QP workspace plus the sink, transportation and
-// membership buffers of transportWindows. A scratch is borrowed from the
-// realizer's free list for the duration of one unit, so steady-state
-// realization allocates in proportion to the unit instead of rebuilding
-// every buffer. Reuse never changes results: all buffers are fully rewritten
-// per unit.
+// for one unit: the local QP and transportation workspaces plus the sink,
+// transportation and membership buffers of transportWindows. A scratch is
+// borrowed from the realizer's free list for the duration of one unit, so
+// steady-state realization allocates in proportion to the unit instead of
+// rebuilding every buffer. Reuse never changes results: all buffers are
+// fully rewritten per unit.
 type workerScratch struct {
-	qp     *qp.Workspace
-	subset []netlist.CellID
-	sinks  []sinkInfo
-	caps   []float64
-	supply []float64
-	arcs   [][]transport.Arc
+	qp        *qp.Workspace
+	transport *transport.Workspace
+	subset    []netlist.CellID
+	sinks     []sinkInfo
+	caps      []float64
+	supply    []float64
+	arcs      [][]transport.Arc
 	// present is an epoch-stamped per-cell membership mark replacing the
 	// per-call map that filtered window cell lists.
 	present      []uint32
@@ -165,7 +166,7 @@ type workerScratch struct {
 func (r *realizer) getScratch() *workerScratch {
 	sc := <-r.scratch
 	if sc == nil {
-		sc = &workerScratch{qp: qp.NewWorkspace()}
+		sc = &workerScratch{qp: qp.NewWorkspace(), transport: transport.NewWorkspace()}
 	}
 	return sc
 }
@@ -844,12 +845,13 @@ func (r *realizer) transportWindows(u int, windows []int, cells []int32, sc *wor
 	}
 	sc.supply, sc.arcs = supply, arcs
 	prob := &transport.Problem{
-		Supply:   supply,
-		Capacity: caps,
-		Arcs:     arcs,
-		Obs:      r.rec,
-		Ctx:      r.cfg.Ctx,
-		Degrade:  r.cfg.Degrade,
+		Supply:    supply,
+		Capacity:  caps,
+		Arcs:      arcs,
+		Obs:       r.rec,
+		Ctx:       r.cfg.Ctx,
+		Degrade:   r.cfg.Degrade,
+		Workspace: sc.transport,
 	}
 	for i, ci := range cells {
 		c := &r.n.Cells[ci]

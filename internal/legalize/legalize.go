@@ -517,36 +517,81 @@ func widestSegment(n *netlist.Netlist, reg *region.Region, blockages geom.RectSe
 }
 
 // VerifyNoOverlaps checks that no two movable cells overlap and no movable
-// cell overlaps a fixed cell; it returns the number of overlapping pairs.
-// Used by integration tests and the experiment harness.
+// cell overlaps a fixed cell; it returns the number of overlapping pairs:
+// pairs of cells, not both fixed, whose intersection has area above 1e-6.
+// Used by the placer's report, certification and the experiment harness.
+//
+// Cells are bucketed into horizontal bands one row high (every band a
+// cell's y-range touches, so fixed macros join several), and each band is
+// swept in x. Two cells with a common interior point share the band of
+// that point; a pair is counted only in the first band both touch.
 func VerifyNoOverlaps(n *netlist.Netlist) int {
 	type box struct {
-		r     geom.Rect
-		fixed bool
+		r      geom.Rect
+		fixed  bool
+		lo, hi int32 // first and last band the cell touches
 	}
-	boxes := make([]box, 0, n.NumCells())
+	// Band height: one row, coarsened so there are at most one band per
+	// cell (plus one).
+	bands := 1
+	y0, bh := n.Area.Ylo, n.Area.Height()
+	if h := n.Area.Height(); h > 0 && n.RowHeight > 0 {
+		bands = int(math.Min(math.Ceil(h/n.RowHeight), float64(n.NumCells()+1)))
+		bands = max(bands, 1)
+		bh = h / float64(bands)
+	}
+	band := func(y float64) int32 {
+		if bh <= 0 {
+			return 0
+		}
+		b := math.Floor((y - y0) / bh)
+		if !(b > 0) { // also NaN
+			return 0
+		}
+		if b >= float64(bands-1) {
+			return int32(bands - 1)
+		}
+		return int32(b)
+	}
+	boxes := make([]box, n.NumCells())
+	start := make([]int32, bands+1)
 	for i := range n.Cells {
-		boxes = append(boxes, box{r: n.CellRect(netlist.CellID(i)), fixed: n.Cells[i].Fixed})
+		r := n.CellRect(netlist.CellID(i))
+		b := box{r: r, fixed: n.Cells[i].Fixed, lo: band(r.Ylo), hi: band(r.Yhi)}
+		boxes[i] = b
+		for k := b.lo; k <= b.hi; k++ {
+			start[k+1]++
+		}
 	}
-	idx := make([]int, len(boxes))
-	for i := range idx {
-		idx[i] = i
+	for k := 0; k < bands; k++ {
+		start[k+1] += start[k]
 	}
-	sort.Slice(idx, func(a, b int) bool { return boxes[idx[a]].r.Xlo < boxes[idx[b]].r.Xlo })
+	members := make([]int32, start[bands])
+	fill := append([]int32(nil), start[:bands]...)
+	for i, b := range boxes {
+		for k := b.lo; k <= b.hi; k++ {
+			members[fill[k]] = int32(i)
+			fill[k]++
+		}
+	}
 	overlaps := 0
-	for a := 0; a < len(idx); a++ {
-		ba := boxes[idx[a]]
-		for b := a + 1; b < len(idx); b++ {
-			bb := boxes[idx[b]]
-			if bb.r.Xlo >= ba.r.Xhi-1e-9 {
-				break
-			}
-			if ba.fixed && bb.fixed {
-				continue
-			}
-			ir := ba.r.Intersect(bb.r)
-			if !ir.Empty() && ir.Area() > 1e-6 {
-				overlaps++
+	for k := int32(0); k < int32(bands); k++ {
+		idx := members[start[k]:start[k+1]]
+		sort.Slice(idx, func(a, b int) bool { return boxes[idx[a]].r.Xlo < boxes[idx[b]].r.Xlo })
+		for a := 0; a < len(idx); a++ {
+			ba := &boxes[idx[a]]
+			for b := a + 1; b < len(idx); b++ {
+				bb := &boxes[idx[b]]
+				if bb.r.Xlo >= ba.r.Xhi-1e-9 {
+					break
+				}
+				if (ba.fixed && bb.fixed) || max(ba.lo, bb.lo) != k {
+					continue
+				}
+				ir := ba.r.Intersect(bb.r)
+				if !ir.Empty() && ir.Area() > 1e-6 {
+					overlaps++
+				}
 			}
 		}
 	}

@@ -269,3 +269,66 @@ func TestLegalizeWithMoveboundsCanceled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// bruteOverlaps counts the overlapping pairs by testing every pair: not
+// both fixed, intersection area above 1e-6.
+func bruteOverlaps(n *netlist.Netlist) int {
+	count := 0
+	for i := range n.Cells {
+		for j := i + 1; j < len(n.Cells); j++ {
+			if n.Cells[i].Fixed && n.Cells[j].Fixed {
+				continue
+			}
+			ir := n.CellRect(netlist.CellID(i)).Intersect(n.CellRect(netlist.CellID(j)))
+			if !ir.Empty() && ir.Area() > 1e-6 {
+				count++
+			}
+		}
+	}
+	return count
+}
+
+// TestVerifyNoOverlapsMatchesBruteForce compares the banded sweep with the
+// all-pairs count on random layouts: standard cells on a row grid (many of
+// them abutting exactly, some stacked or off-row), fixed macros spanning
+// several rows that overlap each other and the cells, and cells partly
+// outside the chip.
+func TestVerifyNoOverlapsMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	overlapped := 0
+	for trial := 0; trial < 60; trial++ {
+		area := geom.Rect{Xhi: float64(20 + rng.Intn(60)), Yhi: float64(10 + rng.Intn(40))}
+		n := netlist.New(area, 1)
+		for m := rng.Intn(5); m > 0; m-- {
+			w, h := float64(2+rng.Intn(10)), float64(2+rng.Intn(10))
+			id := n.AddCell(netlist.Cell{Width: w, Height: h, Fixed: true, Movebound: netlist.NoMovebound})
+			n.SetPos(id, geom.Point{X: rng.Float64() * area.Xhi, Y: rng.Float64() * area.Yhi})
+		}
+		rows := int(area.Yhi)
+		for c := 50 + rng.Intn(300); c > 0; c-- {
+			w := float64(1 + rng.Intn(4))
+			id := n.AddCell(netlist.Cell{Width: w, Height: 1, Movebound: netlist.NoMovebound})
+			x := float64(rng.Intn(int(area.Xhi))) + w/2 // integer edges: exact abutment
+			y := float64(rng.Intn(rows)) + 0.5
+			switch rng.Intn(6) {
+			case 0:
+				x += rng.Float64() // off-grid
+			case 1:
+				y += rng.Float64() - 0.5 // off-row
+			case 2:
+				x -= 2 // may leave the chip
+			}
+			n.SetPos(id, geom.Point{X: x, Y: y})
+		}
+		want := bruteOverlaps(n)
+		if got := VerifyNoOverlaps(n); got != want {
+			t.Fatalf("trial %d: VerifyNoOverlaps = %d, brute force %d", trial, got, want)
+		}
+		if want > 0 {
+			overlapped++
+		}
+	}
+	if overlapped < 50 {
+		t.Fatalf("only %d of 60 layouts overlap", overlapped)
+	}
+}

@@ -3,7 +3,8 @@
 // small nets, star model for large ones), fixed pins and pads enter the
 // right-hand side, and optional anchors pull cells toward targets (window
 // centers during partitioning, spread positions in the RQL baseline).
-// The x and y systems are independent and solved with preconditioned CG.
+// The x and y systems are independent and solved with preconditioned CG,
+// concurrently; under the clique/star model they share one matrix.
 //
 // SolveSubset supports the local QP of the realization step (§IV.B):
 // only the given cells are variables, everything else is fixed at its
@@ -257,17 +258,28 @@ func SolveSubset(n *netlist.Netlist, subset []netlist.CellID, anchors []Anchor, 
 	ws.pinOff = append(ws.pinOff, int32(len(ws.pins)))
 	dim := nv + numStars
 
-	if ws.bx == nil {
-		ws.bx, ws.by = sparse.NewBuilder(dim), sparse.NewBuilder(dim)
-	} else {
-		ws.bx.Reset(dim)
-		ws.by.Reset(dim)
+	// Clique and star springs, anchors and the regularization put the
+	// same weights into both axes, so one matrix serves both; only B2B
+	// weights differ per axis. Each builder call below that is not
+	// axis-specific goes to by only when by is a second builder.
+	ws.bx = resetBuilder(ws.bx, dim)
+	bx, by := ws.bx, ws.bx
+	if opt.NetModel == ModelB2B {
+		ws.by = resetBuilder(ws.by, dim)
+		by = ws.by
 	}
-	bx, by := ws.bx, ws.by
+	shared := bx == by
 	ws.rhsX = growZeroed(ws.rhsX, dim)
 	ws.rhsY = growZeroed(ws.rhsY, dim)
 	rhsX, rhsY := ws.rhsX, ws.rhsY
 
+	// addDiag adds w to variable i's diagonal on both axes.
+	addDiag := func(i int, w float64) {
+		bx.AddDiag(i, w)
+		if !shared {
+			by.AddDiag(i, w)
+		}
+	}
 	// addSpring connects two pins (variable or fixed) with weight w.
 	addSpring := func(a, b netPin, w float64) {
 		switch {
@@ -276,7 +288,9 @@ func SolveSubset(n *netlist.Netlist, subset []netlist.CellID, anchors []Anchor, 
 				return // two pins on the same cell: rigid, no term
 			}
 			bx.AddSym(int(a.varIdx), int(b.varIdx), w)
-			by.AddSym(int(a.varIdx), int(b.varIdx), w)
+			if !shared {
+				by.AddSym(int(a.varIdx), int(b.varIdx), w)
+			}
 			// Offset difference moves the equilibrium.
 			dx := a.pos.X - b.pos.X
 			dy := a.pos.Y - b.pos.Y
@@ -285,13 +299,11 @@ func SolveSubset(n *netlist.Netlist, subset []netlist.CellID, anchors []Anchor, 
 			rhsY[a.varIdx] -= w * dy
 			rhsY[b.varIdx] += w * dy
 		case a.varIdx >= 0:
-			bx.AddDiag(int(a.varIdx), w)
-			by.AddDiag(int(a.varIdx), w)
+			addDiag(int(a.varIdx), w)
 			rhsX[a.varIdx] += w * (b.pos.X - a.pos.X)
 			rhsY[a.varIdx] += w * (b.pos.Y - a.pos.Y)
 		case b.varIdx >= 0:
-			bx.AddDiag(int(b.varIdx), w)
-			by.AddDiag(int(b.varIdx), w)
+			addDiag(int(b.varIdx), w)
 			rhsX[b.varIdx] += w * (a.pos.X - b.pos.X)
 			rhsY[b.varIdx] += w * (a.pos.Y - b.pos.Y)
 		}
@@ -397,8 +409,7 @@ func SolveSubset(n *netlist.Netlist, subset []netlist.CellID, anchors []Anchor, 
 		if vi < 0 || a.Weight <= 0 {
 			continue
 		}
-		bx.AddDiag(int(vi), a.Weight)
-		by.AddDiag(int(vi), a.Weight)
+		addDiag(int(vi), a.Weight)
 		rhsX[vi] += a.Weight * a.Target.X
 		rhsY[vi] += a.Weight * a.Target.Y
 	}
@@ -407,13 +418,16 @@ func SolveSubset(n *netlist.Netlist, subset []netlist.CellID, anchors []Anchor, 
 	// star nodes well-defined.
 	ctr := n.Area.Center()
 	for i := 0; i < dim; i++ {
-		bx.AddDiag(i, regularization)
-		by.AddDiag(i, regularization)
+		addDiag(i, regularization)
 		rhsX[i] += regularization * ctr.X
 		rhsY[i] += regularization * ctr.Y
 	}
 
-	mx, my := bx.Build(), by.Build()
+	mx := bx.Build()
+	my := mx
+	if !shared {
+		my = by.Build()
+	}
 	ws.x = grow(ws.x, dim)
 	ws.y = grow(ws.y, dim)
 	x, y := ws.x, ws.y
@@ -423,47 +437,30 @@ func SolveSubset(n *netlist.Netlist, subset []netlist.CellID, anchors []Anchor, 
 	for s := nv; s < dim; s++ {
 		x[s], y[s] = ctr.X, ctr.Y
 	}
+	// The fallback chain: with a degrade log armed, a CG solve that
+	// exhausts its budget is retried once from its iterate with a 4x
+	// budget (inside SolveCGPair); if that fails too, SolveSubset keeps
+	// the warm start. A best-effort solve accepts the non-converged
+	// iterate instead, and context errors pass straight through
+	// (ErrNotConverged is a distinct sentinel, so a cancellation mid-solve
+	// never retries).
 	cg := sparse.CGOptions{Tol: opt.Tol, MaxIter: opt.MaxIter, Obs: opt.Obs, Ctx: opt.Ctx}
-	tolerable := func(err error) bool {
-		return err == nil || (opt.BestEffort && errors.Is(err, sparse.ErrNotConverged))
-	}
+	retry := opt.Degrade != nil && !opt.BestEffort
+	itx, ity, errX, errY := sparse.SolveCGPair(mx, my, x, y, rhsX, rhsY, cg, retry)
 	degraded := false
 	var degradeDetail string
-	// solveAxis runs CG and, when a degrade log is armed, the
-	// retry-then-anchor step of the fallback chain: a non-converged solve
-	// is retried once from the current iterate with a 4x iteration budget;
-	// if it still fails, the degraded flag makes SolveSubset keep the warm
-	// start. Context errors pass straight through (ErrNotConverged is a
-	// distinct sentinel, so a cancellation mid-solve never retries).
-	solveAxis := func(m *sparse.CSR, v, rhs []float64) (int, error) {
-		it, err := sparse.SolveCG(m, v, rhs, cg)
-		if tolerable(err) || opt.Degrade == nil || !errors.Is(err, sparse.ErrNotConverged) {
-			return it, err
+	for _, ax := range [2]struct {
+		name string
+		err  error
+	}{{"x", errX}, {"y", errY}} {
+		switch {
+		case ax.err == nil || (opt.BestEffort && errors.Is(ax.err, sparse.ErrNotConverged)):
+		case retry && errors.Is(ax.err, sparse.ErrNotConverged):
+			degraded = true
+			degradeDetail = ax.err.Error()
+		default:
+			return fmt.Errorf("qp: %s solve: %w", ax.name, ax.err)
 		}
-		retry := cg
-		retry.MaxIter = 4 * cg.MaxIter
-		if retry.MaxIter <= 0 {
-			retry.MaxIter = 40 * m.N
-			if retry.MaxIter < 400 {
-				retry.MaxIter = 400
-			}
-		}
-		it2, err2 := sparse.SolveCG(m, v, rhs, retry)
-		it += it2
-		if err2 == nil || !errors.Is(err2, sparse.ErrNotConverged) {
-			return it, err2
-		}
-		degraded = true
-		degradeDetail = err2.Error()
-		return it, nil
-	}
-	itx, err := solveAxis(mx, x, rhsX)
-	if !tolerable(err) {
-		return fmt.Errorf("qp: x solve: %w", err)
-	}
-	ity, err := solveAxis(my, y, rhsY)
-	if !tolerable(err) {
-		return fmt.Errorf("qp: y solve: %w", err)
 	}
 	opt.Stats.add(itx + ity)
 	opt.Obs.Count("qp.solves", 1)

@@ -3,9 +3,11 @@ package qp
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fbplace/internal/degrade"
+	"fbplace/internal/faultsim"
 	"fbplace/internal/geom"
 	"fbplace/internal/netlist"
 )
@@ -384,5 +386,65 @@ func TestDegradeKeepsAnchorSolution(t *testing.T) {
 	evs := dl.Events()
 	if len(evs) == 0 || evs[0].Stage != "qp.cg" || evs[0].Fallback != "anchor-solution" {
 		t.Fatalf("degradation events = %v, want qp.cg -> anchor-solution", evs)
+	}
+}
+
+// TestCGFaultOrderDeterministic arms sparse.cg.noconverge and solves one
+// subset 20 times. The axes are solved concurrently, but the fault hits
+// must land in the sequential order x, x-retry, y, y-retry: with Limit 2
+// both x attempts fail in every run, giving the same degradation record
+// (its detail names the hit) and the warm-start positions; with Limit 1
+// only the first x attempt fails, its retry converges, and the positions
+// equal an unarmed solve's bit for bit.
+func TestCGFaultOrderDeterministic(t *testing.T) {
+	defer faultsim.Reset()
+	base := messyNetlist(300, 9)
+	var subset []netlist.CellID
+	for _, id := range base.MovableIDs() {
+		if id%3 != 0 {
+			subset = append(subset, id)
+		}
+	}
+	solve := func(limit uint64) (*netlist.Netlist, []degrade.Event) {
+		t.Helper()
+		faultsim.Reset()
+		if limit > 0 {
+			if err := faultsim.Arm("sparse.cg.noconverge", faultsim.Schedule{Limit: limit}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n := base.Clone()
+		dl := degrade.New(nil)
+		if err := SolveSubset(n, subset, nil, Options{Degrade: dl}); err != nil {
+			t.Fatal(err)
+		}
+		return n, dl.Events()
+	}
+	samePositions := func(run int, got, want *netlist.Netlist) {
+		t.Helper()
+		for i := range want.X {
+			if math.Float64bits(got.X[i]) != math.Float64bits(want.X[i]) ||
+				math.Float64bits(got.Y[i]) != math.Float64bits(want.Y[i]) {
+				t.Fatalf("run %d: cell %d at (%v, %v), want (%v, %v)", run, i, got.X[i], got.Y[i], want.X[i], want.Y[i])
+			}
+		}
+	}
+	clean, evs := solve(0)
+	if len(evs) != 0 {
+		t.Fatalf("unarmed solve degraded: %v", evs)
+	}
+	for run := 0; run < 20; run++ {
+		n, evs := solve(2)
+		if len(evs) != 1 || evs[0].Stage != "qp.cg" || evs[0].Fallback != "anchor-solution" ||
+			!strings.Contains(evs[0].Detail, "hit 1") {
+			t.Fatalf("run %d, limit 2: degradations %v, want one qp.cg -> anchor-solution at hit 1", run, evs)
+		}
+		samePositions(run, n, base)
+
+		n, evs = solve(1)
+		if len(evs) != 0 {
+			t.Fatalf("run %d, limit 1: degradations %v, want none (the x retry converges)", run, evs)
+		}
+		samePositions(run, n, clean)
 	}
 }

@@ -35,7 +35,8 @@ type Workspace struct {
 	// pins of netIDs[k] (empty for nets with fewer than two pins).
 	pins   []netPin
 	pinOff []int32
-	// System assembly and solution buffers.
+	// System assembly and solution buffers; by is used only by the B2B
+	// model, whose axes need separate matrices.
 	bx, by     *sparse.Builder
 	rhsX, rhsY []float64
 	x, y       []float64
@@ -71,6 +72,16 @@ func (ws *Workspace) begin(numCells, numNets int) {
 		ws.epoch = 1
 	}
 	ws.uses++
+}
+
+// resetBuilder returns b reset to an empty n x n system, or a new builder
+// when b is nil.
+func resetBuilder(b *sparse.Builder, n int) *sparse.Builder {
+	if b == nil {
+		return sparse.NewBuilder(n)
+	}
+	b.Reset(n)
+	return b
 }
 
 // growZeroed returns s with length n and every element zero, reusing the

@@ -14,13 +14,15 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"fbplace/internal/faultsim"
 	"fbplace/internal/obs"
 )
 
-// cgFault forces SolveCG to report non-convergence at entry, exercising
-// the quadratic placer's retry-then-anchor fallback chain.
+// cgFault forces SolveCG (and each attempt of SolveCGPair) to report
+// non-convergence at entry, exercising the quadratic placer's
+// retry-then-anchor fallback chain.
 var cgFault = faultsim.Register("sparse.cg.noconverge",
 	"SolveCG reports ErrNotConverged without iterating")
 
@@ -254,43 +256,173 @@ type CGOptions struct {
 // guess already in x (warm starts matter: each placement level starts from
 // the previous level's solution). It returns the number of iterations.
 func SolveCG(m *CSR, x, rhs []float64, opt CGOptions) (int, error) {
+	opt = opt.withDefaults(m.N)
+	if err := precheck(m, x, rhs, opt); err != nil {
+		return 0, err
+	}
+	a := attempt(m, x, rhs, opt, cgFault.Check())
+	a.record(opt.Obs)
+	return a.iters, a.err
+}
+
+// SolveCGPair solves the two axis systems of one quadratic placement,
+// mx*x = rhsX and my*y = rhsY (mx and my may be the same matrix), on two
+// goroutines. With retry set, an axis whose solve does not converge is
+// retried once from its iterate with four times the iteration budget; an
+// axis error wrapping ErrNotConverged then means both attempts failed. It
+// returns each axis's iterations over both attempts and its error.
+//
+// The outcome is that of solving x, then y, each retried in place: the
+// sparse.cg.noconverge fault schedule is drawn in the order x, x-retry, y,
+// y-retry before either axis starts, and the obs records are emitted in
+// that order once both axes returned. A retry after an organic failure
+// (not an injected one) runs once both axes returned, x first, and draws
+// its fault hit only then, so with the site armed its hit index can
+// follow y's draws instead of preceding them.
+func SolveCGPair(mx, my *CSR, x, y, rhsX, rhsY []float64, opt CGOptions, retry bool) (itx, ity int, errX, errY error) {
+	opt = opt.withDefaults(mx.N)
+	if err := precheck(mx, x, rhsX, opt); err != nil {
+		return 0, 0, err, nil
+	}
+	if err := precheck(my, y, rhsY, opt); err != nil {
+		return 0, 0, nil, err
+	}
+	axes := [2]axisRun{{m: mx, v: x, rhs: rhsX}, {m: my, v: y, rhs: rhsY}}
+	for i := range axes {
+		a := &axes[i]
+		a.fault = cgFault.Check()
+		if a.fault != nil && retry {
+			a.retryFault = cgFault.Check()
+		}
+	}
+	// An injected first attempt did no work, so its retry runs in place.
+	run := func(a *axisRun) {
+		a.first = attempt(a.m, a.v, a.rhs, opt, a.fault)
+		if a.fault != nil && retry {
+			a.second = attempt(a.m, a.v, a.rhs, opt.retry(), a.retryFault)
+			a.retried = true
+		}
+	}
+	var wg sync.WaitGroup
+	var crash any
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer func() { crash = recover() }()
+		run(&axes[1])
+	}()
+	run(&axes[0])
+	wg.Wait()
+	if crash != nil {
+		panic(crash) //fbpvet:allow re-raise the y axis's panic on the caller's goroutine
+	}
+	for i := range axes {
+		a := &axes[i]
+		if retry && !a.retried && errors.Is(a.first.err, ErrNotConverged) {
+			a.second = attempt(a.m, a.v, a.rhs, opt.retry(), cgFault.Check())
+			a.retried = true
+		}
+		a.first.record(opt.Obs)
+		if a.retried {
+			a.second.record(opt.Obs)
+		}
+	}
+	itx, errX = axes[0].result()
+	ity, errY = axes[1].result()
+	return itx, ity, errX, errY
+}
+
+// axisRun is one axis of SolveCGPair: its system, the fault hits drawn
+// for it and its attempts.
+type axisRun struct {
+	m                 *CSR
+	v, rhs            []float64
+	fault, retryFault error
+	first, second     cgAttempt
+	retried           bool
+}
+
+// result returns the axis's iterations over both attempts and its final
+// error.
+func (a *axisRun) result() (int, error) {
+	if a.retried {
+		return a.first.iters + a.second.iters, a.second.err
+	}
+	return a.first.iters, a.first.err
+}
+
+// withDefaults fills the tolerance and the iteration budget for an n x n
+// system.
+func (opt CGOptions) withDefaults(n int) CGOptions {
 	if opt.Tol == 0 {
 		opt.Tol = 1e-6
 	}
 	if opt.MaxIter == 0 {
-		opt.MaxIter = 10 * m.N
+		opt.MaxIter = 10 * n
 		if opt.MaxIter < 100 {
 			opt.MaxIter = 100
 		}
 	}
-	n := m.N
-	if len(x) != n || len(rhs) != n {
-		return 0, fmt.Errorf("sparse: dimension mismatch: matrix %d, x %d, rhs %d", n, len(x), len(rhs))
+	return opt
+}
+
+// retry returns the options of a retried solve: four times the budget.
+func (opt CGOptions) retry() CGOptions {
+	opt.MaxIter *= 4
+	return opt
+}
+
+// precheck validates the dimensions and polls the context before a solve
+// draws its fault hit.
+func precheck(m *CSR, x, rhs []float64, opt CGOptions) error {
+	if len(x) != m.N || len(rhs) != m.N {
+		return fmt.Errorf("sparse: dimension mismatch: matrix %d, x %d, rhs %d", m.N, len(x), len(rhs))
 	}
 	if opt.Ctx != nil {
-		if err := opt.Ctx.Err(); err != nil {
-			return 0, err
-		}
+		return opt.Ctx.Err()
 	}
-	if err := cgFault.Check(); err != nil {
-		// Injected non-convergence: same contract as the organic case —
-		// the warm-start iterate stays in x and ErrNotConverged is
-		// reported (wrapping the injection record for attribution).
-		return 0, fmt.Errorf("sparse: %w: %w", ErrNotConverged, err)
+	return nil
+}
+
+// cgAttempt is the outcome of one CG run. recorded marks an attempt that
+// iterated (or found its start converged) and reports to obs.
+type cgAttempt struct {
+	iters    int
+	relres   float64
+	recorded bool
+	err      error
+}
+
+// record emits the attempt's counters "cg.solves" and "cg.iters" and its
+// gauge "cg.residual".
+func (a *cgAttempt) record(rec *obs.Recorder) {
+	if rec == nil || !a.recorded {
+		return
 	}
+	rec.Count("cg.solves", 1)
+	rec.Count("cg.iters", float64(a.iters))
+	rec.Gauge("cg.residual", a.relres)
+}
+
+// attempt runs one CG solve whose fault hit was drawn as fault: an
+// injected hit reports non-convergence without iterating, with the same
+// contract as the organic case — the warm-start iterate stays in x and
+// ErrNotConverged is reported (wrapping the injection record for
+// attribution).
+func attempt(m *CSR, x, rhs []float64, opt CGOptions, fault error) cgAttempt {
+	if fault != nil {
+		return cgAttempt{err: fmt.Errorf("sparse: %w: %w", ErrNotConverged, fault)}
+	}
+	n := m.N
 	inv := make([]float64, n)
 	for i, d := range m.Diag {
 		if d <= 0 {
-			return 0, fmt.Errorf("sparse: non-positive diagonal %g at row %d (matrix not SPD)", d, i)
+			return cgAttempt{err: fmt.Errorf("sparse: non-positive diagonal %g at row %d (matrix not SPD)", d, i)}
 		}
 		inv[i] = 1 / d
 	}
-	record := func(iters int, relres float64) {
-		if opt.Obs != nil {
-			opt.Obs.Count("cg.solves", 1)
-			opt.Obs.Count("cg.iters", float64(iters))
-			opt.Obs.Gauge("cg.residual", relres)
-		}
+	done := func(iters int, relres float64, err error) cgAttempt {
+		return cgAttempt{iters: iters, relres: relres, recorded: true, err: err}
 	}
 	r := make([]float64, n)
 	z := make([]float64, n)
@@ -310,12 +442,10 @@ func SolveCG(m *CSR, x, rhs []float64, opt CGOptions) (int, error) {
 		for i := range x {
 			x[i] = 0
 		}
-		record(0, 0)
-		return 0, nil
+		return done(0, 0, nil)
 	}
 	if math.Sqrt(rnorm0) <= opt.Tol*bnorm {
-		record(0, math.Sqrt(rnorm0)/bnorm)
-		return 0, nil // warm start already converged
+		return done(0, math.Sqrt(rnorm0)/bnorm, nil) // warm start already converged
 	}
 	rz := 0.0
 	for i := range r {
@@ -331,16 +461,14 @@ func SolveCG(m *CSR, x, rhs []float64, opt CGOptions) (int, error) {
 		// placement iteration even on large systems.
 		if opt.Ctx != nil && iter&63 == 0 {
 			if err := opt.Ctx.Err(); err != nil {
-				record(iter, lastRel)
-				return iter, err
+				return done(iter, lastRel, err)
 			}
 		}
 		m.MulVec(ap, p)
 		pap := dot(p, ap)
 		if pap <= 0 {
 			// Numerical breakdown; the current iterate is the best we have.
-			record(iter, lastRel)
-			return iter, fmt.Errorf("sparse: CG breakdown, p^T A p = %g: %w", pap, ErrNotConverged)
+			return done(iter, lastRel, fmt.Errorf("sparse: CG breakdown, p^T A p = %g: %w", pap, ErrNotConverged))
 		}
 		alpha := rz / pap
 		rnorm := 0.0
@@ -351,8 +479,7 @@ func SolveCG(m *CSR, x, rhs []float64, opt CGOptions) (int, error) {
 		}
 		lastRel = math.Sqrt(rnorm) / bnorm
 		if math.Sqrt(rnorm) <= target {
-			record(iter, lastRel)
-			return iter, nil
+			return done(iter, lastRel, nil)
 		}
 		rzNew := 0.0
 		for i := range z {
@@ -365,8 +492,7 @@ func SolveCG(m *CSR, x, rhs []float64, opt CGOptions) (int, error) {
 			p[i] = z[i] + beta*p[i]
 		}
 	}
-	record(opt.MaxIter, lastRel)
-	return opt.MaxIter, ErrNotConverged
+	return done(opt.MaxIter, lastRel, ErrNotConverged)
 }
 
 func dot(a, b []float64) float64 {

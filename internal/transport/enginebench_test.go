@@ -91,3 +91,27 @@ func BenchmarkEngines(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCondensedPairShape solves one realization-shaped pair instance
+// (see pairShapedProblem): 2500 cells piled on 300 integer positions, k = 6,
+// capacities 80% of the supply starting at each sink plus a quarter of an
+// even share. The pile-ups move as large exactly tied groups. It runs with
+// fresh buffers per solve and with one reused Workspace, as the
+// realization workers solve.
+func BenchmarkCondensedPairShape(b *testing.B) {
+	p := pairShapedProblem(rand.New(rand.NewSource(6)), 2500, 6, 300, true, 0.25)
+	for _, tc := range []struct {
+		name string
+		ws   *Workspace
+	}{{"fresh", nil}, {"workspace", NewWorkspace()}} {
+		p.Workspace = tc.ws
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Solve(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

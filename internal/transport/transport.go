@@ -72,9 +72,12 @@ type Problem struct {
 	Arcs     [][]Arc   // Arcs[i] lists admissible sinks of source i
 	// Obs, when non-nil, records the counters "transport.solves",
 	// "transport.sources", "transport.augmentations" (condensed-engine
-	// shortest-path augmentations), "transport.splits",
-	// "transport.overflow" (overflow area) and "transport.overflow_solves"
-	// (solves that took any overflow) per Solve call.
+	// shortest-path augmentations), "transport.refills" (candidate-prefix
+	// refills from a sink's presence list), "transport.tie_scans" (tied
+	// groups the prefix could not prove complete, so the list was
+	// scanned), "transport.splits", "transport.overflow" (overflow area)
+	// and "transport.overflow_solves" (solves that took any overflow) per
+	// Solve call.
 	Obs *obs.Recorder
 	// Ctx, when non-nil, is polled during the solve; a canceled or expired
 	// context aborts with the context's error (no fallback: cancellation
@@ -84,6 +87,9 @@ type Problem struct {
 	// fallback so results are never silently produced by the slower
 	// oracle path.
 	Degrade *degrade.Log
+	// Workspace, when non-nil, supplies the condensed engine's reusable
+	// buffers (see Workspace); nil allocates them per solve.
+	Workspace *Workspace
 }
 
 // NumSources returns the number of sources.
@@ -249,7 +255,7 @@ func sortPortions(ps []Portion) {
 // engine. The fallback is recorded on p.Degrade (and as an obs counter via
 // the log), so a degraded run is attributable, never silent.
 func Solve(p *Problem) (*Solution, error) {
-	sol, augs, err := solveCondensed(p)
+	sol, st, err := runCondensed(p)
 	if err != nil && fallbackWorthy(err) {
 		p.Degrade.Add("transport.condensed", "reference-engine", err.Error())
 		sol, err = SolveReference(p)
@@ -257,7 +263,9 @@ func Solve(p *Problem) (*Solution, error) {
 	if p.Obs != nil {
 		p.Obs.Count("transport.solves", 1)
 		p.Obs.Count("transport.sources", float64(p.NumSources()))
-		p.Obs.Count("transport.augmentations", float64(augs))
+		p.Obs.Count("transport.augmentations", float64(st.augs))
+		p.Obs.Count("transport.refills", float64(st.refills))
+		p.Obs.Count("transport.tie_scans", float64(st.tieScans))
 		if err == nil {
 			p.Obs.Count("transport.splits", float64(sol.NumSplit()))
 			over := sol.TotalOverflow()
@@ -294,33 +302,47 @@ type presence struct {
 // from the owning sink to the target sink costs w.
 type condEdge struct {
 	w      float64
-	source int // -1 = absent
+	source int
 }
 
-// pairState caches the best and second-best candidates for one (from, to)
-// sink pair, maintained incrementally as presences change. `stale` forces
-// a full recompute of the pair on next access. `live` counts the presences
-// at the from-sink that are admissible at the to-sink; the pair is listed
-// in the from-sink's adjacency (at index `pos`) exactly while live > 0.
+// prefixLen is the number of candidates a pair keeps. Four covers the
+// common tied group without a scan and keeps each offer and removal a
+// short shift; a heap per pair would instead cost k-1 pushes per new
+// presence.
+const prefixLen = 4
+
+// pairState keeps the candidates of one (from, to) sink pair: top[:n] is
+// the exact top n of the live candidates in `better` order, maintained
+// incrementally as presences change, and n == 0 while live > 0 means the
+// prefix ran empty and is refilled from the from-sink's presences on next
+// access. `live` counts the presences at the from-sink that are admissible
+// at the to-sink; the pair is listed in the from-sink's adjacency (at
+// index `pos`) exactly while live > 0, and n == live says the prefix holds
+// every live candidate.
 type pairState struct {
-	best, second condEdge
-	live, pos    int32
-	stale        bool
+	top       [prefixLen]condEdge
+	n         int32
+	live, pos int32
 }
 
 // condensed holds the solver state: presences per sink, a (k x k) matrix
-// of candidate edges maintained incrementally, and a sparse per-sink
+// of candidate prefixes maintained incrementally, and a sparse per-sink
 // adjacency over the pairs with live candidates, so an augmentation costs
-// one Dijkstra search over the live pairs plus O(path * recomputed pairs).
+// one Dijkstra search over the live pairs plus O(path * prefix) upkeep.
 type condensed struct {
 	k      int
 	arcsOf [][]Arc
+	flat   []Arc // backing array of arcsOf
 	// costOf is a dense n x k matrix of arc costs (+Inf = inadmissible);
-	// dense storage keeps the hot recompute loops free of map lookups.
+	// dense storage keeps the hot loops free of map lookups.
 	costOf   []float64
 	capacity []float64
 	at       [][]presence
-	load     []float64
+	// slot[i*k+j] is the index of source i's presence in at[j], so adding
+	// and removing a presence takes O(1). An entry is valid only when that
+	// presence is source i's (see present), so the index is never cleared.
+	slot []int32
+	load []float64
 	// used[j] is the overflow sink j has taken: the flow on its
 	// overflow-priced arc to T, nonzero only while the sink is full. Its
 	// excess still to route is load - capacity - used.
@@ -340,7 +362,26 @@ type condensed struct {
 	heapPos []int32 // index in heap, -1 when absent
 	path    []int
 	groups  []tiedGroup
+	count   []int // portions per source, for the extraction
+
+	// refills counts prefix refills and tieScans the tied groups that
+	// needed a scan of the presence list.
+	refills, tieScans int
 }
+
+// Workspace holds the condensed engine's reusable buffers: the cost
+// matrix, presence lists, slot index, pair prefixes and search scratch.
+// Passing one through Problem.Workspace makes a steady-state solve
+// allocate only its Solution. A workspace must not be shared by concurrent
+// solves; the realization threads one per worker. Results are
+// bit-identical with and without a workspace: every buffer is rewritten
+// per solve.
+type Workspace struct {
+	c condensed
+}
+
+// NewWorkspace returns an empty workspace. Buffers are sized on first use.
+func NewWorkspace() *Workspace { return &Workspace{} }
 
 type viaEdge struct {
 	from   int // predecessor sink
@@ -355,12 +396,6 @@ type tiedGroup struct {
 }
 
 func better(x, y condEdge) bool {
-	if y.source < 0 {
-		return x.source >= 0
-	}
-	if x.source < 0 {
-		return false
-	}
 	//fbpvet:floatok exact tie-break on stored weights keeps the sort total
 	if x.w != y.w {
 		return x.w < y.w
@@ -368,22 +403,47 @@ func better(x, y condEdge) bool {
 	return x.source < y.source
 }
 
-// offer inserts a candidate into the pair's best/second slots. A stale
-// pair with no best is left alone: presences it no longer tracks may beat
-// the candidate, so only the rebuild on next access can fill it.
+// offer inserts a new candidate into the pair's prefix. A candidate that
+// ranks after every entry is appended only while the prefix holds every
+// live candidate: otherwise presences the prefix no longer tracks may rank
+// before it (an empty prefix of a live pair waits for its refill, which
+// sees the candidate). The caller counts the candidate in live afterwards.
 func (p *pairState) offer(e condEdge) {
-	if p.stale && p.best.source < 0 {
+	i := p.rank(e)
+	if i == p.n && (p.n == prefixLen || p.n < p.live) {
 		return
 	}
-	if p.best.source == e.source {
-		// Same source re-offered (cost unchanged); nothing to do.
-		return
+	p.insert(i, e)
+}
+
+// rank returns the number of prefix entries that rank before e.
+func (p *pairState) rank(e condEdge) int32 {
+	i := p.n
+	for i > 0 && better(e, p.top[i-1]) {
+		i--
 	}
-	if better(e, p.best) {
-		p.second = p.best
-		p.best = e
-	} else if p.second.source != e.source && better(e, p.second) {
-		p.second = e
+	return i
+}
+
+// insert puts e at prefix index i, dropping the last entry of a full
+// prefix.
+func (p *pairState) insert(i int32, e condEdge) {
+	if p.n < prefixLen {
+		p.n++
+	}
+	copy(p.top[i+1:p.n], p.top[i:p.n-1])
+	p.top[i] = e
+}
+
+// drop removes source src from the pair's prefix, if it is there; the
+// rest stays the exact top of the remaining candidates.
+func (p *pairState) drop(src int) {
+	for i := int32(0); i < p.n; i++ {
+		if p.top[i].source == src {
+			copy(p.top[i:p.n-1], p.top[i+1:p.n])
+			p.n--
+			return
+		}
 	}
 }
 
@@ -412,20 +472,7 @@ func (c *condensed) onRemove(a, src int) {
 			continue
 		}
 		p := &row[arc.Sink]
-		switch src {
-		case p.best.source:
-			if p.second.source >= 0 && !p.stale {
-				p.best = p.second
-				p.second = condEdge{source: -1}
-				p.stale = true // second slot now unknown
-			} else {
-				p.best = condEdge{source: -1}
-				p.stale = true
-			}
-		case p.second.source:
-			p.second = condEdge{source: -1}
-			p.stale = true
-		}
+		p.drop(src)
 		if p.live--; p.live == 0 {
 			// Swap-remove the pair from a's adjacency.
 			adj := c.adj[a]
@@ -437,85 +484,204 @@ func (c *condensed) onRemove(a, src int) {
 	}
 }
 
-// recompute rebuilds the stale pair (a, b) from a's presence list. A stale
-// pair whose best slot is still valid is read as is (its unknown second
-// slot only matters on the next removal of best); only a stale pair with
-// no best needs this rebuild.
-func (c *condensed) recompute(a, b int, p *pairState) condEdge {
-	best, second := condEdge{source: -1}, condEdge{source: -1}
+// best returns the cheapest candidate of the live pair (a, b), refilling
+// its prefix from a's presence list when it ran empty.
+func (c *condensed) best(a, b int, p *pairState) condEdge {
+	if p.n == 0 {
+		c.refill(a, b, p)
+	}
+	return p.top[0]
+}
+
+// refill rebuilds the prefix of pair (a, b) from a's presence list: the
+// one remaining scan of the list outside tie-heavy groups.
+func (c *condensed) refill(a, b int, p *pairState) {
+	c.refills++
+	p.n = 0
 	for _, pr := range c.at[a] {
-		if pr.amount <= flow.Eps {
-			continue
-		}
 		cb := c.costOf[pr.source*c.k+b]
 		if math.IsInf(cb, 1) {
 			continue
 		}
 		e := condEdge{w: cb - pr.cost, source: pr.source}
-		if better(e, best) {
-			second = best
-			best = e
-		} else if better(e, second) {
-			second = e
+		if i := p.rank(e); i < prefixLen {
+			p.insert(i, e)
 		}
 	}
-	p.best, p.second, p.stale = best, second, false
-	return p.best
+}
+
+// collectTies fills g with the presences at a whose reassignment to b
+// costs exactly bestW (the pair's cheapest), in presence-list order. The
+// prefix holds every tie when an entry costs more than bestW or when it
+// holds every live candidate; only otherwise is the list scanned.
+func (c *condensed) collectTies(a, b int, bestW float64, g *tiedGroup) {
+	k := c.k
+	g.sources, g.amounts, g.total = g.sources[:0], g.amounts[:0], 0
+	p := &c.pairs[a*k+b]
+	m := int32(0)
+	for m < p.n && p.top[m].w <= bestW {
+		m++
+	}
+	if m < p.n || p.n == p.live {
+		var idx [prefixLen]int32
+		for t := int32(0); t < m; t++ {
+			s := c.slot[p.top[t].source*k+a]
+			u := t
+			for ; u > 0 && idx[u-1] > s; u-- {
+				idx[u] = idx[u-1]
+			}
+			idx[u] = s
+		}
+		for _, s := range idx[:m] {
+			pr := &c.at[a][s]
+			if pr.amount <= flow.Eps {
+				continue
+			}
+			g.sources = append(g.sources, pr.source)
+			g.amounts = append(g.amounts, pr.amount)
+			g.total += pr.amount
+		}
+		return
+	}
+	c.tieScans++
+	for _, pr := range c.at[a] {
+		if pr.amount <= flow.Eps {
+			continue
+		}
+		cb := c.costOf[pr.source*k+b]
+		if math.IsInf(cb, 1) {
+			continue
+		}
+		if cb-pr.cost <= bestW {
+			g.sources = append(g.sources, pr.source)
+			g.amounts = append(g.amounts, pr.amount)
+			g.total += pr.amount
+		}
+	}
+}
+
+// engineStats reports the condensed engine's effort: shortest-path
+// augmentations, prefix refills and tied groups that needed a scan.
+type engineStats struct {
+	augs, refills, tieScans int
+}
+
+// reset sizes the engine's buffers for an n x k instance, reusing their
+// capacity, and clears the per-solve state.
+func (c *condensed) reset(p *Problem) {
+	n, k := p.NumSources(), p.NumSinks()
+	c.k = k
+	c.capacity = p.Capacity
+	c.overflow = overflowPrice(p)
+	c.refills, c.tieScans = 0, 0
+	c.costOf = growFloats(c.costOf, n*k)
+	for i := range c.costOf {
+		c.costOf[i] = math.Inf(1)
+	}
+	c.slot = growInt32s(c.slot, n*k)
+	if cap(c.arcsOf) < n {
+		c.arcsOf = make([][]Arc, n)
+	}
+	c.arcsOf = c.arcsOf[:n]
+	total := 0
+	for _, arcs := range p.Arcs {
+		total += len(arcs)
+	}
+	if cap(c.flat) < total {
+		c.flat = make([]Arc, 0, total)
+	}
+	c.flat = c.flat[:0]
+	if cap(c.at) < k {
+		c.at = make([][]presence, k)
+		c.adj = make([][]int32, k)
+	}
+	c.at, c.adj = c.at[:k], c.adj[:k]
+	for j := range c.at {
+		c.at[j], c.adj[j] = c.at[j][:0], c.adj[j][:0]
+	}
+	c.load = growFloats(c.load, k)
+	c.used = growFloats(c.used, k)
+	for j := 0; j < k; j++ {
+		c.load[j], c.used[j] = 0, 0
+	}
+	if cap(c.pairs) < k*k {
+		c.pairs = make([]pairState, k*k)
+	}
+	c.pairs = c.pairs[:k*k]
+	for i := range c.pairs {
+		c.pairs[i] = pairState{}
+	}
+	c.pi = growFloats(c.pi, k+1)
+	for v := range c.pi {
+		c.pi[v] = 0
+	}
+	c.dist = growFloats(c.dist, k+1)
+	if cap(c.via) < k+1 {
+		c.via = make([]viaEdge, k+1)
+		c.done = make([]bool, k+1)
+	}
+	c.via, c.done = c.via[:k+1], c.done[:k+1]
+	c.heapPos = growInt32s(c.heapPos, k+1)
+}
+
+func growFloats(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
+
+func growInt32s(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
 }
 
 // solveCondensed runs the condensed engine and also reports the number of
 // augmentations it made (including those before a failure).
 func solveCondensed(p *Problem) (*Solution, int, error) {
+	sol, st, err := runCondensed(p)
+	return sol, st.augs, err
+}
+
+// runCondensed runs the condensed engine and reports its effort.
+func runCondensed(p *Problem) (*Solution, engineStats, error) {
 	if err := condensedFault.Check(); err != nil {
-		return nil, 0, fmt.Errorf("transport: condensed engine: %w", err)
+		return nil, engineStats{}, fmt.Errorf("transport: condensed engine: %w", err)
 	}
+	var c *condensed
+	if p.Workspace != nil {
+		c = &p.Workspace.c
+	} else {
+		c = &condensed{}
+	}
+	sol, augs, err := c.solve(p)
+	return sol, engineStats{augs: augs, refills: c.refills, tieScans: c.tieScans}, err
+}
+
+// solve runs the engine on p with c's buffers and reports the number of
+// augmentations it made.
+func (c *condensed) solve(p *Problem) (*Solution, int, error) {
 	n, k := p.NumSources(), p.NumSinks()
+	c.reset(p)
 	// Per source: arcs deduplicated (cheapest per sink) and sorted by sink
 	// so that all iteration below is deterministic, plus a dense cost
 	// matrix for O(1) lookups.
-	costOf := make([]float64, n*k)
-	for i := range costOf {
-		costOf[i] = math.Inf(1)
-	}
-	arcsOf := make([][]Arc, n)
-	total := 0
-	for _, arcs := range p.Arcs {
-		total += len(arcs)
-	}
-	flat := make([]Arc, 0, total) // one backing array for all arcsOf[i]
+	costOf, flat := c.costOf, c.flat
 	for i, arcs := range p.Arcs {
 		for _, a := range arcs {
 			if a.Cost < costOf[i*k+a.Sink] {
 				costOf[i*k+a.Sink] = a.Cost
 			}
 		}
-		arcsOf[i] = flat[len(flat) : len(flat) : len(flat)+len(arcs)]
+		c.arcsOf[i] = flat[len(flat) : len(flat) : len(flat)+len(arcs)]
 		for sink := 0; sink < k; sink++ {
 			if !math.IsInf(costOf[i*k+sink], 1) {
-				arcsOf[i] = append(arcsOf[i], Arc{Sink: sink, Cost: costOf[i*k+sink]})
+				c.arcsOf[i] = append(c.arcsOf[i], Arc{Sink: sink, Cost: costOf[i*k+sink]})
 			}
 		}
-		flat = flat[:len(flat)+len(arcsOf[i])]
-	}
-	c := &condensed{
-		k:        k,
-		arcsOf:   arcsOf,
-		costOf:   costOf,
-		capacity: p.Capacity,
-		at:       make([][]presence, k),
-		load:     make([]float64, k),
-		used:     make([]float64, k),
-		pairs:    make([]pairState, k*k),
-		adj:      make([][]int32, k),
-		pi:       make([]float64, k+1),
-		dist:     make([]float64, k+1),
-		via:      make([]viaEdge, k+1),
-		done:     make([]bool, k+1),
-		heapPos:  make([]int32, k+1),
-		overflow: overflowPrice(p),
-	}
-	for i := range c.pairs {
-		c.pairs[i] = pairState{best: condEdge{source: -1}, second: condEdge{source: -1}}
+		flat = flat[:len(flat)+len(c.arcsOf[i])]
 	}
 	// Initial optimal pseudoflow: each source at its cheapest sink. Every
 	// candidate edge then has nonnegative weight, so pi = 0 is a valid
@@ -525,7 +691,7 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 			return nil, 0, fmt.Errorf("transport: source %d has non-positive supply %g", i, p.Supply[i])
 		}
 		best, bestC := -1, math.Inf(1)
-		for _, a := range arcsOf[i] {
+		for _, a := range c.arcsOf[i] {
 			if a.Cost < bestC {
 				best, bestC = a.Sink, a.Cost
 			}
@@ -533,7 +699,7 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 		if best < 0 {
 			return nil, 0, fmt.Errorf("%w: source %d has no admissible sink", ErrInfeasible, i)
 		}
-		c.at[best] = append(c.at[best], presence{source: i, amount: p.Supply[i], cost: bestC})
+		c.addPresence(best, i, p.Supply[i], bestC)
 		c.load[best] += p.Supply[i]
 		c.onAdd(best, i, bestC)
 	}
@@ -599,21 +765,7 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 			a, b := path[t], path[t+1]
 			bestW := costOf[c.via[b].source*k+b] - costOf[c.via[b].source*k+a]
 			g := &groups[t]
-			g.sources, g.amounts, g.total = g.sources[:0], g.amounts[:0], 0
-			for _, pr := range c.at[a] {
-				if pr.amount <= flow.Eps {
-					continue
-				}
-				cb := costOf[pr.source*k+b]
-				if math.IsInf(cb, 1) {
-					continue
-				}
-				if cb-pr.cost <= bestW {
-					g.sources = append(g.sources, pr.source)
-					g.amounts = append(g.amounts, pr.amount)
-					g.total += pr.amount
-				}
-			}
+			c.collectTies(a, b, bestW, g)
 			if g.total < move {
 				move = g.total
 			}
@@ -631,10 +783,10 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 				if amt > remaining {
 					amt = remaining
 				}
-				if removePresence(&c.at[a], src, amt) {
+				if c.removePresence(a, src, amt) {
 					c.onRemove(a, src)
 				}
-				if addPresence(&c.at[b], src, amt, costOf[src*k+b]) {
+				if c.addPresence(b, src, amt, costOf[src*k+b]) {
 					c.onAdd(b, src, costOf[src*k+b])
 				}
 				remaining -= amt
@@ -649,9 +801,15 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 	}
 	// Extract solution: count the portions per source first so that all
 	// of them share one backing array.
-	sol := &Solution{Assign: make([][]Portion, n), Overflow: c.used}
-	count := make([]int, n)
-	total = 0
+	sol := &Solution{Assign: make([][]Portion, n), Overflow: append([]float64(nil), c.used...)}
+	if cap(c.count) < n {
+		c.count = make([]int, n)
+	}
+	count := c.count[:n]
+	for i := range count {
+		count[i] = 0
+	}
+	total := 0
 	for j := 0; j < k; j++ {
 		for _, pr := range c.at[j] {
 			if pr.amount > flow.Eps {
@@ -725,14 +883,8 @@ func (c *condensed) search(over int) int {
 			if c.done[b] {
 				continue
 			}
-			p := &row[b]
-			e := p.best
-			if p.stale && e.source < 0 {
-				e = c.recompute(a, int(b), p)
-			}
-			if e.source >= 0 {
-				c.relax(a, int(b), e.source, da+e.w+pa-c.pi[b])
-			}
+			e := c.best(a, int(b), &row[b])
+			c.relax(a, int(b), e.source, da+e.w+pa-c.pi[b])
 		}
 	}
 	if !c.done[k] {
@@ -837,34 +989,42 @@ func (c *condensed) pop() int {
 	return int(top)
 }
 
-// removePresence reduces source's amount at the sink; it reports whether
-// the presence disappeared entirely (candidate edges must be retired).
-func removePresence(ps *[]presence, source int, amt float64) bool {
-	for i := range *ps {
-		if (*ps)[i].source == source {
-			(*ps)[i].amount -= amt
-			if (*ps)[i].amount <= flow.Eps {
-				last := len(*ps) - 1
-				(*ps)[i] = (*ps)[last]
-				*ps = (*ps)[:last]
-				return true
-			}
-			return false
-		}
+// removePresence reduces source's amount at sink j; it reports whether
+// the presence disappeared entirely (candidate edges must be retired). The
+// list's last presence takes the removed one's place: that swap-remove
+// fixes the order the tied groups and the extraction iterate in.
+func (c *condensed) removePresence(j, source int, amt float64) bool {
+	ps := c.at[j]
+	i := c.slot[source*c.k+j]
+	ps[i].amount -= amt
+	if ps[i].amount > flow.Eps {
+		return false
 	}
-	return false
+	last := int32(len(ps) - 1)
+	ps[i] = ps[last]
+	c.slot[ps[i].source*c.k+j] = i
+	c.at[j] = ps[:last]
+	return true
 }
 
-// addPresence adds amount of source at the sink; it reports whether the
-// presence is new (candidate edges must be offered).
-func addPresence(ps *[]presence, source int, amt, cost float64) bool {
-	for i := range *ps {
-		if (*ps)[i].source == source {
-			(*ps)[i].amount += amt
-			return false
-		}
+// present returns the index of source's presence in at[j], or -1.
+func (c *condensed) present(j, source int) int32 {
+	i := c.slot[source*c.k+j]
+	if i >= 0 && int(i) < len(c.at[j]) && c.at[j][i].source == source {
+		return i
 	}
-	*ps = append(*ps, presence{source: source, amount: amt, cost: cost})
+	return -1
+}
+
+// addPresence adds amount of source at sink j; it reports whether the
+// presence is new (candidate edges must be offered).
+func (c *condensed) addPresence(j, source int, amt, cost float64) bool {
+	if i := c.present(j, source); i >= 0 {
+		c.at[j][i].amount += amt
+		return false
+	}
+	c.slot[source*c.k+j] = int32(len(c.at[j]))
+	c.at[j] = append(c.at[j], presence{source: source, amount: amt, cost: cost})
 	return true
 }
 
