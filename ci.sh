@@ -173,16 +173,17 @@ echo "== chaos soak =="
 # README "Overload & resource governance" and DESIGN.md §8.
 go test -timeout 5m -run 'TestChaosSoak' ./internal/serve/
 
-echo "== serve/obs race gate =="
-# The scheduler and broadcast layers are the repo's concurrency hot spots
-# (preemption, single-flight, fan-out); run them under the race detector
-# unconditionally — even with -quick — so lock-discipline regressions
-# cannot slip through a fast iteration loop. Quick mode skips only the
-# chaos soak here (it just ran above, race-free; the full -race suite
-# below still covers it in the default mode).
+echo "== serve/obs/fbp race gate =="
+# The scheduler and broadcast layers and the realization worker pool are
+# the repo's concurrency hot spots (preemption, single-flight, fan-out,
+# per-worker scratch); run them under the race detector unconditionally —
+# even with -quick — so lock-discipline regressions cannot slip through a
+# fast iteration loop. Quick mode skips only the chaos soak here (it just
+# ran above, race-free; the full -race suite below still covers it in the
+# default mode).
 raceskip=''
 [ "$quick" = 1 ] && raceskip='-skip=TestChaosSoak'
-go test -race -timeout 20m $raceskip ./internal/serve/... ./internal/obs/...
+go test -race -timeout 20m $raceskip ./internal/serve/... ./internal/obs/... ./internal/fbp/...
 
 echo "== fuzz smoke =="
 # A few seconds per fuzz target: enough to replay the seed corpora under

@@ -24,6 +24,7 @@ import (
 	"fbplace/internal/chipio"
 	"fbplace/internal/faultsim"
 	"fbplace/internal/plot"
+	"fbplace/internal/rql"
 )
 
 func main() {
@@ -162,7 +163,7 @@ func main() {
 		}
 	case "rql":
 		sp := rec.StartSpan("rql.place")
-		if _, err := fbplace.PlaceBaseline(n, fbplace.BaselineConfig{
+		if _, err := rql.PlaceCtx(ctx, n, rql.Config{
 			Movebounds: mbs, TargetDensity: *density,
 		}); err != nil {
 			fatal(err)

@@ -131,17 +131,11 @@ type Store struct {
 	// ("ckpt.restores") and previous-generation fallbacks
 	// ("ckpt.fallbacks").
 	Obs *obs.Recorder
-	// Keep is how many newest generations Save retains (0 means the
-	// default of 2: the latest plus one fallback generation).
-	Keep int
 }
 
-func (s *Store) keep() int {
-	if s.Keep <= 0 {
-		return 2
-	}
-	return s.Keep
-}
+// keepGenerations is how many newest generations Save and GC retain: the
+// latest plus one fallback generation.
+const keepGenerations = 2
 
 // generation is one on-disk snapshot file.
 type generation struct {
@@ -175,7 +169,7 @@ func (s *Store) generations() ([]generation, error) {
 
 // Save writes snap as a new generation: encode, write to a temp file in
 // the store directory, fsync, rename to the final name, then prune all but
-// the newest Keep generations. A Save error leaves every existing
+// the newest keepGenerations. A Save error leaves every existing
 // generation untouched, so the caller can record the failure and continue
 // the run.
 func (s *Store) Save(snap *Snapshot) error {
@@ -213,11 +207,11 @@ func (s *Store) Save(snap *Snapshot) error {
 		return fmt.Errorf("ckpt: %w", err)
 	}
 	syncDir(s.Dir)
-	// Prune: keep the newest Keep generations (the one just written plus
-	// fallbacks). Remove failures are tolerable — stale generations only
+	// Prune: keep the newest keepGenerations (the one just written plus
+	// one fallback). Remove failures are tolerable — stale generations only
 	// cost disk and are skipped by Load's newest-first walk.
 	for i, g := range gens {
-		if i+1 >= s.keep() { // +1 accounts for the generation just written
+		if i+1 >= keepGenerations { // +1 accounts for the generation just written
 			_ = os.Remove(g.path)
 		}
 	}
@@ -225,17 +219,14 @@ func (s *Store) Save(snap *Snapshot) error {
 	return nil
 }
 
-// GC removes all but the newest keep snapshot generations (keep <= 0
-// selects the store's Keep default) and returns how many files it
-// removed. Save already prunes after every successful write; GC covers
-// stores that stopped saving — a job whose checkpointing was disabled by
-// low-disk degradation, or one recovered from a previous process — whose
-// stale generations would otherwise hold disk forever. A missing
-// directory is not an error: there is nothing to collect.
-func (s *Store) GC(keep int) (int, error) {
-	if keep <= 0 {
-		keep = s.keep()
-	}
+// GC removes all but the newest keepGenerations snapshot generations and
+// returns how many files it removed. Save already prunes after every
+// successful write; GC covers stores that stopped saving — a job whose
+// checkpointing was disabled by low-disk degradation, or one recovered
+// from a previous process — whose stale generations would otherwise hold
+// disk forever. A missing directory is not an error: there is nothing to
+// collect.
+func (s *Store) GC() (int, error) {
 	gens, err := s.generations()
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -245,7 +236,7 @@ func (s *Store) GC(keep int) (int, error) {
 	}
 	removed := 0
 	for i, g := range gens {
-		if i < keep {
+		if i < keepGenerations {
 			continue
 		}
 		if rerr := os.Remove(g.path); rerr == nil {

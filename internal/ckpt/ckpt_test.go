@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -329,11 +330,11 @@ func TestFingerprintSensitivity(t *testing.T) {
 }
 
 // TestGC covers the standalone collector the serve disk governor uses on
-// stores that stopped saving: it prunes to the requested generation
-// count (or the store default for keep<=0), the survivors are the
-// newest, and a store that never saved is a no-op, not an error.
+// stores that stopped saving: it prunes to the newest keepGenerations,
+// the survivors are the newest, and a store that never saved is a no-op,
+// not an error.
 func TestGC(t *testing.T) {
-	store := &Store{Dir: t.TempDir(), Keep: 10, Obs: obs.New(nil)}
+	store := &Store{Dir: t.TempDir(), Obs: obs.New(nil)}
 	for i := 0; i < 6; i++ {
 		snap := sampleSnapshot()
 		snap.Level = i
@@ -341,7 +342,16 @@ func TestGC(t *testing.T) {
 			t.Fatalf("Save %d: %v", i, err)
 		}
 	}
-	removed, err := store.GC(2)
+	// Save already pruned to keepGenerations (5 and 6). Surplus older
+	// generations, as a store holds when Save stopped pruning (a crash
+	// between rename and prune), are written directly.
+	for g := 1; g <= 4; g++ {
+		name := filepath.Join(store.Dir, fmt.Sprintf("%s%08d%s", genPrefix, g, genSuffix))
+		if err := os.WriteFile(name, []byte("stale"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	removed, err := store.GC()
 	if err != nil {
 		t.Fatalf("GC: %v", err)
 	}
@@ -352,8 +362,8 @@ func TestGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ents) != 2 {
-		t.Fatalf("%d files survive GC, want 2", len(ents))
+	if len(ents) != keepGenerations {
+		t.Fatalf("%d files survive GC, want %d", len(ents), keepGenerations)
 	}
 	// The newest generation survived: Load restores the last save.
 	got, info, err := store.Load()
@@ -367,15 +377,14 @@ func TestGC(t *testing.T) {
 		t.Fatalf("ckpt.gc counter = %g, want 4", n)
 	}
 
-	// keep<=0 selects the store default; already pruned to 2 = default.
-	store.Keep = 0
-	if removed, err = store.GC(0); err != nil || removed != 0 {
-		t.Fatalf("GC at default keep: removed=%d err=%v, want 0/nil", removed, err)
+	// Already pruned: a second collection removes nothing.
+	if removed, err = store.GC(); err != nil || removed != 0 {
+		t.Fatalf("second GC: removed=%d err=%v, want 0/nil", removed, err)
 	}
 
 	// A store whose directory never existed has nothing to collect.
 	empty := &Store{Dir: filepath.Join(t.TempDir(), "never-saved")}
-	if removed, err = empty.GC(1); err != nil || removed != 0 {
+	if removed, err = empty.GC(); err != nil || removed != 0 {
 		t.Fatalf("GC on missing dir: removed=%d err=%v, want 0/nil", removed, err)
 	}
 }

@@ -84,9 +84,10 @@ type Result struct {
 	CellRegion []RegionRef
 	// Stats carries model sizes and phase runtimes.
 	Stats Stats
-	// RoundingOverflow is the total cell area exceeding region capacities
-	// after majority rounding of split cells (diagnostics; absorbed by
-	// later levels or legalization).
+	// RoundingOverflow is the residual overflow: the total cell area
+	// exceeding region capacities after capacity-aware rounding and
+	// repairOverflow, plus the area of unassigned cells (diagnostics;
+	// absorbed by later levels or legalization).
 	RoundingOverflow float64
 }
 
@@ -96,8 +97,7 @@ type realizer struct {
 	n   *netlist.Netlist
 	cfg Config
 
-	// Per movable cell: current window, position, parked-at-transit flag.
-	curWin []int32
+	// parked marks movable cells waiting at a transit sink.
 	parked []bool
 	// assignment after the most recent transportation covering the cell.
 	cellRegion []RegionRef
@@ -114,14 +114,13 @@ type realizer struct {
 	// plain windows would create artificial cycles whenever two classes
 	// ship in opposite directions between the same window pair.
 	outgoing [][]int32
-	incoming [][]int32
 
 	waves int
 
-	// scratch is the free list of per-worker reusable buffers. Entries
-	// start as nil and are materialized on first acquire, so a run never
-	// pays for workers it does not use.
-	scratch chan *workerScratch
+	// scratch[k] holds the reusable buffers of worker k of runUnits. An
+	// entry stays nil until its worker first runs, so a run never pays for
+	// workers it does not use.
+	scratch []*workerScratch
 	// snapX, snapY are the wave-start position snapshots, reused across
 	// waves (waves run strictly one after another).
 	snapX, snapY []float64
@@ -134,10 +133,10 @@ type realizer struct {
 	busyNS  int64
 }
 
-// workerScratch bundles the reusable buffers a realization worker needs
-// for one unit: the local QP and transportation workspaces plus the sink,
-// transportation and membership buffers of transportWindows. A scratch is
-// borrowed from the realizer's free list for the duration of one unit, so
+// workerScratch bundles the reusable buffers of one realization worker:
+// the local QP and transportation workspaces plus the sink and
+// transportation buffers of transportWindows. Worker k of runUnits owns
+// r.scratch[k] for the whole run and uses it for every unit it takes, so
 // steady-state realization allocates in proportion to the unit instead of
 // rebuilding every buffer. Reuse never changes results: all buffers are
 // fully rewritten per unit.
@@ -149,48 +148,11 @@ type workerScratch struct {
 	caps      []float64
 	supply    []float64
 	arcs      [][]transport.Arc
-	// present is an epoch-stamped per-cell membership mark replacing the
-	// per-call map that filtered window cell lists.
-	present      []uint32
-	presentEpoch uint32
 	// cellBuf is the reusable cell-collection buffer of the realization
 	// steps. It is owned by the scratch, never by a window list, so the
 	// apply phase of transportWindows may rewrite the window lists while
 	// iterating it.
 	cellBuf []int32
-}
-
-// getScratch borrows a worker scratch from the free list, materializing it
-// on first use. The free list holds exactly as many slots as the worker
-// bound of the run, so the receive never blocks.
-func (r *realizer) getScratch() *workerScratch {
-	sc := <-r.scratch
-	if sc == nil {
-		sc = &workerScratch{qp: qp.NewWorkspace(), transport: transport.NewWorkspace()}
-	}
-	return sc
-}
-
-func (r *realizer) putScratch(sc *workerScratch) { r.scratch <- sc }
-
-// markPresent stamps the given cells in the scratch's epoch-stamped
-// membership array (sized to the netlist on first use) and returns the
-// epoch to test against.
-func (sc *workerScratch) markPresent(numCells int, cells []int32) uint32 {
-	if len(sc.present) < numCells {
-		sc.present = make([]uint32, numCells)
-	}
-	sc.presentEpoch++
-	if sc.presentEpoch == 0 {
-		for i := range sc.present {
-			sc.present[i] = 0
-		}
-		sc.presentEpoch = 1
-	}
-	for _, ci := range cells {
-		sc.present[ci] = sc.presentEpoch
-	}
-	return sc.presentEpoch
 }
 
 // unit is a realization step: one window together with the classes whose
@@ -301,27 +263,19 @@ func newRealizer(m *Model, cfg Config, rec *obs.Recorder) *realizer {
 		n:             n,
 		cfg:           cfg,
 		rec:           rec,
-		curWin:        make([]int32, n.NumCells()),
 		parked:        make([]bool, n.NumCells()),
 		cellRegion:    make([]RegionRef, n.NumCells()),
 		cellsIn:       make([][]int32, W),
 		unrealizedOut: make([]float64, m.Classes*W*numDirs),
 		outgoing:      make([][]int32, m.Classes*W),
-		incoming:      make([][]int32, m.Classes*W),
 	}
-	maxWorkers := r.workers(math.MaxInt)
-	r.scratch = make(chan *workerScratch, maxWorkers)
-	for i := 0; i < maxWorkers; i++ {
-		r.scratch <- nil
-	}
+	r.scratch = make([]*workerScratch, r.workers(math.MaxInt))
 	for i := range n.Cells {
 		r.cellRegion[i] = RegionRef{-1, -1}
 		if n.Cells[i].Fixed {
-			r.curWin[i] = -1
 			continue
 		}
-		w := int32(g.LocateIndex(n.Pos(netlist.CellID(i))))
-		r.curWin[i] = w
+		w := g.LocateIndex(n.Pos(netlist.CellID(i)))
 		r.cellsIn[w] = append(r.cellsIn[w], int32(i))
 	}
 	r.rebuildEdgeIndex()
@@ -467,7 +421,6 @@ func (r *realizer) rebuildEdgeIndex() {
 	W := r.m.WR.Grid.NumWindows()
 	for u := range r.outgoing {
 		r.outgoing[u] = r.outgoing[u][:0]
-		r.incoming[u] = r.incoming[u][:0]
 	}
 	for i := range r.unrealizedOut {
 		r.unrealizedOut[i] = 0
@@ -478,7 +431,6 @@ func (r *realizer) rebuildEdgeIndex() {
 			continue
 		}
 		r.outgoing[e.Class*W+e.From] = append(r.outgoing[e.Class*W+e.From], int32(ei))
-		r.incoming[e.Class*W+e.To] = append(r.incoming[e.Class*W+e.To], int32(ei))
 		r.unrealizedOut[(e.Class*W+e.From)*numDirs+e.FromDir] += e.Flow
 	}
 }
@@ -581,17 +533,19 @@ func (r *realizer) workers(n int) int {
 	return w
 }
 
-// runUnits is the one worker pool of the realization: it runs do(i, sc)
-// for i in [0, n) on up to r.workers(n) goroutines, each call with a
-// scratch borrowed for its duration. Every call is a worker boundary: it
-// is skipped once the context is canceled, a panic becomes a *UnitError
-// for window(i) and phase (no process crash; the pool keeps draining),
-// and its error is attributed to that window. The first error in index
-// order is returned, so failure reporting is identical across worker
-// counts, and every call runs or is skipped before runUnits returns, so no
-// goroutine outlives it.
+// runUnits is the one worker pool of the realization: r.workers(n)
+// workers take the indices [0, n) from an atomic counter and run
+// do(i, sc), worker k always with its own scratch r.scratch[k]. Worker 0
+// is the calling goroutine, so a one-worker run starts no goroutine and
+// never hands its units to another thread. Every call is a worker
+// boundary: it is skipped once the context is canceled, a panic becomes a
+// *UnitError for window(i) and phase (no process crash; the worker keeps
+// draining), and its error is attributed to that window. The first error
+// in index order is returned, so failure reporting is identical across
+// worker counts, and runUnits waits for every worker, so no goroutine
+// outlives it.
 func (r *realizer) runUnits(n int, phase string, window func(i int) int, do func(i int, sc *workerScratch) error) error {
-	call := func(i int) (err error) {
+	call := func(i int, sc *workerScratch) (err error) {
 		if r.cfg.Ctx != nil {
 			if cerr := r.cfg.Ctx.Err(); cerr != nil {
 				return cerr
@@ -603,8 +557,6 @@ func (r *realizer) runUnits(n int, phase string, window func(i int) int, do func
 				err = &UnitError{Window: w, Phase: phase, Err: fmt.Errorf("panic: %v", p), Stack: debug.Stack()}
 			}
 		}()
-		sc := r.getScratch()
-		defer r.putScratch(sc)
 		if r.rec == nil {
 			return wrapUnitErr(w, phase, do(i, sc))
 		}
@@ -613,27 +565,25 @@ func (r *realizer) runUnits(n int, phase string, window func(i int) int, do func
 		atomic.AddInt64(&r.busyNS, int64(time.Since(t0))) //fbpvet:allow busy-time gauge for obs, not placement
 		return wrapUnitErr(w, phase, err)
 	}
-	workers := r.workers(n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := call(i); err != nil {
-				return err
-			}
+	errs := make([]error, n)
+	var next atomic.Int64
+	work := func(k int) {
+		if r.scratch[k] == nil {
+			r.scratch[k] = &workerScratch{qp: qp.NewWorkspace(), transport: transport.NewWorkspace()}
 		}
-		return nil
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			errs[i] = call(i, r.scratch[k])
+		}
 	}
 	var wg sync.WaitGroup
-	errs := make([]error, n)
-	sem := make(chan struct{}, workers)
-	for i := 0; i < n; i++ {
+	for k := 1; k < r.workers(n); k++ {
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			errs[i] = call(i)
-		}(i)
+			work(k)
+		}()
 	}
+	work(0)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -776,7 +726,6 @@ type sinkInfo struct {
 	window  int32
 	region  int32 // region list index, or -1 for a transit sink
 	class   int32 // class restriction for transit sinks, -1 = open
-	dir     int32
 	pos     geom.Point
 	rectSet geom.RectSet
 }
@@ -786,6 +735,10 @@ type sinkInfo struct {
 // window, direction) has exactly one external edge, whose flow is added to
 // its unrealizedOut entry once and subtracted once, so after the waves
 // every entry is exactly zero and the final pass offers regions only.
+//
+// cells must be every cell of the given windows (the concatenation of
+// their cellsIn lists) in a buffer that aliases no window list: the apply
+// step empties those lists and refills them from the plan.
 func (r *realizer) transportWindows(u int, windows []int, cells []int32, sc *workerScratch) error {
 	g := r.m.WR.Grid
 	W := g.NumWindows()
@@ -823,7 +776,7 @@ func (r *realizer) transportWindows(u int, windows []int, cells []int32, sc *wor
 					continue
 				}
 				sinks = append(sinks, sinkInfo{
-					window: int32(w), region: -1, class: int32(cls), dir: int32(dir),
+					window: int32(w), region: -1, class: int32(cls),
 					pos: TransitPos(g, w, dir),
 				})
 				caps = append(caps, rem)
@@ -890,16 +843,10 @@ func (r *realizer) transportWindows(u int, windows []int, cells []int32, sc *wor
 	}
 	rounded := roundCapacityAware(prob, sol)
 	// Apply: move cells between windows, set positions and assignments.
-	// First remove all unit cells from their window lists, then re-add.
-	ep := sc.markPresent(r.n.NumCells(), cells)
+	// cells are all the windows' cells, so the lists are rebuilt from the
+	// plan.
 	for _, w := range windows {
-		kept := r.cellsIn[w][:0]
-		for _, ci := range r.cellsIn[w] {
-			if sc.present[ci] != ep {
-				kept = append(kept, ci)
-			}
-		}
-		r.cellsIn[w] = kept
+		r.cellsIn[w] = r.cellsIn[w][:0]
 	}
 	for i, ci := range cells {
 		si := rounded[i]
@@ -907,7 +854,6 @@ func (r *realizer) transportWindows(u int, windows []int, cells []int32, sc *wor
 			return fmt.Errorf("fbp: cell %d received no sink", ci)
 		}
 		s := &sinks[si]
-		r.curWin[ci] = s.window
 		r.cellsIn[s.window] = append(r.cellsIn[s.window], ci)
 		if s.region >= 0 {
 			r.parked[ci] = false
@@ -1108,7 +1054,6 @@ func (r *realizer) repairOverflow() {
 			moved++
 			movedArea += size
 			r.cellRegion[ci] = refs[best]
-			r.curWin[ci] = refs[best].Window
 			r.n.SetPos(netlist.CellID(ci), bestPos)
 		}
 	}

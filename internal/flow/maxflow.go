@@ -1,8 +1,11 @@
 // Package flow implements the network-flow substrate of the placer:
 // a Dinic maximum-flow solver (movebound feasibility checks, paper
-// Theorems 1 and 2) and a successive-shortest-path minimum-cost-flow solver
-// with node potentials (the global FBP model of §IV.A and the local
-// transportation steps of §III/§IV.B).
+// Theorems 1 and 2), a network simplex that solves the global FBP model of
+// §IV.A (SolveNS), and a successive-shortest-path minimum-cost-flow solver
+// with node potentials (Solve). The successive-shortest-path solver is the
+// network simplex's fallback and the reference engine of
+// internal/transport; the local transportation steps of §III/§IV.B run on
+// transport's condensed engine.
 //
 // Capacities and costs are float64 because the commodity being shipped is
 // cell *area*; an epsilon of 1e-9 (relative to the instance scale) is used

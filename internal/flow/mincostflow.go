@@ -124,9 +124,6 @@ func (g *MinCostFlow) AddNode() int {
 // SetSupply sets node v's imbalance: b > 0 is supply, b < 0 demand.
 func (g *MinCostFlow) SetSupply(v int, b float64) { g.supply[v] = b }
 
-// AddSupply accumulates into node v's imbalance.
-func (g *MinCostFlow) AddSupply(v int, b float64) { g.supply[v] += b }
-
 // Supply returns the imbalance of node v.
 func (g *MinCostFlow) Supply(v int) float64 { return g.supply[v] }
 

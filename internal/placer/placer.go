@@ -676,6 +676,9 @@ func recursivePartition(ctx context.Context, n *netlist.Netlist, wr *grid.Window
 			cellsIn[assign[i]] = append(cellsIn[assign[i]], netlist.CellID(i))
 		}
 	}
+	// The windows are solved one after another, so they share one
+	// transportation workspace.
+	ws := transport.NewWorkspace()
 	for w := 0; w < g.NumWindows(); w++ {
 		cells := cellsIn[w]
 		if len(cells) == 0 {
@@ -683,12 +686,13 @@ func recursivePartition(ctx context.Context, n *netlist.Netlist, wr *grid.Window
 		}
 		regs := wr.PerWin[w]
 		prob := &transport.Problem{
-			Supply:   make([]float64, len(cells)),
-			Capacity: make([]float64, len(regs)),
-			Arcs:     make([][]transport.Arc, len(cells)),
-			Obs:      rec,
-			Ctx:      ctx,
-			Degrade:  dl,
+			Supply:    make([]float64, len(cells)),
+			Capacity:  make([]float64, len(regs)),
+			Arcs:      make([][]transport.Arc, len(cells)),
+			Obs:       rec,
+			Ctx:       ctx,
+			Degrade:   dl,
+			Workspace: ws,
 		}
 		for k := range regs {
 			prob.Capacity[k] = regs[k].Capacity

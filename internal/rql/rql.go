@@ -13,6 +13,7 @@
 package rql
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -87,6 +88,13 @@ type Report struct {
 
 // Place runs the force-directed global placement on the netlist in place.
 func Place(n *netlist.Netlist, cfg Config) (Report, error) {
+	return PlaceCtx(context.Background(), n, cfg)
+}
+
+// PlaceCtx is Place under a context: every quadratic solve polls ctx, and
+// the loop checks it once per spreading iteration and once per movebound
+// weight, returning its error when it is done.
+func PlaceCtx(ctx context.Context, n *netlist.Netlist, cfg Config) (Report, error) {
 	cfg.fill()
 	movable := n.MovableIDs()
 	if len(movable) == 0 {
@@ -97,7 +105,7 @@ func Place(n *netlist.Netlist, cfg Config) (Report, error) {
 	blockages := n.FixedRects()
 	// Every solve of the iteration loop runs sequentially; share one
 	// workspace across them.
-	qopt := qp.Options{Workspace: qp.NewWorkspace()}
+	qopt := qp.Options{Workspace: qp.NewWorkspace(), Ctx: ctx}
 
 	// Initial unconstrained QP.
 	if err := qp.Solve(n, nil, qopt); err != nil {
@@ -107,6 +115,9 @@ func Place(n *netlist.Netlist, cfg Config) (Report, error) {
 	anchors := make([]qp.Anchor, len(movable))
 	rep := Report{}
 	for iter := 1; iter <= cfg.MaxIters; iter++ {
+		if err := ctx.Err(); err != nil {
+			return rep, fmt.Errorf("rql: iteration %d: %w", iter, err)
+		}
 		rep.Iters = iter
 		dm := grid.NewDensityMap(n.Area, bins, bins, blockages, cfg.TargetDensity)
 		dm.Accumulate(n)
@@ -155,6 +166,9 @@ func Place(n *netlist.Netlist, cfg Config) (Report, error) {
 	// RQL on movebounded designs.
 	if cfg.Movebounds != nil {
 		for _, w := range []float64{0.3, 1, 3, 10} {
+			if err := ctx.Err(); err != nil {
+				return rep, fmt.Errorf("rql: movebound phase: %w", err)
+			}
 			var mbAnchors []qp.Anchor
 			for _, id := range movable {
 				mb := n.Cells[id].Movebound

@@ -1,6 +1,8 @@
 package rql
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -149,6 +151,17 @@ func TestPlaceDeterministic(t *testing.T) {
 		if a.X[i] != b.X[i] || a.Y[i] != b.Y[i] {
 			t.Fatalf("cell %d position differs between runs", i)
 		}
+	}
+}
+
+// A canceled context stops PlaceCtx with the context's error instead of
+// running the spreading loop to its iteration cap.
+func TestPlaceCtxCanceled(t *testing.T) {
+	n := randomNetlist(t, 150, 6)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := PlaceCtx(ctx, n, Config{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("PlaceCtx on a canceled context: err=%v, want context.Canceled", err)
 	}
 }
 

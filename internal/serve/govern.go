@@ -373,7 +373,7 @@ func (s *Scheduler) gcTick() {
 			continue
 		}
 		st := ckpt.Store{Dir: j.ckptDir()}
-		if n, err := st.GC(0); err == nil && n > 0 {
+		if n, err := st.GC(); err == nil && n > 0 {
 			s.rec.Count("serve.gc.ckpts", float64(n))
 		}
 	}
