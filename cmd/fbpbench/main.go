@@ -10,11 +10,6 @@
 // Tables: 1 (FBP sizes/runtimes), 2 (no movebounds), 3 (instance
 // characteristics), 4 (inclusive movebounds), 5 (exclusive movebounds),
 // 6 (runtime split), 7 (ISPD-2006-style), speedup, ablation, feasibility.
-//
-// With -bench-out, every run that produces HPWL numbers also writes a
-// machine-readable baseline (per-table HPWL and phase times) for
-// regression diffing. It is off by default, so a casual run never
-// overwrites a committed baseline.
 package main
 
 import (
@@ -35,7 +30,6 @@ func main() {
 	chips := flag.Int("chips", 0, "limit the number of chips for table 2 (0 = all 21)")
 	trace := flag.String("trace", "", "write a JSON-lines trace of the runs to this file")
 	stats := flag.Bool("stats", false, "print the phase summary tree and counters at the end")
-	benchOut := flag.String("bench-out", "", "write per-table HPWL/phase-time baseline JSON here (empty = off)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per table (0 = none); a table that exceeds it fails with context.DeadlineExceeded")
 	ckpt := flag.String("checkpoint", "", "write per-run crash-safe placement checkpoints under this directory")
 	resume := flag.Bool("resume", false, "resume interrupted placements from -checkpoint (same tables, scale and flags required)")
@@ -96,7 +90,6 @@ func main() {
 		exit(1)
 	}
 	ran := false
-	bench := exp.BenchRecord{Scale: *scale, Tables: map[string]exp.BenchTable{}}
 
 	if run("1") {
 		ran = true
@@ -108,7 +101,6 @@ func main() {
 		}
 		exp.PrintTable1(os.Stdout, spec, rows)
 		fmt.Fprintln(os.Stdout)
-		bench.Tables["1"] = exp.BenchFromTable1(spec, rows)
 	}
 	if run("2") {
 		ran = true
@@ -120,7 +112,6 @@ func main() {
 		}
 		exp.PrintCompare(os.Stdout, "TABLE II: Results without movebounds (RQL-style baseline vs BonnPlace FBP)", rows, false)
 		fmt.Fprintln(os.Stdout)
-		bench.Tables["2"] = exp.BenchFromCompare(rows)
 	}
 	if run("3") {
 		ran = true
@@ -141,7 +132,6 @@ func main() {
 		if err != nil {
 			fail("4", err)
 		}
-		bench.Tables["4"] = exp.BenchFromCompare(t4)
 	}
 	if run("4") {
 		exp.PrintCompare(os.Stdout, "TABLE IV: Results with inclusive movebounds", t4, true)
@@ -162,7 +152,6 @@ func main() {
 		}
 		exp.PrintCompare(os.Stdout, "TABLE V: Results with exclusive movebounds", rows, true)
 		fmt.Fprintln(os.Stdout)
-		bench.Tables["5"] = exp.BenchFromCompare(rows)
 	}
 	if run("6") {
 		exp.PrintTable6(os.Stdout, t4)
@@ -178,7 +167,6 @@ func main() {
 		}
 		exp.PrintTable7(os.Stdout, rows)
 		fmt.Fprintln(os.Stdout)
-		bench.Tables["7"] = exp.BenchFromTable7(rows)
 	}
 	if run("speedup") {
 		ran = true
@@ -233,12 +221,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stdout, "wrote %s\n", *trace)
-	}
-	if *benchOut != "" && len(bench.Tables) > 0 {
-		if err := exp.WriteBench(*benchOut, bench); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stdout, "wrote %s\n", *benchOut)
 	}
 }
 

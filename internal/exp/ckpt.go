@@ -24,8 +24,7 @@ var (
 
 // SetCertify enables independent result certification (every level plus
 // the final placement, internal/certify) for all subsequent table runs —
-// the overhead shows up in the per-table phase times, so a certified
-// -bench-out can be diffed against an uncertified baseline.
+// the overhead shows up in the per-table phase times.
 func SetCertify(on bool) { certifyOn = on }
 
 // SetCheckpoint enables per-run checkpointing under dir for all subsequent

@@ -512,8 +512,8 @@ func runOnce(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir stri
 }
 
 // PlannedLevels reports how many refinement levels Place will run for n
-// under cfg, without placing anything. Admission control prices a job in
-// cell x level units before accepting it (see internal/serve).
+// under cfg, without placing anything. The placement daemon reports it as
+// a job's planned level count from admission on (see internal/serve).
 func PlannedLevels(n *netlist.Netlist, cfg Config) int {
 	return levelsFor(n, cfg)
 }

@@ -16,6 +16,7 @@ import (
 	"fbplace/internal/faultsim"
 	"fbplace/internal/gen"
 	"fbplace/internal/leakcheck"
+	"fbplace/internal/obs"
 	"fbplace/internal/placer"
 )
 
@@ -134,6 +135,52 @@ func TestCertifyRepair(t *testing.T) {
 			}
 			wantBitIdentical(t, mustResult(t, j2), wantX, wantY)
 		})
+	}
+}
+
+// TestLevelProgressFollowsThePlan arms one silent corruption, so the
+// placer's certificate fails and the whole placement re-runs. The job
+// reports its planned level count from admission on, its completed-level
+// count never passes the plan although the re-run covers every level
+// again, and both end at the result's level count.
+func TestLevelProgressFollowsThePlan(t *testing.T) {
+	t.Cleanup(func() { leakcheck.Check(t) })
+	t.Cleanup(faultsim.Reset)
+	if err := faultsim.Arm("certify.corrupt", faultsim.Schedule{Limit: 1}); err != nil {
+		t.Fatal(err)
+	}
+	s := testSched(t, Options{Workers: 1, Certify: true})
+	j, err := s.Submit(chipSpec(3000, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, live, cancel := j.Events(256)
+	defer cancel()
+	levels := 0
+	check := func(e obs.Event) {
+		if e.Type != obs.EventSpan || e.Name != "level" {
+			return
+		}
+		levels++
+		if st := j.Status(); st.LevelsPlanned <= 0 || st.LevelsDone > st.LevelsPlanned {
+			t.Errorf("after level span %d: levels_done=%d levels_planned=%d", levels, st.LevelsDone, st.LevelsPlanned)
+		}
+	}
+	for _, e := range replay {
+		check(e)
+	}
+	for e := range live {
+		check(e)
+	}
+	waitDone(t, j, 120*time.Second)
+	res := mustResult(t, j)
+	if !hasCertifyRepair(res) {
+		t.Fatalf("no certify re-run recorded: %v", res.Degradations)
+	}
+	st := j.Status()
+	if st.LevelsDone != st.LevelsPlanned || st.LevelsPlanned != res.Levels {
+		t.Fatalf("levels_done=%d levels_planned=%d, result levels %d: want all equal",
+			st.LevelsDone, st.LevelsPlanned, res.Levels)
 	}
 }
 

@@ -1,82 +1,46 @@
 package serve
 
 import (
-	"math"
-	"time"
-
 	"fbplace/internal/netlist"
 	"fbplace/internal/placer"
 )
 
 // Estimate is a job's predicted resource footprint, priced at admission
-// from the instance size and the planned refinement schedule — before the
-// job consumes anything. The scheduler uses it three ways: to refuse jobs
-// that could never fit the process memory budget, to gate job starts so
-// the sum of running footprints stays under that budget, and to quote
-// Retry-After from the predicted wall time of the queue.
+// from the instance size — before the job consumes anything. The
+// scheduler uses it two ways: to refuse jobs that could never fit the
+// process memory budget, and to gate job starts so the sum of running
+// footprints stays under that budget.
 type Estimate struct {
 	// Cells and Pins are the instance size, Levels the planned refinement
 	// level count (placer.PlannedLevels).
 	Cells, Pins, Levels int
 	// PeakBytes is the predicted peak process-heap contribution.
 	PeakBytes int64
-	// Wall is the predicted single-worker wall time.
-	Wall time.Duration
 }
 
-// Calibration, measured on gen.Chip instances (the LoadMix size ladder),
-// single placement worker, linux/amd64:
+// Calibration, measured on gen.Chip instances of the LoadMix ladder
+// (plain and with LoadMix's inclusive movebound, the larger of the two
+// shown), one placement worker, linux/amd64, go1.24. The heaps are the
+// largest runtime.MemStats.HeapAlloc sampled at the placer's span
+// boundaries; "live" ran at GOGC=10, so it carries almost no garbage,
+// "default" at GOGC=100, the heap the process actually holds:
 //
-//	cells   pins    levels  wall     steady live heap
-//	300     1058    2       14ms     ~3.0 MB
-//	1200    4017    3       171ms    ~3.4 MB
-//	5000    15925   4       2.0s     ~6.0 MB
-//	20000   62667   5       19.7s    ~19.1 MB
+//	cells   pins    levels  live heap  default heap  PeakBytes
+//	300     1081    2       1.4 MB     1.8 MB        5.1 MB
+//	1200    4017    3       2.7 MB     3.3 MB        7.7 MB
+//	5000    15925   4       8.1 MB     10.8 MB       18.5 MB
+//	20000   62667   5       28.3 MB    47.0 MB       61.2 MB
 //
-// Peak memory is modeled as base + per-cell + per-pin, sized about 3x the
-// measured steady live heap: the QP/flow phases churn transient slices and
-// the process must absorb the allocation spike between GC cycles, so the
-// admission price is deliberately the conservative envelope, not the
-// average. Wall time is a per-(cell x level) cost that grows with instance
-// size (the conjugate-gradient solves are superlinear), interpolated
-// between the measured points on a log(cells) axis.
+// Peak memory is modeled as base + per-cell + per-pin. The model sits at
+// least 1.3x above the default-GOGC heap on every rung and 2-4x above the
+// live heap, so the admission price is the conservative envelope of the
+// allocation spike between GC cycles, not the average.
+// TestPeakBytesCoversMeasuredHeap keeps it there.
 const (
 	estBaseBytes    = 4 << 20
 	estBytesPerCell = 2048
 	estBytesPerPin  = 256
 )
-
-// wallCalib holds the measured per-(cell x level) microsecond costs.
-var wallCalib = []struct {
-	cells float64
-	us    float64
-}{
-	{300, 22.6},
-	{1200, 47.4},
-	{5000, 101.4},
-	{20000, 197.0},
-}
-
-// usPerCellLevel interpolates the calibration table piecewise-linearly in
-// log(cells), clamped to the measured range at both ends.
-func usPerCellLevel(cells float64) float64 {
-	if cells <= wallCalib[0].cells {
-		return wallCalib[0].us
-	}
-	last := wallCalib[len(wallCalib)-1]
-	if cells >= last.cells {
-		return last.us
-	}
-	for i := 1; i < len(wallCalib); i++ {
-		lo, hi := wallCalib[i-1], wallCalib[i]
-		if cells > hi.cells {
-			continue
-		}
-		t := (math.Log(cells) - math.Log(lo.cells)) / (math.Log(hi.cells) - math.Log(lo.cells))
-		return lo.us + t*(hi.us-lo.us)
-	}
-	return last.us
-}
 
 // estimateJob prices one job from its loaded instance and compiled config.
 func estimateJob(n *netlist.Netlist, cfg placer.Config) Estimate {
@@ -85,13 +49,10 @@ func estimateJob(n *netlist.Netlist, cfg placer.Config) Estimate {
 	for i := range n.Nets {
 		pins += len(n.Nets[i].Pins)
 	}
-	levels := placer.PlannedLevels(n, cfg)
-	wallUS := usPerCellLevel(float64(cells)) * float64(cells) * float64(levels)
 	return Estimate{
 		Cells:     cells,
 		Pins:      pins,
-		Levels:    levels,
+		Levels:    placer.PlannedLevels(n, cfg),
 		PeakBytes: estBaseBytes + estBytesPerCell*int64(cells) + estBytesPerPin*int64(pins),
-		Wall:      time.Duration(wallUS) * time.Microsecond,
 	}
 }

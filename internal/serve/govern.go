@@ -4,9 +4,9 @@
 //   - Admission control. Every submission is priced by estimateJob; a job
 //     whose predicted peak exceeds the whole memory budget is refused with
 //     a structured over-budget error (503), and a job that would push the
-//     queue past QueueLimit is refused queue-full (429). Both carry a
-//     Retry-After computed from the observed completion rate (falling
-//     back to the predicted wall time of the queued work).
+//     queue past QueueLimit is refused queue-full (429). Queue-full and
+//     brownout refusals carry a Retry-After projected from the observed
+//     completion rate.
 //   - Memory-watermark start gating. Workers only start a queued job when
 //     the sum of running jobs' predicted peaks plus its own fits the
 //     budget (one job may always run, for liveness). When a queued job is
@@ -128,7 +128,7 @@ const (
 	retryAfterMin = time.Second
 	retryAfterMax = 2 * time.Minute
 	// drainRateWindow is how far back completions count toward the
-	// observed drain rate, drainRateRing how many are retained.
+	// observed drain rate.
 	drainRateWindow    = time.Minute
 	defaultMemFallback = 4 << 30
 	// gcOrphanAge is how old an on-disk job directory with no in-memory
@@ -182,41 +182,24 @@ func (s *Scheduler) brownoutState() (int, time.Duration) {
 	return s.brownout, s.retryAfterLocked()
 }
 
-// retryAfterLocked computes the backoff hint: with two or more recent
-// completions, the observed drain rate projects when a queue slot frees;
-// otherwise the predicted wall time of the queued work divided across
-// the pool stands in. Clamped to [1s, 2m].
+// retryAfterLocked computes the backoff hint: with two or more
+// completions inside drainRateWindow, the observed drain rate projects
+// when a queue slot frees; with fewer, the hint is the retryAfterMin
+// floor. Clamped to [1s, 2m].
 func (s *Scheduler) retryAfterLocked() time.Duration {
-	now := time.Now()
-	cut := now.Add(-drainRateWindow)
+	cut := time.Now().Add(-drainRateWindow)
 	var recent []time.Time
 	for _, t := range s.doneTimes {
 		if t.After(cut) {
 			recent = append(recent, t)
 		}
 	}
-	var eta time.Duration
-	if len(recent) >= 2 {
-		span := recent[len(recent)-1].Sub(recent[0])
-		if span > 0 {
-			perJob := span / time.Duration(len(recent)-1)
-			eta = perJob * time.Duration(s.queue.Len()+1) / time.Duration(s.opt.Workers)
-		}
+	if len(recent) < 2 {
+		return retryAfterMin
 	}
-	if eta == 0 {
-		var queued time.Duration
-		for _, j := range s.queue {
-			queued += j.est.Wall
-		}
-		eta = queued / time.Duration(s.opt.Workers)
-	}
-	if eta < retryAfterMin {
-		eta = retryAfterMin
-	}
-	if eta > retryAfterMax {
-		eta = retryAfterMax
-	}
-	return eta
+	perJob := recent[len(recent)-1].Sub(recent[0]) / time.Duration(len(recent)-1)
+	eta := perJob * time.Duration(s.queue.Len()+1) / time.Duration(s.opt.Workers)
+	return min(max(eta, retryAfterMin), retryAfterMax)
 }
 
 // noteDone feeds the drain-rate ring with one completion.
@@ -414,7 +397,7 @@ func (s *Scheduler) gcOrphans() {
 // collects garbage. It runs until Shutdown has drained the workers.
 func (s *Scheduler) governLoop() {
 	defer s.gwg.Done()
-	t := time.NewTicker(s.opt.GovernTick)
+	t := time.NewTicker(s.opt.governTick)
 	defer t.Stop()
 	for {
 		select {

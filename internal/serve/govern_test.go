@@ -6,12 +6,17 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"fbplace/internal/faultsim"
 	"fbplace/internal/gen"
 	"fbplace/internal/leakcheck"
+	"fbplace/internal/obs"
+	"fbplace/internal/placer"
 )
 
 // estOf prices a spec the way admission does, so tests can derive budgets
@@ -28,7 +33,7 @@ func estOf(t *testing.T, spec Spec) Estimate {
 func TestAdmissionOverBudget(t *testing.T) {
 	defer leakcheck.Check(t)
 	// A 1 MiB budget is below the base footprint: every job is refused.
-	s := testSched(t, Options{Workers: 1, MemBudget: 1 << 20, GovernTick: -1})
+	s := testSched(t, Options{Workers: 1, MemBudget: 1 << 20, governTick: -1})
 	_, err := s.Submit(chipSpec(300, 60))
 	var ae *AdmissionError
 	if !errors.As(err, &ae) || !errors.Is(err, ErrOverBudget) {
@@ -58,7 +63,8 @@ func TestAdmissionOverBudget(t *testing.T) {
 
 func TestAdmissionQueueFullAndExemptions(t *testing.T) {
 	defer leakcheck.Check(t)
-	s := testSched(t, Options{Workers: 1, QueueLimit: 1, GovernTick: -1})
+	t.Cleanup(faultsim.Reset)
+	s := testSched(t, Options{Workers: 1, QueueLimit: 1, governTick: -1})
 	long := Spec{Chip: &gen.ChipSpec{NumCells: 2000, Seed: 61}, Knobs: Knobs{MaxLevels: 5}}
 	a, err := s.Submit(long)
 	if err != nil {
@@ -77,6 +83,11 @@ func TestAdmissionQueueFullAndExemptions(t *testing.T) {
 	}
 	if ae.Status != 429 || ae.Code() != "queue_full" || ae.RetryAfter <= 0 {
 		t.Fatalf("queue-full error: status %d code %q retry %v", ae.Status, ae.Code(), ae.RetryAfter)
+	}
+	// No job has completed yet, so there is no drain rate to project
+	// from: the hint is the floor.
+	if ae.RetryAfter != retryAfterMin {
+		t.Fatalf("queue-full RetryAfter %v with no completions, want the %v floor", ae.RetryAfter, retryAfterMin)
 	}
 	// A duplicate of the running job coalesces onto its flight: no queue
 	// slot needed, so the full queue must not refuse it.
@@ -114,6 +125,39 @@ func TestAdmissionQueueFullAndExemptions(t *testing.T) {
 	if c := s.Obs().Counters(); c["serve.rejected.queue"] != 1 {
 		t.Fatalf("serve.rejected.queue=%g, want 1", c["serve.rejected.queue"])
 	}
+	// With two or more completions in the window, the hint is the drain-
+	// rate projection. Fill the queue again behind a job that stalls until
+	// canceled, and set the completion ring to two jobs 20s apart: one
+	// worker then frees a slot for the queued job and the refused one in
+	// 2 x 20s.
+	if err := faultsim.Arm("serve.stall", faultsim.Schedule{Limit: 1}); err != nil {
+		t.Fatal(err)
+	}
+	e, err := s.Submit(chipSpec(400, 67))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, e.ID, StateRunning, 30*time.Second)
+	f, err := s.Submit(chipSpec(400, 68))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	now := time.Now()
+	s.doneTimes = []time.Time{now.Add(-30 * time.Second), now.Add(-10 * time.Second)}
+	s.mu.Unlock()
+	_, err = s.Submit(chipSpec(400, 69))
+	if !errors.As(err, &ae) || !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("over-bound submit: %v, want AdmissionError wrapping ErrQueueFull", err)
+	}
+	if want := 40 * time.Second; ae.RetryAfter != want {
+		t.Fatalf("queue-full RetryAfter %v after two completions 20s apart, want the %v projection", ae.RetryAfter, want)
+	}
+	if err := s.Cancel(e.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, e, 30*time.Second)
+	waitDone(t, f, 120*time.Second)
 }
 
 // TestBrownoutLadder drives the two-level ladder with the committed
@@ -129,7 +173,7 @@ func TestBrownoutLadder(t *testing.T) {
 		Workers:    1,
 		MemBudget:  est.PeakBytes + est.PeakBytes/10,
 		QueueLimit: 2,
-		GovernTick: -1,
+		governTick: -1,
 	})
 	if lvl, _ := s.brownoutState(); lvl != brownoutOff {
 		t.Fatalf("idle brownout level %d, want 0", lvl)
@@ -201,7 +245,7 @@ func TestMemoryPreemptionTimeMultiplexes(t *testing.T) {
 		MemBudget:  est.PeakBytes + est.PeakBytes/4, // one fits, two do not
 		QueueLimit: -1,
 		NoProgress: -1, // isolate memory preemption from the watchdog
-		GovernTick: 25 * time.Millisecond,
+		governTick: 25 * time.Millisecond,
 	})
 	a, err := s.Submit(big)
 	if err != nil {
@@ -271,7 +315,7 @@ func crossCheckGauges(t *testing.T, s *Scheduler) {
 // and completion transition, and settle to zero after the drain.
 func TestGaugesUnderChurn(t *testing.T) {
 	defer leakcheck.Check(t)
-	s := testSched(t, Options{Workers: 2, QueueLimit: 8, GovernTick: 20 * time.Millisecond, NoProgress: -1})
+	s := testSched(t, Options{Workers: 2, QueueLimit: 8, governTick: 20 * time.Millisecond, NoProgress: -1})
 	rng := rand.New(rand.NewSource(1))
 	var jobs []*Job
 	rejected := 0
@@ -324,7 +368,7 @@ func TestGaugesUnderChurn(t *testing.T) {
 // and orphaned job directories older than the age guard are removed.
 func TestGCTerminalJobsAndOrphans(t *testing.T) {
 	defer leakcheck.Check(t)
-	s := testSched(t, Options{Workers: 1, GCKeepTerminal: 2, GovernTick: -1, CacheEntries: -1})
+	s := testSched(t, Options{Workers: 1, GCKeepTerminal: 2, governTick: -1, CacheEntries: -1})
 	var ids []string
 	for i := 0; i < 4; i++ {
 		j, err := s.Submit(chipSpec(300, int64(80+i)))
@@ -378,7 +422,7 @@ func TestGCTerminalJobsAndOrphans(t *testing.T) {
 // preemptible) and still finish correctly.
 func TestLowDiskDisablesCheckpointing(t *testing.T) {
 	defer leakcheck.Check(t)
-	s := testSched(t, Options{Workers: 1, GovernTick: -1})
+	s := testSched(t, Options{Workers: 1, governTick: -1})
 	s.mu.Lock()
 	s.lowDisk = true
 	s.mu.Unlock()
@@ -401,5 +445,45 @@ func TestLowDiskDisablesCheckpointing(t *testing.T) {
 	}
 	if ok, err := verifyDirect(context.Background(), j); err != nil || !ok {
 		t.Fatalf("uncheckpointed run differs from a direct run (ok=%v err=%v)", ok, err)
+	}
+}
+
+// TestPeakBytesCoversMeasuredHeap places a 1200- and a 5000-cell chip of
+// the LoadMix ladder (with LoadMix's inclusive movebound) and samples the
+// process heap at every span boundary through the progress hook. The
+// admission estimate must cover the largest sample. A sample can only
+// under-read the heap's true peak, so the bound is one-sided; at the
+// default GOGC that peak stays under twice the live heap, which the model
+// covers (see the calibration table in estimate.go).
+func TestPeakBytesCoversMeasuredHeap(t *testing.T) {
+	for _, cells := range []int{1200, 5000} {
+		spec := gen.LoadMix(3, 1)[2]
+		spec.NumCells = cells
+		j, err := newJob("peak", 0, Spec{Chip: &spec}, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		var peak uint64
+		rec := obs.New(nil)
+		rec.SetProgress(func(string) {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			mu.Lock()
+			peak = max(peak, ms.HeapAlloc)
+			mu.Unlock()
+		})
+		cfg := j.cfg
+		cfg.Obs = rec
+		cfg.Workers = 1
+		runtime.GC()
+		if _, err := placer.Place(j.n, cfg); err != nil {
+			t.Fatal(err)
+		}
+		est := j.Estimate().PeakBytes
+		t.Logf("%d cells: heap peak %d bytes, estimate %d bytes", cells, peak, est)
+		if uint64(est) < peak {
+			t.Errorf("%d cells: estimated peak %d bytes < sampled heap %d bytes", cells, est, peak)
+		}
 	}
 }

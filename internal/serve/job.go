@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
@@ -190,7 +191,6 @@ type Job struct {
 	resumable     bool               // guarded by mu
 	preemptions   int                // guarded by mu
 	levelsDone    int                // guarded by mu
-	levelsPlanned int                // guarded by mu
 	cached        bool               // guarded by mu
 	coalesced     bool               // guarded by mu
 	submitted     time.Time          // guarded by mu
@@ -204,10 +204,14 @@ type Job struct {
 
 // Status is the JSON view of a job.
 type Status struct {
-	ID            string `json:"id"`
-	State         State  `json:"state"`
-	Priority      int    `json:"priority"`
-	Preemptions   int    `json:"preemptions"`
+	ID          string `json:"id"`
+	State       State  `json:"state"`
+	Priority    int    `json:"priority"`
+	Preemptions int    `json:"preemptions"`
+	// LevelsDone is the last refinement level the job completed,
+	// LevelsPlanned the level count it plans from admission on
+	// (placer.PlannedLevels). A job that ran its own placement to done
+	// has both equal; cache hits and coalesced jobs report LevelsDone 0.
 	LevelsDone    int    `json:"levels_done"`
 	LevelsPlanned int    `json:"levels_planned,omitempty"`
 	Cached        bool   `json:"cached,omitempty"`
@@ -225,12 +229,11 @@ type Status struct {
 	HPWL          float64 `json:"hpwl,omitempty"`
 	SubmittedUnix int64   `json:"submitted_unix,omitempty"`
 	// Requeues counts watchdog requeues, Strikes the consecutive
-	// no-progress attempts so far; EstPeakBytes/EstWallMS are the
-	// admission-time resource estimate.
+	// no-progress attempts so far; EstPeakBytes is the admission-time
+	// memory estimate.
 	Requeues     int   `json:"watchdog_requeues,omitempty"`
 	Strikes      int   `json:"watchdog_strikes,omitempty"`
 	EstPeakBytes int64 `json:"est_peak_bytes,omitempty"`
-	EstWallMS    int64 `json:"est_wall_ms,omitempty"`
 }
 
 // Status returns a consistent snapshot of the job.
@@ -243,7 +246,7 @@ func (j *Job) Status() Status {
 		Priority:      j.spec.Priority,
 		Preemptions:   j.preemptions,
 		LevelsDone:    j.levelsDone,
-		LevelsPlanned: j.levelsPlanned,
+		LevelsPlanned: j.est.Levels,
 		Cached:        j.cached,
 		Coalesced:     j.coalesced,
 		Error:         j.errText,
@@ -252,7 +255,6 @@ func (j *Job) Status() Status {
 		Requeues:      j.wdRequeues,
 		Strikes:       j.strikes,
 		EstPeakBytes:  j.est.PeakBytes,
-		EstWallMS:     j.est.Wall.Milliseconds(),
 	}
 	if j.result != nil {
 		st.HPWL = j.result.HPWL
@@ -337,14 +339,16 @@ func (j *Job) setState(st State) {
 	}
 }
 
-// noteLevel records one completed partitioning level for progress
-// reporting. Completing a level is real forward progress, so it clears
-// the watchdog's strike counter: only *consecutive* no-progress attempts
-// accumulate toward a terminal JobStuck — a slow job that keeps
+// noteLevel records that partitioning level lv (1-based) completed. The
+// count is set, not incremented, so a run that covers levels again (the
+// placer's certify re-run, a fresh retry without a snapshot) cannot push
+// it past the plan. Completing a level is real forward progress, so it
+// clears the watchdog's strike counter: only *consecutive* no-progress
+// attempts accumulate toward a terminal JobStuck — a slow job that keeps
 // advancing never does.
-func (j *Job) noteLevel() {
+func (j *Job) noteLevel(lv int) {
 	j.mu.Lock()
-	j.levelsDone++
+	j.levelsDone = lv
 	j.strikes = 0
 	j.mu.Unlock()
 }
@@ -396,12 +400,13 @@ func (j *Job) Estimate() Estimate { return j.est }
 func (j *Job) ckptDir() string { return filepath.Join(j.dir, "ckpt") }
 
 // jobSink forwards a placement attempt's obs events into the job's
-// broadcast and mines them for progress (completed "level" spans).
+// broadcast and mines them for progress: a completed "level" span over a
+// 2^lv x 2^lv window grid is level lv.
 type jobSink struct{ j *Job }
 
 func (s jobSink) Emit(e obs.Event) {
 	if e.Type == obs.EventSpan && e.Name == "level" {
-		s.j.noteLevel()
+		s.j.noteLevel(bits.Len(uint(e.Attrs["grid"])) - 1)
 	}
 	s.j.bc.Emit(e)
 }

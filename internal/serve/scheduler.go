@@ -78,9 +78,6 @@ type Options struct {
 	// file is rejected rather than allowed to open arbitrary server
 	// paths.
 	FileRoot string
-	// Obs receives the scheduler's serve.* counters and gauges. Nil
-	// creates an internal recorder (always available via Stats).
-	Obs *obs.Recorder
 
 	// Certify independently re-certifies every completed placement before
 	// it can reach the result cache or a client (internal/certify):
@@ -113,10 +110,6 @@ type Options struct {
 	// StuckStrikes is how many consecutive no-progress attempts fail a
 	// job terminally with JobStuckError. 0 selects the default of 3.
 	StuckStrikes int
-	// GovernTick is the governor cadence (memory sampling, watchdog scan,
-	// disk check, GC). 0 selects the default of 1s, negative disables the
-	// governor entirely (watchdog, memory preemption and GC with it).
-	GovernTick time.Duration
 	// DiskLowBytes is the free-space watermark below which new attempts
 	// run without checkpointing. 0 selects the default of 128 MiB,
 	// negative disables the check.
@@ -126,6 +119,12 @@ type Options struct {
 	// 404 afterwards. 0 selects the default of 256, negative retains
 	// everything.
 	GCKeepTerminal int
+
+	// governTick is the governor cadence (memory sampling, watchdog scan,
+	// disk check, GC). 0 selects the default of 1s, negative disables the
+	// governor entirely (watchdog, memory preemption and GC with it).
+	// Only tests change it.
+	governTick time.Duration
 }
 
 func (o *Options) fill() {
@@ -150,8 +149,8 @@ func (o *Options) fill() {
 	if o.StuckStrikes <= 0 {
 		o.StuckStrikes = 3
 	}
-	if o.GovernTick == 0 {
-		o.GovernTick = time.Second
+	if o.governTick == 0 {
+		o.governTick = time.Second
 	}
 	if o.DiskLowBytes == 0 {
 		o.DiskLowBytes = 128 << 20
@@ -209,10 +208,7 @@ type flight struct {
 // non-terminal jobs from a previous process, and starts the worker pool.
 func NewScheduler(opt Options) (*Scheduler, error) {
 	opt.fill()
-	rec := opt.Obs
-	if rec == nil {
-		rec = obs.New(nil)
-	}
+	rec := obs.New(nil)
 	dir := opt.StateDir
 	if dir == "" {
 		d, err := os.MkdirTemp("", "fbplaced-")
@@ -243,7 +239,7 @@ func NewScheduler(opt Options) (*Scheduler, error) {
 	for i := 0; i < opt.Workers; i++ {
 		go s.worker()
 	}
-	if opt.GovernTick > 0 {
+	if opt.governTick > 0 {
 		s.gwg.Add(1)
 		go s.governLoop()
 	}
@@ -692,7 +688,13 @@ func (s *Scheduler) runJob(j *Job) {
 		s.release(j)
 		s.failFlight(j, err.Error())
 	case errors.As(err, &pe):
-		s.requeuePreempted(j)
+		// The snapshot is durably written: resume it later, possibly on
+		// another worker.
+		j.mu.Lock()
+		j.preemptions++
+		j.mu.Unlock()
+		s.rec.Count("serve.preemptions", 1)
+		s.requeue(j, true)
 	case j.ctx.Err() != nil && errors.Is(err, j.ctx.Err()):
 		s.finishInterrupted(j)
 	case actx.Err() != nil:
@@ -791,9 +793,6 @@ func (s *Scheduler) releaseRunningLocked(j *Job) {
 
 // buildResult captures the final (bit-exact) positions and report.
 func buildResult(j *Job, rep *placer.Report) *Result {
-	j.mu.Lock()
-	j.levelsPlanned = rep.Levels
-	j.mu.Unlock()
 	return &Result{
 		X:            append([]float64(nil), j.n.X...),
 		Y:            append([]float64(nil), j.n.Y...),
@@ -836,12 +835,7 @@ func (s *Scheduler) completeFlight(j *Job, res *Result) {
 // independent jobs: a follower must not inherit a failure (deadline,
 // cancellation mid-run) that belongs to the leader alone.
 func (s *Scheduler) failFlight(j *Job, msg string) {
-	s.mu.Lock()
-	if fl, ok := s.flights[j.key]; ok && fl.leader == j {
-		delete(s.flights, j.key)
-		s.promoteLocked(fl.followers)
-	}
-	s.mu.Unlock()
+	s.detachFlight(j)
 	s.finishFailed(j, msg)
 }
 
@@ -874,22 +868,25 @@ func (s *Scheduler) promoteLocked(followers []*Job) {
 	s.updateGaugesLocked()
 }
 
-// requeuePreempted puts a preempted job (its snapshot durably written)
-// back in the queue to be resumed later, possibly by another worker.
-func (s *Scheduler) requeuePreempted(j *Job) {
+// requeue puts a running job back in the queue: preemption, a watchdog
+// strike and a shutdown hard-cancel all end an attempt this way.
+// resumable says whether the next attempt resumes from the job's
+// checkpoint directory or starts fresh; the caller counts why.
+func (s *Scheduler) requeue(j *Job, resumable bool) {
 	j.preempt.Store(false)
 	j.mu.Lock()
-	j.preemptions++
-	j.resumable = true
+	j.resumable = resumable
 	j.mu.Unlock()
-	s.rec.Count("serve.preemptions", 1)
 	s.mu.Lock()
 	s.releaseRunningLocked(j)
+	// Queued before it is visible in the heap: claimLocked drops a popped
+	// job that is not queued, so a worker popping it before this
+	// transition would lose it for good.
+	j.setState(StateQueued)
 	heap.Push(&s.queue, j)
 	s.cond.Signal()
 	s.updateGaugesLocked()
 	s.mu.Unlock()
-	j.setState(StateQueued)
 	s.persist(j)
 }
 
@@ -916,20 +913,14 @@ func (s *Scheduler) finishInterrupted(j *Job) {
 		s.cleanupCkpt(j)
 		s.detachFlight(j)
 	case drain:
-		j.preempt.Store(false)
-		j.mu.Lock()
-		j.resumable = hasCheckpoint(j.ckptDir())
-		j.mu.Unlock()
-		s.release(j)
-		j.setState(StateQueued)
-		s.persist(j)
+		s.requeue(j, hasCheckpoint(j.ckptDir()))
 	default:
 		s.release(j)
 		s.failFlight(j, "deadline exceeded: "+j.ctx.Err().Error())
 	}
 }
 
-// detachFlight removes a canceled leader's flight and promotes its
+// detachFlight removes a finished leader's flight and promotes its
 // followers (in one critical section; see promoteLocked).
 func (s *Scheduler) detachFlight(j *Job) {
 	s.mu.Lock()
@@ -944,7 +935,6 @@ func (s *Scheduler) detachFlight(j *Job) {
 func (s *Scheduler) finishDone(j *Job, res *Result) {
 	j.mu.Lock()
 	j.result = res
-	j.levelsPlanned = res.Levels
 	j.mu.Unlock()
 	j.setState(StateDone)
 	s.rec.Count("serve.done", 1)

@@ -79,7 +79,7 @@ func runChaosSoak(t *testing.T, workers int) {
 			QueueLimit:     6,
 			NoProgress:     noProgress,
 			StuckStrikes:   3,
-			GovernTick:     30 * time.Millisecond,
+			governTick:     30 * time.Millisecond,
 			GCKeepTerminal: 8,
 			Certify:        true,
 		},

@@ -12,7 +12,6 @@
 package serve
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -71,10 +70,8 @@ func (s *Scheduler) watchdogScan() {
 // instead — something environmental has it wedged and retrying burns a
 // worker forever.
 func (s *Scheduler) watchdogRequeue(j *Job) {
-	j.preempt.Store(false)
 	j.mu.Lock()
 	strikes := j.strikes
-	j.resumable = hasCheckpoint(j.ckptDir())
 	j.wdRequeues++
 	j.mu.Unlock()
 	if strikes >= s.opt.StuckStrikes {
@@ -84,12 +81,5 @@ func (s *Scheduler) watchdogRequeue(j *Job) {
 		return
 	}
 	s.rec.Count("serve.watchdog.requeues", 1)
-	s.mu.Lock()
-	s.releaseRunningLocked(j)
-	heap.Push(&s.queue, j)
-	s.cond.Signal()
-	s.updateGaugesLocked()
-	s.mu.Unlock()
-	j.setState(StateQueued)
-	s.persist(j)
+	s.requeue(j, hasCheckpoint(j.ckptDir()))
 }

@@ -21,7 +21,7 @@ func wdOptions(strikes int) Options {
 		Workers:      1,
 		NoProgress:   400 * time.Millisecond,
 		StuckStrikes: strikes,
-		GovernTick:   25 * time.Millisecond,
+		governTick:   25 * time.Millisecond,
 	}
 }
 
