@@ -204,6 +204,10 @@ echo "== fuzz smoke =="
 go test -fuzz 'FuzzRectAlgebra' -fuzztime 5s -timeout 5m ./internal/geom/
 go test -fuzz 'FuzzParse' -fuzztime 5s -timeout 5m ./internal/bookshelf/
 go test -fuzz 'FuzzReadChip' -fuzztime 5s -timeout 5m ./internal/chipio/
+# The checkpoint reader: Load never panics and accepts only intact frames.
+# Each input is a whole file behind a CRC, so minimizing one that reached
+# new coverage can take the whole budget; cap it so the smoke explores.
+go test -fuzz 'FuzzLoad' -fuzztime 5s -fuzzminimizetime 200x -timeout 5m ./internal/ckpt/
 
 if [ "$quick" = 1 ]; then
 	echo "== go test (quick, no -race) =="

@@ -19,7 +19,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -549,14 +548,4 @@ func netName(n *netlist.Netlist, ni int) string {
 		return name
 	}
 	return fmt.Sprintf("n%d", ni)
-}
-
-// sortedNames is a test helper: the node names in deterministic order.
-func sortedNames(m map[string]netlist.CellID) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

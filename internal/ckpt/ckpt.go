@@ -1,27 +1,31 @@
 // Package ckpt provides crash-safe checkpointing for the global placement
-// loop: a versioned, checksummed snapshot format and an on-disk store with
-// atomic generation rotation, so that a placement run killed mid-flight
-// (preemption, OOM, power loss) can resume from its last completed level
-// instead of starting over.
+// loop: a versioned, checksummed frame around a gob payload and an on-disk
+// store with atomic generation rotation, so that a placement run killed
+// mid-flight (preemption, OOM, power loss) can resume from its last
+// completed level instead of starting over. The store is format-agnostic:
+// what a snapshot holds is the caller's type (internal/placer owns its
+// snapshot struct), encoded with encoding/gob.
 //
 // Format. A snapshot file is
 //
 //	magic "FBPCKPT\x00" | uint32 version | uint32 CRC32-IEEE(payload) |
 //	uint64 len(payload) | payload
 //
-// with the payload a fixed-order encoding/binary (little-endian) dump of
-// the Snapshot fields. Positions are stored as raw float64 bits, so a
-// restored placement is bit-identical to the one captured — the property
-// the placer's kill-and-resume determinism tests rely on. Everything is
-// stdlib-only.
+// with the header little-endian and the payload one gob-encoded value.
+// gob stores a float64 as its IEEE-754 bit pattern, so a restored
+// placement is bit-identical to the one captured (-0, subnormals and NaN
+// payloads included) — the property the placer's kill-and-resume
+// determinism tests rely on. A file whose version is not FormatVersion is
+// refused, never reinterpreted. Everything is stdlib-only.
 //
 // Atomicity. Save writes to a temporary file in the same directory, fsyncs
 // it, and renames it to its final generation name (rename is atomic on
 // POSIX). The previous generation is retained, so a crash at any point —
 // including mid-write of the new generation — leaves at least one fully
 // valid snapshot on disk. Load walks generations newest-first and falls
-// back past any file that fails magic/version/CRC validation; callers can
-// tell a fallback happened from LoadInfo and record it as a degradation.
+// back past any file that fails magic/version/length/CRC validation or
+// whose payload does not decode; callers can tell a fallback happened
+// from LoadInfo and record it as a degradation.
 //
 // Fault injection. Two faultsim sites cover the failure modes tests care
 // about: "ckpt.write" fails a Save outright (the placer records the skip
@@ -32,29 +36,34 @@
 package ckpt
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
-	"fbplace/internal/degrade"
 	"fbplace/internal/faultsim"
-	"fbplace/internal/fbp"
 	"fbplace/internal/obs"
 )
 
-// FormatVersion is the current snapshot payload version. Readers reject
-// snapshots with a different version rather than guessing at field layout.
-const FormatVersion = 1
+// FormatVersion is the current snapshot file version: 2 is the gob
+// payload (1 was a hand-written field dump). Readers reject snapshots
+// with a different version rather than guessing at the payload.
+const FormatVersion = 2
 
 // magic identifies a snapshot file. The trailing NUL keeps the magic from
 // being a prefix of any plausible text format.
 const magic = "FBPCKPT\x00"
+
+// headerLen is the frame header: magic, version, CRC, payload length.
+const headerLen = len(magic) + 4 + 4 + 8
 
 const (
 	// genPrefix/genSuffix frame generation file names:
@@ -81,7 +90,8 @@ var corruptFault = faultsim.Register("ckpt.corrupt",
 var ErrNoCheckpoint = errors.New("ckpt: no checkpoint found")
 
 // FormatError reports a snapshot file that failed structural validation
-// (bad magic, unsupported version, CRC mismatch, or truncated payload).
+// (bad magic, unsupported version, length or CRC mismatch, or a payload
+// that does not decode).
 type FormatError struct {
 	// Path is the offending file, Reason what failed.
 	Path, Reason string
@@ -89,38 +99,6 @@ type FormatError struct {
 
 func (e *FormatError) Error() string {
 	return fmt.Sprintf("ckpt: %s: %s", e.Path, e.Reason)
-}
-
-// Snapshot is the global-loop state captured at a level boundary: enough
-// to re-enter the loop at the next level and reproduce the uninterrupted
-// run bit for bit. The loop itself is RNG-free — the anchors of level
-// lv+1 are recomputed from the restored positions — so positions plus the
-// level counter fully determine the continuation.
-type Snapshot struct {
-	// NetlistFP is the structural fingerprint of the netlist the snapshot
-	// belongs to (see Fingerprint); ConfigFP the placer's config hash.
-	// Resume refuses snapshots whose fingerprints do not match.
-	NetlistFP, ConfigFP uint64
-	// Level is the last completed partitioning level, Levels the total
-	// planned for the run.
-	Level, Levels int
-	// X, Y are the cell center positions after Level's anchored QP,
-	// restored bit-exact.
-	X, Y []float64
-	// QPSolves and CGIters are the accumulated top-level QP effort.
-	QPSolves, CGIters int64
-	// Relaxations accumulates the recursive baseline's capacity
-	// relaxations (0 in FBP mode).
-	Relaxations int
-	// GlobalElapsed is the wall clock spent in the global loop up to the
-	// snapshot, so a resumed run reports an honest total.
-	GlobalElapsed time.Duration
-	// FBPStats are the per-level flow statistics of the completed levels.
-	FBPStats []fbp.Stats
-	// Degradations are the solver fallbacks recorded up to the snapshot;
-	// a resumed run restores them so Report.Degradations covers the whole
-	// logical run, not just the post-resume tail.
-	Degradations []degrade.Event
 }
 
 // Store reads and writes snapshot generations in one directory.
@@ -167,16 +145,34 @@ func (s *Store) generations() ([]generation, error) {
 	return out, nil
 }
 
-// Save writes snap as a new generation: encode, write to a temp file in
-// the store directory, fsync, rename to the final name, then prune all but
-// the newest keepGenerations. A Save error leaves every existing
-// generation untouched, so the caller can record the failure and continue
-// the run.
-func (s *Store) Save(snap *Snapshot) error {
+// HasSnapshot reports whether the store holds at least one generation
+// file. It does not validate them: Load does.
+func (s *Store) HasSnapshot() bool {
+	gens, err := s.generations()
+	return err == nil && len(gens) > 0
+}
+
+// Save writes v as a new generation: gob-encode it into the frame, write
+// to a temp file in the store directory, fsync, rename to the final name,
+// then prune all but the newest keepGenerations. A Save error leaves every
+// existing generation untouched, so the caller can record the failure and
+// continue the run.
+func (s *Store) Save(v any) error {
 	if err := writeFault.Check(); err != nil {
 		return err
 	}
-	data := encodeSnapshot(snap)
+	// Encode behind a zeroed header, then fill the header in.
+	var buf bytes.Buffer
+	buf.Write(make([]byte, headerLen))
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return fmt.Errorf("ckpt: encode: %w", err)
+	}
+	data := buf.Bytes()
+	payload := data[headerLen:]
+	copy(data, magic)
+	binary.LittleEndian.PutUint32(data[len(magic):], FormatVersion)
+	binary.LittleEndian.PutUint32(data[len(magic)+4:], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint64(data[len(magic)+8:], uint64(len(payload)))
 	if corruptFault.Check() != nil {
 		// Torn write: a prefix of the encoded snapshot lands in the final
 		// file. Save still succeeds — the damage is only visible to Load,
@@ -297,28 +293,31 @@ type LoadInfo struct {
 	Detail   string
 }
 
-// Load returns the newest valid snapshot. Generations that fail
-// validation (torn writes, corruption) are skipped — never a panic — and
-// the skip is reported through LoadInfo so the caller can record a
-// degradation. ErrNoCheckpoint is returned when the directory has no
-// generation files; a distinct error when generations exist but none
-// validates.
-func (s *Store) Load() (*Snapshot, LoadInfo, error) {
+// Load decodes the newest valid generation into v, which must be a
+// non-nil pointer. Each candidate is decoded into a fresh value and copied
+// into v only once it validates, so a rejected generation leaves nothing
+// behind. Generations that fail validation (torn writes, corruption, an
+// older format) are skipped — never a panic — and the skip is reported
+// through LoadInfo so the caller can record a degradation. ErrNoCheckpoint
+// is returned when the directory has no generation files; a distinct error
+// when generations exist but none validates.
+func (s *Store) Load(v any) (LoadInfo, error) {
+	dst := reflect.ValueOf(v)
 	gens, err := s.generations()
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, LoadInfo{}, fmt.Errorf("%w in %s", ErrNoCheckpoint, s.Dir)
+			return LoadInfo{}, fmt.Errorf("%w in %s", ErrNoCheckpoint, s.Dir)
 		}
-		return nil, LoadInfo{}, fmt.Errorf("ckpt: %w", err)
+		return LoadInfo{}, fmt.Errorf("ckpt: %w", err)
 	}
 	if len(gens) == 0 {
-		return nil, LoadInfo{}, fmt.Errorf("%w in %s", ErrNoCheckpoint, s.Dir)
+		return LoadInfo{}, fmt.Errorf("%w in %s", ErrNoCheckpoint, s.Dir)
 	}
 	info := LoadInfo{}
 	var firstErr error
 	for i, g := range gens {
-		snap, rerr := readSnapshotFile(g.path)
-		if rerr != nil {
+		fresh := reflect.New(dst.Type().Elem())
+		if rerr := readGeneration(g.path, fresh.Interface()); rerr != nil {
 			if i == 0 {
 				info.Detail = rerr.Error()
 			}
@@ -327,47 +326,53 @@ func (s *Store) Load() (*Snapshot, LoadInfo, error) {
 			}
 			continue
 		}
+		dst.Elem().Set(fresh.Elem())
 		info.Path, info.Gen = g.path, g.gen
 		info.FellBack = i > 0
 		s.Obs.Count("ckpt.restores", 1)
 		if info.FellBack {
 			s.Obs.Count("ckpt.fallbacks", 1)
 		}
-		return snap, info, nil
+		return info, nil
 	}
-	return nil, LoadInfo{}, fmt.Errorf("ckpt: all %d generations in %s invalid: %w", len(gens), s.Dir, firstErr)
+	return LoadInfo{}, fmt.Errorf("ckpt: all %d generations in %s invalid: %w", len(gens), s.Dir, firstErr)
 }
 
-// readSnapshotFile reads and fully validates one generation file.
-func readSnapshotFile(path string) (*Snapshot, error) {
+// readGeneration reads and fully validates one generation file, decoding
+// its payload into v.
+func readGeneration(path string, v any) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	header := len(magic) + 4 + 4 + 8
-	if len(data) < header {
-		return nil, &FormatError{Path: path, Reason: fmt.Sprintf("file too short (%d bytes)", len(data))}
+	if len(data) < headerLen {
+		return &FormatError{Path: path, Reason: fmt.Sprintf("file too short (%d bytes)", len(data))}
 	}
 	if string(data[:len(magic)]) != magic {
-		return nil, &FormatError{Path: path, Reason: "bad magic"}
+		return &FormatError{Path: path, Reason: "bad magic"}
 	}
-	d := &dec{b: data, off: len(magic)}
-	version := d.u32()
-	sum := d.u32()
-	plen := d.u64()
+	version := binary.LittleEndian.Uint32(data[len(magic):])
+	sum := binary.LittleEndian.Uint32(data[len(magic)+4:])
+	plen := binary.LittleEndian.Uint64(data[len(magic)+8:])
 	if version != FormatVersion {
-		return nil, &FormatError{Path: path, Reason: fmt.Sprintf("unsupported format version %d (want %d)", version, FormatVersion)}
+		return &FormatError{Path: path, Reason: fmt.Sprintf("unsupported format version %d (want %d)", version, FormatVersion)}
 	}
-	if plen != uint64(len(data)-header) {
-		return nil, &FormatError{Path: path, Reason: fmt.Sprintf("payload length %d, file carries %d", plen, len(data)-header)}
+	payload := data[headerLen:]
+	if plen != uint64(len(payload)) {
+		return &FormatError{Path: path, Reason: fmt.Sprintf("payload length %d, file carries %d", plen, len(payload))}
 	}
-	payload := data[header:]
 	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return nil, &FormatError{Path: path, Reason: fmt.Sprintf("CRC mismatch: stored %08x, computed %08x", sum, got)}
+		return &FormatError{Path: path, Reason: fmt.Sprintf("CRC mismatch: stored %08x, computed %08x", sum, got)}
 	}
-	snap, derr := decodeSnapshot(payload)
-	if derr != nil {
-		return nil, &FormatError{Path: path, Reason: derr.Error()}
+	// gob grows messages and slices in bounded chunks, so a CRC-colliding
+	// payload that claims a huge length fails with an error instead of
+	// allocating it up front.
+	r := bytes.NewReader(payload)
+	if err := gob.NewDecoder(r).Decode(v); err != nil {
+		return &FormatError{Path: path, Reason: "payload: " + err.Error()}
 	}
-	return snap, nil
+	if r.Len() != 0 {
+		return &FormatError{Path: path, Reason: fmt.Sprintf("payload: %d trailing bytes", r.Len())}
+	}
+	return nil
 }

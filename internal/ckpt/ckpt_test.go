@@ -1,8 +1,10 @@
 package ckpt
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,52 +12,56 @@ import (
 	"testing"
 	"time"
 
-	"fbplace/internal/degrade"
 	"fbplace/internal/faultsim"
-	"fbplace/internal/fbp"
 	"fbplace/internal/gen"
 	"fbplace/internal/obs"
 )
 
-func sampleSnapshot() *Snapshot {
-	return &Snapshot{
-		NetlistFP:     0xdeadbeefcafe,
-		ConfigFP:      0x1234567890ab,
-		Level:         3,
-		Levels:        6,
-		X:             []float64{1.5, -2.25, math.SmallestNonzeroFloat64, 0},
-		Y:             []float64{0, 1e300, -0.0, 42},
-		QPSolves:      17,
-		CGIters:       991,
-		Relaxations:   2,
-		GlobalElapsed: 1234 * time.Millisecond,
-		FBPStats: []fbp.Stats{
-			{NumNodes: 10, NumArcs: 20, NumWindows: 4, NumRegions: 16,
-				NumExternals: 3, BuildTime: time.Millisecond, SolveTime: 2 * time.Millisecond,
-				RealizeTime: 3 * time.Millisecond, Waves: 2, NSPivots: 55,
-				LocalQPSolves: 7, LocalCGIters: 70},
-			{NumNodes: 40, Waves: 1},
+// The store is format-agnostic, so its tests use their own snapshot type
+// rather than the placer's. testSnap carries the values a bit-exact
+// restore must keep: -0, the smallest subnormal and a NaN with a payload.
+type testStat struct {
+	Nodes, Waves int
+	Build        time.Duration
+	Solves       int64
+}
+
+type testEvent struct{ Stage, Fallback, Detail string }
+
+type testSnap struct {
+	FP      uint64
+	Level   int
+	X, Y    []float64
+	Elapsed time.Duration
+	Stats   []testStat
+	Events  []testEvent
+}
+
+// nanPayload is a quiet NaN with a non-default mantissa payload.
+var nanPayload = math.Float64frombits(0x7ff8_0000_dead_beef)
+
+func sampleSnapshot() *testSnap {
+	return &testSnap{
+		FP:      0xdeadbeefcafe,
+		Level:   3,
+		X:       []float64{1.5, -2.25, math.SmallestNonzeroFloat64, math.Copysign(0, -1), nanPayload},
+		Y:       []float64{0, 1e300, math.Copysign(0, -1), 42, math.Inf(-1)},
+		Elapsed: 1234 * time.Millisecond,
+		Stats: []testStat{
+			{Nodes: 10, Waves: 2, Build: time.Millisecond, Solves: 7},
+			{Nodes: 40, Waves: 1},
 		},
-		Degradations: []degrade.Event{
+		Events: []testEvent{
 			{Stage: "qp.cg", Fallback: "anchor-solution", Detail: "injected"},
 			{Stage: "flow.ns", Fallback: "ssp", Detail: "stall"},
 		},
 	}
 }
 
-func snapshotsEqual(t *testing.T, want, got *Snapshot) {
+func snapshotsEqual(t *testing.T, want, got *testSnap) {
 	t.Helper()
-	if want.NetlistFP != got.NetlistFP || want.ConfigFP != got.ConfigFP {
-		t.Fatalf("fingerprints: want %x/%x, got %x/%x", want.NetlistFP, want.ConfigFP, got.NetlistFP, got.ConfigFP)
-	}
-	if want.Level != got.Level || want.Levels != got.Levels {
-		t.Fatalf("levels: want %d/%d, got %d/%d", want.Level, want.Levels, got.Level, got.Levels)
-	}
-	if want.QPSolves != got.QPSolves || want.CGIters != got.CGIters || want.Relaxations != got.Relaxations {
-		t.Fatalf("counters differ: want %+v, got %+v", want, got)
-	}
-	if want.GlobalElapsed != got.GlobalElapsed {
-		t.Fatalf("elapsed: want %v, got %v", want.GlobalElapsed, got.GlobalElapsed)
+	if want.FP != got.FP || want.Level != got.Level || want.Elapsed != got.Elapsed {
+		t.Fatalf("scalars: want %x/%d/%v, got %x/%d/%v", want.FP, want.Level, want.Elapsed, got.FP, got.Level, got.Elapsed)
 	}
 	if len(want.X) != len(got.X) || len(want.Y) != len(got.Y) {
 		t.Fatalf("positions: want %d/%d, got %d/%d", len(want.X), len(want.Y), len(got.X), len(got.Y))
@@ -68,22 +74,46 @@ func snapshotsEqual(t *testing.T, want, got *Snapshot) {
 				math.Float64bits(got.X[i]), math.Float64bits(got.Y[i]))
 		}
 	}
-	if len(want.FBPStats) != len(got.FBPStats) {
-		t.Fatalf("stats: want %d, got %d", len(want.FBPStats), len(got.FBPStats))
+	if len(want.Stats) != len(got.Stats) {
+		t.Fatalf("stats: want %d, got %d", len(want.Stats), len(got.Stats))
 	}
-	for i := range want.FBPStats {
-		if want.FBPStats[i] != got.FBPStats[i] {
-			t.Fatalf("stats[%d]: want %+v, got %+v", i, want.FBPStats[i], got.FBPStats[i])
+	for i := range want.Stats {
+		if want.Stats[i] != got.Stats[i] {
+			t.Fatalf("stats[%d]: want %+v, got %+v", i, want.Stats[i], got.Stats[i])
 		}
 	}
-	if len(want.Degradations) != len(got.Degradations) {
-		t.Fatalf("degradations: want %d, got %d", len(want.Degradations), len(got.Degradations))
+	if len(want.Events) != len(got.Events) {
+		t.Fatalf("events: want %d, got %d", len(want.Events), len(got.Events))
 	}
-	for i := range want.Degradations {
-		if want.Degradations[i] != got.Degradations[i] {
-			t.Fatalf("degradation[%d]: want %+v, got %+v", i, want.Degradations[i], got.Degradations[i])
+	for i := range want.Events {
+		if want.Events[i] != got.Events[i] {
+			t.Fatalf("event[%d]: want %+v, got %+v", i, want.Events[i], got.Events[i])
 		}
 	}
+}
+
+// frame wraps payload in a snapshot file header of the given version,
+// with a matching length and CRC.
+func frame(version uint32, payload []byte) []byte {
+	b := []byte(magic)
+	b = binary.LittleEndian.AppendUint32(b, version)
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
+	return append(b, payload...)
+}
+
+// savedFile returns the file image Save writes for v.
+func savedFile(tb testing.TB, v any) []byte {
+	tb.Helper()
+	store := &Store{Dir: tb.TempDir()}
+	if err := store.Save(v); err != nil {
+		tb.Fatalf("Save: %v", err)
+	}
+	data, err := os.ReadFile(filepath.Join(store.Dir, "ckpt-00000001.fbck"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -92,7 +122,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := store.Save(want); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	got, info, err := store.Load()
+	got := &testSnap{}
+	info, err := store.Load(got)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -102,16 +133,20 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if info.Gen != 1 {
 		t.Fatalf("generation: want 1, got %d", info.Gen)
 	}
+	if !store.HasSnapshot() {
+		t.Fatal("HasSnapshot false after a Save")
+	}
 	snapshotsEqual(t, want, got)
 }
 
 func TestEmptySnapshotRoundTrip(t *testing.T) {
 	store := &Store{Dir: t.TempDir()}
-	want := &Snapshot{Level: 1, Levels: 1}
+	want := &testSnap{Level: 1}
 	if err := store.Save(want); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	got, _, err := store.Load()
+	got := &testSnap{}
+	_, err := store.Load(got)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -120,14 +155,20 @@ func TestEmptySnapshotRoundTrip(t *testing.T) {
 
 func TestLoadNoCheckpoint(t *testing.T) {
 	store := &Store{Dir: filepath.Join(t.TempDir(), "nonexistent")}
-	_, _, err := store.Load()
+	_, err := store.Load(&testSnap{})
 	if !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("missing dir: want ErrNoCheckpoint, got %v", err)
 	}
+	if store.HasSnapshot() {
+		t.Fatal("missing dir: HasSnapshot true")
+	}
 	store = &Store{Dir: t.TempDir()}
-	_, _, err = store.Load()
+	_, err = store.Load(&testSnap{})
 	if !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("empty dir: want ErrNoCheckpoint, got %v", err)
+	}
+	if store.HasSnapshot() {
+		t.Fatal("empty dir: HasSnapshot true")
 	}
 }
 
@@ -150,8 +191,8 @@ func TestGenerationRotation(t *testing.T) {
 	if gens[0].gen != 5 || gens[1].gen != 4 {
 		t.Fatalf("want generations 5,4, got %d,%d", gens[0].gen, gens[1].gen)
 	}
-	got, _, err := store.Load()
-	if err != nil {
+	got := &testSnap{}
+	if _, err := store.Load(got); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	if got.Level != 5 {
@@ -186,7 +227,8 @@ func TestTruncationFallsBack(t *testing.T) {
 		if err := os.WriteFile(newest, full[:cut], 0o644); err != nil {
 			t.Fatalf("truncate to %d: %v", cut, err)
 		}
-		got, info, lerr := store.Load()
+		got := &testSnap{}
+		info, lerr := store.Load(got)
 		if lerr != nil {
 			t.Fatalf("cut %d: Load failed entirely: %v", cut, lerr)
 		}
@@ -215,14 +257,13 @@ func TestBitFlipRejected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	header := len(magic) + 16
-	for pos := header; pos < len(full); pos += 11 {
+	for pos := headerLen; pos < len(full); pos += 11 {
 		mut := append([]byte(nil), full...)
 		mut[pos] ^= 0x40
 		if err := os.WriteFile(path, mut, 0o644); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		_, _, lerr := store.Load()
+		_, lerr := store.Load(&testSnap{})
 		var fe *FormatError
 		if lerr == nil || !errors.As(lerr, &fe) {
 			t.Fatalf("flip at %d: want FormatError, got %v", pos, lerr)
@@ -248,11 +289,86 @@ func TestVersionMismatchRejected(t *testing.T) {
 	if err := os.WriteFile(path, full, 0o644); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	_, _, lerr := store.Load()
+	_, lerr := store.Load(&testSnap{})
 	var fe *FormatError
 	if lerr == nil || !errors.As(lerr, &fe) || !strings.Contains(fe.Reason, "version") {
 		t.Fatalf("want version FormatError, got %v", lerr)
 	}
+}
+
+// TestTrailingBytesRejected plants a newest generation whose gob payload
+// decodes but is followed by one stray byte under a valid CRC. Load must
+// reject it and fall back, and nothing of the rejected generation may
+// leak into the target: the fallback has no events, the rejected one has.
+func TestTrailingBytesRejected(t *testing.T) {
+	dir := t.TempDir()
+	store := &Store{Dir: dir}
+	old := sampleSnapshot()
+	old.Level, old.Events = 1, nil
+	if err := store.Save(old); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	full := savedFile(t, sampleSnapshot())
+	padded := frame(FormatVersion, append(full[headerLen:], 0))
+	if err := os.WriteFile(filepath.Join(dir, "ckpt-00000002.fbck"), padded, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got := &testSnap{}
+	info, err := store.Load(got)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if !info.FellBack || !strings.Contains(info.Detail, "trailing") {
+		t.Fatalf("want a trailing-bytes fallback, got %+v", info)
+	}
+	snapshotsEqual(t, old, got)
+
+	// With no valid generation left, the target keeps its value.
+	if err := os.Remove(filepath.Join(dir, "ckpt-00000001.fbck")); err != nil {
+		t.Fatal(err)
+	}
+	kept := &testSnap{Level: 7}
+	if _, err := store.Load(kept); err == nil || kept.Level != 7 || len(kept.Events) != 0 {
+		t.Fatalf("all-invalid Load: err=%v, target %+v", err, kept)
+	}
+}
+
+// FuzzLoad feeds arbitrary bytes to Load as the only generation. Load must
+// never panic, and it may accept a file only if its frame is intact: the
+// magic, the current version, the length and the CRC all match. The same
+// bytes are then framed under a valid header, so the gob decoder itself
+// sees the fuzzed payload behind a matching CRC. The seeds are a valid
+// file, a torn one and one written by the version-1 codec.
+func FuzzLoad(f *testing.F) {
+	valid := savedFile(f, sampleSnapshot())
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1.fbck"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
+	// One directory serves every input: a fuzz worker runs them serially.
+	store := &Store{Dir: f.TempDir()}
+	path := filepath.Join(store.Dir, "ckpt-00000001.fbck")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.Load(&testSnap{}); err == nil {
+			intact := len(data) >= headerLen && string(data[:len(magic)]) == magic &&
+				binary.LittleEndian.Uint32(data[len(magic):]) == FormatVersion &&
+				binary.LittleEndian.Uint64(data[len(magic)+8:]) == uint64(len(data)-headerLen) &&
+				binary.LittleEndian.Uint32(data[len(magic)+4:]) == crc32.ChecksumIEEE(data[headerLen:])
+			if !intact {
+				t.Fatalf("Load accepted a %d-byte file whose frame does not validate", len(data))
+			}
+		}
+		if err := os.WriteFile(path, frame(FormatVersion, data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _ = store.Load(&testSnap{}) // must not panic
+	})
 }
 
 func TestWriteFaultInjection(t *testing.T) {
@@ -289,7 +405,8 @@ func TestCorruptFaultTearsWrite(t *testing.T) {
 		t.Fatalf("torn Save should still report success, got %v", err)
 	}
 	faultsim.Reset()
-	got, info, err := store.Load()
+	got := &testSnap{}
+	info, err := store.Load(got)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -366,7 +483,8 @@ func TestGC(t *testing.T) {
 		t.Fatalf("%d files survive GC, want %d", len(ents), keepGenerations)
 	}
 	// The newest generation survived: Load restores the last save.
-	got, info, err := store.Load()
+	got := &testSnap{}
+	info, err := store.Load(got)
 	if err != nil {
 		t.Fatalf("Load after GC: %v", err)
 	}

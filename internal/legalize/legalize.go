@@ -502,20 +502,6 @@ func LegalizeWithMovebounds(n *netlist.Netlist, d *region.Decomposition, opt Opt
 	return total, nil
 }
 
-// widestSegment returns the width of the widest free row segment of the
-// region.
-func widestSegment(n *netlist.Netlist, reg *region.Region, blockages geom.RectSet) float64 {
-	widest := 0.0
-	for _, segs := range buildSegments(n, reg.Rects, blockages) {
-		for _, s := range segs {
-			if w := s.x1 - s.x0; w > widest {
-				widest = w
-			}
-		}
-	}
-	return widest
-}
-
 // VerifyNoOverlaps checks that no two movable cells overlap and no movable
 // cell overlaps a fixed cell; it returns the number of overlapping pairs:
 // pairs of cells, not both fixed, whose intersection has area above 1e-6.

@@ -196,6 +196,41 @@ func configFingerprint(cfg *Config) uint64 {
 	return h.Sum64()
 }
 
+// snapshot is the global-loop state captured at a level boundary: enough
+// to re-enter the loop at the next level and reproduce the uninterrupted
+// run bit for bit. The loop itself is RNG-free — the anchors of level
+// lv+1 are recomputed from the restored positions — so positions plus the
+// level counter fully determine the continuation. internal/ckpt stores it
+// with encoding/gob, so every exported field, including each field of
+// fbp.Stats and degrade.Event, round-trips without a codec to keep in
+// sync.
+type snapshot struct {
+	// NetlistFP is the structural fingerprint of the netlist the snapshot
+	// belongs to (ckpt.Fingerprint); ConfigFP the placer's config hash.
+	// Resume refuses snapshots whose fingerprints do not match.
+	NetlistFP, ConfigFP uint64
+	// Level is the last completed partitioning level, Levels the total
+	// planned for the run.
+	Level, Levels int
+	// X, Y are the cell center positions after Level's anchored QP,
+	// restored bit-exact.
+	X, Y []float64
+	// QPSolves and CGIters are the accumulated top-level QP effort.
+	QPSolves, CGIters int64
+	// Relaxations accumulates the recursive baseline's capacity
+	// relaxations (0 in FBP mode).
+	Relaxations int
+	// GlobalElapsed is the wall clock spent in the global loop up to the
+	// snapshot, so a resumed run reports an honest total.
+	GlobalElapsed time.Duration
+	// FBPStats are the per-level flow statistics of the completed levels.
+	FBPStats []fbp.Stats
+	// Degradations are the solver fallbacks recorded up to the snapshot;
+	// a resumed run restores them so Report.Degradations covers the whole
+	// logical run, not just the post-resume tail.
+	Degradations []degrade.Event
+}
+
 // ckptState carries everything the global loop needs to emit a snapshot
 // at a level boundary. A nil *ckptState disables checkpointing (the
 // clustered coarse loop always passes nil).
@@ -244,7 +279,7 @@ func (ck *ckptState) save(n *netlist.Netlist, lv int) error {
 	sp := ck.rec.StartSpan("ckpt.write")
 	defer sp.End()
 	qpSolves, qpIters := ck.qpStats.Snapshot()
-	snap := &ckpt.Snapshot{
+	snap := &snapshot{
 		NetlistFP:     ck.netFP,
 		ConfigFP:      ck.cfgFP,
 		Level:         lv,
@@ -265,11 +300,12 @@ func (ck *ckptState) save(n *netlist.Netlist, lv int) error {
 // its fingerprints match this run, and applies it: positions, top-level
 // QP counters, per-level stats and pre-crash degradations. Returns the
 // snapshot so the caller can pick the restart level.
-func loadResume(n *netlist.Netlist, dir string, netFP, cfgFP uint64, levels int, dl *degrade.Log, qpStats *qp.SolveStats, report *Report, rec *obs.Recorder) (*ckpt.Snapshot, error) {
+func loadResume(n *netlist.Netlist, dir string, netFP, cfgFP uint64, levels int, dl *degrade.Log, qpStats *qp.SolveStats, report *Report, rec *obs.Recorder) (*snapshot, error) {
 	sp := rec.StartSpan("ckpt.restore")
 	defer sp.End()
 	store := &ckpt.Store{Dir: dir, Obs: rec}
-	snap, info, err := store.Load()
+	snap := &snapshot{}
+	info, err := store.Load(snap)
 	if err != nil {
 		return nil, &ResumeError{Dir: dir, Reason: "no loadable checkpoint", Err: err}
 	}

@@ -2,17 +2,21 @@ package placer
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"fbplace/internal/ckpt"
 	"fbplace/internal/faultsim"
+	"fbplace/internal/fbp"
 	"fbplace/internal/gen"
 	"fbplace/internal/leakcheck"
 	"fbplace/internal/netlist"
@@ -147,6 +151,28 @@ func TestKillResumeBitIdentical(t *testing.T) {
 				t.Fatalf("%s: FBPStats levels differ: %d vs %d", label,
 					len(resRep.FBPStats), len(baseRep.FBPStats))
 			}
+			sameStats(t, label, baseRep.FBPStats, resRep.FBPStats)
+		}
+	}
+}
+
+// sameStats compares every field of each level's fbp.Stats except the
+// wall-clock durations, by reflection, so a field the snapshot fails to
+// carry through a resume shows up here whatever its name.
+func sameStats(t *testing.T, label string, want, got []fbp.Stats) {
+	t.Helper()
+	durType := reflect.TypeOf(time.Duration(0))
+	typ := reflect.TypeOf(fbp.Stats{})
+	for lv := range want {
+		w, g := reflect.ValueOf(want[lv]), reflect.ValueOf(got[lv])
+		for i := 0; i < typ.NumField(); i++ {
+			if typ.Field(i).Type == durType {
+				continue
+			}
+			if !reflect.DeepEqual(w.Field(i).Interface(), g.Field(i).Interface()) {
+				t.Fatalf("%s: level %d FBPStats.%s differs: %v vs %v", label, lv,
+					typ.Field(i).Name, w.Field(i).Interface(), g.Field(i).Interface())
+			}
 		}
 	}
 }
@@ -278,6 +304,34 @@ func TestResumeRefusals(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesVersion1 plants testdata/v1.fbck of internal/ckpt, a
+// snapshot written by the version-1 hand codec with an intact frame and
+// CRC, as a run's only generation. Load must refuse it with a FormatError
+// naming the version, and Resume with a *ResumeError, not guess at it.
+func TestResumeRefusesVersion1(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("..", "ckpt", "testdata", "v1.fbck"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Header: 8-byte magic, version, CRC32 of the payload, payload length.
+	if len(v1) < 24 || crc32.ChecksumIEEE(v1[24:]) != binary.LittleEndian.Uint32(v1[12:]) {
+		t.Fatal("testdata/v1.fbck: CRC does not match; the fixture is damaged")
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "ckpt-00000001.fbck"), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var fe *ckpt.FormatError
+	if _, err := (&ckpt.Store{Dir: dir}).Load(&snapshot{}); !errors.As(err, &fe) || !strings.Contains(fe.Reason, "version 1") {
+		t.Fatalf("Load: want a FormatError naming version 1, got %v", err)
+	}
+	inst := ckptInstances(t)[0]
+	var re *ResumeError
+	if _, err := Resume(context.Background(), inst.N.Clone(), dir, ckptConfig(inst, 1, dir)); !errors.As(err, &re) {
+		t.Fatalf("Resume: want *ResumeError, got %v", err)
+	}
+}
+
 // TestConfigFingerprintCoversEveryField sets each Config field in turn to
 // a non-zero value and requires the fingerprint to change, so a knob added
 // without hashing fails here instead of silently resuming (or hitting the
@@ -357,13 +411,8 @@ type ckptCancelCtx struct {
 }
 
 func (c *ckptCancelCtx) Err() error {
-	entries, err := os.ReadDir(c.dir)
-	if err == nil {
-		for _, e := range entries {
-			if strings.HasSuffix(e.Name(), ".fbck") {
-				return context.Canceled
-			}
-		}
+	if (&ckpt.Store{Dir: c.dir}).HasSnapshot() {
+		return context.Canceled
 	}
 	return c.Context.Err()
 }
@@ -423,7 +472,7 @@ func TestResumeAfterCancellation(t *testing.T) {
 func snapGen(t *testing.T, dir string) uint64 {
 	t.Helper()
 	store := &ckpt.Store{Dir: dir}
-	_, info, err := store.Load()
+	info, err := store.Load(&snapshot{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}

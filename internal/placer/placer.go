@@ -356,7 +356,7 @@ func runOnce(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir stri
 		netFP = ckpt.Fingerprint(n)
 		cfgFP = configFingerprint(&cfg)
 	}
-	var snap *ckpt.Snapshot
+	var snap *snapshot
 	if resumeDir != "" {
 		var rerr error
 		snap, rerr = loadResume(n, resumeDir, netFP, cfgFP, levels, dl, &qpStats, report, cfg.Obs)

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"runtime/metrics"
+
 	"fbplace/internal/netlist"
 	"fbplace/internal/placer"
 )
@@ -35,24 +37,44 @@ type Estimate struct {
 // least 1.3x above the default-GOGC heap on every rung and 2-4x above the
 // live heap, so the admission price is the conservative envelope of the
 // allocation spike between GC cycles, not the average.
-// TestPeakBytesCoversMeasuredHeap keeps it there.
+//
+// The heap target is live x (1 + GOGC/100), so above GOGC=100 the model is
+// scaled by (100+GOGC)/200; at or below it the GOGC=100 price stands.
+// GOGC=off has no heap target and is not priced. GOMEMLIMIT is not read.
+// TestPeakBytesCoversMeasuredHeap keeps the model above the heap at the
+// default GOGC and at GOGC=400.
 const (
 	estBaseBytes    = 4 << 20
 	estBytesPerCell = 2048
 	estBytesPerPin  = 256
 )
 
-// estimateJob prices one job from its loaded instance and compiled config.
-func estimateJob(n *netlist.Netlist, cfg placer.Config) Estimate {
+// estimateJob prices one job from its loaded instance and compiled config
+// for a process running at GC percent gogc (see gcPercent).
+func estimateJob(n *netlist.Netlist, cfg placer.Config, gogc int) Estimate {
 	cells := len(n.X)
 	pins := 0
 	for i := range n.Nets {
 		pins += len(n.Nets[i].Pins)
 	}
+	peak := estBaseBytes + estBytesPerCell*int64(cells) + estBytesPerPin*int64(pins)
+	if gogc > 100 {
+		peak = peak * int64(100+gogc) / 200
+	}
 	return Estimate{
 		Cells:     cells,
 		Pins:      pins,
 		Levels:    placer.PlannedLevels(n, cfg),
-		PeakBytes: estBaseBytes + estBytesPerCell*int64(cells) + estBytesPerPin*int64(pins),
+		PeakBytes: peak,
 	}
+}
+
+// gcPercent is the process's GC percent: the GOGC environment variable or
+// the last debug.SetGCPercent, 100 by default, negative when the collector
+// is off. It reads runtime/metrics, which, unlike debug.SetGCPercent,
+// changes nothing.
+func gcPercent() int {
+	s := []metrics.Sample{{Name: "/gc/gogc:percent"}}
+	metrics.Read(s)
+	return int(int64(s[0].Value.Uint64()))
 }

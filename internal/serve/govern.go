@@ -34,8 +34,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"time"
-
-	"fbplace/internal/ckpt"
 )
 
 // Admission rejection sentinels, matched with errors.Is.
@@ -355,8 +353,7 @@ func (s *Scheduler) gcTick() {
 		if j.dir == "" {
 			continue
 		}
-		st := ckpt.Store{Dir: j.ckptDir()}
-		if n, err := st.GC(); err == nil && n > 0 {
+		if n, err := j.ckptStore().GC(); err == nil && n > 0 {
 			s.rec.Count("serve.gc.ckpts", float64(n))
 		}
 	}

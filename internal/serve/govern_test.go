@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -23,7 +24,7 @@ import (
 // from the same model the scheduler enforces.
 func estOf(t *testing.T, spec Spec) Estimate {
 	t.Helper()
-	j, err := newJob("est", 0, spec, "")
+	j, err := newJob("est", 0, spec, "", gcPercent())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +438,7 @@ func TestLowDiskDisablesCheckpointing(t *testing.T) {
 	if s.Obs().Counters()["serve.ckpt.disabled"] != 1 {
 		t.Fatal("low-disk attempt did not count serve.ckpt.disabled")
 	}
-	if hasCheckpoint(j.ckptDir()) {
+	if j.ckptStore().HasSnapshot() {
 		t.Fatal("low-disk attempt wrote checkpoints anyway")
 	}
 	if gov := s.Stats().Governance; !gov.LowDisk {
@@ -454,36 +455,46 @@ func TestLowDiskDisablesCheckpointing(t *testing.T) {
 // admission estimate must cover the largest sample. A sample can only
 // under-read the heap's true peak, so the bound is one-sided; at the
 // default GOGC that peak stays under twice the live heap, which the model
-// covers (see the calibration table in estimate.go).
+// covers (see the calibration table in estimate.go). The second case runs
+// at GOGC=400, where the heap target is 5x the live heap and the sampled
+// 5000-cell heap passes the unscaled GOGC=100 price: the estimate must
+// follow the collector's setting.
 func TestPeakBytesCoversMeasuredHeap(t *testing.T) {
-	for _, cells := range []int{1200, 5000} {
-		spec := gen.LoadMix(3, 1)[2]
-		spec.NumCells = cells
-		j, err := newJob("peak", 0, Spec{Chip: &spec}, "")
-		if err != nil {
-			t.Fatal(err)
+	for _, gogc := range []int{0, 400} { // 0 keeps the process's setting
+		if gogc > 0 {
+			defer debug.SetGCPercent(debug.SetGCPercent(gogc))
 		}
-		var mu sync.Mutex
-		var peak uint64
-		rec := obs.New(nil)
-		rec.SetProgress(func(string) {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			mu.Lock()
-			peak = max(peak, ms.HeapAlloc)
-			mu.Unlock()
-		})
-		cfg := j.cfg
-		cfg.Obs = rec
-		cfg.Workers = 1
-		runtime.GC()
-		if _, err := placer.Place(j.n, cfg); err != nil {
-			t.Fatal(err)
-		}
-		est := j.Estimate().PeakBytes
-		t.Logf("%d cells: heap peak %d bytes, estimate %d bytes", cells, peak, est)
-		if uint64(est) < peak {
-			t.Errorf("%d cells: estimated peak %d bytes < sampled heap %d bytes", cells, est, peak)
+		g := gcPercent()
+		for _, cells := range []int{1200, 5000} {
+			spec := gen.LoadMix(3, 1)[2]
+			spec.NumCells = cells
+			j, err := newJob("peak", 0, Spec{Chip: &spec}, "", g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			var peak uint64
+			rec := obs.New(nil)
+			rec.SetProgress(func(string) {
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				mu.Lock()
+				peak = max(peak, ms.HeapAlloc)
+				mu.Unlock()
+			})
+			cfg := j.cfg
+			cfg.Obs = rec
+			cfg.Workers = 1
+			runtime.GC()
+			if _, err := placer.Place(j.n, cfg); err != nil {
+				t.Fatal(err)
+			}
+			est := j.Estimate().PeakBytes
+			t.Logf("GOGC=%d, %d cells: heap peak %d bytes, estimate %d bytes (unscaled %d)",
+				g, cells, peak, est, estimateJob(j.n, j.cfg, 100).PeakBytes)
+			if uint64(est) < peak {
+				t.Errorf("GOGC=%d, %d cells: estimated peak %d bytes < sampled heap %d bytes", g, cells, est, peak)
+			}
 		}
 	}
 }

@@ -399,6 +399,9 @@ func (j *Job) Estimate() Estimate { return j.est }
 // ckptDir is the per-job checkpoint directory preemption snapshots into.
 func (j *Job) ckptDir() string { return filepath.Join(j.dir, "ckpt") }
 
+// ckptStore is the job's checkpoint store.
+func (j *Job) ckptStore() *ckpt.Store { return &ckpt.Store{Dir: j.ckptDir()} }
+
 // jobSink forwards a placement attempt's obs events into the job's
 // broadcast and mines them for progress: a completed "level" span over a
 // 2^lv x 2^lv window grid is level lv.
@@ -472,9 +475,10 @@ func loadInstance(spec *Spec, fileRoot string) (*netlist.Netlist, []region.Moveb
 	}
 }
 
-// newJob loads the instance, compiles the config and computes the cache
-// key. The context (deadline, cancel) is installed by the scheduler.
-func newJob(id string, seq uint64, spec Spec, fileRoot string) (*Job, error) {
+// newJob loads the instance, compiles the config, computes the cache key
+// and prices the job for a process at GC percent gogc. The context
+// (deadline, cancel) is installed by the scheduler.
+func newJob(id string, seq uint64, spec Spec, fileRoot string, gogc int) (*Job, error) {
 	n, mbs, err := loadInstance(&spec, fileRoot)
 	if err != nil {
 		return nil, err
@@ -499,7 +503,7 @@ func newJob(id string, seq uint64, spec Spec, fileRoot string) (*Job, error) {
 			net: ckpt.Fingerprint(n),
 			cfg: placer.ConfigFingerprint(&cfg),
 		},
-		est:       estimateJob(n, cfg),
+		est:       estimateJob(n, cfg, gogc),
 		state:     StateQueued,
 		submitted: time.Now(),
 	}

@@ -167,6 +167,9 @@ type Scheduler struct {
 	opt      Options
 	rec      *obs.Recorder
 	stateDir string
+	// gogc is the GC percent read once at start; admission prices jobs
+	// with it (estimateJob).
+	gogc int
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -230,6 +233,7 @@ func NewScheduler(opt Options) (*Scheduler, error) {
 		quit:     make(chan struct{}),
 		dl:       degrade.New(rec),
 		cache:    newResultCache(opt.CacheEntries),
+		gogc:     gcPercent(),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if err := s.recover(); err != nil {
@@ -274,7 +278,7 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	seq := s.seq
 	s.mu.Unlock()
 
-	j, err := newJob(fmt.Sprintf("j%08d", seq), seq, spec, s.opt.FileRoot)
+	j, err := newJob(fmt.Sprintf("j%08d", seq), seq, spec, s.opt.FileRoot, s.gogc)
 	if err != nil {
 		s.rec.Count("serve.badspec", 1)
 		return nil, err
@@ -913,7 +917,7 @@ func (s *Scheduler) finishInterrupted(j *Job) {
 		s.cleanupCkpt(j)
 		s.detachFlight(j)
 	case drain:
-		s.requeue(j, hasCheckpoint(j.ckptDir()))
+		s.requeue(j, j.ckptStore().HasSnapshot())
 	default:
 		s.release(j)
 		s.failFlight(j, "deadline exceeded: "+j.ctx.Err().Error())
@@ -1177,22 +1181,6 @@ func (s *Scheduler) persist(j *Job) {
 	}
 }
 
-// hasCheckpoint reports whether dir holds at least one snapshot
-// generation file.
-func hasCheckpoint(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if len(name) > 5 && name[len(name)-5:] == ".fbck" {
-			return true
-		}
-	}
-	return false
-}
-
 // recover reloads persisted jobs from a previous process: non-terminal
 // jobs re-enter the queue (resuming from their checkpoints when present),
 // terminal ones come back as historical records without results.
@@ -1223,7 +1211,7 @@ func (s *Scheduler) recover() error {
 			s.adopt(tombstoneJob(jf, jf.Error))
 			continue
 		}
-		j, jerr := newJob(jf.ID, jf.Seq, jf.Spec, s.opt.FileRoot)
+		j, jerr := newJob(jf.ID, jf.Seq, jf.Spec, s.opt.FileRoot, s.gogc)
 		if jerr != nil {
 			// The instance no longer loads (file reference gone): the job
 			// cannot be resumed, record why.
@@ -1234,7 +1222,7 @@ func (s *Scheduler) recover() error {
 		j.dir = filepath.Join(dir, e.Name())
 		j.mu.Lock()
 		j.preemptions = jf.Preemptions
-		j.resumable = hasCheckpoint(j.ckptDir())
+		j.resumable = j.ckptStore().HasSnapshot()
 		j.mu.Unlock()
 		s.installContext(j)
 		s.rec.Count("serve.recovered", 1)

@@ -81,5 +81,5 @@ func (s *Scheduler) watchdogRequeue(j *Job) {
 		return
 	}
 	s.rec.Count("serve.watchdog.requeues", 1)
-	s.requeue(j, hasCheckpoint(j.ckptDir()))
+	s.requeue(j, j.ckptStore().HasSnapshot())
 }

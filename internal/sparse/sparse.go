@@ -214,9 +214,6 @@ type CSR struct {
 	Diag []float64
 }
 
-// NNZ returns the number of stored off-diagonal entries plus diagonal.
-func (m *CSR) NNZ() int { return len(m.Val) + m.N }
-
 // MulVec computes dst = M*x. dst and x must have length N and must not
 // alias.
 func (m *CSR) MulVec(dst, x []float64) {
