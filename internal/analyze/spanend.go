@@ -7,9 +7,9 @@ import (
 )
 
 // SpanEnd enforces the observability contract of internal/obs: every span
-// returned by Recorder.StartSpan or Span.StartChild must be ended, or the
-// summary tree silently loses the phase and its children. The check is a
-// pragmatic dominance approximation: a span assigned to a local variable
+// returned by Recorder.StartSpan must be ended, or the summary tree
+// silently loses the phase and its children. The check is a pragmatic
+// dominance approximation: a span assigned to a local variable
 // must have at least one `sp.End()` call on that variable somewhere in the
 // same file (a `defer sp.End()` is the canonical form; explicit calls on
 // every return path also satisfy it). Discarding the result outright —
@@ -22,7 +22,7 @@ import (
 var SpanEnd = &Analyzer{
 	Name:      "spanend",
 	Directive: "spanok",
-	Doc: "requires every obs.Recorder.StartSpan / obs.Span.StartChild result " +
+	Doc: "requires every obs.Recorder.StartSpan result " +
 		"to reach an End() call (defer sp.End() or explicit calls); " +
 		"suppress intentionally unended spans with //fbpvet:spanok <reason>",
 	Run: runSpanEnd,
@@ -54,7 +54,7 @@ func runSpanEnd(p *Pass) {
 			}
 			return true
 		})
-		// Pass 2: every StartSpan/StartChild call site, classified by how
+		// Pass 2: every StartSpan call site, classified by how
 		// its result is consumed.
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch st := n.(type) {
@@ -91,13 +91,13 @@ func runSpanEnd(p *Pass) {
 	}
 }
 
-// isSpanStart reports whether call invokes obs's StartSpan or StartChild.
+// isSpanStart reports whether call invokes obs's StartSpan.
 func isSpanStart(p *Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
-	if sel.Sel.Name != "StartSpan" && sel.Sel.Name != "StartChild" {
+	if sel.Sel.Name != "StartSpan" {
 		return false
 	}
 	return isObsMethod(p, sel)

@@ -21,11 +21,6 @@ func goodExplicitBothPaths(rec *obs.Recorder) error {
 	return nil
 }
 
-func goodChild(parent *obs.Span) {
-	c := parent.StartChild("child")
-	defer c.End()
-}
-
 func leakyVar(rec *obs.Recorder) *obs.Recorder {
 	sp := rec.StartSpan("leaky") // violation: no End on any path
 	_ = sp
@@ -38,11 +33,6 @@ func discarded(rec *obs.Recorder) {
 
 func blank(rec *obs.Recorder) {
 	_ = rec.StartSpan("blank") // violation: assigned to blank
-}
-
-func leakyChild(parent *obs.Span) {
-	c := parent.StartChild("child") // violation: StartChild never ended
-	_ = c
 }
 
 func escapes(rec *obs.Recorder) *obs.Span {

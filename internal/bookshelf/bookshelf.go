@@ -1,4 +1,4 @@
-// Package bookshelf reads and writes the Bookshelf placement format used
+// Package bookshelf reads the Bookshelf placement format used
 // by the ISPD contests the paper benchmarks against (§V, [15][16]): a
 // .aux index file naming .nodes (cells), .nets (pins), .pl (placement)
 // and .scl (rows) files. Supporting the real contest format lets users
@@ -421,131 +421,4 @@ func parseSCL(r io.Reader) ([]geom.Rect, float64, error) {
 		}
 	}
 	return rows, height, nil
-}
-
-// Write emits the instance as the four Bookshelf files plus the .aux
-// index, using the given base name, into dir.
-func Write(dir, base string, n *netlist.Netlist) error {
-	write := func(ext string, fn func(w *bufio.Writer) error) error {
-		f, err := os.Create(filepath.Join(dir, base+ext))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		bw := bufio.NewWriter(f)
-		if err := fn(bw); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
-	if err := write(".nodes", func(w *bufio.Writer) error {
-		fmt.Fprintln(w, "UCLA nodes 1.0")
-		terms := 0
-		for i := range n.Cells {
-			if n.Cells[i].Fixed {
-				terms++
-			}
-		}
-		fmt.Fprintf(w, "NumNodes : %d\n", n.NumCells())
-		fmt.Fprintf(w, "NumTerminals : %d\n", terms)
-		for i := range n.Cells {
-			c := &n.Cells[i]
-			fmt.Fprintf(w, "%s %g %g", nodeName(n, i), c.Width, c.Height)
-			if c.Fixed {
-				fmt.Fprint(w, " terminal")
-			}
-			fmt.Fprintln(w)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := write(".nets", func(w *bufio.Writer) error {
-		fmt.Fprintln(w, "UCLA nets 1.0")
-		pins := 0
-		realNets := 0
-		for ni := range n.Nets {
-			cellPins := 0
-			for _, p := range n.Nets[ni].Pins {
-				if !p.IsPad() {
-					cellPins++
-				}
-			}
-			if cellPins >= 2 {
-				realNets++
-				pins += cellPins
-			}
-		}
-		fmt.Fprintf(w, "NumNets : %d\n", realNets)
-		fmt.Fprintf(w, "NumPins : %d\n", pins)
-		for ni := range n.Nets {
-			net := &n.Nets[ni]
-			var cellPins []netlist.Pin
-			for _, p := range net.Pins {
-				if !p.IsPad() {
-					cellPins = append(cellPins, p)
-				}
-			}
-			if len(cellPins) < 2 {
-				continue // pad nets have no Bookshelf representation
-			}
-			fmt.Fprintf(w, "NetDegree : %d %s\n", len(cellPins), netName(n, ni))
-			for _, p := range cellPins {
-				fmt.Fprintf(w, "\t%s I : %g %g\n", nodeName(n, int(p.Cell)), p.Offset.X, p.Offset.Y)
-			}
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := write(".pl", func(w *bufio.Writer) error {
-		fmt.Fprintln(w, "UCLA pl 1.0")
-		for i := range n.Cells {
-			c := &n.Cells[i]
-			// Centers back to lower-left corners.
-			fmt.Fprintf(w, "%s %g %g : N", nodeName(n, i), n.X[i]-c.Width/2, n.Y[i]-c.Height/2)
-			if c.Fixed {
-				fmt.Fprint(w, " /FIXED")
-			}
-			fmt.Fprintln(w)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := write(".scl", func(w *bufio.Writer) error {
-		fmt.Fprintln(w, "UCLA scl 1.0")
-		numRows := int((n.Area.Height() + 1e-9) / n.RowHeight)
-		fmt.Fprintf(w, "NumRows : %d\n", numRows)
-		for r := 0; r < numRows; r++ {
-			fmt.Fprintln(w, "CoreRow Horizontal")
-			fmt.Fprintf(w, " Coordinate : %g\n", n.Area.Ylo+float64(r)*n.RowHeight)
-			fmt.Fprintf(w, " Height : %g\n", n.RowHeight)
-			fmt.Fprintf(w, " Sitewidth : 1\n")
-			fmt.Fprintf(w, " SubrowOrigin : %g NumSites : %d\n", n.Area.Xlo, int(n.Area.Width()))
-			fmt.Fprintln(w, "End")
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	return write(".aux", func(w *bufio.Writer) error {
-		fmt.Fprintf(w, "RowBasedPlacement : %s.nodes %s.nets %s.pl %s.scl\n", base, base, base, base)
-		return nil
-	})
-}
-
-// nodeName returns a unique Bookshelf-safe node name.
-func nodeName(n *netlist.Netlist, i int) string {
-	if name := n.Cells[i].Name; name != "" && !strings.ContainsAny(name, " \t:") {
-		return name
-	}
-	return fmt.Sprintf("o%d", i)
-}
-
-func netName(n *netlist.Netlist, ni int) string {
-	if name := n.Nets[ni].Name; name != "" && !strings.ContainsAny(name, " \t:") {
-		return name
-	}
-	return fmt.Sprintf("n%d", ni)
 }

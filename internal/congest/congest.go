@@ -3,9 +3,7 @@
 // (w+h)/(w*h) uniformly over its bounding box. Routability concerns are
 // one of the §I motivations for movebounds ("for particular timing and
 // routability issues"); the estimator lets users inspect whether a
-// movebounded placement creates hotspots, and provides the congestion-
-// driven cell inflation hook the paper mentions as input to partitioning
-// ("increased cell sizes from congestion avoidance").
+// movebounded placement creates hotspots.
 package congest
 
 import (
@@ -126,31 +124,5 @@ func (m *Map) Hotspots(threshold float64) []Hotspot {
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Rudy > out[b].Rudy })
-	return out
-}
-
-// InflateCells returns per-cell area inflation factors (>= 1) that grow
-// cells in congested bins — the congestion-avoidance input to partitioning
-// the paper refers to. Factors scale linearly from 1 at `threshold` to
-// maxFactor at twice the threshold.
-func (m *Map) InflateCells(n *netlist.Netlist, threshold, maxFactor float64) []float64 {
-	out := make([]float64, n.NumCells())
-	for i := range out {
-		out[i] = 1
-	}
-	if threshold <= 0 || maxFactor <= 1 {
-		return out
-	}
-	for i := range n.Cells {
-		if n.Cells[i].Fixed {
-			continue
-		}
-		v := m.Rudy[m.Grid.LocateIndex(n.Pos(netlist.CellID(i)))]
-		if v <= threshold {
-			continue
-		}
-		f := 1 + (maxFactor-1)*math.Min(1, (v-threshold)/threshold)
-		out[i] = f
-	}
 	return out
 }

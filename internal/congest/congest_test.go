@@ -76,35 +76,6 @@ func TestHotspotsAndPercentile(t *testing.T) {
 	}
 }
 
-func TestInflateCells(t *testing.T) {
-	n := netlist.New(geom.Rect{Xhi: 20, Yhi: 20}, 1)
-	hot := n.AddCell(netlist.Cell{Width: 1, Height: 1, Movebound: netlist.NoMovebound})
-	cold := n.AddCell(netlist.Cell{Width: 1, Height: 1, Movebound: netlist.NoMovebound})
-	n.SetPos(hot, geom.Point{X: 2, Y: 2})
-	n.SetPos(cold, geom.Point{X: 18, Y: 18})
-	other := n.AddCell(netlist.Cell{Width: 1, Height: 1, Movebound: netlist.NoMovebound})
-	n.SetPos(other, geom.Point{X: 3, Y: 3})
-	n.AddNet(netlist.Net{Pins: []netlist.Pin{{Cell: hot}, {Cell: other}}})
-	m := Estimate(n, 4, 4)
-	f := m.InflateCells(n, m.Max()/2, 2.0)
-	if f[hot] <= 1 {
-		t.Fatalf("hot cell not inflated: %v", f[hot])
-	}
-	if f[cold] != 1 {
-		t.Fatalf("cold cell inflated: %v", f[cold])
-	}
-	if f[hot] > 2.0 {
-		t.Fatalf("inflation above maxFactor: %v", f[hot])
-	}
-	// Disabled thresholds return identity.
-	f = m.InflateCells(n, 0, 2)
-	for _, v := range f {
-		if v != 1 {
-			t.Fatalf("identity expected, got %v", v)
-		}
-	}
-}
-
 func TestEstimateAutoBins(t *testing.T) {
 	n := netlist.New(geom.Rect{Xhi: 100, Yhi: 60}, 1)
 	m := Estimate(n, 0, 0)

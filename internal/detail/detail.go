@@ -44,7 +44,7 @@ type Result struct {
 type optimizer struct {
 	n       *netlist.Netlist
 	mbs     []region.Movebound
-	netsOf  [][]int32 // cell -> net indices
+	netsOf  *netlist.CellNetIndex // cell -> incident nets
 	rows    [][]netlist.CellID
 	rowOf   func(y float64) int
 	numRows int
@@ -52,7 +52,7 @@ type optimizer struct {
 	// netsTouching call; nets is that call's result buffer.
 	netMark []uint32
 	epoch   uint32
-	nets    []int32
+	nets    []netlist.NetID
 }
 
 // Optimize runs detailed placement on a legalized netlist in place.
@@ -61,8 +61,7 @@ func Optimize(n *netlist.Netlist, mbs []region.Movebound, opt Options) (Result, 
 		opt.Passes = 2
 	}
 	res := Result{InitialHPWL: n.HPWL()}
-	o := &optimizer{n: n, mbs: mbs}
-	o.buildNetIndex()
+	o := &optimizer{n: n, mbs: mbs, netsOf: n.NetIndex(), netMark: make([]uint32, len(n.Nets))}
 	for pass := 0; pass < opt.Passes; pass++ {
 		o.buildRows()
 		r := o.reorderPass(windowSize)
@@ -75,26 +74,6 @@ func Optimize(n *netlist.Netlist, mbs []region.Movebound, opt Options) (Result, 
 	}
 	res.FinalHPWL = n.HPWL()
 	return res, nil
-}
-
-func (o *optimizer) buildNetIndex() {
-	n := o.n
-	o.netsOf = make([][]int32, n.NumCells())
-	o.netMark = make([]uint32, len(n.Nets))
-	for ni := range n.Nets {
-		for _, p := range n.Nets[ni].Pins {
-			if p.IsPad() {
-				continue
-			}
-			// Nets are visited in ascending order, so a cell already
-			// holding ni lists it last.
-			own := o.netsOf[p.Cell]
-			if len(own) > 0 && own[len(own)-1] == int32(ni) {
-				continue
-			}
-			o.netsOf[p.Cell] = append(own, int32(ni))
-		}
-	}
 }
 
 func (o *optimizer) buildRows() {
@@ -132,10 +111,10 @@ func (o *optimizer) buildRows() {
 }
 
 // hpwlOf returns the total HPWL of the given nets, summed in their order.
-func (o *optimizer) hpwlOf(nets []int32) float64 {
+func (o *optimizer) hpwlOf(nets []netlist.NetID) float64 {
 	total := 0.0
 	for _, ni := range nets {
-		total += o.n.NetHPWL(netlist.NetID(ni))
+		total += o.n.NetHPWL(ni)
 	}
 	return total
 }
@@ -144,7 +123,7 @@ func (o *optimizer) hpwlOf(nets []int32) float64 {
 // ascending, so every HPWL total (and with it every accept/reject
 // decision) is summed in one fixed order. The slice is reused by the next
 // call.
-func (o *optimizer) netsTouching(cells []netlist.CellID) []int32 {
+func (o *optimizer) netsTouching(cells []netlist.CellID) []netlist.NetID {
 	o.epoch++
 	if o.epoch == 0 {
 		clear(o.netMark)
@@ -152,7 +131,7 @@ func (o *optimizer) netsTouching(cells []netlist.CellID) []int32 {
 	}
 	out := o.nets[:0]
 	for _, c := range cells {
-		for _, ni := range o.netsOf[c] {
+		for _, ni := range o.netsOf.Nets(c) {
 			if o.netMark[ni] != o.epoch {
 				o.netMark[ni] = o.epoch
 				out = append(out, ni)

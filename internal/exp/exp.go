@@ -13,6 +13,7 @@ package exp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -114,7 +115,7 @@ func Table1(scale float64) (gen.ChipSpec, []T1Row, error) {
 	blockages := inst.N.FixedRects()
 	// Spread cells once so the partitioning works on a realistic state.
 	base := inst.N.Clone()
-	if _, err := rql.Place(base, rql.Config{MaxIters: 4, Movebounds: norm}); err != nil {
+	if _, err := rql.PlaceCtx(harnessCtx(), base, rql.Config{MaxIters: 4, Movebounds: norm}); err != nil {
 		return spec, nil, err
 	}
 	var rows []T1Row
@@ -224,16 +225,20 @@ func runPair(inst *gen.Instance, withMB bool) (CompareRow, error) {
 		ratio := clusterRatioFor(len(baseNet.MovableIDs()))
 		if ratio > 1 {
 			cl := cluster.BestChoice(baseNet, cluster.Options{Ratio: ratio})
-			if _, err = rql.Place(cl.Clustered, rql.Config{Movebounds: norm}); err != nil {
+			if _, err = rql.PlaceCtx(harnessCtx(), cl.Clustered, rql.Config{Movebounds: norm}); err != nil {
 				return
 			}
 			cl.Project()
-		} else if _, err = rql.Place(baseNet, rql.Config{Movebounds: norm}); err != nil {
+		} else if _, err = rql.PlaceCtx(harnessCtx(), baseNet, rql.Config{Movebounds: norm}); err != nil {
 			return
 		}
-		_, err = legalize.Legalize(baseNet, legalize.Options{})
+		_, err = legalize.Legalize(baseNet, legalize.Options{Ctx: harnessCtx()})
 	}()
 	row.BaseTime = time.Since(start)
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		// A spent budget is not a baseline crash.
+		return row, fmt.Errorf("%s: baseline: %w", inst.Spec.Name, err)
+	}
 	if err != nil {
 		// Mirrors "crashed" entries of Table IV: the baseline could not
 		// produce a legal placement.

@@ -2,8 +2,15 @@ package exp
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
+
+	"fbplace/internal/gen"
+	"fbplace/internal/legalize"
+	"fbplace/internal/rql"
 )
 
 // tinyScale keeps the smoke tests fast: every instance floors at 2000
@@ -61,6 +68,41 @@ func TestTable2Smoke(t *testing.T) {
 	PrintCompare(&buf, "TABLE II", rows, false)
 	if !strings.Contains(buf.String(), "TOTAL") {
 		t.Fatal("no totals printed")
+	}
+}
+
+// TestTable2CanceledSkipsBaseline checks that the -timeout budget bounds
+// the RQL baseline too: under an already-canceled context a one-chip
+// Table 2 returns the context error, not a "crashed" baseline row, and
+// returns in under a tenth of the time that generating the chip and
+// running its baseline to the end take.
+func TestTable2CanceledSkipsBaseline(t *testing.T) {
+	start := time.Now()
+	inst, err := gen.Chip(gen.TableIIChips(tinyScale, 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rql.Place(inst.N, rql.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := legalize.Legalize(inst.N, legalize.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	full := time.Since(start)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	SetContext(ctx)
+	defer SetContext(nil)
+	start = time.Now()
+	rows, err := Table2(tinyScale, 1)
+	took := time.Since(start)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Table2 under a canceled context: rows %+v, err %v; want context.Canceled", rows, err)
+	}
+	t.Logf("canceled Table2 %v, chip and full baseline %v", took, full)
+	if took*10 > full {
+		t.Fatalf("canceled Table2 took %v, baseline run %v: the baseline ignored the context", took, full)
 	}
 }
 

@@ -37,7 +37,7 @@ func Speedup(scale float64, maxWorkers int) ([]SpeedupRow, error) {
 	}
 	d := region.Decompose(inst.N.Area, norm)
 	base := inst.N.Clone()
-	if _, err := rql.Place(base, rql.Config{MaxIters: 4, Movebounds: norm}); err != nil {
+	if _, err := rql.PlaceCtx(harnessCtx(), base, rql.Config{MaxIters: 4, Movebounds: norm}); err != nil {
 		return nil, err
 	}
 	levels := gen.GridLevels(spec.NumCells)

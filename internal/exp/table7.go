@@ -43,10 +43,10 @@ func Table7(scale float64) ([]T7Row, error) {
 		// Kraftwerk2-style baseline.
 		kwNet := inst.N.Clone()
 		start := time.Now()
-		if _, err := rql.Place(kwNet, rql.Config{Style: rql.StyleKraftwerk, TargetDensity: target}); err != nil {
+		if _, err := rql.PlaceCtx(harnessCtx(), kwNet, rql.Config{Style: rql.StyleKraftwerk, TargetDensity: target}); err != nil {
 			return rows, fmt.Errorf("%s: kraftwerk: %w", spec.Name, err)
 		}
-		if _, err := legalize.Legalize(kwNet, legalize.Options{}); err != nil {
+		if _, err := legalize.Legalize(kwNet, legalize.Options{Ctx: harnessCtx()}); err != nil {
 			return rows, fmt.Errorf("%s: kraftwerk legalize: %w", spec.Name, err)
 		}
 		kwTime := time.Since(start)

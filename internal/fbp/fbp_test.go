@@ -496,6 +496,36 @@ func TestFigure4RealizationTrace(t *testing.T) {
 	}
 }
 
+// TestOccupancyCoversEveryWave checks that the fbp.occupancy gauge is the
+// busy share of worker capacity over every wave of every Realize call on
+// the recorder, not the last wave's value.
+func TestOccupancyCoversEveryWave(t *testing.T) {
+	rec := obs.New(nil)
+	cfg := DefaultConfig()
+	cfg.Workers = 2
+	cfg.Obs = rec
+	capacity := 0.0
+	for call := 1; call <= 2; call++ {
+		wr := build(t, nil, 4, 4, 1.0, nil)
+		n := clusterNetlist(240, geom.Point{X: 1, Y: 1}, netlist.NoMovebound)
+		m := BuildModel(n, wr, wr.Grid.AssignCells(n))
+		if err := m.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Realize(m, cfg); err != nil {
+			t.Fatal(err)
+		}
+		busy, c := rec.Counter("fbp.wave_busy_s"), rec.Counter("fbp.wave_capacity_s")
+		if busy <= 0 || c <= capacity {
+			t.Fatalf("call %d: wave counters busy %g s, capacity %g s (was %g s)", call, busy, c, capacity)
+		}
+		capacity = c
+		if got := rec.Gauges()["fbp.occupancy"]; got != busy/c {
+			t.Fatalf("call %d: fbp.occupancy = %g, want busy/capacity = %g", call, got, busy/c)
+		}
+	}
+}
+
 func TestDirName(t *testing.T) {
 	want := []string{"N", "E", "S", "W"}
 	for d, s := range want {

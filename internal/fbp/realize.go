@@ -484,7 +484,9 @@ func abs(v int) int {
 // scheduling order.
 func (r *realizer) runWave(wave []unit) error {
 	// Per-wave span with worker occupancy: busy time of all units over
-	// workers * wall-clock. Timing is gated on the recorder so disabled
+	// workers * wall-clock. The fbp.occupancy gauge is the same ratio over
+	// every wave recorded so far, from the counters fbp.wave_busy_s and
+	// fbp.wave_capacity_s. Timing is gated on the recorder so disabled
 	// runs pay only nil checks.
 	workers := r.workers(len(wave))
 	var waveStart time.Time
@@ -501,9 +503,11 @@ func (r *realizer) runWave(wave []unit) error {
 			wall := time.Since(waveStart) //fbpvet:allow wave utilization metric for obs, not placement
 			busy := atomic.LoadInt64(&r.busyNS) - busyBefore
 			if wall > 0 && workers > 0 {
-				occ := float64(busy) / (float64(wall) * float64(workers))
-				ws.Attr("occupancy", occ)
-				r.rec.Gauge("fbp.occupancy", occ)
+				busyS, capacityS := float64(busy)/1e9, wall.Seconds()*float64(workers)
+				ws.Attr("occupancy", busyS/capacityS)
+				r.rec.Count("fbp.wave_busy_s", busyS)
+				r.rec.Count("fbp.wave_capacity_s", capacityS)
+				r.rec.Gauge("fbp.occupancy", r.rec.Counter("fbp.wave_busy_s")/r.rec.Counter("fbp.wave_capacity_s"))
 			}
 			r.rec.Count("fbp.units", float64(len(wave)))
 		}

@@ -130,9 +130,9 @@ func (g *MinCostFlow) Supply(v int) float64 { return g.supply[v] }
 // AddArc adds a directed arc u->v with the given capacity (use flow.Inf
 // for uncapacitated) and non-negative cost. A negative or NaN cost is a
 // model-construction bug (all costs in the placement models are
-// distances); it is latched as a build error — returned by BuildErr and by
-// the next Solve/SolveNS call — instead of crashing the process, and the
-// arc is added with cost 0 so the instance stays structurally consistent.
+// distances); it is latched as a build error, returned by the next
+// Solve/SolveNS call, instead of crashing the process, and the arc is
+// added with cost 0 so the instance stays structurally consistent.
 func (g *MinCostFlow) AddArc(u, v int, capacity, cost float64) ArcID {
 	if cost < 0 || math.IsNaN(cost) {
 		if g.buildErr == nil {
@@ -149,10 +149,6 @@ func (g *MinCostFlow) AddArc(u, v int, capacity, cost float64) ArcID {
 	g.arcPos = append(g.arcPos, [2]int32{int32(u), int32(len(g.adj[u]) - 1)})
 	return id
 }
-
-// BuildErr returns the first model-construction defect recorded by AddArc
-// (nil for a well-formed model).
-func (g *MinCostFlow) BuildErr() error { return g.buildErr }
 
 // Flow returns the flow routed on arc id after Solve.
 func (g *MinCostFlow) Flow(id ArcID) float64 {

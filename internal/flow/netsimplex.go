@@ -13,6 +13,10 @@ import (
 var nsFault = faultsim.Register("flow.ns.stall",
 	"network simplex reports ErrStalled during the pivot loop")
 
+// nsDebugCheck, when set, validates the simplex invariants after every
+// pivot (tests only; quadratic cost).
+var nsDebugCheck func(ns *netSimplex, b []float64, pivotNo int)
+
 // ErrStalled is returned by SolveNS when the pivot loop exceeds its cap
 // without reaching optimality (cycling or injected stall). The instance is
 // NOT known to be infeasible; callers should fall back to the successive

@@ -581,15 +581,7 @@ func effectiveCapacity(inst *Instance, mi int, blockages geom.RectSet) float64 {
 	}
 	total := 0.0
 	for _, r := range area {
-		free := []geom.Rect{r}
-		for _, b := range carve {
-			var next []geom.Rect
-			for _, f := range free {
-				next = append(next, f.Subtract(b)...)
-			}
-			free = next
-		}
-		for _, f := range free {
+		for _, f := range (geom.RectSet{r}).Subtract(carve) {
 			total += f.Area()
 		}
 	}
@@ -653,7 +645,7 @@ func separateExclusives(inst *Instance) error {
 				if i == j {
 					continue
 				}
-				if overlapSets(inst.Movebounds[i].Area, inst.Movebounds[j].Area) {
+				if inst.Movebounds[i].Area.Overlaps(inst.Movebounds[j].Area) {
 					conflict = true
 					break
 				}
@@ -675,15 +667,6 @@ func separateExclusives(inst *Instance) error {
 		}
 	}
 	return nil
-}
-
-func overlapSets(a, b geom.RectSet) bool {
-	for _, r := range a {
-		if b.OverlapsRect(r) {
-			return true
-		}
-	}
-	return false
 }
 
 // LoadMix returns count chip specs for service load tests: sizes cycle

@@ -25,19 +25,10 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 // Sub returns p minus q.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
-// Scale returns p scaled by s.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
 // DistL1 returns the Manhattan (L1) distance between p and q. The placer
 // uses L1 distances as partitioning movement costs throughout.
 func (p Point) DistL1(q Point) float64 {
 	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
-}
-
-// DistL2 returns the Euclidean distance between p and q.
-func (p Point) DistL2(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return math.Sqrt(dx*dx + dy*dy)
 }
 
 func (p Point) String() string { return fmt.Sprintf("(%g,%g)", p.X, p.Y) }
@@ -45,18 +36,6 @@ func (p Point) String() string { return fmt.Sprintf("(%g,%g)", p.X, p.Y) }
 // Rect is an axis-parallel rectangle [Xlo,Xhi] x [Ylo,Yhi].
 type Rect struct {
 	Xlo, Ylo, Xhi, Yhi float64
-}
-
-// NewRect returns the rectangle spanned by two corner coordinates in any
-// order.
-func NewRect(x0, y0, x1, y1 float64) Rect {
-	if x0 > x1 {
-		x0, x1 = x1, x0
-	}
-	if y0 > y1 {
-		y0, y1 = y1, y0
-	}
-	return Rect{x0, y0, x1, y1}
 }
 
 // Width returns the horizontal extent of r (never negative for valid rects).
@@ -268,6 +247,34 @@ func (s RectSet) OverlapsRect(r Rect) bool {
 	return false
 }
 
+// Overlaps reports whether any rectangle of s shares interior points with
+// any rectangle of b.
+func (s RectSet) Overlaps(b RectSet) bool {
+	for _, r := range s {
+		if b.OverlapsRect(r) {
+			return true
+		}
+	}
+	return false
+}
+
+// Subtract returns the part of the set's union not covered by b, as
+// pieces of the set's rectangles (the pieces of one rectangle are
+// interior-disjoint). It removes one rectangle of b at a time from every
+// current piece, so the pieces come out in a fixed order; an empty b
+// returns a copy of s.
+func (s RectSet) Subtract(b RectSet) RectSet {
+	cur := append(RectSet(nil), s...)
+	for _, q := range b {
+		var next RectSet
+		for _, r := range cur {
+			next = append(next, r.Subtract(q)...)
+		}
+		cur = next
+	}
+	return cur
+}
+
 // Nearest returns the point of the set closest (L1) to p; on a tie the
 // earliest rectangle wins. ok is false for an empty set: the query point
 // comes back then, and callers must not treat it as a member.
@@ -385,17 +392,4 @@ func (g HananGrid) Tiles() []Rect {
 		}
 	}
 	return tiles
-}
-
-// NumTiles returns the number of tiles (including degenerate ones that
-// Tiles would skip; for non-degenerate grids the two counts agree).
-func (g HananGrid) NumTiles() int {
-	nx, ny := len(g.Xs)-1, len(g.Ys)-1
-	if nx < 0 {
-		nx = 0
-	}
-	if ny < 0 {
-		ny = 0
-	}
-	return nx * ny
 }

@@ -97,26 +97,6 @@ func clampInt(v, lo, hi int) int {
 	return v
 }
 
-// Neighbors4 returns the indices of the N/E/S/W neighbors of window w
-// (only those inside the grid).
-func (g *Grid) Neighbors4(w int) []int {
-	ix, iy := g.Coords(w)
-	var out []int
-	if iy+1 < g.Ny {
-		out = append(out, g.Index(ix, iy+1))
-	}
-	if ix+1 < g.Nx {
-		out = append(out, g.Index(ix+1, iy))
-	}
-	if iy > 0 {
-		out = append(out, g.Index(ix, iy-1))
-	}
-	if ix > 0 {
-		out = append(out, g.Index(ix-1, iy))
-	}
-	return out
-}
-
 // AssignCells maps every movable cell to the window containing its
 // current center. The result is indexed by CellID; fixed cells map to -1.
 func (g *Grid) AssignCells(n *netlist.Netlist) []int {
@@ -194,15 +174,7 @@ func BuildWindowRegions(g *Grid, d *region.Decomposition, blockages geom.RectSet
 			p := &wr.PerWin[w][i]
 			var sx, sy, sa float64
 			for _, rect := range p.Rects {
-				free := []geom.Rect{rect}
-				for _, b := range blockages.Clip(rect) {
-					var next []geom.Rect
-					for _, f := range free {
-						next = append(next, f.Subtract(b)...)
-					}
-					free = next
-				}
-				for _, f := range free {
+				for _, f := range (geom.RectSet{rect}).Subtract(blockages.Clip(rect)) {
 					a := f.Area()
 					c := f.Center()
 					sx += c.X * a

@@ -66,18 +66,6 @@ func TestGridLocate(t *testing.T) {
 	}
 }
 
-func TestNeighbors4(t *testing.T) {
-	g := MustNew(chip, 4, 2)
-	// Corner window has 2 neighbors.
-	if got := g.Neighbors4(g.Index(0, 0)); len(got) != 2 {
-		t.Fatalf("corner neighbors = %v", got)
-	}
-	// Edge window (1,0) has 3.
-	if got := g.Neighbors4(g.Index(1, 0)); len(got) != 3 {
-		t.Fatalf("edge neighbors = %v", got)
-	}
-}
-
 func TestAssignCells(t *testing.T) {
 	g := MustNew(chip, 4, 2)
 	n := netlist.New(chip, 1)
@@ -166,6 +154,38 @@ func TestWindowRegionsBlockageReducesCapacity(t *testing.T) {
 	// Free centroid of window (0,0) moves up.
 	if wr.PerWin[0][0].Center.Y <= 1 {
 		t.Fatalf("blocked window center = %v", wr.PerWin[0][0].Center)
+	}
+	if math.Abs(wr.WindowCapacity(1)-4) > 1e-9 {
+		t.Fatalf("unblocked window capacity = %v", wr.WindowCapacity(1))
+	}
+}
+
+// TestWindowRegionsFullyBlocked checks the fallback for a window region
+// with no free area: capacity 0 and the centre of its bounding box. The
+// region outside the movebound is L-shaped in window (0,0), so its
+// bounding-box centre differs from the centroid of its rectangles.
+func TestWindowRegionsFullyBlocked(t *testing.T) {
+	mbs := []region.Movebound{
+		{Name: "M", Kind: region.Inclusive, Area: geom.RectSet{{Xlo: 1, Ylo: 1, Xhi: 3, Yhi: 3}}},
+	}
+	blk := geom.RectSet{{Xlo: 0, Ylo: 0, Xhi: 2, Yhi: 2}} // all of window (0,0)
+	wr := buildWR(t, mbs, blk, 1.0, 4, 2)
+	if len(wr.PerWin[0]) != 2 {
+		t.Fatalf("window 0 has %d regions, want 2", len(wr.PerWin[0]))
+	}
+	for _, p := range wr.PerWin[0] {
+		want := geom.Point{X: 1, Y: 1} // the L outside M
+		if wr.Decomp.Regions[p.Region].Covers[0] {
+			want = geom.Point{X: 1.5, Y: 1.5} // M's piece [1,2]x[1,2]
+		} else if len(p.Rects) < 2 {
+			t.Fatalf("outside region of window 0 is %v, want an L of several rects", p.Rects)
+		}
+		if p.Capacity != 0 {
+			t.Fatalf("blocked region %d capacity = %v, want 0", p.Region, p.Capacity)
+		}
+		if p.Center != want {
+			t.Fatalf("blocked region %d center = %v, want %v", p.Region, p.Center, want)
+		}
 	}
 	if math.Abs(wr.WindowCapacity(1)-4) > 1e-9 {
 		t.Fatalf("unblocked window capacity = %v", wr.WindowCapacity(1))

@@ -95,9 +95,6 @@ type CellNetIndex struct {
 // The returned slice aliases the index; callers must not modify it.
 func (ix *CellNetIndex) Nets(c CellID) []NetID { return ix.nets[ix.ptr[c]:ix.ptr[c+1]] }
 
-// NumIncidences returns the total number of (cell, net) incidence pairs.
-func (ix *CellNetIndex) NumIncidences() int { return len(ix.nets) }
-
 // NetIndex returns the cell -> incident-net index, building it on first
 // use. The build is O(total pins); the result is cached until the next
 // structural mutation. Safe for concurrent callers: netlists are

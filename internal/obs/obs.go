@@ -11,10 +11,11 @@
 // events stream to the Sink as spans end, while counters and gauges
 // aggregate in memory until Flush.
 //
-// Concurrency: StartSpan/End maintain a current-span stack for the common
-// sequential pipeline phases. Parallel sections (the realization waves of
-// internal/fbp) must parent their spans explicitly with Span.StartChild,
-// which never touches the shared stack.
+// Concurrency: StartSpan/End maintain a current-span stack, so spans are
+// started from the sequential pipeline phases only; parallel sections
+// (the realization waves of internal/fbp) start their spans from the
+// coordinating goroutine. Counters, gauges and span attributes are safe
+// from any goroutine.
 package obs
 
 import (
@@ -103,7 +104,7 @@ type Span struct {
 
 // StartSpan begins a span as a child of the innermost span started with
 // StartSpan on this recorder (the current-span stack). Use from the
-// sequential pipeline phases only; parallel code must use Span.StartChild.
+// sequential pipeline phases only.
 func (r *Recorder) StartSpan(name string) *Span {
 	if r == nil {
 		return nil
@@ -118,25 +119,6 @@ func (r *Recorder) StartSpan(name string) *Span {
 		p(name)
 	}
 	return s
-}
-
-// StartChild begins a span explicitly parented under s. It does not touch
-// the recorder's current-span stack, so concurrent goroutines may each
-// call StartChild on the same parent.
-func (s *Span) StartChild(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	r := s.r
-	r.mu.Lock()
-	r.nextID++
-	c := &Span{r: r, id: r.nextID, parent: s, name: name, start: time.Now()}
-	p := r.progress
-	r.mu.Unlock()
-	if p != nil {
-		p(name)
-	}
-	return c
 }
 
 // Attr attaches a numeric attribute to the span (exported with its span

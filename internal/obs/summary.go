@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"time"
 )
@@ -81,7 +82,12 @@ func (r *Recorder) WriteSummary(w io.Writer) {
 	if len(counters) > 0 {
 		pr.printf("counters:\n")
 		for _, kv := range counters {
-			pr.printf("  %-32s %14.0f\n", kv.k, kv.v)
+			// Counts print whole; sums of seconds or areas keep 3 decimals.
+			if kv.v == math.Trunc(kv.v) {
+				pr.printf("  %-32s %14.0f\n", kv.k, kv.v)
+			} else {
+				pr.printf("  %-32s %14.3f\n", kv.k, kv.v)
+			}
 		}
 	}
 	if len(gauges) > 0 {

@@ -69,7 +69,7 @@ const (
 type Options struct {
 	// Tol is the CG relative residual target. Default 1e-6.
 	Tol float64
-	// MaxIter bounds CG iterations. Default per sparse.SolveCG.
+	// MaxIter bounds CG iterations. Default per sparse.CGOptions.
 	MaxIter int
 	// ReadX, ReadY, when non-nil, override the positions of non-variable
 	// cells (length NumCells). Parallel realization passes a snapshot

@@ -87,11 +87,11 @@ func Normalize(chip geom.Rect, mbs []Movebound) ([]Movebound, error) {
 			if i == j {
 				continue
 			}
-			if out[j].Kind == Exclusive && overlapSets(out[i].Area, out[j].Area) {
+			if out[j].Kind == Exclusive && out[i].Area.Overlaps(out[j].Area) {
 				return nil, fmt.Errorf("region: exclusive movebounds %q and %q overlap", out[i].Name, out[j].Name)
 			}
-			if out[j].Kind != Exclusive && overlapSets(out[i].Area, out[j].Area) {
-				out[j].Area = subtractSet(out[j].Area, out[i].Area)
+			if out[j].Kind != Exclusive && out[i].Area.Overlaps(out[j].Area) {
+				out[j].Area = out[j].Area.Subtract(out[i].Area)
 				if len(out[j].Area) == 0 {
 					return nil, fmt.Errorf("region: movebound %q entirely shadowed by exclusive %q", out[j].Name, out[i].Name)
 				}
@@ -99,27 +99,6 @@ func Normalize(chip geom.Rect, mbs []Movebound) ([]Movebound, error) {
 		}
 	}
 	return out, nil
-}
-
-func overlapSets(a, b geom.RectSet) bool {
-	for _, r := range a {
-		if b.OverlapsRect(r) {
-			return true
-		}
-	}
-	return false
-}
-
-func subtractSet(a, b geom.RectSet) geom.RectSet {
-	cur := append(geom.RectSet(nil), a...)
-	for _, s := range b {
-		var next geom.RectSet
-		for _, r := range cur {
-			next = append(next, r.Subtract(s)...)
-		}
-		cur = next
-	}
-	return cur
 }
 
 // Decompose builds the region decomposition of the chip with respect to
@@ -239,47 +218,6 @@ func freeArea(rect geom.Rect, blockages geom.RectSet) float64 {
 		return rect.Area()
 	}
 	return rect.Area() - overlapping.Area()
-}
-
-// FreeCenter returns the center of gravity of the free area of region ri
-// (used to embed region nodes in the flow model). Falls back to the
-// geometric centroid when the region is fully blocked.
-func (d *Decomposition) FreeCenter(ri int, blockages geom.RectSet) geom.Point {
-	var sx, sy, sa float64
-	for _, rect := range d.Regions[ri].Rects {
-		// Decompose the tile minus blockages into free rectangles and
-		// accumulate their centroids.
-		free := []geom.Rect{rect}
-		for _, b := range blockages {
-			var next []geom.Rect
-			for _, f := range free {
-				next = append(next, f.Subtract(b)...)
-			}
-			free = next
-		}
-		for _, f := range free {
-			a := f.Area()
-			c := f.Center()
-			sx += c.X * a
-			sy += c.Y * a
-			sa += a
-		}
-	}
-	if sa <= 0 {
-		var cx, cy, ca float64
-		for _, rect := range d.Regions[ri].Rects {
-			a := rect.Area()
-			c := rect.Center()
-			cx += c.X * a
-			cy += c.Y * a
-			ca += a
-		}
-		if ca == 0 {
-			return d.Chip.Center()
-		}
-		return geom.Point{X: cx / ca, Y: cy / ca}
-	}
-	return geom.Point{X: sx / sa, Y: sy / sa}
 }
 
 // FeasibilityReport is the result of a movebound feasibility check.

@@ -153,26 +153,6 @@ func TestCapacitiesWithBlockage(t *testing.T) {
 	}
 }
 
-func TestFreeCenter(t *testing.T) {
-	_, d := figure1(t)
-	lIdx := d.RegionOf(geom.Point{X: 4, Y: 4})
-	// Without blockage, center of L's square.
-	c := d.FreeCenter(lIdx, nil)
-	if c.DistL1(geom.Point{X: 4, Y: 4}) > 1e-9 {
-		t.Fatalf("FreeCenter = %v, want (4,4)", c)
-	}
-	// Block the left half: center of gravity moves right.
-	c = d.FreeCenter(lIdx, geom.RectSet{{Xlo: 2, Ylo: 2, Xhi: 4, Yhi: 6}})
-	if c.X <= 4 {
-		t.Fatalf("FreeCenter with blockage = %v, want X > 4", c)
-	}
-	// Fully blocked region falls back to the geometric centroid.
-	c = d.FreeCenter(lIdx, geom.RectSet{{Xlo: 2, Ylo: 2, Xhi: 6, Yhi: 6}})
-	if c.DistL1(geom.Point{X: 4, Y: 4}) > 1e-9 {
-		t.Fatalf("blocked FreeCenter = %v", c)
-	}
-}
-
 // buildTestNetlist makes cells with given areas per class (class index ==
 // movebound, last = unbounded).
 func buildTestNetlist(t *testing.T, areas []float64, numMB int) *netlist.Netlist {

@@ -20,11 +20,11 @@ import (
 	"fbplace/internal/obs"
 )
 
-// cgFault forces SolveCG (and each attempt of SolveCGPair) to report
-// non-convergence at entry, exercising the quadratic placer's
-// retry-then-anchor fallback chain.
+// cgFault forces each attempt of SolveCGPair to report non-convergence at
+// entry, exercising the quadratic placer's retry-then-anchor fallback
+// chain.
 var cgFault = faultsim.Register("sparse.cg.noconverge",
-	"SolveCG reports ErrNotConverged without iterating")
+	"a CG solve reports ErrNotConverged without iterating")
 
 // Builder accumulates matrix entries in coordinate (triplet) form.
 // Duplicate (row, col) entries are summed on Build, which matches the
@@ -246,20 +246,6 @@ type CGOptions struct {
 	// distinct from ErrNotConverged: cancellation must not trigger
 	// convergence fallbacks).
 	Ctx context.Context
-}
-
-// SolveCG solves M*x = rhs for symmetric positive definite M using
-// Jacobi-preconditioned conjugate gradients, starting from the initial
-// guess already in x (warm starts matter: each placement level starts from
-// the previous level's solution). It returns the number of iterations.
-func SolveCG(m *CSR, x, rhs []float64, opt CGOptions) (int, error) {
-	opt = opt.withDefaults(m.N)
-	if err := precheck(m, x, rhs, opt); err != nil {
-		return 0, err
-	}
-	a := attempt(m, x, rhs, opt, cgFault.Check())
-	a.record(opt.Obs)
-	return a.iters, a.err
 }
 
 // SolveCGPair solves the two axis systems of one quadratic placement,

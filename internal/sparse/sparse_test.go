@@ -62,6 +62,18 @@ func TestMulVecKnown(t *testing.T) {
 	}
 }
 
+// solveCG solves m*x = rhs as one axis of SolveCGPair without retry:
+// defaults, precheck, one attempt with its fault draw, and its obs record.
+func solveCG(m *CSR, x, rhs []float64, opt CGOptions) (int, error) {
+	opt = opt.withDefaults(m.N)
+	if err := precheck(m, x, rhs, opt); err != nil {
+		return 0, err
+	}
+	a := attempt(m, x, rhs, opt, cgFault.Check())
+	a.record(opt.Obs)
+	return a.iters, a.err
+}
+
 func TestSolveCGIdentity(t *testing.T) {
 	b := NewBuilder(4)
 	for i := 0; i < 4; i++ {
@@ -70,7 +82,7 @@ func TestSolveCGIdentity(t *testing.T) {
 	m := b.Build()
 	rhs := []float64{1, -2, 3, 0.5}
 	x := make([]float64, 4)
-	if _, err := SolveCG(m, x, rhs, CGOptions{}); err != nil {
+	if _, err := solveCG(m, x, rhs, CGOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range rhs {
@@ -86,7 +98,7 @@ func TestSolveCGZeroRHS(t *testing.T) {
 	b.AddDiag(0, 1)
 	m := b.Build()
 	x := []float64{5, -3}
-	it, err := SolveCG(m, x, []float64{0, 0}, CGOptions{})
+	it, err := solveCG(m, x, []float64{0, 0}, CGOptions{})
 	if err != nil || it != 0 {
 		t.Fatalf("it=%d err=%v", it, err)
 	}
@@ -125,7 +137,7 @@ func TestSolveCGRandomSPD(t *testing.T) {
 		rhs := make([]float64, n)
 		m.MulVec(rhs, want)
 		x := make([]float64, n)
-		if _, err := SolveCG(m, x, rhs, CGOptions{Tol: 1e-10}); err != nil {
+		if _, err := solveCG(m, x, rhs, CGOptions{Tol: 1e-10}); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		res := make([]float64, n)
@@ -146,13 +158,13 @@ func TestSolveCGWarmStart(t *testing.T) {
 	m := b.Build()
 	rhs := []float64{2, 0, 1}
 	cold := make([]float64, 3)
-	it1, err := SolveCG(m, cold, rhs, CGOptions{Tol: 1e-12})
+	it1, err := solveCG(m, cold, rhs, CGOptions{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Warm start from the exact solution must converge immediately-ish.
 	warm := append([]float64(nil), cold...)
-	it2, err := SolveCG(m, warm, rhs, CGOptions{Tol: 1e-10})
+	it2, err := solveCG(m, warm, rhs, CGOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +179,7 @@ func TestSolveCGRejectsNonPositiveDiag(t *testing.T) {
 	// Row 1 diagonal left at 0.
 	m := b.Build()
 	x := make([]float64, 2)
-	if _, err := SolveCG(m, x, []float64{1, 1}, CGOptions{}); err == nil {
+	if _, err := solveCG(m, x, []float64{1, 1}, CGOptions{}); err == nil {
 		t.Fatal("expected error for zero diagonal")
 	}
 }
@@ -177,7 +189,7 @@ func TestSolveCGDimensionMismatch(t *testing.T) {
 	b.AddDiag(0, 1)
 	b.AddDiag(1, 1)
 	m := b.Build()
-	if _, err := SolveCG(m, make([]float64, 3), []float64{1, 1}, CGOptions{}); err == nil {
+	if _, err := solveCG(m, make([]float64, 3), []float64{1, 1}, CGOptions{}); err == nil {
 		t.Fatal("expected dimension error")
 	}
 }
@@ -195,7 +207,7 @@ func TestSolveCGMaxIter(t *testing.T) {
 	rhs := make([]float64, n)
 	rhs[n-1] = 1
 	x := make([]float64, n)
-	_, err := SolveCG(m, x, rhs, CGOptions{Tol: 1e-14, MaxIter: 1})
+	_, err := solveCG(m, x, rhs, CGOptions{Tol: 1e-14, MaxIter: 1})
 	if !errors.Is(err, ErrNotConverged) {
 		t.Fatalf("err = %v, want ErrNotConverged", err)
 	}
@@ -232,7 +244,7 @@ func TestSolveCGMatchesDense(t *testing.T) {
 			rhs[i] = rng.NormFloat64()
 		}
 		x := make([]float64, n)
-		if _, err := SolveCG(m, x, rhs, CGOptions{Tol: 1e-12}); err != nil {
+		if _, err := solveCG(m, x, rhs, CGOptions{Tol: 1e-12}); err != nil {
 			return false
 		}
 		ref := gaussSolve(dense, append([]float64(nil), rhs...))

@@ -638,13 +638,6 @@ func growInt32s(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// solveCondensed runs the condensed engine and also reports the number of
-// augmentations it made (including those before a failure).
-func solveCondensed(p *Problem) (*Solution, int, error) {
-	sol, st, err := runCondensed(p)
-	return sol, st.augs, err
-}
-
 // runCondensed runs the condensed engine and reports its effort.
 func runCondensed(p *Problem) (*Solution, engineStats, error) {
 	if err := condensedFault.Check(); err != nil {

@@ -46,7 +46,7 @@ func engines() map[string]func(*Problem) (*Solution, error) {
 // condensedOnly runs the condensed engine with no reference fallback, so a
 // broken engine cannot hide behind the oracle.
 func condensedOnly(p *Problem) (*Solution, error) {
-	sol, _, err := solveCondensed(p)
+	sol, _, err := runCondensed(p)
 	return sol, err
 }
 
@@ -466,11 +466,11 @@ func TestCondensedLargeKMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d (k=%d n=%d): reference: %v", c, k, n, err)
 		}
-		got, augs, err := solveCondensed(p)
+		got, st, err := runCondensed(p)
 		if err != nil {
 			t.Fatalf("case %d (k=%d n=%d): condensed: %v", c, k, n, err)
 		}
-		if augs == 0 {
+		if st.augs == 0 {
 			t.Fatalf("case %d (k=%d n=%d): no augmentation; instance starts feasible", c, k, n)
 		}
 		if d := math.Abs(ref.Cost - got.Cost); d > 1e-6*(1+math.Abs(ref.Cost)) {
@@ -479,7 +479,7 @@ func TestCondensedLargeKMatchesReference(t *testing.T) {
 		if err := checkSolution(p, got); err != nil {
 			t.Fatalf("case %d (k=%d n=%d): %v", c, k, n, err)
 		}
-		again, _, err := solveCondensed(p)
+		again, _, err := runCondensed(p)
 		if err != nil {
 			t.Fatalf("case %d: second solve: %v", c, err)
 		}
@@ -519,7 +519,7 @@ func TestCondensedStalePairOffer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference: %v", name, err)
 		}
-		got, _, err := solveCondensed(p)
+		got, _, err := runCondensed(p)
 		if err != nil {
 			t.Fatalf("%s: condensed: %v", name, err)
 		}
@@ -680,7 +680,7 @@ func TestCondensedElasticMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d (k=%d n=%d): reference: %v", c, k, n, err)
 		}
-		got, _, err := solveCondensed(p)
+		got, _, err := runCondensed(p)
 		if err != nil {
 			t.Fatalf("case %d (k=%d n=%d): condensed: %v", c, k, n, err)
 		}
@@ -697,7 +697,7 @@ func TestCondensedElasticMatchesReference(t *testing.T) {
 		if gotO > 0 {
 			spilled++
 		}
-		again, _, err := solveCondensed(p)
+		again, _, err := runCondensed(p)
 		if err != nil {
 			t.Fatalf("case %d: second solve: %v", c, err)
 		}
@@ -711,7 +711,7 @@ func TestCondensedElasticMatchesReference(t *testing.T) {
 
 	// moveboundProblem instances are feasible as built.
 	p := moveboundProblem(rand.New(rand.NewSource(3)), 40, 100)
-	got, _, err := solveCondensed(p)
+	got, _, err := runCondensed(p)
 	if err != nil {
 		t.Fatal(err)
 	}
