@@ -9,11 +9,9 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime/pprof"
 	"strings"
@@ -253,20 +251,14 @@ func load(path string, cells int, seed int64) (*fbplace.Netlist, []fbplace.Moveb
 	return chipio.Read(f)
 }
 
-// writeHexPositions dumps each cell's position as the hex float64 bit
-// patterns "xbits ybits", one line per cell, so two placements can be
-// compared for bit-identity with cmp/diff.
+// writeHexPositions dumps the placement as chipio.WriteHex lines.
 func writeHexPositions(path string, n *fbplace.Netlist) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(f)
-	for i := range n.X {
-		fmt.Fprintf(bw, "%016x %016x\n", math.Float64bits(n.X[i]), math.Float64bits(n.Y[i]))
-	}
-	if err := bw.Flush(); err != nil {
-		// The flush failure is the error worth reporting.
+	if err := chipio.WriteHex(f, n.X, n.Y); err != nil {
+		// The write failure is the error worth reporting.
 		_ = f.Close()
 		return err
 	}

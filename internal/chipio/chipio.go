@@ -39,6 +39,17 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("chipio: line %d: %s", e.Line, e.Reason)
 }
 
+// WriteHex dumps positions as the hex float64 bit patterns "xbits ybits",
+// one line per cell, so two placements can be compared for bit-identity
+// with cmp or diff.
+func WriteHex(w io.Writer, x, y []float64) error {
+	bw := bufio.NewWriter(w)
+	for i := range x {
+		fmt.Fprintf(bw, "%016x %016x\n", math.Float64bits(x[i]), math.Float64bits(y[i]))
+	}
+	return bw.Flush()
+}
+
 // Write serializes the netlist and movebounds.
 func Write(w io.Writer, n *netlist.Netlist, mbs []region.Movebound) error {
 	bw := bufio.NewWriter(w)

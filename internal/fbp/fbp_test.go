@@ -467,6 +467,54 @@ func TestSolveSpanReportsModelSizeAfterSSPFallback(t *testing.T) {
 	t.Fatal("no fbp.solve span in the trace")
 }
 
+// TestCollapseShare partitions hand-built 2x2 instances: windows holding
+// 10/10/10/70 units of area (mean 25, so only the 70 is above twice the
+// mean) give a collapse share of 0.7, an even spread gives 0. Both the
+// fbp.build span attribute and the fbp.collapse_share gauge report it.
+func TestCollapseShare(t *testing.T) {
+	centers := []geom.Point{{X: 4, Y: 4}, {X: 12, Y: 4}, {X: 4, Y: 12}, {X: 12, Y: 12}}
+	for _, tc := range []struct {
+		counts []int
+		want   float64
+	}{
+		{[]int{10, 10, 10, 70}, 0.7},
+		{[]int{25, 25, 25, 25}, 0},
+	} {
+		wr := build(t, nil, 2, 2, 1.0, nil)
+		n := netlist.New(chip, 1)
+		for w, c := range tc.counts {
+			for i := 0; i < c; i++ {
+				n.SetPos(n.AddCell(netlist.Cell{Width: 1, Height: 1, Movebound: netlist.NoMovebound}), centers[w])
+			}
+		}
+		var buf bytes.Buffer
+		cfg := DefaultConfig()
+		cfg.Obs = obs.New(obs.NewJSONSink(&buf))
+		if _, err := Partition(n, wr, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if got := cfg.Obs.Gauges()["fbp.collapse_share"]; got != tc.want {
+			t.Errorf("counts %v: gauge fbp.collapse_share %g, want %g", tc.counts, got, tc.want)
+		}
+		events, err := obs.ReadTrace(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, e := range events {
+			if e.Type == obs.EventSpan && e.Name == "fbp.build" {
+				found = true
+				if got, ok := e.Attrs["collapse_share"]; !ok || got != tc.want {
+					t.Errorf("counts %v: fbp.build collapse_share %g (set %v), want %g", tc.counts, got, ok, tc.want)
+				}
+			}
+		}
+		if !found {
+			t.Fatalf("counts %v: no fbp.build span in the trace", tc.counts)
+		}
+	}
+}
+
 func TestFigure4RealizationTrace(t *testing.T) {
 	// Figure 4: a 2x2 grid with one overloaded window; after the MCF
 	// solve there is at least one flow-carrying external edge, and after

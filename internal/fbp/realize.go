@@ -196,6 +196,9 @@ type unit struct {
 func Partition(n *netlist.Netlist, wr *grid.WindowRegions, cfg Config) (*Result, error) {
 	bsp := cfg.Obs.StartSpan("fbp.build")
 	assign := wr.Grid.AssignCells(n)
+	share := collapseShare(n, assign, wr.Grid.NumWindows())
+	bsp.Attr("collapse_share", share)
+	cfg.Obs.Gauge("fbp.collapse_share", share)
 	model := BuildModel(n, wr, assign)
 	model.Obs = cfg.Obs
 	model.Degrade = cfg.Degrade
@@ -212,6 +215,31 @@ func Partition(n *netlist.Netlist, wr *grid.WindowRegions, cfg Config) (*Result,
 		}
 	}
 	return Realize(model, cfg)
+}
+
+// collapseShare is the share of movable area sitting in windows that hold
+// more than twice the mean window area: 0 for an even spread, near 1 when
+// the level starts from a placement collapsed into a few windows. assign
+// maps cells to windows (-1 for fixed cells), as Grid.AssignCells does.
+func collapseShare(n *netlist.Netlist, assign []int, windows int) float64 {
+	area := make([]float64, windows)
+	total := 0.0
+	for i, w := range assign {
+		if w >= 0 {
+			area[w] += n.Cells[i].Size()
+			total += n.Cells[i].Size()
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	heavy := 0.0
+	for _, a := range area {
+		if a > 2*total/float64(windows) {
+			heavy += a
+		}
+	}
+	return heavy / total
 }
 
 // Realize turns a solved model into a cell-to-region partitioning.

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"math"
 	"runtime/metrics"
 
+	"fbplace/internal/gen"
 	"fbplace/internal/netlist"
 	"fbplace/internal/placer"
 )
@@ -57,16 +59,38 @@ func estimateJob(n *netlist.Netlist, cfg placer.Config, gogc int) Estimate {
 	for i := range n.Nets {
 		pins += len(n.Nets[i].Pins)
 	}
-	peak := estBaseBytes + estBytesPerCell*int64(cells) + estBytesPerPin*int64(pins)
-	if gogc > 100 {
-		peak = peak * int64(100+gogc) / 200
-	}
 	return Estimate{
 		Cells:     cells,
 		Pins:      pins,
 		Levels:    placer.PlannedLevels(n, cfg),
-		PeakBytes: peak,
+		PeakBytes: peakBytes(cells, pins, gogc),
 	}
+}
+
+// chipFloor prices a synthetic chip from its spec alone, before it is
+// generated: the instance has NumCells+NumMacros cells and at least
+// PadCount pins, so the floor never exceeds the instance's own estimate.
+// Levels stays 0; planning them needs the instance.
+func chipFloor(c *gen.ChipSpec, gogc int) Estimate {
+	cells := min(c.NumCells, maxPriced) + min(c.NumMacros, maxPriced)
+	return Estimate{Cells: cells, Pins: c.PadCount, PeakBytes: peakBytes(cells, c.PadCount, gogc)}
+}
+
+// maxPriced bounds the cell and pin counts peakBytes prices exactly; past
+// it the price saturates instead of overflowing int64.
+const maxPriced = 1 << 29
+
+// peakBytes is the cost model: base + per-cell + per-pin, scaled by
+// (100+gogc)/200 above GOGC=100.
+func peakBytes(cells, pins, gogc int) int64 {
+	if cells > maxPriced || pins > maxPriced {
+		return math.MaxInt64
+	}
+	peak := estBaseBytes + estBytesPerCell*int64(cells) + estBytesPerPin*int64(pins)
+	if gogc > 100 {
+		peak = peak * int64(100+gogc) / 200
+	}
+	return peak
 }
 
 // gcPercent is the process's GC percent: the GOGC environment variable or

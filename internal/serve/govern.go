@@ -200,14 +200,12 @@ func (s *Scheduler) retryAfterLocked() time.Duration {
 	return min(max(eta, retryAfterMin), retryAfterMax)
 }
 
-// noteDone feeds the drain-rate ring with one completion.
-func (s *Scheduler) noteDone() {
-	s.mu.Lock()
+// noteDoneLocked feeds the drain-rate ring with one completion.
+func (s *Scheduler) noteDoneLocked() {
 	s.doneTimes = append(s.doneTimes, time.Now())
 	if n := len(s.doneTimes); n > 64 {
 		s.doneTimes = append(s.doneTimes[:0], s.doneTimes[n-64:]...)
 	}
-	s.mu.Unlock()
 }
 
 // fitsLocked reports whether j's predicted footprint fits under the

@@ -266,7 +266,7 @@ func TestMemoryPreemptionTimeMultiplexes(t *testing.T) {
 	if c["serve.preempt.memory"] == 0 {
 		t.Fatal("no memory preemption fired with a memory-blocked queued job")
 	}
-	if a.Preemptions() == 0 {
+	if a.Status().Preemptions == 0 {
 		t.Fatal("the running job was never preempted for memory")
 	}
 	for _, j := range []*Job{a, b} {
@@ -489,7 +489,7 @@ func TestPeakBytesCoversMeasuredHeap(t *testing.T) {
 			if _, err := placer.Place(j.n, cfg); err != nil {
 				t.Fatal(err)
 			}
-			est := j.Estimate().PeakBytes
+			est := j.est.PeakBytes
 			t.Logf("GOGC=%d, %d cells: heap peak %d bytes, estimate %d bytes (unscaled %d)",
 				g, cells, peak, est, estimateJob(j.n, j.cfg, 100).PeakBytes)
 			if uint64(est) < peak {

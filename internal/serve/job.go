@@ -179,9 +179,10 @@ type Job struct {
 	preempt atomic.Bool
 	// lastBeat is the heartbeat timestamp (UnixNano) the watchdog reads;
 	// written by the obs.Progress hook on every span boundary.
-	lastBeat atomic.Int64
-	bc       *obs.Broadcast
-	done     chan struct{}
+	lastBeat  atomic.Int64
+	bc        *obs.Broadcast
+	done      chan struct{}
+	persistMu sync.Mutex // serializes persist: job.json ends with the latest state
 
 	mu            sync.Mutex
 	state         State              // guarded by mu
@@ -263,14 +264,6 @@ func (j *Job) Status() Status {
 	return st
 }
 
-// ErrorCode returns the job's machine-readable failure code ("" when none
-// applies).
-func (j *Job) ErrorCode() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.errCode
-}
-
 // State returns the job's current state.
 func (j *Job) State() State {
 	j.mu.Lock()
@@ -280,13 +273,6 @@ func (j *Job) State() State {
 
 // Priority returns the job's submission priority.
 func (j *Job) Priority() int { return j.spec.Priority }
-
-// Preemptions returns how many times the job was preempted so far.
-func (j *Job) Preemptions() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.preemptions
-}
 
 // Done is closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
@@ -315,28 +301,32 @@ func (j *Job) Events(buf int) ([]obs.Event, <-chan obs.Event, func()) {
 	return j.bc.Subscribe(buf)
 }
 
-// setState transitions the job, emits a "state" event into the progress
-// stream, and closes the stream and done channel on terminal states. The
-// caller must not hold j.mu.
+// setState moves a live job to queued or running and emits a "state"
+// event into the progress stream. A terminal job stays as it is: only
+// Scheduler.finish ends a job. The caller must not hold j.mu.
 func (j *Job) setState(st State) {
 	j.mu.Lock()
 	prev := j.state
-	j.state = st
+	if !prev.Terminal() {
+		j.state = st
+	}
 	j.mu.Unlock()
-	if prev == st {
-		return
+	if !prev.Terminal() && prev != st {
+		j.bc.Emit(obs.Event{Type: "state", Name: string(st)})
 	}
-	j.bc.Emit(obs.Event{Type: "state", Name: string(st)})
-	if st.Terminal() {
-		// Release the job's context: a job admitted with TimeoutMS owns a
-		// deadline timer that would otherwise stay armed until the deadline
-		// fires, long after the job finished.
-		if j.cancel != nil {
-			j.cancel()
-		}
-		j.bc.Close()
-		close(j.done)
+}
+
+// terminate is the job's half of Scheduler.finish: the terminal check,
+// the state change and the outcome in one critical section. It reports
+// whether this call ended the job; a job already terminal is unchanged.
+func (j *Job) terminate(st State, res *Result, msg string) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state.Terminal() {
+		return false
 	}
+	j.state, j.result, j.errText = st, res, msg
+	return true
 }
 
 // noteLevel records that partitioning level lv (1-based) completed. The
@@ -385,16 +375,6 @@ func (j *Job) ckptEnabled() bool {
 	defer j.mu.Unlock()
 	return j.ckptOn
 }
-
-// Requeues returns how many times the watchdog requeued the job.
-func (j *Job) Requeues() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.wdRequeues
-}
-
-// Estimate returns the job's admission-time resource estimate.
-func (j *Job) Estimate() Estimate { return j.est }
 
 // ckptDir is the per-job checkpoint directory preemption snapshots into.
 func (j *Job) ckptDir() string { return filepath.Join(j.dir, "ckpt") }

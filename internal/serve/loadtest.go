@@ -141,7 +141,8 @@ func RunLoad(ctx context.Context, opt LoadOptions) (*LoadReport, error) {
 	rep.Elapsed = time.Since(start)
 
 	for _, j := range jobs {
-		switch j.State() {
+		st := j.Status()
+		switch st.State {
 		case StateDone:
 			rep.Done++
 		case StateFailed:
@@ -151,15 +152,14 @@ func RunLoad(ctx context.Context, opt LoadOptions) (*LoadReport, error) {
 		default:
 			rep.NonTerminal = append(rep.NonTerminal, j.ID)
 		}
-		if p := j.Preemptions(); p > 0 {
+		if st.Preemptions > 0 {
 			rep.Preempted++
-			rep.Preemptions += p
+			rep.Preemptions += st.Preemptions
 		}
-		st := j.Status()
 		if st.Requeues > 0 {
 			rep.Requeued++
 		}
-		if j.State() == StateFailed && errorTextIsStuck(st.Error) {
+		if st.State == StateFailed && errorTextIsStuck(st.Error) {
 			rep.Stuck++
 		}
 		if st.Cached {
@@ -173,7 +173,7 @@ func RunLoad(ctx context.Context, opt LoadOptions) (*LoadReport, error) {
 
 	if opt.Verify {
 		for _, j := range jobs {
-			if (j.Preemptions() == 0 && j.Requeues() == 0) || j.State() != StateDone {
+			if st := j.Status(); (st.Preemptions == 0 && st.Requeues == 0) || st.State != StateDone {
 				continue
 			}
 			ok, err := verifyDirect(ctx, j)

@@ -140,8 +140,8 @@ func TestPreemptionSnapshotFailureKeepsVictimRunning(t *testing.T) {
 	if victim.State() != StateDone || hi.State() != StateDone {
 		t.Fatalf("states: victim=%s hi=%s, want both done", victim.State(), hi.State())
 	}
-	if victim.Preemptions() != 0 {
-		t.Fatalf("victim recorded %d preemptions; a failed snapshot must keep it running", victim.Preemptions())
+	if victim.Status().Preemptions != 0 {
+		t.Fatalf("victim recorded %d preemptions; a failed snapshot must keep it running", victim.Status().Preemptions)
 	}
 	res := mustResult(t, victim)
 	kept := false

@@ -30,14 +30,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"time"
 
-	"sync"
-
 	"fbplace/internal/certify"
+	"fbplace/internal/chipio"
 	"fbplace/internal/degrade"
 	"fbplace/internal/faultsim"
 	"fbplace/internal/obs"
@@ -278,21 +278,21 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	seq := s.seq
 	s.mu.Unlock()
 
+	if spec.Chip != nil {
+		// Price a synthetic chip from its spec before generating it:
+		// generation allocates per cell at once, so a spec the budget
+		// refuses anyway must be refused before it can exhaust memory.
+		if err := s.admitPeak(chipFloor(spec.Chip, s.gogc)); err != nil {
+			return nil, err
+		}
+	}
 	j, err := newJob(fmt.Sprintf("j%08d", seq), seq, spec, s.opt.FileRoot, s.gogc)
 	if err != nil {
 		s.rec.Count("serve.badspec", 1)
 		return nil, err
 	}
-	if s.opt.MemBudget > 0 && j.est.PeakBytes > s.opt.MemBudget {
-		// The job could never be started; retrying cannot help.
-		s.rec.Count("serve.rejected", 1)
-		s.rec.Count("serve.rejected.overbudget", 1)
-		return nil, &AdmissionError{
-			Status: 503,
-			Detail: fmt.Sprintf("predicted peak %d bytes > budget %d bytes (%d cells, %d pins, %d levels)",
-				j.est.PeakBytes, s.opt.MemBudget, j.est.Cells, j.est.Pins, j.est.Levels),
-			err: ErrOverBudget,
-		}
+	if err := s.admitPeak(j.est); err != nil {
+		return nil, err
 	}
 	j.dir = filepath.Join(s.stateDir, "jobs", j.ID)
 	if err := os.MkdirAll(j.dir, 0o755); err != nil {
@@ -300,7 +300,6 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	}
 	s.installContext(j)
 
-	var hit *Result
 	s.mu.Lock()
 	if s.shutdown {
 		s.mu.Unlock()
@@ -313,18 +312,11 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	// Decide whether this submission needs a queue slot before it becomes
 	// visible: cache hits and coalesced followers ride work that is
 	// already paid for and are exempt from the queue bound and brownout.
-	var flightHit *flight
-	willQueue := true
+	var hit *Result
 	if !spec.NoCache {
-		if res, ok := s.cache.get(j.key); ok {
-			hit = res
-			willQueue = false
-		} else if fl, ok := s.flights[j.key]; ok {
-			flightHit = fl
-			willQueue = false
-		}
+		hit, _ = s.cache.get(j.key)
 	}
-	if willQueue {
+	if _, flying := s.flights[j.key]; hit == nil && (spec.NoCache || !flying) {
 		if reject := s.admitQueuedLocked(); reject != nil {
 			s.mu.Unlock()
 			j.cancel()
@@ -333,43 +325,77 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 		}
 	}
 	s.rec.Count("serve.submitted", 1)
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j)
-	j.bc.Emit(obs.Event{Type: "state", Name: string(StateQueued)})
 	switch {
 	case spec.NoCache:
 		s.rec.Count("serve.cache.bypassed", 1)
-		heap.Push(&s.queue, j)
-		s.cond.Signal()
-		s.maybePreemptLocked(j.Priority())
 	case hit != nil:
 		s.rec.Count("serve.cache.hits", 1)
-	case flightHit != nil:
-		s.rec.Count("serve.cache.misses", 1)
-		j.mu.Lock()
-		j.coalesced = true
-		j.mu.Unlock()
-		flightHit.followers = append(flightHit.followers, j)
-		s.rec.Count("serve.coalesced", 1)
 	default:
 		s.rec.Count("serve.cache.misses", 1)
-		s.flights[j.key] = &flight{leader: j}
-		heap.Push(&s.queue, j)
-		s.cond.Signal()
+	}
+	if hit != nil {
+		s.registerLocked(j)
+	} else if s.enqueueLocked(j) {
 		s.maybePreemptLocked(j.Priority())
 	}
-	s.updateGaugesLocked()
 	s.mu.Unlock()
 
 	if hit != nil {
 		j.mu.Lock()
 		j.cached = true
 		j.mu.Unlock()
-		s.finishDone(j, hit)
+		s.finish(j, StateDone, hit, "")
 	} else {
 		s.persist(j)
 	}
 	return j, nil
+}
+
+// admitPeak refuses a job whose predicted peak exceeds the whole memory
+// budget: it could never be started, so retrying cannot help.
+func (s *Scheduler) admitPeak(est Estimate) error {
+	if s.opt.MemBudget <= 0 || est.PeakBytes <= s.opt.MemBudget {
+		return nil
+	}
+	s.rec.Count("serve.rejected", 1)
+	s.rec.Count("serve.rejected.overbudget", 1)
+	return &AdmissionError{
+		Status: 503,
+		Detail: fmt.Sprintf("predicted peak %d bytes > budget %d bytes (%d cells, %d pins, %d levels)",
+			est.PeakBytes, s.opt.MemBudget, est.Cells, est.Pins, est.Levels),
+		err: ErrOverBudget,
+	}
+}
+
+// registerLocked makes j visible (Job, Jobs, GET /jobs) and emits its
+// queued event; a tombstone's closed stream drops the event.
+func (s *Scheduler) registerLocked(j *Job) {
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j)
+	j.bc.Emit(obs.Event{Type: "state", Name: string(StateQueued)})
+}
+
+// enqueueLocked is the one way into the queue (Submit, recover): it
+// registers j, then coalesces it onto its cache key's flight or makes it
+// lead a new one and pushes it on the heap; NoCache jobs queue alone. It
+// reports whether j entered the heap (only then may it preempt).
+func (s *Scheduler) enqueueLocked(j *Job) bool {
+	s.registerLocked(j)
+	defer s.updateGaugesLocked()
+	if fl, ok := s.flights[j.key]; ok && !j.spec.NoCache {
+		j.mu.Lock()
+		j.coalesced = true
+		j.mu.Unlock()
+		fl.followers = append(fl.followers, j)
+		s.rec.Count("serve.coalesced", 1)
+		return false
+	}
+	if !j.spec.NoCache {
+		s.flights[j.key] = &flight{leader: j}
+	}
+	heap.Push(&s.queue, j)
+	s.cond.Signal()
+	return true
 }
 
 // admitQueuedLocked applies the queue-slot admission limits: brownout
@@ -472,45 +498,17 @@ func (s *Scheduler) Cancel(id string) error {
 		j.cancel()
 		return nil
 	}
-	// Queued (in the heap, or coalesced onto a flight): finalize now.
-	// A follower detaches from its flight; a canceled leader's flight
-	// dissolves and its followers are promoted — in this same critical
-	// section, so a concurrent identical Submit either still sees the
-	// old flight or the promoted one, never a window with neither. The
-	// heap entry, if any, is pruned so the queue-depth gauge stays
-	// honest (the worker's state check still skips any stragglers).
-	var orphans []*Job
-	if fl, ok := s.flights[j.key]; ok {
-		if fl.leader == j {
-			delete(s.flights, j.key)
-			orphans = fl.followers
-		} else {
-			kept := fl.followers[:0]
-			for _, f := range fl.followers {
-				if f != j {
-					kept = append(kept, f)
-				}
-			}
-			fl.followers = kept
-		}
+	// Queued (in the heap, or coalesced onto a flight): a follower leaves
+	// its flight and a heap entry is pruned so the queue-depth gauge stays
+	// honest; finish then dissolves a flight the job leads.
+	if fl, ok := s.flights[j.key]; ok && fl.leader != j {
+		fl.followers = slices.DeleteFunc(fl.followers, func(f *Job) bool { return f == j })
 	}
-	for i, qj := range s.queue {
-		if qj == j {
-			heap.Remove(&s.queue, i)
-			break
-		}
+	if i := slices.Index(s.queue, j); i >= 0 {
+		heap.Remove(&s.queue, i)
 	}
-	j.mu.Lock()
-	j.errText = "canceled while queued"
-	j.mu.Unlock()
-	j.setState(StateCanceled)
-	s.promoteLocked(orphans)
-	s.updateGaugesLocked()
 	s.mu.Unlock()
-	j.cancel()
-	s.rec.Count("serve.canceled", 1)
-	s.persist(j)
-	s.cleanupCkpt(j)
+	s.finish(j, StateCanceled, nil, "canceled while queued")
 	return nil
 }
 
@@ -549,7 +547,8 @@ func (s *Scheduler) next() *Job {
 // footprint fits next to the running set, commits its footprint, and
 // moves it to running. Jobs that do not fit stay queued (in order) and
 // raise the memory-blocked flag, which arms brownout level 1 and the
-// governor's memory preemption.
+// governor's memory preemption. The queued check and the move to running
+// share s.mu with finish, so a claimed job is never already terminal.
 func (s *Scheduler) claimLocked() *Job {
 	var skipped []*Job
 	var picked *Job
@@ -570,6 +569,7 @@ func (s *Scheduler) claimLocked() *Job {
 	}
 	s.memBlocked = picked == nil && len(skipped) > 0
 	if picked != nil {
+		picked.setState(StateRunning)
 		s.running[picked.ID] = picked
 		s.committed += picked.est.PeakBytes
 	}
@@ -582,17 +582,11 @@ func (s *Scheduler) claimLocked() *Job {
 // scheduler's plumbing (obs stream, per-job checkpoint dir, preemption
 // poll) injected into the config.
 func (s *Scheduler) runJob(j *Job) {
-	if j.State().Terminal() {
-		// Canceled between dequeue and here; just release the slot.
-		s.release(j)
-		return
-	}
 	// Each attempt runs under its own context so the watchdog can cancel
 	// a stalled attempt without killing the job: the job's context (user
 	// cancel, deadline) stays authoritative through the parent.
 	actx, acancel := j.beginAttempt()
 	defer acancel()
-	j.setState(StateRunning)
 	s.persist(j)
 	rec := obs.New(jobSink{j})
 	rec.SetProgress(func(string) { j.beat() })
@@ -675,8 +669,7 @@ func (s *Scheduler) runJob(j *Job) {
 	case err == nil:
 		s.countCertifyRepairs(rep)
 		s.rec.Count("serve.degradations", float64(len(rep.Degradations)))
-		s.release(j)
-		s.completeFlight(j, buildResult(j, rep))
+		s.finish(j, StateDone, buildResult(j, rep), "")
 	case errors.As(err, &ce):
 		// A wrong answer escaped the placer's re-run or failed the gate:
 		// terminal, with the offending positions quarantined and nothing
@@ -689,8 +682,7 @@ func (s *Scheduler) runJob(j *Job) {
 		j.errCode = "result_uncertified"
 		j.mu.Unlock()
 		s.rec.Count("certify.uncertified", 1)
-		s.release(j)
-		s.failFlight(j, err.Error())
+		s.finish(j, StateFailed, nil, err.Error())
 	case errors.As(err, &pe):
 		// The snapshot is durably written: resume it later, possibly on
 		// another worker.
@@ -707,8 +699,7 @@ func (s *Scheduler) runJob(j *Job) {
 		// budget, fail terminally.
 		s.watchdogRequeue(j)
 	default:
-		s.release(j)
-		s.failFlight(j, err.Error())
+		s.finish(j, StateFailed, nil, err.Error())
 	}
 }
 
@@ -759,10 +750,7 @@ func (s *Scheduler) quarantine(j *Job, ce *certify.Error) {
 	}
 	if err == nil {
 		var buf bytes.Buffer
-		for i := range j.n.X {
-			fmt.Fprintf(&buf, "%016x %016x\n",
-				math.Float64bits(j.n.X[i]), math.Float64bits(j.n.Y[i]))
-		}
+		_ = chipio.WriteHex(&buf, j.n.X, j.n.Y) // a bytes.Buffer write cannot fail
 		err = os.WriteFile(filepath.Join(dir, "positions.hex"), buf.Bytes(), 0o644)
 	}
 	if err != nil {
@@ -772,12 +760,13 @@ func (s *Scheduler) quarantine(j *Job, ce *certify.Error) {
 	s.rec.Count("certify.quarantined", 1)
 }
 
-// release drops the job from the running set.
-func (s *Scheduler) release(j *Job) {
-	s.mu.Lock()
-	s.releaseRunningLocked(j)
-	s.updateGaugesLocked()
-	s.mu.Unlock()
+// runningLocked lists the running jobs.
+func (s *Scheduler) runningLocked() []*Job {
+	out := make([]*Job, 0, len(s.running))
+	for _, j := range s.running {
+		out = append(out, j)
+	}
+	return out
 }
 
 // releaseRunningLocked removes j from the running set and returns its
@@ -811,65 +800,67 @@ func buildResult(j *Job, rep *placer.Report) *Result {
 	}
 }
 
-// completeFlight finishes a successful leader: the result is cached
-// (unless bypassed) and every coalesced follower finishes with it too.
-func (s *Scheduler) completeFlight(j *Job, res *Result) {
+// finish is the one terminal transition. The first call for a job sets
+// the state and outcome, releases its running slot and dissolves a flight
+// it leads in one critical section: a done leader caches res and finishes
+// its followers with it; a failed or canceled leader's followers are
+// promoted, as the failure is the leader's alone. It then counts
+// serve.<state>, feeds the drain rate unless canceled, persists the job
+// and drops its snapshots before Done closes. Any later call changes
+// nothing.
+func (s *Scheduler) finish(j *Job, st State, res *Result, msg string) {
 	var followers []*Job
 	s.mu.Lock()
+	if !j.terminate(st, res, msg) {
+		s.mu.Unlock()
+		return
+	}
+	s.releaseRunningLocked(j)
+	// Only cacheable jobs lead flights, so a NoCache result is never stored.
 	if fl, ok := s.flights[j.key]; ok && fl.leader == j {
-		followers = fl.followers
 		delete(s.flights, j.key)
-	}
-	if !j.spec.NoCache {
-		if ev := s.cache.put(j.key, res); ev > 0 {
-			s.rec.Count("serve.cache.evictions", float64(ev))
+		if st == StateDone {
+			if ev := s.cache.put(j.key, res); ev > 0 {
+				s.rec.Count("serve.cache.evictions", float64(ev))
+			}
+			followers = fl.followers
+		} else {
+			s.promoteLocked(fl.followers)
 		}
 	}
+	if st != StateCanceled {
+		s.noteDoneLocked()
+	}
+	s.updateGaugesLocked()
 	s.mu.Unlock()
-	s.finishDone(j, res)
+	s.rec.Count("serve."+string(st), 1)
+	s.persist(j)
+	if j.dir != "" {
+		_ = os.RemoveAll(j.ckptDir()) // removal failures cost disk, nothing else
+	}
+	j.bc.Emit(obs.Event{Type: "state", Name: string(st)})
+	// Release the job's context: a job admitted with TimeoutMS owns a
+	// deadline timer that would otherwise stay armed until it fires.
+	j.cancel()
+	j.bc.Close()
+	close(j.done)
 	for _, f := range followers {
-		if f.State().Terminal() {
-			continue
-		}
-		s.finishDone(f, res)
+		s.finish(f, StateDone, res, "")
 	}
 }
 
-// failFlight finishes a failed leader and re-enqueues its followers as
-// independent jobs: a follower must not inherit a failure (deadline,
-// cancellation mid-run) that belongs to the leader alone.
-func (s *Scheduler) failFlight(j *Job, msg string) {
-	s.detachFlight(j)
-	s.finishFailed(j, msg)
-}
-
-// promoteLocked re-enqueues detached followers, the first live one as the
-// new leader of the rest. The caller holds s.mu and has already removed
-// the old flight in the same critical section: a concurrent identical
-// Submit can therefore never register a flight between the detach and
-// this re-registration. Should one already exist for the key (the old
-// flight was removed in an earlier critical section, as completeFlight's
-// is), the followers merge into it instead of overwriting it — an
-// overwrite would orphan that flight's leader and strand its followers.
+// promoteLocked re-enqueues the live followers of a dissolved flight, the
+// first as the new leader of the rest. The caller holds s.mu and has
+// removed the old flight in the same critical section, so a concurrent
+// identical Submit sees either the old flight or the promoted one.
 func (s *Scheduler) promoteLocked(followers []*Job) {
-	live := followers[:0]
-	for _, f := range followers {
-		if !f.State().Terminal() {
-			live = append(live, f)
-		}
-	}
+	live := slices.DeleteFunc(followers, func(f *Job) bool { return f.State().Terminal() })
 	if len(live) == 0 {
 		return
 	}
-	lead := live[0]
-	if fl, ok := s.flights[lead.key]; ok {
-		fl.followers = append(fl.followers, live...)
-		return
-	}
-	s.flights[lead.key] = &flight{leader: lead, followers: live[1:]}
-	heap.Push(&s.queue, lead)
+	s.flights[live[0].key] = &flight{leader: live[0], followers: live[1:]}
+	heap.Push(&s.queue, live[0])
 	s.cond.Signal()
-	s.updateGaugesLocked()
 }
 
 // requeue puts a running job back in the queue: preemption, a watchdog
@@ -907,65 +898,12 @@ func (s *Scheduler) finishInterrupted(j *Job) {
 	s.mu.Unlock()
 	switch {
 	case user:
-		s.release(j)
-		j.mu.Lock()
-		j.errText = "canceled"
-		j.mu.Unlock()
-		j.setState(StateCanceled)
-		s.rec.Count("serve.canceled", 1)
-		s.persist(j)
-		s.cleanupCkpt(j)
-		s.detachFlight(j)
+		s.finish(j, StateCanceled, nil, "canceled")
 	case drain:
 		s.requeue(j, j.ckptStore().HasSnapshot())
 	default:
-		s.release(j)
-		s.failFlight(j, "deadline exceeded: "+j.ctx.Err().Error())
+		s.finish(j, StateFailed, nil, "deadline exceeded: "+j.ctx.Err().Error())
 	}
-}
-
-// detachFlight removes a finished leader's flight and promotes its
-// followers (in one critical section; see promoteLocked).
-func (s *Scheduler) detachFlight(j *Job) {
-	s.mu.Lock()
-	if fl, ok := s.flights[j.key]; ok && fl.leader == j {
-		delete(s.flights, j.key)
-		s.promoteLocked(fl.followers)
-	}
-	s.mu.Unlock()
-}
-
-// finishDone finalizes a successful (or cache-served) job.
-func (s *Scheduler) finishDone(j *Job, res *Result) {
-	j.mu.Lock()
-	j.result = res
-	j.mu.Unlock()
-	j.setState(StateDone)
-	s.rec.Count("serve.done", 1)
-	s.noteDone()
-	s.persist(j)
-	s.cleanupCkpt(j)
-}
-
-// finishFailed finalizes a failed job.
-func (s *Scheduler) finishFailed(j *Job, msg string) {
-	j.mu.Lock()
-	j.errText = msg
-	j.mu.Unlock()
-	j.setState(StateFailed)
-	s.rec.Count("serve.failed", 1)
-	s.noteDone()
-	s.persist(j)
-	s.cleanupCkpt(j)
-}
-
-// cleanupCkpt drops a terminal job's snapshots; they exist only to resume
-// interrupted work. Removal failures cost disk, nothing else.
-func (s *Scheduler) cleanupCkpt(j *Job) {
-	if j.dir == "" {
-		return
-	}
-	_ = os.RemoveAll(j.ckptDir())
 }
 
 // Shutdown drains the scheduler: submissions are refused, idle workers
@@ -981,10 +919,7 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 		s.rec.Count("serve.shutdowns", 1)
 		s.cond.Broadcast()
 	}
-	running := make([]*Job, 0, len(s.running))
-	for _, j := range s.running {
-		running = append(running, j)
-	}
+	running := s.runningLocked()
 	s.mu.Unlock()
 	for _, j := range running {
 		j.preempt.Store(true)
@@ -1007,10 +942,7 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 		s.mu.Lock()
-		still := make([]*Job, 0, len(s.running))
-		for _, j := range s.running {
-			still = append(still, j)
-		}
+		still := s.runningLocked()
 		s.mu.Unlock()
 		for _, j := range still {
 			j.cancel()
@@ -1157,6 +1089,8 @@ func (s *Scheduler) persist(j *Job) {
 	if j.dir == "" {
 		return
 	}
+	j.persistMu.Lock()
+	defer j.persistMu.Unlock()
 	j.mu.Lock()
 	jf := jobFile{
 		ID:          j.ID,
@@ -1202,64 +1136,49 @@ func (s *Scheduler) recover() error {
 		if json.Unmarshal(data, &jf) != nil || jf.ID == "" {
 			continue
 		}
-		s.mu.Lock()
-		if jf.Seq > s.seq {
-			s.seq = jf.Seq
+		live := !jf.State.Terminal()
+		var j *Job
+		var jerr error
+		if live {
+			j, jerr = newJob(jf.ID, jf.Seq, jf.Spec, s.opt.FileRoot, s.gogc)
 		}
-		s.mu.Unlock()
-		if jf.State.Terminal() {
-			s.adopt(tombstoneJob(jf, jf.Error))
-			continue
-		}
-		j, jerr := newJob(jf.ID, jf.Seq, jf.Spec, s.opt.FileRoot, s.gogc)
 		if jerr != nil {
 			// The instance no longer loads (file reference gone): the job
-			// cannot be resumed, record why.
-			s.adopt(failedTombstone(jf, jerr.Error()))
+			// cannot be resumed. The failed record is persisted, so a
+			// later restart neither retries nor recounts it.
+			jf.State, jf.Error = StateFailed, "recovery: "+jerr.Error()
 			s.rec.Count("serve.failed", 1)
-			continue
+		}
+		if j == nil {
+			j = tombstoneJob(jf)
+		} else {
+			s.installContext(j)
+			s.rec.Count("serve.recovered", 1)
 		}
 		j.dir = filepath.Join(dir, e.Name())
 		j.mu.Lock()
 		j.preemptions = jf.Preemptions
 		j.resumable = j.ckptStore().HasSnapshot()
 		j.mu.Unlock()
-		s.installContext(j)
-		s.rec.Count("serve.recovered", 1)
 		s.mu.Lock()
-		s.jobs[j.ID] = j
-		s.order = append(s.order, j)
-		j.bc.Emit(obs.Event{Type: "state", Name: string(StateQueued)})
-		if fl, ok := s.flights[j.key]; ok && !j.spec.NoCache {
-			j.mu.Lock()
-			j.coalesced = true
-			j.mu.Unlock()
-			fl.followers = append(fl.followers, j)
-			s.rec.Count("serve.coalesced", 1)
+		s.seq = max(s.seq, jf.Seq)
+		if jf.State.Terminal() {
+			s.registerLocked(j)
 		} else {
-			if !j.spec.NoCache {
-				s.flights[j.key] = &flight{leader: j}
-			}
-			heap.Push(&s.queue, j)
+			s.enqueueLocked(j)
 		}
-		s.updateGaugesLocked()
 		s.mu.Unlock()
-		s.persist(j)
+		if live {
+			s.persist(j)
+		}
 	}
 	return nil
 }
 
-// adopt registers a recovered terminal job.
-func (s *Scheduler) adopt(j *Job) {
-	s.mu.Lock()
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j)
-	s.mu.Unlock()
-}
-
-// tombstoneJob rebuilds a terminal job record (no result: results are not
-// persisted across restarts, only lifecycle state is).
-func tombstoneJob(jf jobFile, errText string) *Job {
+// tombstoneJob rebuilds a terminal job record from its job file (no
+// result: results are not persisted across restarts, only lifecycle
+// state is); recover sets its directory and preemption count.
+func tombstoneJob(jf jobFile) *Job {
 	bc := obs.NewBroadcast(1)
 	bc.Close()
 	done := make(chan struct{})
@@ -1271,18 +1190,11 @@ func tombstoneJob(jf jobFile, errText string) *Job {
 		bc:        bc,
 		done:      done,
 		state:     jf.State,
-		errText:   errText,
+		errText:   jf.Error,
+		errCode:   jf.ErrorCode,
 		submitted: time.Now(),
 	}
-	j.preemptions = jf.Preemptions
-	j.errCode = jf.ErrorCode
 	j.ctx, j.cancel = context.WithCancel(context.Background())
 	j.cancel()
 	return j
-}
-
-// failedTombstone marks a recovered job that can no longer run.
-func failedTombstone(jf jobFile, reason string) *Job {
-	jf.State = StateFailed
-	return tombstoneJob(jf, "recovery: "+reason)
 }

@@ -155,7 +155,7 @@ func TestPreemptionBitIdentity(t *testing.T) {
 	if hi.State() != StateDone || victim.State() != StateDone {
 		t.Fatalf("states: hi=%s victim=%s", hi.State(), victim.State())
 	}
-	if victim.Preemptions() < 1 {
+	if victim.Status().Preemptions < 1 {
 		t.Fatalf("victim was never preempted (preemptions=0); the single worker should have yielded to priority 5")
 	}
 	if got := s.Obs().Counter("serve.preemptions"); got < 1 {

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"fbplace/internal/chipio"
 	"fbplace/internal/faultsim"
 	"fbplace/internal/obs"
 	"fbplace/internal/plot"
@@ -279,7 +280,7 @@ func (sv *Server) resultOf(w http.ResponseWriter, j *Job) (*Result, bool) {
 			// Failures with a machine-readable code keep it on the wire
 			// (result_uncertified: certification failed after the re-run).
 			code := "no_result"
-			if ec := j.ErrorCode(); ec != "" {
+			if ec := j.Status().ErrorCode; ec != "" {
 				code = ec
 			}
 			writeError(w, http.StatusConflict, code, err)
@@ -316,12 +317,7 @@ func (sv *Server) result(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "hex" {
 		w.Header().Set("Content-Type", "text/plain")
 		w.WriteHeader(http.StatusOK)
-		for i := range res.X {
-			if _, err := fmt.Fprintf(w, "%016x %016x\n",
-				math.Float64bits(res.X[i]), math.Float64bits(res.Y[i])); err != nil {
-				return // client went away
-			}
-		}
+		_ = chipio.WriteHex(w, res.X, res.Y) // an error means the client went away
 		return
 	}
 	out := resultJSON{

@@ -32,10 +32,7 @@ func (s *Scheduler) watchdogScan() {
 		return
 	}
 	s.mu.Lock()
-	running := make([]*Job, 0, len(s.running))
-	for _, j := range s.running {
-		running = append(running, j)
-	}
+	running := s.runningLocked()
 	s.mu.Unlock()
 	now := time.Now()
 	for _, j := range running {
@@ -75,9 +72,8 @@ func (s *Scheduler) watchdogRequeue(j *Job) {
 	j.wdRequeues++
 	j.mu.Unlock()
 	if strikes >= s.opt.StuckStrikes {
-		s.release(j)
 		s.rec.Count("serve.watchdog.stuck", 1)
-		s.failFlight(j, (&JobStuckError{ID: j.ID, Strikes: strikes, Window: s.opt.NoProgress}).Error())
+		s.finish(j, StateFailed, nil, (&JobStuckError{ID: j.ID, Strikes: strikes, Window: s.opt.NoProgress}).Error())
 		return
 	}
 	s.rec.Count("serve.watchdog.requeues", 1)

@@ -44,8 +44,8 @@ func TestWatchdogRequeuesStalledJob(t *testing.T) {
 	if j.State() != StateDone {
 		t.Fatalf("state: %s (%s), want done", j.State(), j.Status().Error)
 	}
-	if j.Requeues() != 1 {
-		t.Fatalf("watchdog requeues: %d, want 1", j.Requeues())
+	if j.Status().Requeues != 1 {
+		t.Fatalf("watchdog requeues: %d, want 1", j.Status().Requeues)
 	}
 	c := s.Obs().Counters()
 	if c["serve.stalls"] != 1 || c["serve.watchdog.strikes"] != 1 || c["serve.watchdog.requeues"] != 1 {
@@ -132,7 +132,7 @@ func TestWatchdogSlowJobNeverStuck(t *testing.T) {
 	if j.State() != StateDone {
 		t.Fatalf("state: %s (%s), want done — advancing jobs must never go stuck", j.State(), j.Status().Error)
 	}
-	if j.Requeues() == 0 {
+	if j.Status().Requeues == 0 {
 		t.Fatal("expected at least one watchdog requeue")
 	}
 	if s.Obs().Counters()["serve.watchdog.stuck"] != 0 {
@@ -165,8 +165,8 @@ func TestWatchdogRequeueWithoutSnapshot(t *testing.T) {
 	if j.State() != StateDone {
 		t.Fatalf("state: %s (%s), want done", j.State(), j.Status().Error)
 	}
-	if j.Requeues() != 1 {
-		t.Fatalf("watchdog requeues: %d, want 1", j.Requeues())
+	if j.Status().Requeues != 1 {
+		t.Fatalf("watchdog requeues: %d, want 1", j.Status().Requeues)
 	}
 	if s.Obs().Counters()["serve.resumes"] != 0 {
 		t.Fatal("no snapshot could have been written, yet a resume was counted")
