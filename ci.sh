@@ -57,10 +57,10 @@ echo "== benchmark smoke =="
 # One iteration each of the realization-path microbenchmarks (local QP,
 # its CSR assembly, realization level, transportation engines), of the
 # global MCF ones (network simplex on a synthetic grid and on
-# Table-I-shaped FBP models) and of the recursive-baseline and local-QP
-# ablations, so a change that breaks or pathologically slows them fails
-# CI fast.
-go test -timeout 10m -run '^$' -bench 'BenchmarkSolveSubsetBlock|BenchmarkRealizeLevel|BenchmarkSolveFBPGrid' -benchtime 1x ./internal/qp/ ./internal/fbp/
+# Table-I-shaped FBP models, and the build of those models) and of the
+# recursive-baseline and local-QP ablations, so a change that breaks or
+# pathologically slows them fails CI fast.
+go test -timeout 10m -run '^$' -bench 'BenchmarkSolveSubsetBlock|BenchmarkRealizeLevel|BenchmarkSolveFBPGrid|BenchmarkBuildFBPModel' -benchtime 1x ./internal/qp/ ./internal/fbp/
 go test -timeout 10m -run '^$' -bench 'BenchmarkNSGrid' -benchtime 1x ./internal/flow/
 go test -timeout 10m -run '^$' -bench 'BenchmarkEngines|BenchmarkCondensedLarge|BenchmarkCondensedPairShape' -benchtime 1x ./internal/transport/
 go test -timeout 10m -run '^$' -bench 'BenchmarkBuild' -benchtime 1x ./internal/sparse/
@@ -174,6 +174,11 @@ if "$ckdir/fbplace" -cells 2000 -seed 3 -certify \
 fi
 grep -q 'certify:' "$ckdir/certify2.log" ||
 	{ echo "certification e2e: failure lacks the certify error" >&2; exit 1; }
+# Detailed placement next to fixed cells: genchip keeps its default two
+# macros, and a certified -detail run must leave no cell over them.
+go build -o "$ckdir/genchip" ./cmd/genchip
+"$ckdir/genchip" -cells 5000 -seed 4 -o "$ckdir/macros.chip"
+"$ckdir/fbplace" -i "$ckdir/macros.chip" -certify -detail 1 >/dev/null
 
 echo "== chaos soak =="
 # Overload-protection gate: sustained mixed load under a tight memory

@@ -8,7 +8,9 @@
 //     that shortens the involved nets.
 //
 // Movebounds are respected: a move is rejected if any touched cell would
-// leave its movebound area or enter a foreign exclusive area. The paper
+// leave its movebound area or enter a foreign exclusive area. Fixed cells
+// are too: a reorder window whose span crosses one is skipped, since
+// re-packing it would slide cells over the obstacle. The paper
 // delegates detailed placement to the surrounding BonnPlace flow; this
 // package provides the equivalent so the repository is usable end to end.
 package detail
@@ -44,6 +46,7 @@ type Result struct {
 type optimizer struct {
 	n       *netlist.Netlist
 	mbs     []region.Movebound
+	fixed   geom.RectSet          // fixed cells (macros), which no move may cover
 	netsOf  *netlist.CellNetIndex // cell -> incident nets
 	rows    [][]netlist.CellID
 	rowOf   func(y float64) int
@@ -61,7 +64,7 @@ func Optimize(n *netlist.Netlist, mbs []region.Movebound, opt Options) (Result, 
 		opt.Passes = 2
 	}
 	res := Result{InitialHPWL: n.HPWL()}
-	o := &optimizer{n: n, mbs: mbs, netsOf: n.NetIndex(), netMark: make([]uint32, len(n.Nets))}
+	o := &optimizer{n: n, mbs: mbs, fixed: n.FixedRects(), netsOf: n.NetIndex(), netMark: make([]uint32, len(n.Nets))}
 	for pass := 0; pass < opt.Passes; pass++ {
 		o.buildRows()
 		r := o.reorderPass(windowSize)
@@ -180,7 +183,7 @@ func (o *optimizer) reorderPass(k int) int {
 			for _, c := range win {
 				total += n.Cells[c].Width
 			}
-			if total > right-left+1e-9 {
+			if total > right-left+1e-9 || o.spanBlocked(win, left, right) {
 				continue
 			}
 			nets := o.netsTouching(win)
@@ -233,6 +236,19 @@ func (o *optimizer) reorderPass(k int) int {
 		}
 	}
 	return accepted
+}
+
+// spanBlocked reports whether the row span [left, right] of a reorder
+// window overlaps a fixed cell. Packing is left-justified over the whole
+// span, so a macro between the window's cells would be packed over.
+func (o *optimizer) spanBlocked(win []netlist.CellID, left, right float64) bool {
+	span := geom.Rect{Xlo: left, Xhi: right, Ylo: math.Inf(1), Yhi: math.Inf(-1)}
+	for _, c := range win {
+		h := o.n.Cells[c].Height / 2
+		span.Ylo = math.Min(span.Ylo, o.n.Y[c]-h)
+		span.Yhi = math.Max(span.Yhi, o.n.Y[c]+h)
+	}
+	return o.fixed.OverlapsRect(span.Expand(-1e-9))
 }
 
 // swapPass exchanges equal-width cell pairs across the chip when the

@@ -91,6 +91,34 @@ func TestOptimizeRespectsMovebounds(t *testing.T) {
 	}
 }
 
+// TestOptimizeKeepsClearOfMacros places a chip with two fixed macros and
+// requires detailed placement to leave it overlap-free: a reorder window
+// that packs its cells left-justified must never pack them over a macro
+// that sits inside its span.
+func TestOptimizeKeepsClearOfMacros(t *testing.T) {
+	inst, err := gen.Chip(gen.ChipSpec{Name: "dmac", NumCells: 3000, NumMacros: 2, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := placer.Place(inst.N, placer.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := legalize.VerifyNoOverlaps(inst.N); got != 0 {
+		t.Fatalf("overlaps before detail = %d", got)
+	}
+	before := inst.N.HPWL()
+	res, err := detail.Optimize(inst.N, nil, detail.Options{Passes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := legalize.VerifyNoOverlaps(inst.N); got != 0 {
+		t.Fatalf("overlaps after detail = %d", got)
+	}
+	if res.Reorders == 0 || res.FinalHPWL > before+1e-6 {
+		t.Fatalf("%d reorders, HPWL %g -> %g; want moves and no loss", res.Reorders, before, res.FinalHPWL)
+	}
+}
+
 // TestOptimizeDeterministic runs detailed placement three times on copies
 // of one placed genchip chip and requires bit-identical positions: every
 // HPWL total behind an accept/reject decision must be summed in one fixed

@@ -70,30 +70,15 @@ func BenchmarkRealizeLevel(b *testing.B) {
 // 24x24 and a 32x32 window grid (16x16 and 24x24 are perfbench's
 // table1-fine levels). Instance generation, spreading and each
 // iteration's model build run outside the timer; the pivot count, the
-// degenerate (zero flow change) pivots among them and the time per pivot
-// are reported next to ns/op.
+// degenerate (zero flow change) pivots among them, the time per pivot and
+// the allocations are reported next to ns/op.
 func BenchmarkSolveFBPGrid(b *testing.B) {
-	spec := gen.ErhardLike(0.001)
-	inst, err := gen.Chip(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mbs, err := region.Normalize(inst.N.Area, inst.Movebounds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := inst.N.Clone()
-	if _, err := rql.Place(base, rql.Config{MaxIters: 4, Movebounds: mbs}); err != nil {
-		b.Fatal(err)
-	}
-	decomp := region.Decompose(inst.N.Area, mbs)
-	blockages := inst.N.FixedRects()
+	base, decomp, blockages := fbpGridInstance(b)
 	for _, k := range []int{16, 24, 32} {
 		b.Run(fmt.Sprintf("grid=%dx%d", k, k), func(b *testing.B) {
-			g := grid.MustNew(base.Area, k, k)
-			wr := grid.BuildWindowRegions(g, decomp, blockages, 0.97)
-			assign := g.AssignCells(base)
+			wr, assign := fbpGridLevel(base, decomp, blockages, k)
 			pivots, degenerate := 0, 0
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -112,4 +97,48 @@ func BenchmarkSolveFBPGrid(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkBuildFBPModel times BuildModel alone on the same three grids
+// as BenchmarkSolveFBPGrid: the node and arc construction of the global
+// MinCostFlow, which runs once per level before every solve.
+func BenchmarkBuildFBPModel(b *testing.B) {
+	base, decomp, blockages := fbpGridInstance(b)
+	for _, k := range []int{16, 24, 32} {
+		b.Run(fmt.Sprintf("grid=%dx%d", k, k), func(b *testing.B) {
+			wr, assign := fbpGridLevel(base, decomp, blockages, k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				BuildModel(base, wr, assign)
+			}
+		})
+	}
+}
+
+// fbpGridInstance builds the Table-I-shaped chip of BenchmarkSolveFBPGrid:
+// gen.ErhardLike(0.001) spread by four RQL iterations, with its
+// normalized movebound decomposition and blockages.
+func fbpGridInstance(tb testing.TB) (*netlist.Netlist, *region.Decomposition, geom.RectSet) {
+	tb.Helper()
+	inst, err := gen.Chip(gen.ErhardLike(0.001))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mbs, err := region.Normalize(inst.N.Area, inst.Movebounds)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	base := inst.N.Clone()
+	if _, err := rql.Place(base, rql.Config{MaxIters: 4, Movebounds: mbs}); err != nil {
+		tb.Fatal(err)
+	}
+	return base, region.Decompose(inst.N.Area, mbs), inst.N.FixedRects()
+}
+
+// fbpGridLevel returns the window regions of a k x k grid over base and
+// its cells' window assignment, the inputs of that level's BuildModel.
+func fbpGridLevel(base *netlist.Netlist, decomp *region.Decomposition, blockages geom.RectSet, k int) (*grid.WindowRegions, []int) {
+	g := grid.MustNew(base.Area, k, k)
+	return grid.BuildWindowRegions(g, decomp, blockages, 0.97), g.AssignCells(base)
 }

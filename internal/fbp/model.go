@@ -407,12 +407,11 @@ func (m *Model) Solve() error {
 	}
 	m.Stats.SolveTime = time.Since(start) //fbpvet:allow reporting-only duration
 	m.Stats.NSPivots = m.G.Pivots
-	// The model's own size: on the SSP fallback m.G also holds the super
-	// source, super sink and supply/demand arcs that Solve added.
 	sp.Attr("nodes", float64(m.Stats.NumNodes))
 	sp.Attr("arcs", float64(m.Stats.NumArcs))
 	sp.Attr("pivots", float64(m.G.Pivots))
 	sp.Attr("degenerate", float64(m.G.Degenerate))
+	sp.Attr("priced", float64(m.G.Priced))
 	if err != nil {
 		if inf, ok := err.(*flow.ErrInfeasible); ok {
 			return &ErrInfeasible{Unrouted: inf.Unrouted}

@@ -9,8 +9,5 @@ var RandomGridMCF = randomGridMCF
 // keeping its capacity, so tests can hand a corrupted solution to an
 // independent checker.
 func (g *MinCostFlow) PerturbFlow(id ArcID, delta float64) {
-	p := g.arcPos[id]
-	a := &g.adj[p[0]][p[1]]
-	a.cap -= delta
-	g.adj[a.to][a.rev].cap += delta
+	g.flow[id] += delta
 }

@@ -7,6 +7,15 @@
 // internal/transport; the local transportation steps of §III/§IV.B run on
 // transport's condensed engine.
 //
+// A MinCostFlow is one flat arc store indexed by ArcID (endpoints,
+// capacity, cost, flow). SolveNS pivots on that store in place, with its
+// artificial root arcs appended past the real arcs for the length of a
+// run, and its block pricing encodes arc states as -1 (lower bound),
+// 0 (tree) and +1 (upper bound), so an arc's violation is its state times
+// its reduced cost. Solve builds its own residual graph, super source and
+// sink included, at entry and leaves the instance's nodes and arcs as
+// they were.
+//
 // Capacities and costs are float64 because the commodity being shipped is
 // cell *area*; an epsilon of 1e-9 (relative to the instance scale) is used
 // as the saturation tolerance throughout.

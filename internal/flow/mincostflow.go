@@ -20,30 +20,31 @@ var sspFault = faultsim.Register("flow.ssp.fail",
 // ArcID identifies an arc of a MinCostFlow instance, as returned by AddArc.
 type ArcID int32
 
-type mcfArc struct {
-	to   int32
-	rev  int32
-	cap  float64 // residual capacity
-	cost float64
-}
-
-// MinCostFlow solves the minimum-cost b-flow problem by successive
-// shortest paths with node potentials (Dijkstra). All arc costs must be
-// non-negative, which holds for every model in this repository: movement
-// costs are L1 distances and external transit edges cost zero.
+// MinCostFlow solves the minimum-cost b-flow problem, by network simplex
+// (SolveNS) or by successive shortest paths with node potentials (Solve).
+// All arc costs must be non-negative, which holds for every model in this
+// repository: movement costs are L1 distances and external transit edges
+// cost zero.
 //
 // Node imbalances are set with SetSupply (positive = supply, negative =
-// demand). Supplies and demands need not balance: Solve routes all supply
-// and reports infeasibility if some supply cannot reach remaining demand,
-// which is exactly the feasibility test of paper Theorem 3.
+// demand). Supplies and demands need not balance: the solvers route all
+// supply and report infeasibility if some supply cannot reach remaining
+// demand, which is exactly the feasibility test of paper Theorem 3.
+//
+// The instance is one flat arc store indexed by ArcID: endpoints,
+// capacity, cost and the flow of the last solve. SolveNS pivots on that
+// store in place; Solve builds its residual graph from it at entry.
 type MinCostFlow struct {
-	adj     [][]mcfArc
-	supply  []float64
-	arcPos  [][2]int32 // ArcID -> (node, index) of the forward arc
-	maxCost float64
+	from, to []int32
+	cap      []float64
+	cost     []float64
+	flow     []float64
+	supply   []float64
+	maxCost  float64
 
-	// Obs, when non-nil, records the counters "ns.pivots" and
-	// "ns.degenerate" (pivots with zero flow change) per SolveNS run.
+	// Obs, when non-nil, records the counters "ns.pivots",
+	// "ns.degenerate" (pivots with zero flow change) and "ns.priced"
+	// (arcs priced by the entering-arc search) per SolveNS run.
 	Obs *obs.Recorder
 	// Ctx, when non-nil, is polled during Solve/SolveNS; a canceled or
 	// expired context aborts the solve with the context's error.
@@ -55,6 +56,9 @@ type MinCostFlow struct {
 	// Degenerate is the number of those pivots that changed no flow,
 	// published on the same exits as Pivots.
 	Degenerate int
+	// Priced is the number of arcs the entering-arc search of the last
+	// SolveNS run priced, published on the same exits as Pivots.
+	Priced int
 
 	// buildErr latches the first model-construction defect (negative arc
 	// cost). Solve and SolveNS refuse to run a defective model, so the
@@ -74,12 +78,11 @@ type MinCostFlow struct {
 // complementary slackness (paper Theorem 3 conditions) without trusting
 // the solver's own exit criteria.
 type Duals struct {
-	// Pot[v] is the potential of real node v (the nodes that existed when
-	// the solve started; Solve's super source and sink and SolveNS's
-	// artificial root are excluded).
+	// Pot[v] is the potential of real node v (Solve's super source and
+	// sink and SolveNS's artificial root are excluded).
 	Pot []float64
 	// Arcs is the number of real arcs at solve entry: certificates apply
-	// to ArcIDs < Arcs (Solve appends internal supply/demand arcs).
+	// to ArcIDs < Arcs.
 	Arcs int
 	// CostScale is 1 + the maximum finite arc cost, the scale on which
 	// reduced-cost tolerances are meaningful for this instance.
@@ -91,34 +94,26 @@ type Duals struct {
 // instance; callers must not modify it.
 func (g *MinCostFlow) Duals() *Duals { return g.duals }
 
-// ArcInfo reports the endpoints, original capacity and cost of arc id.
-// Capacity is reconstructed from the residual pair, so it is valid before
-// and after a solve.
+// ArcInfo reports the endpoints, capacity and cost of arc id.
 func (g *MinCostFlow) ArcInfo(id ArcID) (from, to int, capacity, cost float64) {
-	p := g.arcPos[id]
-	a := g.adj[p[0]][p[1]]
-	return int(p[0]), int(a.to), a.cap + g.adj[a.to][a.rev].cap, a.cost
+	return int(g.from[id]), int(g.to[id]), g.cap[id], g.cost[id]
 }
 
 // NewMinCostFlow returns an instance with n nodes.
 func NewMinCostFlow(n int) *MinCostFlow {
-	return &MinCostFlow{
-		adj:    make([][]mcfArc, n),
-		supply: make([]float64, n),
-	}
+	return &MinCostFlow{supply: make([]float64, n)}
 }
 
 // NumNodes returns the number of nodes.
-func (g *MinCostFlow) NumNodes() int { return len(g.adj) }
+func (g *MinCostFlow) NumNodes() int { return len(g.supply) }
 
-// NumArcs returns the number of forward arcs added.
-func (g *MinCostFlow) NumArcs() int { return len(g.arcPos) }
+// NumArcs returns the number of arcs added.
+func (g *MinCostFlow) NumArcs() int { return len(g.from) }
 
 // AddNode appends a node and returns its index.
 func (g *MinCostFlow) AddNode() int {
-	g.adj = append(g.adj, nil)
 	g.supply = append(g.supply, 0)
-	return len(g.adj) - 1
+	return len(g.supply) - 1
 }
 
 // SetSupply sets node v's imbalance: b > 0 is supply, b < 0 demand.
@@ -143,19 +138,17 @@ func (g *MinCostFlow) AddArc(u, v int, capacity, cost float64) ArcID {
 	if cost > g.maxCost && !math.IsInf(cost, 1) {
 		g.maxCost = cost
 	}
-	g.adj[u] = append(g.adj[u], mcfArc{to: int32(v), rev: int32(len(g.adj[v])), cap: capacity, cost: cost})
-	g.adj[v] = append(g.adj[v], mcfArc{to: int32(u), rev: int32(len(g.adj[u]) - 1), cap: 0, cost: -cost})
-	id := ArcID(len(g.arcPos))
-	g.arcPos = append(g.arcPos, [2]int32{int32(u), int32(len(g.adj[u]) - 1)})
+	id := ArcID(len(g.from))
+	g.from = append(g.from, int32(u))
+	g.to = append(g.to, int32(v))
+	g.cap = append(g.cap, capacity)
+	g.cost = append(g.cost, cost)
+	g.flow = append(g.flow, 0)
 	return id
 }
 
-// Flow returns the flow routed on arc id after Solve.
-func (g *MinCostFlow) Flow(id ArcID) float64 {
-	p := g.arcPos[id]
-	a := g.adj[p[0]][p[1]]
-	return g.adj[a.to][a.rev].cap
-}
+// Flow returns the flow routed on arc id by the last solve.
+func (g *MinCostFlow) Flow(id ArcID) float64 { return g.flow[id] }
 
 // ErrInfeasible is returned by Solve when the supplies cannot be routed to
 // the demands — for the FBP model this certifies (Theorem 3) that no
@@ -188,14 +181,78 @@ func (q *priorityQueue) Pop() interface{} {
 	return it
 }
 
+// residualArc is one arc of Solve's residual graph: a stored arc or its
+// reverse (cost negated), or a super source/sink arc.
+type residualArc struct {
+	to   int32
+	rev  int32 // index of the partner arc
+	cap  float64
+	cost float64
+}
+
+// residualGraph is the adjacency of Solve in compressed form: node v's
+// residual arcs are arcs[start[v]:start[v+1]].
+type residualGraph struct {
+	start []int32
+	arcs  []residualArc
+	fwd   []int32 // stored ArcID -> index of its forward residual arc
+}
+
+// residual builds Solve's residual graph over the stored arcs at zero
+// flow, plus super source s -> supply node and demand node -> super sink
+// t arcs after them, in node order. Every node lists its residual arcs in
+// arc order, a forward arc at its tail and its reverse at its head, so the
+// searches below visit them in the order the arcs were added.
+func (g *MinCostFlow) residual(s, t int) *residualGraph {
+	n, m := len(g.supply), len(g.from)
+	// eachArc visits the stored arcs, then the super arcs.
+	eachArc := func(visit func(u, v int32, capacity, cost float64)) {
+		for id := 0; id < m; id++ {
+			visit(g.from[id], g.to[id], g.cap[id], g.cost[id])
+		}
+		for v := 0; v < n; v++ {
+			if b := g.supply[v]; b > Eps {
+				visit(int32(s), int32(v), b, 0)
+			} else if b < -Eps {
+				visit(int32(v), int32(t), -b, 0)
+			}
+		}
+	}
+	r := &residualGraph{start: make([]int32, n+3), fwd: make([]int32, m)}
+	eachArc(func(u, v int32, _, _ float64) {
+		r.start[u+1]++
+		r.start[v+1]++
+	})
+	for v := 1; v < len(r.start); v++ {
+		r.start[v] += r.start[v-1]
+	}
+	r.arcs = make([]residualArc, r.start[n+2])
+	next := append([]int32(nil), r.start[:n+2]...)
+	id := 0
+	eachArc(func(u, v int32, capacity, cost float64) {
+		fi, ri := next[u], next[v]
+		next[u]++
+		next[v]++
+		r.arcs[fi] = residualArc{to: v, rev: ri, cap: capacity, cost: cost}
+		r.arcs[ri] = residualArc{to: u, rev: fi, cost: -cost}
+		if id < m {
+			r.fwd[id] = fi
+		}
+		id++
+	})
+	return r
+}
+
 // Solve routes as much supply as possible to the demands at minimum cost
 // and returns the total cost. If some supply cannot be routed it returns
 // the cost of the routed part together with an *ErrInfeasible.
 //
 // Implementation: a super source is connected to all supply nodes and a
-// super sink to all demand nodes, then successive shortest augmenting
-// paths with Johnson potentials keep every Dijkstra run on non-negative
-// reduced costs.
+// super sink to all demand nodes in a residual graph built at entry, then
+// successive shortest augmenting paths with Johnson potentials keep every
+// Dijkstra run on non-negative reduced costs. The instance itself gains
+// no nodes or arcs; the routed flows are written to the arc store on
+// every exit.
 func (g *MinCostFlow) Solve() (float64, error) {
 	if g.buildErr != nil {
 		return 0, g.buildErr
@@ -204,25 +261,27 @@ func (g *MinCostFlow) Solve() (float64, error) {
 		return 0, fmt.Errorf("flow: ssp solve: %w", err)
 	}
 	g.duals = nil
-	n := len(g.adj)
-	realArcs := len(g.arcPos)
-	s, t := g.AddNode(), g.AddNode()
+	n := len(g.supply)
+	s, t := n, n+1
+	r := g.residual(s, t)
+	defer func() {
+		for id, fi := range r.fwd {
+			g.flow[id] = r.arcs[r.arcs[fi].rev].cap
+		}
+	}()
 	totalSupply := 0.0
 	for v := 0; v < n; v++ {
-		b := g.supply[v]
-		if b > Eps {
-			g.AddArc(s, v, b, 0)
+		if b := g.supply[v]; b > Eps {
 			totalSupply += b
-		} else if b < -Eps {
-			g.AddArc(v, t, -b, 0)
 		}
 	}
-	pot := make([]float64, len(g.adj))
-	dist := make([]float64, len(g.adj))
+	nodes := n + 2
+	pot := make([]float64, nodes)
+	dist := make([]float64, nodes)
 	routed := 0.0
 	totalCost := 0.0
-	iter := make([]int32, len(g.adj))
-	onPath := make([]bool, len(g.adj))
+	iter := make([]int32, nodes)
+	onPath := make([]bool, nodes)
 	for totalSupply-routed > Eps {
 		// One augmentation round is bounded work, so polling the context
 		// here keeps the abort latency proportional to a single Dijkstra
@@ -245,8 +304,8 @@ func (g *MinCostFlow) Solve() (float64, error) {
 			if it.dist > dist[u]+Eps {
 				continue
 			}
-			for ai := range g.adj[u] {
-				a := &g.adj[u][ai]
+			for ai := r.start[u]; ai < r.start[u+1]; ai++ {
+				a := &r.arcs[ai]
 				if a.cap <= Eps {
 					continue
 				}
@@ -276,10 +335,8 @@ func (g *MinCostFlow) Solve() (float64, error) {
 		// admissible arcs until no augmenting path remains, so one
 		// Dijkstra serves many saturations. onPath guards against the
 		// zero-cost cycles the model contains (opposite external edges).
-		for i := range iter {
-			iter[i] = 0
-		}
-		pushed := g.blockingFlow(s, t, totalSupply-routed, pot, iter, onPath, &totalCost)
+		copy(iter, r.start)
+		pushed := r.blockingFlow(s, t, totalSupply-routed, pot, iter, onPath, &totalCost)
 		routed += pushed
 		if pushed <= Eps {
 			return totalCost, &ErrInfeasible{Unrouted: totalSupply - routed}
@@ -289,7 +346,7 @@ func (g *MinCostFlow) Solve() (float64, error) {
 	// under pot, which is exactly dual feasibility; export the certificate.
 	g.duals = &Duals{
 		Pot:       append([]float64(nil), pot[:n]...),
-		Arcs:      realArcs,
+		Arcs:      len(g.from),
 		CostScale: 1 + g.maxCost,
 	}
 	return totalCost, nil
@@ -298,17 +355,17 @@ func (g *MinCostFlow) Solve() (float64, error) {
 // blockingFlow pushes flow from s to t along arcs whose reduced cost under
 // pot is (numerically) zero, using an iterative DFS with current-arc
 // pointers. It returns the total amount pushed and accumulates arc costs.
-func (g *MinCostFlow) blockingFlow(s, t int, limit float64, pot []float64, iter []int32, onPath []bool, totalCost *float64) float64 {
+func (r *residualGraph) blockingFlow(s, t int, limit float64, pot []float64, iter []int32, onPath []bool, totalCost *float64) float64 {
 	type frame struct {
 		node int32
 		arc  int32 // arc taken from the PREVIOUS frame's node to reach this one
 	}
 	total := 0.0
 	// Safety valve: zero-cost cycles can in principle make augmentations
-	// cancel each other's saturations; cap the phase and let the next
-	// Dijkstra continue (correctness never depends on the blocking flow
-	// being complete).
-	for rounds := 0; total < limit-Eps && rounds <= 4*len(g.arcPos)+16; rounds++ {
+	// cancel each other's saturations; cap the phase (at four rounds per
+	// arc, two per residual arc) and let the next Dijkstra continue
+	// (correctness never depends on the blocking flow being complete).
+	for rounds := 0; total < limit-Eps && rounds <= 2*len(r.arcs)+16; rounds++ {
 		// DFS from s.
 		stack := []frame{{node: int32(s), arc: -1}}
 		onPath[s] = true
@@ -316,8 +373,8 @@ func (g *MinCostFlow) blockingFlow(s, t int, limit float64, pot []float64, iter 
 		for len(stack) > 0 && !found {
 			u := stack[len(stack)-1].node
 			advanced := false
-			for ; iter[u] < int32(len(g.adj[u])); iter[u]++ {
-				a := &g.adj[u][iter[u]]
+			for ; iter[u] < r.start[u+1]; iter[u]++ {
+				a := &r.arcs[iter[u]]
 				if a.cap <= Eps || onPath[a.to] {
 					continue
 				}
@@ -353,15 +410,15 @@ func (g *MinCostFlow) blockingFlow(s, t int, limit float64, pot []float64, iter 
 		// Bottleneck and push along the stack path.
 		push := limit - total
 		for i := 1; i < len(stack); i++ {
-			a := &g.adj[stack[i-1].node][stack[i].arc]
+			a := &r.arcs[stack[i].arc]
 			if a.cap < push {
 				push = a.cap
 			}
 		}
 		for i := 1; i < len(stack); i++ {
-			a := &g.adj[stack[i-1].node][stack[i].arc]
+			a := &r.arcs[stack[i].arc]
 			a.cap -= push
-			g.adj[a.to][a.rev].cap += push
+			r.arcs[a.rev].cap += push
 			*totalCost += push * a.cost
 		}
 		total += push
@@ -376,11 +433,9 @@ func (g *MinCostFlow) blockingFlow(s, t int, limit float64, pot []float64, iter 
 // (diagnostics and tests).
 func (g *MinCostFlow) Cost() float64 {
 	total := 0.0
-	for id := range g.arcPos {
-		p := g.arcPos[id]
-		a := g.adj[p[0]][p[1]]
-		if !math.IsInf(a.cost, 1) {
-			total += g.Flow(ArcID(id)) * a.cost
+	for id, c := range g.cost {
+		if !math.IsInf(c, 1) {
+			total += g.flow[id] * c
 		}
 	}
 	return total

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"fbplace/internal/faultsim"
 )
@@ -40,17 +41,16 @@ func (e *ErrStalled) Error() string {
 // Like Solve, it routes all supply (demands may stay unfilled) and returns
 // *ErrInfeasible when some supply cannot reach remaining demand. The
 // simplex runs over the real nodes plus one artificial root that balances
-// the instance (see coldInit). After a successful run Flow(id) reports
-// the arc flows.
+// the instance (see coldInit), on the arc store in place: the root arcs
+// sit past the real arcs for the length of the run, and the real arcs'
+// flows are the solution. A stalled or aborted run leaves every flow 0.
 func (g *MinCostFlow) SolveNS() (float64, error) {
 	if g.buildErr != nil {
 		return 0, g.buildErr
 	}
 	g.duals = nil
-	n := len(g.adj)
-	ns := &netSimplex{}
+	n, m := len(g.supply), len(g.from)
 	root := n
-	ns.init(n + 1)
 	// The root takes the imbalance b[root] = D - S, of either sign.
 	b := make([]float64, n+1)
 	totalSupply := 0.0
@@ -61,12 +61,21 @@ func (g *MinCostFlow) SolveNS() (float64, error) {
 			totalSupply += b[v]
 		}
 	}
-	// Real arcs (forward arcs as added by AddArc; adj holds residuals but
-	// nothing has been routed yet, so cap is the original capacity).
-	realArc := make([]int, len(g.arcPos))
-	for id, p := range g.arcPos {
-		a := &g.adj[p[0]][p[1]]
-		realArc[id] = ns.addArc(int(p[0]), int(a.to), a.cap, a.cost)
+	// One root arc per real node follows the real arcs; grow the store
+	// once so coldInit appends them in place.
+	g.from = slices.Grow(g.from, n)
+	g.to = slices.Grow(g.to, n)
+	g.cap = slices.Grow(g.cap, n)
+	g.cost = slices.Grow(g.cost, n)
+	g.flow = slices.Grow(g.flow, n)
+	clear(g.flow)
+	ns := &netSimplex{
+		from: g.from, to: g.to, cap: g.cap, cost: g.cost, flow: g.flow,
+		state:    make([]int8, m, m+n),
+		numNodes: n + 1,
+	}
+	for ai := range ns.state {
+		ns.state[ai] = stateLower
 	}
 	ns.coldInit(b, root, g.maxCost)
 	// Publish pivot stats on EVERY exit — success, infeasibility, stall
@@ -76,29 +85,27 @@ func (g *MinCostFlow) SolveNS() (float64, error) {
 	defer func() {
 		g.Pivots = ns.pivots
 		g.Degenerate = ns.degenerate
+		g.Priced = ns.priced
 		g.Obs.Count("ns.pivots", float64(ns.pivots))
 		g.Obs.Count("ns.degenerate", float64(ns.degenerate))
+		g.Obs.Count("ns.priced", float64(ns.priced))
 	}()
 	if err := ns.run(g.Ctx, b, g.maxCost); err != nil {
+		clear(g.flow)
 		return 0, err
 	}
 	// Infeasibility: supply that reached no demand is left on the big-M
 	// up-arcs into the root, whether S <= D or S > D.
 	unrouted := 0.0
-	for _, ai := range ns.artificial {
+	for ai := m; ai < m+n; ai++ {
 		if int(ns.to[ai]) == root {
 			unrouted += ns.flow[ai]
 		}
 	}
-	// Write flows back into the residual structure so Flow(id) works.
 	totalCost := 0.0
-	for id, p := range g.arcPos {
-		f := ns.flow[realArc[id]]
-		a := &g.adj[p[0]][p[1]]
-		a.cap -= f
-		g.adj[a.to][a.rev].cap += f
-		if !math.IsInf(a.cost, 1) {
-			totalCost += f * a.cost
+	for id, f := range g.flow {
+		if c := g.cost[id]; !math.IsInf(c, 1) {
+			totalCost += f * c
 		}
 	}
 	if unrouted > 1e-6*math.Max(1, totalSupply) {
@@ -109,17 +116,20 @@ func (g *MinCostFlow) SolveNS() (float64, error) {
 	// dual certificate for the real-node subproblem.
 	g.duals = &Duals{
 		Pot:       append([]float64(nil), ns.pi[:n]...),
-		Arcs:      len(g.arcPos),
+		Arcs:      m,
 		CostScale: 1 + g.maxCost,
 	}
 	return totalCost, nil
 }
 
-// Arc states of the simplex.
+// Arc states of the simplex, signed so that the violation of an arc's
+// reduced-cost condition is state * reduced cost: an arc at its lower
+// bound violates when its reduced cost is negative, one at its upper
+// bound when it is positive, and a tree arc never.
 const (
-	stateLower = iota
-	stateTree
-	stateUpper
+	stateLower int8 = -1
+	stateTree  int8 = 0
+	stateUpper int8 = 1
 )
 
 // netSimplex is a primal network simplex over a spanning tree rooted at an
@@ -132,6 +142,8 @@ const (
 // from v to lastSucc[v], so a pivot re-hangs it by splicing the thread and
 // refreshes its potentials by one constant shift.
 type netSimplex struct {
+	// The arc arrays alias MinCostFlow's arc store: the real arcs, then
+	// the root arcs coldInit appends.
 	from, to []int32
 	cap      []float64
 	cost     []float64
@@ -156,23 +168,19 @@ type netSimplex struct {
 	leaveLower           bool    // the leaving arc exits at its lower bound
 	dirtyRevs            []int32 // thread entries rewritten by a re-hang
 
-	artificial []int // arc ids of the root arcs
 	numNodes   int
 	pivots     int
 	degenerate int // pivots with zero flow change
+	priced     int // arcs priced by the entering-arc search
 }
 
-func (ns *netSimplex) init(numNodes int) {
-	ns.numNodes = numNodes
-}
-
-func (ns *netSimplex) addArc(u, v int, capacity, cost float64) int {
+func (ns *netSimplex) addArc(u, v int, capacity, cost, flow float64) int {
 	ns.from = append(ns.from, int32(u))
 	ns.to = append(ns.to, int32(v))
 	ns.cap = append(ns.cap, capacity)
 	ns.cost = append(ns.cost, cost)
-	ns.flow = append(ns.flow, 0)
-	ns.state = append(ns.state, stateLower)
+	ns.flow = append(ns.flow, flow)
+	ns.state = append(ns.state, stateTree)
 	return len(ns.from) - 1
 }
 
@@ -184,7 +192,8 @@ func (ns *netSimplex) addArc(u, v int, capacity, cost float64) int {
 // Every zero-flow tree arc then points at the root and every saturated one
 // away from it, so the tree is strongly feasible. The cap keeps a demand
 // node from passing root flow on along zero-cost out-arcs. The thread
-// visits the root, then the other nodes in index order.
+// visits the root, then the other nodes in index order; the root arcs are
+// appended in the same order.
 func (ns *netSimplex) coldInit(b []float64, root int, maxCost float64) {
 	nn := ns.numNodes
 	bigM := (maxCost + 1) * float64(nn)
@@ -203,16 +212,12 @@ func (ns *netSimplex) coldInit(b []float64, root int, maxCost float64) {
 		}
 		var ai int
 		if b[v] < 0 {
-			ai = ns.addArc(root, v, -b[v], 0)
-			ns.flow[ai] = -b[v]
+			ai = ns.addArc(root, v, -b[v], 0, -b[v])
 		} else {
-			ai = ns.addArc(v, root, Inf, bigM)
-			ns.flow[ai] = b[v]
+			ai = ns.addArc(v, root, Inf, bigM, b[v])
 			ns.predUp[v] = true
 			ns.pi[v] = -bigM
 		}
-		ns.state[ai] = stateTree
-		ns.artificial = append(ns.artificial, ai)
 		ns.parent[v] = int32(root)
 		ns.predArc[v] = int32(ai)
 		ns.succNum[v] = 1
@@ -263,7 +268,8 @@ func (ns *netSimplex) run(ctx context.Context, b []float64, maxCost float64) err
 				return &ErrStalled{Pivots: ns.pivots}
 			}
 		}
-		// Block search for the entering arc.
+		// Block search for the entering arc: the most violating arc of
+		// the first block that holds one.
 		enter := -1
 		bestViol := Eps * (1 + maxCost)
 		scanned := 0
@@ -272,22 +278,10 @@ func (ns *netSimplex) run(ctx context.Context, b []float64, maxCost float64) err
 			if end > m {
 				end = m
 			}
-			for ai := scan; ai < end; ai++ {
-				if ns.state[ai] == stateTree {
-					continue
-				}
-				rc := ns.cost[ai] + ns.pi[ns.from[ai]] - ns.pi[ns.to[ai]]
-				var viol float64
-				if ns.state[ai] == stateLower {
-					viol = -rc
-				} else {
-					viol = rc
-				}
-				if viol > bestViol {
-					bestViol = viol
-					enter = ai
-				}
+			if ai, viol := ns.priceBlock(scan, end, bestViol); ai >= 0 {
+				enter, bestViol = ai, viol
 			}
+			ns.priced += end - scan
 			scanned += end - scan
 			scan = end
 			if scan >= m {
@@ -307,6 +301,26 @@ func (ns *netSimplex) run(ctx context.Context, b []float64, maxCost float64) err
 		}
 	}
 	return nil
+}
+
+// priceBlock returns the arc of [lo, hi) whose violation
+// state * (cost + pi[from] - pi[to]) is largest and exceeds best, with
+// that violation, or -1 when none does. Multiplying by the signed state
+// negates exactly and scores a tree arc 0, so the scan needs no branch on
+// the state and picks the arc a per-state test would.
+func (ns *netSimplex) priceBlock(lo, hi int, best float64) (int, float64) {
+	enter := -1
+	state, cost := ns.state[lo:hi], ns.cost[lo:hi]
+	from, to := ns.from[lo:hi], ns.to[lo:hi]
+	pi := ns.pi
+	for i := range state {
+		viol := float64(state[i]) * (cost[i] + pi[from[i]] - pi[to[i]])
+		if viol > best {
+			best = viol
+			enter = lo + i
+		}
+	}
+	return enter, best
 }
 
 // pivot performs one simplex pivot with the given entering arc.

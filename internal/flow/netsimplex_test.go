@@ -178,10 +178,9 @@ func TestNSFlowConservation(t *testing.T) {
 			cp   float64
 		}
 		var arcs []rec
-		for id := range g.arcPos {
-			p := g.arcPos[id]
-			a := g.adj[p[0]][p[1]]
-			arcs = append(arcs, rec{ArcID(id), int(p[0]), int(a.to), a.cap})
+		for id := 0; id < g.NumArcs(); id++ {
+			u, v, cp, _ := g.ArcInfo(ArcID(id))
+			arcs = append(arcs, rec{ArcID(id), u, v, cp})
 		}
 		_, err := g.SolveNS()
 		if err != nil {
@@ -321,6 +320,9 @@ func TestNSStatsPublishedOnStall(t *testing.T) {
 	if got := g.Obs.Counter("ns.pivots"); got != float64(g.Pivots) {
 		t.Fatalf("ns.pivots counter = %v, want %d", got, g.Pivots)
 	}
+	if got := g.Obs.Counter("ns.priced"); got != float64(g.Priced) || g.Priced < g.Pivots {
+		t.Fatalf("ns.priced counter = %v, g.Priced = %d, want equal and >= %d pivots", got, g.Priced, g.Pivots)
+	}
 	if stall.Pivots != g.Pivots {
 		t.Fatalf("ErrStalled.Pivots = %d, g.Pivots = %d", stall.Pivots, g.Pivots)
 	}
@@ -339,5 +341,8 @@ func TestNSStatsPublishedOnInfeasible(t *testing.T) {
 	}
 	if got := g.Obs.Counter("ns.pivots"); got != float64(g.Pivots) {
 		t.Fatalf("ns.pivots counter = %v, want %d", got, g.Pivots)
+	}
+	if got := g.Obs.Counter("ns.priced"); got != float64(g.Priced) || g.Priced < g.Pivots {
+		t.Fatalf("ns.priced counter = %v, g.Priced = %d, want equal and >= %d pivots", got, g.Priced, g.Pivots)
 	}
 }
