@@ -55,12 +55,13 @@ go test -timeout 5m -run 'TestSolveSubsetAllocsOBlock' ./internal/qp/
 
 echo "== benchmark smoke =="
 # One iteration each of the realization-path microbenchmarks (local QP,
-# its CSR assembly, realization level, transportation engines), of the
+# its CSR assembly, realization level, one pair-pass transportation,
+# transportation engines), of the
 # global MCF ones (network simplex on a synthetic grid and on
 # Table-I-shaped FBP models, and the build of those models) and of the
 # recursive-baseline and local-QP ablations, so a change that breaks or
 # pathologically slows them fails CI fast.
-go test -timeout 10m -run '^$' -bench 'BenchmarkSolveSubsetBlock|BenchmarkRealizeLevel|BenchmarkSolveFBPGrid|BenchmarkBuildFBPModel' -benchtime 1x ./internal/qp/ ./internal/fbp/
+go test -timeout 10m -run '^$' -bench 'BenchmarkSolveSubsetBlock|BenchmarkRealizeLevel|BenchmarkPairStep|BenchmarkSolveFBPGrid|BenchmarkBuildFBPModel' -benchtime 1x ./internal/qp/ ./internal/fbp/
 go test -timeout 10m -run '^$' -bench 'BenchmarkNSGrid' -benchtime 1x ./internal/flow/
 go test -timeout 10m -run '^$' -bench 'BenchmarkEngines|BenchmarkCondensedLarge|BenchmarkCondensedPairShape' -benchtime 1x ./internal/transport/
 go test -timeout 10m -run '^$' -bench 'BenchmarkBuild' -benchtime 1x ./internal/sparse/
@@ -105,6 +106,7 @@ echo "== kill-and-resume e2e =="
 ckdir=$(mktemp -d ./ci-ckpt.XXXXXX)
 trap 'rm -rf "$ckdir"' EXIT
 go build -o "$ckdir/fbplace" ./cmd/fbplace
+go build -o "$ckdir/genchip" ./cmd/genchip
 "$ckdir/fbplace" -cells 3000 -seed 7 -dump-hex "$ckdir/full.hex" >/dev/null
 if "$ckdir/fbplace" -cells 3000 -seed 7 -checkpoint "$ckdir/ck" \
 	-fault placer.level.fail:after=1,limit=1,panic=1 >/dev/null 2>&1; then
@@ -114,6 +116,15 @@ fi
 "$ckdir/fbplace" -cells 3000 -seed 7 -checkpoint "$ckdir/ck" -resume \
 	-dump-hex "$ckdir/resumed.hex" >/dev/null
 cmp "$ckdir/full.hex" "$ckdir/resumed.hex"
+
+echo "== recursive baseline e2e =="
+# The recursive baseline partitions its windows on the realization worker
+# pool, so its placement must not depend on the worker count: one and four
+# workers on a chip with movebounds give identical positions.
+"$ckdir/genchip" -cells 3000 -seed 5 -movebounds 3 -o "$ckdir/mb.chip" 2>/dev/null
+"$ckdir/fbplace" -i "$ckdir/mb.chip" -mode recursive -workers 1 -dump-hex "$ckdir/rec1.hex" >/dev/null
+"$ckdir/fbplace" -i "$ckdir/mb.chip" -mode recursive -workers 4 -dump-hex "$ckdir/rec4.hex" >/dev/null
+cmp "$ckdir/rec1.hex" "$ckdir/rec4.hex"
 
 echo "== placement service e2e =="
 # Service gate: fbplaced must serve a placement over HTTP whose positions
@@ -176,7 +187,6 @@ grep -q 'certify:' "$ckdir/certify2.log" ||
 	{ echo "certification e2e: failure lacks the certify error" >&2; exit 1; }
 # Detailed placement next to fixed cells: genchip keeps its default two
 # macros, and a certified -detail run must leave no cell over them.
-go build -o "$ckdir/genchip" ./cmd/genchip
 "$ckdir/genchip" -cells 5000 -seed 4 -o "$ckdir/macros.chip"
 "$ckdir/fbplace" -i "$ckdir/macros.chip" -certify -detail 1 >/dev/null
 

@@ -9,8 +9,11 @@ import (
 	"fbplace/internal/geom"
 	"fbplace/internal/grid"
 	"fbplace/internal/netlist"
+	"fbplace/internal/obs"
+	"fbplace/internal/qp"
 	"fbplace/internal/region"
 	"fbplace/internal/rql"
+	"fbplace/internal/transport"
 )
 
 // benchInstance builds a crowded instance whose realization needs many
@@ -141,4 +144,66 @@ func fbpGridInstance(tb testing.TB) (*netlist.Netlist, *region.Decomposition, ge
 func fbpGridLevel(base *netlist.Netlist, decomp *region.Decomposition, blockages geom.RectSet, k int) (*grid.WindowRegions, []int) {
 	g := grid.MustNew(base.Area, k, k)
 	return grid.BuildWindowRegions(g, decomp, blockages, 0.97), g.AssignCells(base)
+}
+
+// BenchmarkPairStep times one transportation of the pair pass alone: the
+// first pair of the first topological level of the level-1 (2x2) model of
+// a 10k-cell chip with four overlapping inclusive movebounds (the chip of
+// `genchip -cells 10000 -movebounds 4 -overlap -seed 1`), started from its
+// initial QP. The step is built through the functions realizeUnit
+// calls (pairTargets, markRealized, buildStep) without the footprint QP;
+// chip generation, QP, model solve and build run outside the timer. The
+// problem size and the condensed engine's refills and tie scans per solve
+// are reported next to ns/op.
+func BenchmarkPairStep(b *testing.B) {
+	spec := gen.ChipSpec{Name: "pairstep", NumCells: 10000, Seed: 1, NumMacros: 2}
+	for k := 0; k < 4; k++ {
+		spec.Movebounds = append(spec.Movebounds, gen.MoveboundSpec{
+			Kind: region.Inclusive, CellFraction: 0.3 / 4, Density: 0.7, NestedIn: -1, Overlap: k%2 == 1,
+		})
+	}
+	inst, err := gen.Chip(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := inst.N
+	mbs, err := region.Normalize(n.Area, inst.Movebounds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := qp.Solve(n, nil, qp.Options{}); err != nil {
+		b.Fatal(err)
+	}
+	wr := grid.BuildWindowRegions(grid.MustNew(n.Area, 2, 2), region.Decompose(n.Area, mbs), n.FixedRects(), 0.97)
+	m := BuildModel(n, wr, wr.Grid.AssignCells(n))
+	if err := m.Solve(); err != nil {
+		b.Fatal(err)
+	}
+	r := newRealizer(m, DefaultConfig(), nil)
+	levels, err := r.topoLevels()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(levels) == 0 {
+		b.Fatal("the level-1 model carries no external flow")
+	}
+	un := levels[0][0]
+	sc := newWorkerScratch()
+	target := r.pairTargets(un, sc)[0]
+	r.markRealized(target.edges)
+	r.buildStep(&sc.step, un.window, target.to)
+	p := &sc.step.prob
+	rec := obs.New(nil)
+	p.Obs = rec
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := transport.Solve(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(p.NumSources()), "sources")
+	b.ReportMetric(float64(p.NumSinks()), "sinks")
+	b.ReportMetric(rec.Counter("transport.tie_scans")/float64(b.N), "tie_scans/op")
+	b.ReportMetric(rec.Counter("transport.refills")/float64(b.N), "refills/op")
 }

@@ -7,6 +7,8 @@
 // external edges) turn the flow into an actual cell-to-region
 // partitioning. The partitioning is feasible for any initial placement
 // whenever a fractional placement with movebounds exists (Theorem 3).
+// PartitionLocal is the recursive baseline the paper improves upon: the
+// same per-window transportation, without the flow.
 package fbp
 
 import (

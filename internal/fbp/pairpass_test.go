@@ -1,7 +1,9 @@
 package fbp
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"fbplace/internal/geom"
@@ -153,6 +155,105 @@ func TestWavesRealizeAllTransit(t *testing.T) {
 	for i, v := range r.unrealizedOut {
 		if v != 0 {
 			t.Fatalf("unrealizedOut[%d] = %g after the waves, want exactly 0", i, v)
+		}
+	}
+}
+
+// buildStep only reads realizer state. On a realizer halfway through its
+// waves (the first topological level realized, a unit of the second one
+// with its first target marked realized), building the same pair step
+// twice gives bit-equal problems and leaves cellsIn, parked, cellRegion,
+// unrealizedOut and the positions as they were.
+func TestBuildStepReadsOnly(t *testing.T) {
+	mbs := []region.Movebound{{Name: "M", Kind: region.Inclusive, Area: geom.RectSet{{Xlo: 0, Ylo: 0, Xhi: 7, Yhi: 7}}}}
+	n := crowdedNetlist(17, 210)
+	wr := build(t, mbs, 4, 4, 1.0, nil)
+	m := BuildModel(n, wr, wr.Grid.AssignCells(n))
+	if err := m.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	r := newRealizer(m, DefaultConfig(), nil)
+	levels, err := r.topoLevels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(levels) < 2 {
+		t.Fatalf("%d topological levels, want at least 2", len(levels))
+	}
+	for _, wave := range r.waveSplit(levels[0]) {
+		if err := r.runWave(wave); err != nil {
+			t.Fatal(err)
+		}
+	}
+	un := levels[1][0]
+	sc := newWorkerScratch()
+	target := r.pairTargets(un, sc)[0]
+	r.markRealized(target.edges)
+
+	type state struct {
+		cellsIn       [][]int32
+		parked        []bool
+		cellRegion    []RegionRef
+		unrealizedOut []uint64
+		x, y          []uint64
+	}
+	bits := func(v []float64) []uint64 {
+		out := make([]uint64, len(v))
+		for i, f := range v {
+			out[i] = math.Float64bits(f)
+		}
+		return out
+	}
+	take := func() state {
+		s := state{
+			parked:        append([]bool(nil), r.parked...),
+			cellRegion:    append([]RegionRef(nil), r.cellRegion...),
+			unrealizedOut: bits(r.unrealizedOut),
+			x:             bits(n.X),
+			y:             bits(n.Y),
+		}
+		for _, cells := range r.cellsIn {
+			s.cellsIn = append(s.cellsIn, append([]int32{}, cells...))
+		}
+		return s
+	}
+	before := take()
+	var a, b step
+	r.buildStep(&a, un.window, target.to)
+	r.buildStep(&b, un.window, target.to)
+	if !reflect.DeepEqual(take(), before) {
+		t.Fatal("buildStep changed realizer state")
+	}
+	if len(a.cells) == 0 {
+		t.Fatal("empty pair step")
+	}
+	transit := 0
+	for _, s := range a.sinks {
+		if s.region < 0 {
+			transit++
+		}
+	}
+	if transit == 0 {
+		t.Fatal("pair step offers no transit sink; pick a unit with unrealized flow left")
+	}
+	if !reflect.DeepEqual(bits(a.prob.Supply), bits(b.prob.Supply)) {
+		t.Fatal("supplies differ between two builds")
+	}
+	if !reflect.DeepEqual(bits(a.prob.Capacity), bits(b.prob.Capacity)) {
+		t.Fatal("capacities differ between two builds")
+	}
+	if len(a.prob.Arcs) != len(b.prob.Arcs) {
+		t.Fatalf("%d vs %d arc lists", len(a.prob.Arcs), len(b.prob.Arcs))
+	}
+	for i := range a.prob.Arcs {
+		x, y := a.prob.Arcs[i], b.prob.Arcs[i]
+		if len(x) != len(y) {
+			t.Fatalf("source %d: %d vs %d arcs", i, len(x), len(y))
+		}
+		for k := range x {
+			if x[k].Sink != y[k].Sink || math.Float64bits(x[k].Cost) != math.Float64bits(y[k].Cost) {
+				t.Fatalf("source %d arc %d: %v vs %v", i, k, x[k], y[k])
+			}
 		}
 	}
 }

@@ -126,9 +126,8 @@ func TestRunUnitsCancel(t *testing.T) {
 
 // After the waves and the final pass every movable cell is in exactly one
 // window list, the window of its assigned region, and no cell is parked.
-// transportWindows empties and refills the lists of the windows it
-// names, so a step that were passed a partial cell list would drop cells
-// here.
+// applyStep empties and refills the lists of the step's windows, so a
+// step built from a partial cell list would drop cells here.
 func TestRealizeKeepsWindowMembership(t *testing.T) {
 	mbs := []region.Movebound{{Name: "M", Kind: region.Inclusive, Area: geom.RectSet{{Xlo: 0, Ylo: 0, Xhi: 7, Yhi: 7}}}}
 	for _, workers := range []int{1, 4} {
@@ -145,7 +144,7 @@ func TestRealizeKeepsWindowMembership(t *testing.T) {
 			if err := r.realizeWaves(); err != nil {
 				t.Fatal(err)
 			}
-			if err := r.finalPass(); err != nil {
+			if _, err := r.finalPass(); err != nil {
 				t.Fatal(err)
 			}
 			listed := make([]int, n.NumCells())

@@ -1,12 +1,14 @@
 package fbp
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -134,25 +136,30 @@ type realizer struct {
 }
 
 // workerScratch bundles the reusable buffers of one realization worker:
-// the local QP and transportation workspaces plus the sink and
-// transportation buffers of transportWindows. Worker k of runUnits owns
-// r.scratch[k] for the whole run and uses it for every unit it takes, so
-// steady-state realization allocates in proportion to the unit instead of
-// rebuilding every buffer. Reuse never changes results: all buffers are
-// fully rewritten per unit.
+// the local QP workspace, the footprint and target buffers of realizeUnit
+// and the step every transportation of the worker is built in. Worker k
+// of runUnits owns r.scratch[k] for the whole run and uses it for every
+// unit it takes, so steady-state realization allocates only what the
+// solvers return. Reuse never changes results: all buffers are fully
+// rewritten per unit.
 type workerScratch struct {
-	qp        *qp.Workspace
-	transport *transport.Workspace
-	subset    []netlist.CellID
-	sinks     []sinkInfo
-	caps      []float64
-	supply    []float64
-	arcs      [][]transport.Arc
-	// cellBuf is the reusable cell-collection buffer of the realization
-	// steps. It is owned by the scratch, never by a window list, so the
-	// apply phase of transportWindows may rewrite the window lists while
-	// iterating it.
-	cellBuf []int32
+	qp      *qp.Workspace
+	subset  []netlist.CellID
+	targets []pairTarget
+	step    step
+}
+
+func newWorkerScratch() *workerScratch {
+	sc := &workerScratch{qp: qp.NewWorkspace()}
+	sc.step.prob.Workspace = transport.NewWorkspace()
+	return sc
+}
+
+// pairTarget is one flow target of a unit: the target window and the
+// unit's external edges into it.
+type pairTarget struct {
+	to    int
+	edges []int32
 }
 
 // unit is a realization step: one window together with the classes whose
@@ -258,7 +265,7 @@ func Realize(m *Model, cfg Config) (*Result, error) {
 	// Final internal partitioning: every window maps its cells to its
 	// regions (no transit sinks remain).
 	fsp := rec.StartSpan("fbp.final")
-	if err := r.finalPass(); err != nil {
+	if _, err := r.finalPass(); err != nil {
 		fsp.End()
 		return nil, err
 	}
@@ -267,16 +274,63 @@ func Realize(m *Model, cfg Config) (*Result, error) {
 	// multi-hop realizations: move the smallest set of cells from
 	// overfull regions to the nearest admissible regions with headroom.
 	psp := rec.StartSpan("fbp.repair")
-	r.repairOverflow()
+	residual := r.repairOverflow()
 	psp.End()
 	m.Stats.RealizeTime = time.Since(start) //fbpvet:allow reporting-only duration
 	m.Stats.Waves = r.waves
 	m.Stats.LocalQPSolves, m.Stats.LocalCGIters = r.qpStats.Snapshot()
 	rec.Count("fbp.waves", float64(r.waves))
+	return &Result{CellRegion: r.cellRegion, Stats: m.Stats, RoundingOverflow: residual}, nil
+}
 
-	res := &Result{CellRegion: r.cellRegion, Stats: m.Stats}
-	res.RoundingOverflow = r.roundingOverflow()
-	return res, nil
+// PartitionLocal is the recursive partitioning baseline the paper
+// improves upon (§IV): every window partitions its own cells among its
+// own regions, with no global flow. It is the final pass of a realizer
+// over a flow-less model, after an escape pass for the cells it cannot
+// place at all: a cell whose movebound covers no region of its window is
+// teleported to the nearest admissible region anywhere on the chip — the
+// inherent blind spot of recursive approaches. Every teleported cell
+// counts one relaxation, and so does every window whose cells do not fit
+// its regions, which takes the least overflow its elastic transportation
+// allows. cfg's Workers, Obs, Ctx and Degrade apply as in Partition.
+func PartitionLocal(n *netlist.Netlist, wr *grid.WindowRegions, cfg Config) (relaxations int, err error) {
+	relaxations = escapeLocal(n, wr)
+	r := newRealizer(&Model{N: n, WR: wr}, cfg, cfg.Obs)
+	overflowed, err := r.finalPass()
+	return relaxations + overflowed, err
+}
+
+// escapeLocal moves every movable cell whose movebound covers no region
+// with capacity in its window to the nearest point of such a region
+// anywhere on the chip, and returns the number of cells moved.
+func escapeLocal(n *netlist.Netlist, wr *grid.WindowRegions) int {
+	moved := 0
+	for i := range n.Cells {
+		if n.Cells[i].Fixed {
+			continue
+		}
+		mb := n.Cells[i].Movebound
+		fits := func(reg grid.WindowRegion) bool { return reg.Capacity > 0 && wr.Decomp.Admissible(mb, reg.Region) }
+		id := netlist.CellID(i)
+		pos := n.Pos(id)
+		if slices.ContainsFunc(wr.PerWin[wr.Grid.LocateIndex(pos)], fits) {
+			continue
+		}
+		moved++
+		best, bestD := pos, math.Inf(1)
+		for _, regs := range wr.PerWin {
+			for _, reg := range regs {
+				if !fits(reg) {
+					continue
+				}
+				if q, ok := reg.Rects.Nearest(pos); ok && q.DistL1(pos) < bestD {
+					best, bestD = q, q.DistL1(pos)
+				}
+			}
+		}
+		n.SetPos(id, best)
+	}
+	return moved
 }
 
 // newRealizer sets up the realization state of a solved model: every
@@ -601,7 +655,7 @@ func (r *realizer) runUnits(n int, phase string, window func(i int) int, do func
 	var next atomic.Int64
 	work := func(k int) {
 		if r.scratch[k] == nil {
-			r.scratch[k] = &workerScratch{qp: qp.NewWorkspace(), transport: transport.NewWorkspace()}
+			r.scratch[k] = newWorkerScratch()
 		}
 		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
 			errs[i] = call(i, r.scratch[k])
@@ -674,38 +728,11 @@ func (r *realizer) realizeUnit(un unit, snapX, snapY []float64, sc *workerScratc
 	if err := unitFault.Check(); err != nil {
 		return err
 	}
-	g := r.m.WR.Grid
-	W := g.NumWindows()
 	u := un.window
-
-	// Group the unit's outgoing edges by target window. Targets are the
-	// (at most 4) grid neighbors, so a linear scan groups faster than a
-	// map and stays allocation-free after the first unit.
-	type pairTarget struct {
-		to    int
-		edges []int32
-	}
-	var targets []pairTarget
-	for _, cls := range un.classes {
-		for _, ei := range r.outgoing[cls*W+u] {
-			e := &r.m.Externals[ei]
-			found := false
-			for t := range targets {
-				if targets[t].to == e.To {
-					targets[t].edges = append(targets[t].edges, ei)
-					found = true
-					break
-				}
-			}
-			if !found {
-				targets = append(targets, pairTarget{to: e.To, edges: []int32{ei}})
-			}
-		}
-	}
+	targets := r.pairTargets(un, sc)
 	if len(targets) == 0 {
 		return nil
 	}
-	sort.Slice(targets, func(a, b int) bool { return targets[a].to < targets[b].to })
 
 	// One footprint QP (unit + targets) replaces the per-pair QPs.
 	if r.cfg.LocalQP {
@@ -729,27 +756,61 @@ func (r *realizer) realizeUnit(un unit, snapX, snapY []float64, sc *workerScratc
 		}
 	}
 
-	var pair [2]int
+	st := &sc.step
 	for _, t := range targets {
-		// Mark this target's edges realized (their flow must move now).
-		for _, ei := range t.edges {
-			e := &r.m.Externals[ei]
-			r.unrealizedOut[(e.Class*W+e.From)*numDirs+e.FromDir] -= e.Flow
-		}
-		cells := sc.cellBuf[:0]
-		cells = append(cells, r.cellsIn[u]...)
-		cells = append(cells, r.cellsIn[t.to]...)
-		sc.cellBuf = cells
-		if len(cells) == 0 {
+		r.markRealized(t.edges)
+		r.buildStep(st, u, t.to)
+		if len(st.cells) == 0 {
 			continue
 		}
-		pair[0], pair[1] = u, t.to
 		r.rec.Count("realize.pairpass", 1)
-		if err := r.transportWindows(u, pair[:], cells, sc); err != nil {
+		if _, err := r.realizeStep(st); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// pairTargets groups the unit's outgoing external edges by target window,
+// in ascending target order, reusing sc's target and edge buffers. Targets
+// are the (at most 4) grid neighbors, so a linear scan groups faster than
+// a map.
+func (r *realizer) pairTargets(un unit, sc *workerScratch) []pairTarget {
+	W := r.m.WR.Grid.NumWindows()
+	targets := sc.targets[:0]
+	for _, cls := range un.classes {
+		for _, ei := range r.outgoing[cls*W+un.window] {
+			to := r.m.Externals[ei].To
+			t := 0
+			for t < len(targets) && targets[t].to != to {
+				t++
+			}
+			if t == len(targets) {
+				if t < cap(targets) {
+					// Reuse the edge buffer an earlier unit left in the slot.
+					targets = targets[:t+1]
+					targets[t].edges = targets[t].edges[:0]
+				} else {
+					targets = append(targets, pairTarget{})
+				}
+				targets[t].to = to
+			}
+			targets[t].edges = append(targets[t].edges, ei)
+		}
+	}
+	slices.SortFunc(targets, func(a, b pairTarget) int { return a.to - b.to })
+	sc.targets = targets
+	return targets
+}
+
+// markRealized removes the flow of the given external edges from their
+// unrealizedOut entries: that flow must move now.
+func (r *realizer) markRealized(edges []int32) {
+	W := r.m.WR.Grid.NumWindows()
+	for _, ei := range edges {
+		e := &r.m.Externals[ei]
+		r.unrealizedOut[(e.Class*W+e.From)*numDirs+e.FromDir] -= e.Flow
+	}
 }
 
 // sinkInfo describes one transportation sink of a realization step: a window
@@ -762,23 +823,55 @@ type sinkInfo struct {
 	rectSet geom.RectSet
 }
 
-// transportWindows partitions the given cells among the regions of the
-// given windows plus their unrealized transit capacities. Each (class,
-// window, direction) has exactly one external edge, whose flow is added to
-// its unrealizedOut entry once and subtracted once, so after the waves
-// every entry is exactly zero and the final pass offers regions only.
-//
-// cells must be every cell of the given windows (the concatenation of
-// their cellsIn lists) in a buffer that aliases no window list: the apply
-// step empties those lists and refills them from the plan.
-func (r *realizer) transportWindows(u int, windows []int, cells []int32, sc *workerScratch) error {
+// step is one window-to-region transportation of the realization: the
+// cells of one window (final pass) or of a neighbor pair (pair pass) onto
+// the windows' regions and their still-unrealized transit capacities.
+// buildStep fills it from realizer state, roundCapacityAware rounds its
+// solution and applyStep writes the plan back. Each worker reuses one
+// step for all its transportations.
+type step struct {
+	windows []int
+	// cells[i] is the cell of source i: the windows' cellsIn lists, one
+	// after another.
+	cells []int32
+	// sinks[j] describes sink j.
+	sinks []sinkInfo
+	prob  transport.Problem
+	// Buffers of roundCapacityAware; rounded[i] is the sink of source i.
+	remaining []float64
+	splits    []split
+	rounded   []int
+}
+
+// split is a source the fractional plan spreads over several sinks.
+type split struct {
+	src  int
+	size float64
+}
+
+// buildStep fills st with the transportation of every cell of the given
+// windows onto the windows' regions plus their unrealized transit
+// capacities, reading realizer state only. Each (class, window,
+// direction) has exactly one external edge, whose flow is added to its
+// unrealizedOut entry once and subtracted once, so after the waves every
+// entry is exactly zero and the final pass offers regions only. A step
+// without cells gets no sinks and no problem; callers skip it.
+func (r *realizer) buildStep(st *step, windows ...int) {
 	g := r.m.WR.Grid
 	W := g.NumWindows()
 	d := r.m.WR.Decomp
 	numMB := len(d.Movebounds)
 
-	sinks := sc.sinks[:0]
-	caps := sc.caps[:0]
+	st.windows = append(st.windows[:0], windows...)
+	st.cells = st.cells[:0]
+	for _, w := range windows {
+		st.cells = append(st.cells, r.cellsIn[w]...)
+	}
+	if len(st.cells) == 0 {
+		return
+	}
+	sinks := st.sinks[:0]
+	caps := st.prob.Capacity[:0]
 	for _, w := range windows {
 		for k := range r.m.WR.PerWin[w] {
 			reg := &r.m.WR.PerWin[w][k]
@@ -815,33 +908,16 @@ func (r *realizer) transportWindows(u int, windows []int, cells []int32, sc *wor
 			}
 		}
 	}
-	sc.sinks, sc.caps = sinks, caps
-	supply := sc.supply
-	if cap(supply) < len(cells) {
-		supply = make([]float64, len(cells))
-	} else {
-		supply = supply[:len(cells)]
-	}
-	arcs := sc.arcs
-	if cap(arcs) < len(cells) {
-		arcs = append(arcs[:cap(arcs)], make([][]transport.Arc, len(cells)-cap(arcs))...)
-	} else {
-		arcs = arcs[:len(cells)]
-	}
-	sc.supply, sc.arcs = supply, arcs
-	prob := &transport.Problem{
-		Supply:    supply,
-		Capacity:  caps,
-		Arcs:      arcs,
-		Obs:       r.rec,
-		Ctx:       r.cfg.Ctx,
-		Degrade:   r.cfg.Degrade,
-		Workspace: sc.transport,
-	}
-	for i, ci := range cells {
+	st.sinks = sinks
+	p := &st.prob
+	p.Capacity = caps
+	p.Supply = resize(p.Supply, len(st.cells))
+	p.Arcs = resize(p.Arcs, len(st.cells))
+	p.Obs, p.Ctx, p.Degrade = r.rec, r.cfg.Ctx, r.cfg.Degrade
+	for i, ci := range st.cells {
 		c := &r.n.Cells[ci]
-		supply[i] = c.Size()
-		arcs[i] = arcs[i][:0]
+		p.Supply[i] = c.Size()
+		arcs := p.Arcs[i][:0]
 		pos := r.n.Pos(netlist.CellID(ci))
 		cls := classOf(c.Movebound, numMB)
 		for si := range sinks {
@@ -862,30 +938,61 @@ func (r *realizer) transportWindows(u int, windows []int, cells []int32, sc *wor
 				}
 				cost = pos.DistL1(s.pos)
 			}
-			arcs[i] = append(arcs[i], transport.Arc{Sink: si, Cost: cost})
+			arcs = append(arcs, transport.Arc{Sink: si, Cost: cost})
 		}
+		p.Arcs[i] = arcs
 	}
-	// One elastic solve per unit: when earlier steps overfilled the
-	// windows (see Partition), the solve spills the least overflow it can
-	// onto the cheapest full sinks. repairOverflow removes what the final
-	// pass leaves; Result.RoundingOverflow reports it.
-	sol, err := r.solveUnit(prob)
+}
+
+// resize returns s with length n, reusing its backing array (and whatever
+// the elements there hold) when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
+}
+
+// realizeStep solves the built step, rounds the solution and applies it.
+// It reports whether the solve had to take overflow. The solve is elastic:
+// when earlier steps overfilled the windows (see Partition), it spills the
+// least overflow it can onto the cheapest full sinks; repairOverflow
+// removes what the final pass leaves and Result.RoundingOverflow reports
+// the rest.
+func (r *realizer) realizeStep(st *step) (overflowed bool, err error) {
+	sol, err := r.solveUnit(&st.prob)
 	if err != nil {
-		return fmt.Errorf("fbp: transportation of unit %d: %w", u, err)
+		return false, fmt.Errorf("fbp: transportation of unit %d: %w", st.windows[0], err)
 	}
-	rounded := roundCapacityAware(prob, sol)
-	// Apply: move cells between windows, set positions and assignments.
-	// cells are all the windows' cells, so the lists are rebuilt from the
-	// plan.
-	for _, w := range windows {
+	st.roundCapacityAware(sol)
+	return sol.TotalOverflow() > 0, r.applyStep(st)
+}
+
+// solveUnit makes the unit's transportation solve and certifies the
+// solution when a checker is configured.
+func (r *realizer) solveUnit(p *transport.Problem) (*transport.Solution, error) {
+	sol, err := transport.Solve(p)
+	if err == nil && r.cfg.Check != nil {
+		err = r.cfg.Check.Transport(p, sol)
+	}
+	return sol, err
+}
+
+// applyStep writes the rounded plan of a step back: the step's cells move
+// between its windows, cells at a region sink are assigned to it and take
+// its point nearest to their position, and cells at a transit sink park
+// there. Of the steps it is the only writer of cellsIn, parked, cellRegion
+// and the cell positions.
+func (r *realizer) applyStep(st *step) error {
+	for _, w := range st.windows {
 		r.cellsIn[w] = r.cellsIn[w][:0]
 	}
-	for i, ci := range cells {
-		si := rounded[i]
+	for i, ci := range st.cells {
+		si := st.rounded[i]
 		if si < 0 {
 			return fmt.Errorf("fbp: cell %d received no sink", ci)
 		}
-		s := &sinks[si]
+		s := &st.sinks[si]
 		r.cellsIn[s.window] = append(r.cellsIn[s.window], ci)
 		if s.region >= 0 {
 			r.parked[ci] = false
@@ -902,20 +1009,17 @@ func (r *realizer) transportWindows(u int, windows []int, cells []int32, sc *wor
 	return nil
 }
 
-// roundCapacityAware rounds the fractional transportation solution to an
-// integral assignment: unsplit cells keep their sink; split cells are then
-// placed, largest first, at the admissible sink of theirs with the most
-// remaining capacity headroom after preferring the majority portion. This
-// keeps the per-sink overflow bounded by one cell instead of letting many
-// boundary cells pile onto the same region.
-func roundCapacityAware(p *transport.Problem, sol *transport.Solution) []int {
-	remaining := append([]float64(nil), p.Capacity...)
-	out := make([]int, len(sol.Assign))
-	type split struct {
-		src  int
-		size float64
-	}
-	var splits []split
+// roundCapacityAware rounds the fractional solution of the step's problem
+// to an integral assignment in st.rounded: unsplit cells keep their sink;
+// split cells are then placed, largest first, at the admissible sink of
+// theirs with the most remaining capacity headroom after preferring the
+// majority portion. This keeps the per-sink overflow bounded by one cell
+// instead of letting many boundary cells pile onto the same region.
+func (st *step) roundCapacityAware(sol *transport.Solution) {
+	p := &st.prob
+	remaining := append(st.remaining[:0], p.Capacity...)
+	out := resize(st.rounded, len(sol.Assign))
+	splits := st.splits[:0]
 	for i, ps := range sol.Assign {
 		if len(ps) == 1 {
 			out[i] = ps[0].Sink
@@ -925,12 +1029,11 @@ func roundCapacityAware(p *transport.Problem, sol *transport.Solution) []int {
 		out[i] = -1
 		splits = append(splits, split{src: i, size: p.Supply[i]})
 	}
-	sort.Slice(splits, func(a, b int) bool {
-		//fbpvet:floatok exact tie-break on stored sizes keeps the sort total
-		if splits[a].size != splits[b].size {
-			return splits[a].size > splits[b].size
+	slices.SortFunc(splits, func(a, b split) int {
+		if c := cmp.Compare(b.size, a.size); c != 0 {
+			return c
 		}
-		return splits[a].src < splits[b].src
+		return a.src - b.src
 	})
 	for _, s := range splits {
 		best, bestScore, bestAmount := -1, 0.0, 0.0
@@ -956,60 +1059,54 @@ func roundCapacityAware(p *transport.Problem, sol *transport.Solution) []int {
 		out[s.src] = best
 		remaining[best] -= s.size
 	}
-	return out
-}
-
-// solveUnit makes the unit's transportation solve and certifies the
-// solution when a checker is configured.
-func (r *realizer) solveUnit(p *transport.Problem) (*transport.Solution, error) {
-	sol, err := transport.Solve(p)
-	if err == nil && r.cfg.Check != nil {
-		err = r.cfg.Check.Transport(p, sol)
-	}
-	return sol, err
+	st.remaining, st.splits, st.rounded = remaining, splits, out
 }
 
 // finalPass maps the cells of every window onto the window's regions
-// (transit capacities are all realized by now). Windows are independent,
-// so the pass runs on the worker pool; results are deterministic because
-// each window's transportation only touches its own cells.
-func (r *realizer) finalPass() error {
+// (transit capacities are all realized by now) and returns the number of
+// windows whose transportation had to take overflow. Windows are
+// independent, so the pass runs on the worker pool; results are
+// deterministic because each window's transportation only touches its own
+// cells.
+func (r *realizer) finalPass() (int, error) {
 	var windows []int
 	for w := range r.cellsIn {
 		if len(r.cellsIn[w]) > 0 {
 			windows = append(windows, w)
 		}
 	}
-	return r.runUnits(len(windows), "final",
+	overflowed := make([]bool, len(windows))
+	err := r.runUnits(len(windows), "final",
 		func(i int) int { return windows[i] },
-		func(i int, sc *workerScratch) error {
+		func(i int, sc *workerScratch) (err error) {
 			if err := finalFault.Check(); err != nil {
 				return err
 			}
-			w := windows[i]
-			sc.cellBuf = append(sc.cellBuf[:0], r.cellsIn[w]...)
-			return r.transportWindows(w, []int{w}, sc.cellBuf, sc)
+			r.buildStep(&sc.step, windows[i])
+			overflowed[i], err = r.realizeStep(&sc.step)
+			return err
 		})
+	count := 0
+	for _, o := range overflowed {
+		if o {
+			count++
+		}
+	}
+	return count, err
 }
 
-// regionOffsets numbers the window-regions densely in (window, index)
-// order: region k of window w is off[w]+k, and off[len(PerWin)] is the
-// region count.
-func regionOffsets(wr *grid.WindowRegions) []int {
+// repairOverflow relocates cells from regions whose rounded usage exceeds
+// capacity to admissible regions with free space, nearest first, and
+// returns the residual overflow: the area above capacity left in the
+// regions plus the area of unassigned cells. Rounding leaves only a few
+// cells' worth of overflow, so a greedy deterministic sweep suffices.
+func (r *realizer) repairOverflow() float64 {
+	wr := r.m.WR
+	// Region k of window w is number off[w]+k.
 	off := make([]int, len(wr.PerWin)+1)
 	for w := range wr.PerWin {
 		off[w+1] = off[w] + len(wr.PerWin[w])
 	}
-	return off
-}
-
-// repairOverflow relocates cells from regions whose rounded usage exceeds
-// capacity to admissible regions with free space, nearest first. Rounding
-// leaves only a few cells' worth of overflow, so a greedy deterministic
-// sweep suffices.
-func (r *realizer) repairOverflow() {
-	wr := r.m.WR
-	off := regionOffsets(wr)
 	refs := make([]RegionRef, off[len(wr.PerWin)])
 	for w := range wr.PerWin {
 		for k := range wr.PerWin[w] {
@@ -1018,10 +1115,14 @@ func (r *realizer) repairOverflow() {
 	}
 	usage := make([]float64, len(refs))
 	cellsOf := make([][]int32, len(refs))
-	moved, movedArea := 0, 0.0
+	moved, movedArea, residual := 0, 0.0, 0.0
 	for i := range r.n.Cells {
+		if r.n.Cells[i].Fixed {
+			continue
+		}
 		ref := r.cellRegion[i]
-		if r.n.Cells[i].Fixed || ref.Window < 0 {
+		if ref.Window < 0 {
+			residual += r.n.Cells[i].Size()
 			continue
 		}
 		ri := off[ref.Window] + int(ref.Index)
@@ -1091,32 +1192,10 @@ func (r *realizer) repairOverflow() {
 	}
 	r.rec.Count("fbp.repair.movedCells", float64(moved))
 	r.rec.Count("fbp.repair.movedArea", movedArea)
-}
-
-// roundingOverflow sums, over all window-regions, the assigned cell area
-// exceeding the region capacity; unassigned cells count fully.
-func (r *realizer) roundingOverflow() float64 {
-	wr := r.m.WR
-	off := regionOffsets(wr)
-	usage := make([]float64, off[len(wr.PerWin)])
-	total := 0.0
-	for i := range r.n.Cells {
-		if r.n.Cells[i].Fixed {
-			continue
-		}
-		ref := r.cellRegion[i]
-		if ref.Window < 0 {
-			total += r.n.Cells[i].Size()
-			continue
-		}
-		usage[off[ref.Window]+int(ref.Index)] += r.n.Cells[i].Size()
-	}
-	for w := range wr.PerWin {
-		for k := range wr.PerWin[w] {
-			if u, c := usage[off[w]+k], wr.PerWin[w][k].Capacity; u > c {
-				total += u - c
-			}
+	for ri := range refs {
+		if u, c := usage[ri], capOf(ri); u > c {
+			residual += u - c
 		}
 	}
-	return total
+	return residual
 }

@@ -1,10 +1,11 @@
 // Package placer drives global placement: a loop of quadratic netlength
 // minimization and partitioning on successively finer window grids
-// (paper §III/§IV), followed by legalization. Two partitioning engines are
-// provided: the paper's flow-based partitioning (fbp) and the classical
-// recursive window-by-window quadrisection it improves upon ([5],[17],[27]
-// — the ablation baseline), which lacks the global view and may have to
-// relax capacities locally.
+// (paper §III/§IV), followed by legalization. Each level partitions with
+// one of two engines of internal/fbp: the paper's flow-based partitioning
+// (fbp.Partition) or the classical recursive window-by-window
+// quadrisection it improves upon ([5],[17],[27] — the ablation baseline,
+// fbp.PartitionLocal), which lacks the global view and may have to relax
+// capacities locally.
 package placer
 
 import (
@@ -28,7 +29,6 @@ import (
 	"fbplace/internal/obs"
 	"fbplace/internal/qp"
 	"fbplace/internal/region"
-	"fbplace/internal/transport"
 )
 
 // levelFault fails a partitioning level at entry, exercising the placer's
@@ -66,7 +66,8 @@ const (
 	// ModeFBP is the paper's flow-based partitioning.
 	ModeFBP Mode = iota
 	// ModeRecursive is the classical local recursive partitioning
-	// baseline (no global MinCostFlow; windows partitioned one by one).
+	// baseline (no global MinCostFlow; every window partitioned on its
+	// own, see fbp.PartitionLocal).
 	ModeRecursive
 )
 
@@ -575,7 +576,7 @@ func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decompos
 		wr := grid.BuildWindowRegions(g, decomp, blockages, cfg.TargetDensity)
 		switch cfg.Mode {
 		case ModeRecursive:
-			relax, err := recursivePartition(ctx, n, wr, cfg.Obs, dl)
+			relax, err := fbp.PartitionLocal(n, wr, cfg.fbpConfig(ctx, dl, nil))
 			report.Relaxations += relax
 			if err != nil {
 				lsp.End()
@@ -621,108 +622,4 @@ func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decompos
 		cfg.Obs.Beat("level.boundary")
 	}
 	return nil
-}
-
-// recursivePartition is the ablation baseline: each window partitions its
-// own cells among its regions independently, with no global flow. A window
-// whose cells do not fit its regions takes the least overflow its one
-// elastic transportation allows, and counts as one relaxation (returned
-// count) — exactly the drawback §IV attributes to recursive approaches.
-func recursivePartition(ctx context.Context, n *netlist.Netlist, wr *grid.WindowRegions, rec *obs.Recorder, dl *degrade.Log) (int, error) {
-	g := wr.Grid
-	assign := g.AssignCells(n)
-	relaxations := 0
-	// Escape pass: a cell whose movebound covers no region of its window
-	// cannot be partitioned locally — the inherent blind spot of
-	// recursive approaches (§IV). Teleport it to the nearest admissible
-	// region anywhere on the chip and count the repair.
-	for i := range n.Cells {
-		if assign[i] < 0 {
-			continue
-		}
-		mb := n.Cells[i].Movebound
-		ok := false
-		for k := range wr.PerWin[assign[i]] {
-			reg := &wr.PerWin[assign[i]][k]
-			if reg.Capacity > 0 && wr.Decomp.Admissible(mb, reg.Region) {
-				ok = true
-				break
-			}
-		}
-		if ok {
-			continue
-		}
-		relaxations++
-		pos := n.Pos(netlist.CellID(i))
-		best := pos
-		bestD := math.Inf(1)
-		for w := 0; w < g.NumWindows(); w++ {
-			for k := range wr.PerWin[w] {
-				reg := &wr.PerWin[w][k]
-				if reg.Capacity <= 0 || !wr.Decomp.Admissible(mb, reg.Region) {
-					continue
-				}
-				if q, ok := reg.Rects.Nearest(pos); ok && q.DistL1(pos) < bestD {
-					best, bestD = q, q.DistL1(pos)
-				}
-			}
-		}
-		n.SetPos(netlist.CellID(i), best)
-		assign[i] = g.LocateIndex(best)
-	}
-	cellsIn := make([][]netlist.CellID, g.NumWindows())
-	for i := range n.Cells {
-		if assign[i] >= 0 {
-			cellsIn[assign[i]] = append(cellsIn[assign[i]], netlist.CellID(i))
-		}
-	}
-	// The windows are solved one after another, so they share one
-	// transportation workspace.
-	ws := transport.NewWorkspace()
-	for w := 0; w < g.NumWindows(); w++ {
-		cells := cellsIn[w]
-		if len(cells) == 0 {
-			continue
-		}
-		regs := wr.PerWin[w]
-		prob := &transport.Problem{
-			Supply:    make([]float64, len(cells)),
-			Capacity:  make([]float64, len(regs)),
-			Arcs:      make([][]transport.Arc, len(cells)),
-			Obs:       rec,
-			Ctx:       ctx,
-			Degrade:   dl,
-			Workspace: ws,
-		}
-		for k := range regs {
-			prob.Capacity[k] = regs[k].Capacity
-		}
-		for i, id := range cells {
-			prob.Supply[i] = n.Cells[id].Size()
-			pos := n.Pos(id)
-			for k := range regs {
-				if !wr.Decomp.Admissible(n.Cells[id].Movebound, regs[k].Region) || regs[k].Capacity <= 0 {
-					continue
-				}
-				// A region without area is no sink: it could not hold
-				// the cell.
-				if q, ok := regs[k].Rects.Nearest(pos); ok {
-					prob.Arcs[i] = append(prob.Arcs[i], transport.Arc{Sink: k, Cost: q.DistL1(pos)})
-				}
-			}
-		}
-		sol, err := transport.Solve(prob)
-		if err != nil {
-			return relaxations, fmt.Errorf("window %d: %w", w, err)
-		}
-		if sol.TotalOverflow() > 0 {
-			relaxations++
-		}
-		for i, k := range sol.Rounded() {
-			id := cells[i]
-			q, _ := regs[k].Rects.Nearest(n.Pos(id))
-			n.SetPos(id, q)
-		}
-	}
-	return relaxations, nil
 }

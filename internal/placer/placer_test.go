@@ -11,7 +11,6 @@ import (
 	"fbplace/internal/degrade"
 	"fbplace/internal/gen"
 	"fbplace/internal/geom"
-	"fbplace/internal/grid"
 	"fbplace/internal/legalize"
 	"fbplace/internal/netlist"
 	"fbplace/internal/obs"
@@ -146,46 +145,6 @@ func TestPlaceRecursiveBaseline(t *testing.T) {
 	}
 	if len(rep.FBPStats) != 0 {
 		t.Fatal("recursive mode must not record FBP stats")
-	}
-}
-
-// A recursive-mode window whose cells do not fit its regions takes
-// overflow in its one elastic transportation and counts one relaxation; a
-// window that fits counts none. The run's context reaches the solve.
-func TestRecursiveWindowOverflowCountsOneRelaxation(t *testing.T) {
-	area := geom.Rect{Xlo: 0, Ylo: 0, Xhi: 16, Yhi: 16}
-	n := netlist.New(area, 1)
-	place := func(count int, at geom.Point) {
-		for i := 0; i < count; i++ {
-			id := n.AddCell(netlist.Cell{Width: 1, Height: 1, Movebound: netlist.NoMovebound})
-			n.SetPos(id, at)
-		}
-	}
-	place(100, geom.Point{X: 2, Y: 2})  // window 0: area 100, capacity 64
-	place(10, geom.Point{X: 12, Y: 12}) // window 3: fits
-	g, err := grid.New(area, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wr := grid.BuildWindowRegions(g, region.Decompose(area, nil), nil, 1)
-	rec := obs.New(nil)
-	relax, err := recursivePartition(context.Background(), n.Clone(), wr, rec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if relax != 1 {
-		t.Fatalf("relaxations = %d, want 1", relax)
-	}
-	if got := rec.Counter("transport.overflow_solves"); got != 1 {
-		t.Fatalf("transport.overflow_solves = %v, want 1", got)
-	}
-	if got := rec.Counter("transport.overflow"); math.Abs(got-36) > 1e-6 {
-		t.Fatalf("transport.overflow = %v, want 36", got)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := recursivePartition(ctx, n.Clone(), wr, nil, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
