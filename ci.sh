@@ -58,13 +58,15 @@ echo "== benchmark smoke =="
 # its CSR assembly, realization level, one pair-pass transportation,
 # transportation engines), of the
 # global MCF ones (network simplex on a synthetic grid and on
-# Table-I-shaped FBP models, and the build of those models) and of the
-# recursive-baseline and local-QP ablations, so a change that breaks or
-# pathologically slows them fails CI fast.
+# Table-I-shaped FBP models, and the build of those models), of
+# legalization and of the recursive-baseline and local-QP ablations, so
+# a change that breaks or pathologically slows them fails CI fast.
 go test -timeout 10m -run '^$' -bench 'BenchmarkSolveSubsetBlock|BenchmarkRealizeLevel|BenchmarkPairStep|BenchmarkSolveFBPGrid|BenchmarkBuildFBPModel' -benchtime 1x ./internal/qp/ ./internal/fbp/
 go test -timeout 10m -run '^$' -bench 'BenchmarkNSGrid' -benchtime 1x ./internal/flow/
 go test -timeout 10m -run '^$' -bench 'BenchmarkEngines|BenchmarkCondensedLarge|BenchmarkCondensedPairShape' -benchtime 1x ./internal/transport/
 go test -timeout 10m -run '^$' -bench 'BenchmarkBuild' -benchtime 1x ./internal/sparse/
+# Legalization alone on a flat and a movebounded 10k-cell chip.
+go test -timeout 10m -run '^$' -bench 'BenchmarkLegalize' -benchtime 1x ./internal/placer/
 # The recursive baseline's one elastic solve per window (ablation A1) and
 # the NoLocalQP switch, the local QP's on/off ablation.
 go test -timeout 10m -run '^$' -bench 'BenchmarkAblationRecursive|BenchmarkAblationLocalQP' -benchtime 1x .

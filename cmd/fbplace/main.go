@@ -169,7 +169,7 @@ func main() {
 		sp.End()
 		if !*skipLegal {
 			lsp := rec.StartSpan("legalize")
-			if _, err := fbplace.Legalize(n); err != nil {
+			if _, err := fbplace.Legalize(n, nil); err != nil {
 				fatal(err)
 			}
 			lsp.End()

@@ -49,7 +49,7 @@ func main() {
 	if _, err := fbplace.PlaceBaseline(rqlNet, fbplace.BaselineConfig{Movebounds: inst.Movebounds}); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := fbplace.Legalize(rqlNet); err != nil {
+	if _, err := fbplace.Legalize(rqlNet, nil); err != nil {
 		log.Fatal(err)
 	}
 	rqlTime := time.Since(start)

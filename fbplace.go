@@ -347,20 +347,16 @@ func PlaceBaseline(n *Netlist, cfg BaselineConfig) (BaselineReport, error) {
 	return rql.Place(n, cfg)
 }
 
-// Legalize snaps all movable cells into rows without overlaps.
-func Legalize(n *Netlist) (legalize.Result, error) {
-	return legalize.Legalize(n, legalize.Options{})
-}
-
-// LegalizeWithMovebounds legalizes region by region so that movebounds are
-// respected (paper §III).
-func LegalizeWithMovebounds(n *Netlist, movebounds []Movebound) (legalize.Result, error) {
+// Legalize snaps all movable cells into rows without overlaps, region by
+// region so that the movebounds are respected (paper §III). With nil
+// movebounds the whole chip is one region and every cell is legalized
+// movebound-blind.
+func Legalize(n *Netlist, movebounds []Movebound) (legalize.Result, error) {
 	norm, err := region.Normalize(n.Area, movebounds)
 	if err != nil {
 		return legalize.Result{}, err
 	}
-	d := region.Decompose(n.Area, norm)
-	return legalize.LegalizeWithMovebounds(n, d, legalize.Options{})
+	return legalize.Legalize(n, region.Decompose(n.Area, norm), legalize.Options{})
 }
 
 // Congestion estimation (RUDY).

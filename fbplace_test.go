@@ -69,11 +69,30 @@ func TestFacadeBaselineAndLegalize(t *testing.T) {
 	if _, err := PlaceBaseline(inst.N, BaselineConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Legalize(inst.N); err != nil {
+	if _, err := Legalize(inst.N, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := CountOverlaps(inst.N); got != 0 {
 		t.Fatalf("overlaps = %d", got)
+	}
+
+	// With movebounds, legalization keeps every cell inside its own.
+	inst, err = Generate(ChipSpec{Name: "m", NumCells: 1200, Seed: 4,
+		Movebounds: []MoveboundSpec{{Kind: Inclusive, CellFraction: 0.2, Density: 0.7, NestedIn: -1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PlaceBaseline(inst.N, BaselineConfig{Movebounds: inst.Movebounds}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Legalize(inst.N, inst.Movebounds); err != nil {
+		t.Fatal(err)
+	}
+	if got := CountOverlaps(inst.N); got != 0 {
+		t.Fatalf("movebounds: overlaps = %d", got)
+	}
+	if viol, err := CountViolations(inst.N, inst.Movebounds); err != nil || viol != 0 {
+		t.Fatalf("movebounds: violations = %d, err %v", viol, err)
 	}
 }
 

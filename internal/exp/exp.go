@@ -232,7 +232,9 @@ func runPair(inst *gen.Instance, withMB bool) (CompareRow, error) {
 		} else if _, err = rql.PlaceCtx(harnessCtx(), baseNet, rql.Config{Movebounds: norm}); err != nil {
 			return
 		}
-		_, err = legalize.Legalize(baseNet, legalize.Options{Ctx: harnessCtx()})
+		// The baseline's legalization ignores the movebounds: the
+		// one-region decomposition.
+		_, err = legalize.Legalize(baseNet, region.Decompose(baseNet.Area, nil), legalize.Options{Ctx: harnessCtx()})
 	}()
 	row.BaseTime = time.Since(start)
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

@@ -10,6 +10,7 @@ import (
 
 	"fbplace/internal/gen"
 	"fbplace/internal/legalize"
+	"fbplace/internal/region"
 	"fbplace/internal/rql"
 )
 
@@ -85,7 +86,7 @@ func TestTable2CanceledSkipsBaseline(t *testing.T) {
 	if _, err := rql.Place(inst.N, rql.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := legalize.Legalize(inst.N, legalize.Options{}); err != nil {
+	if _, err := legalize.Legalize(inst.N, region.Decompose(inst.N.Area, nil), legalize.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	full := time.Since(start)

@@ -9,6 +9,7 @@ import (
 	"fbplace/internal/legalize"
 	"fbplace/internal/metrics"
 	"fbplace/internal/placer"
+	"fbplace/internal/region"
 	"fbplace/internal/rql"
 )
 
@@ -46,7 +47,7 @@ func Table7(scale float64) ([]T7Row, error) {
 		if _, err := rql.PlaceCtx(harnessCtx(), kwNet, rql.Config{Style: rql.StyleKraftwerk, TargetDensity: target}); err != nil {
 			return rows, fmt.Errorf("%s: kraftwerk: %w", spec.Name, err)
 		}
-		if _, err := legalize.Legalize(kwNet, legalize.Options{Ctx: harnessCtx()}); err != nil {
+		if _, err := legalize.Legalize(kwNet, region.Decompose(kwNet.Area, nil), legalize.Options{Ctx: harnessCtx()}); err != nil {
 			return rows, fmt.Errorf("%s: kraftwerk legalize: %w", spec.Name, err)
 		}
 		kwTime := time.Since(start)

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"fbplace/internal/degrade"
+	"fbplace/internal/faultsim"
 	"fbplace/internal/flow"
 	"fbplace/internal/geom"
 	"fbplace/internal/grid"
@@ -55,10 +56,12 @@ type Config struct {
 	// transportation solves. A canceled or expired context aborts within
 	// one wave and propagates the context's error.
 	Ctx context.Context
-	// Degrade, when non-nil, records solver fallbacks (NS stall -> SSP,
-	// condensed transport -> reference engine, local CG -> anchor
-	// solution). The fallbacks themselves are always on; the log only
-	// makes them visible.
+	// Degrade, when non-nil, records the partitioning's solver fallbacks:
+	// NS stall -> SSP in the global MCF and condensed transport ->
+	// reference engine in realization. Both fallbacks run whether or not a
+	// log is attached; the log only makes them visible. The
+	// realization-local QPs are best-effort (a CG solve that runs out of
+	// iterations keeps its iterate), so they have no fallback to record.
 	Degrade *degrade.Log
 	// Check, when non-nil, certifies intermediate solver results: the MCF
 	// solution right after Solve and every realization transportation
@@ -384,6 +387,13 @@ func (e *ErrInfeasible) Error() string {
 	return fmt.Sprintf("fbp: no fractional placement with movebounds exists (%g cell area cannot be absorbed)", e.Unrouted)
 }
 
+// sspFault fails the global MCF's successive-shortest-path fallback at
+// entry. Armed together with flow.ns.stall it proves that when the whole
+// solver fallback chain is exhausted, the pipeline surfaces a structured
+// error instead of a silently wrong placement.
+var sspFault = faultsim.Register("flow.ssp.fail",
+	"the global MCF's successive-shortest-path fallback fails at entry")
+
 // Solve runs the MinCostFlow and populates the external edge flows. Per
 // Theorem 3 it returns *ErrInfeasible exactly when no fractional placement
 // with movebounds exists for the given capacities.
@@ -404,7 +414,11 @@ func (m *Model) Solve() error {
 		var stalled *flow.ErrStalled
 		if errors.As(err, &stalled) {
 			m.Degrade.Add("flow.ns", "ssp", err.Error())
-			_, err = m.G.Solve()
+			if err = sspFault.Check(); err != nil {
+				err = fmt.Errorf("flow: ssp solve: %w", err)
+			} else {
+				_, err = m.G.Solve()
+			}
 		}
 	}
 	m.Stats.SolveTime = time.Since(start) //fbpvet:allow reporting-only duration

@@ -696,7 +696,6 @@ func (r *realizer) runLocalQP(u int, subset []netlist.CellID, snapX, snapY []flo
 		Stats:      &r.qpStats,
 		Ctx:        r.cfg.Ctx,
 		Workspace:  sc.qp,
-		Degrade:    r.cfg.Degrade,
 	}
 	if err := qp.SolveSubset(r.n, subset, nil, opt); err != nil {
 		return fmt.Errorf("fbp: local QP in window %d: %w", u, err)

@@ -1,17 +1,41 @@
 package flow
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
+// maxFlow routes a maximum s-t flow the way the feasibility checks of
+// internal/region do: zero-cost arcs, a supply at s above every cut, an
+// equal demand at snk, and the routed amount read as the supply minus
+// what Solve reports unrouted.
+func maxFlow(t *testing.T, g *MinCostFlow, s, snk int) float64 {
+	t.Helper()
+	total := 1.0 // above every cut
+	for id := 0; id < g.NumArcs(); id++ {
+		_, _, c, _ := g.ArcInfo(ArcID(id))
+		total += c
+	}
+	g.SetSupply(s, total)
+	g.SetSupply(snk, -total)
+	if _, err := g.Solve(); err != nil {
+		var inf *ErrInfeasible
+		if !errors.As(err, &inf) {
+			t.Fatal(err)
+		}
+		return total - inf.Unrouted
+	}
+	return total
+}
+
 func TestMaxFlowSimplePath(t *testing.T) {
-	g := NewMaxFlow(3)
-	a := g.AddArc(0, 1, 5)
-	b := g.AddArc(1, 2, 3)
-	if got := g.Solve(0, 2); got != 3 {
+	g := NewMinCostFlow(3)
+	a := g.AddArc(0, 1, 5, 0)
+	b := g.AddArc(1, 2, 3, 0)
+	if got := maxFlow(t, g, 0, 2); got != 3 {
 		t.Fatalf("max flow = %v, want 3", got)
 	}
 	if g.Flow(a) != 3 || g.Flow(b) != 3 {
@@ -22,55 +46,55 @@ func TestMaxFlowSimplePath(t *testing.T) {
 func TestMaxFlowDiamond(t *testing.T) {
 	//   0 -> 1 -> 3
 	//   0 -> 2 -> 3 with a cross arc 1->2
-	g := NewMaxFlow(4)
-	g.AddArc(0, 1, 10)
-	g.AddArc(0, 2, 4)
-	g.AddArc(1, 2, 6)
-	g.AddArc(1, 3, 5)
-	g.AddArc(2, 3, 9)
-	if got := g.Solve(0, 3); got != 14 {
+	g := NewMinCostFlow(4)
+	g.AddArc(0, 1, 10, 0)
+	g.AddArc(0, 2, 4, 0)
+	g.AddArc(1, 2, 6, 0)
+	g.AddArc(1, 3, 5, 0)
+	g.AddArc(2, 3, 9, 0)
+	if got := maxFlow(t, g, 0, 3); got != 14 {
 		t.Fatalf("max flow = %v, want 14", got)
 	}
 }
 
 func TestMaxFlowDisconnected(t *testing.T) {
-	g := NewMaxFlow(4)
-	g.AddArc(0, 1, 5)
-	g.AddArc(2, 3, 5)
-	if got := g.Solve(0, 3); got != 0 {
+	g := NewMinCostFlow(4)
+	g.AddArc(0, 1, 5, 0)
+	g.AddArc(2, 3, 5, 0)
+	if got := maxFlow(t, g, 0, 3); got != 0 {
 		t.Fatalf("max flow = %v, want 0", got)
 	}
 }
 
 func TestMaxFlowFractionalCapacities(t *testing.T) {
-	g := NewMaxFlow(3)
-	g.AddArc(0, 1, 2.5)
-	g.AddArc(0, 1, 0.25)
-	g.AddArc(1, 2, 10)
-	if got := g.Solve(0, 2); math.Abs(got-2.75) > 1e-9 {
+	g := NewMinCostFlow(3)
+	g.AddArc(0, 1, 2.5, 0)
+	g.AddArc(0, 1, 0.25, 0)
+	g.AddArc(1, 2, 10, 0)
+	if got := maxFlow(t, g, 0, 2); math.Abs(got-2.75) > 1e-9 {
 		t.Fatalf("max flow = %v, want 2.75", got)
 	}
 }
 
-// Property: Dinic's value equals the value of a brute-force min cut on
+// Property: the maximum flow equals the value of a brute-force min cut on
 // small random graphs (max-flow = min-cut).
 func TestMaxFlowMatchesMinCut(t *testing.T) {
 	for seed := int64(0); seed < 80; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(4)
-		if !checkMaxFlowMinCut(rng, n) {
+		if !checkMaxFlowMinCut(t, rng, n) {
 			t.Fatalf("seed %d: maxflow != mincut", seed)
 		}
 	}
 }
 
-func checkMaxFlowMinCut(rng *rand.Rand, n int) bool {
+func checkMaxFlowMinCut(t *testing.T, rng *rand.Rand, n int) bool {
 	type arc struct {
 		u, v int
 		c    float64
 	}
 	var arcs []arc
-	g := NewMaxFlow(n)
+	g := NewMinCostFlow(n)
 	for i := 0; i < 3*n; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u == v {
@@ -78,9 +102,9 @@ func checkMaxFlowMinCut(rng *rand.Rand, n int) bool {
 		}
 		c := float64(1 + rng.Intn(9))
 		arcs = append(arcs, arc{u, v, c})
-		g.AddArc(u, v, c)
+		g.AddArc(u, v, c, 0)
 	}
-	val := g.Solve(0, n-1)
+	val := maxFlow(t, g, 0, n-1)
 	// Brute-force min cut over all subsets containing source 0, not sink.
 	best := math.Inf(1)
 	for mask := 0; mask < 1<<n; mask++ {

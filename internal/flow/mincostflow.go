@@ -1,3 +1,25 @@
+// Package flow implements the network-flow substrate of the placer: a
+// minimum-cost-flow instance with two engines. A network simplex (SolveNS)
+// solves the global FBP model of §IV.A. A successive-shortest-path solver
+// with node potentials (Solve) is the network simplex's fallback, the
+// reference engine of internal/transport, and the movebound feasibility
+// check of paper Theorems 1 and 2 (internal/region): with zero-cost arcs
+// it routes as much supply as the capacities admit and reports the rest as
+// ErrInfeasible.Unrouted. The local transportation steps of §III/§IV.B run
+// on transport's condensed engine.
+//
+// A MinCostFlow is one flat arc store indexed by ArcID (endpoints,
+// capacity, cost, flow). SolveNS pivots on that store in place, with its
+// artificial root arcs appended past the real arcs for the length of a
+// run, and its block pricing encodes arc states as -1 (lower bound),
+// 0 (tree) and +1 (upper bound), so an arc's violation is its state times
+// its reduced cost. Solve builds its own residual graph, super source and
+// sink included, at entry and leaves the instance's nodes and arcs as
+// they were.
+//
+// Capacities and costs are float64 because the commodity being shipped is
+// cell *area*; an epsilon of 1e-9 (relative to the instance scale) is used
+// as the saturation tolerance throughout.
 package flow
 
 import (
@@ -6,16 +28,15 @@ import (
 	"fmt"
 	"math"
 
-	"fbplace/internal/faultsim"
 	"fbplace/internal/obs"
 )
 
-// sspFault forces the successive-shortest-paths solver to fail at entry.
-// Armed together with flow.ns.stall it proves that when the whole solver
-// fallback chain is exhausted, the pipeline surfaces a structured error
-// instead of a silently wrong placement.
-var sspFault = faultsim.Register("flow.ssp.fail",
-	"MinCostFlow.Solve (successive shortest paths) fails at entry")
+// Eps is the tolerance below which residual capacities and imbalances are
+// treated as zero.
+const Eps = 1e-9
+
+// Inf is the capacity used for uncapacitated arcs.
+var Inf = math.Inf(1)
 
 // ArcID identifies an arc of a MinCostFlow instance, as returned by AddArc.
 type ArcID int32
@@ -256,9 +277,6 @@ func (g *MinCostFlow) residual(s, t int) *residualGraph {
 func (g *MinCostFlow) Solve() (float64, error) {
 	if g.buildErr != nil {
 		return 0, g.buildErr
-	}
-	if err := sspFault.Check(); err != nil {
-		return 0, fmt.Errorf("flow: ssp solve: %w", err)
 	}
 	g.duals = nil
 	n := len(g.supply)

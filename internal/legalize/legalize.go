@@ -2,12 +2,12 @@
 // Brenner-Vygen minimum-movement legalization [6]: standard cells are
 // snapped into rows without overlaps while minimizing movement with an
 // Abacus-style cluster algorithm (cells never waste row space; clusters of
-// abutting cells slide to their quadratic-optimal positions). For
-// movebounded designs it implements the scheme of paper §III: decompose
-// the chip into regions, partition cells onto regions with the
-// movebound-aware transportation, then legalize each region's cells inside
-// the region area — so cells of different (even overlapping) movebounds
-// are legalized simultaneously.
+// abutting cells slide to their quadratic-optimal positions). It follows
+// the scheme of paper §III: given the region decomposition of the chip,
+// partition cells onto regions with the movebound-aware transportation,
+// then legalize each region's cells inside the region area — so cells of
+// different (even overlapping) movebounds are legalized simultaneously. A
+// chip without movebounds is the one-region case.
 package legalize
 
 import (
@@ -30,8 +30,8 @@ type Options struct {
 	// the counters "legalize.cells", "legalize.spilled" and
 	// "legalize.failed".
 	Obs *obs.Recorder
-	// Ctx, when non-nil, cancels the movebound partitioning's
-	// transportation (LegalizeWithMovebounds).
+	// Ctx, when non-nil, cancels the region partitioning's
+	// transportation.
 	Ctx context.Context
 	// Degrade, when non-nil, records that transportation's engine
 	// fallback, so a degraded legalization is never silent.
@@ -169,21 +169,22 @@ func (s *segment) insert(id netlist.CellID, width, desiredStart float64) {
 	last.xc = clampStart(last.q/last.weight, s.x0, s.x1-last.w)
 }
 
-// Packer incrementally legalizes cells into one allowed area (a region or
-// the whole chip): Abacus insertions commit immediately, final coordinates
-// are materialized once by Finalize. Keeping the packer alive lets the
-// movebound-aware legalization spill cells that do not fit one region into
-// another region's remaining space without re-packing anything.
-type Packer struct {
+// packer incrementally legalizes cells into one region's area: Abacus
+// insertions commit immediately, final coordinates are materialized once
+// by finalize. Keeping the packer alive lets the spill pass put cells that
+// do not fit one region into another region's remaining space without
+// re-packing anything.
+type packer struct {
 	n       *netlist.Netlist
 	rows    [][]segment
 	desired map[netlist.CellID]geom.Point
-	usable  bool
+	// usable reports whether the area contains any row segment.
+	usable bool
 }
 
-// NewPacker prepares the row segments of the allowed area.
-func NewPacker(n *netlist.Netlist, allowed geom.RectSet, blockages geom.RectSet) *Packer {
-	p := &Packer{
+// newPacker prepares the row segments of the allowed area.
+func newPacker(n *netlist.Netlist, allowed geom.RectSet, blockages geom.RectSet) *packer {
+	p := &packer{
 		n:       n,
 		rows:    buildSegments(n, allowed, blockages),
 		desired: map[netlist.CellID]geom.Point{},
@@ -197,11 +198,10 @@ func NewPacker(n *netlist.Netlist, allowed geom.RectSet, blockages geom.RectSet)
 	return p
 }
 
-// Usable reports whether the area contains any usable row segment.
-func (p *Packer) Usable() bool { return p.usable }
-
-// findBest locates the cheapest insertion point for the cell.
-func (p *Packer) findBest(id netlist.CellID) (*segment, float64) {
+// findBest locates the cheapest insertion point for the cell and its
+// movement cost, without committing; the segment is nil when the cell fits
+// nowhere in the area.
+func (p *packer) findBest(id netlist.CellID) (*segment, float64) {
 	n := p.n
 	c := &n.Cells[id]
 	rh := n.RowHeight
@@ -247,16 +247,9 @@ func (p *Packer) findBest(id netlist.CellID) (*segment, float64) {
 	return bestSeg, bestCost
 }
 
-// TrialCost returns the movement cost of inserting the cell, without
-// committing.
-func (p *Packer) TrialCost(id netlist.CellID) (float64, bool) {
-	seg, cost := p.findBest(id)
-	return cost, seg != nil
-}
-
-// Insert commits the cell into its best position; it reports false when
+// insert commits the cell into its best position; it reports false when
 // the cell fits nowhere in the area.
-func (p *Packer) Insert(id netlist.CellID) bool {
+func (p *packer) insert(id netlist.CellID) bool {
 	seg, _ := p.findBest(id)
 	if seg == nil {
 		return false
@@ -267,9 +260,9 @@ func (p *Packer) Insert(id netlist.CellID) bool {
 	return true
 }
 
-// Finalize materializes the cluster structures into cell coordinates and
+// finalize materializes the cluster structures into cell coordinates and
 // accumulates movement statistics.
-func (p *Packer) Finalize(res *Result) {
+func (p *packer) finalize(res *Result) {
 	n := p.n
 	rh := n.RowHeight
 	for r := range p.rows {
@@ -321,82 +314,62 @@ func checkHeights(n *netlist.Netlist, cells []netlist.CellID) error {
 	return nil
 }
 
-// Legalize snaps all movable cells of the netlist into rows across the
-// whole chip, avoiding the fixed cells.
-func Legalize(n *netlist.Netlist, opt Options) (Result, error) {
-	return LegalizeArea(n, n.MovableIDs(), geom.RectSet{n.Area}, n.FixedRects(), opt)
-}
-
-// LegalizeArea legalizes the given cells inside the allowed area, treating
-// blockages (and everything outside the allowed set) as forbidden. Other
-// cells of the netlist are ignored — callers partition cells into disjoint
-// areas first.
-func LegalizeArea(n *netlist.Netlist, cells []netlist.CellID, allowed geom.RectSet, blockages geom.RectSet, opt Options) (Result, error) {
-	res := Result{}
-	if len(cells) == 0 {
-		return res, nil
-	}
-	if err := checkHeights(n, cells); err != nil {
-		return res, err
-	}
-	sp := opt.Obs.StartSpan("legalize.pack")
-	defer sp.End()
-	p := NewPacker(n, allowed, blockages)
-	if !p.Usable() {
-		return Result{Failed: len(cells)}, fmt.Errorf("legalize: no usable rows in allowed area")
-	}
-	for _, id := range sortByX(n, cells) {
-		if !p.Insert(id) {
-			res.Failed++
-			res.FailedCells = append(res.FailedCells, id)
-		}
-	}
-	p.Finalize(&res)
-	opt.Obs.Count("legalize.cells", float64(len(cells)))
-	opt.Obs.Count("legalize.failed", float64(res.Failed))
-	if res.Failed > 0 {
-		return res, fmt.Errorf("legalize: %d cells could not be placed", res.Failed)
-	}
-	return res, nil
-}
-
 // PackableCapacities returns, per region of the decomposition, the cell
-// area that row-based legalization can realistically pack: the free row
-// segments minus a per-segment end-waste allowance of 0.6 average cell
-// widths. Narrow slivers (common with overlapping movebounds) contribute
-// much less than their geometric area; instance generators and the
-// movebound-aware legalization both budget against this measure.
+// area that row-based legalization can realistically pack (see
+// packableArea). Narrow slivers (common with overlapping movebounds)
+// contribute much less than their geometric area; instance generators and
+// Legalize both budget against this measure.
 func PackableCapacities(n *netlist.Netlist, d *region.Decomposition, blockages geom.RectSet) []float64 {
-	movable := n.MovableIDs()
-	avgW := 0.0
-	for _, id := range movable {
-		avgW += n.Cells[id].Width
-	}
-	if len(movable) > 0 {
-		avgW /= float64(len(movable))
-	}
+	avgW := averageWidth(n, n.MovableIDs())
 	caps := make([]float64, len(d.Regions))
 	for ri := range d.Regions {
-		for _, segs := range buildSegments(n, d.Regions[ri].Rects, blockages) {
-			for _, s := range segs {
-				if w := s.x1 - s.x0 - 0.6*avgW; w > 0 {
-					caps[ri] += w * n.RowHeight
-				}
-			}
-		}
+		caps[ri] = packableArea(n, buildSegments(n, d.Regions[ri].Rects, blockages), avgW)
 	}
 	return caps
 }
 
-// LegalizeWithMovebounds implements §III: partition all movable cells onto
-// the region decomposition with the movebound-aware transportation, then
+// averageWidth is the mean width of the given cells (0 for none).
+func averageWidth(n *netlist.Netlist, cells []netlist.CellID) float64 {
+	avgW := 0.0
+	for _, id := range cells {
+		avgW += n.Cells[id].Width
+	}
+	if len(cells) > 0 {
+		avgW /= float64(len(cells))
+	}
+	return avgW
+}
+
+// packableArea is the cell area the row segments can realistically pack:
+// their free length minus a per-segment end-waste allowance of 0.6
+// average cell widths, times the row height.
+func packableArea(n *netlist.Netlist, rows [][]segment, avgW float64) float64 {
+	area := 0.0
+	for _, segs := range rows {
+		for _, s := range segs {
+			if w := s.x1 - s.x0 - 0.6*avgW; w > 0 {
+				area += w * n.RowHeight
+			}
+		}
+	}
+	return area
+}
+
+// Legalize implements §III: partition all movable cells onto the regions
+// of the decomposition with the movebound-aware transportation, then
 // legalize each region's cells inside the region area. Cells of different
 // movebounds sharing a region are handled simultaneously; cells that do
 // not fit their region (sliver fragmentation) spill into the remaining
 // space of other admissible regions. The transportation is elastic: when
 // the packable capacities cannot hold every cell, the cheapest full
-// regions take the least overflow, and the spill pass sheds it.
-func LegalizeWithMovebounds(n *netlist.Netlist, d *region.Decomposition, opt Options) (Result, error) {
+// regions take the least overflow, and the spill pass sheds it. A chip
+// without movebounds is legalized through its one-region decomposition,
+// region.Decompose(n.Area, nil).
+//
+// The movebounds of d are the ones legalization respects: a cell whose
+// movebound index d does not carry counts as unconstrained, so the
+// one-region decomposition legalizes any netlist movebound-blind.
+func Legalize(n *netlist.Netlist, d *region.Decomposition, opt Options) (Result, error) {
 	blockages := n.FixedRects()
 	movable := n.MovableIDs()
 	if len(movable) == 0 {
@@ -405,13 +378,23 @@ func LegalizeWithMovebounds(n *netlist.Netlist, d *region.Decomposition, opt Opt
 	if err := checkHeights(n, movable); err != nil {
 		return Result{}, err
 	}
+	// mbOf is the movebound a cell is legalized under (see above).
+	mbOf := func(id netlist.CellID) int {
+		if mb := n.Cells[id].Movebound; mb < len(d.Movebounds) {
+			return mb
+		}
+		return netlist.NoMovebound
+	}
 	psp := opt.Obs.StartSpan("legalize.partition")
 	// Partition on *packable* capacity (see PackableCapacities): narrow
-	// sliver regions contribute far less than their geometric area.
-	caps := PackableCapacities(n, d, blockages)
-	packers := make([]*Packer, len(d.Regions))
+	// sliver regions contribute far less than their geometric area. Each
+	// region's row segments are built once, for its packer.
+	avgW := averageWidth(n, movable)
+	packers := make([]*packer, len(d.Regions))
+	caps := make([]float64, len(d.Regions))
 	for ri := range d.Regions {
-		packers[ri] = NewPacker(n, d.Regions[ri].Rects, blockages)
+		packers[ri] = newPacker(n, d.Regions[ri].Rects, blockages)
+		caps[ri] = packableArea(n, packers[ri].rows, avgW)
 	}
 	prob := &transport.Problem{
 		Supply:   make([]float64, len(movable)),
@@ -421,17 +404,32 @@ func LegalizeWithMovebounds(n *netlist.Netlist, d *region.Decomposition, opt Opt
 		Ctx:      opt.Ctx,
 		Degrade:  opt.Degrade,
 	}
+	// sinks[mb+1] lists the regions with packable capacity that a cell of
+	// movebound mb (NoMovebound = -1) may take. All cells' arcs share one
+	// backing slice, sized up front so it is never regrown.
+	sinks := make([][]int, len(d.Movebounds)+1)
+	for i := range sinks {
+		for ri := range d.Regions {
+			if caps[ri] > 0 && d.Admissible(i-1, ri) {
+				sinks[i] = append(sinks[i], ri)
+			}
+		}
+	}
+	numArcs := 0
+	for _, id := range movable {
+		numArcs += len(sinks[mbOf(id)+1])
+	}
+	arcs := make([]transport.Arc, 0, numArcs)
 	for i, id := range movable {
 		prob.Supply[i] = n.Cells[id].Size()
 		pos := n.Pos(id)
-		for ri := range d.Regions {
-			if !d.Admissible(n.Cells[id].Movebound, ri) || caps[ri] <= 0 {
-				continue
-			}
+		first := len(arcs)
+		for _, ri := range sinks[mbOf(id)+1] {
 			// Positive packable capacity implies the region has area.
 			q, _ := d.Regions[ri].Rects.Nearest(pos)
-			prob.Arcs[i] = append(prob.Arcs[i], transport.Arc{Sink: ri, Cost: q.DistL1(pos)})
+			arcs = append(arcs, transport.Arc{Sink: ri, Cost: q.DistL1(pos)})
 		}
+		prob.Arcs[i] = arcs[first:len(arcs):len(arcs)]
 	}
 	sol, err := transport.Solve(prob)
 	psp.End()
@@ -452,12 +450,12 @@ func LegalizeWithMovebounds(n *netlist.Netlist, d *region.Decomposition, opt Opt
 		if len(cells) == 0 {
 			continue
 		}
-		if !packers[ri].Usable() {
+		if !packers[ri].usable {
 			spill = append(spill, cells...)
 			continue
 		}
 		for _, id := range sortByX(n, cells) {
-			if !packers[ri].Insert(id) {
+			if !packers[ri].insert(id) {
 				spill = append(spill, id)
 			}
 		}
@@ -476,10 +474,10 @@ func LegalizeWithMovebounds(n *netlist.Netlist, d *region.Decomposition, opt Opt
 		best := -1
 		bestCost := math.Inf(1)
 		for ri := range d.Regions {
-			if !d.Admissible(n.Cells[id].Movebound, ri) || !packers[ri].Usable() {
+			if !d.Admissible(mbOf(id), ri) || !packers[ri].usable {
 				continue
 			}
-			if cost, ok := packers[ri].TrialCost(id); ok && cost < bestCost {
+			if seg, cost := packers[ri].findBest(id); seg != nil && cost < bestCost {
 				best, bestCost = ri, cost
 			}
 		}
@@ -488,10 +486,10 @@ func LegalizeWithMovebounds(n *netlist.Netlist, d *region.Decomposition, opt Opt
 			total.FailedCells = append(total.FailedCells, id)
 			continue
 		}
-		packers[best].Insert(id)
+		packers[best].insert(id)
 	}
 	for ri := range packers {
-		packers[ri].Finalize(&total)
+		packers[ri].finalize(&total)
 	}
 	opt.Obs.Count("legalize.cells", float64(len(movable)))
 	opt.Obs.Count("legalize.spilled", float64(len(spill)))

@@ -23,7 +23,7 @@ func TestLegalizeSimpleStack(t *testing.T) {
 		id := n.AddCell(netlist.Cell{Width: 2, Height: 1})
 		n.SetPos(id, geom.Point{X: 5, Y: 5})
 	}
-	res, err := Legalize(n, Options{})
+	res, err := Legalize(n, region.Decompose(chip, nil), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestLegalizeKeepsLegalCellsNear(t *testing.T) {
 	n := netlist.New(chip, 1)
 	a := n.AddCell(netlist.Cell{Width: 2, Height: 1})
 	n.SetPos(a, geom.Point{X: 5, Y: 2.5})
-	res, err := Legalize(n, Options{})
+	res, err := Legalize(n, region.Decompose(chip, nil), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestLegalizeAvoidsBlockage(t *testing.T) {
 		n.SetPos(id, geom.Point{X: 10, Y: 5}) // all inside the macro
 		ids = append(ids, id)
 	}
-	if _, err := Legalize(n, Options{}); err != nil {
+	if _, err := Legalize(n, region.Decompose(chip, nil), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := VerifyNoOverlaps(n); got != 0 {
@@ -87,7 +87,7 @@ func TestLegalizeDensePacking(t *testing.T) {
 		id := n.AddCell(netlist.Cell{Width: 1, Height: 1})
 		n.SetPos(id, geom.Point{X: rng.Float64() * 20, Y: rng.Float64() * 10})
 	}
-	if _, err := Legalize(n, Options{}); err != nil {
+	if _, err := Legalize(n, region.Decompose(chip, nil), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := VerifyNoOverlaps(n); got != 0 {
@@ -107,7 +107,7 @@ func TestLegalizeFailsWhenFull(t *testing.T) {
 		id := n.AddCell(netlist.Cell{Width: 1, Height: 1})
 		n.SetPos(id, geom.Point{X: 10, Y: 5})
 	}
-	res, err := Legalize(n, Options{})
+	res, err := Legalize(n, region.Decompose(chip, nil), Options{})
 	if err == nil {
 		t.Fatal("overfull instance legalized")
 	}
@@ -120,12 +120,13 @@ func TestLegalizeAreaRestricted(t *testing.T) {
 	n := netlist.New(chip, 1)
 	var ids []netlist.CellID
 	for i := 0; i < 10; i++ {
-		id := n.AddCell(netlist.Cell{Width: 1, Height: 1})
+		id := n.AddCell(netlist.Cell{Width: 1, Height: 1, Movebound: 0})
 		n.SetPos(id, geom.Point{X: 2, Y: 2})
 		ids = append(ids, id)
 	}
 	allowed := geom.RectSet{{Xlo: 10, Ylo: 0, Xhi: 20, Yhi: 10}}
-	if _, err := LegalizeArea(n, ids, allowed, nil, Options{}); err != nil {
+	d := region.Decompose(chip, []region.Movebound{{Name: "R", Kind: region.Inclusive, Area: allowed}})
+	if _, err := Legalize(n, d, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range ids {
@@ -141,7 +142,7 @@ func TestLegalizeAreaRestricted(t *testing.T) {
 func TestLegalizeTallCellRejected(t *testing.T) {
 	n := netlist.New(chip, 1)
 	n.AddCell(netlist.Cell{Width: 1, Height: 3})
-	if _, err := Legalize(n, Options{}); err == nil {
+	if _, err := Legalize(n, region.Decompose(chip, nil), Options{}); err == nil {
 		t.Fatal("multi-row cell accepted")
 	}
 }
@@ -177,7 +178,7 @@ func moveboundInstance(t *testing.T) (*netlist.Netlist, *region.Decomposition, [
 
 func TestLegalizeWithMovebounds(t *testing.T) {
 	n, d, norm := moveboundInstance(t)
-	if _, err := LegalizeWithMovebounds(n, d, Options{}); err != nil {
+	if _, err := Legalize(n, d, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := VerifyNoOverlaps(n); got != 0 {
@@ -207,7 +208,7 @@ func TestLegalizeOverlappingMovebounds(t *testing.T) {
 		id := n.AddCell(netlist.Cell{Width: 1, Height: 1, Movebound: mb})
 		n.SetPos(id, geom.Point{X: 10, Y: 5})
 	}
-	if _, err := LegalizeWithMovebounds(n, d, Options{}); err != nil {
+	if _, err := Legalize(n, d, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := VerifyNoOverlaps(n); got != 0 {
@@ -243,7 +244,7 @@ func TestLegalizeWithMoveboundsRecordsTransportFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	dl := degrade.New(nil)
-	_, err := LegalizeWithMovebounds(n, d, Options{Degrade: dl})
+	_, err := Legalize(n, d, Options{Degrade: dl})
 	faultsim.Disarm("transport.condensed.fail")
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +266,7 @@ func TestLegalizeWithMoveboundsCanceled(t *testing.T) {
 	n, d, _ := moveboundInstance(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := LegalizeWithMovebounds(n, d, Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+	if _, err := Legalize(n, d, Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

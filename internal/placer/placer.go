@@ -468,14 +468,7 @@ func runOnce(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir stri
 		}
 		lsp := cfg.Obs.StartSpan("legalize")
 		lstart := time.Now() //fbpvet:allow timing feeds Report.LegalTime only, never positions
-		var lr legalize.Result
-		var lerr error
-		lopt := legalize.Options{Obs: cfg.Obs, Ctx: ctx, Degrade: dl}
-		if len(mbs) > 0 {
-			lr, lerr = legalize.LegalizeWithMovebounds(n, decomp, lopt)
-		} else {
-			lr, lerr = legalize.Legalize(n, lopt)
-		}
+		lr, lerr := legalize.Legalize(n, decomp, legalize.Options{Obs: cfg.Obs, Ctx: ctx, Degrade: dl})
 		report.LegalTime = time.Since(lstart) //fbpvet:allow reporting-only duration
 		report.LegalizeResult = lr
 		lsp.End()

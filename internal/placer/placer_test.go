@@ -240,6 +240,43 @@ func TestPlaceDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestLoadMixMoveboundChipPlaces places the load-mix chip that once failed
+// realization at level 4 with "transport: infeasible instance":
+// gen.LoadMix(40, 5000025)[23], 2000 cells with one inclusive movebound.
+// With its movebound kept it must place and certify at 1 and 2 workers,
+// legally and bit-identically.
+func TestLoadMixMoveboundChipPlaces(t *testing.T) {
+	spec := gen.LoadMix(40, 5000025)[23]
+	if len(spec.Movebounds) != 1 {
+		t.Fatalf("spec carries %d movebounds, want 1", len(spec.Movebounds))
+	}
+	run := func(workers int) (*Report, *netlist.Netlist) {
+		inst, err := gen.Chip(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Place(inst.N, Config{Movebounds: inst.Movebounds, Workers: workers, Certify: CertifyFinal})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !rep.Certified || rep.Violations != 0 || rep.Overlaps != 0 {
+			t.Fatalf("workers=%d: certified %v, violations %d, overlaps %d",
+				workers, rep.Certified, rep.Violations, rep.Overlaps)
+		}
+		return rep, inst.N
+	}
+	rep1, n1 := run(1)
+	rep2, n2 := run(2)
+	if rep1.HPWL != rep2.HPWL {
+		t.Fatalf("HPWL differs across worker counts: %.6f vs %.6f", rep1.HPWL, rep2.HPWL)
+	}
+	for i := range n1.Cells {
+		if p1, p2 := n1.Pos(netlist.CellID(i)), n2.Pos(netlist.CellID(i)); p1 != p2 {
+			t.Fatalf("cell %d position differs: %v vs %v", i, p1, p2)
+		}
+	}
+}
+
 func TestPlaceRecordsObservability(t *testing.T) {
 	inst := smallChip(t, 1500, 13, nil)
 	rec := obs.New(nil)

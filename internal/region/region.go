@@ -1,10 +1,12 @@
 // Package region implements movebounds and the region decomposition of the
 // chip area (paper §II): Definition 1 (inclusive/exclusive movebounds),
 // Definition 2 and Lemma 1 (regions via the Hanan grid), and the
-// feasibility checks of Theorems 1 and 2 (max-flow based).
+// feasibility checks of Theorems 1 and 2 (a maximum flow, computed by
+// internal/flow's MinCostFlow on zero-cost arcs).
 package region
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -225,36 +227,35 @@ type FeasibilityReport struct {
 	Feasible bool
 	// TotalSize is size(C), the total movable cell area.
 	TotalSize float64
-	// Routed is the max-flow value; Feasible iff Routed ≈ TotalSize.
+	// Routed is the cell area the check's flow places on admissible
+	// regions (the maximum flow); Feasible iff Routed ≈ TotalSize.
 	Routed float64
 }
 
 // CheckFeasibility decides whether a fractional placement respecting the
-// movebounds exists (Theorem 2): a max-flow on the clustered instance with
+// movebounds exists (Theorem 2): a flow on the clustered instance with
 // one node per movebound class and one per region. Runtime is
 // O(|C| + poly(|M|,|R|)), polynomial in the input.
 func CheckFeasibility(n *netlist.Netlist, d *Decomposition, capacities []float64) FeasibilityReport {
 	numMB := len(d.Movebounds)
 	sizes := ClassSizes(n, numMB)
 	numClasses := numMB + 1
-	// Nodes: 0 = source, 1 = sink, classes, regions.
-	g := flow.NewMaxFlow(2 + numClasses + len(d.Regions))
-	src, snk := 0, 1
-	classNode := func(m int) int { return 2 + m }
-	regionNode := func(r int) int { return 2 + numClasses + r }
+	// Nodes: classes, then regions.
+	g := flow.NewMinCostFlow(numClasses + len(d.Regions))
+	regionNode := func(r int) int { return numClasses + r }
 	total := 0.0
 	for m, s := range sizes {
 		if s <= 0 {
 			continue
 		}
 		total += s
-		g.AddArc(src, classNode(m), s)
+		g.SetSupply(m, s)
 	}
 	for ri := range d.Regions {
 		if capacities[ri] <= 0 {
 			continue
 		}
-		g.AddArc(regionNode(ri), snk, capacities[ri])
+		g.SetSupply(regionNode(ri), -capacities[ri])
 		for m := 0; m < numClasses; m++ {
 			if sizes[m] <= 0 {
 				continue
@@ -264,44 +265,55 @@ func CheckFeasibility(n *netlist.Netlist, d *Decomposition, capacities []float64
 				mb = netlist.NoMovebound
 			}
 			if d.Admissible(mb, ri) {
-				g.AddArc(classNode(m), regionNode(ri), flow.Inf)
+				g.AddArc(m, regionNode(ri), flow.Inf, 0)
 			}
 		}
 	}
-	routed := g.Solve(src, snk)
-	return FeasibilityReport{
-		Feasible:  routed >= total-feasEps(total),
-		TotalSize: total,
-		Routed:    routed,
-	}
+	return feasibility(g, total)
 }
 
-// CheckFeasibilityPerCell runs the full per-cell max-flow of Theorem 1.
+// CheckFeasibilityPerCell runs the full per-cell flow of Theorem 1.
 // Exponentially clearer but linear-in-cells sized; used in tests and on
 // small instances.
 func CheckFeasibilityPerCell(n *netlist.Netlist, d *Decomposition, capacities []float64) FeasibilityReport {
 	movable := n.MovableIDs()
-	g := flow.NewMaxFlow(2 + len(movable) + len(d.Regions))
-	src, snk := 0, 1
-	cellNode := func(i int) int { return 2 + i }
-	regionNode := func(r int) int { return 2 + len(movable) + r }
+	// Nodes: cells, then regions.
+	g := flow.NewMinCostFlow(len(movable) + len(d.Regions))
+	regionNode := func(r int) int { return len(movable) + r }
 	total := 0.0
 	for i, id := range movable {
 		s := n.Cells[id].Size()
 		total += s
-		g.AddArc(src, cellNode(i), s)
+		g.SetSupply(i, s)
 		for ri := range d.Regions {
 			if d.Admissible(n.Cells[id].Movebound, ri) && capacities[ri] > 0 {
-				g.AddArc(cellNode(i), regionNode(ri), flow.Inf)
+				g.AddArc(i, regionNode(ri), flow.Inf, 0)
 			}
 		}
 	}
 	for ri := range d.Regions {
 		if capacities[ri] > 0 {
-			g.AddArc(regionNode(ri), snk, capacities[ri])
+			g.SetSupply(regionNode(ri), -capacities[ri])
 		}
 	}
-	routed := g.Solve(src, snk)
+	return feasibility(g, total)
+}
+
+// feasibility solves a check's flow: cell area (supply) on one side,
+// region capacity (demand, which may exceed the supply) on the other,
+// uncapacitated zero-cost arcs for admissibility. The solver routes all
+// it can and reports the rest as unrouted. The arcs cost nothing and the
+// instance carries no context, so infeasibility is its only failure; any
+// other error would report nothing routed, never a false Feasible.
+func feasibility(g *flow.MinCostFlow, total float64) FeasibilityReport {
+	routed := total
+	if _, err := g.Solve(); err != nil {
+		routed = 0
+		var inf *flow.ErrInfeasible
+		if errors.As(err, &inf) {
+			routed = total - inf.Unrouted
+		}
+	}
 	return FeasibilityReport{
 		Feasible:  routed >= total-feasEps(total),
 		TotalSize: total,

@@ -33,11 +33,12 @@
 package transport
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"fbplace/internal/degrade"
 	"fbplace/internal/faultsim"
@@ -231,16 +232,11 @@ func SolveReference(p *Problem) (*Solution, error) {
 	return sol, nil
 }
 
+// sortPortions orders a source's portions by amount, largest first, then
+// by sink: a total order, so the plan does not depend on the sort.
 func sortPortions(ps []Portion) {
-	if len(ps) < 2 {
-		return // the common unsplit source; sort.Slice would still allocate
-	}
-	sort.Slice(ps, func(a, b int) bool {
-		//fbpvet:floatok exact tie-break on stored amounts keeps the sort total
-		if ps[a].Amount != ps[b].Amount {
-			return ps[a].Amount > ps[b].Amount
-		}
-		return ps[a].Sink < ps[b].Sink
+	slices.SortFunc(ps, func(a, b Portion) int {
+		return cmp.Or(cmp.Compare(b.Amount, a.Amount), cmp.Compare(a.Sink, b.Sink))
 	})
 }
 
