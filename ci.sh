@@ -59,14 +59,16 @@ echo "== benchmark smoke =="
 # transportation engines), of the
 # global MCF ones (network simplex on a synthetic grid and on
 # Table-I-shaped FBP models, and the build of those models), of
-# legalization and of the recursive-baseline and local-QP ablations, so
-# a change that breaks or pathologically slows them fails CI fast.
+# the top-level QP, of legalization and of the recursive-baseline and
+# local-QP ablations, so a change that breaks or pathologically slows them
+# fails CI fast.
 go test -timeout 10m -run '^$' -bench 'BenchmarkSolveSubsetBlock|BenchmarkRealizeLevel|BenchmarkPairStep|BenchmarkSolveFBPGrid|BenchmarkBuildFBPModel' -benchtime 1x ./internal/qp/ ./internal/fbp/
 go test -timeout 10m -run '^$' -bench 'BenchmarkNSGrid' -benchtime 1x ./internal/flow/
 go test -timeout 10m -run '^$' -bench 'BenchmarkEngines|BenchmarkCondensedLarge|BenchmarkCondensedPairShape' -benchtime 1x ./internal/transport/
 go test -timeout 10m -run '^$' -bench 'BenchmarkBuild' -benchtime 1x ./internal/sparse/
-# Legalization alone on a flat and a movebounded 10k-cell chip.
-go test -timeout 10m -run '^$' -bench 'BenchmarkLegalize' -benchtime 1x ./internal/placer/
+# Legalization alone on a flat and a movebounded 10k-cell chip, and one
+# placement's top-level QP solves on a held 5k-cell system.
+go test -timeout 10m -run '^$' -bench 'BenchmarkLegalize|BenchmarkTopLevelQP' -benchtime 1x ./internal/placer/
 # The recursive baseline's one elastic solve per window (ablation A1) and
 # the NoLocalQP switch, the local QP's on/off ablation.
 go test -timeout 10m -run '^$' -bench 'BenchmarkAblationRecursive|BenchmarkAblationLocalQP' -benchtime 1x .

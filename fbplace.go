@@ -189,6 +189,9 @@ type FeasibilityReport = region.FeasibilityReport
 // placement respecting the movebounds exists (paper Theorem 2), at the
 // given target density.
 func CheckFeasibility(n *Netlist, movebounds []Movebound, targetDensity float64) (FeasibilityReport, error) {
+	if err := n.Validate(len(movebounds)); err != nil {
+		return FeasibilityReport{}, err
+	}
 	norm, err := region.Normalize(n.Area, movebounds)
 	if err != nil {
 		return FeasibilityReport{}, err
@@ -201,6 +204,9 @@ func CheckFeasibility(n *Netlist, movebounds []Movebound, targetDensity float64)
 // CountViolations returns the number of movable cells violating the
 // movebounds under the current placement (Definition 1).
 func CountViolations(n *Netlist, movebounds []Movebound) (int, error) {
+	if err := n.Validate(len(movebounds)); err != nil {
+		return 0, err
+	}
 	norm, err := region.Normalize(n.Area, movebounds)
 	if err != nil {
 		return 0, err

@@ -42,6 +42,33 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFacadeChecksRejectMissingMovebounds passes a two-movebound chip's
+// netlist with one movebound and with none: its cells of movebound 1 (and
+// 0) reference movebounds that were not given, so the feasibility check
+// and the violation count must fail instead of counting those cells as
+// unconstrained or indexing past their tables.
+func TestFacadeChecksRejectMissingMovebounds(t *testing.T) {
+	inst, err := Generate(ChipSpec{Name: "mb2", NumCells: 600, Seed: 3,
+		Movebounds: []MoveboundSpec{
+			{Kind: Inclusive, CellFraction: 0.1, Density: 0.7, NestedIn: -1},
+			{Kind: Inclusive, CellFraction: 0.1, Density: 0.7, NestedIn: -1},
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CheckFeasibility(inst.N, inst.Movebounds, 0.97); err != nil {
+		t.Fatalf("all movebounds given: %v", err)
+	}
+	for _, mbs := range [][]Movebound{inst.Movebounds[:1], nil} {
+		if rep, err := CheckFeasibility(inst.N, mbs, 0.97); err == nil {
+			t.Errorf("CheckFeasibility with %d of 2 movebounds: %+v, want an error", len(mbs), rep)
+		}
+		if viol, err := CountViolations(inst.N, mbs); err == nil {
+			t.Errorf("CountViolations with %d of 2 movebounds: %d, want an error", len(mbs), viol)
+		}
+	}
+}
+
 func TestFacadePartitionStep(t *testing.T) {
 	inst, err := Generate(ChipSpec{Name: "p", NumCells: 1500, Seed: 3})
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"fbplace/internal/degrade"
@@ -561,7 +562,18 @@ func VerifyNoOverlaps(n *netlist.Netlist) int {
 	overlaps := 0
 	for k := int32(0); k < int32(bands); k++ {
 		idx := members[start[k]:start[k+1]]
-		sort.Slice(idx, func(a, b int) bool { return boxes[idx[a]].r.Xlo < boxes[idx[b]].r.Xlo })
+		// Plain comparisons, as sort.Slice's less used: cmp.Compare's NaN
+		// ordering costs this sort about a tenth of its time.
+		slices.SortFunc(idx, func(a, b int32) int {
+			xa, xb := boxes[a].r.Xlo, boxes[b].r.Xlo
+			switch {
+			case xa < xb:
+				return -1
+			case xa > xb:
+				return 1
+			}
+			return 0
+		})
 		for a := 0; a < len(idx); a++ {
 			ba := &boxes[idx[a]]
 			for b := a + 1; b < len(idx); b++ {

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"fbplace/internal/gen"
+	"fbplace/internal/geom"
 	"fbplace/internal/legalize"
+	"fbplace/internal/qp"
 	"fbplace/internal/region"
 )
 
@@ -54,5 +56,51 @@ func BenchmarkLegalize(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkTopLevelQP times the top-level quadratic solves of one
+// placement on a generated 5k-cell chip (genchip -cells 5000 -seed 2): the
+// assembly of the held system of all movable cells, one unanchored solve
+// and the anchored solves of levels 1-5 with the placer's anchor weights.
+// The anchors stand in for partitioning results: they pull every cell to
+// its generated (spread) position, and each solve warm-starts where the
+// previous one ended. Every iteration starts from the generated positions
+// and reuses one workspace, sized before the timer starts.
+func BenchmarkTopLevelQP(b *testing.B) {
+	inst, err := gen.Chip(gen.ChipSpec{Name: "custom", NumCells: 5000, Seed: 2, NumMacros: 2, Utilization: 0.55})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := inst.N
+	x0, y0 := append([]float64(nil), n.X...), append([]float64(nil), n.Y...)
+	movable := n.MovableIDs()
+	anchors := make([]qp.Anchor, len(movable))
+	opt := qp.Options{Workspace: qp.NewWorkspace()}
+	solves := func() {
+		copy(n.X, x0)
+		copy(n.Y, y0)
+		sys, err := qp.NewSystem(n, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sys.Solve(nil, opt); err != nil {
+			b.Fatal(err)
+		}
+		for lv := 1; lv <= 5; lv++ {
+			w := levelAnchorWeight(n, lv)
+			for k, id := range movable {
+				anchors[k] = qp.Anchor{Cell: id, Target: geom.Point{X: x0[id], Y: y0[id]}, Weight: w}
+			}
+			if err := sys.Solve(anchors, opt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	solves() // sizes the workspace
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		solves()
 	}
 }

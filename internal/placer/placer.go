@@ -148,8 +148,14 @@ func (c Config) fbpConfig(ctx context.Context, dl *degrade.Log, check *certify.C
 }
 
 // anchorWeight is the base weight of the per-level anchors tying the QP
-// to the partitioning result; globalLoop scales it with the level.
+// to the partitioning result; levelAnchorWeight scales it with the level.
 const anchorWeight = 0.05
+
+// levelAnchorWeight is the anchor weight of level lv's anchored QP: it
+// doubles with every level and is scaled to the chip size.
+func levelAnchorWeight(n *netlist.Netlist, lv int) float64 {
+	return anchorWeight * float64(int(1)<<lv) / math.Max(n.Area.Width(), n.Area.Height()) * 64
+}
 
 func (c *Config) fill() {
 	if c.TargetDensity == 0 {
@@ -323,7 +329,8 @@ func runOnce(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir stri
 	// Top-level QP effort feeds Report.QPSolves/CGIters; the realization
 	// runs its local solves with its own options, so the split stays
 	// clean. The top-level solves (initial + one anchored per level) run
-	// strictly one after another, so they share one workspace.
+	// strictly one after another on the system globalLoop holds in this
+	// workspace.
 	var qpStats qp.SolveStats
 	qopt := qp.Options{Obs: cfg.Obs, Stats: &qpStats, Ctx: ctx, Degrade: dl, Workspace: qp.NewWorkspace()}
 	mbs, err := region.Normalize(n.Area, cfg.Movebounds)
@@ -537,13 +544,27 @@ func levelsFor(n *netlist.Netlist, cfg Config) int {
 
 // globalLoop runs QP + partitioning over grids of level startLevel
 // through endLevel (2^lv x 2^lv windows), solving the top-level QPs with
-// qopt. When freshQP is set, the loop starts from an unconstrained
-// quadratic solve; otherwise it continues from the current placement. A
-// non-nil ck snapshots the loop state after each completed level.
+// qopt. The net springs of n are assembled once, by the first solve, into
+// qopt.Workspace, and every solve of the loop shares them; the system is
+// never checkpointed (a resumed loop assembles it anew). When freshQP is
+// set, the loop starts from an unconstrained quadratic solve; otherwise it
+// continues from the current placement. A non-nil ck snapshots the loop
+// state after each completed level.
 func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decomposition, blockages geom.RectSet, cfg Config, qopt qp.Options, dl *degrade.Log, report *Report, startLevel, endLevel int, freshQP bool, ck *ckptState) error {
+	var sys *qp.System
+	solve := func(anchors []qp.Anchor) error {
+		if sys == nil {
+			s, err := qp.NewSystem(n, qopt)
+			if err != nil {
+				return err
+			}
+			sys = s
+		}
+		return sys.Solve(anchors, qopt)
+	}
 	if freshQP {
 		qsp := cfg.Obs.StartSpan("qp.initial")
-		err := qp.Solve(n, nil, qopt)
+		err := solve(nil)
 		qsp.End()
 		if err != nil {
 			return fmt.Errorf("placer: initial QP: %w", err)
@@ -595,12 +616,12 @@ func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decompos
 		// Anchored QP: connectivity pulls within the assigned regions.
 		// Clique/star springs here — bound-to-bound weights (~1/distance)
 		// would overpower the partition anchors and undo the spreading.
-		w := anchorWeight * float64(int(1)<<lv) / math.Max(n.Area.Width(), n.Area.Height()) * 64
+		w := levelAnchorWeight(n, lv)
 		for i, id := range movable {
 			anchors[i] = qp.Anchor{Cell: id, Target: n.Pos(id), Weight: w}
 		}
 		qsp := cfg.Obs.StartSpan("qp.anchored")
-		err := qp.Solve(n, anchors, qopt)
+		err := solve(anchors)
 		qsp.End()
 		lsp.End()
 		if err != nil {

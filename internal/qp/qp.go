@@ -3,12 +3,15 @@
 // small nets, star model for large ones), fixed pins and pads enter the
 // right-hand side, and optional anchors pull cells toward targets (window
 // centers during partitioning, spread positions in the RQL baseline).
-// The x and y systems are independent and solved with preconditioned CG,
-// concurrently; under the clique/star model they share one matrix.
+// The x and y systems are independent; under the clique/star model they
+// share one matrix, and both are solved with preconditioned CG in one
+// lockstep loop on the calling goroutine (sparse.SolveCGPair).
 //
-// SolveSubset supports the local QP of the realization step (§IV.B):
-// only the given cells are variables, everything else is fixed at its
-// current position.
+// A System holds the assembled springs of a set of variable cells, so the
+// placer assembles its netlist once and solves it unanchored and then
+// anchored after every level. SolveSubset supports the local QP of the
+// realization step (§IV.B): only the given cells are variables,
+// everything else is fixed at its current position.
 package qp
 
 import (
@@ -16,7 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"fbplace/internal/degrade"
@@ -94,8 +97,9 @@ type Options struct {
 	// expired context aborts the solve with the context's error.
 	Ctx context.Context
 	// Workspace, when non-nil, supplies reusable scratch (epoch-stamped
-	// variable/net marks, pin buffers, matrix builders, rhs vectors) so
-	// steady-state SolveSubset calls allocate O(block), not O(netlist).
+	// variable/net marks, pin buffers, matrix builders, rhs and CG
+	// vectors) so steady-state SolveSubset calls allocate O(block), not
+	// O(netlist), and holds the System that NewSystem assembles.
 	// A workspace must not be shared by concurrent solves; the parallel
 	// realization threads one per worker. Results are bit-identical with
 	// and without a workspace.
@@ -149,9 +153,14 @@ func (o *Options) fill() {
 }
 
 // Solve minimizes the quadratic netlength over all movable cells and
-// writes the optimal positions into the netlist.
+// writes the optimal positions into the netlist: it assembles the system
+// of all movable cells once and solves it once (NewSystem, System.Solve).
 func Solve(n *netlist.Netlist, anchors []Anchor, opt Options) error {
-	return SolveSubset(n, n.MovableIDs(), anchors, opt)
+	s, err := NewSystem(n, opt)
+	if err != nil {
+		return err
+	}
+	return s.Solve(anchors, opt)
 }
 
 // netPin is one pin of a net as seen by the local system assembly.
@@ -161,25 +170,69 @@ type netPin struct {
 	cur    geom.Point // current absolute position (B2B weights/bounds)
 }
 
+// System is the assembled quadratic system of one set of variable cells:
+// the star nodes of their big nets, the net springs (the off-diagonal
+// matrix, one per axis under B2B, and the spring diagonal) and the
+// right-hand sides of the pin offsets and the fixed pins. A solve adds the anchors and the
+// centering spring to copies of the diagonal and the right-hand sides, so
+// one system serves any number of solves while the fixed cells and pads
+// stay put. Clique/star springs do not depend on the positions of the
+// variable cells; B2B weights are those of the positions at assembly.
+//
+// A system lives in its workspace's buffers and stays valid until the
+// workspace assembles the next one.
+type System struct {
+	n      *netlist.Netlist
+	subset []netlist.CellID
+	ws     *Workspace
+	// nv variables are the subset cells, dim-nv are star nodes.
+	nv, dim int
+	// mx and my (one matrix unless B2B) hold the springs; their Diag is
+	// the spring diagonal.
+	mx, my     *sparse.CSR
+	rhsX, rhsY []float64
+}
+
+// NewSystem assembles the system of all movable cells of n in
+// opt.Workspace (a fresh workspace when nil) for the net model
+// opt.NetModel.
+func NewSystem(n *netlist.Netlist, opt Options) (*System, error) {
+	ws := opt.Workspace
+	if ws == nil {
+		ws = NewWorkspace()
+	}
+	return ws.assemble(n, n.MovableIDs(), opt)
+}
+
 // SolveSubset minimizes the quadratic netlength over the given cells only;
 // all other cells are treated as fixed at their current positions.
 // Anchors referencing cells outside the subset are ignored.
-//
-// The system is assembled by walking only the nets incident to the subset
-// (via the netlist's cell -> net index), in ascending net order — the same
-// nets, in the same order, that a full netlist scan would emit, so results
-// are bit-identical to one while the cost is proportional to the block,
-// not the chip. The obs counter "qp.netsVisited" records the incident-net
-// count per call.
 func SolveSubset(n *netlist.Netlist, subset []netlist.CellID, anchors []Anchor, opt Options) error {
-	opt.fill()
 	if len(subset) == 0 {
 		return nil
 	}
 	ws := opt.Workspace
 	if ws == nil {
 		ws = NewWorkspace()
-	} else if ws.uses > 0 {
+	}
+	s, err := ws.assemble(n, subset, opt)
+	if err != nil {
+		return err
+	}
+	return s.Solve(anchors, opt)
+}
+
+// assemble builds the spring system of subset in ws; it is the one
+// assembly of every solve.
+//
+// The system is assembled by walking only the nets incident to the subset
+// (via the netlist's cell -> net index), in ascending net order — the same
+// nets, in the same order, that a full netlist scan would emit, so results
+// are bit-identical to one while the cost is proportional to the block,
+// not the chip. The obs counter "qp.netsVisited" records the incident-net
+// count per assembly.
+func (ws *Workspace) assemble(n *netlist.Netlist, subset []netlist.CellID, opt Options) (*System, error) {
+	if ws.uses > 0 {
 		opt.Obs.Count("qp.wsReuse", 1)
 	}
 	ws.begin(n.NumCells(), n.NumNets())
@@ -188,43 +241,40 @@ func SolveSubset(n *netlist.Netlist, subset []netlist.CellID, anchors []Anchor, 
 	// "-1" fill a dense varOf array would need per call.
 	for vi, id := range subset {
 		if n.Cells[id].Fixed {
-			return fmt.Errorf("qp: subset contains fixed cell %d (%s)", id, n.Cells[id].Name)
+			return nil, fmt.Errorf("qp: subset contains fixed cell %d (%s)", id, n.Cells[id].Name)
 		}
 		ws.varIdx[id] = int32(vi)
 		ws.varEpoch[id] = epoch
 	}
 	nv := len(subset)
-	varOf := func(c netlist.CellID) int32 {
-		if ws.varEpoch[c] == epoch {
-			return ws.varIdx[c]
-		}
-		return -1
-	}
+	varOf := ws.varOf
 
 	// Gather the nets incident to the subset, deduplicated by epoch stamp
 	// and sorted ascending: ascending net order reproduces the emission
 	// (and thus float summation) order of a full netlist scan bit-for-bit.
 	idx := n.NetIndex()
 	nets := ws.netIDs[:0]
+	numPins := 0
 	for _, id := range subset {
 		for _, ni := range idx.Nets(id) {
 			if ws.netEpoch[ni] != epoch {
 				ws.netEpoch[ni] = epoch
 				nets = append(nets, int32(ni))
+				numPins += len(n.Nets[ni].Pins)
 			}
 		}
 	}
-	sort.Sort(int32s(nets))
+	slices.Sort(nets)
 	ws.netIDs = nets
 	opt.Obs.Count("qp.netsVisited", float64(len(nets)))
 
 	// Collect pins per incident net and assign star variables: nets with
 	// > cliqueThreshold pins get a star node. Every gathered net has at
 	// least one variable pin by construction of the index, so the old
-	// per-net hasVar scan is gone entirely.
-	ws.pins = ws.pins[:0]
-	ws.pinOff = ws.pinOff[:0]
-	ws.starOf = ws.starOf[:0]
+	// per-net hasVar scan is gone entirely. The buffers are sized once.
+	ws.pins = slices.Grow(ws.pins[:0], numPins)
+	ws.pinOff = slices.Grow(ws.pinOff[:0], len(nets)+1)
+	ws.starOf = slices.Grow(ws.starOf[:0], len(nets))
 	numStars := 0
 	for _, ni := range nets {
 		net := &n.Nets[ni]
@@ -258,10 +308,10 @@ func SolveSubset(n *netlist.Netlist, subset []netlist.CellID, anchors []Anchor, 
 	ws.pinOff = append(ws.pinOff, int32(len(ws.pins)))
 	dim := nv + numStars
 
-	// Clique and star springs, anchors and the regularization put the
-	// same weights into both axes, so one matrix serves both; only B2B
-	// weights differ per axis. Each builder call below that is not
-	// axis-specific goes to by only when by is a second builder.
+	// Clique and star springs put the same weights into both axes, so one
+	// matrix serves both; only B2B weights differ per axis. Each builder
+	// call below that is not axis-specific goes to by only when by is a
+	// second builder.
 	ws.bx = resetBuilder(ws.bx, dim)
 	bx, by := ws.bx, ws.bx
 	if opt.NetModel == ModelB2B {
@@ -269,17 +319,10 @@ func SolveSubset(n *netlist.Netlist, subset []netlist.CellID, anchors []Anchor, 
 		by = ws.by
 	}
 	shared := bx == by
-	ws.rhsX = growZeroed(ws.rhsX, dim)
-	ws.rhsY = growZeroed(ws.rhsY, dim)
-	rhsX, rhsY := ws.rhsX, ws.rhsY
+	ws.springX = growZeroed(ws.springX, dim)
+	ws.springY = growZeroed(ws.springY, dim)
+	rhsX, rhsY := ws.springX, ws.springY
 
-	// addDiag adds w to variable i's diagonal on both axes.
-	addDiag := func(i int, w float64) {
-		bx.AddDiag(i, w)
-		if !shared {
-			by.AddDiag(i, w)
-		}
-	}
 	// addSpring connects two pins (variable or fixed) with weight w.
 	addSpring := func(a, b netPin, w float64) {
 		switch {
@@ -299,16 +342,21 @@ func SolveSubset(n *netlist.Netlist, subset []netlist.CellID, anchors []Anchor, 
 			rhsY[a.varIdx] -= w * dy
 			rhsY[b.varIdx] += w * dy
 		case a.varIdx >= 0:
-			addDiag(int(a.varIdx), w)
+			bx.AddDiag(int(a.varIdx), w)
+			if !shared {
+				by.AddDiag(int(a.varIdx), w)
+			}
 			rhsX[a.varIdx] += w * (b.pos.X - a.pos.X)
 			rhsY[a.varIdx] += w * (b.pos.Y - a.pos.Y)
 		case b.varIdx >= 0:
-			addDiag(int(b.varIdx), w)
+			bx.AddDiag(int(b.varIdx), w)
+			if !shared {
+				by.AddDiag(int(b.varIdx), w)
+			}
 			rhsX[b.varIdx] += w * (a.pos.X - b.pos.X)
 			rhsY[b.varIdx] += w * (a.pos.Y - b.pos.Y)
 		}
 	}
-
 	// addSpringAxis is the single-axis variant used by the B2B model;
 	// axis 0 = x, 1 = y.
 	addSpringAxis := func(a, b netPin, w float64, axis int) {
@@ -403,9 +451,57 @@ func SolveSubset(n *netlist.Netlist, subset []netlist.CellID, anchors []Anchor, 
 		}
 	}
 
+	ws.sys = System{
+		n: n, subset: subset, ws: ws,
+		nv: nv, dim: dim,
+		mx: bx.Build(), rhsX: rhsX, rhsY: rhsY,
+	}
+	ws.sys.my = ws.sys.mx
+	if !shared {
+		ws.sys.my = by.Build()
+	}
+	return &ws.sys, nil
+}
+
+// Solve minimizes the quadratic netlength over the system's variable
+// cells, with the anchors (those on cells outside the system are ignored)
+// and a tiny centering spring on every variable added to copies of the
+// spring diagonal and right-hand sides, in that order, and writes the
+// clamped solution into the netlist. The off-diagonal springs are shared
+// by every solve of the system. Of opt, the solve settings apply; the net
+// model, the read snapshot and the workspace are those of the assembly.
+func (s *System) Solve(anchors []Anchor, opt Options) error {
+	opt.fill()
+	if s.nv == 0 {
+		return nil
+	}
+	n, ws, dim := s.n, s.ws, s.dim
+	ws.diagX = append(ws.diagX[:0], s.mx.Diag...)
+	ws.matX = *s.mx
+	ws.matX.Diag = ws.diagX
+	mx, my := &ws.matX, &ws.matX
+	diagX, diagY := ws.diagX, ws.diagX
+	shared := s.my == s.mx
+	if !shared {
+		ws.diagY = append(ws.diagY[:0], s.my.Diag...)
+		ws.matY = *s.my
+		ws.matY.Diag = ws.diagY
+		my, diagY = &ws.matY, ws.diagY
+	}
+	ws.rhsX = append(ws.rhsX[:0], s.rhsX...)
+	ws.rhsY = append(ws.rhsY[:0], s.rhsY...)
+	rhsX, rhsY := ws.rhsX, ws.rhsY
+	// addDiag adds w to variable i's diagonal on both axes.
+	addDiag := func(i int, w float64) {
+		diagX[i] += w
+		if !shared {
+			diagY[i] += w
+		}
+	}
+
 	// Anchors.
 	for _, a := range anchors {
-		vi := varOf(a.Cell)
+		vi := ws.varOf(a.Cell)
 		if vi < 0 || a.Weight <= 0 {
 			continue
 		}
@@ -423,30 +519,25 @@ func SolveSubset(n *netlist.Netlist, subset []netlist.CellID, anchors []Anchor, 
 		rhsY[i] += regularization * ctr.Y
 	}
 
-	mx := bx.Build()
-	my := mx
-	if !shared {
-		my = by.Build()
-	}
 	ws.x = grow(ws.x, dim)
 	ws.y = grow(ws.y, dim)
 	x, y := ws.x, ws.y
-	for vi, id := range subset {
+	for vi, id := range s.subset {
 		x[vi], y[vi] = n.X[id], n.Y[id] // warm start
 	}
-	for s := nv; s < dim; s++ {
-		x[s], y[s] = ctr.X, ctr.Y
+	for i := s.nv; i < dim; i++ {
+		x[i], y[i] = ctr.X, ctr.Y
 	}
 	// The fallback chain: with a degrade log armed, a CG solve that
 	// exhausts its budget is retried once from its iterate with a 4x
-	// budget (inside SolveCGPair); if that fails too, SolveSubset keeps
+	// budget (inside SolveCGPair); if that fails too, the solve keeps
 	// the warm start. A best-effort solve accepts the non-converged
 	// iterate instead, and context errors pass straight through
 	// (ErrNotConverged is a distinct sentinel, so a cancellation mid-solve
 	// never retries).
 	cg := sparse.CGOptions{Tol: opt.Tol, MaxIter: opt.MaxIter, Obs: opt.Obs, Ctx: opt.Ctx}
 	retry := opt.Degrade != nil && !opt.BestEffort
-	itx, ity, errX, errY := sparse.SolveCGPair(mx, my, x, y, rhsX, rhsY, cg, retry)
+	itx, ity, errX, errY := sparse.SolveCGPair(&ws.cg, mx, my, x, y, rhsX, rhsY, cg, retry)
 	degraded := false
 	var degradeDetail string
 	for _, ax := range [2]struct {
@@ -471,7 +562,7 @@ func SolveSubset(n *netlist.Netlist, subset []netlist.CellID, anchors []Anchor, 
 		opt.Degrade.Add("qp.cg", "anchor-solution", degradeDetail)
 		return nil
 	}
-	for vi, id := range subset {
+	for vi, id := range s.subset {
 		n.SetPos(id, n.Area.ClampPoint(geom.Point{X: x[vi], Y: y[vi]}))
 	}
 	return nil

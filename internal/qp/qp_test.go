@@ -448,3 +448,45 @@ func TestCGFaultOrderDeterministic(t *testing.T) {
 		samePositions(run, n, clean)
 	}
 }
+
+// TestHeldSystemMatchesFreshSolves solves one held system of all movable
+// cells four times — unanchored, then with three anchor sets of growing
+// weight, moving every movable cell between solves the way partitioning
+// does — and checks each result bit for bit against a fresh
+// SolveSubset(n, MovableIDs, anchors) on a twin netlist. The netlist has
+// star nets, pin offsets, pads and fixed cells.
+func TestHeldSystemMatchesFreshSolves(t *testing.T) {
+	held := messyNetlist(400, 17)
+	fresh := held.Clone()
+	sys, err := NewSystem(held, Options{Workspace: NewWorkspace()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	movable := held.MovableIDs()
+	var anchors []Anchor
+	for round := 0; round < 4; round++ {
+		if round > 0 {
+			anchors = anchors[:0]
+			for i, id := range movable {
+				p := held.Pos(id)
+				target := geom.Point{X: math.Mod(p.X+float64(i%7), 10), Y: math.Mod(p.Y+float64(i%5), 10)}
+				anchors = append(anchors, Anchor{Cell: id, Target: target, Weight: 0.05 * float64(int(1)<<round)})
+				held.SetPos(id, target)
+				fresh.SetPos(id, target)
+			}
+		}
+		if err := sys.Solve(anchors, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := SolveSubset(fresh, fresh.MovableIDs(), anchors, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range held.X {
+			if math.Float64bits(held.X[i]) != math.Float64bits(fresh.X[i]) ||
+				math.Float64bits(held.Y[i]) != math.Float64bits(fresh.Y[i]) {
+				t.Fatalf("solve %d, cell %d: held system (%v, %v), fresh (%v, %v)",
+					round, i, held.X[i], held.Y[i], fresh.X[i], fresh.Y[i])
+			}
+		}
+	}
+}

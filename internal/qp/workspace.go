@@ -1,14 +1,14 @@
 package qp
 
 import (
-	"sort"
-
+	"fbplace/internal/netlist"
 	"fbplace/internal/sparse"
 )
 
-// Workspace holds the reusable scratch of SolveSubset: epoch-stamped
-// variable and net marks, the gathered incident-net list, flat pin
-// buffers, matrix builders and right-hand-side vectors. With a workspace,
+// Workspace holds the reusable scratch of the system assembly and its
+// solves: epoch-stamped variable and net marks, the gathered incident-net
+// list, flat pin buffers, matrix builders, right-hand-side and CG vectors,
+// and the last assembled System. With a workspace,
 // a steady-state local QP solve allocates O(block) memory in a handful of
 // allocations instead of O(netlist) — the realization phase threads one
 // workspace per worker.
@@ -35,11 +35,20 @@ type Workspace struct {
 	// pins of netIDs[k] (empty for nets with fewer than two pins).
 	pins   []netPin
 	pinOff []int32
-	// System assembly and solution buffers; by is used only by the B2B
-	// model, whose axes need separate matrices.
-	bx, by     *sparse.Builder
-	rhsX, rhsY []float64
-	x, y       []float64
+	// System assembly buffers: by is used only by the B2B model, whose
+	// axes need separate matrices; springX and springY are the assembled
+	// right-hand sides. sys is the last assembled system.
+	bx, by           *sparse.Builder
+	springX, springY []float64
+	sys              System
+	// Solve buffers: the diagonals and right-hand sides with anchors and
+	// regularization, the matrices that pair those diagonals with the
+	// assembled springs, the solution vectors and the CG work vectors.
+	diagX, diagY []float64
+	rhsX, rhsY   []float64
+	matX, matY   sparse.CSR
+	x, y         []float64
+	cg           sparse.CGWork
 	// uses counts completed begin() calls; a second use of the same
 	// workspace is reported as the obs counter "qp.wsReuse".
 	uses int
@@ -74,6 +83,15 @@ func (ws *Workspace) begin(numCells, numNets int) {
 	ws.uses++
 }
 
+// varOf returns the variable index of cell c in the last assembled
+// system, or -1.
+func (ws *Workspace) varOf(c netlist.CellID) int32 {
+	if ws.varEpoch[c] == ws.epoch {
+		return ws.varIdx[c]
+	}
+	return -1
+}
+
 // resetBuilder returns b reset to an empty n x n system, or a new builder
 // when b is nil.
 func resetBuilder(b *sparse.Builder, n int) *sparse.Builder {
@@ -105,13 +123,3 @@ func grow(s []float64, n int) []float64 {
 	}
 	return s[:n]
 }
-
-// int32s sorts []int32 ascending without the reflection overhead of
-// sort.Slice.
-type int32s []int32
-
-func (s int32s) Len() int           { return len(s) }
-func (s int32s) Less(i, j int) bool { return s[i] < s[j] }
-func (s int32s) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-
-var _ sort.Interface = int32s(nil)

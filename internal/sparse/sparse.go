@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"fbplace/internal/faultsim"
 	"fbplace/internal/obs"
@@ -44,6 +43,7 @@ type Builder struct {
 	rowStart []int32
 	mark     []int32
 	long     rowSorter // reused by sortRow so sorting a long row does not allocate
+	out      CSR       // Build's result, rebuilt in place
 }
 
 // NewBuilder returns a builder for an n x n matrix.
@@ -107,6 +107,8 @@ func (b *Builder) AddDiag(i int, w float64) { b.diagAdd[i] += w }
 // entries by row, keeping insertion order, a column marker sums the
 // entries with equal coordinates in insertion order, and each row is then
 // sorted by column. Explicit zeros are kept (they are rare and harmless).
+// The matrix lives in the builder's buffers: it stays valid until the
+// builder's next Build, which overwrites it.
 func (b *Builder) Build() *CSR {
 	n, nnz := b.n, len(b.rows)
 	start := resize(b.rowStart, n+1)
@@ -134,13 +136,15 @@ func (b *Builder) Build() *CSR {
 	}
 	b.order, b.rowStart, b.mark = order, start, mark
 
-	m := &CSR{
-		N:    n,
-		Ptr:  make([]int32, n+1),
-		Col:  make([]int32, 0, nnz),
-		Val:  make([]float64, 0, nnz),
-		Diag: append([]float64(nil), b.diagAdd...),
+	m := &b.out
+	m.N = n
+	m.Ptr = resize(m.Ptr, n+1)
+	m.Ptr[0] = 0
+	if cap(m.Col) < nnz {
+		m.Col, m.Val = make([]int32, 0, nnz), make([]float64, 0, nnz)
 	}
+	m.Col, m.Val = m.Col[:0], m.Val[:0]
+	m.Diag = append(m.Diag[:0], b.diagAdd...)
 	for r := 0; r < n; r++ {
 		first := int32(len(m.Col))
 		for _, e := range order[start[r]:start[r+1]] {
@@ -168,7 +172,6 @@ func (b *Builder) sortRow(col []int32, val []float64) {
 	if len(col) > insertionMax {
 		b.long = rowSorter{col: col, val: val}
 		sort.Sort(&b.long)
-		b.long = rowSorter{} // drop the references to the returned matrix
 		return
 	}
 	for i := 1; i < len(col); i++ {
@@ -226,6 +229,29 @@ func (m *CSR) MulVec(dst, x []float64) {
 	}
 }
 
+// mulVec2 computes dx = M*px and dy = M*py in one traversal of M; each
+// product takes exactly MulVec's operations in MulVec's order. No two of
+// the four vectors may alias.
+func (m *CSR) mulVec2(dx, px, dy, py []float64) {
+	// Reslicing to the dimension lets the compiler drop bounds checks.
+	n := m.N
+	diag, ptr := m.Diag[:n], m.Ptr[:n+1]
+	dx, px, dy, py = dx[:n], px[:n], dy[:n], py[:n]
+	for i := range diag {
+		d := diag[i]
+		sx, sy := d*px[i], d*py[i]
+		cols := m.Col[ptr[i]:ptr[i+1]]
+		vals := m.Val[ptr[i]:ptr[i+1]]
+		vals = vals[:len(cols)]
+		for k, c := range cols {
+			v := vals[k]
+			sx += v * px[c]
+			sy += v * py[c]
+		}
+		dx[i], dy[i] = sx, sy
+	}
+}
+
 // ErrNotConverged is returned when CG exhausts its iteration budget before
 // reaching the requested tolerance. The best iterate found is still
 // written to x, so callers may choose to continue with it.
@@ -249,20 +275,19 @@ type CGOptions struct {
 }
 
 // SolveCGPair solves the two axis systems of one quadratic placement,
-// mx*x = rhsX and my*y = rhsY (mx and my may be the same matrix), on two
-// goroutines. With retry set, an axis whose solve does not converge is
+// mx*x = rhsX and my*y = rhsY (mx and my may be the same matrix), in one
+// lockstep CG loop on the calling goroutine (see runCG), with w's work
+// vectors. With retry set, an axis whose solve does not converge is
 // retried once from its iterate with four times the iteration budget; an
 // axis error wrapping ErrNotConverged then means both attempts failed. It
 // returns each axis's iterations over both attempts and its error.
 //
 // The outcome is that of solving x, then y, each retried in place: the
 // sparse.cg.noconverge fault schedule is drawn in the order x, x-retry, y,
-// y-retry before either axis starts, and the obs records are emitted in
-// that order once both axes returned. A retry after an organic failure
-// (not an injected one) runs once both axes returned, x first, and draws
-// its fault hit only then, so with the site armed its hit index can
-// follow y's draws instead of preceding them.
-func SolveCGPair(mx, my *CSR, x, y, rhsX, rhsY []float64, opt CGOptions, retry bool) (itx, ity int, errX, errY error) {
+// y-retry before the first attempts run, and the obs records are emitted
+// in that order once both axes returned. Retries after an organic failure
+// (not an injected one) run afterwards, drawing their hits x first.
+func SolveCGPair(w *CGWork, mx, my *CSR, x, y, rhsX, rhsY []float64, opt CGOptions, retry bool) (itx, ity int, errX, errY error) {
 	opt = opt.withDefaults(mx.N)
 	if err := precheck(mx, x, rhsX, opt); err != nil {
 		return 0, 0, err, nil
@@ -279,32 +304,25 @@ func SolveCGPair(mx, my *CSR, x, y, rhsX, rhsY []float64, opt CGOptions, retry b
 		}
 	}
 	// An injected first attempt did no work, so its retry runs in place.
-	run := func(a *axisRun) {
-		a.first = attempt(a.m, a.v, a.rhs, opt, a.fault)
+	for i := range axes {
+		a := &axes[i]
+		w.schedule(&a.first, a.m, a.v, a.rhs, opt.MaxIter, a.fault)
 		if a.fault != nil && retry {
-			a.second = attempt(a.m, a.v, a.rhs, opt.retry(), a.retryFault)
+			w.schedule(&a.second, a.m, a.v, a.rhs, opt.retry().MaxIter, a.retryFault)
 			a.retried = true
 		}
 	}
-	var wg sync.WaitGroup
-	var crash any
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer func() { crash = recover() }()
-		run(&axes[1])
-	}()
-	run(&axes[0])
-	wg.Wait()
-	if crash != nil {
-		panic(crash) //fbpvet:allow re-raise the y axis's panic on the caller's goroutine
-	}
+	w.run(opt)
 	for i := range axes {
 		a := &axes[i]
 		if retry && !a.retried && errors.Is(a.first.err, ErrNotConverged) {
-			a.second = attempt(a.m, a.v, a.rhs, opt.retry(), cgFault.Check())
+			w.schedule(&a.second, a.m, a.v, a.rhs, opt.retry().MaxIter, cgFault.Check())
 			a.retried = true
 		}
+	}
+	w.run(opt)
+	for i := range axes {
+		a := &axes[i]
 		a.first.record(opt.Obs)
 		if a.retried {
 			a.second.record(opt.Obs)
@@ -387,32 +405,153 @@ func (a *cgAttempt) record(rec *obs.Recorder) {
 	rec.Gauge("cg.residual", a.relres)
 }
 
-// attempt runs one CG solve whose fault hit was drawn as fault: an
-// injected hit reports non-convergence without iterating, with the same
-// contract as the organic case — the warm-start iterate stays in x and
-// ErrNotConverged is reported (wrapping the injection record for
-// attribution).
-func attempt(m *CSR, x, rhs []float64, opt CGOptions, fault error) cgAttempt {
-	if fault != nil {
-		return cgAttempt{err: fmt.Errorf("sparse: %w: %w", ErrNotConverged, fault)}
-	}
-	n := m.N
-	inv := make([]float64, n)
-	for i, d := range m.Diag {
-		if d <= 0 {
-			return cgAttempt{err: fmt.Errorf("sparse: non-positive diagonal %g at row %d (matrix not SPD)", d, i)}
-		}
-		inv[i] = 1 / d
-	}
-	done := func(iters int, relres float64, err error) cgAttempt {
-		return cgAttempt{iters: iters, relres: relres, recorded: true, err: err}
-	}
-	r := make([]float64, n)
-	z := make([]float64, n)
-	p := make([]float64, n)
-	ap := make([]float64, n)
+// CGWork holds the runs and work vectors of SolveCGPair, so a caller that
+// solves many systems one after another allocates them once. The zero
+// value is ready to use. A CGWork must not be shared by concurrent solves.
+type CGWork struct {
+	runs []cgRun
+	vecs []float64
+}
 
-	m.MulVec(r, x)
+// cgRun is one CG attempt in the lockstep loop: its system, its iteration
+// budget, where its outcome goes and, while it is live, its state.
+type cgRun struct {
+	m       *CSR
+	x, rhs  []float64
+	maxIter int
+	out     *cgAttempt
+
+	inv, r, z, p, ap           []float64
+	rz, bnorm, target, lastRel float64
+	live                       bool
+}
+
+// schedule adds an attempt whose fault hit was drawn as fault to the next
+// run. An injected hit does not join it: it reports non-convergence
+// without iterating, with the same contract as the organic case — the
+// warm-start iterate stays in x and ErrNotConverged is reported (wrapping
+// the injection record for attribution).
+func (w *CGWork) schedule(out *cgAttempt, m *CSR, x, rhs []float64, maxIter int, fault error) {
+	if fault != nil {
+		*out = cgAttempt{err: fmt.Errorf("sparse: %w: %w", ErrNotConverged, fault)}
+		return
+	}
+	w.runs = append(w.runs, cgRun{m: m, x: x, rhs: rhs, maxIter: maxIter, out: out})
+}
+
+// run solves the scheduled attempts in lockstep (see runCG), taking their
+// work vectors from w, and clears the schedule.
+func (w *CGWork) run(opt CGOptions) {
+	total := 0
+	for i := range w.runs {
+		total += 5 * w.runs[i].m.N
+	}
+	if cap(w.vecs) < total {
+		w.vecs = make([]float64, total)
+	}
+	buf := w.vecs[:total]
+	next := func(n int) []float64 {
+		v := buf[:n:n]
+		buf = buf[n:]
+		return v
+	}
+	for i := range w.runs {
+		c := &w.runs[i]
+		n := c.m.N
+		c.inv, c.r, c.z, c.p, c.ap = next(n), next(n), next(n), next(n), next(n)
+	}
+	runCG(w.runs, opt)
+	w.runs = w.runs[:0]
+}
+
+// runCG runs Jacobi-preconditioned CG on every run at once: round k does
+// iteration k of each run still live, and two live runs on one matrix
+// share a single traversal of it per round. Each run keeps its own step
+// sizes, residual, stop test and iteration count, and does exactly the
+// float operations of a solve of its system alone, in the same order, so
+// its outcome does not depend on the other run.
+func runCG(runs []cgRun, opt CGOptions) {
+	for i := range runs {
+		runs[i].start()
+	}
+	apply(runs, func(c *cgRun) (dst, src []float64) { return c.r, c.x })
+	for i := range runs {
+		if runs[i].live {
+			runs[i].init(opt.Tol)
+		}
+	}
+	for iter := 1; ; iter++ {
+		live := 0
+		for i := range runs {
+			c := &runs[i]
+			if !c.live {
+				continue
+			}
+			if iter > c.maxIter {
+				c.finish(c.maxIter, ErrNotConverged)
+				continue
+			}
+			live++
+		}
+		if live == 0 {
+			return
+		}
+		// Deadline/cancellation poll, cheap relative to a MulVec: every 64
+		// iterations keeps the abort latency well under one outer
+		// placement iteration even on large systems.
+		if opt.Ctx != nil && iter&63 == 0 {
+			if err := opt.Ctx.Err(); err != nil {
+				for i := range runs {
+					if runs[i].live {
+						runs[i].finish(iter, err)
+					}
+				}
+				return
+			}
+		}
+		apply(runs, func(c *cgRun) (dst, src []float64) { return c.ap, c.p })
+		for i := range runs {
+			if runs[i].live {
+				runs[i].step(iter)
+			}
+		}
+	}
+}
+
+// apply computes dst = M*src for every live run, in one traversal when two
+// live runs share their matrix.
+func apply(runs []cgRun, vecs func(c *cgRun) (dst, src []float64)) {
+	if len(runs) == 2 && runs[0].live && runs[1].live && runs[0].m == runs[1].m {
+		dx, sx := vecs(&runs[0])
+		dy, sy := vecs(&runs[1])
+		runs[0].m.mulVec2(dx, sx, dy, sy)
+		return
+	}
+	for i := range runs {
+		if c := &runs[i]; c.live {
+			dst, src := vecs(c)
+			c.m.MulVec(dst, src)
+		}
+	}
+}
+
+// start builds the Jacobi preconditioner; a non-positive diagonal ends the
+// run unrecorded.
+func (c *cgRun) start() {
+	for i, d := range c.m.Diag {
+		if d <= 0 {
+			*c.out = cgAttempt{err: fmt.Errorf("sparse: non-positive diagonal %g at row %d (matrix not SPD)", d, i)}
+			return
+		}
+		c.inv[i] = 1 / d
+	}
+	c.live = true
+}
+
+// init turns r = M*x into the initial residual and search direction; a
+// zero right-hand side or a converged warm start ends the run.
+func (c *cgRun) init(tol float64) {
+	r, z, p, x, rhs := c.r, c.z, c.p, c.x, c.rhs
 	bnorm := 0.0
 	rnorm0 := 0.0
 	for i := range r {
@@ -425,57 +564,65 @@ func attempt(m *CSR, x, rhs []float64, opt CGOptions, fault error) cgAttempt {
 		for i := range x {
 			x[i] = 0
 		}
-		return done(0, 0, nil)
+		c.lastRel = 0
+		c.finish(0, nil)
+		return
 	}
-	if math.Sqrt(rnorm0) <= opt.Tol*bnorm {
-		return done(0, math.Sqrt(rnorm0)/bnorm, nil) // warm start already converged
+	c.bnorm = bnorm
+	c.lastRel = math.Sqrt(rnorm0) / bnorm
+	if math.Sqrt(rnorm0) <= tol*bnorm {
+		c.finish(0, nil) // warm start already converged
+		return
 	}
 	rz := 0.0
 	for i := range r {
-		z[i] = inv[i] * r[i]
+		z[i] = c.inv[i] * r[i]
 		p[i] = z[i]
 		rz += r[i] * z[i]
 	}
-	target := opt.Tol * bnorm
-	lastRel := math.Sqrt(rnorm0) / bnorm
-	for iter := 1; iter <= opt.MaxIter; iter++ {
-		// Deadline/cancellation poll, cheap relative to a MulVec: every 64
-		// iterations keeps the abort latency well under one outer
-		// placement iteration even on large systems.
-		if opt.Ctx != nil && iter&63 == 0 {
-			if err := opt.Ctx.Err(); err != nil {
-				return done(iter, lastRel, err)
-			}
-		}
-		m.MulVec(ap, p)
-		pap := dot(p, ap)
-		if pap <= 0 {
-			// Numerical breakdown; the current iterate is the best we have.
-			return done(iter, lastRel, fmt.Errorf("sparse: CG breakdown, p^T A p = %g: %w", pap, ErrNotConverged))
-		}
-		alpha := rz / pap
-		rnorm := 0.0
-		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
-			rnorm += r[i] * r[i]
-		}
-		lastRel = math.Sqrt(rnorm) / bnorm
-		if math.Sqrt(rnorm) <= target {
-			return done(iter, lastRel, nil)
-		}
-		rzNew := 0.0
-		for i := range z {
-			z[i] = inv[i] * r[i]
-			rzNew += r[i] * z[i]
-		}
-		beta := rzNew / rz
-		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
+	c.rz = rz
+	c.target = tol * bnorm
+}
+
+// step completes iteration iter once ap holds M*p.
+func (c *cgRun) step(iter int) {
+	x := c.x // the other vectors are resliced to its length for bounds-check elimination
+	r, z, p, ap, inv := c.r[:len(x)], c.z[:len(x)], c.p[:len(x)], c.ap[:len(x)], c.inv[:len(x)]
+	pap := dot(p, ap)
+	if pap <= 0 {
+		// Numerical breakdown; the current iterate is the best we have.
+		c.finish(iter, fmt.Errorf("sparse: CG breakdown, p^T A p = %g: %w", pap, ErrNotConverged))
+		return
 	}
-	return done(opt.MaxIter, lastRel, ErrNotConverged)
+	alpha := c.rz / pap
+	rnorm := 0.0
+	for i := range x {
+		x[i] += alpha * p[i]
+		r[i] -= alpha * ap[i]
+		rnorm += r[i] * r[i]
+	}
+	c.lastRel = math.Sqrt(rnorm) / c.bnorm
+	if math.Sqrt(rnorm) <= c.target {
+		c.finish(iter, nil)
+		return
+	}
+	rzNew := 0.0
+	for i := range x {
+		z[i] = inv[i] * r[i]
+		rzNew += r[i] * z[i]
+	}
+	beta := rzNew / c.rz
+	c.rz = rzNew
+	for i := range x {
+		p[i] = z[i] + beta*p[i]
+	}
+}
+
+// finish ends the run after iters iterations with its last relative
+// residual and err.
+func (c *cgRun) finish(iters int, err error) {
+	*c.out = cgAttempt{iters: iters, relres: c.lastRel, recorded: true, err: err}
+	c.live = false
 }
 
 func dot(a, b []float64) float64 {

@@ -63,13 +63,17 @@ func TestMulVecKnown(t *testing.T) {
 }
 
 // solveCG solves m*x = rhs as one axis of SolveCGPair without retry:
-// defaults, precheck, one attempt with its fault draw, and its obs record.
+// defaults, precheck, one attempt with its fault draw, run as the only
+// live axis of the lockstep loop, and its obs record.
 func solveCG(m *CSR, x, rhs []float64, opt CGOptions) (int, error) {
 	opt = opt.withDefaults(m.N)
 	if err := precheck(m, x, rhs, opt); err != nil {
 		return 0, err
 	}
-	a := attempt(m, x, rhs, opt, cgFault.Check())
+	var a cgAttempt
+	w := new(CGWork)
+	w.schedule(&a, m, x, rhs, opt.MaxIter, cgFault.Check())
+	w.run(opt)
 	a.record(opt.Obs)
 	return a.iters, a.err
 }
@@ -493,5 +497,108 @@ func BenchmarkBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		built = bl.Build()
+	}
+}
+
+// TestSolveCGPairLockstepMatchesSingle checks the lockstep loop against
+// one-axis solves of the same systems: the iterates bit for bit, the
+// iteration counts and the errors, on one shared matrix (one traversal
+// per round serves both axes) and on two matrices. The cases are axes
+// that stop at different iterations, an axis with a zero right-hand side,
+// and a budget that only one axis exhausts.
+func TestSolveCGPairLockstepMatchesSingle(t *testing.T) {
+	const n = 300
+	rng := rand.New(rand.NewSource(5))
+	symmetric := func() *CSR {
+		// A spring Laplacian plus a positive diagonal: SPD.
+		b := NewBuilder(n)
+		for i := 1; i < n; i++ {
+			b.AddSym(i, rng.Intn(i), 0.1+rng.Float64())
+		}
+		for e := 0; e < 2*n; e++ {
+			if i, j := rng.Intn(n), rng.Intn(n); i != j {
+				b.AddSym(i, j, 0.1+rng.Float64())
+			}
+		}
+		for i := 0; i < n; i++ {
+			b.AddDiag(i, 0.01+0.1*rng.Float64())
+		}
+		return b.Build() // each builder is used once, so the matrix stays valid
+	}
+	vec := func(scale float64) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = scale * rng.NormFloat64()
+		}
+		return v
+	}
+	smooth := func() []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = 1
+		}
+		return v
+	}
+	mA, mB := symmetric(), symmetric()
+	// single solves one axis alone from a copy of the start.
+	single := func(m *CSR, start, rhs []float64, opt CGOptions) ([]float64, int, error) {
+		x := append([]float64(nil), start...)
+		it, err := solveCG(m, x, rhs, opt)
+		return x, it, err
+	}
+	x0, y0 := vec(1), vec(1)
+	iters := func(start, rhs []float64) int {
+		_, it, err := single(mA, start, rhs, CGOptions{Tol: 1e-10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return it
+	}
+	rhsX, rhsY := smooth(), vec(10)
+	itA, itB := iters(x0, rhsX), iters(y0, rhsY)
+	t.Logf("one-axis iterations: %d and %d", itA, itB)
+	if itA == itB {
+		t.Fatalf("test setup: both right-hand sides take %d iterations", itA)
+	}
+	cases := []struct {
+		name       string
+		rhsX, rhsY []float64
+		opt        CGOptions
+		wantErr    [2]bool
+	}{
+		{"different-stops", rhsX, rhsY, CGOptions{Tol: 1e-10}, [2]bool{}},
+		{"zero-rhs", make([]float64, n), rhsY, CGOptions{Tol: 1e-10}, [2]bool{}},
+		{"one-at-maxiter", rhsX, rhsY, CGOptions{Tol: 1e-10, MaxIter: (itA + itB) / 2}, [2]bool{itA > itB, itB > itA}},
+	}
+	for _, tc := range cases {
+		for _, shared := range []bool{true, false} {
+			my := mA
+			if !shared {
+				my = mB
+			}
+			wantX, wantItX, wantErrX := single(mA, x0, tc.rhsX, tc.opt)
+			wantY, wantItY, wantErrY := single(my, y0, tc.rhsY, tc.opt)
+			x, y := append([]float64(nil), x0...), append([]float64(nil), y0...)
+			itx, ity, errX, errY := SolveCGPair(new(CGWork), mA, my, x, y, tc.rhsX, tc.rhsY, tc.opt, false)
+			if itx != wantItX || ity != wantItY {
+				t.Fatalf("%s shared=%v: iterations (%d, %d), one-axis solves (%d, %d)", tc.name, shared, itx, ity, wantItX, wantItY)
+			}
+			if (errX != nil) != (wantErrX != nil) || (errY != nil) != (wantErrY != nil) {
+				t.Fatalf("%s shared=%v: errors (%v, %v), one-axis solves (%v, %v)", tc.name, shared, errX, errY, wantErrX, wantErrY)
+			}
+			if shared && ((errX != nil) != tc.wantErr[0] || (errY != nil) != tc.wantErr[1]) {
+				t.Fatalf("%s: errors (%v, %v), want non-nil %v", tc.name, errX, errY, tc.wantErr)
+			}
+			for k, it := range [2]int{itx, ity} {
+				if shared && tc.wantErr[k] && it != tc.opt.MaxIter {
+					t.Fatalf("%s: axis %d stopped after %d iterations, want its budget %d", tc.name, k, it, tc.opt.MaxIter)
+				}
+			}
+			for i := range x {
+				if math.Float64bits(x[i]) != math.Float64bits(wantX[i]) || math.Float64bits(y[i]) != math.Float64bits(wantY[i]) {
+					t.Fatalf("%s shared=%v: entry %d is (%v, %v), one-axis solves (%v, %v)", tc.name, shared, i, x[i], y[i], wantX[i], wantY[i])
+				}
+			}
+		}
 	}
 }

@@ -359,6 +359,9 @@ type condensed struct {
 	path    []int
 	groups  []tiedGroup
 	count   []int // portions per source, for the extraction
+	// first[i] is source i's cheapest sink and perSink[j] the number of
+	// sources whose cheapest sink is j (the initial pseudoflow).
+	first, perSink []int32
 
 	// refills counts prefix refills and tieScans the tied groups that
 	// needed a scan of the presence list.
@@ -674,7 +677,11 @@ func (c *condensed) solve(p *Problem) (*Solution, int, error) {
 	}
 	// Initial optimal pseudoflow: each source at its cheapest sink. Every
 	// candidate edge then has nonnegative weight, so pi = 0 is a valid
-	// start for the potentials.
+	// start for the potentials. A first pass picks the sinks and counts
+	// the sources per sink, so every presence list is sized once.
+	c.first = growInt32s(c.first, n)
+	c.perSink = growInt32s(c.perSink, k)
+	clear(c.perSink)
 	for i := 0; i < n; i++ {
 		if p.Supply[i] <= 0 {
 			return nil, 0, fmt.Errorf("transport: source %d has non-positive supply %g", i, p.Supply[i])
@@ -688,9 +695,19 @@ func (c *condensed) solve(p *Problem) (*Solution, int, error) {
 		if best < 0 {
 			return nil, 0, fmt.Errorf("%w: source %d has no admissible sink", ErrInfeasible, i)
 		}
-		c.addPresence(best, i, p.Supply[i], bestC)
+		c.first[i] = int32(best)
+		c.perSink[best]++
+	}
+	for j, cnt := range c.perSink {
+		if cap(c.at[j]) < int(cnt) {
+			c.at[j] = make([]presence, 0, cnt)
+		}
+	}
+	for i, best := range c.first {
+		bestC := costOf[i*k+int(best)]
+		c.addPresence(int(best), i, p.Supply[i], bestC)
 		c.load[best] += p.Supply[i]
-		c.onAdd(best, i, bestC)
+		c.onAdd(int(best), i, bestC)
 	}
 	// Cancel overloads: each augmentation ships from an overloaded sink
 	// along a shortest path of the condensed graph to the cheapest
