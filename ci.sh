@@ -137,24 +137,36 @@ echo "== placement service e2e =="
 # running a second placement. See README "Placement as a service".
 go build -o "$ckdir/fbplaced" ./cmd/fbplaced
 "$ckdir/fbplace" -cells 800 -seed 11 -dump-hex "$ckdir/direct.hex" >/dev/null
-"$ckdir/fbplaced" -addr 127.0.0.1:0 -portfile "$ckdir/port" \
-	-dir "$ckdir/state" >"$ckdir/fbplaced.log" 2>&1 &
-daemon=$!
-for i in $(seq 1 100); do
-	[ -s "$ckdir/port" ] && break
-	sleep 0.1
-done
-base="http://$(cat "$ckdir/port")"
 body='{"chip":{"NumCells":800,"Seed":11}}'
-id=$(curl -sf -d "$body" "$base/jobs" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p')
-[ -n "$id" ] || { echo "service e2e: submit returned no job id" >&2; exit 1; }
-for i in $(seq 1 300); do
-	state=$(curl -sf "$base/jobs/$id" | sed -n 's/.*"state": "\([^"]*\)".*/\1/p')
-	case "$state" in done | failed | canceled) break ;; esac
-	sleep 0.1
-done
-[ "$state" = done ] || { echo "service e2e: job ended $state" >&2; exit 1; }
-curl -sf "$base/jobs/$id/result?format=hex" >"$ckdir/served.hex"
+# start_daemon DIR [FLAG...] starts fbplaced on a free port with its state
+# in DIR and sets $daemon (its pid) and $base (its URL).
+start_daemon() {
+	sd=$1
+	shift
+	"$ckdir/fbplaced" -addr 127.0.0.1:0 -portfile "$sd.port" \
+		-dir "$sd" "$@" >"$sd.log" 2>&1 &
+	daemon=$!
+	for i in $(seq 1 100); do
+		[ -s "$sd.port" ] && break
+		sleep 0.1
+	done
+	base="http://$(cat "$sd.port")"
+}
+# place_served OUT submits $body to $base, waits for the job to end, checks
+# it is done and writes its served positions to OUT; sets $id.
+place_served() {
+	id=$(curl -sf -d "$body" "$base/jobs" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p')
+	[ -n "$id" ] || { echo "service e2e: submit returned no job id" >&2; exit 1; }
+	for i in $(seq 1 300); do
+		state=$(curl -sf "$base/jobs/$id" | sed -n 's/.*"state": "\([^"]*\)".*/\1/p')
+		case "$state" in done | failed | canceled) break ;; esac
+		sleep 0.1
+	done
+	[ "$state" = done ] || { echo "service e2e: job ended $state" >&2; exit 1; }
+	curl -sf "$base/jobs/$id/result?format=hex" >"$1"
+}
+start_daemon "$ckdir/state"
+place_served "$ckdir/served.hex"
 cmp "$ckdir/direct.hex" "$ckdir/served.hex"
 # Duplicate submission: served from the cache, no second placement.
 curl -sf -d "$body" "$base/jobs" >/dev/null
@@ -164,6 +176,17 @@ echo "$stats" | grep -q '"serve.cache.hits": 1' ||
 	{ echo "service e2e: duplicate was not a cache hit: $stats" >&2; exit 1; }
 echo "$stats" | grep -q '"serve.placements": 1' ||
 	{ echo "service e2e: duplicate ran a second placement: $stats" >&2; exit 1; }
+kill -TERM "$daemon"
+wait "$daemon" || { echo "service e2e: drain exited non-zero" >&2; exit 1; }
+# A disk that refuses every checkpoint write costs only the snapshots: a
+# daemon with ckpt.write armed on every hit serves the same positions, and
+# the result records the skipped writes (the JSON encoder writes "->" as
+# "-\u003e", hence the loose pattern).
+start_daemon "$ckdir/nockpt" -fault ckpt.write
+place_served "$ckdir/nockpt.hex"
+cmp "$ckdir/direct.hex" "$ckdir/nockpt.hex"
+curl -sf "$base/jobs/$id/result" | grep -q '"ckpt.write .*skipped' ||
+	{ echo "service e2e: failed checkpoint writes not recorded" >&2; exit 1; }
 kill -TERM "$daemon"
 wait "$daemon" || { echo "service e2e: drain exited non-zero" >&2; exit 1; }
 

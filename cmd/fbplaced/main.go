@@ -47,7 +47,6 @@ func run() int {
 	queueLimit := flag.Int("queue-limit", 64, "queued-job bound; submissions past it get 429 + Retry-After (negative = unlimited)")
 	watchdog := flag.Duration("watchdog", 2*time.Minute, "stuck-job no-progress deadline (0 disables the watchdog)")
 	strikes := flag.Int("watchdog-strikes", 3, "consecutive no-progress attempts before a job fails terminally as stuck")
-	diskLow := flag.String("disk-low", "128MB", "free-disk watermark below which checkpointing is disabled (\"off\" disables the check)")
 	gcKeep := flag.Int("gc-keep", 256, "terminal jobs retained before the disk governor collects them (negative = keep all)")
 	certifyF := flag.Bool("certify", false, "independently certify every result before it is cached or served; the placer re-runs a failed placement once, and a result still uncertifiable fails as result_uncertified")
 	var faults []string
@@ -67,11 +66,6 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "fbplaced: -mem-budget:", err)
 		return 1
 	}
-	diskLowBytes, err := parseSize(*diskLow)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fbplaced: -disk-low:", err)
-		return 1
-	}
 	noProgress := *watchdog
 	if noProgress == 0 {
 		noProgress = -1 // flag semantics: 0 disables; Options semantics: negative disables
@@ -87,7 +81,6 @@ func run() int {
 		QueueLimit:     *queueLimit,
 		NoProgress:     noProgress,
 		StuckStrikes:   *strikes,
-		DiskLowBytes:   diskLowBytes,
 		GCKeepTerminal: *gcKeep,
 		Certify:        *certifyF,
 	}

@@ -17,7 +17,6 @@ import (
 // "pkg.Func" or "pkg.(*Type).Method" (or "pkg.*" for a whole package).
 var exportAllowlist = map[string]string{
 	"grid.(*WindowRegions).WindowCapacity": "test-support accessor: tests check per-window capacity sums",
-	"obs.(*Broadcast).Dropped":             "reports the stored loss count of a slow subscriber",
 	"faultsim.*":                           "fault-injection harness API, driven by the robustness tests",
 	"leakcheck.*":                          "goroutine-leak helper that tests of the concurrent packages call",
 	"region.CheckFeasibilityPerCell":       "test oracle for the clustered feasibility check (Theorem 2)",

@@ -4,27 +4,25 @@
 //   - Admission control. Every submission is priced by estimateJob; a job
 //     whose predicted peak exceeds the whole memory budget is refused with
 //     a structured over-budget error (503), and a job that would push the
-//     queue past QueueLimit is refused queue-full (429). Queue-full and
-//     brownout refusals carry a Retry-After projected from the observed
-//     completion rate.
+//     queue past QueueLimit is refused queue-full (429) with a Retry-After
+//     projected from the observed completion rate.
 //   - Memory-watermark start gating. Workers only start a queued job when
 //     the sum of running jobs' predicted peaks plus its own fits the
-//     budget (one job may always run, for liveness). When a queued job is
-//     memory-blocked, the governor preempts the cheapest-to-resume
-//     running job — fewest completed levels, then largest footprint —
-//     through the checkpoint path, time-multiplexing memory at level
-//     granularity instead of starving the queue.
-//   - Brownout ladder. Level 1 (shed renders: SSE/SVG) when committed
-//     memory crosses the high watermark or a queued job is memory
-//     blocked; level 2 (shed new submissions too) when the queue is also
-//     at least half full. Placements themselves are never shed: accepted
-//     work always finishes. Transitions land in the degradation log as
-//     degrade.brownout entries.
-//   - Disk governance. The governor GCs terminal job directories beyond a
-//     retention cap, removes orphaned job directories and stale
-//     checkpoint generations, and — below DiskLowBytes of free space —
-//     disables checkpointing for new attempts (degrading preemptibility,
-//     recorded as degrade.disk) rather than risk torn snapshots.
+//     budget (one job may always run, for liveness). A memory-blocked job
+//     waits in the queue; every finished or requeued attempt releases its
+//     footprint and wakes the workers, and the watchdog makes sure running
+//     attempts do end.
+//   - Brownout. While committed memory is at or above the high watermark,
+//     or a queued job is memory blocked, the render endpoints (SSE/SVG)
+//     answer 503: renders allocate outside any job's priced footprint and
+//     are reconstructible from results. Placements and submissions are
+//     never shed by brownout; the queue bound and the budget refuse work.
+//     Transitions land in the degradation log as degrade.brownout entries.
+//   - Disk garbage collection. The governor GCs terminal job directories
+//     beyond a retention cap, removes orphaned job directories and prunes
+//     stale checkpoint generations. A failed checkpoint write is the
+//     placer's to absorb: the run records ckpt.write -> skipped and keeps
+//     every older generation.
 package serve
 
 import (
@@ -44,9 +42,6 @@ var (
 	// ErrOverBudget rejects a job whose predicted peak memory exceeds the
 	// whole process budget — it could never be started (HTTP 503).
 	ErrOverBudget = errors.New("serve: predicted footprint exceeds the memory budget")
-	// ErrBrownout rejects submissions while the service is shedding load
-	// (HTTP 503).
-	ErrBrownout = errors.New("serve: brownout, shedding submissions")
 )
 
 // AdmissionError is a structured admission rejection: which limit was
@@ -68,14 +63,10 @@ func (e *AdmissionError) Unwrap() error { return e.err }
 
 // Code is the machine-readable error-envelope code.
 func (e *AdmissionError) Code() string {
-	switch {
-	case errors.Is(e.err, ErrQueueFull):
+	if errors.Is(e.err, ErrQueueFull) {
 		return "queue_full"
-	case errors.Is(e.err, ErrOverBudget):
-		return "over_budget"
-	default:
-		return "brownout"
 	}
+	return "over_budget"
 }
 
 // JobStuckError is the terminal error of a job the watchdog gave up on:
@@ -97,30 +88,17 @@ func (e *JobStuckError) Error() string {
 
 func (e *JobStuckError) Unwrap() error { return ErrJobStuck }
 
-// Brownout ladder levels. The ladder degrades cheapest-first: renders are
-// reconstructible from results, submissions can be retried, but an
-// accepted placement is the product and is never shed.
-const (
-	brownoutOff         = 0 // normal operation
-	brownoutShedRenders = 1 // SSE/SVG/render endpoints answer 503
-	brownoutShedSubmits = 2 // new submissions answer 503 too
-)
-
-// brownoutName labels a ladder level for degradation entries and /stats.
-func brownoutName(lvl int) string {
-	switch lvl {
-	case brownoutShedRenders:
+// brownoutName labels the brownout state for degradation entries and
+// /stats.
+func brownoutName(on bool) string {
+	if on {
 		return "shed-renders"
-	case brownoutShedSubmits:
-		return "shed-submissions"
-	default:
-		return "off"
 	}
+	return "off"
 }
 
 const (
-	// highWatermarkFrac of the memory budget committed enters brownout
-	// level 1 (and arms memory preemption when a queued job is blocked).
+	// highWatermarkFrac of the memory budget committed turns brownout on.
 	highWatermarkFrac = 0.85
 	// retryAfterMin/Max clamp the backoff hint.
 	retryAfterMin = time.Second
@@ -144,37 +122,27 @@ func defaultMemBudget() int64 {
 	return defaultMemFallback
 }
 
-// recomputeGovLocked re-derives the brownout level from the committed
-// memory watermark, the memory-blocked flag and the queue depth. Called
-// from updateGaugesLocked, so every scheduler transition re-evaluates the
-// ladder. Transitions are recorded in the degradation log.
+// recomputeGovLocked re-derives the brownout state from the committed
+// memory watermark and the memory-blocked flag. Called from
+// updateGaugesLocked, so every scheduler transition re-evaluates it.
+// Transitions are recorded in the degradation log.
 func (s *Scheduler) recomputeGovLocked() {
-	lvl := brownoutOff
-	if s.opt.MemBudget > 0 {
-		frac := float64(s.committed) / float64(s.opt.MemBudget)
-		if frac >= highWatermarkFrac || s.memBlocked {
-			lvl = brownoutShedRenders
-			if s.opt.QueueLimit > 0 && s.queue.Len() >= (s.opt.QueueLimit+1)/2 {
-				lvl = brownoutShedSubmits
-			}
-		}
-	}
-	if lvl == s.brownout {
+	on := s.opt.MemBudget > 0 &&
+		(float64(s.committed)/float64(s.opt.MemBudget) >= highWatermarkFrac || s.memBlocked)
+	if on == s.brownout {
 		return
 	}
-	from := s.brownout
-	s.brownout = lvl
-	if lvl > brownoutOff {
+	s.brownout = on
+	if on {
 		s.rec.Count("serve.brownout.enter", 1)
 	}
-	s.dl.Add("brownout", brownoutName(lvl),
-		fmt.Sprintf("level %d -> %d (committed %d of %d bytes, queue %d)",
-			from, lvl, s.committed, s.opt.MemBudget, s.queue.Len()))
+	s.dl.Add("brownout", brownoutName(on),
+		fmt.Sprintf("committed %d of %d bytes, queue %d", s.committed, s.opt.MemBudget, s.queue.Len()))
 }
 
-// brownoutState returns the current ladder level and the backoff hint a
+// brownoutState reports whether renders are shed and the backoff hint a
 // shed request should carry.
-func (s *Scheduler) brownoutState() (int, time.Duration) {
+func (s *Scheduler) brownoutState() (bool, time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.brownout, s.retryAfterLocked()
@@ -224,7 +192,7 @@ func (s *Scheduler) fitsLocked(j *Job) bool {
 
 // sampleMemory publishes the measured process heap next to the committed
 // estimate. Measured memory is advisory — it drives the serve.mem.measured
-// gauge for operators, not the ladder: the ladder stays on the
+// gauge for operators, not brownout: brownout stays on the
 // deterministic committed estimate so governance decisions are
 // reproducible under test.
 func (s *Scheduler) sampleMemory() {
@@ -234,71 +202,6 @@ func (s *Scheduler) sampleMemory() {
 	s.measured = int64(ms.HeapAlloc)
 	s.mu.Unlock()
 	s.rec.Gauge("serve.mem.measured", float64(ms.HeapAlloc))
-}
-
-// checkDisk flips the low-disk degradation: below DiskLowBytes of free
-// space, new attempts run without checkpointing (a torn snapshot on a
-// full disk is worse than losing preemptibility). Transitions are
-// recorded as degrade.disk entries.
-func (s *Scheduler) checkDisk() {
-	if s.opt.DiskLowBytes <= 0 {
-		return
-	}
-	free, ok := diskFree(s.stateDir)
-	if !ok {
-		return
-	}
-	low := free < s.opt.DiskLowBytes
-	s.mu.Lock()
-	was := s.lowDisk
-	s.lowDisk = low
-	s.mu.Unlock()
-	if low && !was {
-		s.rec.Count("serve.disk.low", 1)
-		s.dl.Add("disk", "ckpt-disabled",
-			fmt.Sprintf("%d bytes free < %d low watermark", free, s.opt.DiskLowBytes))
-	}
-	if !low && was {
-		s.dl.Add("disk", "ckpt-restored", fmt.Sprintf("%d bytes free", free))
-	}
-}
-
-// memoryPressure preempts the cheapest-to-resume running job when a
-// queued job is memory-blocked: fewest completed levels (least work to
-// redo on resume), then largest predicted footprint (frees the most
-// headroom), then newest submission. At most one victim per tick, and
-// only jobs whose current attempt is checkpointing (and not already
-// asked to yield) qualify — a preempt request without a checkpoint path
-// would never land.
-func (s *Scheduler) memoryPressure() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.memBlocked || len(s.running) == 0 {
-		return
-	}
-	var victim *Job
-	var victimLevels int
-	for _, r := range s.running {
-		if r.preempt.Load() || !r.ckptEnabled() {
-			continue
-		}
-		lv := r.Status().LevelsDone
-		if victim == nil ||
-			lv < victimLevels ||
-			(lv == victimLevels && r.est.PeakBytes > victim.est.PeakBytes) ||
-			(lv == victimLevels && r.est.PeakBytes == victim.est.PeakBytes && r.Seq > victim.Seq) {
-			victim = r
-			victimLevels = lv
-		}
-	}
-	if victim == nil {
-		return
-	}
-	victim.preempt.Store(true)
-	s.rec.Count("serve.preempt.memory", 1)
-	s.dl.Add("memory", "preempt",
-		fmt.Sprintf("%s yields at its next level boundary (committed %d of %d bytes)",
-			victim.ID, s.committed, s.opt.MemBudget))
 }
 
 // gcTick is the disk governor: terminal jobs beyond the retention cap
@@ -388,8 +291,8 @@ func (s *Scheduler) gcOrphans() {
 }
 
 // governLoop is the governor goroutine: every tick it samples memory,
-// checks disk, strikes stalled jobs, relieves memory pressure and
-// collects garbage. It runs until Shutdown has drained the workers.
+// strikes stalled jobs and collects garbage. It runs until Shutdown has
+// drained the workers.
 func (s *Scheduler) governLoop() {
 	defer s.gwg.Done()
 	t := time.NewTicker(s.opt.governTick)
@@ -400,9 +303,7 @@ func (s *Scheduler) governLoop() {
 			return
 		case <-t.C:
 			s.sampleMemory()
-			s.checkDisk()
 			s.watchdogScan()
-			s.memoryPressure()
 			s.gcTick()
 		}
 	}

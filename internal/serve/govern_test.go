@@ -2,8 +2,13 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io/fs"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -161,12 +166,19 @@ func TestAdmissionQueueFullAndExemptions(t *testing.T) {
 	waitDone(t, f, 120*time.Second)
 }
 
-// TestBrownoutLadder drives the two-level ladder with the committed
-// watermark: level 1 (shed renders) when the running job's footprint
-// crosses 85% of the budget, level 2 (shed submissions) when the queue is
-// also half full, and back to 0 when the pressure clears.
+// TestBrownoutLadder drives the one-level brownout with the committed
+// watermark: while the running job's footprint is over 85% of the budget,
+// the render endpoints (/svg, /events) answer 503 brownout and /readyz is
+// not ready, but submissions below the queue bound are still admitted;
+// brownout turns off when the pressure clears. The big job stalls at its
+// start (serve.stall) until it is canceled, so the pressure lasts as long
+// as the test needs it.
 func TestBrownoutLadder(t *testing.T) {
 	defer leakcheck.Check(t)
+	t.Cleanup(faultsim.Reset)
+	if err := faultsim.Arm("serve.stall", faultsim.Schedule{Limit: 1}); err != nil {
+		t.Fatal(err)
+	}
 	long := Spec{Chip: &gen.ChipSpec{NumCells: 2000, Seed: 66}, Knobs: Knobs{MaxLevels: 6}}
 	est := estOf(t, long)
 	// Budget ~10% above one long job: running it commits ~91% > watermark.
@@ -176,47 +188,66 @@ func TestBrownoutLadder(t *testing.T) {
 		QueueLimit: 2,
 		governTick: -1,
 	})
-	if lvl, _ := s.brownoutState(); lvl != brownoutOff {
-		t.Fatalf("idle brownout level %d, want 0", lvl)
+	ts := httptest.NewServer(NewServer(s))
+	t.Cleanup(ts.Close)
+	if on, _ := s.brownoutState(); on {
+		t.Fatal("brownout on while idle")
 	}
 	a, err := s.Submit(long)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, s, a.ID, StateRunning, 30*time.Second)
-	lvl, ra := s.brownoutState()
-	if lvl != brownoutShedRenders {
-		t.Fatalf("brownout level %d with committed over the watermark, want 1", lvl)
+	on, ra := s.brownoutState()
+	if !on {
+		t.Fatal("brownout off with committed over the watermark")
 	}
 	if ra <= 0 {
 		t.Fatal("brownout state carries no Retry-After hint")
 	}
-	if rd := s.Readiness(); rd.Ready || rd.Reason != "brownout" {
-		t.Fatalf("readiness under brownout: %+v", rd)
+	for _, path := range []string{"/svg", "/events"} {
+		resp, data := getBody(t, ts.URL+"/jobs/"+a.ID+path)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("GET %s under brownout: %d %s, want 503", path, resp.StatusCode, data)
+		}
+		env := decodeEnvelope(t, data)
+		if env.Code != "brownout" {
+			t.Fatalf("GET %s under brownout: code %q, want brownout", path, env.Code)
+		}
+		assertRetryShape(t, resp, env.RetryAfterS)
 	}
-	// One queued job reaches half the queue bound: level 2.
-	b, err := s.Submit(chipSpec(300, 67))
-	if err != nil {
-		t.Fatalf("level-1 brownout must not shed submissions: %v", err)
+	resp, data := getBody(t, ts.URL+"/readyz")
+	var rd Readiness
+	if err := json.Unmarshal(data, &rd); err != nil {
+		t.Fatal(err)
 	}
-	if lvl, _ := s.brownoutState(); lvl != brownoutShedSubmits {
-		t.Fatalf("brownout level %d with a half-full queue, want 2", lvl)
+	if resp.StatusCode != http.StatusServiceUnavailable || rd.Ready || rd.Reason != "brownout" {
+		t.Fatalf("readyz under brownout: %d %s", resp.StatusCode, data)
 	}
-	_, err = s.Submit(chipSpec(300, 68))
-	var ae *AdmissionError
-	if !errors.As(err, &ae) || !errors.Is(err, ErrBrownout) {
-		t.Fatalf("level-2 submit: %v, want AdmissionError wrapping ErrBrownout", err)
+	// Brownout sheds renders only: both submissions fit under the queue
+	// bound of 2 and are admitted.
+	var queued []Status
+	for _, seed := range []int64{67, 68} {
+		queued = append(queued, submitHTTP(t, ts.URL, fmt.Sprintf(`{"chip":{"NumCells":300,"Seed":%d}}`, seed)))
 	}
-	if ae.Status != 503 || ae.Code() != "brownout" || ae.RetryAfter <= 0 {
-		t.Fatalf("brownout error: status %d code %q retry %v", ae.Status, ae.Code(), ae.RetryAfter)
+	if on, _ := s.brownoutState(); !on {
+		t.Fatal("brownout turned off while the long job runs")
 	}
-	waitDone(t, a, 120*time.Second)
-	waitDone(t, b, 120*time.Second)
-	if lvl, _ := s.brownoutState(); lvl != brownoutOff {
-		t.Fatalf("brownout level %d after the load drained, want 0", lvl)
+	if err := s.Cancel(a.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, a, 30*time.Second)
+	for _, st := range queued {
+		pollDone(t, ts.URL, st.ID, 120*time.Second)
+	}
+	if on, _ := s.brownoutState(); on {
+		t.Fatal("brownout still on after the load drained")
+	}
+	if resp, data := getBody(t, ts.URL+"/jobs/"+queued[0].ID+"/svg"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /svg after the drain: %d %s", resp.StatusCode, data)
 	}
 	gov := s.Stats().Governance
-	if gov.Brownout != 0 || gov.BrownoutMode != "off" || gov.MemCommittedBytes != 0 {
+	if gov.Brownout || gov.BrownoutMode != "off" || gov.MemCommittedBytes != 0 {
 		t.Fatalf("governance stats after drain: %+v", gov)
 	}
 	found := false
@@ -228,60 +259,8 @@ func TestBrownoutLadder(t *testing.T) {
 	if !found {
 		t.Fatalf("brownout transitions missing from the degradation log: %v", gov.Degradations)
 	}
-	if c := s.Obs().Counters(); c["serve.brownout.enter"] == 0 || c["serve.rejected.brownout"] != 1 {
-		t.Fatalf("counters: enter=%g rejected.brownout=%g", c["serve.brownout.enter"], c["serve.rejected.brownout"])
-	}
-}
-
-// TestMemoryPreemptionTimeMultiplexes pins a budget that fits only one of
-// two equal jobs: the blocked second job must not starve — the governor
-// preempts the running one through the checkpoint path, and both finish
-// with bit-identical results.
-func TestMemoryPreemptionTimeMultiplexes(t *testing.T) {
-	defer leakcheck.Check(t)
-	big := Spec{Chip: &gen.ChipSpec{NumCells: 2000, Seed: 69}}
-	est := estOf(t, big)
-	s := testSched(t, Options{
-		Workers:    2,
-		MemBudget:  est.PeakBytes + est.PeakBytes/4, // one fits, two do not
-		QueueLimit: -1,
-		NoProgress: -1, // isolate memory preemption from the watchdog
-		governTick: 25 * time.Millisecond,
-	})
-	a, err := s.Submit(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitLevel(t, a)
-	b, err := s.Submit(Spec{Chip: &gen.ChipSpec{NumCells: 2000, Seed: 70}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, a, 180*time.Second)
-	waitDone(t, b, 180*time.Second)
-	if a.State() != StateDone || b.State() != StateDone {
-		t.Fatalf("states: a=%s b=%s, want both done", a.State(), b.State())
-	}
-	c := s.Obs().Counters()
-	if c["serve.preempt.memory"] == 0 {
-		t.Fatal("no memory preemption fired with a memory-blocked queued job")
-	}
-	if a.Status().Preemptions == 0 {
-		t.Fatal("the running job was never preempted for memory")
-	}
-	for _, j := range []*Job{a, b} {
-		if ok, err := verifyDirect(context.Background(), j); err != nil || !ok {
-			t.Fatalf("job %s differs from a direct run after memory preemption (ok=%v err=%v)", j.ID, ok, err)
-		}
-	}
-	found := false
-	for _, d := range s.Stats().Governance.Degradations {
-		if strings.Contains(d, "memory") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("memory preemption missing from the degradation log")
+	if c := s.Obs().Counters(); c["serve.brownout.enter"] == 0 || c["serve.rejected"] != 0 {
+		t.Fatalf("counters: brownout.enter=%g rejected=%g, want >0 and 0", c["serve.brownout.enter"], c["serve.rejected"])
 	}
 }
 
@@ -301,7 +280,7 @@ func crossCheckGauges(t *testing.T, s *Scheduler) {
 		{"serve.running", float64(len(s.running))},
 		{"serve.jobs.known", float64(len(s.jobs))},
 		{"serve.mem.committed", float64(s.committed)},
-		{"serve.brownout", float64(s.brownout)},
+		{"serve.brownout", b2f(s.brownout)},
 	}
 	for _, c := range checks {
 		if g[c.name] != c.want {
@@ -418,34 +397,51 @@ func TestGCTerminalJobsAndOrphans(t *testing.T) {
 	crossCheckGauges(t, s)
 }
 
-// TestLowDiskDisablesCheckpointing forces the low-disk flag: new attempts
-// must run without a checkpoint directory (counted, and therefore not
-// preemptible) and still finish correctly.
-func TestLowDiskDisablesCheckpointing(t *testing.T) {
+// TestEveryCheckpointWriteFails arms ckpt.write on every hit: a disk that
+// refuses every snapshot must cost only the snapshots. The job finishes
+// bit-identical to a direct run, records each skipped write as a
+// degradation, and leaves no generation or temp file behind.
+func TestEveryCheckpointWriteFails(t *testing.T) {
 	defer leakcheck.Check(t)
+	t.Cleanup(faultsim.Reset)
+	if err := faultsim.Arm("ckpt.write", faultsim.Schedule{}); err != nil {
+		t.Fatal(err)
+	}
 	s := testSched(t, Options{Workers: 1, governTick: -1})
-	s.mu.Lock()
-	s.lowDisk = true
-	s.mu.Unlock()
 	j, err := s.Submit(chipSpec(500, 90))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, j, 60*time.Second)
 	if j.State() != StateDone {
-		t.Fatalf("state: %s, want done", j.State())
+		t.Fatalf("state: %s (%s), want done", j.State(), j.Status().Error)
 	}
-	if s.Obs().Counters()["serve.ckpt.disabled"] != 1 {
-		t.Fatal("low-disk attempt did not count serve.ckpt.disabled")
+	skipped := 0
+	for _, d := range mustResult(t, j).Degradations {
+		if d.Stage == "ckpt.write" && d.Fallback == "skipped" {
+			skipped++
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no ckpt.write -> skipped degradation with every write failing")
 	}
 	if j.ckptStore().HasSnapshot() {
-		t.Fatal("low-disk attempt wrote checkpoints anyway")
+		t.Fatal("a checkpoint generation exists although every write failed")
 	}
-	if gov := s.Stats().Governance; !gov.LowDisk {
-		t.Fatalf("governance stats do not report low disk: %+v", gov)
+	err = filepath.WalkDir(j.dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() && d.Name() != "job.json" {
+			t.Errorf("job dir holds %s after every checkpoint write failed", path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if ok, err := verifyDirect(context.Background(), j); err != nil || !ok {
-		t.Fatalf("uncheckpointed run differs from a direct run (ok=%v err=%v)", ok, err)
+		t.Fatalf("run without a single snapshot differs from a direct run (ok=%v err=%v)", ok, err)
 	}
 }
 

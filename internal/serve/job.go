@@ -200,7 +200,6 @@ type Job struct {
 	attemptCancel context.CancelFunc // guarded by mu
 	strikes       int                // guarded by mu — consecutive no-progress attempts
 	wdRequeues    int                // guarded by mu — watchdog requeues so far
-	ckptOn        bool               // guarded by mu — current attempt checkpoints
 }
 
 // Status is the JSON view of a job.
@@ -359,21 +358,6 @@ func (j *Job) beginAttempt() (context.Context, context.CancelFunc) {
 	j.attemptCancel = acancel
 	j.mu.Unlock()
 	return actx, acancel
-}
-
-// setCkptEnabled records whether the current attempt checkpoints (false
-// under low-disk degradation: such an attempt cannot be preempted).
-func (j *Job) setCkptEnabled(on bool) {
-	j.mu.Lock()
-	j.ckptOn = on
-	j.mu.Unlock()
-}
-
-// ckptEnabled reports whether the current attempt checkpoints.
-func (j *Job) ckptEnabled() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.ckptOn
 }
 
 // ckptDir is the per-job checkpoint directory preemption snapshots into.

@@ -110,10 +110,6 @@ type Options struct {
 	// StuckStrikes is how many consecutive no-progress attempts fail a
 	// job terminally with JobStuckError. 0 selects the default of 3.
 	StuckStrikes int
-	// DiskLowBytes is the free-space watermark below which new attempts
-	// run without checkpointing. 0 selects the default of 128 MiB,
-	// negative disables the check.
-	DiskLowBytes int64
 	// GCKeepTerminal caps how many terminal jobs are retained (in memory
 	// and on disk); older ones are garbage-collected and their IDs answer
 	// 404 afterwards. 0 selects the default of 256, negative retains
@@ -121,8 +117,8 @@ type Options struct {
 	GCKeepTerminal int
 
 	// governTick is the governor cadence (memory sampling, watchdog scan,
-	// disk check, GC). 0 selects the default of 1s, negative disables the
-	// governor entirely (watchdog, memory preemption and GC with it).
+	// GC). 0 selects the default of 1s, negative disables the governor
+	// entirely (watchdog and GC with it).
 	// Only tests change it.
 	governTick time.Duration
 }
@@ -151,9 +147,6 @@ func (o *Options) fill() {
 	}
 	if o.governTick == 0 {
 		o.governTick = time.Second
-	}
-	if o.DiskLowBytes == 0 {
-		o.DiskLowBytes = 128 << 20
 	}
 	if o.GCKeepTerminal == 0 {
 		o.GCKeepTerminal = 256
@@ -185,8 +178,7 @@ type Scheduler struct {
 	// Governance state (see govern.go for the policies).
 	committed  int64       // guarded by mu — sum of running jobs' predicted peaks
 	memBlocked bool        // guarded by mu — a queued job could not start for memory
-	brownout   int         // guarded by mu — current ladder level
-	lowDisk    bool        // guarded by mu — checkpointing disabled for new attempts
+	brownout   bool        // guarded by mu — render endpoints are shedding
 	measured   int64       // guarded by mu — last sampled process heap
 	doneTimes  []time.Time // guarded by mu — completion ring for the drain rate
 
@@ -194,7 +186,7 @@ type Scheduler struct {
 	gwg   sync.WaitGroup // governor goroutine; stopped after the workers drain
 	quit  chan struct{}  // closed to stop the governor
 	stop  sync.Once      // closes quit exactly once
-	dl    *degrade.Log   // brownout/disk/watchdog degradation entries
+	dl    *degrade.Log   // brownout/watchdog degradation entries
 	cache *resultCache
 }
 
@@ -257,12 +249,12 @@ func (s *Scheduler) StateDir() string { return s.stateDir }
 func (s *Scheduler) Obs() *obs.Recorder { return s.rec }
 
 // Submit admits one job: it loads the instance, prices it against the
-// admission limits (memory budget, queue bound, brownout — see
-// govern.go), consults the result cache and in-flight placements, and
-// either finishes the job immediately (cache hit), attaches it to an
-// identical running placement (single-flight), or enqueues it — possibly
-// asking a lower-priority running job to preempt itself at its next
-// level boundary. Rejections are *AdmissionError with a Retry-After hint
+// admission limits (memory budget, queue bound — see govern.go),
+// consults the result cache and in-flight placements, and either
+// finishes the job immediately (cache hit), attaches it to an identical
+// running placement (single-flight), or enqueues it — possibly asking a
+// lower-priority running job to preempt itself at its next level
+// boundary. Rejections are *AdmissionError with a Retry-After hint
 // where retrying can help.
 func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	if err := acceptFault.Check(); err != nil {
@@ -311,7 +303,7 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	}
 	// Decide whether this submission needs a queue slot before it becomes
 	// visible: cache hits and coalesced followers ride work that is
-	// already paid for and are exempt from the queue bound and brownout.
+	// already paid for and are exempt from the queue bound.
 	var hit *Result
 	if !spec.NoCache {
 		hit, _ = s.cache.get(j.key)
@@ -398,20 +390,9 @@ func (s *Scheduler) enqueueLocked(j *Job) bool {
 	return true
 }
 
-// admitQueuedLocked applies the queue-slot admission limits: brownout
-// level 2 sheds new submissions, a full queue refuses them with the
-// drain-rate Retry-After.
+// admitQueuedLocked applies the queue-slot admission limit: a full queue
+// refuses a submission with the drain-rate Retry-After.
 func (s *Scheduler) admitQueuedLocked() *AdmissionError {
-	if s.brownout >= brownoutShedSubmits {
-		s.rec.Count("serve.rejected", 1)
-		s.rec.Count("serve.rejected.brownout", 1)
-		return &AdmissionError{
-			Status:     503,
-			Detail:     fmt.Sprintf("brownout level %d, placements are shedding arrivals", s.brownout),
-			RetryAfter: s.retryAfterLocked(),
-			err:        ErrBrownout,
-		}
-	}
 	if s.opt.QueueLimit > 0 && s.queue.Len() >= s.opt.QueueLimit {
 		s.rec.Count("serve.rejected", 1)
 		s.rec.Count("serve.rejected.queue", 1)
@@ -546,9 +527,10 @@ func (s *Scheduler) next() *Job {
 // claimLocked pops the best-priority queued job whose predicted memory
 // footprint fits next to the running set, commits its footprint, and
 // moves it to running. Jobs that do not fit stay queued (in order) and
-// raise the memory-blocked flag, which arms brownout level 1 and the
-// governor's memory preemption. The queued check and the move to running
-// share s.mu with finish, so a claimed job is never already terminal.
+// raise the memory-blocked flag, which turns brownout on; they start
+// once a running job releases its footprint. The queued check and the
+// move to running share s.mu with finish, so a claimed job is never
+// already terminal.
 func (s *Scheduler) claimLocked() *Job {
 	var skipped []*Job
 	var picked *Job
@@ -599,17 +581,7 @@ func (s *Scheduler) runJob(j *Job) {
 		// unchanged.
 		cfg.Certify = placer.CertifyFinal
 	}
-	s.mu.Lock()
-	ckptOn := !s.lowDisk
-	s.mu.Unlock()
-	if ckptOn {
-		cfg.Checkpoint = placer.Checkpoint{Dir: j.ckptDir()}
-	} else {
-		// Low disk: run without snapshots (and therefore without
-		// preemptibility) rather than risk filling the disk mid-write.
-		s.rec.Count("serve.ckpt.disabled", 1)
-	}
-	j.setCkptEnabled(ckptOn)
+	cfg.Checkpoint = placer.Checkpoint{Dir: j.ckptDir()}
 	stall := func() {
 		if stallFault.Check() != nil {
 			// Injected stall: stop making progress until the watchdog (or a
@@ -843,6 +815,9 @@ func (s *Scheduler) finish(j *Job, st State, res *Result, msg string) {
 	// deadline timer that would otherwise stay armed until it fires.
 	j.cancel()
 	j.bc.Close()
+	// Events lost to a full /events subscriber channel; Close makes the
+	// count final.
+	s.rec.Count("serve.events.dropped", float64(j.bc.Dropped()))
 	close(j.done)
 	for _, f := range followers {
 		s.finish(f, StateDone, res, "")
@@ -972,9 +947,9 @@ type Stats struct {
 // GovStats is the governance section of /stats: the brownout/watermark
 // state an operator (or load balancer) steers by.
 type GovStats struct {
-	// Brownout is the current ladder level (0 off, 1 shed renders, 2 shed
-	// submissions), BrownoutMode its name.
-	Brownout     int    `json:"brownout"`
+	// Brownout reports the render endpoints shedding, BrownoutMode names
+	// the state ("shed-renders" or "off").
+	Brownout     bool   `json:"brownout"`
 	BrownoutMode string `json:"brownout_mode"`
 	// MemBudgetBytes/MemCommittedBytes are the budget and the running
 	// jobs' predicted peaks; MemMeasuredBytes the last sampled heap.
@@ -986,12 +961,10 @@ type GovStats struct {
 	// QueueLimit/QueueDepth are the admission bound and current depth.
 	QueueLimit int `json:"queue_limit"`
 	QueueDepth int `json:"queue_depth"`
-	// LowDisk reports checkpointing disabled by the free-space watermark.
-	LowDisk bool `json:"low_disk"`
 	// RetryAfterS is the current backoff hint a rejected client would get.
 	RetryAfterS float64 `json:"retry_after_s"`
 	// Degradations lists the recorded governance degradation events
-	// (brownout transitions, disk watermarks, watchdog strikes).
+	// (brownout transitions, watchdog strikes).
 	Degradations []string `json:"degradations,omitempty"`
 }
 
@@ -1014,7 +987,6 @@ func (s *Scheduler) Stats() Stats {
 		MemBlocked:        s.memBlocked,
 		QueueLimit:        s.opt.QueueLimit,
 		QueueDepth:        s.queue.Len(),
-		LowDisk:           s.lowDisk,
 		RetryAfterS:       s.retryAfterLocked().Seconds(),
 	}
 	s.mu.Unlock()
@@ -1045,7 +1017,7 @@ func (s *Scheduler) Readiness() Readiness {
 	switch {
 	case s.shutdown:
 		return Readiness{Reason: "draining"}
-	case s.brownout > brownoutOff:
+	case s.brownout:
 		return Readiness{Reason: "brownout", RetryAfterS: s.retryAfterLocked().Seconds()}
 	case s.opt.QueueLimit > 0 && s.queue.Len() >= s.opt.QueueLimit:
 		return Readiness{Reason: "queue_saturated", RetryAfterS: s.retryAfterLocked().Seconds()}
@@ -1060,12 +1032,16 @@ func (s *Scheduler) updateGaugesLocked() {
 	s.rec.Gauge("serve.running", float64(len(s.running)))
 	s.rec.Gauge("serve.jobs.known", float64(len(s.jobs)))
 	s.rec.Gauge("serve.mem.committed", float64(s.committed))
-	s.rec.Gauge("serve.brownout", float64(s.brownout))
-	blocked := 0.0
-	if s.memBlocked {
-		blocked = 1
+	s.rec.Gauge("serve.brownout", b2f(s.brownout))
+	s.rec.Gauge("serve.queue.blocked", b2f(s.memBlocked))
+}
+
+// b2f is a flag as a 0/1 gauge value.
+func b2f(b bool) float64 {
+	if b {
+		return 1
 	}
-	s.rec.Gauge("serve.queue.blocked", blocked)
+	return 0
 }
 
 // jobFile is the persisted form of a job (StateDir/jobs/<id>/job.json),

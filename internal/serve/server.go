@@ -128,17 +128,16 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 	}
 }
 
-// shedRender answers true (and a 503) when the brownout ladder says
-// render/stream endpoints must shed: they are the cheap load to drop and
-// the result stays available once the pressure clears.
+// shedRender answers true (and a 503) while brownout is on: render/stream
+// endpoints are the cheap load to drop and the result stays available
+// once the pressure clears.
 func (sv *Server) shedRender(w http.ResponseWriter) bool {
-	lvl, ra := sv.s.brownoutState()
-	if lvl < brownoutShedRenders {
-		return false
+	on, ra := sv.s.brownoutState()
+	if on {
+		writeErrorRetry(w, http.StatusServiceUnavailable, "brownout",
+			errors.New("serve: brownout, render endpoints are shedding"), ra)
 	}
-	writeErrorRetry(w, http.StatusServiceUnavailable, "brownout",
-		fmt.Errorf("serve: brownout level %d (%s), render endpoints are shedding", lvl, brownoutName(lvl)), ra)
-	return true
+	return on
 }
 
 // maxSpecBytes bounds a POST /jobs body. Inline netlist text is the

@@ -49,8 +49,9 @@ func runChaosSoak(t *testing.T, workers int) {
 	arm("certify.corrupt", faultsim.Schedule{Limit: 2})
 
 	// Budget sized to the soak mix: two mid-size jobs fit, more contend —
-	// so start gating, memory preemption and the brownout ladder all
-	// engage — and the 60k-cell bait jobs are over budget outright.
+	// so start gating and brownout engage and memory-blocked jobs wait for
+	// a running one to finish — and the 60k-cell bait jobs are over budget
+	// outright.
 	est := estOf(t, chipSpec(1400, 1))
 	budget := est.PeakBytes*2 + est.PeakBytes/5
 
@@ -90,7 +91,7 @@ func runChaosSoak(t *testing.T, workers int) {
 	t.Log(rep)
 
 	// Sheds, not crashes: rejections happened (bait + admission faults +
-	// possibly queue/brownout), and every accepted job is terminal.
+	// possibly a full queue), and every accepted job is terminal.
 	if rep.Rejected == 0 {
 		t.Fatal("soak produced no rejections with bait jobs and admission faults armed")
 	}

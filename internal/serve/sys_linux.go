@@ -7,7 +7,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"syscall"
 )
 
 // memAvailable reads MemAvailable from /proc/meminfo in bytes (0 when it
@@ -35,13 +34,4 @@ func memAvailable() int64 {
 		return kb << 10
 	}
 	return 0
-}
-
-// diskFree reports the free bytes on the filesystem holding path.
-func diskFree(path string) (int64, bool) {
-	var st syscall.Statfs_t
-	if err := syscall.Statfs(path, &st); err != nil {
-		return 0, false
-	}
-	return int64(st.Bavail) * st.Bsize, true
 }

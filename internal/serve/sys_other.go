@@ -4,6 +4,3 @@ package serve
 
 // memAvailable is unsupported off Linux; the budget default falls back.
 func memAvailable() int64 { return 0 }
-
-// diskFree is unsupported off Linux; low-disk degradation never engages.
-func diskFree(string) (int64, bool) { return 0, false }
