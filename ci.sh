@@ -49,20 +49,21 @@ echo "== perfbench checks =="
 (cd perfbench && go vet ./... && go test ./...)
 
 echo "== local-QP allocation guard =="
-# Regression guard for the O(netlist) scan: a small-block SolveSubset over
-# a 10k-cell netlist must allocate O(block). See README "Performance".
-go test -timeout 5m -run 'TestSolveSubsetAllocsOBlock' ./internal/qp/
+# Regression guard for O(netlist) work per local QP: a small-block slice
+# of a 10k-cell held system must allocate O(block). See README
+# "Performance".
+go test -timeout 5m -run 'TestSolveSliceAllocsOBlock' ./internal/qp/
 
 echo "== benchmark smoke =="
-# One iteration each of the realization-path microbenchmarks (local QP,
-# its CSR assembly, realization level, one pair-pass transportation,
-# transportation engines), of the
-# global MCF ones (network simplex on a synthetic grid and on
-# Table-I-shaped FBP models, and the build of those models), of
+# One iteration each of the realization-path microbenchmarks (local QP as
+# a slice of the held system, its CSR assembly, realization level, one
+# pair-pass transportation, transportation engines), of BestChoice
+# clustering, of the global MCF ones (network simplex on a synthetic grid
+# and on Table-I-shaped FBP models, and the build of those models), of
 # the top-level QP, of legalization and of the recursive-baseline and
 # local-QP ablations, so a change that breaks or pathologically slows them
 # fails CI fast.
-go test -timeout 10m -run '^$' -bench 'BenchmarkSolveSubsetBlock|BenchmarkRealizeLevel|BenchmarkPairStep|BenchmarkSolveFBPGrid|BenchmarkBuildFBPModel' -benchtime 1x ./internal/qp/ ./internal/fbp/
+go test -timeout 10m -run '^$' -bench 'BenchmarkSolveSliceBlock|BenchmarkRealizeLevel|BenchmarkPairStep|BenchmarkSolveFBPGrid|BenchmarkBuildFBPModel|BenchmarkBestChoice' -benchtime 1x ./internal/qp/ ./internal/fbp/ ./internal/cluster/
 go test -timeout 10m -run '^$' -bench 'BenchmarkNSGrid' -benchtime 1x ./internal/flow/
 go test -timeout 10m -run '^$' -bench 'BenchmarkEngines|BenchmarkCondensedLarge|BenchmarkCondensedPairShape' -benchtime 1x ./internal/transport/
 go test -timeout 10m -run '^$' -bench 'BenchmarkBuild' -benchtime 1x ./internal/sparse/

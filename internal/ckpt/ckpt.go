@@ -218,9 +218,9 @@ func (s *Store) Save(v any) error {
 // GC removes all but the newest keepGenerations snapshot generations and
 // returns how many files it removed. Save already prunes after every
 // successful write; GC covers stores that stopped saving — a job whose
-// checkpointing was disabled by low-disk degradation, or one recovered
-// from a previous process — whose stale generations would otherwise hold
-// disk forever. A missing directory is not an error: there is nothing to
+// writes fail (the placer records ckpt.write -> skipped and runs on), or
+// one recovered from a previous process — whose stale generations would
+// otherwise hold disk forever. A missing directory is not an error: there is nothing to
 // collect.
 func (s *Store) GC() (int, error) {
 	gens, err := s.generations()

@@ -7,8 +7,8 @@
 package cluster
 
 import (
-	"container/heap"
-	"sort"
+	"cmp"
+	"slices"
 
 	"fbplace/internal/geom"
 	"fbplace/internal/netlist"
@@ -38,6 +38,11 @@ type Options struct {
 // of the average movable cell area.
 const maxAreaFactor = 32
 
+// maxNetCells is the largest number of distinct movable cells on a net
+// that BestChoice connects: bigger nets carry little clustering signal,
+// and their cliques would dominate the adjacency.
+const maxNetCells = 16
+
 // scorePair is a candidate merge in the priority queue.
 type scorePair struct {
 	a, b  int32
@@ -45,18 +50,85 @@ type scorePair struct {
 	stamp int64 // lazy invalidation: stamps of both endpoints at push time
 }
 
+// pairHeap is a max-heap on score. push and pop sift exactly as
+// container/heap's Push and Pop do, so equal scores pop in the same order.
 type pairHeap []scorePair
 
-func (h pairHeap) Len() int            { return len(h) }
-func (h pairHeap) Less(i, j int) bool  { return h[i].score > h[j].score } // max-heap
-func (h pairHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *pairHeap) Push(x interface{}) { *h = append(*h, x.(scorePair)) }
-func (h *pairHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+func (h pairHeap) less(i, j int) bool { return h[i].score > h[j].score }
+
+func (h *pairHeap) push(p scorePair) {
+	*h = append(*h, p)
+	s := *h
+	for j := len(s) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *pairHeap) pop() scorePair {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s.less(j2, j) {
+			j = j2 // right child
+		}
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
+}
+
+// edge is one entry of a cluster's adjacency list: a flat neighbor and
+// the connectivity it brings, which a merge folds into the new root's
+// pair weights.
+type edge struct {
+	to int32
+	w  float64
+}
+
+// pairRef points from a cluster root at the slab slot of its pair weight
+// with another root; the two roots' lists share the slot.
+type pairRef struct {
+	other, slot int32
+}
+
+// state is BestChoice's union-find over the flat cells together with the
+// connectivity of the current cluster roots.
+type state struct {
+	n       *netlist.Netlist
+	parent  []int32
+	area    []float64
+	stamp   []int64
+	maxArea float64
+	// nbrs[r] lists the edges of root r's members in merge order, each
+	// with its own weight: pushBest scans it for candidate roots, and a
+	// merge folds it into the surviving root's pair weights.
+	nbrs [][]edge
+	// pairs[r] points at the weights of r's pairs with other roots, kept
+	// in the weight slab. An entry whose other end is no longer a root is
+	// never read again and is dropped at the next scan.
+	pairs  [][]pairRef
+	weight []float64
+	// After markPairs(a), slotOf[t] is the slot of pair (a, t) when
+	// marked[t] == mark; seen[t] == mark once pushBest has scored t.
+	slotOf []int32
+	marked []int32
+	seen   []int32
+	mark   int32
+	heap   pairHeap
 }
 
 // BestChoice clusters the netlist. Fixed cells are never clustered; cells
@@ -66,24 +138,24 @@ func BestChoice(n *netlist.Netlist, opt Options) *Clustering {
 	numCells := n.NumCells()
 	// Union-find state over flat cells; every flat cell starts as its own
 	// cluster root.
-	parent := make([]int32, numCells)
-	area := make([]float64, numCells)
+	s := &state{
+		n:      n,
+		parent: make([]int32, numCells),
+		area:   make([]float64, numCells),
+		stamp:  make([]int64, numCells),
+		slotOf: make([]int32, numCells),
+		marked: make([]int32, numCells),
+		seen:   make([]int32, numCells),
+	}
 	movable := 0
 	totalArea := 0.0
-	for i := range parent {
-		parent[i] = int32(i)
-		area[i] = n.Cells[i].Size()
+	for i := range s.parent {
+		s.parent[i] = int32(i)
+		s.area[i] = n.Cells[i].Size()
 		if !n.Cells[i].Fixed {
 			movable++
-			totalArea += area[i]
+			totalArea += s.area[i]
 		}
-	}
-	var find func(int32) int32
-	find = func(v int32) int32 {
-		if parent[v] != v {
-			parent[v] = find(parent[v])
-		}
-		return parent[v]
 	}
 
 	target := movable
@@ -93,102 +165,23 @@ func BestChoice(n *netlist.Netlist, opt Options) *Clustering {
 			target = 1
 		}
 	}
-	maxArea := 0.0
 	if movable > 0 {
-		maxArea = maxAreaFactor * totalArea / float64(movable)
+		s.maxArea = maxAreaFactor * totalArea / float64(movable)
 	}
+	s.connect()
 
-	// Adjacency with clique-model weights: w(net)/(p-1) per pair is too
-	// dense for big nets; BestChoice uses w/(p-1) summed over shared
-	// nets, and we cap the pairs per net at a window of neighbors.
-	type edge struct {
-		to int32
-		w  float64
-	}
-	adj := make(map[int64]float64) // packed pair -> weight
-	pack := func(a, b int32) int64 {
-		if a > b {
-			a, b = b, a
-		}
-		return int64(a)<<32 | int64(b)
-	}
-	for ni := range n.Nets {
-		cells := n.CellsOnNet(netlist.NetID(ni))
-		var mov []netlist.CellID
-		for _, c := range cells {
-			if !n.Cells[c].Fixed {
-				mov = append(mov, c)
-			}
-		}
-		p := len(mov)
-		if p < 2 || p > 16 { // huge nets carry little clustering signal
-			continue
-		}
-		w := n.Nets[ni].Weight / float64(p-1)
-		for i := 0; i < p; i++ {
-			for j := i + 1; j < p; j++ {
-				adj[pack(int32(mov[i]), int32(mov[j]))] += w
-			}
-		}
-	}
-	neighbors := make([][]edge, numCells)
-	// Deterministic order of adjacency expansion.
-	keys := make([]int64, 0, len(adj))
-	for k := range adj {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		a, b := int32(k>>32), int32(k&0xffffffff)
-		w := adj[k]
-		neighbors[a] = append(neighbors[a], edge{to: b, w: w})
-		neighbors[b] = append(neighbors[b], edge{to: a, w: w})
-	}
-
-	stamp := make([]int64, numCells)
-	score := func(a, b int32) float64 {
-		// BestChoice score: connectivity over summed area.
-		w := adj[pack(a, b)]
-		return w / (area[a] + area[b])
-	}
-	canMerge := func(a, b int32) bool {
-		if n.Cells[a].Fixed || n.Cells[b].Fixed {
-			return false
-		}
-		if n.Cells[a].Movebound != n.Cells[b].Movebound {
-			return false
-		}
-		return area[a]+area[b] <= maxArea
-	}
-	h := &pairHeap{}
-	pushBest := func(a int32) {
-		// Push a's best current neighbor.
-		best, bestS := int32(-1), 0.0
-		for _, e := range neighbors[a] {
-			b := find(e.to)
-			if b == a || !canMerge(a, b) {
-				continue
-			}
-			if s := score(a, b); best < 0 || s > bestS {
-				best, bestS = b, s
-			}
-		}
-		if best >= 0 {
-			heap.Push(h, scorePair{a: a, b: best, score: bestS, stamp: stamp[a] + stamp[best]})
-		}
-	}
 	for i := int32(0); i < int32(numCells); i++ {
 		if !n.Cells[i].Fixed {
-			pushBest(i)
+			s.pushBest(i)
 		}
 	}
 	clusters := movable
-	for clusters > target && h.Len() > 0 {
-		top := heap.Pop(h).(scorePair)
-		a, b := find(top.a), find(top.b)
-		if a == b || top.stamp != stamp[a]+stamp[b] || !canMerge(a, b) {
+	for clusters > target && len(s.heap) > 0 {
+		top := s.heap.pop()
+		a, b := s.find(top.a), s.find(top.b)
+		if a == b || top.stamp != s.stamp[a]+s.stamp[b] || !s.canMerge(a, b) {
 			if a != b {
-				pushBest(a)
+				s.pushBest(a)
 			}
 			continue
 		}
@@ -196,53 +189,239 @@ func BestChoice(n *netlist.Netlist, opt Options) *Clustering {
 		if b < a {
 			a, b = b, a
 		}
-		parent[b] = a
-		stamp[a]++
-		area[a] += area[b]
-		// Merge adjacency: fold b's edges into a.
-		for _, e := range neighbors[b] {
-			t := find(e.to)
-			if t == a {
-				continue
-			}
-			k := pack(a, t)
-			adj[k] += e.w
-			neighbors[a] = append(neighbors[a], edge{to: t, w: e.w})
-		}
+		s.merge(a, b)
 		clusters--
-		pushBest(a)
+		s.pushBest(a)
 	}
 
-	return buildClustered(n, find)
+	return buildClustered(n, s.find)
+}
+
+// connect builds the initial adjacency with clique-model weights: every
+// net with 2 to maxNetCells distinct movable cells adds w(net)/(p-1) to
+// each pair of them, summed over the nets in net order. Each cell's list
+// holds its neighbors in ascending id order, one entry per neighbor.
+func (s *state) connect() {
+	n := s.n
+	numCells := len(s.parent)
+	type netPair struct {
+		a, b int32
+		w    float64
+	}
+	var emitted []netPair
+	deg := make([]int32, numCells+1)
+	onNet := make([]int32, numCells) // onNet[c] == ni+1: c already seen on net ni
+	var mov []int32
+	for ni := range n.Nets {
+		mov = mov[:0]
+		for _, p := range n.Nets[ni].Pins {
+			if p.IsPad() || onNet[p.Cell] == int32(ni+1) {
+				continue
+			}
+			onNet[p.Cell] = int32(ni + 1)
+			if !n.Cells[p.Cell].Fixed {
+				mov = append(mov, int32(p.Cell))
+			}
+		}
+		p := len(mov)
+		if p < 2 || p > maxNetCells {
+			continue
+		}
+		w := n.Nets[ni].Weight / float64(p-1)
+		for i := 0; i < p; i++ {
+			for j := i + 1; j < p; j++ {
+				emitted = append(emitted, netPair{mov[i], mov[j], w})
+				deg[mov[i]+1]++
+				deg[mov[j]+1]++
+			}
+		}
+	}
+	// Group each cell's pairs in net order, then sort them stably by
+	// neighbor and sum each neighbor's run: the sum runs in net order,
+	// exactly as accumulating the pair's weight net by net does.
+	for c := 0; c < numCells; c++ {
+		deg[c+1] += deg[c]
+	}
+	flat := make([]edge, deg[numCells])
+	next := slices.Clone(deg[:numCells])
+	for _, e := range emitted {
+		flat[next[e.a]] = edge{e.b, e.w}
+		next[e.a]++
+		flat[next[e.b]] = edge{e.a, e.w}
+		next[e.b]++
+	}
+	s.nbrs = make([][]edge, numCells)
+	distinct := 0
+	for c := 0; c < numCells; c++ {
+		seg := flat[deg[c]:deg[c+1]]
+		slices.SortStableFunc(seg, func(x, y edge) int { return cmp.Compare(x.to, y.to) })
+		k := 0
+		for i := 0; i < len(seg); {
+			to, w := seg[i].to, 0.0
+			for ; i < len(seg) && seg[i].to == to; i++ {
+				w += seg[i].w
+			}
+			seg[k] = edge{to, w}
+			k++
+		}
+		s.nbrs[c] = seg[:k:k]
+		distinct += k
+	}
+	// One slab slot per adjacent pair, shared by both endpoints' lists.
+	refs := make([]pairRef, distinct)
+	s.pairs = make([][]pairRef, numCells)
+	for c := range s.pairs {
+		k := len(s.nbrs[c])
+		s.pairs[c], refs = refs[:0:k], refs[k:]
+	}
+	s.weight = make([]float64, 0, distinct/2)
+	for c := range s.nbrs {
+		for _, e := range s.nbrs[c] {
+			if e.to > int32(c) {
+				s.newPair(int32(c), e.to, e.w)
+			}
+		}
+	}
+}
+
+// newPair adds the pair (a, t) with weight w to both roots' lists and
+// returns its slot.
+func (s *state) newPair(a, t int32, w float64) int32 {
+	slot := int32(len(s.weight))
+	s.weight = append(s.weight, w)
+	s.pairs[a] = append(s.pairs[a], pairRef{t, slot})
+	s.pairs[t] = append(s.pairs[t], pairRef{a, slot})
+	return slot
+}
+
+func (s *state) find(v int32) int32 {
+	r := v
+	for s.parent[r] != r {
+		r = s.parent[r]
+	}
+	for s.parent[v] != r {
+		next := s.parent[v]
+		s.parent[v] = r
+		v = next
+	}
+	return r
+}
+
+func (s *state) canMerge(a, b int32) bool {
+	ca, cb := &s.n.Cells[a], &s.n.Cells[b]
+	if ca.Fixed || cb.Fixed {
+		return false
+	}
+	if ca.Movebound != cb.Movebound {
+		return false
+	}
+	return s.area[a]+s.area[b] <= s.maxArea
+}
+
+// markPairs opens a new mark and records the slot of every pair of root a
+// whose other end is still a root, dropping the entries whose other end
+// is not.
+func (s *state) markPairs(a int32) {
+	s.mark++
+	live := s.pairs[a][:0]
+	for _, p := range s.pairs[a] {
+		if s.parent[p.other] != p.other {
+			continue
+		}
+		live = append(live, p)
+		s.slotOf[p.other] = p.slot
+		s.marked[p.other] = s.mark
+	}
+	s.pairs[a] = live
+}
+
+// pushBest pushes a's best current neighbor: the mergeable root of the
+// highest score, connectivity over summed area, the first in a's edge
+// order among equal scores.
+func (s *state) pushBest(a int32) {
+	s.markPairs(a)
+	best, bestS := int32(-1), 0.0
+	for _, e := range s.nbrs[a] {
+		b := s.find(e.to)
+		if b == a || s.seen[b] == s.mark {
+			continue // a repeated root scores the same and never wins
+		}
+		s.seen[b] = s.mark
+		if !s.canMerge(a, b) {
+			continue
+		}
+		w := 0.0
+		if s.marked[b] == s.mark {
+			w = s.weight[s.slotOf[b]]
+		}
+		if sc := w / (s.area[a] + s.area[b]); best < 0 || sc > bestS {
+			best, bestS = b, sc
+		}
+	}
+	if best >= 0 {
+		s.heap.push(scorePair{a: a, b: best, score: bestS, stamp: s.stamp[a] + s.stamp[best]})
+	}
+}
+
+// merge folds root b into root a: b's edges move to a, and each edge
+// whose root is another root t adds its weight to the pair (a, t), in
+// b's edge order.
+func (s *state) merge(a, b int32) {
+	s.parent[b] = a
+	s.stamp[a]++
+	s.area[a] += s.area[b]
+	s.markPairs(a)
+	for _, e := range s.nbrs[b] {
+		t := s.find(e.to)
+		if t == a {
+			continue
+		}
+		if s.marked[t] != s.mark {
+			s.slotOf[t] = s.newPair(a, t, 0)
+			s.marked[t] = s.mark
+		}
+		s.weight[s.slotOf[t]] += e.w
+		s.nbrs[a] = append(s.nbrs[a], edge{t, e.w})
+	}
+	s.nbrs[b], s.pairs[b] = nil, nil
 }
 
 // buildClustered materializes the clustered netlist from the union-find.
 func buildClustered(n *netlist.Netlist, find func(int32) int32) *Clustering {
 	numCells := n.NumCells()
-	rootIdx := map[int32]netlist.CellID{}
 	cl := &Clustering{
 		Flat:   n,
 		Parent: make([]netlist.CellID, numCells),
 	}
 	coarse := netlist.New(n.Area, n.RowHeight)
 	// Deterministic: iterate flat cells in order; allocate cluster ids by
-	// first appearance of the root.
+	// first appearance of the root. idOf[root] is the root's id plus one.
+	idOf := make([]int32, numCells)
+	var size []int32
 	for i := int32(0); i < int32(numCells); i++ {
 		root := find(i)
-		id, ok := rootIdx[root]
-		if !ok {
+		if idOf[root] == 0 {
 			c := n.Cells[root]
-			id = coarse.AddCell(netlist.Cell{
+			id := coarse.AddCell(netlist.Cell{
 				Name:      c.Name,
 				Width:     0, // set below from accumulated area
 				Height:    n.RowHeight,
 				Fixed:     c.Fixed,
 				Movebound: c.Movebound,
 			})
-			rootIdx[root] = id
-			cl.Members = append(cl.Members, nil)
+			idOf[root] = int32(id) + 1
+			size = append(size, 0)
 		}
+		id := netlist.CellID(idOf[root] - 1)
 		cl.Parent[i] = id
+		size[id]++
+	}
+	members := make([]netlist.CellID, numCells)
+	cl.Members = make([][]netlist.CellID, len(size))
+	for id, k := range size {
+		cl.Members[id], members = members[:0:k], members[k:]
+	}
+	for i, id := range cl.Parent {
 		cl.Members[id] = append(cl.Members[id], netlist.CellID(i))
 	}
 	// Cluster geometry: area-preserving, height = row height (or the
@@ -270,12 +449,11 @@ func buildClustered(n *netlist.Netlist, find func(int32) int32) *Clustering {
 		}
 	}
 	// Nets: project pins to clusters; drop nets internal to one cluster.
+	onNet := make([]int32, len(size)) // onNet[cid] == ni+1: cid already pinned on net ni
 	for ni := range n.Nets {
 		net := &n.Nets[ni]
 		var pins []netlist.Pin
-		seen := map[netlist.CellID]bool{}
-		distinct := map[netlist.CellID]bool{}
-		pads := 0
+		distinct, pads := 0, 0
 		for _, p := range net.Pins {
 			if p.IsPad() {
 				pins = append(pins, p)
@@ -283,13 +461,13 @@ func buildClustered(n *netlist.Netlist, find func(int32) int32) *Clustering {
 				continue
 			}
 			cid := cl.Parent[p.Cell]
-			distinct[cid] = true
-			if !seen[cid] {
-				seen[cid] = true
+			if onNet[cid] != int32(ni+1) {
+				onNet[cid] = int32(ni + 1)
+				distinct++
 				pins = append(pins, netlist.Pin{Cell: cid})
 			}
 		}
-		if len(distinct)+pads < 2 {
+		if distinct+pads < 2 {
 			continue
 		}
 		coarse.AddNet(netlist.Net{Name: net.Name, Weight: net.Weight, Pins: pins})

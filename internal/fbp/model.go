@@ -24,6 +24,7 @@ import (
 	"fbplace/internal/grid"
 	"fbplace/internal/netlist"
 	"fbplace/internal/obs"
+	"fbplace/internal/qp"
 	"fbplace/internal/transport"
 )
 
@@ -71,6 +72,13 @@ type Config struct {
 	// rather than importing internal/certify so the dependency keeps
 	// pointing from the certifier at the solvers, never back.
 	Check Checker
+	// System, when non-nil, is the placement's held spring system of the
+	// partitioned netlist (qp.NewSystem, clique/star): every realization-
+	// local QP solves a slice of it (qp.System.SolveSlice), and the
+	// workers read it concurrently without changing it. When nil, a
+	// realization with LocalQP assembles one for itself. Partition,
+	// PartitionLocal and Realize refuse a system of another netlist.
+	System *qp.System
 }
 
 // Checker certifies intermediate solver results (implemented by

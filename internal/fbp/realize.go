@@ -201,6 +201,9 @@ type unit struct {
 // removes what the final pass leaves, and Result.RoundingOverflow reports
 // it.
 func Partition(n *netlist.Netlist, wr *grid.WindowRegions, cfg Config) (*Result, error) {
+	if err := checkSystem(n, cfg); err != nil {
+		return nil, err
+	}
 	bsp := cfg.Obs.StartSpan("fbp.build")
 	assign := wr.Grid.AssignCells(n)
 	share := collapseShare(n, assign, wr.Grid.NumWindows())
@@ -222,6 +225,15 @@ func Partition(n *netlist.Netlist, wr *grid.WindowRegions, cfg Config) (*Result,
 		}
 	}
 	return Realize(model, cfg)
+}
+
+// checkSystem refuses a held system assembled from another netlist than
+// the one being partitioned: its slices would solve the wrong springs.
+func checkSystem(n *netlist.Netlist, cfg Config) error {
+	if cfg.System != nil && cfg.System.Netlist() != n {
+		return errors.New("fbp: Config.System was assembled from another netlist")
+	}
+	return nil
 }
 
 // collapseShare is the share of movable area sitting in windows that hold
@@ -251,6 +263,9 @@ func collapseShare(n *netlist.Netlist, assign []int, windows int) float64 {
 
 // Realize turns a solved model into a cell-to-region partitioning.
 func Realize(m *Model, cfg Config) (*Result, error) {
+	if err := checkSystem(m.N, cfg); err != nil {
+		return nil, err
+	}
 	rec := cfg.Obs
 	if rec == nil {
 		rec = m.Obs
@@ -292,8 +307,13 @@ func Realize(m *Model, cfg Config) (*Result, error) {
 // inherent blind spot of recursive approaches. Every teleported cell
 // counts one relaxation, and so does every window whose cells do not fit
 // its regions, which takes the least overflow its elastic transportation
-// allows. cfg's Workers, Obs, Ctx and Degrade apply as in Partition.
+// allows. cfg's Workers, Obs, Ctx and Degrade apply as in Partition; it
+// runs no local QP.
 func PartitionLocal(n *netlist.Netlist, wr *grid.WindowRegions, cfg Config) (relaxations int, err error) {
+	if err := checkSystem(n, cfg); err != nil {
+		return 0, err
+	}
+	cfg.LocalQP = false
 	relaxations = escapeLocal(n, wr)
 	r := newRealizer(&Model{N: n, WR: wr}, cfg, cfg.Obs)
 	overflowed, err := r.finalPass()
@@ -335,9 +355,13 @@ func escapeLocal(n *netlist.Netlist, wr *grid.WindowRegions) int {
 
 // newRealizer sets up the realization state of a solved model: every
 // movable cell in the window holding its position, every flow-carrying
-// external edge unrealized.
+// external edge unrealized, and, for the local QPs, the held system of
+// cfg or one assembled here.
 func newRealizer(m *Model, cfg Config, rec *obs.Recorder) *realizer {
 	n := m.N
+	if cfg.LocalQP && cfg.System == nil {
+		cfg.System = qp.NewSystem(n, qp.Options{Obs: rec})
+	}
 	g := m.WR.Grid
 	W := g.NumWindows()
 	r := &realizer{
@@ -679,11 +703,11 @@ func (r *realizer) runUnits(n int, phase string, window func(i int) int, do func
 	return nil
 }
 
-// runLocalQP runs the low-precision connectivity QP over the given subset
-// with everything outside fixed to the wave snapshot. The QP only steers
-// the transportation costs, so it runs at low precision; without the caps,
-// coarse levels would solve near-global systems to full CG tolerance once
-// per unit. Its effort is reported separately from the placer's top-level
+// runLocalQP runs the low-precision connectivity QP over the given subset,
+// a slice of the held system, with everything outside fixed to the wave
+// snapshot. The QP only steers the transportation costs, so it runs at
+// low precision; without the caps, coarse levels would solve near-global
+// systems to full CG tolerance once per unit. Its effort is reported separately from the placer's top-level
 // solves (Stats.LocalQPSolves/LocalCGIters).
 func (r *realizer) runLocalQP(u int, subset []netlist.CellID, snapX, snapY []float64, sc *workerScratch) error {
 	opt := qp.Options{
@@ -697,7 +721,7 @@ func (r *realizer) runLocalQP(u int, subset []netlist.CellID, snapX, snapY []flo
 		Ctx:        r.cfg.Ctx,
 		Workspace:  sc.qp,
 	}
-	if err := qp.SolveSubset(r.n, subset, nil, opt); err != nil {
+	if err := r.cfg.System.SolveSlice(subset, opt); err != nil {
 		return fmt.Errorf("fbp: local QP in window %d: %w", u, err)
 	}
 	return nil

@@ -332,17 +332,3 @@ func (n *Netlist) Validate(numMovebounds int) error {
 	}
 	return nil
 }
-
-// CellsOnNet returns the distinct non-pad cells of a net, preserving first
-// occurrence order.
-func (n *Netlist) CellsOnNet(id NetID) []CellID {
-	seen := map[CellID]bool{}
-	var out []CellID
-	for _, p := range n.Nets[id].Pins {
-		if !p.IsPad() && !seen[p.Cell] {
-			seen[p.Cell] = true
-			out = append(out, p.Cell)
-		}
-	}
-	return out
-}

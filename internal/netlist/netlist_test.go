@@ -157,15 +157,3 @@ func TestValidate(t *testing.T) {
 		t.Fatalf("in-range movebound rejected: %v", err)
 	}
 }
-
-func TestCellsOnNetDedupsAndSkipsPads(t *testing.T) {
-	n, a, b := twoCellNetlist()
-	id := n.AddNet(Net{Pins: []Pin{
-		{Cell: a}, {Cell: b}, {Cell: a, Offset: geom.Point{X: 1}},
-		{Cell: -1, Offset: geom.Point{X: 0, Y: 0}},
-	}})
-	got := n.CellsOnNet(id)
-	if len(got) != 2 || got[0] != a || got[1] != b {
-		t.Fatalf("CellsOnNet = %v", got)
-	}
-}

@@ -80,10 +80,7 @@ func BenchmarkTopLevelQP(b *testing.B) {
 	solves := func() {
 		copy(n.X, x0)
 		copy(n.Y, y0)
-		sys, err := qp.NewSystem(n, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
+		sys := qp.NewSystem(n, opt)
 		if err := sys.Solve(nil, opt); err != nil {
 			b.Fatal(err)
 		}

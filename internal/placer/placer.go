@@ -132,14 +132,16 @@ type Config struct {
 }
 
 // fbpConfig derives the partitioning configuration of one FBP level from
-// c. check is nil unless every level is certified.
-func (c Config) fbpConfig(ctx context.Context, dl *degrade.Log, check *certify.Checker) fbp.Config {
+// c; sys is the placement's held spring system, whose slices are the
+// realization-local QPs. check is nil unless every level is certified.
+func (c Config) fbpConfig(ctx context.Context, dl *degrade.Log, sys *qp.System, check *certify.Checker) fbp.Config {
 	fc := fbp.Config{
 		LocalQP: !c.NoLocalQP,
 		Workers: c.Workers,
 		Obs:     c.Obs,
 		Ctx:     ctx,
 		Degrade: dl,
+		System:  sys,
 	}
 	if check != nil {
 		fc.Check = check
@@ -544,27 +546,18 @@ func levelsFor(n *netlist.Netlist, cfg Config) int {
 
 // globalLoop runs QP + partitioning over grids of level startLevel
 // through endLevel (2^lv x 2^lv windows), solving the top-level QPs with
-// qopt. The net springs of n are assembled once, by the first solve, into
-// qopt.Workspace, and every solve of the loop shares them; the system is
-// never checkpointed (a resumed loop assembles it anew). When freshQP is
+// qopt. The net springs of n are assembled once, before the first level,
+// into qopt.Workspace: every top-level solve of the loop shares them, and
+// every realization-local QP solves a slice of them. The system is never
+// checkpointed (a resumed loop assembles it anew). When freshQP is
 // set, the loop starts from an unconstrained quadratic solve; otherwise it
 // continues from the current placement. A non-nil ck snapshots the loop
 // state after each completed level.
 func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decomposition, blockages geom.RectSet, cfg Config, qopt qp.Options, dl *degrade.Log, report *Report, startLevel, endLevel int, freshQP bool, ck *ckptState) error {
-	var sys *qp.System
-	solve := func(anchors []qp.Anchor) error {
-		if sys == nil {
-			s, err := qp.NewSystem(n, qopt)
-			if err != nil {
-				return err
-			}
-			sys = s
-		}
-		return sys.Solve(anchors, qopt)
-	}
+	sys := qp.NewSystem(n, qopt)
 	if freshQP {
 		qsp := cfg.Obs.StartSpan("qp.initial")
-		err := solve(nil)
+		err := sys.Solve(nil, qopt)
 		qsp.End()
 		if err != nil {
 			return fmt.Errorf("placer: initial QP: %w", err)
@@ -590,7 +583,7 @@ func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decompos
 		wr := grid.BuildWindowRegions(g, decomp, blockages, cfg.TargetDensity)
 		switch cfg.Mode {
 		case ModeRecursive:
-			relax, err := fbp.PartitionLocal(n, wr, cfg.fbpConfig(ctx, dl, nil))
+			relax, err := fbp.PartitionLocal(n, wr, cfg.fbpConfig(ctx, dl, sys, nil))
 			report.Relaxations += relax
 			if err != nil {
 				lsp.End()
@@ -603,7 +596,7 @@ func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decompos
 			}
 			// A failed level certificate leaves the loop wrapped in %w, so
 			// run sees the *certify.Error and re-runs the whole placement.
-			res, err := fbp.Partition(n, wr, cfg.fbpConfig(ctx, dl, checker))
+			res, err := fbp.Partition(n, wr, cfg.fbpConfig(ctx, dl, sys, checker))
 			if err == nil && checker != nil {
 				err = checker.Partition(n, wr, res)
 			}
@@ -621,7 +614,7 @@ func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decompos
 			anchors[i] = qp.Anchor{Cell: id, Target: n.Pos(id), Weight: w}
 		}
 		qsp := cfg.Obs.StartSpan("qp.anchored")
-		err := solve(anchors)
+		err := sys.Solve(anchors, qopt)
 		qsp.End()
 		lsp.End()
 		if err != nil {

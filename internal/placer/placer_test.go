@@ -14,6 +14,7 @@ import (
 	"fbplace/internal/legalize"
 	"fbplace/internal/netlist"
 	"fbplace/internal/obs"
+	"fbplace/internal/qp"
 	"fbplace/internal/region"
 )
 
@@ -390,8 +391,8 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // TestFBPConfigForwarding pins how a level's fbp.Config derives from the
-// placer's: the local-QP switch, the worker count and every piece of
-// per-run plumbing carry through, and without per-level certification the
+// placer's: the local-QP switch, the worker count, the held spring system
+// and every piece of per-run plumbing carry through, and without per-level certification the
 // checker is a nil interface, not a typed nil the realization would call
 // into. Workers does not steer the trajectory, so it stays out of the
 // fingerprint.
@@ -401,14 +402,15 @@ func TestFBPConfigForwarding(t *testing.T) {
 	ctx := context.Background()
 	dl := degrade.New(rec)
 	check := &certify.Checker{Obs: rec, Ctx: ctx, Level: 3}
-	got := cfg.fbpConfig(ctx, dl, check)
-	if got.Check != check || got.Obs != rec || got.Ctx != ctx || got.Degrade != dl {
-		t.Fatal("fbp config dropped Check/Obs/Ctx/Degrade")
+	sys := qp.NewSystem(netlist.New(geom.Rect{Xhi: 1, Yhi: 1}, 1), qp.Options{})
+	got := cfg.fbpConfig(ctx, dl, sys, check)
+	if got.Check != check || got.Obs != rec || got.Ctx != ctx || got.Degrade != dl || got.System != sys {
+		t.Fatal("fbp config dropped Check/Obs/Ctx/Degrade/System")
 	}
 	if !got.LocalQP || got.Workers != 4 {
 		t.Fatalf("fbp config LocalQP %v, Workers %d; want true, 4", got.LocalQP, got.Workers)
 	}
-	if c := cfg.fbpConfig(ctx, dl, nil); c.Check != nil {
+	if c := cfg.fbpConfig(ctx, dl, sys, nil); c.Check != nil {
 		t.Fatalf("Check = %#v without a checker, want nil", c.Check)
 	}
 	seq := cfg

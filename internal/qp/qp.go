@@ -7,11 +7,11 @@
 // share one matrix, and both are solved with preconditioned CG in one
 // lockstep loop on the calling goroutine (sparse.SolveCGPair).
 //
-// A System holds the assembled springs of a set of variable cells, so the
+// A System holds the assembled springs of the movable cells, so the
 // placer assembles its netlist once and solves it unanchored and then
-// anchored after every level. SolveSubset supports the local QP of the
-// realization step (§IV.B): only the given cells are variables,
-// everything else is fixed at its current position.
+// anchored after every level. System.SolveSlice solves the local QP of
+// the realization step (§IV.B) on a slice of that system: only the given
+// cells are variables, everything else is fixed at a snapshot position.
 package qp
 
 import (
@@ -74,10 +74,10 @@ type Options struct {
 	Tol float64
 	// MaxIter bounds CG iterations. Default per sparse.CGOptions.
 	MaxIter int
-	// ReadX, ReadY, when non-nil, override the positions of non-variable
-	// cells (length NumCells). Parallel realization passes a snapshot
-	// taken at wave start so that concurrent local QPs on disjoint window
-	// blocks are race-free and deterministic.
+	// ReadX, ReadY, when non-nil, are the positions of the cells outside
+	// a slice (length NumCells; SolveSlice). Parallel realization passes a
+	// snapshot taken at wave start so that concurrent local QPs on
+	// disjoint window blocks are race-free and deterministic.
 	ReadX, ReadY []float64
 	// BestEffort accepts the CG iterate even when the iteration budget is
 	// exhausted before the tolerance is met. The realization-local QP
@@ -96,10 +96,11 @@ type Options struct {
 	// Ctx, when non-nil, is threaded into the CG solves; a canceled or
 	// expired context aborts the solve with the context's error.
 	Ctx context.Context
-	// Workspace, when non-nil, supplies reusable scratch (epoch-stamped
-	// variable/net marks, pin buffers, matrix builders, rhs and CG
-	// vectors) so steady-state SolveSubset calls allocate O(block), not
-	// O(netlist), and holds the System that NewSystem assembles.
+	// Workspace, when non-nil, supplies reusable scratch (variable
+	// indices, epoch-stamped slice marks, pin buffers, matrix builders,
+	// rhs and CG vectors) so steady-state SolveSlice calls allocate
+	// O(block), not O(netlist), and holds the System that NewSystem
+	// assembles.
 	// A workspace must not be shared by concurrent solves; the parallel
 	// realization threads one per worker. Results are bit-identical with
 	// and without a workspace.
@@ -108,7 +109,7 @@ type Options struct {
 	// solve that exhausts its budget is retried once with a 4x iteration
 	// budget, and if it still fails the positions are left at the warm
 	// start (the last anchor solution), a degradation event is recorded,
-	// and SolveSubset returns nil. Context errors never trigger the
+	// and the solve returns nil. Context errors never trigger the
 	// fallback. Callers without a degrade log keep the hard-error
 	// behavior.
 	Degrade *degrade.Log
@@ -120,7 +121,7 @@ type Options struct {
 // atomic (the fbpvet atomicmix analyzer enforces this in-package, the
 // accessors extend the discipline across packages).
 type SolveStats struct {
-	// Solves counts completed Solve/SolveSubset calls.
+	// Solves counts completed solves, slices included.
 	Solves int64
 	// CGIters is the total conjugate-gradient iterations over both axes.
 	CGIters int64
@@ -156,14 +157,10 @@ func (o *Options) fill() {
 // writes the optimal positions into the netlist: it assembles the system
 // of all movable cells once and solves it once (NewSystem, System.Solve).
 func Solve(n *netlist.Netlist, anchors []Anchor, opt Options) error {
-	s, err := NewSystem(n, opt)
-	if err != nil {
-		return err
-	}
-	return s.Solve(anchors, opt)
+	return NewSystem(n, opt).Solve(anchors, opt)
 }
 
-// netPin is one pin of a net as seen by the local system assembly.
+// netPin is one pin of a net as seen by the system assembly.
 type netPin struct {
 	varIdx int32      // variable index or -1
 	pos    geom.Point // absolute position if fixed, offset if variable
@@ -196,116 +193,60 @@ type System struct {
 // NewSystem assembles the system of all movable cells of n in
 // opt.Workspace (a fresh workspace when nil) for the net model
 // opt.NetModel.
-func NewSystem(n *netlist.Netlist, opt Options) (*System, error) {
+func NewSystem(n *netlist.Netlist, opt Options) *System {
 	ws := opt.Workspace
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	return ws.assemble(n, n.MovableIDs(), opt)
+	return ws.assemble(n, opt)
 }
 
-// SolveSubset minimizes the quadratic netlength over the given cells only;
-// all other cells are treated as fixed at their current positions.
-// Anchors referencing cells outside the subset are ignored.
-func SolveSubset(n *netlist.Netlist, subset []netlist.CellID, anchors []Anchor, opt Options) error {
-	if len(subset) == 0 {
-		return nil
-	}
-	ws := opt.Workspace
-	if ws == nil {
-		ws = NewWorkspace()
-	}
-	s, err := ws.assemble(n, subset, opt)
-	if err != nil {
-		return err
-	}
-	return s.Solve(anchors, opt)
-}
+// Netlist returns the netlist the system was assembled from.
+func (s *System) Netlist() *netlist.Netlist { return s.n }
 
-// assemble builds the spring system of subset in ws; it is the one
-// assembly of every solve.
-//
-// The system is assembled by walking only the nets incident to the subset
-// (via the netlist's cell -> net index), in ascending net order — the same
-// nets, in the same order, that a full netlist scan would emit, so results
-// are bit-identical to one while the cost is proportional to the block,
-// not the chip. The obs counter "qp.netsVisited" records the incident-net
-// count per assembly.
-func (ws *Workspace) assemble(n *netlist.Netlist, subset []netlist.CellID, opt Options) (*System, error) {
+// assemble builds the spring system of every movable cell of n in ws; it
+// is the one assembly of every system. It walks the nets in ascending
+// order and emits the springs of each net with a movable pin; the obs
+// counter "qp.netsVisited" records how many.
+func (ws *Workspace) assemble(n *netlist.Netlist, opt Options) *System {
 	if ws.uses > 0 {
 		opt.Obs.Count("qp.wsReuse", 1)
 	}
-	ws.begin(n.NumCells(), n.NumNets())
-	epoch := ws.epoch
-	// Variable index per subset cell; epoch stamps replace the O(NumCells)
-	// "-1" fill a dense varOf array would need per call.
-	for vi, id := range subset {
-		if n.Cells[id].Fixed {
-			return nil, fmt.Errorf("qp: subset contains fixed cell %d (%s)", id, n.Cells[id].Name)
-		}
-		ws.varIdx[id] = int32(vi)
-		ws.varEpoch[id] = epoch
-	}
+	ws.uses++
+	subset := n.MovableIDs()
 	nv := len(subset)
-	varOf := ws.varOf
+	ws.varIdx = slices.Grow(ws.varIdx[:0], n.NumCells())[:n.NumCells()]
+	for i := range ws.varIdx {
+		ws.varIdx[i] = -1
+	}
+	for vi, id := range subset {
+		ws.varIdx[id] = int32(vi)
+	}
+	varOf := func(c netlist.CellID) int32 { return ws.varIdx[c] }
 
-	// Gather the nets incident to the subset, deduplicated by epoch stamp
-	// and sorted ascending: ascending net order reproduces the emission
-	// (and thus float summation) order of a full netlist scan bit-for-bit.
-	idx := n.NetIndex()
-	nets := ws.netIDs[:0]
-	numPins := 0
-	for _, id := range subset {
-		for _, ni := range idx.Nets(id) {
-			if ws.netEpoch[ni] != epoch {
-				ws.netEpoch[ni] = epoch
-				nets = append(nets, int32(ni))
-				numPins += len(n.Nets[ni].Pins)
+	// hasVar reports whether a net of at least two pins has a movable
+	// pin, i.e. adds springs to the system.
+	hasVar := func(net *netlist.Net) bool {
+		if len(net.Pins) < 2 {
+			return false
+		}
+		for _, p := range net.Pins {
+			if !p.IsPad() && varOf(p.Cell) >= 0 {
+				return true
 			}
 		}
+		return false
 	}
-	slices.Sort(nets)
-	ws.netIDs = nets
-	opt.Obs.Count("qp.netsVisited", float64(len(nets)))
-
-	// Collect pins per incident net and assign star variables: nets with
-	// > cliqueThreshold pins get a star node. Every gathered net has at
-	// least one variable pin by construction of the index, so the old
-	// per-net hasVar scan is gone entirely. The buffers are sized once.
-	ws.pins = slices.Grow(ws.pins[:0], numPins)
-	ws.pinOff = slices.Grow(ws.pinOff[:0], len(nets)+1)
-	ws.starOf = slices.Grow(ws.starOf[:0], len(nets))
+	// Nets with > cliqueThreshold pins get a star node, numbered in net
+	// order after the cells.
 	numStars := 0
-	for _, ni := range nets {
-		net := &n.Nets[ni]
-		ws.pinOff = append(ws.pinOff, int32(len(ws.pins)))
-		star := int32(-1)
-		if len(net.Pins) >= 2 {
-			for _, p := range net.Pins {
-				if !p.IsPad() && varOf(p.Cell) >= 0 {
-					cur := geom.Point{X: n.X[p.Cell] + p.Offset.X, Y: n.Y[p.Cell] + p.Offset.Y}
-					ws.pins = append(ws.pins, netPin{varIdx: varOf(p.Cell), pos: p.Offset, cur: cur})
-				} else {
-					// With a snapshot, never touch the live position of a
-					// non-variable cell: another unit of the same wave may be
-					// writing it concurrently.
-					var pos geom.Point
-					if opt.ReadX != nil && !p.IsPad() {
-						pos = geom.Point{X: opt.ReadX[p.Cell] + p.Offset.X, Y: opt.ReadY[p.Cell] + p.Offset.Y}
-					} else {
-						pos = n.PinPos(p)
-					}
-					ws.pins = append(ws.pins, netPin{varIdx: -1, pos: pos, cur: pos})
-				}
-			}
-			if opt.NetModel == ModelCliqueStar && len(net.Pins) > cliqueThreshold {
-				star = int32(nv + numStars)
+	if opt.NetModel == ModelCliqueStar {
+		for ni := range n.Nets {
+			if net := &n.Nets[ni]; len(net.Pins) > cliqueThreshold && hasVar(net) {
 				numStars++
 			}
 		}
-		ws.starOf = append(ws.starOf, star)
 	}
-	ws.pinOff = append(ws.pinOff, int32(len(ws.pins)))
 	dim := nv + numStars
 
 	// Clique and star springs put the same weights into both axes, so one
@@ -422,17 +363,41 @@ func (ws *Workspace) assemble(n *netlist.Netlist, subset []netlist.CellID, opt O
 		}
 	}
 
-	for k, ni := range ws.netIDs {
-		ps := ws.pins[ws.pinOff[k]:ws.pinOff[k+1]]
-		if len(ps) == 0 {
-			continue // fewer than two pins: no spring terms
+	visited := 0
+	star := int32(nv)
+	for ni := range n.Nets {
+		net := &n.Nets[ni]
+		if !hasVar(net) {
+			continue
 		}
-		w := n.Nets[ni].Weight
+		visited++
+		ps := ws.pins[:0]
+		for _, p := range net.Pins {
+			if !p.IsPad() && varOf(p.Cell) >= 0 {
+				cur := geom.Point{X: n.X[p.Cell] + p.Offset.X, Y: n.Y[p.Cell] + p.Offset.Y}
+				ps = append(ps, netPin{varIdx: varOf(p.Cell), pos: p.Offset, cur: cur})
+			} else {
+				pos := n.PinPos(p)
+				ps = append(ps, netPin{varIdx: -1, pos: pos, cur: pos})
+			}
+		}
+		ws.pins = ps
+		w := net.Weight
 		p := len(ps)
-		if opt.NetModel == ModelB2B && p > 2 {
+		switch {
+		case opt.NetModel == ModelB2B && p > 2:
 			b2bAxis(ps, w, 0)
 			b2bAxis(ps, w, 1)
-		} else if ws.starOf[k] < 0 {
+		case opt.NetModel == ModelCliqueStar && p > cliqueThreshold:
+			// Star model: every pin to the star node; weight p/(p-1)
+			// makes 2-pin behavior consistent in expectation.
+			sw := w * float64(p) / float64(p-1)
+			sp := netPin{varIdx: star}
+			star++
+			for i := 0; i < p; i++ {
+				addSpring(ps[i], sp, sw)
+			}
+		default:
 			// Clique model with the standard 1/(p-1) scaling.
 			cw := w / float64(p-1)
 			for i := 0; i < p; i++ {
@@ -440,16 +405,9 @@ func (ws *Workspace) assemble(n *netlist.Netlist, subset []netlist.CellID, opt O
 					addSpring(ps[i], ps[j], cw)
 				}
 			}
-		} else {
-			// Star model: every pin to the star node; weight p/(p-1)
-			// makes 2-pin behavior consistent in expectation.
-			sw := w * float64(p) / float64(p-1)
-			star := netPin{varIdx: ws.starOf[k]}
-			for i := 0; i < p; i++ {
-				addSpring(ps[i], star, sw)
-			}
 		}
 	}
+	opt.Obs.Count("qp.netsVisited", float64(visited))
 
 	ws.sys = System{
 		n: n, subset: subset, ws: ws,
@@ -460,7 +418,7 @@ func (ws *Workspace) assemble(n *netlist.Netlist, subset []netlist.CellID, opt O
 	if !shared {
 		ws.sys.my = by.Build()
 	}
-	return &ws.sys, nil
+	return &ws.sys
 }
 
 // Solve minimizes the quadratic netlength over the system's variable
@@ -469,7 +427,8 @@ func (ws *Workspace) assemble(n *netlist.Netlist, subset []netlist.CellID, opt O
 // spring diagonal and right-hand sides, in that order, and writes the
 // clamped solution into the netlist. The off-diagonal springs are shared
 // by every solve of the system. Of opt, the solve settings apply; the net
-// model, the read snapshot and the workspace are those of the assembly.
+// model and the workspace are those of the assembly. (SolveSlice runs this
+// body on a slice, which has no anchors.)
 func (s *System) Solve(anchors []Anchor, opt Options) error {
 	opt.fill()
 	if s.nv == 0 {
@@ -501,7 +460,7 @@ func (s *System) Solve(anchors []Anchor, opt Options) error {
 
 	// Anchors.
 	for _, a := range anchors {
-		vi := ws.varOf(a.Cell)
+		vi := s.varOf(a.Cell)
 		if vi < 0 || a.Weight <= 0 {
 			continue
 		}
@@ -566,6 +525,113 @@ func (s *System) Solve(anchors []Anchor, opt Options) error {
 		n.SetPos(id, n.Area.ClampPoint(geom.Point{X: x[vi], Y: y[vi]}))
 	}
 	return nil
+}
+
+// SolveSlice minimizes the quadratic netlength over the given cells of s,
+// every other cell fixed at opt.ReadX/ReadY (at its netlist position when
+// those are nil): the local QP of a realization unit (§IV.B). Its system
+// is the slice of s over the cells and the star nodes of their nets,
+// copied into opt.Workspace (a fresh workspace when nil): the variables
+// are the subset in the given order, then the stars in ascending order of
+// s. Each row keeps the held springs, diagonal and right-hand side; every
+// column outside the slice moves into the right-hand side at the fixed
+// position. A slice over every movable cell in ascending order is s
+// itself. The slice is then solved as System.Solve solves s, without
+// anchors, and the solution of the subset is written into the netlist.
+// s is only read, so concurrent slices of one system may run on separate
+// workspaces. Only a clique/star system can be sliced.
+func (s *System) SolveSlice(subset []netlist.CellID, opt Options) error {
+	if len(subset) == 0 {
+		return nil
+	}
+	if s.my != s.mx {
+		return errors.New("qp: slice of a bound-to-bound system")
+	}
+	ws := opt.Workspace
+	if ws == nil {
+		ws = NewWorkspace()
+	}
+	ws.beginSlice(s.dim)
+	epoch := ws.epoch
+	// held lists the slice's variables by their index in s.
+	held := ws.held[:0]
+	for vi, id := range subset {
+		h := s.varOf(id)
+		switch {
+		case h < 0:
+			if int(id) >= 0 && int(id) < len(s.n.Cells) && s.n.Cells[id].Fixed {
+				return fmt.Errorf("qp: subset contains fixed cell %d (%s)", id, s.n.Cells[id].Name)
+			}
+			return fmt.Errorf("qp: subset cell %d is not in the system", id)
+		case ws.sliceEpoch[h] == epoch:
+			return fmt.Errorf("qp: subset contains cell %d twice", id)
+		}
+		ws.sliceIdx[h] = int32(vi)
+		ws.sliceEpoch[h] = epoch
+		held = append(held, h)
+	}
+	// The stars of the subset's nets are the star columns of its rows.
+	nv := len(subset)
+	m := s.mx
+	for _, h := range held {
+		for _, c := range m.Col[m.Ptr[h]:m.Ptr[h+1]] {
+			if int(c) >= s.nv && ws.sliceEpoch[c] != epoch {
+				ws.sliceEpoch[c] = epoch
+				held = append(held, c)
+			}
+		}
+	}
+	slices.Sort(held[nv:])
+	for i, h := range held[nv:] {
+		ws.sliceIdx[h] = int32(nv + i)
+	}
+	ws.held = held
+
+	readX, readY := opt.ReadX, opt.ReadY
+	if readX == nil {
+		readX, readY = s.n.X, s.n.Y
+	}
+	dim := len(held)
+	part := &ws.part
+	part.N = dim
+	part.Ptr = append(part.Ptr[:0], 0)
+	part.Col, part.Val = part.Col[:0], part.Val[:0]
+	part.Diag = part.Diag[:0]
+	rhsX, rhsY := ws.partX[:0], ws.partY[:0]
+	for _, h := range held {
+		bx, by := s.rhsX[h], s.rhsY[h]
+		for p := m.Ptr[h]; p < m.Ptr[h+1]; p++ {
+			c, v := m.Col[p], m.Val[p]
+			if ws.sliceEpoch[c] == epoch {
+				part.Col = append(part.Col, ws.sliceIdx[c])
+				part.Val = append(part.Val, v)
+				continue
+			}
+			// Rows reach outside the slice only through cells: every star
+			// of a slice cell is in the slice.
+			id := s.subset[c]
+			bx -= v * readX[id]
+			by -= v * readY[id]
+		}
+		part.Ptr = append(part.Ptr, int32(len(part.Col)))
+		part.Diag = append(part.Diag, m.Diag[h])
+		rhsX, rhsY = append(rhsX, bx), append(rhsY, by)
+	}
+	ws.partX, ws.partY = rhsX, rhsY
+	ws.slice = System{
+		n: s.n, subset: subset, ws: ws,
+		nv: nv, dim: dim,
+		mx: part, my: part, rhsX: rhsX, rhsY: rhsY,
+	}
+	return ws.slice.Solve(nil, opt)
+}
+
+// varOf returns the variable index of cell c in s, or -1.
+func (s *System) varOf(c netlist.CellID) int32 {
+	if c < 0 || int(c) >= len(s.ws.varIdx) {
+		return -1
+	}
+	return s.ws.varIdx[c]
 }
 
 // Netlength returns the quadratic objective value of the current placement

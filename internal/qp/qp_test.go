@@ -126,14 +126,20 @@ func TestSolveAnchors(t *testing.T) {
 	}
 }
 
-func TestSolveSubsetFixesOthers(t *testing.T) {
+// heldSystem assembles the system of all movable cells of n in its own
+// workspace, as the placer holds it.
+func heldSystem(n *netlist.Netlist) *System {
+	return NewSystem(n, Options{Workspace: NewWorkspace()})
+}
+
+func TestSolveSliceFixesOthers(t *testing.T) {
 	n := netlist.New(chip, 1)
 	a := n.AddCell(netlist.Cell{Width: 1, Height: 1})
 	b := n.AddCell(netlist.Cell{Width: 1, Height: 1})
 	n.SetPos(b, geom.Point{X: 9, Y: 9})
 	n.AddNet(netlist.Net{Pins: []netlist.Pin{{Cell: a}, {Cell: b}}})
 	n.AddNet(netlist.Net{Pins: []netlist.Pin{{Cell: a}, {Cell: -1, Offset: geom.Point{X: 1, Y: 1}}}})
-	if err := SolveSubset(n, []netlist.CellID{a}, nil, Options{}); err != nil {
+	if err := heldSystem(n).SolveSlice([]netlist.CellID{a}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if n.Pos(b) != (geom.Point{X: 9, Y: 9}) {
@@ -144,11 +150,33 @@ func TestSolveSubsetFixesOthers(t *testing.T) {
 	}
 }
 
-func TestSolveSubsetRejectsFixed(t *testing.T) {
+// TestSolveSliceRejectsFixed checks that a slice refuses a subset cell the
+// held system does not solve for: a fixed cell, an id past the netlist,
+// a cell added after the assembly, and a repeated cell; and that a
+// bound-to-bound system cannot be sliced at all.
+func TestSolveSliceRejectsFixed(t *testing.T) {
 	n := netlist.New(chip, 1)
 	f := n.AddCell(netlist.Cell{Width: 1, Height: 1, Fixed: true})
-	if err := SolveSubset(n, []netlist.CellID{f}, nil, Options{}); err == nil {
-		t.Fatal("fixed cell in subset accepted")
+	a := n.AddCell(netlist.Cell{Width: 1, Height: 1})
+	n.AddNet(netlist.Net{Pins: []netlist.Pin{{Cell: a}, {Cell: f}}})
+	sys := heldSystem(n)
+	late := n.AddCell(netlist.Cell{Width: 1, Height: 1})
+	for _, tc := range []struct {
+		name   string
+		subset []netlist.CellID
+	}{
+		{"fixed", []netlist.CellID{f}},
+		{"out of range", []netlist.CellID{a, 7}},
+		{"added after assembly", []netlist.CellID{late}},
+		{"repeated", []netlist.CellID{a, a}},
+	} {
+		if err := sys.SolveSlice(tc.subset, Options{}); err == nil {
+			t.Fatalf("%s: subset %v accepted", tc.name, tc.subset)
+		}
+	}
+	b2b := NewSystem(n, Options{NetModel: ModelB2B})
+	if err := b2b.SolveSlice([]netlist.CellID{a}, Options{}); err == nil {
+		t.Fatal("slice of a bound-to-bound system accepted")
 	}
 }
 
@@ -390,7 +418,7 @@ func TestDegradeKeepsAnchorSolution(t *testing.T) {
 }
 
 // TestCGFaultOrderDeterministic arms sparse.cg.noconverge and solves one
-// subset 20 times. The axes are solved concurrently, but the fault hits
+// slice 20 times. The axes are solved concurrently, but the fault hits
 // must land in the sequential order x, x-retry, y, y-retry: with Limit 2
 // both x attempts fail in every run, giving the same degradation record
 // (its detail names the hit) and the warm-start positions; with Limit 1
@@ -415,7 +443,7 @@ func TestCGFaultOrderDeterministic(t *testing.T) {
 		}
 		n := base.Clone()
 		dl := degrade.New(nil)
-		if err := SolveSubset(n, subset, nil, Options{Degrade: dl}); err != nil {
+		if err := heldSystem(n).SolveSlice(subset, Options{Degrade: dl}); err != nil {
 			t.Fatal(err)
 		}
 		return n, dl.Events()
@@ -453,15 +481,12 @@ func TestCGFaultOrderDeterministic(t *testing.T) {
 // cells four times — unanchored, then with three anchor sets of growing
 // weight, moving every movable cell between solves the way partitioning
 // does — and checks each result bit for bit against a fresh
-// SolveSubset(n, MovableIDs, anchors) on a twin netlist. The netlist has
+// Solve(n, anchors), which assembles anew, on a twin netlist. The netlist has
 // star nets, pin offsets, pads and fixed cells.
 func TestHeldSystemMatchesFreshSolves(t *testing.T) {
 	held := messyNetlist(400, 17)
 	fresh := held.Clone()
-	sys, err := NewSystem(held, Options{Workspace: NewWorkspace()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := heldSystem(held)
 	movable := held.MovableIDs()
 	var anchors []Anchor
 	for round := 0; round < 4; round++ {
@@ -478,7 +503,7 @@ func TestHeldSystemMatchesFreshSolves(t *testing.T) {
 		if err := sys.Solve(anchors, Options{}); err != nil {
 			t.Fatal(err)
 		}
-		if err := SolveSubset(fresh, fresh.MovableIDs(), anchors, Options{}); err != nil {
+		if err := Solve(fresh, anchors, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		for i := range held.X {
