@@ -169,6 +169,14 @@ place_served() {
 start_daemon "$ckdir/state"
 place_served "$ckdir/served.hex"
 cmp "$ckdir/direct.hex" "$ckdir/served.hex"
+# The finished job's progress log over HTTP: the stream must return,
+# carry the placement's root span and end with the done state event.
+curl -sf --max-time 10 "$base/jobs/$id/events?format=jsonl" >"$ckdir/events.jsonl" ||
+	{ echo "service e2e: /events did not return" >&2; exit 1; }
+grep -q '^{"type":"span","name":"place",' "$ckdir/events.jsonl" ||
+	{ echo "service e2e: /events lacks the place span" >&2; exit 1; }
+tail -n 1 "$ckdir/events.jsonl" | grep -q '^{"type":"state","name":"done"}$' ||
+	{ echo "service e2e: /events does not end with the done state" >&2; exit 1; }
 # Duplicate submission: served from the cache, no second placement.
 curl -sf -d "$body" "$base/jobs" >/dev/null
 sleep 0.3

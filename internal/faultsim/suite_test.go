@@ -343,10 +343,17 @@ func TestDeadlineAlreadyExpired(t *testing.T) {
 // simplex, SSP, transportation, realization waves, and the global loop).
 func TestDeadlineMidRun(t *testing.T) {
 	leakcheck.Check(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
+	// Time one whole run first and set the deadline to a third of it, so
+	// it lands inside the solvers however fast the host places the chip.
 	inst := suiteChip(t)
 	start := time.Now()
+	if _, err := placer.PlaceCtx(context.Background(), inst.N, placer.Config{Movebounds: inst.Movebounds, Workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Since(start)/3)
+	defer cancel()
+	inst = suiteChip(t)
+	start = time.Now()
 	_, err := placer.PlaceCtx(ctx, inst.N, placer.Config{Movebounds: inst.Movebounds, Workers: 4})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)

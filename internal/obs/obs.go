@@ -39,9 +39,8 @@ type Recorder struct {
 }
 
 // Progress is a liveness heartbeat hook: it fires with the span name at
-// every span start and end on the recorder (and on explicit Beat calls),
-// outside the recorder's lock. A stuck-job watchdog hangs off this hook —
-// span boundaries are exactly the granularity (level, wave, solve) at
+// every span start and end on the recorder, outside the recorder's lock.
+// A stuck-job watchdog hangs off this hook — span boundaries are exactly the granularity (level, wave, solve) at
 // which a healthy placement provably advances. The hook must be fast and
 // must not call back into the recorder's span API.
 type Progress func(name string)
@@ -54,20 +53,6 @@ func (r *Recorder) SetProgress(p Progress) {
 	r.mu.Lock()
 	r.progress = p
 	r.mu.Unlock()
-}
-
-// Beat fires the heartbeat hook directly, for progress points that are
-// not span boundaries (checkpoint writes, queue transitions).
-func (r *Recorder) Beat(name string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	p := r.progress
-	r.mu.Unlock()
-	if p != nil {
-		p(name)
-	}
 }
 
 // spanRecord is a finished span as retained for the summary tree.

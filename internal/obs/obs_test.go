@@ -157,9 +157,8 @@ func TestJSONTraceRoundTrip(t *testing.T) {
 }
 
 // TestProgressHook pins the heartbeat contract the serve watchdog relies
-// on: the hook fires with the span name at every StartSpan and End (plus
-// explicit Beats), installing nil removes it, and a nil
-// recorder swallows everything.
+// on: the hook fires with the span name at every StartSpan and End,
+// installing nil removes it, and a nil recorder swallows everything.
 func TestProgressHook(t *testing.T) {
 	r := New(nil)
 	var mu sync.Mutex
@@ -171,10 +170,9 @@ func TestProgressHook(t *testing.T) {
 	})
 	s := r.StartSpan("place")
 	c := r.StartSpan("wave")
-	r.Beat("ckpt.save")
 	c.End()
 	s.End()
-	want := []string{"place", "wave", "ckpt.save", "wave", "place"}
+	want := []string{"place", "wave", "wave", "place"}
 	mu.Lock()
 	got := append([]string(nil), beats...)
 	mu.Unlock()
@@ -193,7 +191,6 @@ func TestProgressHook(t *testing.T) {
 	s2 := r.StartSpan("quiet")
 	s2.End()
 	s2.End()
-	r.Beat("late")
 	mu.Lock()
 	n := len(beats)
 	mu.Unlock()
@@ -203,7 +200,7 @@ func TestProgressHook(t *testing.T) {
 
 	var nilR *Recorder
 	nilR.SetProgress(func(string) { t.Fatal("nil recorder fired a heartbeat") })
-	nilR.Beat("x")
+	nilR.StartSpan("x").End()
 }
 
 func TestNilRecorderIsSafe(t *testing.T) {

@@ -2,94 +2,82 @@ package obs
 
 import "sync"
 
-// Broadcast is a Sink that fans events out to any number of live
-// subscribers while retaining a bounded replay window, so a subscriber
-// attaching mid-run first sees the recent history and then the live tail.
-// It is the streaming backend of the placement service's per-job progress
-// feeds (internal/serve exposes it over SSE/JSONL).
+// Broadcast is a Sink that keeps a run's events as one bounded log: the
+// last retain events, numbered in emit order from 0. Any number of readers
+// follow it, each with its own cursor (Read), so a reader attaching
+// mid-run sees the retained history and then the live tail through one
+// path. It is the streaming backend of the placement service's per-job
+// progress feeds (internal/serve exposes it over SSE/JSONL).
 //
-// Emit never blocks: a subscriber whose channel is full loses the event
-// and the loss is counted (Dropped), because a slow progress consumer must
-// never stall the placement run producing the events.
+// Readers hold no state in the log: Emit is O(1) and never blocks, and a
+// reader loses events only by falling more than retain behind, which Read
+// reports.
 type Broadcast struct {
-	mu      sync.Mutex
-	retain  int
-	ring    []Event            // retained events, oldest first; guarded by mu
-	subs    map[int]chan Event // guarded by mu
-	nextID  int                // guarded by mu
-	closed  bool               // guarded by mu
-	dropped int64              // guarded by mu
+	mu     sync.Mutex
+	retain int
+	ring   []Event       // circular: event seq lives at ring[seq%retain]; guarded by mu
+	next   int64         // sequence number of the next Emit; guarded by mu
+	wake   chan struct{} // closed by the next Emit or Close; nil until a Read asks; guarded by mu
+	closed bool          // guarded by mu
 }
 
-// DefaultRetain is the replay-window size used when NewBroadcast is given
-// a non-positive retention.
+// DefaultRetain is the log size used when NewBroadcast is given a
+// non-positive retention.
 const DefaultRetain = 1024
 
-// NewBroadcast returns a Broadcast retaining the last retain events for
-// replay (retain <= 0 selects DefaultRetain).
+// NewBroadcast returns a Broadcast retaining the last retain events
+// (retain <= 0 selects DefaultRetain).
 func NewBroadcast(retain int) *Broadcast {
 	if retain <= 0 {
 		retain = DefaultRetain
 	}
-	return &Broadcast{retain: retain, subs: map[int]chan Event{}}
+	return &Broadcast{retain: retain}
 }
 
-// Emit appends e to the replay window and offers it to every subscriber
-// without blocking. Events emitted after Close are discarded.
+// Emit appends e to the log, evicting the oldest event once retain are
+// held, and wakes every waiting reader. Events emitted after Close are
+// discarded.
 func (b *Broadcast) Emit(e Event) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return
 	}
-	b.ring = append(b.ring, e)
-	if len(b.ring) > b.retain {
-		// Shift rather than reslice so the backing array cannot grow
-		// without bound over a long run.
-		n := copy(b.ring, b.ring[len(b.ring)-b.retain:])
-		b.ring = b.ring[:n]
+	if len(b.ring) < b.retain {
+		b.ring = append(b.ring, e)
+	} else {
+		b.ring[b.next%int64(b.retain)] = e
 	}
-	for _, ch := range b.subs {
-		select {
-		case ch <- e:
-		default:
-			b.dropped++
-		}
+	b.next++
+	if b.wake != nil {
+		close(b.wake)
+		b.wake = nil
 	}
 }
 
-// Subscribe registers a new subscriber and returns a copy of the replay
-// window, the live channel, and a cancel function. The channel is closed
-// by cancel or by Close; buf sizes the channel (buf <= 0 selects the
-// retention size). After Close, Subscribe returns the final replay window
-// and an already-closed channel.
-func (b *Broadcast) Subscribe(buf int) ([]Event, <-chan Event, func()) {
-	if buf <= 0 {
-		buf = b.retain
-	}
+// Read returns the retained events numbered from on, the cursor for the
+// next Read, how many events from on were evicted before this reader got
+// to them, and a channel the next Emit or Close closes. After Close, wake
+// is nil: the events returned are the last the log will hold.
+func (b *Broadcast) Read(from int64) (evs []Event, next, skipped int64, wake <-chan struct{}) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	replay := append([]Event(nil), b.ring...)
-	ch := make(chan Event, buf)
-	if b.closed {
-		close(ch)
-		return replay, ch, func() {}
+	if oldest := b.next - int64(len(b.ring)); from < oldest {
+		skipped, from = oldest-from, oldest
 	}
-	b.nextID++
-	id := b.nextID
-	b.subs[id] = ch
-	cancel := func() {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		if c, ok := b.subs[id]; ok {
-			delete(b.subs, id)
-			close(c)
+	for seq := from; seq < b.next; seq++ {
+		evs = append(evs, b.ring[seq%int64(b.retain)])
+	}
+	if !b.closed {
+		if b.wake == nil {
+			b.wake = make(chan struct{})
 		}
+		wake = b.wake
 	}
-	return replay, ch, cancel
+	return evs, b.next, skipped, wake
 }
 
-// Close closes every subscriber channel and makes further Emits no-ops.
+// Close wakes every waiting reader and makes further Emits no-ops.
 // Closing twice is safe.
 func (b *Broadcast) Close() {
 	b.mu.Lock()
@@ -98,15 +86,8 @@ func (b *Broadcast) Close() {
 		return
 	}
 	b.closed = true
-	for id, ch := range b.subs {
-		delete(b.subs, id)
-		close(ch)
+	if b.wake != nil {
+		close(b.wake)
+		b.wake = nil
 	}
-}
-
-// Dropped returns how many events were lost to full subscriber channels.
-func (b *Broadcast) Dropped() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped
 }

@@ -623,10 +623,6 @@ func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decompos
 		if err := ck.boundary(n, lv, cfg.Preempt); err != nil {
 			return err
 		}
-		// Explicit heartbeat after the boundary: a checkpoint write can be
-		// the longest spanless stretch of a level, and the watchdog must
-		// not mistake it for a hang.
-		cfg.Obs.Beat("level.boundary")
 	}
 	return nil
 }

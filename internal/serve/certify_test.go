@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -154,24 +155,17 @@ func TestLevelProgressFollowsThePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, live, cancel := j.Events(256)
-	defer cancel()
 	levels := 0
-	check := func(e obs.Event) {
+	j.follow(context.Background(), func(e obs.Event) bool {
 		if e.Type != obs.EventSpan || e.Name != "level" {
-			return
+			return true
 		}
 		levels++
 		if st := j.Status(); st.LevelsPlanned <= 0 || st.LevelsDone > st.LevelsPlanned {
 			t.Errorf("after level span %d: levels_done=%d levels_planned=%d", levels, st.LevelsDone, st.LevelsPlanned)
 		}
-	}
-	for _, e := range replay {
-		check(e)
-	}
-	for e := range live {
-		check(e)
-	}
+		return true
+	})
 	waitDone(t, j, 120*time.Second)
 	res := mustResult(t, j)
 	if !hasCertifyRepair(res) {

@@ -1,4 +1,4 @@
-// Resource governance: the scheduler's defenses against overload. Four
+// Resource governance: the scheduler's defenses against overload. Three
 // mechanisms share the state on Scheduler (all guarded by s.mu):
 //
 //   - Admission control. Every submission is priced by estimateJob; a job
@@ -12,12 +12,6 @@
 //     waits in the queue; every finished or requeued attempt releases its
 //     footprint and wakes the workers, and the watchdog makes sure running
 //     attempts do end.
-//   - Brownout. While committed memory is at or above the high watermark,
-//     or a queued job is memory blocked, the render endpoints (SSE/SVG)
-//     answer 503: renders allocate outside any job's priced footprint and
-//     are reconstructible from results. Placements and submissions are
-//     never shed by brownout; the queue bound and the budget refuse work.
-//     Transitions land in the degradation log as degrade.brownout entries.
 //   - Disk garbage collection. The governor GCs terminal job directories
 //     beyond a retention cap, removes orphaned job directories and prunes
 //     stale checkpoint generations. A failed checkpoint write is the
@@ -88,18 +82,7 @@ func (e *JobStuckError) Error() string {
 
 func (e *JobStuckError) Unwrap() error { return ErrJobStuck }
 
-// brownoutName labels the brownout state for degradation entries and
-// /stats.
-func brownoutName(on bool) string {
-	if on {
-		return "shed-renders"
-	}
-	return "off"
-}
-
 const (
-	// highWatermarkFrac of the memory budget committed turns brownout on.
-	highWatermarkFrac = 0.85
 	// retryAfterMin/Max clamp the backoff hint.
 	retryAfterMin = time.Second
 	retryAfterMax = 2 * time.Minute
@@ -120,32 +103,6 @@ func defaultMemBudget() int64 {
 		return b / 4 * 3
 	}
 	return defaultMemFallback
-}
-
-// recomputeGovLocked re-derives the brownout state from the committed
-// memory watermark and the memory-blocked flag. Called from
-// updateGaugesLocked, so every scheduler transition re-evaluates it.
-// Transitions are recorded in the degradation log.
-func (s *Scheduler) recomputeGovLocked() {
-	on := s.opt.MemBudget > 0 &&
-		(float64(s.committed)/float64(s.opt.MemBudget) >= highWatermarkFrac || s.memBlocked)
-	if on == s.brownout {
-		return
-	}
-	s.brownout = on
-	if on {
-		s.rec.Count("serve.brownout.enter", 1)
-	}
-	s.dl.Add("brownout", brownoutName(on),
-		fmt.Sprintf("committed %d of %d bytes, queue %d", s.committed, s.opt.MemBudget, s.queue.Len()))
-}
-
-// brownoutState reports whether renders are shed and the backoff hint a
-// shed request should carry.
-func (s *Scheduler) brownoutState() (bool, time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.brownout, s.retryAfterLocked()
 }
 
 // retryAfterLocked computes the backoff hint: with two or more
@@ -192,7 +149,7 @@ func (s *Scheduler) fitsLocked(j *Job) bool {
 
 // sampleMemory publishes the measured process heap next to the committed
 // estimate. Measured memory is advisory — it drives the serve.mem.measured
-// gauge for operators, not brownout: brownout stays on the
+// gauge for operators, not start gating: gating stays on the
 // deterministic committed estimate so governance decisions are
 // reproducible under test.
 func (s *Scheduler) sampleMemory() {

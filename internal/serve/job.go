@@ -180,7 +180,7 @@ type Job struct {
 	// lastBeat is the heartbeat timestamp (UnixNano) the watchdog reads;
 	// written by the obs.Progress hook on every span boundary.
 	lastBeat  atomic.Int64
-	bc        *obs.Broadcast
+	bc        *obs.Broadcast // progress log; closed by Scheduler.finish
 	done      chan struct{}
 	persistMu sync.Mutex // serializes persist: job.json ends with the latest state
 
@@ -294,10 +294,30 @@ func (j *Job) Result() (*Result, error) {
 	}
 }
 
-// Events returns the replay window and live event channel of the job's
-// progress stream (obs spans/counters plus "state" transition events).
-func (j *Job) Events(buf int) ([]obs.Event, <-chan obs.Event, func()) {
-	return j.bc.Subscribe(buf)
+// follow feeds the job's progress log (obs spans/counters plus "state"
+// transition events) to emit from the first event on, retained history
+// and live tail through one cursor, until the log is closed and drained,
+// ctx is done or emit fails. It returns how many events the log evicted
+// before this reader got to them.
+func (j *Job) follow(ctx context.Context, emit func(obs.Event) bool) (skipped int64) {
+	var cur int64
+	for {
+		evs, next, sk, wake := j.bc.Read(cur)
+		cur, skipped = next, skipped+sk
+		for _, e := range evs {
+			if !emit(e) {
+				return skipped
+			}
+		}
+		if wake == nil {
+			return skipped // the job ended
+		}
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return skipped
+		}
+	}
 }
 
 // setState moves a live job to queued or running and emits a "state"
@@ -367,8 +387,8 @@ func (j *Job) ckptDir() string { return filepath.Join(j.dir, "ckpt") }
 func (j *Job) ckptStore() *ckpt.Store { return &ckpt.Store{Dir: j.ckptDir()} }
 
 // jobSink forwards a placement attempt's obs events into the job's
-// broadcast and mines them for progress: a completed "level" span over a
-// 2^lv x 2^lv window grid is level lv.
+// progress log and mines them for progress: a completed "level" span
+// over a 2^lv x 2^lv window grid is level lv.
 type jobSink struct{ j *Job }
 
 func (s jobSink) Emit(e obs.Event) {

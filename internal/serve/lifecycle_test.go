@@ -15,6 +15,7 @@ import (
 	"fbplace/internal/chipio"
 	"fbplace/internal/faultsim"
 	"fbplace/internal/gen"
+	"fbplace/internal/obs"
 )
 
 // stallGate submits a job that wedges the single worker at its attempt
@@ -39,14 +40,13 @@ func stallGate(t *testing.T, s *Scheduler, seed int64) *Job {
 // terminalEvents counts the terminal "state" events in a finished job's
 // progress stream.
 func terminalEvents(j *Job) int {
-	replay, _, cancel := j.Events(1)
-	defer cancel()
 	n := 0
-	for _, e := range replay {
+	j.follow(context.Background(), func(e obs.Event) bool {
 		if e.Type == "state" && State(e.Name).Terminal() {
 			n++
 		}
-	}
+		return true
+	})
 	return n
 }
 

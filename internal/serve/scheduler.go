@@ -178,7 +178,6 @@ type Scheduler struct {
 	// Governance state (see govern.go for the policies).
 	committed  int64       // guarded by mu — sum of running jobs' predicted peaks
 	memBlocked bool        // guarded by mu — a queued job could not start for memory
-	brownout   bool        // guarded by mu — render endpoints are shedding
 	measured   int64       // guarded by mu — last sampled process heap
 	doneTimes  []time.Time // guarded by mu — completion ring for the drain rate
 
@@ -186,7 +185,7 @@ type Scheduler struct {
 	gwg   sync.WaitGroup // governor goroutine; stopped after the workers drain
 	quit  chan struct{}  // closed to stop the governor
 	stop  sync.Once      // closes quit exactly once
-	dl    *degrade.Log   // brownout/watchdog degradation entries
+	dl    *degrade.Log   // watchdog degradation entries
 	cache *resultCache
 }
 
@@ -527,10 +526,10 @@ func (s *Scheduler) next() *Job {
 // claimLocked pops the best-priority queued job whose predicted memory
 // footprint fits next to the running set, commits its footprint, and
 // moves it to running. Jobs that do not fit stay queued (in order) and
-// raise the memory-blocked flag, which turns brownout on; they start
-// once a running job releases its footprint. The queued check and the
-// move to running share s.mu with finish, so a claimed job is never
-// already terminal.
+// raise the memory-blocked flag (reported on /stats and as the
+// serve.queue.blocked gauge); they start once a running job releases its
+// footprint. The queued check and the move to running share s.mu with
+// finish, so a claimed job is never already terminal.
 func (s *Scheduler) claimLocked() *Job {
 	var skipped []*Job
 	var picked *Job
@@ -815,9 +814,6 @@ func (s *Scheduler) finish(j *Job, st State, res *Result, msg string) {
 	// deadline timer that would otherwise stay armed until it fires.
 	j.cancel()
 	j.bc.Close()
-	// Events lost to a full /events subscriber channel; Close makes the
-	// count final.
-	s.rec.Count("serve.events.dropped", float64(j.bc.Dropped()))
 	close(j.done)
 	for _, f := range followers {
 		s.finish(f, StateDone, res, "")
@@ -944,13 +940,9 @@ type Stats struct {
 	Governance GovStats `json:"governance"`
 }
 
-// GovStats is the governance section of /stats: the brownout/watermark
-// state an operator (or load balancer) steers by.
+// GovStats is the governance section of /stats: the admission and
+// memory state an operator (or load balancer) steers by.
 type GovStats struct {
-	// Brownout reports the render endpoints shedding, BrownoutMode names
-	// the state ("shed-renders" or "off").
-	Brownout     bool   `json:"brownout"`
-	BrownoutMode string `json:"brownout_mode"`
 	// MemBudgetBytes/MemCommittedBytes are the budget and the running
 	// jobs' predicted peaks; MemMeasuredBytes the last sampled heap.
 	MemBudgetBytes    int64 `json:"mem_budget_bytes"`
@@ -964,7 +956,7 @@ type GovStats struct {
 	// RetryAfterS is the current backoff hint a rejected client would get.
 	RetryAfterS float64 `json:"retry_after_s"`
 	// Degradations lists the recorded governance degradation events
-	// (brownout transitions, watchdog strikes).
+	// (watchdog strikes).
 	Degradations []string `json:"degradations,omitempty"`
 }
 
@@ -979,8 +971,6 @@ func (s *Scheduler) Stats() Stats {
 	}
 	s.mu.Lock()
 	st.Governance = GovStats{
-		Brownout:          s.brownout,
-		BrownoutMode:      brownoutName(s.brownout),
 		MemBudgetBytes:    s.opt.MemBudget,
 		MemCommittedBytes: s.committed,
 		MemMeasuredBytes:  s.measured,
@@ -1008,17 +998,15 @@ type Readiness struct {
 }
 
 // Readiness reports whether the scheduler should receive new traffic:
-// not while draining, in brownout, or with a saturated queue. Liveness
-// (/healthz) is separate and never degrades — the process is alive even
-// when it is shedding.
+// not while draining or with a saturated queue. Liveness (/healthz) is
+// separate and never degrades — the process is alive even when it is
+// refusing work.
 func (s *Scheduler) Readiness() Readiness {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
 	case s.shutdown:
 		return Readiness{Reason: "draining"}
-	case s.brownout:
-		return Readiness{Reason: "brownout", RetryAfterS: s.retryAfterLocked().Seconds()}
 	case s.opt.QueueLimit > 0 && s.queue.Len() >= s.opt.QueueLimit:
 		return Readiness{Reason: "queue_saturated", RetryAfterS: s.retryAfterLocked().Seconds()}
 	default:
@@ -1027,12 +1015,10 @@ func (s *Scheduler) Readiness() Readiness {
 }
 
 func (s *Scheduler) updateGaugesLocked() {
-	s.recomputeGovLocked()
 	s.rec.Gauge("serve.queue.depth", float64(s.queue.Len()))
 	s.rec.Gauge("serve.running", float64(len(s.running)))
 	s.rec.Gauge("serve.jobs.known", float64(len(s.jobs)))
 	s.rec.Gauge("serve.mem.committed", float64(s.committed))
-	s.rec.Gauge("serve.brownout", b2f(s.brownout))
 	s.rec.Gauge("serve.queue.blocked", b2f(s.memBlocked))
 }
 

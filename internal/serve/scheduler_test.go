@@ -53,27 +53,19 @@ func waitDone(t *testing.T, j *Job, timeout time.Duration) {
 // preemption tests key on.
 func waitLevel(t *testing.T, j *Job) {
 	t.Helper()
-	replay, live, cancel := j.Events(256)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	isLevel := func(e obs.Event) bool { return e.Type == obs.EventSpan && e.Name == "level" }
-	for _, e := range replay {
-		if isLevel(e) {
-			return
-		}
-	}
-	deadline := time.After(60 * time.Second)
-	for {
-		select {
-		case e, open := <-live:
-			if !open {
-				t.Fatalf("job %s ended (state %s) before completing a level", j.ID, j.State())
-			}
-			if isLevel(e) {
-				return
-			}
-		case <-deadline:
-			t.Fatalf("job %s completed no level within 60s", j.ID)
-		}
+	found := false
+	j.follow(ctx, func(e obs.Event) bool {
+		found = e.Type == obs.EventSpan && e.Name == "level"
+		return !found
+	})
+	switch {
+	case found:
+	case ctx.Err() != nil:
+		t.Fatalf("job %s completed no level within 60s", j.ID)
+	default:
+		t.Fatalf("job %s ended (state %s) before completing a level", j.ID, j.State())
 	}
 }
 

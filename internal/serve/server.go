@@ -21,20 +21,21 @@ import (
 //	GET  /jobs               list all jobs
 //	GET  /jobs/{id}          one job's Status
 //	GET  /jobs/{id}/events   progress stream: SSE, or JSON lines with
-//	                         ?format=jsonl (replay window then live events)
+//	                         ?format=jsonl (the job's event log from its
+//	                         first retained event, then the live tail)
 //	POST /jobs/{id}/cancel   cancel a job
 //	GET  /jobs/{id}/result   finished placement as JSON; ?format=hex dumps
 //	                         "xbits ybits" hex float64 lines (bit-exact)
 //	GET  /jobs/{id}/svg      render the finished placement
 //	GET  /stats              scheduler counters, gauges and job states
 //	GET  /healthz            liveness probe (never degrades)
-//	GET  /readyz             readiness probe: 503 while draining, in
-//	                         brownout, or with a saturated queue
+//	GET  /readyz             readiness probe: 503 while draining or with
+//	                         a saturated queue
 //
 // Every error response is one structured envelope: {code, reason,
 // retry_after_s?}, with a matching Retry-After header on retryable
-// rejections. Under brownout the render endpoints (events, svg) shed
-// first with 503s; placements are never shed once accepted.
+// rejections. Overload is refused at admission (429 queue_full, 503
+// over_budget); an accepted job and its endpoints are never shed.
 type Server struct {
 	s   *Scheduler
 	mux *http.ServeMux
@@ -128,18 +129,6 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 	}
 }
 
-// shedRender answers true (and a 503) while brownout is on: render/stream
-// endpoints are the cheap load to drop and the result stays available
-// once the pressure clears.
-func (sv *Server) shedRender(w http.ResponseWriter) bool {
-	on, ra := sv.s.brownoutState()
-	if on {
-		writeErrorRetry(w, http.StatusServiceUnavailable, "brownout",
-			errors.New("serve: brownout, render endpoints are shedding"), ra)
-	}
-	return on
-}
-
 // maxSpecBytes bounds a POST /jobs body. Inline netlist text is the
 // largest legitimate payload; instances past this belong on disk behind a
 // "file" reference (fbplaced -root). The bound keeps a hostile or buggy
@@ -206,14 +195,13 @@ func (sv *Server) cancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.Status())
 }
 
-// events streams the job's progress events — the replay window first, then
-// live events until the job ends or the client disconnects. SSE frames by
-// default ("event: <type>", JSON data), plain JSON lines with
-// ?format=jsonl.
+// events streams the job's progress log from its first retained event
+// until the job ends or the client disconnects: SSE frames by default
+// ("event: <type>", JSON data), plain JSON lines with ?format=jsonl.
+// When the stream ends, the events the log evicted before this reader
+// got to them (it fell more than obs.DefaultRetain behind) are added to
+// serve.events.dropped.
 func (sv *Server) events(w http.ResponseWriter, r *http.Request) {
-	if sv.shedRender(w) {
-		return
-	}
 	j, ok := sv.job(w, r)
 	if !ok {
 		return
@@ -227,9 +215,7 @@ func (sv *Server) events(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	replay, live, cancel := j.Events(64)
-	defer cancel()
-	emit := func(e obs.Event) bool {
+	skipped := j.follow(r.Context(), func(e obs.Event) bool {
 		data, err := json.Marshal(e)
 		if err != nil {
 			return false
@@ -246,25 +232,8 @@ func (sv *Server) events(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 		return true
-	}
-	for _, e := range replay {
-		if !emit(e) {
-			return
-		}
-	}
-	for {
-		select {
-		case e, open := <-live:
-			if !open {
-				return // job reached a terminal state
-			}
-			if !emit(e) {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
+	})
+	sv.s.rec.Count("serve.events.dropped", float64(skipped))
 }
 
 // resultOf fetches the job's result, answering the error response itself
@@ -334,9 +303,6 @@ func (sv *Server) result(w http.ResponseWriter, r *http.Request) {
 }
 
 func (sv *Server) svg(w http.ResponseWriter, r *http.Request) {
-	if sv.shedRender(w) {
-		return
-	}
 	j, ok := sv.job(w, r)
 	if !ok {
 		return
@@ -374,8 +340,8 @@ func (sv *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // readyz is the readiness probe: 200 while the service should receive
-// traffic, 503 (with the reason and a Retry-After) while draining, in
-// brownout, or with a saturated queue. Liveness stays on /healthz.
+// traffic, 503 (with the reason and a Retry-After) while draining or
+// with a saturated queue. Liveness stays on /healthz.
 func (sv *Server) readyz(w http.ResponseWriter, _ *http.Request) {
 	rd := sv.s.Readiness()
 	if rd.Ready {

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -12,6 +13,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fbplace/internal/gen"
+	"fbplace/internal/obs"
 )
 
 func testServer(t *testing.T) (*Scheduler, *httptest.Server) {
@@ -219,6 +223,47 @@ func TestHTTPEventsSSE(t *testing.T) {
 	}
 	if !bytes.Contains(body, []byte("event: state\n")) || !bytes.Contains(body, []byte("data: {")) {
 		t.Fatalf("not SSE-framed: %.120q", body)
+	}
+}
+
+// TestLateReaderGetsWholeStream follows a job's progress log the way the
+// /events handler does, from the moment the job is submitted, but reads
+// nothing until the job is done. The reader must still receive every
+// event the job emitted, in order, from the queued state to the terminal
+// one, with nothing skipped: the log holds no per-reader buffer to
+// overflow.
+func TestLateReaderGetsWholeStream(t *testing.T) {
+	s := testSched(t, Options{Workers: 1})
+	spec := gen.LoadMix(4, 1)[3] // 2000 cells
+	j, err := s.Submit(Spec{Chip: &spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []obs.Event
+	skipped := j.follow(context.Background(), func(e obs.Event) bool {
+		if got == nil {
+			<-j.Done() // a reader stalled until the job has finished
+		}
+		got = append(got, e)
+		return true
+	})
+	all, emitted, _, wake := j.bc.Read(0)
+	if wake != nil {
+		t.Fatal("log still open after the job finished")
+	}
+	if emitted > obs.DefaultRetain {
+		t.Fatalf("job emitted %d events, more than the %d the log retains", emitted, obs.DefaultRetain)
+	}
+	if skipped != 0 || int64(len(got)) != emitted || len(all) != len(got) {
+		t.Fatalf("late reader got %d of %d events (%d skipped)", len(got), emitted, skipped)
+	}
+	for i := range got {
+		if got[i].Type != all[i].Type || got[i].Name != all[i].Name || got[i].ID != all[i].ID {
+			t.Fatalf("event %d: reader got %s %q, log holds %s %q", i, got[i].Type, got[i].Name, all[i].Type, all[i].Name)
+		}
+	}
+	if first, last := got[0], got[len(got)-1]; first.Name != string(StateQueued) || last.Type != "state" || last.Name != string(StateDone) {
+		t.Fatalf("stream runs %s %q .. %s %q, want state queued .. state done", first.Type, first.Name, last.Type, last.Name)
 	}
 }
 
@@ -453,7 +498,7 @@ func TestHTTPReadyzAndAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.Governance.QueueLimit != 1 || stats.Governance.QueueDepth != 1 ||
-		stats.Governance.MemBudgetBytes == 0 || stats.Governance.BrownoutMode == "" {
+		stats.Governance.MemBudgetBytes == 0 {
 		t.Fatalf("governance stats: %+v", stats.Governance)
 	}
 

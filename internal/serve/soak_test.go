@@ -49,9 +49,8 @@ func runChaosSoak(t *testing.T, workers int) {
 	arm("certify.corrupt", faultsim.Schedule{Limit: 2})
 
 	// Budget sized to the soak mix: two mid-size jobs fit, more contend —
-	// so start gating and brownout engage and memory-blocked jobs wait for
-	// a running one to finish — and the 60k-cell bait jobs are over budget
-	// outright.
+	// so start gating engages and memory-blocked jobs wait for a running
+	// one to finish — and the 60k-cell bait jobs are over budget outright.
 	est := estOf(t, chipSpec(1400, 1))
 	budget := est.PeakBytes*2 + est.PeakBytes/5
 

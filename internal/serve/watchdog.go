@@ -1,7 +1,7 @@
 // The stuck-job watchdog. Every running attempt carries a heartbeat
 // (Job.lastBeat) driven by the obs.Progress hook: span starts/ends at
-// level, wave and solve granularity, plus the explicit post-checkpoint
-// beat. The governor scans running jobs each tick; an attempt whose
+// level, wave and solve granularity, checkpoint writes included (the
+// ckpt.write span). The governor scans running jobs each tick; an attempt whose
 // heartbeat is older than NoProgress earns a strike and has its
 // per-attempt context canceled. The worker then requeues the job through
 // the checkpoint path — resuming is bit-identical by the PR 5 oracle —
