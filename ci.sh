@@ -67,9 +67,11 @@ go test -timeout 10m -run '^$' -bench 'BenchmarkSolveSliceBlock|BenchmarkRealize
 go test -timeout 10m -run '^$' -bench 'BenchmarkNSGrid' -benchtime 1x ./internal/flow/
 go test -timeout 10m -run '^$' -bench 'BenchmarkEngines|BenchmarkCondensedLarge|BenchmarkCondensedPairShape' -benchtime 1x ./internal/transport/
 go test -timeout 10m -run '^$' -bench 'BenchmarkBuild' -benchtime 1x ./internal/sparse/
-# Legalization alone on a flat and a movebounded 10k-cell chip, and one
-# placement's top-level QP solves on a held 5k-cell system.
-go test -timeout 10m -run '^$' -bench 'BenchmarkLegalize|BenchmarkTopLevelQP' -benchtime 1x ./internal/placer/
+# Legalization alone on a flat and a movebounded 10k-cell chip, one
+# placement's top-level QP solves on a held 5k-cell system, and one whole
+# placement of a 5k-cell chip with 3 inclusive movebounds (the level
+# schedule).
+go test -timeout 10m -run '^$' -bench 'BenchmarkLegalize|BenchmarkTopLevelQP|BenchmarkPlace' -benchtime 1x ./internal/placer/
 # The recursive baseline's one elastic solve per window (ablation A1) and
 # the NoLocalQP switch, the local QP's on/off ablation.
 go test -timeout 10m -run '^$' -bench 'BenchmarkAblationRecursive|BenchmarkAblationLocalQP' -benchtime 1x .

@@ -147,14 +147,16 @@ func fbpGridLevel(base *netlist.Netlist, decomp *region.Decomposition, blockages
 }
 
 // BenchmarkPairStep times one transportation of the pair pass alone: the
-// first pair of the first topological level of the level-1 (2x2) model of
-// a 10k-cell chip with four overlapping inclusive movebounds (the chip of
+// first pair of the first topological level of the 2x2 model of a
+// 10k-cell chip with four overlapping inclusive movebounds (the chip of
 // `genchip -cells 10000 -movebounds 4 -overlap -seed 1`), started from its
-// initial QP. The step is built through the functions realizeUnit
-// calls (pairTargets, markRealized, buildStep) without the footprint QP;
-// chip generation, QP, model solve and build run outside the timer. The
-// problem size and the condensed engine's refills and tie scans per solve
-// are reported next to ns/op.
+// initial QP. The placer no longer runs a 2x2 level; the model stands for
+// a pair that starts from a collapsed placement, where wide groups of
+// tied transport costs make the step expensive. The step is built
+// through the functions realizeUnit calls (pairTargets, markRealized,
+// buildStep) without the footprint QP; chip generation, QP, model solve
+// and build run outside the timer. The problem size and the condensed
+// engine's refills and tie scans per solve are reported next to ns/op.
 func BenchmarkPairStep(b *testing.B) {
 	spec := gen.ChipSpec{Name: "pairstep", NumCells: 10000, Seed: 1, NumMacros: 2}
 	for k := 0; k < 4; k++ {

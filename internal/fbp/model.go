@@ -116,6 +116,10 @@ type Stats struct {
 	// effort (total CG iterations over both axes).
 	LocalQPSolves int64
 	LocalCGIters  int64
+	// CollapseShare is the share of movable area the level started with
+	// in windows holding more than twice the mean window area (see
+	// collapseShare).
+	CollapseShare float64
 }
 
 // External is one pair of opposite zero-cost arcs between facing transit

@@ -210,6 +210,7 @@ func Partition(n *netlist.Netlist, wr *grid.WindowRegions, cfg Config) (*Result,
 	bsp.Attr("collapse_share", share)
 	cfg.Obs.Gauge("fbp.collapse_share", share)
 	model := BuildModel(n, wr, assign)
+	model.Stats.CollapseShare = share
 	model.Obs = cfg.Obs
 	model.Degrade = cfg.Degrade
 	model.G.Ctx = cfg.Ctx

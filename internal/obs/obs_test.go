@@ -14,6 +14,9 @@ func TestSpanNesting(t *testing.T) {
 	global := r.StartSpan("global")
 	for i := 0; i < 3; i++ {
 		lv := r.StartSpan("level")
+		lv.Attr("grid", float64(int(4)<<i))
+		lv.Attr("collapse_share", 0.5)
+		lv.Attr("hpwl", float64(100+i))
 		lv.End()
 	}
 	global.End()
@@ -54,6 +57,14 @@ func TestSpanNesting(t *testing.T) {
 	}
 	if !strings.Contains(out, "3x") {
 		t.Fatalf("summary did not aggregate the 3 level spans:\n%s", out)
+	}
+	// Each level span also gets its own line, grid first, in order.
+	wantLevels := "levels:\n" +
+		"  grid    4  collapse_share 0.500  hpwl 100\n" +
+		"  grid    8  collapse_share 0.500  hpwl 101\n" +
+		"  grid   16  collapse_share 0.500  hpwl 102\n"
+	if !strings.Contains(out, wantLevels) {
+		t.Fatalf("summary lacks the per-level lines %q:\n%s", wantLevels, out)
 	}
 }
 

@@ -79,15 +79,30 @@ func (r *Recorder) WriteSummary(w io.Writer) {
 	for _, c := range root.children {
 		walk(c, 0, 0)
 	}
+	// Every "level" span gets one line of its attributes, grid first: the
+	// placer's per-level quality (collapse share, HPWL after the level's
+	// anchored QP) in execution order.
+	levelHeader := false
+	for _, rec := range recs {
+		if rec.name != "level" {
+			continue
+		}
+		if !levelHeader {
+			pr.printf("levels:\n")
+			levelHeader = true
+		}
+		pr.printf("  grid %4.0f", rec.attrs["grid"])
+		for _, kv := range sortedKV(rec.attrs) {
+			if kv.k != "grid" {
+				pr.printf("  %s %s", kv.k, fmtSummaryValue(kv.v))
+			}
+		}
+		pr.printf("\n")
+	}
 	if len(counters) > 0 {
 		pr.printf("counters:\n")
 		for _, kv := range counters {
-			// Counts print whole; sums of seconds or areas keep 3 decimals.
-			if kv.v == math.Trunc(kv.v) {
-				pr.printf("  %-32s %14.0f\n", kv.k, kv.v)
-			} else {
-				pr.printf("  %-32s %14.3f\n", kv.k, kv.v)
-			}
+			pr.printf("  %-32s %14s\n", kv.k, fmtSummaryValue(kv.v))
 		}
 	}
 	if len(gauges) > 0 {
@@ -110,6 +125,15 @@ func (p *summaryPrinter) printf(format string, a ...any) {
 	if p.err == nil {
 		_, p.err = fmt.Fprintf(p.w, format, a...)
 	}
+}
+
+// fmtSummaryValue prints counts whole and keeps 3 decimals of sums of
+// seconds or areas and of shares.
+func fmtSummaryValue(v float64) string {
+	if v == math.Trunc(v) {
+		return fmt.Sprintf("%.0f", v)
+	}
+	return fmt.Sprintf("%.3f", v)
 }
 
 func fmtSummaryDur(d time.Duration) string {

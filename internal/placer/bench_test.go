@@ -1,6 +1,7 @@
 package placer
 
 import (
+	"context"
 	"testing"
 
 	"fbplace/internal/gen"
@@ -62,7 +63,8 @@ func BenchmarkLegalize(b *testing.B) {
 // BenchmarkTopLevelQP times the top-level quadratic solves of one
 // placement on a generated 5k-cell chip (genchip -cells 5000 -seed 2): the
 // assembly of the held system of all movable cells, one unanchored solve
-// and the anchored solves of levels 1-5 with the placer's anchor weights.
+// and the anchored solves of levels 2-5 (firstLevel up to the chip's
+// finest level) with the placer's anchor weight.
 // The anchors stand in for partitioning results: they pull every cell to
 // its generated (spread) position, and each solve warm-starts where the
 // previous one ended. Every iteration starts from the generated positions
@@ -84,10 +86,9 @@ func BenchmarkTopLevelQP(b *testing.B) {
 		if err := sys.Solve(nil, opt); err != nil {
 			b.Fatal(err)
 		}
-		for lv := 1; lv <= 5; lv++ {
-			w := levelAnchorWeight(n, lv)
+		for lv := firstLevel; lv <= 5; lv++ {
 			for k, id := range movable {
-				anchors[k] = qp.Anchor{Cell: id, Target: geom.Point{X: x0[id], Y: y0[id]}, Weight: w}
+				anchors[k] = qp.Anchor{Cell: id, Target: geom.Point{X: x0[id], Y: y0[id]}, Weight: anchorWeight}
 			}
 			if err := sys.Solve(anchors, opt); err != nil {
 				b.Fatal(err)
@@ -99,5 +100,34 @@ func BenchmarkTopLevelQP(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		solves()
+	}
+}
+
+// BenchmarkPlace times one whole placement (PlaceCtx, global placement and
+// legalization) of a generated 5k-cell chip with 3 inclusive movebounds
+// (genchip -cells 5000 -movebounds 3 -seed 1): the level schedule from
+// firstLevel down to the finest grid, each level's FBP and anchored QP.
+// Every iteration places a fresh clone of the generated positions.
+func BenchmarkPlace(b *testing.B) {
+	spec := gen.ChipSpec{Name: "custom", NumCells: 5000, Seed: 1, NumMacros: 2, Utilization: 0.55}
+	for m := 0; m < 3; m++ {
+		spec.Movebounds = append(spec.Movebounds, gen.MoveboundSpec{
+			Kind: region.Inclusive, CellFraction: 0.3 / 3, Density: 0.7, NestedIn: -1,
+		})
+	}
+	inst, err := gen.Chip(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{Movebounds: inst.Movebounds}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		n := inst.N.Clone()
+		b.StartTimer()
+		if _, err := PlaceCtx(context.Background(), n, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -40,7 +40,7 @@ var ErrPreempted = errors.New("placer: preempted at level boundary")
 // count (Workers is excluded from the resume fingerprint by design).
 type PreemptedError struct {
 	// Level is the last completed (and snapshotted) level, Levels the
-	// total planned for the run.
+	// run's finest one; level lv partitions a 2^lv x 2^lv window grid.
 	Level, Levels int
 }
 
@@ -142,6 +142,14 @@ func ConfigFingerprint(cfg *Config) uint64 {
 	return configFingerprint(&c)
 }
 
+// trajectoryVersion names the placement trajectory the code's fixed
+// recipe produces. Bump it with every change to a constant of the recipe
+// that moves placements.
+//
+// Version 1: a level-independent anchorWeight and the first level at
+// firstLevel (4x4) rather than 2x2.
+const trajectoryVersion = 1
+
 // configFingerprint hashes every Config field that influences the
 // placement trajectory, so Resume can refuse to continue a run under a
 // different configuration. Workers is deliberately excluded — the placer
@@ -149,9 +157,11 @@ func ConfigFingerprint(cfg *Config) uint64 {
 // Checkpoint itself, Preempt (a preempted-and-resumed run reproduces the
 // uninterrupted one), Certify (checks observe the trajectory and the
 // certify re-run repeats it; neither steers it, and the re-run never
-// checkpoints). The constants the run reads (anchorWeight, the qp model
-// constants, legalization's full row search) are not hashed: changing one
-// changes the code, not the configuration.
+// checkpoints). The constants the run reads (anchorWeight, firstLevel,
+// the qp model constants, legalization's full row search) are not hashed
+// one by one: a change to one of them that moves placements bumps
+// trajectoryVersion instead, so snapshots and cached results of the old
+// trajectory are refused.
 func configFingerprint(cfg *Config) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -172,6 +182,7 @@ func configFingerprint(cfg *Config) uint64 {
 		w(uint64(len(s)))
 		_, _ = h.Write([]byte(s))
 	}
+	w(trajectoryVersion)
 	w(uint64(cfg.Mode))
 	wf(cfg.TargetDensity)
 	wf(cfg.ClusterRatio)
@@ -209,8 +220,8 @@ type snapshot struct {
 	// belongs to (ckpt.Fingerprint); ConfigFP the placer's config hash.
 	// Resume refuses snapshots whose fingerprints do not match.
 	NetlistFP, ConfigFP uint64
-	// Level is the last completed partitioning level, Levels the total
-	// planned for the run.
+	// Level is the last completed partitioning level, Levels the run's
+	// finest one (level lv partitions a 2^lv x 2^lv window grid).
 	Level, Levels int
 	// X, Y are the cell center positions after Level's anchored QP,
 	// restored bit-exact.

@@ -29,8 +29,8 @@ import (
 func ckptInstances(t *testing.T) []*gen.Instance {
 	t.Helper()
 	specs := []gen.ChipSpec{
-		{Name: "ckpt-plain", NumCells: 600, Seed: 3},
-		{Name: "ckpt-mb", NumCells: 900, Seed: 11,
+		{Name: "ckpt-plain", NumCells: 1500, Seed: 3},
+		{Name: "ckpt-mb", NumCells: 1500, Seed: 11,
 			Movebounds: []gen.MoveboundSpec{
 				{Kind: region.Inclusive, CellFraction: 0.2, Density: 0.7, NestedIn: -1},
 			}},
@@ -75,9 +75,9 @@ func samePositions(t *testing.T, label string, want, got []uint64) {
 }
 
 // killAtLevel runs a checkpointed placement armed to panic at the entry of
-// level `level`, recovers the injected panic, and returns leaving earlier
-// levels' snapshots on disk. extraArm lets callers arm additional sites
-// for the killed prefix.
+// the run's level-th level, recovers the injected panic, and returns
+// leaving earlier levels' snapshots on disk. extraArm lets callers arm
+// additional sites for the killed prefix.
 func killAtLevel(t *testing.T, inst *gen.Instance, workers, level int, dir string, extraArm map[string]faultsim.Schedule) {
 	t.Helper()
 	for name, sched := range extraArm {
@@ -85,7 +85,7 @@ func killAtLevel(t *testing.T, inst *gen.Instance, workers, level int, dir strin
 			t.Fatal(err)
 		}
 	}
-	// The site's hit h is the entry of level h+1.
+	// The site's hit h is the entry of the run's (h+1)-th level.
 	if err := faultsim.Arm("placer.level.fail",
 		faultsim.Schedule{After: uint64(level - 1), Limit: 1, Panic: true}); err != nil {
 		t.Fatal(err)
@@ -477,4 +477,24 @@ func snapGen(t *testing.T, dir string) uint64 {
 		t.Fatalf("Load: %v", err)
 	}
 	return info.Gen
+}
+
+// TestConfigFingerprintPinsTrajectory pins the fingerprint of one fixed
+// Config. The value before trajectoryVersion was hashed (a 2x2 first
+// level and an anchor weight that doubled with the level) is recorded
+// too: the fingerprint must differ from it, so a snapshot or a cached
+// result of that trajectory is refused. A change that moves placements
+// bumps trajectoryVersion and updates the pinned value.
+func TestConfigFingerprintPinsTrajectory(t *testing.T) {
+	const (
+		before2x2 = 0x3c1264ef361074bc
+		pinned    = 0x347afbf394edefe1
+	)
+	got := ConfigFingerprint(&Config{ClusterRatio: 5, MaxLevels: 4})
+	if got == before2x2 {
+		t.Fatalf("fingerprint %016x equals the one of the 2x2-start trajectory", got)
+	}
+	if got != pinned {
+		t.Fatalf("fingerprint %016x, pinned %016x", got, uint64(pinned))
+	}
 }

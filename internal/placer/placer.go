@@ -72,8 +72,8 @@ const (
 )
 
 // Config tunes the placer. It holds only values some caller sets; the
-// rest of the recipe is fixed: the per-level anchor weight
-// (anchorWeight), the quadratic solver's net-model constants
+// rest of the recipe is fixed: the anchor weight (anchorWeight), the
+// first level (firstLevel), the quadratic solver's net-model constants
 // (internal/qp) and legalization's search over every row.
 type Config struct {
 	// Mode selects FBP or the recursive baseline.
@@ -84,7 +84,8 @@ type Config struct {
 	Movebounds []region.Movebound
 	// ClusterRatio enables BestChoice clustering when > 1.
 	ClusterRatio float64
-	// MaxLevels caps grid refinement; 0 = automatic.
+	// MaxLevels caps grid refinement: the finest level partitions a
+	// 2^MaxLevels x 2^MaxLevels window grid. 0 = automatic.
 	MaxLevels int
 	// Workers bounds realization parallelism (0 = GOMAXPROCS).
 	Workers int
@@ -149,15 +150,21 @@ func (c Config) fbpConfig(ctx context.Context, dl *degrade.Log, sys *qp.System, 
 	return fc
 }
 
-// anchorWeight is the base weight of the per-level anchors tying the QP
-// to the partitioning result; levelAnchorWeight scales it with the level.
-const anchorWeight = 0.05
+// anchorWeight is the weight of the spring that ties every movable cell
+// to its partitioned position in each level's anchored QP. It is the same
+// for every cell, level and chip size, and of the order of a cell's net
+// springs, so the anchored QP keeps most of the spread the partitioning
+// bought instead of pulling the cells back into a collapsed placement.
+const anchorWeight = 2
 
-// levelAnchorWeight is the anchor weight of level lv's anchored QP: it
-// doubles with every level and is scaled to the chip size.
-func levelAnchorWeight(n *netlist.Netlist, lv int) float64 {
-	return anchorWeight * float64(int(1)<<lv) / math.Max(n.Area.Width(), n.Area.Height()) * 64
-}
+// firstLevel is the first partitioning level of a fresh FBP placement:
+// the 4x4 window grid. A 2x2 level starts from the collapsed initial QP,
+// and the 4x4 level does its spreading and more. Runs whose finest level
+// is coarser start there. The recursive baseline keeps its 2x2 first cut
+// (classical quadrisection; its windows cannot pass cells on, so a 4x4
+// start from the collapsed QP costs it wirelength). Incremental placement
+// (KeepPlacement) and resumed runs keep their own start.
+const firstLevel = 2
 
 func (c *Config) fill() {
 	if c.TargetDensity == 0 {
@@ -214,7 +221,8 @@ type Report struct {
 	HPWL float64
 	// GlobalTime and LegalTime split the wall-clock (paper Table VI).
 	GlobalTime, LegalTime time.Duration
-	// Levels is the number of partitioning levels executed.
+	// Levels is the number of partitioning levels executed, clustered
+	// and flat (in FBP mode, len(FBPStats)); PlannedLevels predicts it.
 	Levels int
 	// Violations counts cells violating movebounds after legalization.
 	Violations int
@@ -356,7 +364,7 @@ func runOnce(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir stri
 	defer func() { report.Degradations = dl.Events() }()
 
 	levels := levelsFor(n, cfg)
-	report.Levels = levels
+	plan := planLevels(levels, cfg)
 
 	// Checkpoint/resume: both sides key snapshots to the instance and the
 	// configuration, so a snapshot can never be applied to a different
@@ -373,6 +381,10 @@ func runOnce(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir stri
 		if rerr != nil {
 			return nil, rerr
 		}
+		// Snapshots are taken on flat levels only, and the flat levels
+		// run up to the finest one, so the levels after the snapshot's
+		// are the only ones left.
+		report.Levels = plan.count() - (levels - snap.Level)
 	}
 
 	gsp := cfg.Obs.StartSpan("global")
@@ -382,17 +394,10 @@ func runOnce(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir stri
 		baseElapsed = snap.GlobalElapsed
 	}
 
-	startLevel := 1
-	freshQP := true
-	if cfg.KeepPlacement {
-		// Incremental placement (§IV motivation): the existing placement
-		// is already spread, so only the finest partitioning level runs —
-		// FBP guarantees a feasible partitioning from any starting
-		// placement, which is exactly what recursive approaches lack.
-		startLevel = levels
-		report.Levels = 1
-		freshQP = false
-	}
+	startLevel := plan.flatFirst
+	// Incremental placement (§IV motivation) starts from the existing,
+	// already spread placement.
+	freshQP := !cfg.KeepPlacement
 	if snap != nil {
 		// The snapshot holds the positions after snap.Level's anchored QP;
 		// continue with the next level, from those positions (no fresh
@@ -420,7 +425,7 @@ func runOnce(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir stri
 		report.QPSolves, report.CGIters = qpStats.Snapshot()
 		gsp.End()
 	}
-	if cfg.ClusterRatio > 1 && !cfg.KeepPlacement && snap == nil {
+	if plan.coarseLast >= plan.coarseFirst && snap == nil {
 		// Multilevel flow as in the paper's experiments: BestChoice
 		// clusters carry the coarse partitioning levels, then the
 		// clustering is dissolved and the finest levels run on the flat
@@ -428,25 +433,14 @@ func runOnce(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir stri
 		// The coarse loop runs on a temporary clustered netlist and is not
 		// checkpointed; snapshots start with the first flat level.
 		cl := cluster.BestChoice(n, cluster.Options{Ratio: cfg.ClusterRatio})
-		coarseEnd := levels - 2
-		if coarseEnd < 1 {
-			coarseEnd = 1
-		}
-		if err := globalLoop(ctx, cl.Clustered, decomp, blockages, cfg, qopt, dl, report, 1, coarseEnd, true, nil); err != nil {
+		if err := globalLoop(ctx, cl.Clustered, decomp, blockages, cfg, qopt, dl, report, plan.coarseFirst, plan.coarseLast, true, nil); err != nil {
 			return nil, err
 		}
 		cl.Project()
-		fineStart := coarseEnd + 1
-		if fineStart > levels {
-			fineStart = levels
-		}
-		if err := globalLoop(ctx, n, decomp, blockages, cfg, qopt, dl, report, fineStart, levels, false, ck); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := globalLoop(ctx, n, decomp, blockages, cfg, qopt, dl, report, startLevel, levels, freshQP, ck); err != nil {
-			return nil, err
-		}
+		freshQP = false
+	}
+	if err := globalLoop(ctx, n, decomp, blockages, cfg, qopt, dl, report, startLevel, levels, freshQP, ck); err != nil {
+		return nil, err
 	}
 	finishGlobal()
 
@@ -514,15 +508,52 @@ func runOnce(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir stri
 	return report, nil
 }
 
-// PlannedLevels reports how many refinement levels Place will run for n
-// under cfg, without placing anything. The placement daemon reports it as
-// a job's planned level count from admission on (see internal/serve).
+// PlannedLevels reports how many partitioning levels Place will run for n
+// under cfg, without placing anything: the Report.Levels of the finished
+// run. The placement daemon reports it as a job's planned level count
+// from admission on (see internal/serve).
 func PlannedLevels(n *netlist.Netlist, cfg Config) int {
-	return levelsFor(n, cfg)
+	return planLevels(levelsFor(n, cfg), cfg).count()
 }
 
-// levelsFor picks the number of refinement levels: windows shrink until
-// they are a few rows tall or hold only a handful of cells.
+// levelPlan is the level schedule of one placement: the levels
+// coarseFirst through coarseLast on the clustered netlist (none when
+// coarseLast < coarseFirst), then the levels flatFirst through finest on
+// the flat netlist. Level lv partitions a 2^lv x 2^lv window grid.
+type levelPlan struct {
+	coarseFirst, coarseLast, flatFirst, finest int
+}
+
+// planLevels schedules the levels of a run whose finest level is finest.
+// A fresh FBP run starts at firstLevel (at finest when that is coarser),
+// a recursive one at level 1; with clustering, the clustered netlist
+// takes every level but the two finest, and at least the first.
+// KeepPlacement runs the finest level alone: FBP guarantees a feasible
+// partitioning from any starting placement, which is exactly what
+// recursive approaches lack.
+func planLevels(finest int, cfg Config) levelPlan {
+	first := min(firstLevel, finest)
+	if cfg.Mode == ModeRecursive {
+		first = 1
+	}
+	p := levelPlan{coarseFirst: first, coarseLast: first - 1, flatFirst: first, finest: finest}
+	switch {
+	case cfg.KeepPlacement:
+		p.flatFirst = finest
+	case cfg.ClusterRatio > 1:
+		p.coarseLast = max(finest-2, first)
+		p.flatFirst = min(p.coarseLast+1, finest)
+	}
+	return p
+}
+
+// count is the number of levels the plan runs.
+func (p levelPlan) count() int {
+	return max(p.coarseLast-p.coarseFirst+1, 0) + p.finest - p.flatFirst + 1
+}
+
+// levelsFor picks the finest refinement level: windows shrink until they
+// are a few rows tall or hold only a handful of cells.
 func levelsFor(n *netlist.Netlist, cfg Config) int {
 	if cfg.MaxLevels > 0 {
 		return cfg.MaxLevels
@@ -546,8 +577,9 @@ func levelsFor(n *netlist.Netlist, cfg Config) int {
 
 // globalLoop runs QP + partitioning over grids of level startLevel
 // through endLevel (2^lv x 2^lv windows), solving the top-level QPs with
-// qopt. The net springs of n are assembled once, before the first level,
-// into qopt.Workspace: every top-level solve of the loop shares them, and
+// qopt, and counts each completed level in report.Levels. The net
+// springs of n are assembled once, before the first level, into
+// qopt.Workspace: every top-level solve of the loop shares them, and
 // every realization-local QP solves a slice of them. The system is never
 // checkpointed (a resumed loop assembles it anew). When freshQP is
 // set, the loop starts from an unconstrained quadratic solve; otherwise it
@@ -605,21 +637,31 @@ func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decompos
 				return fmt.Errorf("placer: FBP level %d: %w", lv, err)
 			}
 			report.FBPStats = append(report.FBPStats, res.Stats)
+			lsp.Attr("collapse_share", res.Stats.CollapseShare)
 		}
 		// Anchored QP: connectivity pulls within the assigned regions.
 		// Clique/star springs here — bound-to-bound weights (~1/distance)
 		// would overpower the partition anchors and undo the spreading.
-		w := levelAnchorWeight(n, lv)
 		for i, id := range movable {
-			anchors[i] = qp.Anchor{Cell: id, Target: n.Pos(id), Weight: w}
+			anchors[i] = qp.Anchor{Cell: id, Target: n.Pos(id), Weight: anchorWeight}
 		}
 		qsp := cfg.Obs.StartSpan("qp.anchored")
 		err := sys.Solve(anchors, qopt)
 		qsp.End()
-		lsp.End()
 		if err != nil {
+			lsp.End()
 			return fmt.Errorf("placer: level %d QP: %w", lv, err)
 		}
+		report.Levels++
+		// The level's quality and its 1-based place in the run's schedule
+		// (the daemon's level progress).
+		if cfg.Obs != nil {
+			hpwl := n.HPWL()
+			cfg.Obs.Gauge("placer.level_hpwl", hpwl)
+			lsp.Attr("hpwl", hpwl)
+			lsp.Attr("index", float64(report.Levels))
+		}
+		lsp.End()
 		if err := ck.boundary(n, lv, cfg.Preempt); err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"fbplace/internal/certify"
@@ -417,5 +418,82 @@ func TestFBPConfigForwarding(t *testing.T) {
 	seq.Workers = 1
 	if ConfigFingerprint(&seq) != ConfigFingerprint(&cfg) {
 		t.Fatal("ConfigFingerprint depends on Workers")
+	}
+}
+
+// levelSink keeps the "level" spans a run emits, in order.
+type levelSink struct {
+	mu     sync.Mutex
+	levels []obs.Event
+}
+
+func (s *levelSink) Emit(e obs.Event) {
+	if e.Type == obs.EventSpan && e.Name == "level" {
+		s.mu.Lock()
+		s.levels = append(s.levels, e)
+		s.mu.Unlock()
+	}
+}
+
+// TestLevelSchedule checks the level schedule on flat, clustered and
+// incremental runs: a fresh FBP run's first level partitions the 4x4 grid
+// (the 2x2 one when MaxLevels is 1, and always for the recursive
+// baseline), KeepPlacement runs the finest level
+// alone, each level span carries its 1-based index, and PlannedLevels,
+// Report.Levels and len(FBPStats) agree.
+func TestLevelSchedule(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		cfg       Config
+		firstGrid float64
+		levels    int
+	}{
+		{"auto", Config{}, 4, 3},
+		{"max1", Config{MaxLevels: 1}, 2, 1},
+		{"max2", Config{MaxLevels: 2}, 4, 1},
+		{"max3", Config{MaxLevels: 3}, 4, 2},
+		{"clustered", Config{ClusterRatio: 5}, 4, 3},
+		{"clustered-max2", Config{ClusterRatio: 5, MaxLevels: 2}, 4, 2},
+		{"keep", Config{KeepPlacement: true}, 16, 1},
+		{"recursive", Config{Mode: ModeRecursive}, 2, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inst := smallChip(t, 2000, 9, nil)
+			if levelsFor(inst.N, tc.cfg) > 4 {
+				t.Fatalf("finest level %d: the chip is larger than the cases assume", levelsFor(inst.N, tc.cfg))
+			}
+			sink := &levelSink{}
+			rec := obs.New(sink)
+			cfg := tc.cfg
+			cfg.Obs = rec
+			planned := PlannedLevels(inst.N, cfg)
+			rep, err := Place(inst.N, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.Flush()
+			stats := tc.levels
+			if tc.cfg.Mode == ModeRecursive {
+				stats = 0 // the baseline runs no flow
+			}
+			if rep.Levels != tc.levels || planned != tc.levels || len(rep.FBPStats) != stats {
+				t.Fatalf("Report.Levels %d, PlannedLevels %d, len(FBPStats) %d: want %d, %d, %d",
+					rep.Levels, planned, len(rep.FBPStats), tc.levels, tc.levels, stats)
+			}
+			if len(sink.levels) != tc.levels {
+				t.Fatalf("%d level spans, want %d", len(sink.levels), tc.levels)
+			}
+			if g := sink.levels[0].Attrs["grid"]; g != tc.firstGrid {
+				t.Fatalf("first level grid %g, want %g", g, tc.firstGrid)
+			}
+			for i, e := range sink.levels {
+				if int(e.Attrs["index"]) != i+1 {
+					t.Fatalf("level span %d carries index %g", i+1, e.Attrs["index"])
+				}
+				if e.Attrs["hpwl"] <= 0 {
+					t.Fatalf("level span %d carries no HPWL", i+1)
+				}
+			}
+		})
 	}
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
@@ -208,7 +207,7 @@ type Status struct {
 	State       State  `json:"state"`
 	Priority    int    `json:"priority"`
 	Preemptions int    `json:"preemptions"`
-	// LevelsDone is the last refinement level the job completed,
+	// LevelsDone is how many levels of its schedule the job completed,
 	// LevelsPlanned the level count it plans from admission on
 	// (placer.PlannedLevels). A job that ran its own placement to done
 	// has both equal; cache hits and coalesced jobs report LevelsDone 0.
@@ -348,13 +347,13 @@ func (j *Job) terminate(st State, res *Result, msg string) bool {
 	return true
 }
 
-// noteLevel records that partitioning level lv (1-based) completed. The
-// count is set, not incremented, so a run that covers levels again (the
-// placer's certify re-run, a fresh retry without a snapshot) cannot push
-// it past the plan. Completing a level is real forward progress, so it
-// clears the watchdog's strike counter: only *consecutive* no-progress
-// attempts accumulate toward a terminal JobStuck — a slow job that keeps
-// advancing never does.
+// noteLevel records that the lv-th level of the run's schedule
+// completed. The count is set, not incremented, so a run that covers
+// levels again (the placer's certify re-run, a fresh retry without a
+// snapshot) cannot push it past the plan. Completing a level is real
+// forward progress, so it clears the watchdog's strike counter: only
+// *consecutive* no-progress attempts accumulate toward a terminal
+// JobStuck — a slow job that keeps advancing never does.
 func (j *Job) noteLevel(lv int) {
 	j.mu.Lock()
 	j.levelsDone = lv
@@ -388,12 +387,12 @@ func (j *Job) ckptStore() *ckpt.Store { return &ckpt.Store{Dir: j.ckptDir()} }
 
 // jobSink forwards a placement attempt's obs events into the job's
 // progress log and mines them for progress: a completed "level" span
-// over a 2^lv x 2^lv window grid is level lv.
+// carries its 1-based place in the run's level schedule as "index".
 type jobSink struct{ j *Job }
 
 func (s jobSink) Emit(e obs.Event) {
 	if e.Type == obs.EventSpan && e.Name == "level" {
-		s.j.noteLevel(bits.Len(uint(e.Attrs["grid"])) - 1)
+		s.j.noteLevel(int(e.Attrs["index"]))
 	}
 	s.j.bc.Emit(e)
 }
