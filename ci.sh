@@ -101,9 +101,9 @@ done
 
 echo "== fault injection suite =="
 # Robustness gate: arm every faultsim injection point and prove the
-# pipeline degrades or fails structurally (no panics, no goroutine
-# leaks, 1-vs-4-worker determinism preserved). See README "Robustness
-# & fault injection".
+# pipeline fails structurally, or for checkpoint writes degrades (no
+# panics, no goroutine leaks, 1-vs-4-worker determinism preserved). See
+# README "Robustness & fault injection".
 go test -timeout 10m -run 'TestInjection|TestDeadline|TestLeak' ./internal/faultsim/
 
 echo "== kill-and-resume e2e =="
@@ -132,6 +132,13 @@ echo "== recursive baseline e2e =="
 "$ckdir/fbplace" -i "$ckdir/mb.chip" -mode recursive -workers 1 -dump-hex "$ckdir/rec1.hex" >/dev/null
 "$ckdir/fbplace" -i "$ckdir/mb.chip" -mode recursive -workers 4 -dump-hex "$ckdir/rec4.hex" >/dev/null
 cmp "$ckdir/rec1.hex" "$ckdir/rec4.hex"
+# A 10k-cell chip whose macros block whole windows: cells escaping such a
+# window must land inside the window of the region they escape to, and
+# the placement must be legal.
+"$ckdir/genchip" -cells 10000 -seed 4 -o "$ckdir/flat10k.chip" 2>/dev/null
+"$ckdir/fbplace" -i "$ckdir/flat10k.chip" -mode recursive >"$ckdir/rec10k.log"
+grep -q 'violations 0, overlaps 0' "$ckdir/rec10k.log" ||
+	{ echo "recursive baseline e2e: 10k placement not legal" >&2; exit 1; }
 
 echo "== placement service e2e =="
 # Service gate: fbplaced must serve a placement over HTTP whose positions
@@ -202,27 +209,20 @@ kill -TERM "$daemon"
 wait "$daemon" || { echo "service e2e: drain exited non-zero" >&2; exit 1; }
 
 echo "== certification e2e =="
-# Certify-and-repair gate (internal/certify): a certified run passes; one
-# injected silent corruption (certify.corrupt bit-flips a position) is
-# caught and repaired by the placer's one re-run, recorded as a
-# safe-mode degradation; unlimited corruption must fail the run with the
-# structured certify error. Placements are bit-identical across worker
-# counts, so the repaired positions must equal a plain default run. See
-# README "Certification & safe mode".
+# Certification gate (internal/certify): a certified run passes; one
+# injected silent corruption (certify.corrupt bit-flips a position), and
+# likewise unlimited corruption, must fail the run with the structured
+# certify error. Nothing re-runs. See README "Certification".
 "$ckdir/fbplace" -cells 2000 -seed 3 -certify >/dev/null
-"$ckdir/fbplace" -cells 2000 -seed 3 -certify \
-	-fault certify.corrupt:limit=1 -dump-hex "$ckdir/repaired.hex" >"$ckdir/certify.log"
-grep -q 'degraded: certify fell back to safe-mode' "$ckdir/certify.log" ||
-	{ echo "certification e2e: repair not recorded" >&2; exit 1; }
-"$ckdir/fbplace" -cells 2000 -seed 3 -dump-hex "$ckdir/plain.hex" >/dev/null
-cmp "$ckdir/repaired.hex" "$ckdir/plain.hex"
-if "$ckdir/fbplace" -cells 2000 -seed 3 -certify \
-	-fault certify.corrupt >"$ckdir/certify2.log" 2>&1; then
-	echo "certification e2e: unrepairable corruption did not fail the run" >&2
-	exit 1
-fi
-grep -q 'certify:' "$ckdir/certify2.log" ||
-	{ echo "certification e2e: failure lacks the certify error" >&2; exit 1; }
+for spec in certify.corrupt:limit=1 certify.corrupt; do
+	if "$ckdir/fbplace" -cells 2000 -seed 3 -certify \
+		-fault "$spec" >"$ckdir/certify.log" 2>&1; then
+		echo "certification e2e: -fault $spec did not fail the run" >&2
+		exit 1
+	fi
+	grep -q 'certify:' "$ckdir/certify.log" ||
+		{ echo "certification e2e: -fault $spec failure lacks the certify error" >&2; exit 1; }
+done
 # Detailed placement next to fixed cells: genchip keeps its default two
 # macros, and a certified -detail run must leave no cell over them.
 "$ckdir/genchip" -cells 5000 -seed 4 -o "$ckdir/macros.chip"

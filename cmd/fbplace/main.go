@@ -41,7 +41,7 @@ func main() {
 	trace := flag.String("trace", "", "write a JSON-lines trace of the run to this file")
 	stats := flag.Bool("stats", false, "print the phase summary tree and counters after placement")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the placement run (0 = none)")
-	certifyF := flag.Bool("certify", false, "independently certify every level and the final result; on failure re-run the placement once")
+	certifyF := flag.Bool("certify", false, "independently certify every level and the final result; a failed certificate fails the run")
 	ckptDir := flag.String("checkpoint", "", "write per-level crash-safe checkpoints into this directory")
 	resume := flag.Bool("resume", false, "resume from the newest checkpoint in -checkpoint (same instance and flags required)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file")

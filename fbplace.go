@@ -113,8 +113,7 @@ const (
 
 // CertifyMode selects how much of a run is independently certified (set
 // Config.Certify): nothing, the final placement, or every FBP level. A
-// failed certificate re-runs the placement once, sequentially; a result
-// the re-run cannot certify either surfaces as a *CertifyError.
+// failed certificate ends the run with a *CertifyError.
 type CertifyMode = placer.CertifyMode
 
 // Certification modes.
@@ -129,8 +128,8 @@ const (
 )
 
 // CertifyError reports a failed certificate (layer, level, invariant and
-// a concrete witness). Receiving one means both the run and its one
-// certify re-run produced results that failed independent verification.
+// a concrete witness). Receiving one means the run produced a result that
+// failed independent verification.
 type CertifyError = certify.Error
 
 // Place runs global placement and legalization on the netlist in place.
@@ -144,8 +143,7 @@ func Place(n *Netlist, cfg Config) (*Report, error) {
 // PlaceCtx is Place with cancellation: a canceled or expired context
 // aborts the run — within one outer iteration even deep inside the
 // CG / network-simplex / transportation solvers — and returns the
-// context's error. Solver fallbacks taken along the way are reported in
-// Report.Degradations.
+// context's error.
 func PlaceCtx(ctx context.Context, n *Netlist, cfg Config) (*Report, error) {
 	return placer.PlaceCtx(ctx, n, cfg)
 }

@@ -1,11 +1,9 @@
-// Package degrade records solver fallbacks: every time the pipeline
-// trades optimality for robustness (CG giving up and keeping the anchor
-// solution, the network simplex stalling and falling back to successive
-// shortest paths, the condensed transportation engine failing over to its
-// reference implementation), the fallback is appended to a Log so the
-// placement Report can surface it. The contract of DESIGN.md §6 — results
-// are never silently approximate — is enforced by construction: fallback
-// call sites receive a *Log and must record before degrading.
+// Package degrade records what a run gave up without failing: a skipped
+// checkpoint write, a preemption declined because its snapshot failed, a
+// resume from an older snapshot generation, a watchdog strike. Each is
+// appended to a Log so the placement Report can surface it; none changes
+// the positions. Solver failures are not degradations: they are errors
+// (DESIGN.md §6).
 //
 // Like the obs recorder, a nil *Log is valid and records nothing, so
 // library entry points that predate the robustness pass keep working
@@ -23,11 +21,11 @@ import (
 
 // Event is one recorded fallback.
 type Event struct {
-	// Stage names the degraded component ("qp.cg", "flow.ns",
-	// "transport.condensed", ...).
+	// Stage names the degraded component ("ckpt.write", "preempt",
+	// "ckpt.fallback", ...).
 	Stage string
-	// Fallback names what the pipeline used instead ("anchor-solution",
-	// "ssp", "reference-engine", ...).
+	// Fallback names what the pipeline did instead ("skipped",
+	// "kept-running", "previous-generation", ...).
 	Fallback string
 	// Detail is a human-readable explanation (the triggering error).
 	Detail string

@@ -8,7 +8,7 @@ import (
 
 func TestNilLogIsInert(t *testing.T) {
 	var l *Log
-	l.Add("qp.cg", "anchor-solution", "x") // must not panic
+	l.Add("ckpt.write", "skipped", "x") // must not panic
 	if l.Len() != 0 || l.Events() != nil {
 		t.Fatal("nil log recorded something")
 	}
@@ -17,28 +17,28 @@ func TestNilLogIsInert(t *testing.T) {
 func TestEventsSortedAndCounted(t *testing.T) {
 	rec := obs.New(nil)
 	l := New(rec)
-	l.Add("transport.condensed", "reference-engine", "b")
-	l.Add("flow.ns", "ssp", "stall")
-	l.Add("transport.condensed", "reference-engine", "a")
+	l.Add("preempt", "kept-running", "b")
+	l.Add("ckpt.fallback", "previous-generation", "torn")
+	l.Add("preempt", "kept-running", "a")
 	rec.Flush()
 	evs := l.Events()
 	if l.Len() != 3 || len(evs) != 3 {
 		t.Fatalf("len = %d/%d, want 3", l.Len(), len(evs))
 	}
 	want := []Event{
-		{"flow.ns", "ssp", "stall"},
-		{"transport.condensed", "reference-engine", "a"},
-		{"transport.condensed", "reference-engine", "b"},
+		{"ckpt.fallback", "previous-generation", "torn"},
+		{"preempt", "kept-running", "a"},
+		{"preempt", "kept-running", "b"},
 	}
 	for i := range want {
 		if evs[i] != want[i] {
 			t.Fatalf("event %d = %+v, want %+v", i, evs[i], want[i])
 		}
 	}
-	if got := rec.Counter("degrade.transport.condensed"); got != 2 {
+	if got := rec.Counter("degrade.preempt"); got != 2 {
 		t.Fatalf("degrade counter = %g, want 2", got)
 	}
-	if got := rec.Counter("degrade.flow.ns"); got != 1 {
+	if got := rec.Counter("degrade.ckpt.fallback"); got != 1 {
 		t.Fatalf("degrade counter = %g, want 1", got)
 	}
 	// The returned slice is a copy: mutating it must not corrupt the log.

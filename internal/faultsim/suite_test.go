@@ -1,9 +1,10 @@
 // The injection suite: arms every registered fault-injection point of the
 // placement pipeline and asserts the robustness contract end to end —
-// solver failures either degrade through their documented fallback chain
-// (recorded in Report.Degradations) or surface as structured errors naming
-// the injection point and failing window, never as a panic or a goroutine
-// leak, and never at the cost of 1-vs-4-worker determinism.
+// solver failures and caught corruption surface as structured errors
+// naming the injection point, the solver or the failing window, and
+// checkpoint write failures degrade (recorded in Report.Degradations);
+// never a panic or a goroutine leak, and never at the cost of
+// 1-vs-4-worker determinism.
 //
 // It lives in the faultsim package (external test) rather than next to the
 // pipeline packages so that arming the process-global sites cannot race
@@ -17,14 +18,17 @@ import (
 	"testing"
 	"time"
 
+	"fbplace/internal/certify"
 	"fbplace/internal/degrade"
 	"fbplace/internal/faultsim"
 	"fbplace/internal/fbp"
+	"fbplace/internal/flow"
 	"fbplace/internal/gen"
 	"fbplace/internal/leakcheck"
 	"fbplace/internal/netlist"
 	"fbplace/internal/placer"
 	"fbplace/internal/region"
+	"fbplace/internal/sparse"
 )
 
 // suiteChip generates the instance every case places: small enough to keep
@@ -91,11 +95,15 @@ var suiteCases = []struct {
 	name string
 	arm  map[string]faultsim.Schedule
 	// degrades: the run must succeed and record exactly these fallbacks
-	// (as "stage -> fallback" prefixes of the sorted event list).
+	// (as "stage -> fallback" prefixes of the sorted event list). Empty
+	// means the run must fail.
 	degrades []string
-	// failPoint: the run must fail with a structured error naming this
-	// injection point. Empty means the run must succeed.
+	// failPoint, when set, requires the error to name this injection
+	// point.
 	failPoint string
+	// wantErr, when set, must accept the run's error: the solver's or the
+	// certificate's own error type.
+	wantErr func(error) bool
 	// unitPhase, when set, requires a *fbp.UnitError with this phase.
 	unitPhase string
 	// panics arms the primary point in panic mode (the failure must still
@@ -110,33 +118,23 @@ var suiteCases = []struct {
 	certify bool
 }{
 	{
-		name:     "cg non-convergence keeps the anchor solution",
-		arm:      map[string]faultsim.Schedule{"sparse.cg.noconverge": {}},
-		degrades: []string{"qp.cg -> anchor-solution"},
+		name:      "cg non-convergence is a structured error",
+		arm:       map[string]faultsim.Schedule{"sparse.cg.noconverge": {}},
+		failPoint: "sparse.cg.noconverge",
+		wantErr:   func(err error) bool { return errors.Is(err, sparse.ErrNotConverged) },
 	},
 	{
-		name:     "network simplex stall falls back to ssp",
-		arm:      map[string]faultsim.Schedule{"flow.ns.stall": {}},
-		degrades: []string{"flow.ns -> ssp"},
-	},
-	{
-		name:     "condensed transport falls back to the reference engine",
-		arm:      map[string]faultsim.Schedule{"transport.condensed.fail": {}},
-		degrades: []string{"transport.condensed -> reference-engine"},
-	},
-	{
-		name: "ns stall with ssp also failing is a structured error",
-		arm: map[string]faultsim.Schedule{
-			"flow.ns.stall": {}, "flow.ssp.fail": {},
+		name: "network simplex stall is a structured error",
+		arm:  map[string]faultsim.Schedule{"flow.ns.stall": {}},
+		wantErr: func(err error) bool {
+			var stalled *flow.ErrStalled
+			return errors.As(err, &stalled)
 		},
-		failPoint: "flow.ssp.fail",
 	},
 	{
-		name: "both transport engines failing is a structured unit error",
-		arm: map[string]faultsim.Schedule{
-			"transport.condensed.fail": {}, "transport.reference.fail": {},
-		},
-		failPoint: "transport.reference.fail",
+		name:      "condensed transport failure is a structured unit error",
+		arm:       map[string]faultsim.Schedule{"transport.condensed.fail": {}},
+		failPoint: "transport.condensed.fail",
 		unitPhase: "realize",
 	},
 	{
@@ -178,13 +176,14 @@ var suiteCases = []struct {
 	{
 		// One silent sign-bit flip after the last realization pass: no
 		// solver reports anything, the run "succeeds" wrong — the
-		// certificate must catch it and the safe-mode repair (always one
-		// worker, from the entry positions) must make both worker counts
-		// converge on the identical repaired placement.
-		name:     "silent position corruption is caught and repaired in safe mode",
-		arm:      map[string]faultsim.Schedule{"certify.corrupt": {Limit: 1}},
-		degrades: []string{"certify -> safe-mode"},
-		certify:  true,
+		// certificate must catch it and fail the run.
+		name:    "silent corruption fails the run with a certify error",
+		arm:     map[string]faultsim.Schedule{"certify.corrupt": {Limit: 1}},
+		certify: true,
+		wantErr: func(err error) bool {
+			var ce *certify.Error
+			return errors.As(err, &ce)
+		},
 	},
 }
 
@@ -210,7 +209,7 @@ func TestInjectionSuite(t *testing.T) {
 			}
 
 			for workers, o := range runs {
-				if tc.failPoint == "" && !tc.panics {
+				if len(tc.degrades) > 0 {
 					if o.err != nil {
 						t.Fatalf("workers=%d: degrade case failed: %v", workers, o.err)
 					}
@@ -243,8 +242,13 @@ func TestInjectionSuite(t *testing.T) {
 						!strings.Contains(o.err.Error(), "fbp.realize.unit") {
 						t.Fatalf("workers=%d: recovered panic lost its identity: %v", workers, o.err)
 					}
-				} else if got := injectedPoint(t, o.err); got != tc.failPoint {
-					t.Fatalf("workers=%d: failed at point %q, want %q", workers, got, tc.failPoint)
+				} else if tc.failPoint != "" {
+					if got := injectedPoint(t, o.err); got != tc.failPoint {
+						t.Fatalf("workers=%d: failed at point %q, want %q", workers, got, tc.failPoint)
+					}
+				}
+				if tc.wantErr != nil && !tc.wantErr(o.err) {
+					t.Fatalf("workers=%d: error lacks the solver's own type: %v", workers, o.err)
 				}
 				if tc.unitPhase != "" {
 					var ue *fbp.UnitError

@@ -8,8 +8,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"fbplace/internal/degrade"
 	"fbplace/internal/faultsim"
+	"fbplace/internal/flow"
 	"fbplace/internal/geom"
 	"fbplace/internal/grid"
 	"fbplace/internal/netlist"
@@ -428,11 +428,10 @@ func TestModelSizeLinearInWindows(t *testing.T) {
 	}
 }
 
-// TestSolveSpanReportsModelSizeAfterSSPFallback arms the simplex stall.
-// The SSP fallback keeps its super source, super sink and supply/demand
-// arcs in its own residual graph, so the instance keeps the size of the
-// model that was built, and the fbp.solve span reports that size.
-func TestSolveSpanReportsModelSizeAfterSSPFallback(t *testing.T) {
+// TestSolveStallIsError arms the simplex stall: Solve returns the
+// *flow.ErrStalled as the level's error (there is no SSP retry), and the
+// fbp.solve span still reports the size of the model that was built.
+func TestSolveStallIsError(t *testing.T) {
 	defer faultsim.Reset()
 	if err := faultsim.Arm("flow.ns.stall", faultsim.Schedule{}); err != nil {
 		t.Fatal(err)
@@ -442,16 +441,9 @@ func TestSolveSpanReportsModelSizeAfterSSPFallback(t *testing.T) {
 	m := BuildModel(n, wr, wr.Grid.AssignCells(n))
 	var buf bytes.Buffer
 	m.Obs = obs.New(obs.NewJSONSink(&buf))
-	m.Degrade = &degrade.Log{}
-	if err := m.Solve(); err != nil {
-		t.Fatal(err)
-	}
-	if m.Degrade.Len() != 1 {
-		t.Fatalf("SSP fallback not taken: %d degradations", m.Degrade.Len())
-	}
-	if m.G.NumNodes() != m.Stats.NumNodes || m.G.NumArcs() != m.Stats.NumArcs {
-		t.Fatalf("SSP fallback grew the graph to %d nodes, %d arcs; model has %d, %d",
-			m.G.NumNodes(), m.G.NumArcs(), m.Stats.NumNodes, m.Stats.NumArcs)
+	var stalled *flow.ErrStalled
+	if err := m.Solve(); !errors.As(err, &stalled) {
+		t.Fatalf("Solve = %v, want *flow.ErrStalled", err)
 	}
 	events, err := obs.ReadTrace(&buf)
 	if err != nil {

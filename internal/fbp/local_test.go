@@ -85,3 +85,35 @@ func TestPartitionLocalDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// A recursive-mode cell in a window without capacity escapes to the
+// nearest region that fits it. That nearest point lies on the region
+// window's right edge, which LocateIndex assigns to the blocked window
+// next door; the escaped cell must land inside the region's own window,
+// or that window's transportation has no admissible sink for it.
+func TestEscapeLandsInsideTheRegionWindow(t *testing.T) {
+	area := geom.Rect{Xlo: 0, Ylo: 0, Xhi: 30, Yhi: 10}
+	n := netlist.New(area, 1)
+	for i := 0; i < 10; i++ {
+		id := n.AddCell(netlist.Cell{Width: 1, Height: 1, Movebound: netlist.NoMovebound})
+		n.SetPos(id, geom.Point{X: 25, Y: 5})
+	}
+	g, err := grid.New(area, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocked := geom.RectSet{{Xlo: 10, Ylo: 0, Xhi: 30, Yhi: 10}} // windows 1 and 2
+	wr := grid.BuildWindowRegions(g, region.Decompose(area, nil), blocked, 1)
+	relax, err := PartitionLocal(n, wr, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if relax != 10 {
+		t.Fatalf("relaxations = %d, want 10 escaped cells", relax)
+	}
+	for i := range n.Cells {
+		if w := g.LocateIndex(n.Pos(netlist.CellID(i))); w != 0 {
+			t.Fatalf("cell %d at %v in window %d, want 0", i, n.Pos(netlist.CellID(i)), w)
+		}
+	}
+}

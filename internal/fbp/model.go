@@ -13,12 +13,9 @@ package fbp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
-	"fbplace/internal/degrade"
-	"fbplace/internal/faultsim"
 	"fbplace/internal/flow"
 	"fbplace/internal/geom"
 	"fbplace/internal/grid"
@@ -57,18 +54,11 @@ type Config struct {
 	// transportation solves. A canceled or expired context aborts within
 	// one wave and propagates the context's error.
 	Ctx context.Context
-	// Degrade, when non-nil, records the partitioning's solver fallbacks:
-	// NS stall -> SSP in the global MCF and condensed transport ->
-	// reference engine in realization. Both fallbacks run whether or not a
-	// log is attached; the log only makes them visible. The
-	// realization-local QPs are best-effort (a CG solve that runs out of
-	// iterations keeps its iterate), so they have no fallback to record.
-	Degrade *degrade.Log
 	// Check, when non-nil, certifies intermediate solver results: the MCF
 	// solution right after Solve and every realization transportation
 	// right after its engine returns. Failures propagate as the checker's
-	// error (internal/certify returns *certify.Error), which the placer
-	// answers with its one whole-run re-run. The interface lives here
+	// error (internal/certify returns *certify.Error), which ends the
+	// placement. The interface lives here
 	// rather than importing internal/certify so the dependency keeps
 	// pointing from the certifier at the solvers, never back.
 	Check Checker
@@ -146,9 +136,6 @@ type Model struct {
 	// Config.Obs; callers driving BuildModel/Solve/Realize directly may
 	// set it themselves).
 	Obs *obs.Recorder
-	// Degrade, when non-nil, records the NS-stall -> SSP fallback of Solve
-	// (set by Partition from Config.Degrade).
-	Degrade *degrade.Log
 
 	G *flow.MinCostFlow
 	// cellGroupNode[class*W + w] = node id or -1.
@@ -399,16 +386,10 @@ func (e *ErrInfeasible) Error() string {
 	return fmt.Sprintf("fbp: no fractional placement with movebounds exists (%g cell area cannot be absorbed)", e.Unrouted)
 }
 
-// sspFault fails the global MCF's successive-shortest-path fallback at
-// entry. Armed together with flow.ns.stall it proves that when the whole
-// solver fallback chain is exhausted, the pipeline surfaces a structured
-// error instead of a silently wrong placement.
-var sspFault = faultsim.Register("flow.ssp.fail",
-	"the global MCF's successive-shortest-path fallback fails at entry")
-
 // Solve runs the MinCostFlow and populates the external edge flows. Per
 // Theorem 3 it returns *ErrInfeasible exactly when no fractional placement
-// with movebounds exists for the given capacities.
+// with movebounds exists for the given capacities. A network simplex that
+// hits its pivot cap returns *flow.ErrStalled, which is the level's error.
 func (m *Model) Solve() error {
 	sp := m.Obs.StartSpan("fbp.solve")
 	defer sp.End()
@@ -418,21 +399,6 @@ func (m *Model) Solve() error {
 	// augmenting-path solvers churn, while tree pivots handle it well.
 	m.G.Obs = m.Obs
 	_, err := m.G.SolveNS()
-	if err != nil {
-		// Fallback chain: a stalled simplex says nothing about
-		// feasibility, so the unconditionally terminating successive
-		// shortest path solver acts as the oracle. Infeasibility and
-		// cancellation are NOT stalls and propagate directly.
-		var stalled *flow.ErrStalled
-		if errors.As(err, &stalled) {
-			m.Degrade.Add("flow.ns", "ssp", err.Error())
-			if err = sspFault.Check(); err != nil {
-				err = fmt.Errorf("flow: ssp solve: %w", err)
-			} else {
-				_, err = m.G.Solve()
-			}
-		}
-	}
 	m.Stats.SolveTime = time.Since(start) //fbpvet:allow reporting-only duration
 	m.Stats.NSPivots = m.G.Pivots
 	sp.Attr("nodes", float64(m.Stats.NumNodes))

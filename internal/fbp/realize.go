@@ -212,7 +212,6 @@ func Partition(n *netlist.Netlist, wr *grid.WindowRegions, cfg Config) (*Result,
 	model := BuildModel(n, wr, assign)
 	model.Stats.CollapseShare = share
 	model.Obs = cfg.Obs
-	model.Degrade = cfg.Degrade
 	model.G.Ctx = cfg.Ctx
 	bsp.End()
 	if err := model.Solve(); err != nil {
@@ -308,7 +307,7 @@ func Realize(m *Model, cfg Config) (*Result, error) {
 // inherent blind spot of recursive approaches. Every teleported cell
 // counts one relaxation, and so does every window whose cells do not fit
 // its regions, which takes the least overflow its elastic transportation
-// allows. cfg's Workers, Obs, Ctx and Degrade apply as in Partition; it
+// allows. cfg's Workers, Obs and Ctx apply as in Partition; it
 // runs no local QP.
 func PartitionLocal(n *netlist.Netlist, wr *grid.WindowRegions, cfg Config) (relaxations int, err error) {
 	if err := checkSystem(n, cfg); err != nil {
@@ -332,26 +331,49 @@ func escapeLocal(n *netlist.Netlist, wr *grid.WindowRegions) int {
 		}
 		mb := n.Cells[i].Movebound
 		fits := func(reg grid.WindowRegion) bool { return reg.Capacity > 0 && wr.Decomp.Admissible(mb, reg.Region) }
+		fitsAt := func(p geom.Point) bool { return slices.ContainsFunc(wr.PerWin[wr.Grid.LocateIndex(p)], fits) }
 		id := netlist.CellID(i)
 		pos := n.Pos(id)
-		if slices.ContainsFunc(wr.PerWin[wr.Grid.LocateIndex(pos)], fits) {
+		if fitsAt(pos) {
 			continue
 		}
 		moved++
-		best, bestD := pos, math.Inf(1)
-		for _, regs := range wr.PerWin {
+		best, bestWin, bestD := pos, -1, math.Inf(1)
+		for w, regs := range wr.PerWin {
 			for _, reg := range regs {
 				if !fits(reg) {
 					continue
 				}
 				if q, ok := reg.Rects.Nearest(pos); ok && q.DistL1(pos) < bestD {
-					best, bestD = q, q.DistL1(pos)
+					best, bestWin, bestD = q, w, q.DistL1(pos)
 				}
 			}
+		}
+		if bestWin >= 0 && !fitsAt(best) {
+			best = intoWindow(wr.Grid, bestWin, best)
 		}
 		n.SetPos(id, best)
 	}
 	return moved
+}
+
+// intoWindow moves p, a point of window w's closed rectangle, by the
+// fewest ulps toward w's center that make LocateIndex map it to w. A
+// point on w's upper or right edge belongs to the neighbouring window,
+// and rounding can do the same to a point on its lower or left edge.
+func intoWindow(g *grid.Grid, w int, p geom.Point) geom.Point {
+	c := g.WindowRect(w).Center()
+	wx, wy := g.Coords(w)
+	for g.LocateIndex(p) != w {
+		ix, iy := g.Locate(p)
+		if ix != wx {
+			p.X = math.Nextafter(p.X, c.X)
+		}
+		if iy != wy {
+			p.Y = math.Nextafter(p.Y, c.Y)
+		}
+	}
+	return p
 }
 
 // newRealizer sets up the realization state of a solved model: every
@@ -937,7 +959,7 @@ func (r *realizer) buildStep(st *step, windows ...int) {
 	p.Capacity = caps
 	p.Supply = resize(p.Supply, len(st.cells))
 	p.Arcs = resize(p.Arcs, len(st.cells))
-	p.Obs, p.Ctx, p.Degrade = r.rec, r.cfg.Ctx, r.cfg.Degrade
+	p.Obs, p.Ctx = r.rec, r.cfg.Ctx
 	for i, ci := range st.cells {
 		c := &r.n.Cells[ci]
 		p.Supply[i] = c.Size()

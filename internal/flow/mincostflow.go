@@ -1,7 +1,7 @@
 // Package flow implements the network-flow substrate of the placer: a
 // minimum-cost-flow instance with two engines. A network simplex (SolveNS)
 // solves the global FBP model of §IV.A. A successive-shortest-path solver
-// with node potentials (Solve) is the network simplex's fallback, the
+// with node potentials (Solve) is the network simplex's test oracle, the
 // reference engine of internal/transport, and the movebound feasibility
 // check of paper Theorems 1 and 2 (internal/region): with zero-cost arcs
 // it routes as much supply as the capacities admit and reports the rest as
@@ -72,7 +72,7 @@ type MinCostFlow struct {
 	Ctx context.Context
 	// Pivots is the number of simplex pivots of the last SolveNS run. It
 	// is published on every exit of the pivot loop — including stalls and
-	// context aborts — so fallback paths keep the work visible.
+	// context aborts — so a failed solve keeps its work visible.
 	Pivots int
 	// Degenerate is the number of those pivots that changed no flow,
 	// published on the same exits as Pivots.

@@ -9,8 +9,8 @@ import (
 	"fbplace/internal/faultsim"
 )
 
-// nsFault forces the network simplex to report a stall, driving the
-// NS -> successive-shortest-paths fallback of internal/fbp.
+// nsFault forces the network simplex to report a stall, which fails the
+// FBP level that solves the global MCF (internal/fbp).
 var nsFault = faultsim.Register("flow.ns.stall",
 	"network simplex reports ErrStalled during the pivot loop")
 
@@ -20,8 +20,8 @@ var nsDebugCheck func(ns *netSimplex, b []float64, pivotNo int)
 
 // ErrStalled is returned by SolveNS when the pivot loop exceeds its cap
 // without reaching optimality (cycling or injected stall). The instance is
-// NOT known to be infeasible; callers should fall back to the successive
-// shortest path solver (Solve), which terminates unconditionally.
+// NOT known to be infeasible. The FBP placer returns it as the level's
+// error; no measured run has hit the cap.
 type ErrStalled struct {
 	// Pivots is the number of pivots performed before giving up.
 	Pivots int
@@ -80,8 +80,7 @@ func (g *MinCostFlow) SolveNS() (float64, error) {
 	ns.coldInit(b, root, g.maxCost)
 	// Publish pivot stats on EVERY exit — success, infeasibility, stall
 	// and context aborts alike. A stalled run in particular did real work
-	// that the NS->SSP fallback would otherwise hide from observability
-	// and the degradation record.
+	// that its span must still report.
 	defer func() {
 		g.Pivots = ns.pivots
 		g.Degenerate = ns.degenerate
@@ -255,7 +254,7 @@ func (ns *netSimplex) run(ctx context.Context, b []float64, maxCost float64) err
 	for pivot := 0; ; pivot++ {
 		if pivot > maxPivots {
 			// Cycling guard. This is a solver stall, not an infeasibility
-			// certificate: callers fall back to successive shortest paths.
+			// certificate.
 			return &ErrStalled{Pivots: ns.pivots}
 		}
 		if pivot&1023 == 0 {

@@ -299,7 +299,7 @@ func TestNSSelfBalancedZero(t *testing.T) {
 }
 
 // Regression: pivot stats must be published on the ErrStalled exit too —
-// a stalled run did real work that the NS->SSP fallback must not hide.
+// a stalled run did real work that its span must still report.
 func TestNSStatsPublishedOnStall(t *testing.T) {
 	defer faultsim.Reset()
 	// Skip the entry check (pivot 0); fire at the second cadence check

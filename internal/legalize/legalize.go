@@ -17,7 +17,6 @@ import (
 	"slices"
 	"sort"
 
-	"fbplace/internal/degrade"
 	"fbplace/internal/geom"
 	"fbplace/internal/netlist"
 	"fbplace/internal/obs"
@@ -34,9 +33,6 @@ type Options struct {
 	// Ctx, when non-nil, cancels the region partitioning's
 	// transportation.
 	Ctx context.Context
-	// Degrade, when non-nil, records that transportation's engine
-	// fallback, so a degraded legalization is never silent.
-	Degrade *degrade.Log
 }
 
 // Result reports movement statistics.
@@ -403,7 +399,6 @@ func Legalize(n *netlist.Netlist, d *region.Decomposition, opt Options) (Result,
 		Arcs:     make([][]transport.Arc, len(movable)),
 		Obs:      opt.Obs,
 		Ctx:      opt.Ctx,
-		Degrade:  opt.Degrade,
 	}
 	// sinks[mb+1] lists the regions with packable capacity that a cell of
 	// movebound mb (NoMovebound = -1) may take. All cells' arcs share one

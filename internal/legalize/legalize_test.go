@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"fbplace/internal/degrade"
 	"fbplace/internal/faultsim"
 	"fbplace/internal/geom"
 	"fbplace/internal/netlist"
@@ -234,30 +233,16 @@ func TestVerifyNoOverlapsDetects(t *testing.T) {
 	}
 }
 
-// A condensed-engine failure in the movebound partitioning falls back to
-// the reference engine and is recorded on the run's degradation log, and
-// the legalization still succeeds.
-func TestLegalizeWithMoveboundsRecordsTransportFallback(t *testing.T) {
+// A condensed-engine failure in the movebound partitioning fails the
+// legalization with the engine's error.
+func TestLegalizeWithMoveboundsTransportFailureIsError(t *testing.T) {
 	defer faultsim.Reset()
-	n, d, norm := moveboundInstance(t)
+	n, d, _ := moveboundInstance(t)
 	if err := faultsim.Arm("transport.condensed.fail", faultsim.Schedule{}); err != nil {
 		t.Fatal(err)
 	}
-	dl := degrade.New(nil)
-	_, err := Legalize(n, d, Options{Degrade: dl})
-	faultsim.Disarm("transport.condensed.fail")
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs := dl.Events()
-	if len(evs) != 1 || evs[0].Stage != "transport.condensed" || evs[0].Fallback != "reference-engine" {
-		t.Fatalf("degradations %+v, want one transport.condensed -> reference-engine", evs)
-	}
-	if got := VerifyNoOverlaps(n); got != 0 {
-		t.Fatalf("overlaps = %d", got)
-	}
-	if viol := region.CheckLegal(n, norm); viol != 0 {
-		t.Fatalf("movebound violations = %d", viol)
+	if _, err := Legalize(n, d, Options{}); !errors.Is(err, faultsim.ErrInjected) {
+		t.Fatalf("err = %v, want the injected transport failure", err)
 	}
 }
 

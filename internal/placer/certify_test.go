@@ -11,7 +11,7 @@ import (
 )
 
 // armCorrupt arms the certify.corrupt site, which flips one position
-// after the global loop of each attempt it fires on.
+// after the global loop of each run it fires on.
 func armCorrupt(t *testing.T, sched faultsim.Schedule) {
 	t.Helper()
 	faultsim.Reset()
@@ -20,37 +20,28 @@ func armCorrupt(t *testing.T, sched faultsim.Schedule) {
 	}
 }
 
-// repairEvents counts the run's certify re-runs on its report.
-func repairEvents(t *testing.T, rep *Report) int {
+// wantCertifyFailure checks that a run ended with the *certify.Error:
+// an uncertified report, no degradation entry (nothing re-ran) and one
+// certify.violation on the run's recorder.
+func wantCertifyFailure(t *testing.T, rep *Report, err error, rec *obs.Recorder) {
 	t.Helper()
-	if rep == nil {
-		t.Fatal("no report")
+	var ce *certify.Error
+	if !errors.As(err, &ce) {
+		t.Fatalf("err = %v, want a *certify.Error", err)
 	}
-	k := 0
-	for _, d := range rep.Degradations {
-		if d.Stage != "certify" {
-			continue
-		}
-		if d.Fallback != "safe-mode" {
-			t.Fatalf("certify degradation %+v, want fallback safe-mode", d)
-		}
-		k++
+	if rep == nil || rep.Certified || len(rep.Degradations) != 0 {
+		t.Fatalf("report %+v: want uncertified, no degradations", rep)
 	}
-	return k
-}
-
-func wantCertifyCounters(t *testing.T, rec *obs.Recorder, fail, repair float64) {
-	t.Helper()
-	c := rec.Counters()
-	if c["certify.fail"] != fail || c["certify.repair"] != repair {
-		t.Fatalf("certify.fail/repair = %g/%g, want %g/%g", c["certify.fail"], c["certify.repair"], fail, repair)
+	if v := rec.Counters()["certify.violation"]; v != 1 {
+		t.Fatalf("certify.violation = %g, want 1", v)
 	}
 }
 
-// TestCertifyRetryMatchesDefault corrupts the first attempt only: the
-// final certificate catches it, the placement re-runs once, and the
-// repaired positions are bit-identical to a plain uncertified run —
-// under both certify modes and at 1 and 4 workers.
+// TestCertifyRetryMatchesDefault corrupts one run: the certificate catches
+// it and the run ends with the *certify.Error — the placer does not
+// re-run. The caller's retry on the original instance, the fault spent,
+// is certified and bit-identical to a plain uncertified run, under both
+// certify modes and at 1 and 4 workers.
 func TestCertifyRetryMatchesDefault(t *testing.T) {
 	defer faultsim.Reset()
 	inst := ckptInstances(t)[1]
@@ -68,85 +59,32 @@ func TestCertifyRetryMatchesDefault(t *testing.T) {
 			mode := m.mode
 			t.Run(fmt.Sprintf("%s/workers=%d", m.name, workers), func(t *testing.T) {
 				armCorrupt(t, faultsim.Schedule{Limit: 1})
-				rec := obs.New(nil)
+				cfg := Config{Movebounds: inst.Movebounds, Workers: workers, Certify: mode, Obs: obs.New(nil)}
+				rep, err := Place(inst.N.Clone(), cfg)
+				wantCertifyFailure(t, rep, err, cfg.Obs)
 				n := inst.N.Clone()
-				rep, err := Place(n, Config{Movebounds: inst.Movebounds, Workers: workers, Certify: mode, Obs: rec})
+				rep, err = Place(n, cfg)
 				if err != nil {
-					t.Fatalf("repaired run: %v", err)
+					t.Fatalf("retry: %v", err)
 				}
 				if !rep.Certified {
-					t.Fatal("repaired run is not certified")
+					t.Fatal("retry is not certified")
 				}
-				if k := repairEvents(t, rep); k != 1 {
-					t.Fatalf("%d certify -> safe-mode events, want 1", k)
-				}
-				wantCertifyCounters(t, rec, 1, 1)
-				samePositions(t, "repaired vs plain", want, hexPositions(n))
+				samePositions(t, "retry vs plain", want, hexPositions(n))
 			})
 		}
 	}
 }
 
-// TestCertifyRetryFailsTwice corrupts every attempt: the one re-run fails
-// certification too and its *certify.Error reaches the caller — there is
-// no second repair.
+// TestCertifyRetryFailsTwice corrupts every run: the first run and the
+// caller's retry both end with the *certify.Error.
 func TestCertifyRetryFailsTwice(t *testing.T) {
 	defer faultsim.Reset()
 	armCorrupt(t, faultsim.Schedule{})
 	inst := ckptInstances(t)[0]
-	rec := obs.New(nil)
-	rep, err := Place(inst.N, Config{Certify: CertifyFinal, Obs: rec})
-	var ce *certify.Error
-	if !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want a *certify.Error", err)
+	for range 2 {
+		rec := obs.New(nil)
+		rep, err := Place(inst.N.Clone(), Config{Certify: CertifyFinal, Obs: rec})
+		wantCertifyFailure(t, rep, err, rec)
 	}
-	if k := repairEvents(t, rep); k != 1 {
-		t.Fatalf("%d certify -> safe-mode events, want 1", k)
-	}
-	wantCertifyCounters(t, rec, 2, 1)
-}
-
-// TestCertifyRetrySkipsCheckpointAndPreempt runs a checkpointed,
-// preemptible placement whose first attempt is corrupted: the re-run
-// polls Preempt never and writes no snapshot, so both the poll count and
-// the newest snapshot generation match a fault-free run's, as do the
-// positions.
-func TestCertifyRetrySkipsCheckpointAndPreempt(t *testing.T) {
-	defer faultsim.Reset()
-	inst := ckptInstances(t)[0]
-
-	plainDir := t.TempDir()
-	plainPolls := 0
-	cfg := ckptConfig(inst, 4, plainDir)
-	cfg.Preempt = func() bool { plainPolls++; return false }
-	plain := inst.N.Clone()
-	plainRep, err := Place(plain, cfg)
-	if err != nil {
-		t.Fatalf("plain run: %v", err)
-	}
-	if plainPolls != plainRep.Levels {
-		t.Fatalf("plain run polled Preempt %d times over %d levels", plainPolls, plainRep.Levels)
-	}
-
-	armCorrupt(t, faultsim.Schedule{Limit: 1})
-	dir := t.TempDir()
-	polls := 0
-	cfg = ckptConfig(inst, 4, dir)
-	cfg.Certify = CertifyFinal
-	cfg.Preempt = func() bool { polls++; return false }
-	n := inst.N.Clone()
-	rep, err := Place(n, cfg)
-	if err != nil {
-		t.Fatalf("repaired run: %v", err)
-	}
-	if k := repairEvents(t, rep); k != 1 {
-		t.Fatalf("%d certify -> safe-mode events, want 1", k)
-	}
-	if polls != plainPolls {
-		t.Fatalf("Preempt polled %d times, want %d (first attempt only)", polls, plainPolls)
-	}
-	if got, want := snapGen(t, dir), snapGen(t, plainDir); got != want {
-		t.Fatalf("newest snapshot generation %d, want %d (the re-run must not checkpoint)", got, want)
-	}
-	samePositions(t, "repaired vs plain", hexPositions(plain), hexPositions(n))
 }

@@ -155,9 +155,8 @@ const trajectoryVersion = 1
 // different configuration. Workers is deliberately excluded — the placer
 // guarantees bit-identical results across worker counts — as are Obs,
 // Checkpoint itself, Preempt (a preempted-and-resumed run reproduces the
-// uninterrupted one), Certify (checks observe the trajectory and the
-// certify re-run repeats it; neither steers it, and the re-run never
-// checkpoints). The constants the run reads (anchorWeight, firstLevel,
+// uninterrupted one), Certify (checks observe the trajectory and never
+// steer it). The constants the run reads (anchorWeight, firstLevel,
 // the qp model constants, legalization's full row search) are not hashed
 // one by one: a change to one of them that moves placements bumps
 // trajectoryVersion instead, so snapshots and cached results of the old
@@ -236,7 +235,7 @@ type snapshot struct {
 	GlobalElapsed time.Duration
 	// FBPStats are the per-level flow statistics of the completed levels.
 	FBPStats []fbp.Stats
-	// Degradations are the solver fallbacks recorded up to the snapshot;
+	// Degradations are the degradations recorded up to the snapshot;
 	// a resumed run restores them so Report.Degradations covers the whole
 	// logical run, not just the post-resume tail.
 	Degradations []degrade.Event

@@ -177,26 +177,26 @@ func sameStats(t *testing.T, label string, want, got []fbp.Stats) {
 	}
 }
 
-// TestResumeRestoresDegradations arms a CG fault so the pre-kill levels
-// degrade, kills the run, and checks the resumed report carries the
-// pre-crash degradation events verbatim — the snapshot, not the process,
-// is the unit of history.
+// TestResumeRestoresDegradations fails the first level's checkpoint
+// write so the pre-kill levels record a skipped write, kills the run, and
+// checks the resumed report carries the pre-crash degradation events
+// verbatim — the snapshot, not the process, is the unit of history.
 func TestResumeRestoresDegradations(t *testing.T) {
 	defer faultsim.Reset()
 	leakcheck.Check(t)
 	inst := ckptInstances(t)[0]
-	// Limit 2 defeats both CG attempts (initial + 4x retry) of exactly one
-	// axis solve of the initial QP, producing one pre-kill degradation.
-	cgFault := map[string]faultsim.Schedule{"sparse.cg.noconverge": {Limit: 2}}
+	// Limit 1 fails exactly the first level's snapshot, producing one
+	// pre-kill degradation; the second level's snapshot lands.
+	writeFault := map[string]faultsim.Schedule{"ckpt.write": {Limit: 1}}
 
 	faultsim.Reset()
-	for name, sched := range cgFault {
+	for name, sched := range writeFault {
 		if err := faultsim.Arm(name, sched); err != nil {
 			t.Fatal(err)
 		}
 	}
 	base := inst.N.Clone()
-	baseRep, err := PlaceCtx(context.Background(), base, ckptConfig(inst, 4, ""))
+	baseRep, err := PlaceCtx(context.Background(), base, ckptConfig(inst, 4, t.TempDir()))
 	if err != nil {
 		t.Fatalf("degraded baseline: %v", err)
 	}
@@ -206,7 +206,7 @@ func TestResumeRestoresDegradations(t *testing.T) {
 
 	faultsim.Reset()
 	dir := t.TempDir()
-	killAtLevel(t, inst, 4, 2, dir, cgFault)
+	killAtLevel(t, inst, 4, 3, dir, writeFault)
 	faultsim.Reset()
 
 	res := inst.N.Clone()
@@ -343,7 +343,7 @@ func TestConfigFingerprintCoversEveryField(t *testing.T) {
 		"Obs":        "recording observes the trajectory, never steers it",
 		"Checkpoint": "snapshots are written where the run says; resume reproduces the uninterrupted run",
 		"Preempt":    "a preempted-and-resumed run reproduces the uninterrupted one",
-		"Certify":    "checks observe the trajectory and the certify re-run repeats it",
+		"Certify":    "checks observe the trajectory, never steer it",
 	}
 	base := ConfigFingerprint(&Config{})
 	typ := reflect.TypeOf(Config{})
@@ -466,17 +466,6 @@ func TestResumeAfterCancellation(t *testing.T) {
 		t.Fatalf("no ckpt.fallback recorded: %v", resRep.Degradations)
 	}
 	samePositions(t, "canceled", hexPositions(base), hexPositions(res))
-}
-
-// snapGen returns the newest generation number in dir.
-func snapGen(t *testing.T, dir string) uint64 {
-	t.Helper()
-	store := &ckpt.Store{Dir: dir}
-	info, err := store.Load(&snapshot{})
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	return info.Gen
 }
 
 // TestConfigFingerprintPinsTrajectory pins the fingerprint of one fixed

@@ -10,7 +10,6 @@ package placer
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -39,8 +38,8 @@ var levelFault = faultsim.Register("placer.level.fail",
 // corruptFault silently bit-flips one cell position between realization
 // and legalization — the kind of wrong answer no solver error path can
 // report. It exists to prove end-to-end that certification catches
-// corruption, the one whole-run re-run repairs it, and a corrupted result
-// is never cached (see internal/serve and ci.sh).
+// corruption, the run fails with the *certify.Error, and a corrupted
+// result is never cached (see internal/serve and ci.sh).
 var corruptFault = faultsim.Register("certify.corrupt",
 	"bit-flips one cell position between realization and legalization")
 
@@ -123,25 +122,20 @@ type Config struct {
 	Obs *obs.Recorder
 	// Certify enables independent result certification (internal/certify).
 	// A failed certificate — a level's (CertifyEveryLevel) or the final
-	// placement's — restores the entry positions and re-runs the whole
-	// placement once, recorded as a "certify" -> "safe-mode" degradation
-	// with the certify.fail/certify.repair counters. Placements are
-	// bit-identical across worker counts, so the re-run follows the
-	// default trajectory. A re-run that fails certification again
-	// propagates the *certify.Error to the caller.
+	// placement's — ends the run with its *certify.Error: nothing re-runs,
+	// and the positions are left as the failed check found them.
 	Certify CertifyMode
 }
 
 // fbpConfig derives the partitioning configuration of one FBP level from
 // c; sys is the placement's held spring system, whose slices are the
 // realization-local QPs. check is nil unless every level is certified.
-func (c Config) fbpConfig(ctx context.Context, dl *degrade.Log, sys *qp.System, check *certify.Checker) fbp.Config {
+func (c Config) fbpConfig(ctx context.Context, sys *qp.System, check *certify.Checker) fbp.Config {
 	fc := fbp.Config{
 		LocalQP: !c.NoLocalQP,
 		Workers: c.Workers,
 		Obs:     c.Obs,
 		Ctx:     ctx,
-		Degrade: dl,
 		System:  sys,
 	}
 	if check != nil {
@@ -245,15 +239,14 @@ type Report struct {
 	LegalizeResult legalize.Result
 	// DetailResult carries detailed-placement statistics (when enabled).
 	DetailResult detail.Result
-	// Degradations lists the solver fallbacks taken during the run, sorted
-	// by (Stage, Fallback, Detail); empty for a fully converged run. A
-	// degraded run still satisfies every hard guarantee (movebounds,
-	// legality) — the entries say where optimality was traded for
-	// robustness (see DESIGN.md §6).
+	// Degradations lists what the run's checkpointing gave up, sorted by
+	// (Stage, Fallback, Detail): skipped snapshot writes, preemptions
+	// declined because their snapshot failed, and resumes from an older
+	// snapshot generation. None of them changes the positions (see
+	// DESIGN.md §6). Solver failures are errors, not degradations.
 	Degradations []degrade.Event
 	// Certified is true when Config.Certify was enabled and the final
-	// certificates held (possibly after the certify re-run, which then
-	// appears in Degradations as a "certify" stage).
+	// certificates held.
 	Certified bool
 }
 
@@ -265,8 +258,7 @@ func Place(n *netlist.Netlist, cfg Config) (*Report, error) {
 // PlaceCtx is Place with cancellation: ctx is threaded through the global
 // loop into the CG, network-simplex and transportation solvers, so a
 // canceled or already-expired context aborts within one outer iteration
-// and returns the context's error. Fallbacks taken by the solver chains
-// are collected in Report.Degradations.
+// and returns the context's error.
 func PlaceCtx(ctx context.Context, n *netlist.Netlist, cfg Config) (*Report, error) {
 	return run(ctx, n, cfg, "")
 }
@@ -289,11 +281,7 @@ func Resume(ctx context.Context, n *netlist.Netlist, dir string, cfg Config) (*R
 }
 
 // run is the shared body of PlaceCtx and Resume; resumeDir is empty for
-// fresh runs. It also owns the one certify repair: a *certify.Error from
-// the attempt restores the entry positions and re-runs the placement once,
-// fresh, sequentially and without checkpoints or preemption, so the re-run
-// shares no state with the attempt that produced the wrong answer. A
-// second certify failure propagates.
+// fresh runs. A failed certificate ends the run with its *certify.Error.
 func run(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir string) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -302,35 +290,6 @@ func run(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir string) 
 		return nil, err
 	}
 	cfg.fill()
-	dl := degrade.New(cfg.Obs)
-	var entryX, entryY []float64
-	if cfg.Certify != CertifyOff {
-		entryX = append([]float64(nil), n.X...)
-		entryY = append([]float64(nil), n.Y...)
-	}
-	rep, err := runOnce(ctx, n, cfg, resumeDir, dl)
-	var ce *certify.Error
-	if !errors.As(err, &ce) {
-		return rep, err
-	}
-	cfg.Obs.Count("certify.fail", 1)
-	dl.Add("certify", "safe-mode", ce.Error())
-	cfg.Obs.Count("certify.repair", 1)
-	copy(n.X, entryX)
-	copy(n.Y, entryY)
-	cfg.Workers = 1
-	cfg.Checkpoint = Checkpoint{}
-	cfg.Preempt = nil
-	rep, err = runOnce(ctx, n, cfg, "", dl)
-	if errors.As(err, &ce) {
-		cfg.Obs.Count("certify.fail", 1)
-	}
-	return rep, err
-}
-
-// runOnce executes one placement attempt; the degradation log is owned by
-// run so a repair attempt extends its predecessor's record.
-func runOnce(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir string, dl *degrade.Log) (*Report, error) {
 	if err := validateNumerics(n); err != nil {
 		return nil, err
 	}
@@ -342,7 +301,7 @@ func runOnce(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir stri
 	// strictly one after another on the system globalLoop holds in this
 	// workspace.
 	var qpStats qp.SolveStats
-	qopt := qp.Options{Obs: cfg.Obs, Stats: &qpStats, Ctx: ctx, Degrade: dl, Workspace: qp.NewWorkspace()}
+	qopt := qp.Options{Obs: cfg.Obs, Stats: &qpStats, Ctx: ctx, Workspace: qp.NewWorkspace()}
 	mbs, err := region.Normalize(n.Area, cfg.Movebounds)
 	if err != nil {
 		return nil, err
@@ -361,6 +320,7 @@ func runOnce(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir stri
 	report := &Report{}
 	// The degradation log fills regardless of how the run ends, so attach
 	// it on every path that hands the report out.
+	dl := degrade.New(cfg.Obs)
 	defer func() { report.Degradations = dl.Events() }()
 
 	levels := levelsFor(n, cfg)
@@ -433,13 +393,13 @@ func runOnce(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir stri
 		// The coarse loop runs on a temporary clustered netlist and is not
 		// checkpointed; snapshots start with the first flat level.
 		cl := cluster.BestChoice(n, cluster.Options{Ratio: cfg.ClusterRatio})
-		if err := globalLoop(ctx, cl.Clustered, decomp, blockages, cfg, qopt, dl, report, plan.coarseFirst, plan.coarseLast, true, nil); err != nil {
+		if err := globalLoop(ctx, cl.Clustered, decomp, blockages, cfg, qopt, report, plan.coarseFirst, plan.coarseLast, true, nil); err != nil {
 			return nil, err
 		}
 		cl.Project()
 		freshQP = false
 	}
-	if err := globalLoop(ctx, n, decomp, blockages, cfg, qopt, dl, report, startLevel, levels, freshQP, ck); err != nil {
+	if err := globalLoop(ctx, n, decomp, blockages, cfg, qopt, report, startLevel, levels, freshQP, ck); err != nil {
 		return nil, err
 	}
 	finishGlobal()
@@ -471,7 +431,7 @@ func runOnce(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir stri
 		}
 		lsp := cfg.Obs.StartSpan("legalize")
 		lstart := time.Now() //fbpvet:allow timing feeds Report.LegalTime only, never positions
-		lr, lerr := legalize.Legalize(n, decomp, legalize.Options{Obs: cfg.Obs, Ctx: ctx, Degrade: dl})
+		lr, lerr := legalize.Legalize(n, decomp, legalize.Options{Obs: cfg.Obs, Ctx: ctx})
 		report.LegalTime = time.Since(lstart) //fbpvet:allow reporting-only duration
 		report.LegalizeResult = lr
 		lsp.End()
@@ -585,7 +545,7 @@ func levelsFor(n *netlist.Netlist, cfg Config) int {
 // set, the loop starts from an unconstrained quadratic solve; otherwise it
 // continues from the current placement. A non-nil ck snapshots the loop
 // state after each completed level.
-func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decomposition, blockages geom.RectSet, cfg Config, qopt qp.Options, dl *degrade.Log, report *Report, startLevel, endLevel int, freshQP bool, ck *ckptState) error {
+func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decomposition, blockages geom.RectSet, cfg Config, qopt qp.Options, report *Report, startLevel, endLevel int, freshQP bool, ck *ckptState) error {
 	sys := qp.NewSystem(n, qopt)
 	if freshQP {
 		qsp := cfg.Obs.StartSpan("qp.initial")
@@ -615,7 +575,7 @@ func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decompos
 		wr := grid.BuildWindowRegions(g, decomp, blockages, cfg.TargetDensity)
 		switch cfg.Mode {
 		case ModeRecursive:
-			relax, err := fbp.PartitionLocal(n, wr, cfg.fbpConfig(ctx, dl, sys, nil))
+			relax, err := fbp.PartitionLocal(n, wr, cfg.fbpConfig(ctx, sys, nil))
 			report.Relaxations += relax
 			if err != nil {
 				lsp.End()
@@ -627,8 +587,8 @@ func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decompos
 				checker = &certify.Checker{Obs: cfg.Obs, Ctx: ctx, Level: lv}
 			}
 			// A failed level certificate leaves the loop wrapped in %w, so
-			// run sees the *certify.Error and re-runs the whole placement.
-			res, err := fbp.Partition(n, wr, cfg.fbpConfig(ctx, dl, sys, checker))
+			// the caller sees the *certify.Error.
+			res, err := fbp.Partition(n, wr, cfg.fbpConfig(ctx, sys, checker))
 			if err == nil && checker != nil {
 				err = checker.Partition(n, wr, res)
 			}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"fbplace/internal/certify"
-	"fbplace/internal/degrade"
 	"fbplace/internal/gen"
 	"fbplace/internal/geom"
 	"fbplace/internal/legalize"
@@ -401,17 +400,16 @@ func TestFBPConfigForwarding(t *testing.T) {
 	rec := obs.New(nil)
 	cfg := Config{Workers: 4, Obs: rec}
 	ctx := context.Background()
-	dl := degrade.New(rec)
 	check := &certify.Checker{Obs: rec, Ctx: ctx, Level: 3}
 	sys := qp.NewSystem(netlist.New(geom.Rect{Xhi: 1, Yhi: 1}, 1), qp.Options{})
-	got := cfg.fbpConfig(ctx, dl, sys, check)
-	if got.Check != check || got.Obs != rec || got.Ctx != ctx || got.Degrade != dl || got.System != sys {
-		t.Fatal("fbp config dropped Check/Obs/Ctx/Degrade/System")
+	got := cfg.fbpConfig(ctx, sys, check)
+	if got.Check != check || got.Obs != rec || got.Ctx != ctx || got.System != sys {
+		t.Fatal("fbp config dropped Check/Obs/Ctx/System")
 	}
 	if !got.LocalQP || got.Workers != 4 {
 		t.Fatalf("fbp config LocalQP %v, Workers %d; want true, 4", got.LocalQP, got.Workers)
 	}
-	if c := cfg.fbpConfig(ctx, dl, sys, nil); c.Check != nil {
+	if c := cfg.fbpConfig(ctx, sys, nil); c.Check != nil {
 		t.Fatalf("Check = %#v without a checker, want nil", c.Check)
 	}
 	seq := cfg

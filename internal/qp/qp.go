@@ -22,7 +22,6 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"fbplace/internal/degrade"
 	"fbplace/internal/geom"
 	"fbplace/internal/netlist"
 	"fbplace/internal/obs"
@@ -105,14 +104,6 @@ type Options struct {
 	// realization threads one per worker. Results are bit-identical with
 	// and without a workspace.
 	Workspace *Workspace
-	// Degrade, when non-nil, arms the non-convergence fallback chain: a CG
-	// solve that exhausts its budget is retried once with a 4x iteration
-	// budget, and if it still fails the positions are left at the warm
-	// start (the last anchor solution), a degradation event is recorded,
-	// and the solve returns nil. Context errors never trigger the
-	// fallback. Callers without a degrade log keep the hard-error
-	// behavior.
-	Degrade *degrade.Log
 }
 
 // SolveStats accumulates quadratic-solver effort. The counters are
@@ -487,40 +478,22 @@ func (s *System) Solve(anchors []Anchor, opt Options) error {
 	for i := s.nv; i < dim; i++ {
 		x[i], y[i] = ctr.X, ctr.Y
 	}
-	// The fallback chain: with a degrade log armed, a CG solve that
-	// exhausts its budget is retried once from its iterate with a 4x
-	// budget (inside SolveCGPair); if that fails too, the solve keeps
-	// the warm start. A best-effort solve accepts the non-converged
-	// iterate instead, and context errors pass straight through
-	// (ErrNotConverged is a distinct sentinel, so a cancellation mid-solve
-	// never retries).
+	// A best-effort solve accepts a non-converged iterate; any other
+	// failure, a non-converged solve of a strict caller included, is the
+	// caller's error (context errors are not ErrNotConverged, so they
+	// always pass through).
 	cg := sparse.CGOptions{Tol: opt.Tol, MaxIter: opt.MaxIter, Obs: opt.Obs, Ctx: opt.Ctx}
-	retry := opt.Degrade != nil && !opt.BestEffort
-	itx, ity, errX, errY := sparse.SolveCGPair(&ws.cg, mx, my, x, y, rhsX, rhsY, cg, retry)
-	degraded := false
-	var degradeDetail string
+	itx, ity, errX, errY := sparse.SolveCGPair(&ws.cg, mx, my, x, y, rhsX, rhsY, cg)
 	for _, ax := range [2]struct {
 		name string
 		err  error
 	}{{"x", errX}, {"y", errY}} {
-		switch {
-		case ax.err == nil || (opt.BestEffort && errors.Is(ax.err, sparse.ErrNotConverged)):
-		case retry && errors.Is(ax.err, sparse.ErrNotConverged):
-			degraded = true
-			degradeDetail = ax.err.Error()
-		default:
+		if ax.err != nil && !(opt.BestEffort && errors.Is(ax.err, sparse.ErrNotConverged)) {
 			return fmt.Errorf("qp: %s solve: %w", ax.name, ax.err)
 		}
 	}
 	opt.Stats.add(itx + ity)
 	opt.Obs.Count("qp.solves", 1)
-	if degraded {
-		// Degraded-result contract: positions stay at the warm start (the
-		// last anchor solution); the caller learns about it through the
-		// degradation log, not an error.
-		opt.Degrade.Add("qp.cg", "anchor-solution", degradeDetail)
-		return nil
-	}
 	for vi, id := range s.subset {
 		n.SetPos(id, n.Area.ClampPoint(geom.Point{X: x[vi], Y: y[vi]}))
 	}

@@ -1,15 +1,16 @@
 package qp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
-	"fbplace/internal/degrade"
 	"fbplace/internal/faultsim"
 	"fbplace/internal/geom"
 	"fbplace/internal/netlist"
+	"fbplace/internal/sparse"
 )
 
 var chip = geom.Rect{Xlo: 0, Ylo: 0, Xhi: 10, Yhi: 10}
@@ -375,55 +376,37 @@ func TestB2BCoincidentPinsStable(t *testing.T) {
 	}
 }
 
-// TestDegradeKeepsAnchorSolution forces organic CG non-convergence (a long
-// chain needs ~one iteration per cell; MaxIter 1 leaves even the 4x retry
-// short) and checks the fallback contract: with a degrade log the solve
-// returns nil, leaves the warm-start positions untouched, and records the
-// qp.cg -> anchor-solution event; without one it stays a hard error.
-func TestDegradeKeepsAnchorSolution(t *testing.T) {
-	build := func() (*netlist.Netlist, []netlist.CellID) {
+// TestNonConvergenceIsError forces organic CG non-convergence (a long
+// chain needs ~one iteration per cell; MaxIter 1 is far short): a strict
+// solve returns the x axis's ErrNotConverged, and a best-effort one
+// accepts the iterate.
+func TestNonConvergenceIsError(t *testing.T) {
+	build := func() *netlist.Netlist {
 		n := netlist.New(chip, 1)
-		var ids []netlist.CellID
 		prev := netlist.Pin{Cell: -1, Offset: geom.Point{X: 0, Y: 5}}
 		for i := 0; i < 30; i++ {
 			id := n.AddCell(netlist.Cell{Width: 0.1, Height: 0.1})
 			n.SetPos(id, geom.Point{X: 1, Y: 1})
 			n.AddNet(netlist.Net{Pins: []netlist.Pin{prev, {Cell: id}}})
 			prev = netlist.Pin{Cell: id}
-			ids = append(ids, id)
 		}
 		n.AddNet(netlist.Net{Pins: []netlist.Pin{prev, {Cell: -1, Offset: geom.Point{X: 9, Y: 5}}}})
-		return n, ids
+		return n
 	}
-
-	n, ids := build()
-	if err := Solve(n, nil, Options{Tol: 1e-12, MaxIter: 1}); err == nil {
-		t.Fatal("non-convergence without a degrade log must be a hard error")
+	err := Solve(build(), nil, Options{Tol: 1e-12, MaxIter: 1})
+	if !errors.Is(err, sparse.ErrNotConverged) || !strings.HasPrefix(err.Error(), "qp: x solve: ") {
+		t.Fatalf("err = %v, want qp: x solve: ...ErrNotConverged", err)
 	}
-
-	n, ids = build()
-	dl := degrade.New(nil)
-	if err := Solve(n, nil, Options{Tol: 1e-12, MaxIter: 1, Degrade: dl}); err != nil {
-		t.Fatalf("degraded solve returned %v, want nil", err)
-	}
-	for _, id := range ids {
-		if n.Pos(id) != (geom.Point{X: 1, Y: 1}) {
-			t.Fatalf("cell %d moved to %v; degraded solve must keep the warm start", id, n.Pos(id))
-		}
-	}
-	evs := dl.Events()
-	if len(evs) == 0 || evs[0].Stage != "qp.cg" || evs[0].Fallback != "anchor-solution" {
-		t.Fatalf("degradation events = %v, want qp.cg -> anchor-solution", evs)
+	if err := Solve(build(), nil, Options{Tol: 1e-12, MaxIter: 1, BestEffort: true}); err != nil {
+		t.Fatalf("best-effort solve returned %v, want nil", err)
 	}
 }
 
 // TestCGFaultOrderDeterministic arms sparse.cg.noconverge and solves one
-// slice 20 times. The axes are solved concurrently, but the fault hits
-// must land in the sequential order x, x-retry, y, y-retry: with Limit 2
-// both x attempts fail in every run, giving the same degradation record
-// (its detail names the hit) and the warm-start positions; with Limit 1
-// only the first x attempt fails, its retry converges, and the positions
-// equal an unarmed solve's bit for bit.
+// slice 20 times. The hits must land in the order x, y: with Limit 1 the
+// strict solve fails on x, and with After 1 on y. A
+// best-effort solve with Limit 1 keeps the warm-start x and matches an
+// unarmed solve's y bit for bit.
 func TestCGFaultOrderDeterministic(t *testing.T) {
 	defer faultsim.Reset()
 	base := messyNetlist(300, 9)
@@ -433,47 +416,48 @@ func TestCGFaultOrderDeterministic(t *testing.T) {
 			subset = append(subset, id)
 		}
 	}
-	solve := func(limit uint64) (*netlist.Netlist, []degrade.Event) {
+	solve := func(sched *faultsim.Schedule, bestEffort bool) (*netlist.Netlist, error) {
 		t.Helper()
 		faultsim.Reset()
-		if limit > 0 {
-			if err := faultsim.Arm("sparse.cg.noconverge", faultsim.Schedule{Limit: limit}); err != nil {
+		if sched != nil {
+			if err := faultsim.Arm("sparse.cg.noconverge", *sched); err != nil {
 				t.Fatal(err)
 			}
 		}
 		n := base.Clone()
-		dl := degrade.New(nil)
-		if err := heldSystem(n).SolveSlice(subset, Options{Degrade: dl}); err != nil {
-			t.Fatal(err)
-		}
-		return n, dl.Events()
+		return n, heldSystem(n).SolveSlice(subset, Options{BestEffort: bestEffort})
 	}
-	samePositions := func(run int, got, want *netlist.Netlist) {
+	sameBits := func(run int, axis string, got, want []float64) {
 		t.Helper()
-		for i := range want.X {
-			if math.Float64bits(got.X[i]) != math.Float64bits(want.X[i]) ||
-				math.Float64bits(got.Y[i]) != math.Float64bits(want.Y[i]) {
-				t.Fatalf("run %d: cell %d at (%v, %v), want (%v, %v)", run, i, got.X[i], got.Y[i], want.X[i], want.Y[i])
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("run %d: cell %d %s = %v, want %v", run, i, axis, got[i], want[i])
 			}
 		}
 	}
-	clean, evs := solve(0)
-	if len(evs) != 0 {
-		t.Fatalf("unarmed solve degraded: %v", evs)
+	clean, err := solve(nil, false)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for run := 0; run < 20; run++ {
-		n, evs := solve(2)
-		if len(evs) != 1 || evs[0].Stage != "qp.cg" || evs[0].Fallback != "anchor-solution" ||
-			!strings.Contains(evs[0].Detail, "hit 1") {
-			t.Fatalf("run %d, limit 2: degradations %v, want one qp.cg -> anchor-solution at hit 1", run, evs)
+		for _, tc := range []struct {
+			sched faultsim.Schedule
+			want  string
+		}{
+			{faultsim.Schedule{Limit: 1}, "qp: x solve: "},
+			{faultsim.Schedule{After: 1, Limit: 1}, "qp: y solve: "},
+		} {
+			_, err := solve(&tc.sched, false)
+			if !errors.Is(err, sparse.ErrNotConverged) || !strings.HasPrefix(err.Error(), tc.want) {
+				t.Fatalf("run %d, %+v: err = %v, want %q...ErrNotConverged", run, tc.sched, err, tc.want)
+			}
 		}
-		samePositions(run, n, base)
-
-		n, evs = solve(1)
-		if len(evs) != 0 {
-			t.Fatalf("run %d, limit 1: degradations %v, want none (the x retry converges)", run, evs)
+		n, err := solve(&faultsim.Schedule{Limit: 1}, true)
+		if err != nil {
+			t.Fatalf("run %d: best-effort solve: %v", run, err)
 		}
-		samePositions(run, n, clean)
+		sameBits(run, "x", n.X, base.X)
+		sameBits(run, "y", n.Y, clean.Y)
 	}
 }
 

@@ -22,9 +22,8 @@ import (
 )
 
 // defaultReference re-places the spec's instance directly with the default
-// configuration and worker count — the trajectory the certify re-run
-// repeats — and returns the positions for bit-exact comparison with a
-// repaired served result.
+// configuration and worker count and returns the positions for bit-exact
+// comparison with a served result.
 func defaultReference(t *testing.T, cells int, seed int64) ([]float64, []float64) {
 	t.Helper()
 	inst, err := gen.Chip(gen.ChipSpec{NumCells: cells, Seed: seed})
@@ -56,15 +55,6 @@ func wantBitIdentical(t *testing.T, res *Result, wantX, wantY []float64) {
 	}
 }
 
-func hasCertifyRepair(res *Result) bool {
-	for _, d := range res.Degradations {
-		if d.Stage == "certify" && d.Fallback == "safe-mode" {
-			return true
-		}
-	}
-	return false
-}
-
 // quarantineDir returns the job's quarantine directory path.
 func quarantineDir(s *Scheduler, id string) string {
 	return filepath.Join(s.StateDir(), "jobs", id, "quarantine")
@@ -84,11 +74,37 @@ func wantQuarantine(t *testing.T, s *Scheduler, id string) {
 	}
 }
 
-// TestCertifyRepair arms one silent corruption: the first attempt's
-// placement is bit-flipped between realization and legalization, the
-// placer's internal certificate catches it and re-runs the placement, and
-// the service serves a certified result bit-identical to a plain default
-// run — with the repair on record and nothing corrupt cached.
+// wantUncertified checks that j failed terminally as result_uncertified:
+// the error carries the certificate violation, no result is handed out,
+// and the offending positions are quarantined.
+func wantUncertified(t *testing.T, s *Scheduler, j *Job) {
+	t.Helper()
+	if j.State() != StateFailed {
+		t.Fatalf("state %s, want failed", j.State())
+	}
+	st := j.Status()
+	if st.ErrorCode != "result_uncertified" {
+		t.Fatalf("error code %q, want result_uncertified (%s)", st.ErrorCode, st.Error)
+	}
+	if !strings.Contains(st.Error, "certify:") {
+		t.Fatalf("error text %q does not carry the certificate violation", st.Error)
+	}
+	if st.Certified {
+		t.Fatal("a failed job must not report as certified")
+	}
+	if _, err := j.Result(); err == nil {
+		t.Fatal("an uncertified job must not hand out a result")
+	}
+	wantQuarantine(t, s, j.ID)
+}
+
+// TestCertifyRepair arms one silent corruption: the placement is
+// bit-flipped between realization and legalization, the placer's
+// certificate catches it, and the job fails terminally as
+// result_uncertified with its positions quarantined — the daemon repairs
+// nothing itself. Nothing was cached, so the client's repair is a
+// resubmission: the fault now spent, it runs its own placement and
+// serves a certified result bit-identical to a plain default run.
 func TestCertifyRepair(t *testing.T) {
 	const cells, seed = 700, 5
 	for _, workers := range []int{1, 4} {
@@ -104,52 +120,34 @@ func TestCertifyRepair(t *testing.T) {
 				t.Fatal(err)
 			}
 			waitDone(t, j, 120*time.Second)
-			if j.State() != StateDone {
-				t.Fatalf("state %s (%s)", j.State(), j.Status().Error)
-			}
-			res := mustResult(t, j)
-			if !res.Certified {
-				t.Fatal("repaired result is not certified")
-			}
-			if !j.Status().Certified {
-				t.Fatal("Status does not report the certification")
-			}
-			if !hasCertifyRepair(res) {
-				t.Fatalf("no placer-internal certify repair recorded: %v", res.Degradations)
-			}
-			wantX, wantY := defaultReference(t, cells, seed)
-			wantBitIdentical(t, res, wantX, wantY)
+			wantUncertified(t, s, j)
 			c := s.Obs().Counters()
-			if c["certify.fail"] != 1 || c["certify.repair"] != 1 {
-				t.Fatalf("counters: fail=%g repair=%g, want 1/1", c["certify.fail"], c["certify.repair"])
+			if c["certify.fail"] != 1 || c["certify.repair"] != 0 || c["certify.uncertified"] != 1 {
+				t.Fatalf("counters: fail=%g repair=%g uncertified=%g, want 1/0/1",
+					c["certify.fail"], c["certify.repair"], c["certify.uncertified"])
 			}
-			// An identical submission is served from the cache — which only
-			// ever held the certified, repaired result.
 			j2, err := s.Submit(chipSpec(cells, seed))
 			if err != nil {
 				t.Fatal(err)
 			}
-			waitDone(t, j2, 60*time.Second)
+			waitDone(t, j2, 120*time.Second)
 			st2 := j2.Status()
-			if !st2.Cached || !st2.Certified {
-				t.Fatalf("duplicate: cached=%v certified=%v, want both", st2.Cached, st2.Certified)
+			if st2.Cached || j2.State() != StateDone || !st2.Certified {
+				t.Fatalf("resubmission: state=%s cached=%v certified=%v, want done, uncached, certified",
+					j2.State(), st2.Cached, st2.Certified)
 			}
+			wantX, wantY := defaultReference(t, cells, seed)
 			wantBitIdentical(t, mustResult(t, j2), wantX, wantY)
 		})
 	}
 }
 
-// TestLevelProgressFollowsThePlan arms one silent corruption, so the
-// placer's certificate fails and the whole placement re-runs. The job
-// reports its planned level count from admission on, its completed-level
-// count never passes the plan although the re-run covers every level
-// again, and both end at the result's level count.
+// TestLevelProgressFollowsThePlan follows a certified job's level spans:
+// the job reports its planned level count from admission on, its
+// completed-level count never passes the plan, and both end at the
+// result's level count.
 func TestLevelProgressFollowsThePlan(t *testing.T) {
 	t.Cleanup(func() { leakcheck.Check(t) })
-	t.Cleanup(faultsim.Reset)
-	if err := faultsim.Arm("certify.corrupt", faultsim.Schedule{Limit: 1}); err != nil {
-		t.Fatal(err)
-	}
 	s := testSched(t, Options{Workers: 1, Certify: true})
 	j, err := s.Submit(chipSpec(3000, 9))
 	if err != nil {
@@ -168,9 +166,6 @@ func TestLevelProgressFollowsThePlan(t *testing.T) {
 	})
 	waitDone(t, j, 120*time.Second)
 	res := mustResult(t, j)
-	if !hasCertifyRepair(res) {
-		t.Fatalf("no certify re-run recorded: %v", res.Degradations)
-	}
 	st := j.Status()
 	if st.LevelsDone != st.LevelsPlanned || st.LevelsPlanned != res.Levels {
 		t.Fatalf("levels_done=%d levels_planned=%d, result levels %d: want all equal",
@@ -178,8 +173,7 @@ func TestLevelProgressFollowsThePlan(t *testing.T) {
 	}
 }
 
-// TestCertifyUnrepairable corrupts every attempt: the first run and the
-// placer's re-run both fail certification, so the job must fail
+// TestCertifyUnrepairable corrupts every attempt: the job must fail
 // terminally with the result_uncertified code, the offending positions
 // quarantined on disk, and nothing cached — a later identical submission
 // runs its own placement.
@@ -196,30 +190,11 @@ func TestCertifyUnrepairable(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, j, 120*time.Second)
-	if j.State() != StateFailed {
-		t.Fatalf("state %s, want failed", j.State())
-	}
-	st := j.Status()
-	if st.ErrorCode != "result_uncertified" {
-		t.Fatalf("error code %q, want result_uncertified (%s)", st.ErrorCode, st.Error)
-	}
-	if !strings.Contains(st.Error, "certify:") {
-		t.Fatalf("error text %q does not carry the certificate violation", st.Error)
-	}
-	if st.Certified {
-		t.Fatal("a failed job must not report as certified")
-	}
-	if _, err := j.Result(); err == nil {
-		t.Fatal("an uncertified job must not hand out a result")
-	}
-	wantQuarantine(t, s, j.ID)
+	wantUncertified(t, s, j)
 	c := s.Obs().Counters()
-	if c["certify.uncertified"] != 1 {
-		t.Fatalf("certify.uncertified=%g, want 1", c["certify.uncertified"])
-	}
-	if c["certify.fail"] != 2 || c["certify.repair"] != 1 || c["certify.quarantined"] != 1 {
-		t.Fatalf("counters: fail=%g repair=%g quarantined=%g, want 2/1/1",
-			c["certify.fail"], c["certify.repair"], c["certify.quarantined"])
+	if c["certify.fail"] != 1 || c["certify.uncertified"] != 1 || c["certify.quarantined"] != 1 {
+		t.Fatalf("counters: fail=%g uncertified=%g quarantined=%g, want 1/1/1",
+			c["certify.fail"], c["certify.uncertified"], c["certify.quarantined"])
 	}
 
 	// Nothing corrupt was cached: with the fault disarmed, an identical

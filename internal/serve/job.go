@@ -142,9 +142,7 @@ type Result struct {
 	LegalTime    time.Duration
 	Degradations []degrade.Event
 	// Certified is true when the placement passed independent
-	// certification (Options.Certify) before being cached or served; a
-	// certify-stage entry in Degradations means the placer's certify
-	// re-run produced it.
+	// certification (Options.Certify) before being cached or served.
 	Certified bool
 }
 
@@ -217,9 +215,8 @@ type Status struct {
 	Coalesced     bool   `json:"coalesced,omitempty"`
 	Error         string `json:"error,omitempty"`
 	// ErrorCode is the machine-readable failure code when one applies
-	// (currently "result_uncertified": the placement failed independent
-	// certification after the placer's one re-run, or failed the
-	// scheduler's own certification gate).
+	// (currently "result_uncertified": the placement failed the placer's
+	// certificate or the scheduler's own certification gate).
 	ErrorCode string `json:"error_code,omitempty"`
 	// Certified is true when the job's result passed independent
 	// certification (Options.Certify) — including results served from the
@@ -349,8 +346,7 @@ func (j *Job) terminate(st State, res *Result, msg string) bool {
 
 // noteLevel records that the lv-th level of the run's schedule
 // completed. The count is set, not incremented, so a run that covers
-// levels again (the placer's certify re-run, a fresh retry without a
-// snapshot) cannot push it past the plan. Completing a level is real
+// levels again (a fresh retry without a snapshot) cannot push it past the plan. Completing a level is real
 // forward progress, so it clears the watchdog's strike counter: only
 // *consecutive* no-progress attempts accumulate toward a terminal
 // JobStuck — a slow job that keeps advancing never does.

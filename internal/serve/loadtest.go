@@ -213,8 +213,6 @@ func verifyDirect(ctx context.Context, j *Job) (bool, error) {
 	}
 	cfg.Workers = 1
 	cfg.Obs = (*obs.Recorder)(nil)
-	// Certify-repaired results compare against this plain run too: the
-	// placer's certify re-run follows the default trajectory.
 	if _, err := placer.PlaceCtx(ctx, n, cfg); err != nil {
 		return false, err
 	}

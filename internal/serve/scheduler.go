@@ -84,11 +84,10 @@ type Options struct {
 	// positions, overlap and movebound-violation recounts and the HPWL are
 	// re-derived by the scheduler's own checker, on top of the placer's
 	// per-run certificates (placer.CertifyFinal is forced onto each
-	// attempt, including checkpoint resumes, and the placer re-runs a
-	// placement once when its own certificate fails). A result that fails
-	// after that re-run, or fails the scheduler's gate, is quarantined
-	// under the job's state directory and fails the job terminally with
-	// the result_uncertified error code; it is never cached.
+	// attempt, including checkpoint resumes). A result that fails the
+	// placer's certificate or the scheduler's gate is quarantined under
+	// the job's state directory and fails the job terminally with the
+	// result_uncertified error code; it is never cached and never retried.
 	Certify bool
 
 	// QueueLimit bounds the queue depth; submissions past it are refused
@@ -627,9 +626,8 @@ func (s *Scheduler) runJob(j *Job) {
 
 	// Certification gate: the scheduler re-certifies the attempt's result
 	// itself, before anything can reach the cache or a client — the
-	// placer's certificates guard its internals (and its one re-run
-	// repairs what they catch), this one guards the boundary (and the
-	// resume path re-enters here like any attempt).
+	// placer's certificates guard its internals, this one guards the
+	// boundary (and the resume path re-enters here like any attempt).
 	if err == nil && s.opt.Certify {
 		err = s.certifyResult(actx, j, rep)
 	}
@@ -638,15 +636,13 @@ func (s *Scheduler) runJob(j *Job) {
 	var pe *placer.PreemptedError
 	switch {
 	case err == nil:
-		s.countCertifyRepairs(rep)
 		s.rec.Count("serve.degradations", float64(len(rep.Degradations)))
 		s.finish(j, StateDone, buildResult(j, rep), "")
 	case errors.As(err, &ce):
-		// A wrong answer escaped the placer's re-run or failed the gate:
+		// A wrong answer failed the placer's certificate or the gate:
 		// terminal, with the offending positions quarantined and nothing
 		// cached. It is a finished result, so it outranks a context that
 		// ended meanwhile.
-		s.countCertifyRepairs(rep)
 		s.rec.Count("certify.fail", 1)
 		s.quarantine(j, ce)
 		j.mu.Lock()
@@ -687,21 +683,6 @@ func (s *Scheduler) certifyResult(ctx context.Context, j *Job, rep *placer.Repor
 		Legalized:     !j.cfg.SkipLegalization,
 		TargetDensity: j.cfg.TargetDensity,
 	})
-}
-
-// countCertifyRepairs surfaces the placer's certify repairs, recorded on
-// the job's recorder, on the service counters: each "safe-mode" entry is
-// one failed certificate and one re-run.
-func (s *Scheduler) countCertifyRepairs(rep *placer.Report) {
-	if rep == nil {
-		return
-	}
-	for _, d := range rep.Degradations {
-		if d.Stage == "certify" && d.Fallback == "safe-mode" {
-			s.rec.Count("certify.fail", 1)
-			s.rec.Count("certify.repair", 1)
-		}
-	}
 }
 
 // quarantine preserves an uncertifiable result for post-mortem under the

@@ -19,9 +19,9 @@ import (
 	"fbplace/internal/obs"
 )
 
-// cgFault forces each attempt of SolveCGPair to report non-convergence at
-// entry, exercising the quadratic placer's retry-then-anchor fallback
-// chain.
+// cgFault forces each axis of SolveCGPair to report non-convergence at
+// entry: the top-level QP then fails with the error, and the best-effort
+// realization-local QPs keep their warm start.
 var cgFault = faultsim.Register("sparse.cg.noconverge",
 	"a CG solve reports ErrNotConverged without iterating")
 
@@ -269,25 +269,19 @@ type CGOptions struct {
 	Obs *obs.Recorder
 	// Ctx, when non-nil, is polled every few iterations; a canceled or
 	// expired context aborts the solve with the context's error (which is
-	// distinct from ErrNotConverged: cancellation must not trigger
-	// convergence fallbacks).
+	// distinct from ErrNotConverged, so a best-effort caller never keeps
+	// the iterate of a canceled solve).
 	Ctx context.Context
 }
 
 // SolveCGPair solves the two axis systems of one quadratic placement,
 // mx*x = rhsX and my*y = rhsY (mx and my may be the same matrix), in one
 // lockstep CG loop on the calling goroutine (see runCG), with w's work
-// vectors. With retry set, an axis whose solve does not converge is
-// retried once from its iterate with four times the iteration budget; an
-// axis error wrapping ErrNotConverged then means both attempts failed. It
-// returns each axis's iterations over both attempts and its error.
-//
-// The outcome is that of solving x, then y, each retried in place: the
-// sparse.cg.noconverge fault schedule is drawn in the order x, x-retry, y,
-// y-retry before the first attempts run, and the obs records are emitted
-// in that order once both axes returned. Retries after an organic failure
-// (not an injected one) run afterwards, drawing their hits x first.
-func SolveCGPair(w *CGWork, mx, my *CSR, x, y, rhsX, rhsY []float64, opt CGOptions, retry bool) (itx, ity int, errX, errY error) {
+// vectors. It returns each axis's iterations and its error; an axis that
+// exhausts its budget reports ErrNotConverged with its iterate in place.
+// The sparse.cg.noconverge fault schedule is drawn x first, and the obs
+// records are emitted in that order once both axes returned.
+func SolveCGPair(w *CGWork, mx, my *CSR, x, y, rhsX, rhsY []float64, opt CGOptions) (itx, ity int, errX, errY error) {
 	opt = opt.withDefaults(mx.N)
 	if err := precheck(mx, x, rhsX, opt); err != nil {
 		return 0, 0, err, nil
@@ -295,61 +289,13 @@ func SolveCGPair(w *CGWork, mx, my *CSR, x, y, rhsX, rhsY []float64, opt CGOptio
 	if err := precheck(my, y, rhsY, opt); err != nil {
 		return 0, 0, nil, err
 	}
-	axes := [2]axisRun{{m: mx, v: x, rhs: rhsX}, {m: my, v: y, rhs: rhsY}}
-	for i := range axes {
-		a := &axes[i]
-		a.fault = cgFault.Check()
-		if a.fault != nil && retry {
-			a.retryFault = cgFault.Check()
-		}
-	}
-	// An injected first attempt did no work, so its retry runs in place.
-	for i := range axes {
-		a := &axes[i]
-		w.schedule(&a.first, a.m, a.v, a.rhs, opt.MaxIter, a.fault)
-		if a.fault != nil && retry {
-			w.schedule(&a.second, a.m, a.v, a.rhs, opt.retry().MaxIter, a.retryFault)
-			a.retried = true
-		}
-	}
+	var out [2]cgAttempt
+	w.schedule(&out[0], mx, x, rhsX, opt.MaxIter, cgFault.Check())
+	w.schedule(&out[1], my, y, rhsY, opt.MaxIter, cgFault.Check())
 	w.run(opt)
-	for i := range axes {
-		a := &axes[i]
-		if retry && !a.retried && errors.Is(a.first.err, ErrNotConverged) {
-			w.schedule(&a.second, a.m, a.v, a.rhs, opt.retry().MaxIter, cgFault.Check())
-			a.retried = true
-		}
-	}
-	w.run(opt)
-	for i := range axes {
-		a := &axes[i]
-		a.first.record(opt.Obs)
-		if a.retried {
-			a.second.record(opt.Obs)
-		}
-	}
-	itx, errX = axes[0].result()
-	ity, errY = axes[1].result()
-	return itx, ity, errX, errY
-}
-
-// axisRun is one axis of SolveCGPair: its system, the fault hits drawn
-// for it and its attempts.
-type axisRun struct {
-	m                 *CSR
-	v, rhs            []float64
-	fault, retryFault error
-	first, second     cgAttempt
-	retried           bool
-}
-
-// result returns the axis's iterations over both attempts and its final
-// error.
-func (a *axisRun) result() (int, error) {
-	if a.retried {
-		return a.first.iters + a.second.iters, a.second.err
-	}
-	return a.first.iters, a.first.err
+	out[0].record(opt.Obs)
+	out[1].record(opt.Obs)
+	return out[0].iters, out[1].iters, out[0].err, out[1].err
 }
 
 // withDefaults fills the tolerance and the iteration budget for an n x n
@@ -364,12 +310,6 @@ func (opt CGOptions) withDefaults(n int) CGOptions {
 			opt.MaxIter = 100
 		}
 	}
-	return opt
-}
-
-// retry returns the options of a retried solve: four times the budget.
-func (opt CGOptions) retry() CGOptions {
-	opt.MaxIter *= 4
 	return opt
 }
 

@@ -62,7 +62,7 @@ func TestMulVecKnown(t *testing.T) {
 	}
 }
 
-// solveCG solves m*x = rhs as one axis of SolveCGPair without retry:
+// solveCG solves m*x = rhs as one axis of SolveCGPair:
 // defaults, precheck, one attempt with its fault draw, run as the only
 // live axis of the lockstep loop, and its obs record.
 func solveCG(m *CSR, x, rhs []float64, opt CGOptions) (int, error) {
@@ -579,7 +579,7 @@ func TestSolveCGPairLockstepMatchesSingle(t *testing.T) {
 			wantX, wantItX, wantErrX := single(mA, x0, tc.rhsX, tc.opt)
 			wantY, wantItY, wantErrY := single(my, y0, tc.rhsY, tc.opt)
 			x, y := append([]float64(nil), x0...), append([]float64(nil), y0...)
-			itx, ity, errX, errY := SolveCGPair(new(CGWork), mA, my, x, y, tc.rhsX, tc.rhsY, tc.opt, false)
+			itx, ity, errX, errY := SolveCGPair(new(CGWork), mA, my, x, y, tc.rhsX, tc.rhsY, tc.opt)
 			if itx != wantItX || ity != wantItY {
 				t.Fatalf("%s shared=%v: iterations (%d, %d), one-axis solves (%d, %d)", tc.name, shared, itx, ity, wantItX, wantItY)
 			}

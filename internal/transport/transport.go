@@ -4,20 +4,16 @@
 // minimum total cost, where inadmissible pairs (movebound does not cover
 // the region) are simply absent from the arc lists.
 //
-// Two engines are provided:
-//
-//   - Reference: successive shortest paths on the full bipartite network
-//     (flow.MinCostFlow). Exact, simple, used for small instances and as
-//     the test oracle.
-//   - Condensed: the production engine. It starts from the optimal
-//     pseudoflow that sends every source to its cheapest admissible sink
-//     and then cancels sink overloads along shortest paths in a condensed
-//     graph whose nodes are the sinks only. Each condensed arc a->b is the
-//     cheapest reassignment of any source currently in a to b. Node
-//     potentials kept across augmentations make every reduced cost
-//     nonnegative, so each path is one Dijkstra search over only the sink
-//     pairs with a live candidate. This mirrors the role of Brenner's fast
-//     transportation algorithm [4] in BonnPlace.
+// The engine (Solve) is condensed: it starts from the optimal pseudoflow
+// that sends every source to its cheapest admissible sink and then
+// cancels sink overloads along shortest paths in a condensed graph whose
+// nodes are the sinks only. Each condensed arc a->b is the cheapest
+// reassignment of any source currently in a to b. Node potentials kept
+// across augmentations make every reduced cost nonnegative, so each path
+// is one Dijkstra search over only the sink pairs with a live candidate.
+// This mirrors the role of Brenner's fast transportation algorithm [4] in
+// BonnPlace. The package tests check it against a reference engine,
+// successive shortest paths on the full bipartite network.
 //
 // Every solve is elastic: a sink may take area above its capacity at a
 // price M per unit, where M exceeds the cost of any reassignment path, so
@@ -40,22 +36,15 @@ import (
 	"math"
 	"slices"
 
-	"fbplace/internal/degrade"
 	"fbplace/internal/faultsim"
 	"fbplace/internal/flow"
 	"fbplace/internal/obs"
 )
 
-// Injection points: condensedFault makes the production engine fail (the
-// fallback must switch to the reference engine and record a degradation);
-// referenceFault makes the reference engine fail too, exhausting the chain
-// so the caller receives a structured error.
-var (
-	condensedFault = faultsim.Register("transport.condensed.fail",
-		"condensed-sink transportation engine fails at entry")
-	referenceFault = faultsim.Register("transport.reference.fail",
-		"reference (successive shortest path) transportation engine fails at entry")
-)
+// condensedFault makes the production engine fail at entry; Solve
+// returns the error to its caller, which reports it as a structured error.
+var condensedFault = faultsim.Register("transport.condensed.fail",
+	"condensed-sink transportation engine fails at entry")
 
 // Arc is an admissible (source, sink) pair with its movement cost.
 type Arc struct {
@@ -81,13 +70,8 @@ type Problem struct {
 	// Solve call.
 	Obs *obs.Recorder
 	// Ctx, when non-nil, is polled during the solve; a canceled or expired
-	// context aborts with the context's error (no fallback: cancellation
-	// is a caller decision, not an engine failure).
+	// context aborts with the context's error.
 	Ctx context.Context
-	// Degrade, when non-nil, records the condensed -> reference engine
-	// fallback so results are never silently produced by the slower
-	// oracle path.
-	Degrade *degrade.Log
 	// Workspace, when non-nil, supplies the condensed engine's reusable
 	// buffers (see Workspace); nil allocates them per solve.
 	Workspace *Workspace
@@ -168,70 +152,6 @@ func (s *Solution) NumSplit() int {
 	return n
 }
 
-// SolveReference solves the instance exactly with the generic min-cost
-// flow solver. Intended for tests and small instances. One extra overflow
-// node, fed by every sink at the overflow price, absorbs all supply the
-// capacities cannot.
-func SolveReference(p *Problem) (*Solution, error) {
-	if err := referenceFault.Check(); err != nil {
-		return nil, fmt.Errorf("transport: reference engine: %w", err)
-	}
-	n, k := p.NumSources(), p.NumSinks()
-	g := flow.NewMinCostFlow(n + k)
-	g.Ctx = p.Ctx
-	total := 0.0
-	for i, s := range p.Supply {
-		if s <= 0 {
-			return nil, fmt.Errorf("transport: source %d has non-positive supply %g", i, s)
-		}
-		g.SetSupply(i, s)
-		total += s
-	}
-	for j, c := range p.Capacity {
-		g.SetSupply(n+j, -c)
-	}
-	over := g.AddNode()
-	g.SetSupply(over, -total)
-	price := overflowPrice(p)
-	spill := make([]flow.ArcID, k) // sink -> overflow node arcs
-	for j := range spill {
-		spill[j] = g.AddArc(n+j, over, flow.Inf, price)
-	}
-	ids := make([][]flow.ArcID, n)
-	for i, arcs := range p.Arcs {
-		ids[i] = make([]flow.ArcID, len(arcs))
-		for t, a := range arcs {
-			ids[i][t] = g.AddArc(i, n+a.Sink, flow.Inf, a.Cost)
-		}
-	}
-	if _, err := g.Solve(); err != nil {
-		var inf *flow.ErrInfeasible
-		if errors.As(err, &inf) {
-			return nil, fmt.Errorf("%w: %g unrouted", ErrInfeasible, inf.Unrouted)
-		}
-		return nil, err
-	}
-	// The solver's cost prices the overflow; the plan reports movement
-	// only, summed below.
-	sol := &Solution{Assign: make([][]Portion, n), Overflow: make([]float64, k)}
-	for j, id := range spill {
-		if f := g.Flow(id); f > flow.Eps {
-			sol.Overflow[j] = f
-		}
-	}
-	for i, arcs := range p.Arcs {
-		for t, a := range arcs {
-			f := g.Flow(ids[i][t])
-			if f > flow.Eps {
-				sol.Assign[i] = append(sol.Assign[i], Portion{Sink: a.Sink, Amount: f})
-				sol.Cost += f * a.Cost
-			}
-		}
-		sortPortions(sol.Assign[i])
-	}
-	return sol, nil
-}
-
 // sortPortions orders a source's portions by amount, largest first, then
 // by sink: a total order, so the plan does not depend on the sort.
 func sortPortions(ps []Portion) {
@@ -241,21 +161,12 @@ func sortPortions(ps []Portion) {
 }
 
 // Solve solves the instance with the condensed-sink engine. The solution
-// is an optimal fractional plan (same cost as SolveReference up to
-// numerical tolerance).
-//
-// Fallback chain: when the condensed engine fails for any reason other
-// than a genuine infeasibility certificate or a context abort — an
-// internal defect such as a degenerate augmentation or an injected fault —
-// Solve retries the instance on the reference successive-shortest-path
-// engine. The fallback is recorded on p.Degrade (and as an obs counter via
-// the log), so a degraded run is attributable, never silent.
+// is an optimal fractional plan (same cost as the reference engine of the
+// package tests, successive shortest paths on the full bipartite network,
+// up to numerical tolerance). An engine failure is returned as is: there is no
+// second engine to retry on.
 func Solve(p *Problem) (*Solution, error) {
 	sol, st, err := runCondensed(p)
-	if err != nil && fallbackWorthy(err) {
-		p.Degrade.Add("transport.condensed", "reference-engine", err.Error())
-		sol, err = SolveReference(p)
-	}
 	if p.Obs != nil {
 		p.Obs.Count("transport.solves", 1)
 		p.Obs.Count("transport.sources", float64(p.NumSources()))
@@ -272,17 +183,6 @@ func Solve(p *Problem) (*Solution, error) {
 		}
 	}
 	return sol, err
-}
-
-// fallbackWorthy reports whether a condensed-engine error justifies the
-// reference-engine retry. Infeasibility (a source without an admissible
-// sink) is a property of the instance, and context aborts
-// are caller decisions; everything else is an engine failure worth a
-// second opinion.
-func fallbackWorthy(err error) bool {
-	return !errors.Is(err, ErrInfeasible) &&
-		!errors.Is(err, context.Canceled) &&
-		!errors.Is(err, context.DeadlineExceeded)
 }
 
 // presence tracks how much of source i currently sits at sink j, together

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -10,10 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"fbplace/internal/degrade"
 	"fbplace/internal/faultsim"
-	"fbplace/internal/flow"
-	"fbplace/internal/obs"
 )
 
 func TestSolveSingleSourceSingleSink(t *testing.T) {
@@ -39,15 +35,8 @@ func TestSolveSingleSourceSingleSink(t *testing.T) {
 func engines() map[string]func(*Problem) (*Solution, error) {
 	return map[string]func(*Problem) (*Solution, error){
 		"reference": SolveReference,
-		"condensed": condensedOnly,
+		"condensed": Solve,
 	}
-}
-
-// condensedOnly runs the condensed engine with no reference fallback, so a
-// broken engine cannot hide behind the oracle.
-func condensedOnly(p *Problem) (*Solution, error) {
-	sol, _, err := runCondensed(p)
-	return sol, err
 }
 
 func TestSolveOverflowMovesCheapestSource(t *testing.T) {
@@ -219,7 +208,7 @@ func TestCondensedMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomProblem(rng)
 		ref, err1 := SolveReference(p)
-		got, err2 := condensedOnly(p)
+		got, err2 := Solve(p)
 		if err1 != nil || err2 != nil {
 			return err1 != nil && err2 != nil // both must agree on feasibility
 		}
@@ -237,7 +226,7 @@ func TestSolutionInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomProblem(rng)
-		sol, err := condensedOnly(p)
+		sol, err := Solve(p)
 		if err != nil {
 			return false
 		}
@@ -437,8 +426,7 @@ func initialOverloads(p *Problem) int {
 	return over
 }
 
-// TestCondensedLargeKMatchesReference checks the condensed engine alone
-// (no reference fallback) on large-k, tie-heavy, movebound-shaped
+// TestCondensedLargeKMatchesReference checks the condensed engine on large-k, tie-heavy, movebound-shaped
 // instances whose overloads sit at several sinks, so successive
 // augmentations start their searches from different sinks: the cost must
 // match the reference engine, the plan must be valid, and a second solve
@@ -563,100 +551,29 @@ func assertSolutionsEquivalent(t *testing.T, p *Problem, got, want *Solution) {
 	}
 }
 
-// Satellite: a faultsim-armed condensed failure must fall back to the
-// reference engine with a correct Solution (portions, NumSplit, overflow)
-// and a degrade counter bump. Odd trials are starved to 30% of their
-// capacities, so the fallback must take the same overflow.
-func TestCondensedFallbackFaultsim(t *testing.T) {
-	defer faultsim.Reset()
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 20; trial++ {
-		p := randomProblem(rng)
-		starved := trial%2 == 1
-		if starved {
-			for j := range p.Capacity {
-				p.Capacity[j] *= 0.3
-			}
-		}
-		want, err := SolveReference(p)
-		if err != nil {
-			continue
-		}
-		if starved && want.TotalOverflow() == 0 {
-			t.Fatalf("trial %d: starved problem took no overflow", trial)
-		}
-		if err := faultsim.Arm("transport.condensed.fail", faultsim.Schedule{}); err != nil {
-			t.Fatal(err)
-		}
-		rec := obs.New(nil)
-		p.Obs = rec
-		p.Degrade = degrade.New(rec)
-		got, err := Solve(p)
-		faultsim.Disarm("transport.condensed.fail")
-		if err != nil {
-			t.Fatalf("trial %d: fallback did not rescue the solve: %v", trial, err)
-		}
-		assertSolutionsEquivalent(t, p, got, want)
-		if got := rec.Counter("degrade.transport.condensed"); got != 1 {
-			t.Fatalf("trial %d: degrade.transport.condensed = %v, want 1", trial, got)
-		}
-		if p.Degrade.Len() != 1 {
-			t.Fatalf("trial %d: degrade log has %d events, want 1", trial, p.Degrade.Len())
-		}
-		ev := p.Degrade.Events()[0]
-		if ev.Stage != "transport.condensed" || ev.Fallback != "reference-engine" {
-			t.Fatalf("trial %d: degrade event %+v", trial, ev)
-		}
-	}
-}
-
-// Satellite: fallbackWorthy must treat a solver stall as an engine
-// failure (retry on the reference path) but never retry infeasibility
-// certificates or context aborts.
-func TestFallbackWorthySyntheticStall(t *testing.T) {
-	stall := fmt.Errorf("transport: %w", &flow.ErrStalled{Pivots: 12345})
-	if !fallbackWorthy(stall) {
-		t.Fatal("a stall must be fallback-worthy")
-	}
-	if !fallbackWorthy(errors.New("transport: degenerate augmentation (move 0)")) {
-		t.Fatal("an internal engine defect must be fallback-worthy")
-	}
-	if fallbackWorthy(fmt.Errorf("%w: 3 unrouted", ErrInfeasible)) {
-		t.Fatal("infeasibility must not be retried")
-	}
-	if fallbackWorthy(context.Canceled) || fallbackWorthy(context.DeadlineExceeded) {
-		t.Fatal("context aborts must not be retried")
-	}
-}
-
-// Satellite: when both engines are armed to fail, the chain exhausts and
-// the caller receives the reference engine's structured error, with the
-// degrade event still recorded.
-func TestCondensedFallbackChainExhausted(t *testing.T) {
+// TestCondensedFaultIsError: an engine failure is the caller's error.
+// Solve retries nothing, returns no plan and wraps the injected fault.
+func TestCondensedFaultIsError(t *testing.T) {
 	defer faultsim.Reset()
 	if err := faultsim.Arm("transport.condensed.fail", faultsim.Schedule{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := faultsim.Arm("transport.reference.fail", faultsim.Schedule{}); err != nil {
 		t.Fatal(err)
 	}
 	p := &Problem{
 		Supply:   []float64{1},
 		Capacity: []float64{2},
 		Arcs:     [][]Arc{{{Sink: 0, Cost: 1}}},
-		Degrade:  degrade.New(nil),
 	}
-	_, err := Solve(p)
+	sol, err := Solve(p)
 	if !errors.Is(err, faultsim.ErrInjected) {
 		t.Fatalf("err = %v, want injected", err)
 	}
-	if p.Degrade.Len() != 1 {
-		t.Fatalf("degrade log has %d events, want 1", p.Degrade.Len())
+	if sol != nil {
+		t.Fatal("a failed solve returned a plan")
 	}
 }
 
 // TestCondensedElasticMatchesReference checks the condensed engine alone
-// (no reference fallback) against the reference engine on movebound-shaped
+// against the reference engine on movebound-shaped
 // instances whose capacities are scaled by 0.2-1.1, so most cannot be
 // served without overflow: total overflow and movement cost must match,
 // the plan must ship everything within capacity plus overflow, and a
